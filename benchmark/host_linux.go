@@ -1,0 +1,28 @@
+package main
+
+import "syscall"
+
+// cpuSeconds is the process's user+system CPU time so far.
+func cpuSeconds() float64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	tv := func(t syscall.Timeval) float64 { return float64(t.Sec) + float64(t.Usec)/1e6 }
+	return tv(ru.Utime) + tv(ru.Stime)
+}
+
+func kernelRelease() string {
+	var u syscall.Utsname
+	if err := syscall.Uname(&u); err != nil {
+		return ""
+	}
+	b := make([]byte, 0, len(u.Release))
+	for _, c := range u.Release {
+		if c == 0 {
+			break
+		}
+		b = append(b, byte(c))
+	}
+	return string(b)
+}
