@@ -25,6 +25,17 @@ func TestTrendGateOnCommittedHistory(t *testing.T) {
 		t.Fatalf("committed history holds %d records, want PR3..PR5 plus the current PR", len(records))
 	}
 
+	// The specimen lives on the one-core host class the history began
+	// on. Records from other hosts (PR14's two-core, phmm-only record)
+	// start their own trajectories and are judged on their own.
+	var oneCore []*Report
+	for _, r := range records {
+		if hostKeyOf(r) == hostKeyOf(records[0]) {
+			oneCore = append(oneCore, r)
+		}
+	}
+	records = oneCore
+
 	find := func(regs []Regression, kernel, pair string) *Regression {
 		for i := range regs {
 			if regs[i].Kernel == kernel && regs[i].Pair == pair {

@@ -72,7 +72,9 @@ func probeDispatch() int {
 		return DispatchChunked
 	}
 	const tasks = 192
-	var sink uint64
+	// One result slot per task: workers run tasks concurrently, so a
+	// shared accumulator would be a data race.
+	var sink [tasks]uint64
 	work := func(task int) {
 		// Cost pattern 1..25 units, deterministic per task index.
 		units := (task%5 + 1) * (task%5 + 1)
@@ -80,7 +82,7 @@ func probeDispatch() int {
 		for i := 0; i < units*400; i++ {
 			s = s*6364136223846793005 + 1442695040888963407
 		}
-		sink += s
+		sink[task] = s
 	}
 	ctx := context.Background()
 	chunkedNs := tuning.BestNs(3, 1, func() {

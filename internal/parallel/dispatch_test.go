@@ -3,10 +3,24 @@ package parallel
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
+
+// TestProbeDispatchRaceFree runs the scheduler microprobe itself —
+// test binaries otherwise never do (GBENCH_TUNE=off pins the default) —
+// on at least two Ps, so `go test -race` sees its workers share
+// whatever they share.
+func TestProbeDispatchRaceFree(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	if p := probeDispatch(); p != DispatchChunked && p != DispatchStealing {
+		t.Fatalf("probeDispatch() = %d, want %d or %d", p, DispatchChunked, DispatchStealing)
+	}
+}
 
 // TestForEachDispatchErrRoutesBothPolicies pins that the router honors
 // a forced policy and that both schedulers keep the cover-every-task-

@@ -29,19 +29,21 @@ package phmm
 // at that constant). A consequence for the argmax: when two
 // haplotypes' true likelihoods are closer than the tolerance (clones,
 // or near-clones), BestHap may pick either of them; the differential
-// tests pin BestHap exactly except on such near-ties. Lanes whose
-// float32 sum underflows fall back to the scalar float64 pass,
-// exactly like the scalar path, and ragged group tails (|H| mod 8)
-// use the scalar float32 path unchanged.
+// tests pin BestHap exactly except on such near-ties. Every M/I/D
+// value is flushed to +0 below flushFloor32 at the same point the
+// scalar pass flushes it (package comment). Lanes whose float32 sum
+// underflows fall back to the scalar float64 pass, exactly like the
+// scalar path, and ragged group tails (|H| mod 8) use the scalar
+// float32 path unchanged.
 //
 // On amd64 the per-row update dispatches to an SSE2 assembly kernel
-// (row_amd64.s), and on arm64 to a NEON kernel (row_arm64.s); both are
-// bit-identical to the pure-Go quad sweeps — the portable path below
-// is the reference they are tested against. To keep that contract on
-// arm64, rowQuad is written fusion-free: every multiply feeding an add
-// goes through an explicit float32 conversion, which the Go spec
-// forbids the compiler from fusing into a single-rounding FMA. The
-// conversions are no-ops on amd64.
+// (row_amd64.s), bit-identical to the pure-Go quad sweeps — the
+// portable path below is the reference it is tested against, and the
+// production path on every other architecture. To keep amd64 and
+// arm64 answers identical, rowQuad is written fusion-free: every
+// multiply feeding an add goes through an explicit float32 conversion,
+// which the Go spec forbids the compiler from fusing into a
+// single-rounding FMA. The conversions are no-ops on amd64.
 
 import (
 	"math"
@@ -62,6 +64,17 @@ import (
 // 3m·2^-24/ln(10) ≈ 2e-5 for the longest supported reads (m ≈ 250).
 // 1e-4 leaves almost an order of magnitude of slack over the
 // estimate; the differential tests assert it on every workload.
+//
+// The flush floor adds an absolute term. Both paths flush at the same
+// points, but a value within those few ulps of 2^-93 can be flushed by
+// one and kept by the other, moving that path's sum by at most 2^-93
+// per such cell (path weights are ≤ 1). The relative bound therefore
+// holds for sums well above the floor — ≥ 1e-19 (log10 likelihood ≥
+// -55) even if every one of the 3·m·n state values straddled — while
+// a pair nearer the 1e-28 underflow test can in principle differ by
+// more, or take the float64 redo on one path only, just as a sum
+// within ulps of 1e-28 already could. The differential tests assert
+// the tolerance and equal Fallbacks on every grid they run.
 const laneTolerance = 1e-4
 
 // float32 transition constants, the same values forwardInto uses for
@@ -79,11 +92,11 @@ var (
 // laneGroup is the precomputed per-group haplotype layout: built once
 // per region and reused by every read's lane pass.
 type laneGroup struct {
-	maxN int                   // longest haplotype in the group
-	lens [lanes.Width]int      // per-lane haplotype lengths
-	init lanes.Lane8           // per-lane scaled initial D mass
-	mask [4][]uint8            // mask[b][j]: lanes whose hap[j] == b
-	live []uint8               // live[j]: lanes with j <= len(hap_l)
+	maxN int              // longest haplotype in the group
+	lens [lanes.Width]int // per-lane haplotype lengths
+	init lanes.Lane8      // per-lane scaled initial D mass
+	mask [4][]uint8       // mask[b][j]: lanes whose hap[j] == b
+	live []uint8          // live[j]: lanes with j <= len(hap_l)
 }
 
 // prepareGroups packs the region's full lane groups into s, reusing
@@ -229,6 +242,10 @@ func forwardLanes(read genome.Seq, qual []byte, grp *laneGroup, rows *[6][]float
 // not fuse them into FMAs — this is what lets the NEON kernel in
 // row_arm64.s (which rounds every product and sum separately) be
 // bit-identical to this reference. On amd64 they are no-ops.
+//
+// Each M/I/D quad goes through flush4 as it is computed — before the
+// store and before it feeds the D chain — the same flush points as
+// forwardInto and the assembly kernel.
 func rowQuad(rowMask []uint8, priorMatch, priorMismatch float32,
 	pPM, pPI, pPD, pCM, pCI, pCD *float32, n, base int) {
 	tgo, tge := tmi32, tii32
@@ -265,16 +282,16 @@ func rowQuad(rowMask []uint8, priorMatch, priorMismatch float32,
 		pDd := lanes.Load4U(pPD, o-lanes.Width)
 		mb := uint32(rowMask[j-1]) >> base
 		g := pI.Add(pDd)
-		mj := lanes.Quad{
+		mj := flush4(lanes.Quad{
 			A: float32(pM.A*prM[mb&1]) + float32(g.A*prG[mb&1]),
 			B: float32(pM.B*prM[mb>>1&1]) + float32(g.B*prG[mb>>1&1]),
 			C: float32(pM.C*prM[mb>>2&1]) + float32(g.C*prG[mb>>2&1]),
 			D: float32(pM.D*prM[mb>>3&1]) + float32(g.D*prG[mb>>3&1]),
-		}
+		})
 		pM = lanes.Load4U(pPM, o)
 		pI = lanes.Load4U(pPI, o)
-		ij := pM.ScaleAdd2(tgo, pI, tge)
-		dj := lastM.ScaleAdd2(tgo, lastD, tge)
+		ij := flush4(pM.ScaleAdd2(tgo, pI, tge))
+		dj := flush4(lastM.ScaleAdd2(tgo, lastD, tge))
 		lanes.Store4U(pCM, o, mj)
 		lanes.Store4U(pCI, o, ij)
 		lanes.Store4U(pCD, o, dj)
@@ -282,16 +299,16 @@ func rowQuad(rowMask []uint8, priorMatch, priorMismatch float32,
 		pDd2 := lanes.Load4U(pPD, o)
 		mb2 := uint32(rowMask[j]) >> base
 		g2 := pI.Add(pDd2)
-		mj2 := lanes.Quad{
+		mj2 := flush4(lanes.Quad{
 			A: float32(pM.A*prM[mb2&1]) + float32(g2.A*prG[mb2&1]),
 			B: float32(pM.B*prM[mb2>>1&1]) + float32(g2.B*prG[mb2>>1&1]),
 			C: float32(pM.C*prM[mb2>>2&1]) + float32(g2.C*prG[mb2>>2&1]),
 			D: float32(pM.D*prM[mb2>>3&1]) + float32(g2.D*prG[mb2>>3&1]),
-		}
+		})
 		pM = lanes.Load4U(pPM, o+lanes.Width)
 		pI = lanes.Load4U(pPI, o+lanes.Width)
-		ij2 := pM.ScaleAdd2(tgo, pI, tge)
-		dj2 := mj.ScaleAdd2(tgo, dj, tge)
+		ij2 := flush4(pM.ScaleAdd2(tgo, pI, tge))
+		dj2 := flush4(mj.ScaleAdd2(tgo, dj, tge))
 		lanes.Store4U(pCM, o+lanes.Width, mj2)
 		lanes.Store4U(pCI, o+lanes.Width, ij2)
 		lanes.Store4U(pCD, o+lanes.Width, dj2)
@@ -304,20 +321,37 @@ func rowQuad(rowMask []uint8, priorMatch, priorMismatch float32,
 		pDd := lanes.Load4U(pPD, o-lanes.Width)
 		mb := uint32(rowMask[j-1]) >> base
 		g := pI.Add(pDd)
-		mj := lanes.Quad{
+		mj := flush4(lanes.Quad{
 			A: float32(pM.A*prM[mb&1]) + float32(g.A*prG[mb&1]),
 			B: float32(pM.B*prM[mb>>1&1]) + float32(g.B*prG[mb>>1&1]),
 			C: float32(pM.C*prM[mb>>2&1]) + float32(g.C*prG[mb>>2&1]),
 			D: float32(pM.D*prM[mb>>3&1]) + float32(g.D*prG[mb>>3&1]),
-		}
+		})
 		pM = lanes.Load4U(pPM, o)
 		pI = lanes.Load4U(pPI, o)
-		ij := pM.ScaleAdd2(tgo, pI, tge)
-		dj := lastM.ScaleAdd2(tgo, lastD, tge)
+		ij := flush4(pM.ScaleAdd2(tgo, pI, tge))
+		dj := flush4(lastM.ScaleAdd2(tgo, lastD, tge))
 		lanes.Store4U(pCM, o, mj)
 		lanes.Store4U(pCI, o, ij)
 		lanes.Store4U(pCD, o, dj)
 	}
+}
+
+// flush4 replaces every lane of q below flushFloor32 with +0.
+func flush4(q lanes.Quad) lanes.Quad {
+	if q.A < flushFloor32 {
+		q.A = 0
+	}
+	if q.B < flushFloor32 {
+		q.B = 0
+	}
+	if q.C < flushFloor32 {
+		q.C = 0
+	}
+	if q.D < flushFloor32 {
+		q.D = 0
+	}
+	return q
 }
 
 // evaluateRegionLanes is the lane-batched region evaluation: full
@@ -333,7 +367,6 @@ func evaluateRegionLanes(rg *Region, s *Scratch) RegionResult {
 	res.Likelihoods = s.likelihoods
 	clear(res.BestHap)
 	nGroups := prepareGroups(rg.Haps, s)
-	logScale32 := math.Log10(initialScale32)
 	for r := 0; r < nr; r++ {
 		read, qual := rg.Reads[r], rg.Quals[r]
 		m := len(read)
@@ -350,14 +383,12 @@ func evaluateRegionLanes(rg *Region, s *Scratch) RegionResult {
 				ll := math.Inf(-1)
 				if m > 0 && nl > 0 {
 					res.CellUpdates += uint64(m) * uint64(nl)
-					if v := float64(sums.At(l)); v > underflowThreshold32 && !math.IsInf(v, 0) {
-						ll = math.Log10(v) - logScale32
-					} else {
+					var ok bool
+					if ll, ok = log10From32(sums.At(l)); !ok {
 						// float32 underflow: scalar float64 fallback,
 						// identical to the scalar path's rescue.
-						const scale64 = 1e280
-						sum64, cells64 := forwardInto(read, qual, rg.Haps[h], scale64, &s.rows64)
-						ll = math.Log10(sum64) - math.Log10(scale64)
+						var cells64 uint64
+						ll, cells64 = fallback64(read, qual, rg.Haps[h], &s.rows64)
 						res.Fallbacks++
 						res.CellUpdates += cells64
 					}

@@ -10,9 +10,15 @@ import (
 
 // laneRegion builds a region with enough haplotypes to engage the
 // lane path: nh >= 8, haplotypes derived from one base sequence (the
-// realistic same-window shape), reads sampled from it.
+// realistic same-window shape), reads of 30–119 bases sampled from it.
 func laneRegion(rng *rand.Rand, reads, haps int) *Region {
-	hapLen := 100 + rng.Intn(120)
+	return laneRegionSized(rng, reads, haps, 100, 30, 90)
+}
+
+// laneRegionSized is laneRegion with haplotypes of hapMin…hapMin+119
+// bases and reads of readMin…readMin+readSpan-1.
+func laneRegionSized(rng *rand.Rand, reads, haps, hapMin, readMin, readSpan int) *Region {
+	hapLen := hapMin + rng.Intn(120)
 	base := genome.Random(rng, hapLen)
 	rg := &Region{}
 	for h := 0; h < haps; h++ {
@@ -27,7 +33,7 @@ func laneRegion(rng *rand.Rand, reads, haps int) *Region {
 		rg.Haps = append(rg.Haps, hap)
 	}
 	for r := 0; r < reads; r++ {
-		m := 30 + rng.Intn(90)
+		m := min(readMin+rng.Intn(readSpan), hapLen-1)
 		var read genome.Seq
 		if rng.Intn(4) == 0 {
 			// Unrelated read: drives the float32 underflow fallback.
@@ -52,17 +58,23 @@ func laneRegion(rng *rand.Rand, reads, haps int) *Region {
 // The lane-batched region evaluation must match the scalar reference
 // within laneTolerance per likelihood, with exact work counters and
 // identical best-haplotype choices. Both fallback (float64) and
-// ragged-tail lanes are exercised by the workload mix.
+// ragged-tail lanes are exercised by the workload mix. The last ten
+// trials use 100–250-base reads: past ~64 bases the tail rows of
+// every read run along the flush floor.
 func TestEvaluateRegionLanesDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	s := NewScratch()
 	sawFallback, sawRagged := false, false
-	for trial := 0; trial < 25; trial++ {
+	for trial := 0; trial < 35; trial++ {
 		nh := 8 + rng.Intn(13) // covers multiples of 8 and ragged tails
 		if nh%8 != 0 {
 			sawRagged = true
 		}
-		rg := laneRegion(rng, 3+rng.Intn(6), nh)
+		hapMin, readMin, readSpan := 100, 30, 90
+		if trial >= 25 {
+			hapMin, readMin, readSpan = 260, 100, 151
+		}
+		rg := laneRegionSized(rng, 3+rng.Intn(6), nh, hapMin, readMin, readSpan)
 		want := EvaluateRegionScalarInto(rg, nil)
 		got := EvaluateRegionInto(rg, s)
 		if got.CellUpdates != want.CellUpdates {
@@ -118,8 +130,8 @@ func TestEvaluateRegionLanesDifferential(t *testing.T) {
 func TestEvaluateRegionLanesDegenerate(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	rg := laneRegion(rng, 4, 9)
-	rg.Haps[3] = nil                       // empty haplotype in a full group
-	rg.Reads[1] = nil                      // empty read
+	rg.Haps[3] = nil  // empty haplotype in a full group
+	rg.Reads[1] = nil // empty read
 	rg.Quals[1] = nil
 	s := NewScratch()
 	want := EvaluateRegionScalarInto(rg, nil)

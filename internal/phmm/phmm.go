@@ -4,11 +4,50 @@
 // in single-precision floating point with a double-precision fallback
 // when the 32-bit computation underflows — exactly the precision
 // strategy the paper describes for phmm.
+//
+// # Numerics contract
+//
+// The float32 pass starts from 2^120 (initialScale32) and flushes every
+// M/I/D state value below 2^-93 (flushFloor32) to +0 right after it is
+// computed, before it is stored or fed to the D chain; a pair whose
+// float32 sum is not above 1e-28 (underflowThreshold32, GATK's value)
+// is redone in float64 from 1e280 with no floor.
+//
+// Why 2^-93: off-target DP mass decays through float32's subnormal
+// range (2^-126…2^-149) in the tail rows of every read longer than
+// ~64 bases, and each subnormal multiply or add takes a microcode
+// assist — several-fold per cell on both the lane kernel and the
+// scalar pass (docs/PERFORMANCE.md, "Subnormals", has the table).
+// The smallest factor a state value is ever multiplied by is
+// priorMismatch·tIM ≥ 2^-32.7 (Phred 93, the last entry of qualToErr;
+// tMI = 2^-14.9, tII = 0.1 and the match-side priors are all larger),
+// so a surviving value (≥ 2^-93) times any factor is ≥ 2^-126 and every
+// sum is ≥ its operands: no subnormal is produced or consumed for any
+// valid input, with no FP-mode change. Hardware FTZ/DAZ (what Intel GKL
+// uses) is unavailable to pure Go, and x86 and ARM disagree on tininess
+// detection at the 2^-126 edge; a defined floor keeps every
+// implementation of the recurrence on the same flush points.
+//
+// Effect on answers: the flushed forward mass is at most 3·m·n·2^-93
+// (≈1e-23 for m=100, n=400; all path weights are ≤ 1) against sums of
+// 1e25–1e33 for a read that derives from its haplotype, so likelihoods
+// and BestHap are unchanged. A pair whose float32 sum sits within that
+// margin of 1e-28 may take the float64 redo where it did not before —
+// the more accurate answer — so Fallbacks can rise on junk pairs.
+//
+// Implementations: forwardInto (scalar, one pair) and the lane-batched
+// pass of lanes.go (eight haplotypes per read; portable rowQuad, SSE2
+// row_amd64.s). The lane implementations are bit-identical to each
+// other on every SIMD tier and architecture (same operations, same
+// rounding order, same flush points); against the scalar pass they
+// agree within laneTolerance, because the lane M update reassociates
+// (derivation at that constant).
 package phmm
 
 import (
 	"context"
 	"math"
+	"sort"
 
 	"repro/internal/faultinject"
 	"repro/internal/genome"
@@ -54,19 +93,26 @@ const initialScale32 = float64(1<<62) * float64(1<<58) // 2^120
 // underflowThreshold32 marks results too small to trust in float32.
 const underflowThreshold32 = 1e-28
 
-// forward runs the PairHMM forward algorithm in precision F and
-// returns the raw (scaled) likelihood sum plus the number of DP cells
-// computed.
-func forward[F Float](read genome.Seq, qual []byte, hap genome.Seq, scale float64) (F, uint64) {
-	var rows [6][]F
-	return forwardInto(read, qual, hap, scale, &rows)
-}
+// flushFloor32 is the float32 pass's flush floor (package comment).
+const flushFloor32 = 0x1p-93
 
-// forwardInto is forward computing into six caller-owned DP rows, each
-// grown in place and reused across calls. The cur rows are fully
-// overwritten every row; the prev rows are reinitialized here, so
-// stale contents never leak into the recurrence.
-func forwardInto[F Float](read genome.Seq, qual []byte, hap genome.Seq, scale float64, rows *[6][]F) (F, uint64) {
+// scale64 is the float64 fallback pass's initial mass.
+const scale64 = 1e280
+
+var (
+	log10Scale32 = math.Log10(initialScale32)
+	log10Scale64 = math.Log10(scale64)
+)
+
+// forwardInto runs the PairHMM forward algorithm in precision F and
+// returns the raw (scaled) likelihood sum plus the number of DP cells
+// computed. State values below floor are flushed to +0 as they are
+// computed (flushFloor32 for the float32 pass, 0 — never — for
+// float64). It computes into six caller-owned DP rows, each grown in
+// place and reused across calls. The cur rows are fully overwritten
+// every row; the prev rows are reinitialized here, so stale contents
+// never leak into the recurrence.
+func forwardInto[F Float](read genome.Seq, qual []byte, hap genome.Seq, scale float64, floor F, rows *[6][]F) (F, uint64) {
 	m := len(read)
 	n := len(hap)
 	if m == 0 || n == 0 {
@@ -111,9 +157,19 @@ func forwardInto[F Float](read genome.Seq, qual []byte, hap genome.Seq, scale fl
 			if hap[j-1] == rb {
 				prior = priorMatch
 			}
-			curM[j] = prior * (tmm*prevM[j-1] + tim*prevI[j-1] + tdm*prevD[j-1])
-			curI[j] = tmi*prevM[j] + tii*prevI[j]
-			curD[j] = tmd*curM[j-1] + tdd*curD[j-1]
+			mj := prior * (tmm*prevM[j-1] + tim*prevI[j-1] + tdm*prevD[j-1])
+			if mj < floor {
+				mj = 0
+			}
+			ij := tmi*prevM[j] + tii*prevI[j]
+			if ij < floor {
+				ij = 0
+			}
+			dj := tmd*curM[j-1] + tdd*curD[j-1]
+			if dj < floor {
+				dj = 0
+			}
+			curM[j], curI[j], curD[j] = mj, ij, dj
 		}
 		prevM, curM = curM, prevM
 		prevI, curI = curI, prevI
@@ -137,23 +193,24 @@ type Result struct {
 // Likelihood computes log10 P(read | haplotype), attempting float32
 // first and falling back to float64 on underflow.
 func Likelihood(read genome.Seq, qual []byte, hap genome.Seq) Result {
-	if len(read) == 0 || len(hap) == 0 {
-		return Result{Log10Likelihood: math.Inf(-1)}
+	return LikelihoodInto(read, qual, hap, nil)
+}
+
+// log10From32 converts a scaled float32 forward sum to a log10
+// likelihood; ok is false when the sum is too small (or not finite)
+// to trust and the pair needs the float64 redo.
+func log10From32(sum float32) (ll float64, ok bool) {
+	v := float64(sum)
+	if v > underflowThreshold32 && !math.IsInf(v, 0) {
+		return math.Log10(v) - log10Scale32, true
 	}
-	sum32, cells := forward[float32](read, qual, hap, initialScale32)
-	if s := float64(sum32); s > underflowThreshold32 && !math.IsInf(s, 0) {
-		return Result{
-			Log10Likelihood: math.Log10(s) - math.Log10(initialScale32),
-			CellUpdates:     cells,
-		}
-	}
-	const scale64 = 1e280
-	sum64, cells64 := forward[float64](read, qual, hap, scale64)
-	return Result{
-		Log10Likelihood: math.Log10(sum64) - math.Log10(scale64),
-		UsedDouble:      true,
-		CellUpdates:     cells + cells64,
-	}
+	return 0, false
+}
+
+// fallback64 is the float64 redo of one pair: no flush floor.
+func fallback64(read genome.Seq, qual []byte, hap genome.Seq, rows *[6][]float64) (ll float64, cells uint64) {
+	sum, cells := forwardInto(read, qual, hap, scale64, 0, rows)
+	return math.Log10(sum) - log10Scale64, cells
 }
 
 // Scratch holds the grow-only working storage for pooled phmm
@@ -179,30 +236,21 @@ type Scratch struct {
 // NewScratch returns an empty Scratch; buffers grow on first use.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// LikelihoodInto is Likelihood using s's reusable DP rows. A nil s
-// falls back to the allocating path. Results are bit-identical to
-// Likelihood.
+// LikelihoodInto is Likelihood using s's reusable DP rows; a nil s
+// allocates fresh ones. Results do not depend on s.
 func LikelihoodInto(read genome.Seq, qual []byte, hap genome.Seq, s *Scratch) Result {
-	if s == nil {
-		return Likelihood(read, qual, hap)
-	}
 	if len(read) == 0 || len(hap) == 0 {
 		return Result{Log10Likelihood: math.Inf(-1)}
 	}
-	sum32, cells := forwardInto(read, qual, hap, initialScale32, &s.rows32)
-	if v := float64(sum32); v > underflowThreshold32 && !math.IsInf(v, 0) {
-		return Result{
-			Log10Likelihood: math.Log10(v) - math.Log10(initialScale32),
-			CellUpdates:     cells,
-		}
+	if s == nil {
+		s = &Scratch{}
 	}
-	const scale64 = 1e280
-	sum64, cells64 := forwardInto(read, qual, hap, scale64, &s.rows64)
-	return Result{
-		Log10Likelihood: math.Log10(sum64) - math.Log10(scale64),
-		UsedDouble:      true,
-		CellUpdates:     cells + cells64,
+	sum32, cells := forwardInto(read, qual, hap, initialScale32, flushFloor32, &s.rows32)
+	if ll, ok := log10From32(sum32); ok {
+		return Result{Log10Likelihood: ll, CellUpdates: cells}
 	}
+	ll, cells64 := fallback64(read, qual, hap, &s.rows64)
+	return Result{Log10Likelihood: ll, UsedDouble: true, CellUpdates: cells + cells64}
 }
 
 // Region is one independent task: the reads aligned to a genome window
@@ -235,7 +283,8 @@ func EvaluateRegion(rg *Region) RegionResult {
 // call. A nil s allocates fresh output slices. Regions with at least
 // eight haplotypes take the lane-batched forward pass (lanes.go):
 // results match the scalar reference within laneTolerance per
-// likelihood (bit-identical on amd64) with exact cell counters.
+// likelihood with exact cell counters, and are bit-identical across
+// SIMD tiers and architectures (package comment, numerics contract).
 func EvaluateRegionInto(rg *Region, s *Scratch) RegionResult {
 	if s != nil && len(rg.Haps) >= lanes.Width {
 		return evaluateRegionLanes(rg, s)
@@ -300,49 +349,108 @@ func RunKernel(regions []*Region, threads int) KernelResult {
 	return res
 }
 
-// RunKernelCtx is RunKernel with cooperative cancellation and a fault
-// trip-point per region.
+// span is one dispatch unit of RunKernelCtx: a contiguous read range
+// of one region (the whole region unless planSpans cut it), plus the
+// slot its worker reports into.
+type span struct {
+	region int    // index into regions
+	first  bool   // carries the region's fault trip-point
+	sub    Region // rg.Reads[lo:hi], rg.Quals[lo:hi], all of rg.Haps
+	est    uint64 // Σ read lengths × Σ haplotype lengths: the float32 cells
+
+	cells     uint64 // written by the one worker that ran the span
+	fallbacks int
+}
+
+// splitFactor sets the heavy-region cut: with more than one thread, a
+// region above total/(splitFactor·threads) cells is cut into read
+// ranges of about that size, so the largest task a worker can be left
+// holding is a quarter of its fair share.
+const splitFactor = 4
+
+// planSpans lays regions out as dispatch units. With one thread that
+// is one span per region in region order. With more, regions whose
+// estimated cells exceed total/(splitFactor·threads) are cut into
+// near-equal contiguous read ranges — reads are independent rows of
+// Likelihoods/BestHap, and CellUpdates/Fallbacks are integer sums, so
+// the pieces reduce to the unsplit result bit for bit — and the spans
+// are ordered heaviest first.
+func planSpans(regions []*Region, threads int) []span {
+	est := make([]uint64, len(regions))
+	var total uint64
+	for i, rg := range regions {
+		var readLen, hapLen uint64
+		for _, r := range rg.Reads {
+			readLen += uint64(len(r))
+		}
+		for _, h := range rg.Haps {
+			hapLen += uint64(len(h))
+		}
+		est[i] = readLen * hapLen
+		total += est[i]
+	}
+	limit := total/uint64(splitFactor*threads) + 1
+	spans := make([]span, 0, len(regions)+splitFactor*threads)
+	for i, rg := range regions {
+		nr := len(rg.Reads)
+		pieces := 1
+		if threads > 1 && est[i] > limit {
+			pieces = int(min(uint64(nr), (est[i]+limit-1)/limit))
+		}
+		// Piece p covers reads [p*nr/pieces, (p+1)*nr/pieces).
+		for p := 0; p < pieces; p++ {
+			lo, hi := p*nr/pieces, (p+1)*nr/pieces
+			spans = append(spans, span{region: i, first: p == 0, est: est[i] / uint64(pieces),
+				sub: Region{Reads: rg.Reads[lo:hi], Quals: rg.Quals[lo:hi], Haps: rg.Haps}})
+		}
+	}
+	if threads > 1 {
+		sort.SliceStable(spans, func(a, b int) bool { return spans[a].est > spans[b].est })
+	}
+	return spans
+}
+
+// RunKernelCtx is RunKernel with cooperative cancellation (checked
+// before every span) and a fault trip-point per region.
 func RunKernelCtx(ctx context.Context, regions []*Region, threads int) (KernelResult, error) {
 	if threads <= 0 {
 		threads = 1
 	}
-	type ws struct {
-		pairs     int
-		cells     uint64
-		fallbacks int
-		stats     *perf.TaskStats
-		scratch   *Scratch
-		_         perf.CacheLinePad // workers update these per task; keep shards on private cache lines
-	}
-	workers := make([]ws, threads)
 	pool := scratch.PoolFrom(ctx) // nil pool hands out fresh scratch
-	for i := range workers {
-		workers[i].stats = perf.NewTaskStats("cell updates")
-		workers[i].scratch = pool.WorkerState(i, func() any { return NewScratch() }).(*Scratch)
+	scratches := make([]*Scratch, threads)
+	for i := range scratches {
+		scratches[i] = pool.WorkerState(i, func() any { return NewScratch() }).(*Scratch)
 	}
+	spans := planSpans(regions, threads)
 	// Active-region cost skews with read depth and haplotype count, so
 	// the scheduler is the probed parallel.dispatch choice (shared
 	// counter vs work stealing); results are policy-independent.
-	err := parallel.ForEachDispatchErr(ctx, len(regions), threads, func(tctx context.Context, w, i int) error {
-		if err := faultinject.Point(tctx); err != nil {
-			return err
+	err := parallel.ForEachDispatchErr(ctx, len(spans), threads, func(tctx context.Context, w, i int) error {
+		sp := &spans[i]
+		if sp.first {
+			if err := faultinject.Point(tctx); err != nil {
+				return err
+			}
 		}
-		r := EvaluateRegionInto(regions[i], workers[w].scratch)
-		workers[w].pairs += len(regions[i].Reads) * len(regions[i].Haps)
-		workers[w].cells += r.CellUpdates
-		workers[w].fallbacks += r.Fallbacks
-		workers[w].stats.Observe(float64(r.CellUpdates))
+		r := EvaluateRegionInto(&sp.sub, scratches[w])
+		sp.cells, sp.fallbacks = r.CellUpdates, r.Fallbacks
 		return nil
 	})
 	if err != nil {
 		return KernelResult{}, err
 	}
+	// One TaskStats sample per region, in region order, whatever the
+	// split: the paper's Figure 4 is about regions, not dispatch units.
 	res := KernelResult{Regions: len(regions), TaskStats: perf.NewTaskStats("cell updates")}
-	for i := range workers {
-		res.Pairs += workers[i].pairs
-		res.CellUpdates += workers[i].cells
-		res.Fallbacks += workers[i].fallbacks
-		res.TaskStats.Merge(workers[i].stats)
+	regionCells := make([]uint64, len(regions))
+	for i := range spans {
+		regionCells[spans[i].region] += spans[i].cells
+		res.Fallbacks += spans[i].fallbacks
+	}
+	for i, rg := range regions {
+		res.Pairs += len(rg.Reads) * len(rg.Haps)
+		res.CellUpdates += regionCells[i]
+		res.TaskStats.Observe(float64(regionCells[i]))
 	}
 	// phmm is the suite's floating-point kernel: each cell is ~9 FP
 	// multiply-adds, vectorized in the original.

@@ -22,8 +22,10 @@ func TestFloat32And64Agree(t *testing.T) {
 		hap := genome.Random(rng, 60)
 		read := hap[10:40].Clone()
 		qual := uniformQual(len(read), 30)
-		s32, _ := forward[float32](read, qual, hap, initialScale32)
-		s64, _ := forward[float64](read, qual, hap, initialScale32)
+		var r32 [6][]float32
+		var r64 [6][]float64
+		s32, _ := forwardInto(read, qual, hap, initialScale32, flushFloor32, &r32)
+		s64, _ := forwardInto(read, qual, hap, initialScale32, 0, &r64)
 		l32 := math.Log10(float64(s32))
 		l64 := math.Log10(s64)
 		if math.Abs(l32-l64) > 1e-3 {

@@ -1,28 +1,16 @@
-//go:build amd64 || arm64
-
 package phmm
 
 import "repro/internal/cpufeat"
 
-// Assembly fast paths for the lane-batched row update: SSE2 on amd64
-// (row_amd64.s), NEON on arm64 (row_arm64.s). Both kernels replay
-// rowQuad's per-lane arithmetic with packed 4-wide ops — same
-// operations, same rounding order, so their output is bit-identical to
-// the pure-Go quad path (TestRowLanesMatchesRowQuad asserts exactly
-// that). SSE2 is in the amd64 baseline and ASIMD in the arm64
-// baseline, so the hardware always qualifies; dispatch still consults
-// cpufeat so GBENCH_SIMD=off pins the portable quad path — every asm
-// kernel in the suite has a forced-portable twin reachable without
-// rebuilding.
-//
-// The arm64 kernel earns bit-identity differently than the amd64 one:
-// the Go arm64 assembler exposes no packed FMUL/FADD, so the NEON
-// kernel computes a*b as FMLA into a zeroed register (one rounding of
-// 0 + a*b == one rounding of a*b; exact here because every operand in
-// the forward pass is non-negative, so a*b is never -0) and x+y as
-// FMLA with a broadcast 1.0 (one rounding of x + y*1.0; y*1.0 is
-// always exact). The Go reference holds up its side by being
-// fusion-free — see rowQuad.
+// Assembly fast path for the lane-batched row update: SSE2
+// (row_amd64.s). The kernel replays rowQuad's per-lane arithmetic with
+// packed 4-wide ops — same operations, same rounding order, same flush
+// points, so its output is bit-identical to the pure-Go quad path
+// (TestRowLanesMatchesRowQuad asserts exactly that). SSE2 is in the
+// amd64 baseline, so the hardware always qualifies; dispatch still
+// consults cpufeat so GBENCH_SIMD=off pins the portable quad path —
+// every asm kernel in the suite has a forced-portable twin reachable
+// without rebuilding.
 
 // haveRowAsm reports whether rowLanes dispatches to an assembly
 // kernel on this architecture (informational, used by tests/docs).
@@ -30,7 +18,7 @@ const haveRowAsm = true
 
 // rowArgs is the flattened argument block for rowLanesAsm. Field
 // offsets are fixed by the assembly — keep layout and the int64 n in
-// sync with row_amd64.s and row_arm64.s.
+// sync with row_amd64.s.
 type rowArgs struct {
 	pPM, pPI, pPD *float32 // previous M/I/D rows (stride lanes.Width)
 	pCM, pCI, pCD *float32 // current M/I/D rows
@@ -43,14 +31,13 @@ type rowArgs struct {
 	prMismG       float32  // priorMismatch * tIM
 	tgo           float32  // tMI (== tMD)
 	tge           float32  // tII (== tDD)
+	floor         float32  // flushFloor32
 }
 
 // blendTab maps a 4-bit lane-match nibble to a 128-bit select mask:
 // entry i, dword k is all-ones iff bit k of i is set. The amd64 kernel
 // gathers one entry per nibble and selects between the match and
-// mismatch prior vectors with AND/ANDN/OR; the arm64 kernel uses the
-// same entry in an xor-select, prior = (diff AND mask) XOR mism with
-// diff = match XOR mism.
+// mismatch prior vectors with AND/ANDN/OR.
 var blendTab = func() (t [16][4]uint32) {
 	for i := range t {
 		for k := 0; k < 4; k++ {
@@ -71,7 +58,7 @@ func rowLanesAsm(a *rowArgs)
 // tier overridden off, it IS two rowQuad sweeps.
 func rowLanes(rowMask []uint8, priorMatch, priorMismatch float32,
 	prevM, prevI, prevD, curM, curI, curD []float32, n int) {
-	if f := cpufeat.Get(); !f.HasSSE2 && !f.HasNEON {
+	if !cpufeat.Get().HasSSE2 {
 		rowQuad(rowMask, priorMatch, priorMismatch,
 			&prevM[0], &prevI[0], &prevD[0], &curM[0], &curI[0], &curD[0], n, 0)
 		rowQuad(rowMask, priorMatch, priorMismatch,
@@ -84,7 +71,7 @@ func rowLanes(rowMask []uint8, priorMatch, priorMismatch float32,
 		mask: &rowMask[0], tab: &blendTab[0][0], n: int64(n),
 		prMatchM: priorMatch * tmm32, prMismM: priorMismatch * tmm32,
 		prMatchG: priorMatch * tim32, prMismG: priorMismatch * tim32,
-		tgo: tmi32, tge: tii32,
+		tgo: tmi32, tge: tii32, floor: flushFloor32,
 	}
 	rowLanesAsm(&a)
 }

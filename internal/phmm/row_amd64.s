@@ -1,10 +1,11 @@
 // SSE2 kernel for the lane-batched PairHMM row update. See
 // row_asm.go for the contract: bit-identical to two pure-Go rowQuad
-// sweeps (same per-lane operations in the same rounding order).
+// sweeps (same per-lane operations in the same rounding order, same
+// flush points).
 //
 // Register plan:
 //   X0  tgo (broadcast)      X6 lastM lo   X10-X14 transients
-//   X1  tge (broadcast)      X7 lastD lo
+//   X1  tge (broadcast)      X7 lastD lo   X15 flush floor (broadcast)
 //   X2  prMatchM (broadcast) X8 lastM hi
 //   X3  prMismM (broadcast)  X9 lastD hi
 //   X4  prMatchG (broadcast)
@@ -17,6 +18,14 @@
 // the hi quad at +16; diagonal predecessors at -32/-16.
 
 #include "textflag.h"
+
+// FLUSH(v, t) is flush4: lanes of v below the floor become +0. NLT
+// (predicate 5) is true for v >= floor and for NaN, so like the Go
+// `if v < floor { v = 0 }` it leaves a NaN alone.
+#define FLUSH(v, t) \
+	MOVAPS v, t       \
+	CMPPS  X15, t, $5 \
+	ANDPS  t, v
 
 TEXT ·rowLanesAsm(SB), NOSPLIT, $0-8
 	MOVQ a+0(FP), AX
@@ -42,6 +51,8 @@ TEXT ·rowLanesAsm(SB), NOSPLIT, $0-8
 	SHUFPS $0, X0, X0
 	MOVSS  92(AX), X1 // tge
 	SHUFPS $0, X1, X1
+	MOVSS  96(AX), X15 // floor
+	SHUFPS $0, X15, X15
 
 	// Column 0 of the current rows is the DP boundary: all zero.
 	XORPS  X10, X10
@@ -91,6 +102,7 @@ loop:
 	ADDPS  X14, X10
 	MULPS  X12, X10
 	ADDPS  X10, X13        // X13 = mj
+	FLUSH(X13, X10)
 
 	// ij = pMu*tgo + pIu*tge
 	MOVUPS (SI)(DX*1), X14
@@ -98,6 +110,7 @@ loop:
 	MOVUPS (DI)(DX*1), X11
 	MULPS  X1, X11
 	ADDPS  X11, X14        // X14 = ij
+	FLUSH(X14, X10)
 
 	// dj = lastM*tgo + lastD*tge
 	MOVAPS X6, X12
@@ -105,6 +118,7 @@ loop:
 	MOVAPS X7, X11
 	MULPS  X1, X11
 	ADDPS  X11, X12        // X12 = dj
+	FLUSH(X12, X10)
 
 	MOVUPS X13, (R9)(DX*1)
 	MOVUPS X14, (R10)(DX*1)
@@ -134,18 +148,21 @@ loop:
 	ADDPS  X14, X10
 	MULPS  X12, X10
 	ADDPS  X10, X13
+	FLUSH(X13, X10)
 
 	MOVUPS 16(SI)(DX*1), X14
 	MULPS  X0, X14
 	MOVUPS 16(DI)(DX*1), X11
 	MULPS  X1, X11
 	ADDPS  X11, X14
+	FLUSH(X14, X10)
 
 	MOVAPS X8, X12
 	MULPS  X0, X12
 	MOVAPS X9, X11
 	MULPS  X1, X11
 	ADDPS  X11, X12
+	FLUSH(X12, X10)
 
 	MOVUPS X13, 16(R9)(DX*1)
 	MOVUPS X14, 16(R10)(DX*1)

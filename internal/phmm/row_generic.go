@@ -1,4 +1,4 @@
-//go:build !amd64 && !arm64
+//go:build !amd64
 
 package phmm
 
@@ -7,7 +7,10 @@ package phmm
 const haveRowAsm = false
 
 // rowLanes advances all eight lanes of one read position on the
-// portable path: two register-blocked quad sweeps.
+// portable path: two register-blocked quad sweeps. arm64 runs this too:
+// there is no arm64 host or emulator to execute an assembly twin under
+// TestRowLanesMatchesRowQuad, and a kernel that has never run must not
+// be the one tier whose answers could differ.
 func rowLanes(rowMask []uint8, priorMatch, priorMismatch float32,
 	prevM, prevI, prevD, curM, curI, curD []float32, n int) {
 	rowQuad(rowMask, priorMatch, priorMismatch,

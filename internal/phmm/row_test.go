@@ -13,57 +13,177 @@ import (
 // TestRowLanesMatchesRowQuad pins the architecture-dispatched row
 // kernel (SSE2 assembly on amd64) to the pure-Go quad sweeps,
 // bit-for-bit: both replay the same per-lane operations in the same
-// rounding order, so there is no tolerance here.
+// rounding order with the same flush points, so there is no tolerance
+// here. Two input families: mid-range values (nothing near the floor),
+// and the flush-boundary hammer — previous-row values that are 0 or
+// log-uniform in [2^-93, 2^-78], the only values the flushed
+// recurrence can hand itself near the floor, under priors spanning
+// Phred 2…93 so outputs land on both sides of 2^-93 in every lane
+// pattern.
 func TestRowLanesMatchesRowQuad(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(67)
-		w := (n + 1) * lanes.Width
-		mk := func() []float32 {
-			s := make([]float32, w)
-			for i := range s {
-				s[i] = rng.Float32() * 1e3
+	midRange := func() float32 { return rng.Float32() * 1e3 }
+	nearFloor := func() float32 {
+		if rng.Intn(4) == 0 {
+			return 0
+		}
+		return float32(math.Ldexp(1+rng.Float64(), -93+rng.Intn(15)))
+	}
+	for _, tc := range []struct {
+		name   string
+		trials int
+		value  func() float32
+		phred  func() int
+		hammer bool
+	}{
+		{"mid-range", 200, midRange, func() int { return 10 + rng.Intn(30) }, false},
+		{"flush-boundary", 600, nearFloor, func() int { return []int{2, 10, 20, 30, 45, 93}[rng.Intn(6)] }, true},
+	} {
+		flushed, kept := 0, 0
+		for trial := 0; trial < tc.trials; trial++ {
+			n := 1 + rng.Intn(67)
+			w := (n + 1) * lanes.Width
+			mk := func() []float32 {
+				s := make([]float32, w)
+				for i := range s {
+					s[i] = tc.value()
+				}
+				return s
 			}
-			return s
-		}
-		prevM, prevI, prevD := mk(), mk(), mk()
-		mask := make([]uint8, n)
-		for i := range mask {
-			mask[i] = uint8(rng.Intn(256))
-		}
-		priorMatch := 1 - rng.Float32()*0.1
-		priorMismatch := rng.Float32() * 0.03
+			prevM, prevI, prevD := mk(), mk(), mk()
+			mask := make([]uint8, n)
+			for i := range mask {
+				mask[i] = uint8(rng.Intn(256))
+			}
+			err := qualToErr[tc.phred()]
+			priorMatch, priorMismatch := float32(1-err), float32(err/3)
 
-		gotM, gotI, gotD := mk(), mk(), mk()
-		rowLanes(mask, priorMatch, priorMismatch,
-			prevM, prevI, prevD, gotM, gotI, gotD, n)
+			gotM, gotI, gotD := mk(), mk(), mk()
+			rowLanes(mask, priorMatch, priorMismatch,
+				prevM, prevI, prevD, gotM, gotI, gotD, n)
 
-		wantM, wantI, wantD := mk(), mk(), mk()
-		for base := 0; base <= 4; base += 4 {
-			rowQuad(mask, priorMatch, priorMismatch,
-				&prevM[0], &prevI[0], &prevD[0],
-				&wantM[0], &wantI[0], &wantD[0], n, base)
-		}
+			wantM, wantI, wantD := mk(), mk(), mk()
+			for base := 0; base <= 4; base += 4 {
+				rowQuad(mask, priorMatch, priorMismatch,
+					&prevM[0], &prevI[0], &prevD[0],
+					&wantM[0], &wantI[0], &wantD[0], n, base)
+			}
 
-		for name, pair := range map[string][2][]float32{
-			"M": {gotM, wantM}, "I": {gotI, wantI}, "D": {gotD, wantD},
-		} {
-			got, want := pair[0], pair[1]
-			for o := 0; o < (n+1)*lanes.Width; o++ {
-				if math.Float32bits(got[o]) != math.Float32bits(want[o]) {
-					t.Fatalf("trial %d (n=%d, asm=%v): row %s[%d] = %x, want %x",
-						trial, n, haveRowAsm, name, o,
-						math.Float32bits(got[o]), math.Float32bits(want[o]))
+			for name, pair := range map[string][2][]float32{
+				"M": {gotM, wantM}, "I": {gotI, wantI}, "D": {gotD, wantD},
+			} {
+				got, want := pair[0], pair[1]
+				for o := 0; o < w; o++ {
+					if math.Float32bits(got[o]) != math.Float32bits(want[o]) {
+						t.Fatalf("%s trial %d (n=%d, asm=%v): row %s[%d] = %x, want %x",
+							tc.name, trial, n, haveRowAsm, name, o,
+							math.Float32bits(got[o]), math.Float32bits(want[o]))
+					}
+					if o < lanes.Width {
+						continue // column 0 is the all-zero boundary
+					}
+					if want[o] == 0 {
+						flushed++
+					} else {
+						kept++
+					}
+				}
+				if i := firstSubnormal(want); tc.hammer && i >= 0 {
+					t.Fatalf("%s trial %d: row %s[%d] = %g is below the flush floor", tc.name, trial, name, i, want[i])
 				}
 			}
 		}
+		if tc.hammer && (flushed < tc.trials || kept < tc.trials) {
+			t.Fatalf("%s never straddled the floor: %d outputs flushed, %d kept", tc.name, flushed, kept)
+		}
+	}
+}
+
+// firstSubnormal returns the index of the first value of row that is
+// neither 0 nor at least the flush floor — a violation of the float32
+// pass's stored-state invariant — or -1.
+func firstSubnormal(row []float32) int {
+	for i, v := range row {
+		if v != 0 && !(v >= flushFloor32) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestNoSubnormalStored is the property the flush floor exists for:
+// after the float32 forward pass — scalar forwardInto, and the lane
+// pass through both rowLanes dispatches (the process's SIMD tier, and
+// the portable rowQuad sweeps forced by "off") — every DP state value
+// is 0 or ≥ 2^-93, so no later multiply can produce or consume a
+// subnormal. Reads are prefixes of one 250-base read, so the rows
+// inspected are rows 40, 64, 100, 151 and 250 of the same DP.
+func TestNoSubnormalStored(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	for _, simd := range []string{"auto", "off"} {
+		restore := cpufeat.ForceForTest(simd)
+		// Haplotype counts 1…48 on the short haplotypes, fewer on the
+		// long ones: the cost is n × count and the long axis only needs
+		// one scalar-only and one lane-group shape.
+		for _, shape := range []struct {
+			n      int
+			counts []int
+		}{{120, []int{1, 7, 8, 19, 48}}, {400, []int{1, 8, 19}}, {2400, []int{1, 8}}} {
+			n := shape.n
+			base := genome.Random(rng, n)
+			for _, nh := range shape.counts {
+				haps := make([]genome.Seq, nh)
+				for h := range haps {
+					haps[h] = base.Clone()
+					for k := 0; k < h; k++ {
+						haps[h][rng.Intn(n)] = genome.Base(rng.Intn(4))
+					}
+					haps[h] = haps[h][:n-rng.Intn(n/8)] // ragged
+				}
+				// On-target read (a slice of the haplotype base where it
+				// fits, with a few errors): the off-target mass is what
+				// decays through the floor.
+				read := genome.Random(rng, 250)
+				if n > 250 {
+					copy(read, base[rng.Intn(n-250):])
+				}
+				qual := make([]byte, 250)
+				for i := range qual {
+					qual[i] = byte(2 + rng.Intn(92)) // Phred 2…93
+				}
+				s := NewScratch()
+				for _, m := range []int{40, 64, 100, 151, 250} {
+					for _, hap := range haps {
+						if simd != "auto" {
+							break // the scalar pass has no SIMD tiers
+						}
+						forwardInto(read[:m], qual[:m], hap, initialScale32, flushFloor32, &s.rows32)
+						for k, row := range s.rows32 {
+							if i := firstSubnormal(row[:len(hap)+1]); i >= 0 {
+								t.Fatalf("simd=%s n=%d m=%d: scalar row %d[%d] = %g is below the flush floor", simd, n, m, k, i, row[i])
+							}
+						}
+					}
+					for g := 0; g < prepareGroups(haps, s); g++ {
+						grp := &s.groups[g]
+						forwardLanes(read[:m], qual[:m], grp, &s.laneRows)
+						for k, row := range s.laneRows {
+							if i := firstSubnormal(row[:(grp.maxN+1)*lanes.Width]); i >= 0 {
+								t.Fatalf("simd=%s n=%d m=%d group %d: lane row %d[%d] = %g is below the flush floor", simd, n, m, g, k, i, row[i])
+							}
+						}
+					}
+				}
+			}
+		}
+		restore()
 	}
 }
 
 // TestRowLanesSimdOffMatches pins GBENCH_SIMD=off and re-runs a full
 // lane-batched region evaluation: rowLanes must fall back to the
 // portable quad sweeps and produce bit-identical likelihoods to the
-// default (assembly on amd64/arm64) dispatch.
+// default (assembly on amd64) dispatch.
 func TestRowLanesSimdOffMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	mkSeq := func(n int) genome.Seq {
