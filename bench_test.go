@@ -336,26 +336,3 @@ func BenchmarkReadSimulation(b *testing.B) {
 		sim.ShortReads(ref.Seq, -1, 100, cfg, "r")
 	}
 }
-
-// Occ-checkpoint spacing: denser checkpoints shorten the per-lookup
-// block scan at a memory cost — BWA-MEM2's index layout knob.
-func BenchmarkAblationFMIOccRate(b *testing.B) {
-	rng := rand.New(rand.NewSource(benchSeed))
-	g := genome.Random(rng, 50_000)
-	reads := make([]genome.Seq, 100)
-	for i := range reads {
-		start := rng.Intn(len(g) - 120)
-		reads[i] = g[start : start+120]
-	}
-	for _, rate := range []int{16, 64, 256} {
-		idx := fmindex.BuildWithOptions(g, fmindex.Options{OccRate: rate, SARate: 32})
-		name := map[int]string{16: "occ16", 64: "occ64", 256: "occ256"}[rate]
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for _, r := range reads {
-					idx.FindSMEMs(r, 19, 1, nil)
-				}
-			}
-		})
-	}
-}

@@ -692,11 +692,11 @@ func sampledReads(rng *rand.Rand, g genome.Seq, n, l, muts int) []genome.Seq {
 }
 
 // fmindexSmemPair measures the lock-step batched SMEM engine against
-// the serial per-read walk. The 32 Mbp index's Occ checkpoints plus
-// packed BWT (~64 MB) bury the L2 and the DTLB reach, so the serial
-// side pays exposed miss latency on every dependent extension; the
-// batched side overlaps W of those misses via software prefetch (and
-// allocates nothing per anchor). One op = one sweep over the read set,
+// the serial per-read walk. The 32 Mbp index's Occ blocks (~64 MB)
+// bury the L2 and the DTLB reach, so the serial side pays exposed
+// miss latency on every dependent extension; the batched side
+// overlaps W of those misses via software prefetch (and allocates
+// nothing per anchor). One op = one sweep over the read set,
 // identical work on both sides — SMEMs and lookup counts are bit-equal
 // (batch_test.go). The index build takes tens of seconds; smoke runs
 // exclude this pair via -kernels and never pay for it (lazy pairDefs).

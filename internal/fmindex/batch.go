@@ -5,18 +5,17 @@ import (
 
 	"repro/internal/genome"
 	"repro/internal/prefetch"
-	"repro/internal/seq2"
 )
 
 // Batched lock-step SMEM search. The serial walk (FindSMEMs) is the
 // paper's textbook memory-bound loop: every backward extension is one
-// dependent Occ lookup — checkpoint load plus packed-block rank at an
-// unpredictable address — so the whole search serializes on cache
-// misses. But the NEXT lookup's addresses are known the moment the
-// current interval is, one full step before the rank is computed. The
-// BatchEngine exploits that: it keeps W reads' query states in flight,
-// advances them round-robin one extension at a time, and issues each
-// state's next checkpoint+block prefetch when the state is parked —
+// dependent Occ lookup — one 64-byte block at an unpredictable
+// address — so the whole search serializes on cache misses. But the
+// NEXT lookup's addresses are known the moment the current interval
+// is, one full step before the rank is computed. The BatchEngine
+// exploits that: it keeps W reads' query states in flight, advances
+// them round-robin one extension at a time, and issues each state's
+// next block prefetches when the state is parked —
 // a full rotation (W-1 other lanes' compute) before the lane consumes
 // the data. That converts W serial miss latencies into overlapped
 // ones, the software-prefetch batching BWA-MEM2 applies to this exact
@@ -31,7 +30,7 @@ import (
 // Prefetcher is the optional MemTracer extension for software-prefetch
 // visibility: tracers that implement it (cachesim.Hierarchy does)
 // receive the engine's prefetch stream at the same synthetic addresses
-// occ4t traces, so the simulator can score the reordered stream's miss
+// occAt traces, so the simulator can score the reordered stream's miss
 // overlap. Plain MemTracers see only the demand stream — exactly the
 // addresses the serial search would issue, per read.
 type Prefetcher interface {
@@ -184,7 +183,7 @@ func (e *BatchEngine) Run(reads []genome.Seq, minLen, minHits int, admit func(re
 func (e *BatchEngine) advance(ln *batchLane) (readDone bool) {
 	switch ln.phase {
 	case phInit:
-		iv := e.x.extendBackwardT(e.x.Root(), e.tr)[ln.read[ln.pos]&3]
+		iv := e.x.extendBackward1(e.x.Root(), ln.read[ln.pos], e.tr)
 		ln.lookups += 2
 		if iv.S == 0 {
 			return e.nextAnchor(ln, ln.pos+1)
@@ -195,7 +194,7 @@ func (e *BatchEngine) advance(ln *batchLane) (readDone bool) {
 		return e.parkForward(ln)
 
 	case phForward:
-		next := e.x.extendForwardT(ln.iv, e.tr)[ln.read[ln.i]&3]
+		next := e.x.extendForward1(ln.iv, ln.read[ln.i], e.tr)
 		ln.lookups += 2
 		if next.S != ln.iv.S {
 			ln.curr = append(ln.curr, smemEntry{ln.iv, ln.i})
@@ -252,7 +251,7 @@ func (e *BatchEngine) startBackward(ln *batchLane) (readDone bool) {
 // smem1's inner loop body, one entry per rotation.
 func (e *BatchEngine) backwardStep(ln *batchLane) (readDone bool) {
 	ent := ln.curr[ln.entryIdx]
-	ext := e.x.extendBackwardT(ent.iv, e.tr)[ln.read[ln.i]&3]
+	ext := e.x.extendBackward1(ent.iv, ln.read[ln.i], e.tr)
 	ln.lookups += 2
 	if ext.S < e.minHit {
 		// Candidate died. Only the first dead candidate of a round can
@@ -315,35 +314,33 @@ func (e *BatchEngine) nextAnchor(ln *batchLane, pos int) (readDone bool) {
 }
 
 // prefetchBackward issues the prefetches for a pending backward
-// extension of iv: occ4t at K and K+S.
+// extension of iv: occAt at K and K+S. A width-1 engine issues none:
+// the lane consumes the line on its very next step, so there is no
+// other lane's work to hide the fetch behind.
 func (e *BatchEngine) prefetchBackward(iv BiInterval) {
-	e.prefetchOcc(iv.K)
-	e.prefetchOcc(iv.K + iv.S)
+	if e.width > 1 {
+		e.prefetchOcc(iv.K)
+		e.prefetchOcc(iv.K + iv.S)
+	}
 }
 
 // prefetchForward issues the prefetches for a pending forward
 // extension of iv — a backward extension on the reverse-complement
-// coordinates: occ4t at L and L+S.
+// coordinates: occAt at L and L+S.
 func (e *BatchEngine) prefetchForward(iv BiInterval) {
-	e.prefetchOcc(iv.L)
-	e.prefetchOcc(iv.L + iv.S)
+	if e.width > 1 {
+		e.prefetchOcc(iv.L)
+		e.prefetchOcc(iv.L + iv.S)
+	}
 }
 
-// prefetchOcc pulls the lines occ4t(p) will touch — the checkpoint
-// entry and the packed BWT block — toward the core, and mirrors them
-// into the trace's prefetch stream at occ4t's synthetic addresses.
+// prefetchOcc pulls the one line occAt(p) will touch toward the core,
+// and mirrors it into the trace's prefetch stream at the address occAt
+// will report for the demand access.
 func (e *BatchEngine) prefetchOcc(p int) {
-	x := e.x
-	ck := p / x.occRate
-	prefetch.Ptr(unsafe.Pointer(&x.occ[ck]))
-	if words := x.occPacked.WordsSlice(); len(words) > 0 {
-		if wi := (ck * x.occRate) / seq2.BasesPerWord; wi < len(words) {
-			prefetch.Ptr(unsafe.Pointer(&words[wi]))
-		}
-	}
+	prefetch.Ptr(unsafe.Pointer(&e.x.blocks[p>>6]))
 	if e.pt != nil {
-		e.pt.Prefetch(uint64(ck)*16, 16)
-		e.pt.Prefetch(1<<32+uint64(ck)*uint64(x.occRate), x.occRate)
+		e.pt.Prefetch(uint64(p)&^63, 64)
 	}
 }
 

@@ -234,30 +234,43 @@ func TestSmemBatchAdmitError(t *testing.T) {
 }
 
 // Steady-state engine reuse must not allocate: the lanes' candidate
-// lists and output buffers are grow-only scratch.
+// lists and output buffers are grow-only scratch. The width-1 engine
+// over one long read is the shape scenario/metagenomics' smem stage
+// runs per item.
 func TestBatchEngineZeroAllocSteadyState(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	g := genome.Random(rng, 4096)
 	x := Build(g)
-	reads := make([]genome.Seq, 40)
-	for i := range reads {
+	short := make([]genome.Seq, 40)
+	for i := range short {
 		l := 30 + rng.Intn(60)
 		start := rng.Intn(len(g) - l)
-		reads[i] = g[start : start+l].Clone()
+		short[i] = g[start : start+l].Clone()
 	}
-	e := NewBatchEngine(x, 8, nil)
-	var sink int
-	emit := func(_ int, smems []SMEM, _ uint64) { sink += len(smems) }
-	run := func() {
-		if err := e.Run(reads, 19, 1, nil, emit); err != nil {
-			t.Fatal(err)
+	long := g[1000:2200].Clone()
+	for m := 0; m < 96; m++ {
+		long[rng.Intn(len(long))] = genome.Base(rng.Intn(4))
+	}
+	for _, tc := range []struct {
+		width int
+		reads []genome.Seq
+	}{{8, short}, {1, []genome.Seq{long}}} {
+		e := NewBatchEngine(x, tc.width, nil)
+		var sink int
+		emit := func(_ int, smems []SMEM, _ uint64) { sink += len(smems) }
+		run := func() {
+			if err := e.Run(tc.reads, 19, 1, nil, emit); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm the grow-only scratch
+		if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+			t.Fatalf("width %d: steady-state allocs/run = %v, want 0", tc.width, allocs)
+		}
+		if sink == 0 {
+			t.Fatalf("width %d: no SMEMs found", tc.width)
 		}
 	}
-	run() // warm the grow-only scratch
-	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
-		t.Fatalf("steady-state allocs/run = %v, want 0", allocs)
-	}
-	_ = sink
 }
 
 // The lock-step engine's reordered address stream must simulate

@@ -351,11 +351,7 @@ func TestBackwardSearchProperty(t *testing.T) {
 func TestOptionsDoNotChangeResults(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	g := genome.Random(rng, 800)
-	configs := []Options{
-		{OccRate: 16, SARate: 4},
-		{OccRate: 64, SARate: 32},
-		{OccRate: 256, SARate: 64},
-	}
+	configs := []Options{{SARate: 4}, {SARate: 32}, {SARate: 64}}
 	indices := make([]*Index, len(configs))
 	for i, o := range configs {
 		indices[i] = BuildWithOptions(g, o)
@@ -399,7 +395,7 @@ func TestOptionsDoNotChangeResults(t *testing.T) {
 func TestBuildWithOptionsValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	g := genome.Random(rng, 100)
-	for _, o := range []Options{{OccRate: 3, SARate: 32}, {OccRate: 48, SARate: 32}, {OccRate: 64, SARate: 1}} {
+	for _, o := range []Options{{SARate: 1}, {SARate: 24}} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -417,10 +413,8 @@ func TestBuildCheckedRejectsBadInput(t *testing.T) {
 	}
 	g := genome.Seq{0, 1, 2, 3}
 	for _, opts := range []Options{
-		{OccRate: 3, SARate: 32},  // not a power of two
-		{OccRate: 2, SARate: 32},  // too small
-		{OccRate: 64, SARate: 0},  // too small
-		{OccRate: 64, SARate: 24}, // not a power of two
+		{SARate: 0},  // too small
+		{SARate: 24}, // not a power of two
 	} {
 		if _, err := BuildWithOptionsChecked(g, opts); err == nil {
 			t.Errorf("BuildWithOptionsChecked(%+v) should fail", opts)

@@ -7,29 +7,21 @@ import (
 	"sort"
 
 	"repro/internal/genome"
-	"repro/internal/seq2"
 )
-
-// defaultOccRate is the Occ-table checkpoint interval in BWT
-// positions. 64 positions per checkpoint mirrors the cache-block
-// granularity the paper discusses: one Occ lookup touches one
-// checkpoint and up to one 64-entry BWT block.
-const defaultOccRate = 64
 
 // defaultSARate is the suffix-array sampling interval (text positions).
 const defaultSARate = 32
 
-// Options tune the index's space/time trade-offs, the knobs BWA-MEM2
-// exposes: denser Occ checkpoints cost memory but shorten the
-// per-lookup block scan; denser SA samples shorten Locate's LF walk.
+// Options tune the index's space/time trade-off: denser SA samples
+// cost memory but shorten Locate's LF walk. The Occ checkpoint
+// interval is not a knob — one occBlock covers 64 rows by construction.
 type Options struct {
-	OccRate int // checkpoint interval, power of two >= 4
-	SARate  int // SA sampling interval, power of two >= 2
+	SARate int // SA sampling interval, power of two >= 2
 }
 
-// DefaultOptions mirror the fixed rates used throughout the suite.
+// DefaultOptions mirror the fixed rate used throughout the suite.
 func DefaultOptions() Options {
-	return Options{OccRate: defaultOccRate, SARate: defaultSARate}
+	return Options{SARate: defaultSARate}
 }
 
 // sentinelCode is the in-BWT code for the terminator character.
@@ -41,26 +33,32 @@ type MemTracer interface {
 	Access(addr uint64, size int, write bool)
 }
 
+// occBlock is one Occ checkpoint and the 64 BWT rows it covers, in one
+// cache line — BWA-MEM2's layout. cnt[b] counts base b in
+// bwt[0:64k]; bit i of bits[b] is set iff bwt[64k+i] == b. The
+// sentinel row sets no bit, so a rank is cnt plus a popcount with no
+// correction.
+type occBlock struct {
+	cnt  [4]int32
+	bits [4]uint64
+	_    [16]byte // pad to 64 bytes
+}
+
 // Index is an FMD index: the FM-index of genome+reverseComplement(genome),
 // supporting bidirectional interval extension for SMEM search.
 type Index struct {
 	textLen int // length of the indexed text (2x genome)
-	occRate int
 	saRate  int
 	genome  genome.Seq
 
-	bwt []byte // BWT characters, one byte each; sentinelCode marks '$'
+	// bwt holds the BWT characters one byte each (sentinelCode marks
+	// '$'): lf reads it, and the byte-scan reference rank scans it.
+	bwt []byte
 
-	// occPacked is the BWT 2-bit packed (sentinel stored as base A), so
-	// the Occ block scan ranks 32 positions per popcount instead of one
-	// per byte load. The sentinel's contribution to the A count is
-	// corrected from the single primary position.
-	occPacked seq2.Packed
-
-	// occ[p/occRate] holds cumulative counts of the four bases in
-	// bwt[0:p] at checkpoint positions; sentinel occurrences are derived
+	// blocks[p>>6] answers every Occ lookup at row p. Derived from bwt
+	// (buildBlocks), never serialized. Sentinel occurrences are derived
 	// from the single primary position.
-	occ     [][4]int32
+	blocks  []occBlock
 	primary int // BWT row whose character is the sentinel
 
 	c [6]int // c[b] = count of characters < b in text+sentinel
@@ -116,9 +114,6 @@ func BuildWithOptionsChecked(g genome.Seq, opts Options) (*Index, error) {
 	if len(g) == 0 {
 		return nil, errors.New("fmindex: empty genome")
 	}
-	if opts.OccRate < 4 || opts.OccRate&(opts.OccRate-1) != 0 {
-		return nil, errors.New("fmindex: OccRate must be a power of two >= 4")
-	}
 	if opts.SARate < 2 || opts.SARate&(opts.SARate-1) != 0 {
 		return nil, errors.New("fmindex: SARate must be a power of two >= 2")
 	}
@@ -132,7 +127,7 @@ func BuildWithOptionsChecked(g genome.Seq, opts Options) (*Index, error) {
 
 func buildFromSA(g genome.Seq, text []byte, sa []int32, opts Options) *Index {
 	n := len(text)
-	idx := &Index{textLen: n, genome: g, occRate: opts.OccRate, saRate: opts.SARate}
+	idx := &Index{textLen: n, genome: g, saRate: opts.SARate}
 
 	// BWT over text+'$': row for suffix starting at p has BWT char
 	// text[p-1]; the row of suffix 0 has the sentinel. The suffix array
@@ -160,21 +155,7 @@ func buildFromSA(g genome.Seq, text []byte, sa []int32, opts Options) *Index {
 	}
 	idx.c[5] = idx.c[4] // convenience bound
 
-	// Occ checkpoints.
-	occRate := opts.OccRate
-	nCk := (n+1)/occRate + 1
-	idx.occ = make([][4]int32, nCk+1)
-	var running [4]int32
-	for p := 0; p <= n; p++ {
-		if p%occRate == 0 {
-			idx.occ[p/occRate] = running
-		}
-		if b := idx.bwt[p]; b < 4 {
-			running[b]++
-		}
-	}
-	idx.occ[(n+1+occRate-1)/occRate] = running
-	idx.packOccBits()
+	idx.buildBlocks()
 
 	// Sampled SA with rank dictionary.
 	words := (n + 1 + 63) / 64
@@ -215,51 +196,53 @@ func (x *Index) GenomeLen() int { return len(x.genome) }
 // Rows returns the number of BWT rows (textLen+1).
 func (x *Index) Rows() int { return x.textLen + 1 }
 
-// packOccBits (re)builds the 2-bit packed BWT used by occ4's popcount
-// ranking. The sentinel byte (code 4) packs as base A; occ4 corrects
-// the A count using the primary row position.
-func (x *Index) packOccBits() {
-	n := len(x.bwt)
-	words := make([]uint64, seq2.Words(n))
-	for i, b := range x.bwt {
-		words[i/seq2.BasesPerWord] |= uint64(b&3) << (2 * (uint(i) % seq2.BasesPerWord))
+// buildBlocks (re)builds the Occ blocks from bwt. rows/64+1 blocks, so
+// a lookup at p == rows finds a block even when rows is a multiple of
+// 64 (that last block then has counts and no bits).
+func (x *Index) buildBlocks() {
+	rows := len(x.bwt)
+	x.blocks = make([]occBlock, rows/64+1)
+	var running [4]int32
+	for k := range x.blocks {
+		blk := &x.blocks[k]
+		blk.cnt = running
+		lo := k * 64
+		for i, b := range x.bwt[lo:min(lo+64, rows)] {
+			if b < 4 {
+				blk.bits[b] |= 1 << uint(i)
+				running[b]++
+			}
+		}
 	}
-	x.occPacked = seq2.FromWords(words, n)
 }
 
 // occ4 returns cumulative counts of the four bases in bwt[0:p].
-// It performs the paper's characteristic irregular lookup: one
-// checkpoint read plus a partial-block rank, computed with four
-// popcounts per 32 BWT positions over the 2-bit packed block.
 func (x *Index) occ4(p int) [4]int32 {
 	return x.occ4t(p, x.Tracer)
 }
 
-// occ4t is occ4 with the trace sink passed explicitly, so concurrent
-// searches can route their address streams to per-worker tracers
-// instead of racing on x.Tracer.
-func (x *Index) occ4t(p int, tr MemTracer) [4]int32 {
-	ck := p / x.occRate
-	counts := x.occ[ck]
+// occAt is the paper's characteristic irregular lookup: it returns
+// the block that answers Occ at row p, after reporting the lookup's
+// one 64-byte access to tr (nil for none). The sink is passed
+// explicitly so concurrent searches route their address streams to
+// per-worker tracers instead of racing on x.Tracer.
+func (x *Index) occAt(p int, tr MemTracer) *occBlock {
 	if tr != nil {
-		// Checkpoint table and BWT block live in distinct regions.
-		tr.Access(uint64(ck)*16, 16, false)
-		tr.Access(1<<32+uint64(ck)*uint64(x.occRate), x.occRate, false)
+		tr.Access(uint64(p)&^63, 64, false)
 	}
-	lo := ck * x.occRate
-	if p > lo {
-		c := x.occPacked.Count4Range(lo, p)
-		counts[0] += int32(c[0])
-		counts[1] += int32(c[1])
-		counts[2] += int32(c[2])
-		counts[3] += int32(c[3])
-		// The sentinel packed as A: undo its contribution when the
-		// primary row falls inside the scanned block prefix.
-		if x.primary >= lo && x.primary < p {
-			counts[0]--
-		}
-	}
-	return counts
+	return &x.blocks[p>>6]
+}
+
+// rank counts base b in bwt[0:p], for the block occAt(p) returned: the
+// checkpoint plus one popcount over the block's rows before p.
+func (blk *occBlock) rank(b genome.Base, p int) int {
+	return int(blk.cnt[b]) + bits.OnesCount64(blk.bits[b]&(1<<(uint(p)&63)-1))
+}
+
+// occ4t is occ4 with the trace sink passed explicitly.
+func (x *Index) occ4t(p int, tr MemTracer) [4]int32 {
+	blk := x.occAt(p, tr)
+	return [4]int32{int32(blk.rank(0, p)), int32(blk.rank(1, p)), int32(blk.rank(2, p)), int32(blk.rank(3, p))}
 }
 
 // Occ4 exposes the popcount-ranked Occ lookup for external harnesses
@@ -267,16 +250,16 @@ func (x *Index) occ4t(p int, tr MemTracer) [4]int32 {
 func (x *Index) Occ4(p int) [4]int32 { return x.occ4(p) }
 
 // Occ4Reference exposes the byte-scan reference ranking so harnesses
-// can benchmark and cross-check it against the packed path.
+// can benchmark and cross-check it against the popcount path.
 func (x *Index) Occ4Reference(p int) [4]int32 { return x.occ4Scalar(p) }
 
 // occ4Scalar is the byte-scan reference implementation of occ4, kept
-// for differential tests against the popcount path.
+// for differential tests against the popcount path: the block's
+// checkpoint counts plus one increment per BWT byte.
 func (x *Index) occ4Scalar(p int) [4]int32 {
-	ck := p / x.occRate
-	counts := x.occ[ck]
-	for q := ck * x.occRate; q < p; q++ {
-		if b := x.bwt[q]; b < 4 {
+	counts := x.blocks[p>>6].cnt
+	for _, b := range x.bwt[p&^63 : p] {
+		if b < 4 {
 			counts[b]++
 		}
 	}
@@ -348,12 +331,38 @@ func (x *Index) extendForwardT(iv BiInterval, tr MemTracer) [4]BiInterval {
 	return out
 }
 
+// extendBackward1 is extendBackwardT(iv, tr)[b] for loops that consume
+// one base: the same two Occ lookups, one interval built instead of
+// four. L skips the sentinel and every base whose complement sorts
+// before b's, i.e. every c > b.
+func (x *Index) extendBackward1(iv BiInterval, b genome.Base, tr MemTracer) BiInterval {
+	p, q := iv.K, iv.K+iv.S
+	lo, hi := x.occAt(p, tr), x.occAt(q, tr)
+	var d [4]int
+	for c := range d {
+		d[c] = hi.rank(genome.Base(c), q) - lo.rank(genome.Base(c), p)
+	}
+	skip := [4]int{d[1] + d[2] + d[3], d[2] + d[3], d[3], 0}
+	b &= 3
+	return BiInterval{
+		K: x.c[b] + lo.rank(b, p),
+		L: iv.L + int(x.occSentinel(q)-x.occSentinel(p)) + skip[b],
+		S: d[b],
+	}
+}
+
+// extendForward1 is extendForwardT(iv, tr)[b], built the same way.
+func (x *Index) extendForward1(iv BiInterval, b genome.Base, tr MemTracer) BiInterval {
+	e := x.extendBackward1(BiInterval{K: iv.L, L: iv.K, S: iv.S}, 3-(b&3), tr)
+	return BiInterval{K: e.L, L: e.K, S: e.S}
+}
+
 // BackwardSearch finds the SA interval of pattern via classic backward
 // search, returning the interval start and size (size 0 when absent).
 func (x *Index) BackwardSearch(pattern genome.Seq) (k, s int) {
 	iv := x.Root()
 	for i := len(pattern) - 1; i >= 0; i-- {
-		iv = x.ExtendBackward(iv)[pattern[i]&3]
+		iv = x.extendBackward1(iv, pattern[i], x.Tracer)
 		if iv.S <= 0 {
 			return 0, 0
 		}
@@ -379,14 +388,14 @@ func (x *Index) Locate(r int) int {
 	}
 }
 
-// lf is the last-to-first mapping.
+// lf is the last-to-first mapping: one Occ lookup, ranking only the
+// row's own base.
 func (x *Index) lf(r int) int {
 	b := x.bwt[r]
 	if b == sentinelCode {
 		return 0
 	}
-	lo := x.occ4(r)
-	return x.c[b] + int(lo[b])
+	return x.c[b] + x.occAt(r, x.Tracer).rank(b, r)
 }
 
 // Count returns the number of occurrences of pattern in the indexed
@@ -417,5 +426,5 @@ func (x *Index) LocateAll(pattern genome.Seq, limit int) []int {
 // String describes the index.
 func (x *Index) String() string {
 	return fmt.Sprintf("fmindex(text=%d rows=%d checkpoints=%d samples=%d)",
-		x.textLen, x.Rows(), len(x.occ), len(x.saVals))
+		x.textLen, x.Rows(), len(x.blocks), len(x.saVals))
 }

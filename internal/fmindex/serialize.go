@@ -17,7 +17,7 @@ import (
 
 const (
 	indexMagic   = 0x464d4931 // "FMI1"
-	indexVersion = 2
+	indexVersion = 3
 )
 
 // WriteTo serializes the index. It returns the byte count written.
@@ -36,9 +36,8 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 		indexMagic, indexVersion,
 		uint64(x.textLen), uint64(x.primary),
 		uint64(len(x.genome)), uint64(len(x.bwt)),
-		uint64(len(x.occ)), uint64(len(x.saMarked)),
-		uint64(len(x.saRank)), uint64(len(x.saVals)),
-		uint64(x.occRate), uint64(x.saRate),
+		uint64(len(x.saMarked)), uint64(len(x.saRank)),
+		uint64(len(x.saVals)), uint64(x.saRate),
 	}
 	for _, v := range header {
 		if err := writeU64(v); err != nil {
@@ -50,13 +49,6 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 	}
 	if _, err := mw.Write(x.bwt); err != nil {
 		return cw.n, err
-	}
-	for i := range x.occ {
-		for b := 0; b < 4; b++ {
-			if err := writeU64(uint64(uint32(x.occ[i][b]))); err != nil {
-				return cw.n, err
-			}
-		}
 	}
 	for _, v := range x.saMarked {
 		if err := writeU64(v); err != nil {
@@ -102,7 +94,7 @@ func ReadIndex(r io.Reader) (*Index, error) {
 		}
 		return binary.LittleEndian.Uint64(buf[:]), nil
 	}
-	var header [12]uint64
+	var header [10]uint64
 	for i := range header {
 		v, err := readU64()
 		if err != nil {
@@ -114,7 +106,7 @@ func ReadIndex(r io.Reader) (*Index, error) {
 		return nil, fmt.Errorf("fmindex: bad magic %#x", header[0])
 	}
 	if header[1] != indexVersion {
-		return nil, fmt.Errorf("fmindex: unsupported version %d", header[1])
+		return nil, fmt.Errorf("fmindex: index file is version %d, this build reads version %d", header[1], indexVersion)
 	}
 	const maxLen = 1 << 34
 	for _, v := range header[2:] {
@@ -122,16 +114,20 @@ func ReadIndex(r io.Reader) (*Index, error) {
 			return nil, fmt.Errorf("fmindex: implausible section size %d", v)
 		}
 	}
+	// One BWT row per text position plus the sentinel: the Occ blocks
+	// are sized from bwt and indexed by rows up to textLen+1.
+	if header[5] != header[2]+1 {
+		return nil, fmt.Errorf("fmindex: %d BWT rows for text length %d", header[5], header[2])
+	}
+	if header[9] < 2 {
+		return nil, fmt.Errorf("fmindex: corrupt SA sampling rate %d", header[9])
+	}
 	x := &Index{
 		textLen: int(header[2]),
 		primary: int(header[3]),
 		genome:  make(genome.Seq, header[4]),
 		bwt:     make([]byte, header[5]),
-		occRate: int(header[10]),
-		saRate:  int(header[11]),
-	}
-	if x.occRate < 4 || x.saRate < 2 {
-		return nil, fmt.Errorf("fmindex: corrupt sampling rates %d/%d", x.occRate, x.saRate)
+		saRate:  int(header[9]),
 	}
 	if _, err := io.ReadFull(tr, x.genome); err != nil {
 		return nil, err
@@ -139,17 +135,7 @@ func ReadIndex(r io.Reader) (*Index, error) {
 	if _, err := io.ReadFull(tr, x.bwt); err != nil {
 		return nil, err
 	}
-	x.occ = make([][4]int32, header[6])
-	for i := range x.occ {
-		for b := 0; b < 4; b++ {
-			v, err := readU64()
-			if err != nil {
-				return nil, err
-			}
-			x.occ[i][b] = int32(uint32(v))
-		}
-	}
-	x.saMarked = make([]uint64, header[7])
+	x.saMarked = make([]uint64, header[6])
 	for i := range x.saMarked {
 		v, err := readU64()
 		if err != nil {
@@ -157,7 +143,7 @@ func ReadIndex(r io.Reader) (*Index, error) {
 		}
 		x.saMarked[i] = v
 	}
-	x.saRank = make([]int32, header[8])
+	x.saRank = make([]int32, header[7])
 	for i := range x.saRank {
 		v, err := readU64()
 		if err != nil {
@@ -165,7 +151,7 @@ func ReadIndex(r io.Reader) (*Index, error) {
 		}
 		x.saRank[i] = int32(uint32(v))
 	}
-	x.saVals = make([]int32, header[9])
+	x.saVals = make([]int32, header[8])
 	for i := range x.saVals {
 		v, err := readU64()
 		if err != nil {
@@ -188,9 +174,8 @@ func ReadIndex(r io.Reader) (*Index, error) {
 	if got := binary.LittleEndian.Uint32(buf[:]); got != want {
 		return nil, fmt.Errorf("fmindex: checksum mismatch %#x != %#x", got, want)
 	}
-	// The packed Occ blocks are derived state, rebuilt rather than
-	// serialized.
-	x.packOccBits()
+	// The Occ blocks are derived state, rebuilt rather than serialized.
+	x.buildBlocks()
 	return x, nil
 }
 

@@ -2,7 +2,9 @@ package fmindex
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/genome"
@@ -80,5 +82,14 @@ func TestSerializeBadMagicAndTruncation(t *testing.T) {
 	}
 	if _, err := ReadIndex(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
 		t.Error("truncated index accepted")
+	}
+	// A file of another format version (version 2 carried an Occ
+	// section and an occRate word) is refused by version, before any
+	// section is read, and the error names both versions.
+	old := bytes.Clone(buf.Bytes())
+	binary.LittleEndian.PutUint64(old[8:], 2)
+	_, err := ReadIndex(bytes.NewReader(old))
+	if err == nil || !strings.Contains(err.Error(), "version 2") || !strings.Contains(err.Error(), "version 3") {
+		t.Errorf("version-2 header: err = %v, want one naming versions 2 and 3", err)
 	}
 }

@@ -33,6 +33,17 @@ type SeededRead struct {
 	Seeds []fmindex.SMEM
 }
 
+// smemState is one smem worker's pooled state: a width-1 batch engine
+// and the buffer its scratch output is copied into for sorting. A
+// scratch.Pool outlives a pipeline and keys state by slot alone, so the
+// state remembers which index its engine searches and Fn rebinds it
+// when the pipeline's index is another one.
+type smemState struct {
+	index  *fmindex.Index
+	engine *fmindex.BatchEngine
+	seeds  []fmindex.SMEM
+}
+
 // Classification is one read's final species assignment (-1 when
 // unclassified).
 type Classification struct {
@@ -118,13 +129,27 @@ func buildMetagenomics(p Params) (*Pipeline, error) {
 		},
 		Stages: []Stage{
 			{
-				Name:    "smem",
-				Workers: p.Int("smem_workers", 2),
+				Name:     "smem",
+				Workers:  p.Int("smem_workers", 2),
+				NewState: func() any { return &smemState{} },
 				Fn: func(ctx context.Context, w *Worker, v any, emit func(any) error) error {
 					r := v.(ClassifyRead)
-					smems := index.FindSMEMs(r.Seq, 25, 1, nil)
-					// Longest seeds first; stable with a position
-					// tiebreak so seed selection is deterministic.
+					st := w.State.(*smemState)
+					if st.index != index {
+						// Width 1: the pan-genome's Occ blocks are cache
+						// resident, so there are no misses for more lanes
+						// to overlap.
+						st.index, st.engine = index, fmindex.NewBatchEngine(index, 1, nil)
+					}
+					st.seeds = st.seeds[:0]
+					if err := st.engine.Run([]genome.Seq{r.Seq}, 25, 1, nil, func(_ int, smems []fmindex.SMEM, _ uint64) {
+						st.seeds = append(st.seeds, smems...)
+					}); err != nil {
+						return err
+					}
+					// Longest seeds first, with a position tiebreak so
+					// seed selection is deterministic.
+					smems := st.seeds
 					sort.SliceStable(smems, func(i, j int) bool {
 						if smems[i].Len() != smems[j].Len() {
 							return smems[i].Len() > smems[j].Len()
@@ -134,7 +159,9 @@ func buildMetagenomics(p Params) (*Pipeline, error) {
 					if len(smems) > 3 {
 						smems = smems[:3]
 					}
-					return emit(&SeededRead{Read: r, Seeds: smems})
+					// The engine's and the state's slices are scratch:
+					// the emitted read owns a copy of its top seeds.
+					return emit(&SeededRead{Read: r, Seeds: append([]fmindex.SMEM(nil), smems...)})
 				},
 			},
 			{

@@ -3,6 +3,7 @@ package scenario
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/obs"
@@ -115,6 +116,70 @@ func TestFusedDigestMatchesStaged(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestPooledStateFollowsThePipelinesIndex: a scratch.Pool keys pooled
+// state by slot alone and outlives a pipeline, so a pool carried from
+// one metagenomics build to the next (another seed: another pan-genome,
+// another index) still holds the first build's smem engines. Searching
+// the old index returns wrong seeds without failing, so every run on
+// the carried pool must digest like the same run on a fresh pool.
+func TestPooledStateFollowsThePipelinesIndex(t *testing.T) {
+	ctx := context.Background()
+	carried := scratch.NewPool()
+	seen := map[uint64]bool{}
+	for _, seed := range []float64{31, 77} {
+		p := testParams(t, "metagenomics")
+		p["seed"] = seed
+		pipe := buildFor(t, "metagenomics", p)
+		for _, ex := range []struct {
+			mode string
+			run  func(context.Context, string, *Pipeline, Options) (*Result, error)
+		}{{"fused", RunFused}, {"staged", RunStaged}} {
+			want, err := ex.run(ctx, "metagenomics", pipe, Options{Pool: scratch.NewPool()})
+			if err != nil {
+				t.Fatalf("seed %v, %s on a fresh pool: %v", seed, ex.mode, err)
+			}
+			got, err := ex.run(ctx, "metagenomics", pipe, Options{Pool: carried})
+			if err != nil {
+				t.Fatalf("seed %v, %s on the carried pool: %v", seed, ex.mode, err)
+			}
+			if got.Digest != want.Digest {
+				t.Fatalf("seed %v, %s: digest %#x on the carried pool, %#x on a fresh one",
+					seed, ex.mode, got.Digest, want.Digest)
+			}
+			seen[want.Digest] = true
+		}
+	}
+	if len(seen) != 2 {
+		t.Fatalf("want one digest per seed, have %d: the two builds do not differ", len(seen))
+	}
+}
+
+// TestMetagenomicsMallocsPerItem gates the per-item allocation cost of
+// a warm fused run at the registered scale. What is left per read is
+// the emitted SeededRead and its seed copy, boxing, LocateAll's result
+// and the sort; the smem search itself allocates nothing (measured 22
+// per item; it was 2,670 on the allocating reference walk).
+func TestMetagenomicsMallocsPerItem(t *testing.T) {
+	ctx := context.Background()
+	pipe := buildFor(t, "metagenomics", Get("metagenomics").Params.Clone())
+	opt := Options{Pool: scratch.NewPool()}
+	if _, err := RunFused(ctx, "metagenomics", pipe, opt); err != nil { // warm the pool
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := RunFused(ctx, "metagenomics", pipe, opt)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perItem := float64(after.Mallocs-before.Mallocs) / float64(res.Source)
+	if res.Source != 600 || perItem > 40 {
+		t.Fatalf("%d source items, %.1f mallocs per item; want 600 items at <= 40", res.Source, perItem)
+	}
+	t.Logf("%.1f mallocs per source item", perItem)
 }
 
 // TestDigestStableAcrossWorkerWidths pins that worker count is pure

@@ -2,8 +2,8 @@
 // SWAR (SIMD-within-a-register) primitives the suite's optimized hot
 // paths are built on: packed-word base comparison (32 bases per
 // uint64 compare, used by bsw's row match masks), popcount-based base
-// ranking over packed words (fmindex's Occ blocks), and O(1)
-// reverse-complement of packed k-mer codes (kmercnt's canonicalizer).
+// ranking over packed words, and O(1) reverse-complement of packed
+// k-mer codes (kmercnt's canonicalizer).
 //
 // The byte-per-base genome.Seq representation stays the suite's
 // interchange type; Packed is the hot-path layout, exactly the
@@ -70,10 +70,10 @@ func PackInto(buf []uint64, s genome.Seq) Packed {
 }
 
 // FromWords wraps pre-packed words as a Packed of n bases, for callers
-// that pack non-Seq byte streams themselves (e.g. fmindex's BWT, whose
-// sentinel byte is masked to base A during packing). words must hold
-// Words(n) entries; lanes at positions >= n are ignored by ranged
-// operations but should be zero so Get beyond n never surprises.
+// that keep their own word buffers (poa and phmm repack into grow-only
+// scratch). words must hold Words(n) entries; lanes at positions >= n
+// are ignored by ranged operations but should be zero so Get beyond n
+// never surprises.
 func FromWords(words []uint64, n int) Packed {
 	return Packed{words: words[:Words(n)], n: n}
 }
@@ -211,42 +211,6 @@ func (p Packed) CountRange(b genome.Base, lo, hi int) int {
 		n += bits.OnesCount64(m)
 	}
 	return n
-}
-
-// Count4Range counts all four bases over [lo,hi) in a single sweep:
-// the packed form of the Occ-table block scan, four popcounts per 32
-// bases instead of a load+compare+increment per base.
-func (p Packed) Count4Range(lo, hi int) [4]int {
-	var out [4]int
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > p.n {
-		hi = p.n
-	}
-	if lo >= hi {
-		return out
-	}
-	wLo, wHi := lo/BasesPerWord, (hi-1)/BasesPerWord
-	for w := wLo; w <= wHi; w++ {
-		v := p.words[w]
-		// valid marks lanes inside [lo,hi) within this word.
-		valid := uint64(loBits)
-		if w == wLo && lo%BasesPerWord != 0 {
-			valid &^= 1<<(2*uint(lo%BasesPerWord)) - 1
-		}
-		if w == wHi && hi%BasesPerWord != 0 {
-			valid &= 1<<(2*uint(hi%BasesPerWord)) - 1
-		}
-		loHalf := v & loBits        // low bit of each lane
-		hiHalf := (v >> 1) & loBits // high bit of each lane
-		// Lane (hi,lo): A=00 C=01 G=10 T=11.
-		out[0] += bits.OnesCount64(^hiHalf & ^loHalf & valid)
-		out[1] += bits.OnesCount64(^hiHalf & loHalf & valid)
-		out[2] += bits.OnesCount64(hiHalf & ^loHalf & valid)
-		out[3] += bits.OnesCount64(hiHalf & loHalf & valid)
-	}
-	return out
 }
 
 // RevCompCode returns the reverse complement of a 2-bit packed k-mer

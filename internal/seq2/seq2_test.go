@@ -109,13 +109,9 @@ func TestCountRangeDifferential(t *testing.T) {
 		for i := lo; i < hi; i++ {
 			want[s[i]]++
 		}
-		got4 := p.Count4Range(lo, hi)
 		for b := genome.Base(0); b < 4; b++ {
 			if got := p.CountRange(b, lo, hi); got != want[b] {
 				t.Fatalf("CountRange(b=%d, [%d,%d)) = %d, want %d", b, lo, hi, got, want[b])
-			}
-			if got4[b] != want[b] {
-				t.Fatalf("Count4Range(b=%d, [%d,%d)) = %d, want %d", b, lo, hi, got4[b], want[b])
 			}
 		}
 	}
