@@ -9,77 +9,62 @@
 // samples. Malformed NDJSON is a hard error (exit 1), which is what CI
 // leans on to validate metrics files.
 //
-// With -history it renders the BENCH_HISTORY.ndjson speedup
-// trajectories: one table per host class, a sparkline per pair with
-// first/best/latest speedup and the drift off best-ever, so a quiet
-// slide across PRs is visible at a glance instead of buried in
-// individual BENCH_PRn.json diffs.
-//
 // Usage:
 //
 //	gbench-report > report.md
 //	gbench -bench all -metrics out.ndjson && gbench-report -metrics out.ndjson
-//	gbench-report -history BENCH_HISTORY.ndjson
+//
+// Exit status: 0 report rendered, 1 unreadable or malformed metrics
+// file, 2 usage.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
 
-	"repro/internal/benchjson"
 	"repro/internal/core"
-	"repro/internal/obs"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("gbench-report", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		size        = flag.String("size", "small", "dataset size for measured tables")
-		seed        = flag.Int64("seed", 42, "dataset seed")
-		metricsPath = flag.String("metrics", "", "render tables from a gbench -metrics NDJSON file")
-		historyPath = flag.String("history", "", "render speedup trend tables from a BENCH_HISTORY.ndjson file")
-		scenPath    = flag.String("scenarios", "", "render per-stage scenario pipeline tables from a gbench-bench -scenario-trace NDJSON file")
-		full        = flag.Bool("full", false, "with -metrics/-history/-scenarios, also regenerate the full paper report")
+		size        = fs.String("size", "small", "dataset size for measured tables")
+		seed        = fs.Int64("seed", 42, "dataset seed")
+		metricsPath = fs.String("metrics", "", "render tables from a gbench -metrics NDJSON file")
+		full        = fs.Bool("full", false, "with -metrics, also regenerate the full paper report")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	sz, err := core.ParseSize(*size)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 
 	if *metricsPath != "" {
-		if err := renderMetrics(*metricsPath); err != nil {
-			fmt.Fprintf(os.Stderr, "gbench-report: %v\n", err)
-			os.Exit(1)
-		}
-		if !*full && *historyPath == "" {
-			return
-		}
-	}
-	if *historyPath != "" {
-		if err := renderHistory(*historyPath); err != nil {
-			fmt.Fprintf(os.Stderr, "gbench-report: %v\n", err)
-			os.Exit(1)
-		}
-		if !*full && *scenPath == "" {
-			return
-		}
-	}
-	if *scenPath != "" {
-		if err := renderScenarios(*scenPath); err != nil {
-			fmt.Fprintf(os.Stderr, "gbench-report: %v\n", err)
-			os.Exit(1)
+		if err := renderMetrics(stdout, *metricsPath); err != nil {
+			fmt.Fprintf(stderr, "gbench-report: %v\n", err)
+			return 1
 		}
 		if !*full {
-			return
+			return 0
 		}
 	}
 
-	fmt.Printf("# GenomicsBench-Go reproduction report\n\n")
-	fmt.Printf("Generated %s, dataset size %s, seed %d.\n\n",
+	fmt.Fprintf(stdout, "# GenomicsBench-Go reproduction report\n\n")
+	fmt.Fprintf(stdout, "Generated %s, dataset size %s, seed %d.\n\n",
 		time.Now().UTC().Format(time.RFC3339), sz, *seed)
 
 	// Headline comparisons with the paper's published values.
@@ -91,15 +76,15 @@ func main() {
 		byName[p.Name] = p
 	}
 
-	fmt.Println("## Headline comparison")
-	fmt.Println()
-	fmt.Println("| experiment | paper | this run |")
-	fmt.Println("|---|---|---|")
+	fmt.Fprintln(stdout, "## Headline comparison")
+	fmt.Fprintln(stdout)
+	fmt.Fprintln(stdout, "| experiment | paper | this run |")
+	fmt.Fprintln(stdout, "|---|---|---|")
 	row := func(name, paper string, v float64, pct bool) {
 		if pct {
-			fmt.Printf("| %s | %s | %.1f%% |\n", name, paper, 100*v)
+			fmt.Fprintf(stdout, "| %s | %s | %.1f%% |\n", name, paper, 100*v)
 		} else {
-			fmt.Printf("| %s | %s | %.1f |\n", name, paper, v)
+			fmt.Fprintf(stdout, "| %s | %s | %.1f |\n", name, paper, v)
 		}
 	}
 	row("abea warp efficiency", "75.09%", a.Metrics.WarpEfficiency(), true)
@@ -112,195 +97,21 @@ func main() {
 	row("fmi stall cycles", "41.5%", byName["fmi"].Report.StallFraction, true)
 	row("kmer-cnt stall cycles", "69.2%", byName["kmer-cnt"].Report.StallFraction, true)
 	row("grm retiring slots", "87.7%", byName["grm"].TopDown.Retiring, true)
-	fmt.Println()
+	fmt.Fprintln(stdout)
 
 	// Full tables as fenced blocks.
-	fmt.Println("## Regenerated tables and figures")
-	fmt.Println()
+	fmt.Fprintln(stdout, "## Regenerated tables and figures")
+	fmt.Fprintln(stdout)
 	for _, t := range core.AllTables(sz, *seed) {
 		title := strings.SplitN(t.Title, ":", 2)[0]
-		fmt.Printf("### %s\n\n```\n%s```\n\n", title, t.String())
+		fmt.Fprintf(stdout, "### %s\n\n```\n%s```\n\n", title, t.String())
 	}
-}
-
-// renderHistory renders the bench-history trend tables: per host
-// class, each pair's speedup sparkline with first/best/latest and the
-// drift off best-ever, then the trend gate's verdict on the newest
-// record. The rendering is read-only — the gate that FAILS CI lives in
-// gbench-bench -compare -history; this is the human-facing view.
-func renderHistory(path string) error {
-	records, dropped, err := benchjson.ReadHistoryFile(path)
-	if err != nil {
-		return err
-	}
-	if len(records) == 0 {
-		return fmt.Errorf("%s holds no history records", path)
-	}
-	fmt.Printf("# Bench history trends\n\n")
-	fmt.Printf("%d records in %s", len(records), path)
-	if dropped {
-		fmt.Printf(" (one truncated trailing record dropped)")
-	}
-	first, last := records[0], records[len(records)-1]
-	fmt.Printf(", %s -> %s.\n\n", labelOr(first, "#1"), labelOr(last, fmt.Sprintf("#%d", len(records))))
-
-	trends := benchjson.Trends(records)
-	byHost := map[string][]*benchjson.Trend{}
-	var hosts []string
-	for _, t := range trends {
-		if _, ok := byHost[t.HostKey]; !ok {
-			hosts = append(hosts, t.HostKey)
-		}
-		byHost[t.HostKey] = append(byHost[t.HostKey], t)
-	}
-	// Latest recorded SIMD stamp per host class: records measured with
-	// the SIMD tier overridden down are not comparable to full-width
-	// ones, so the stamp is surfaced next to each host's table.
-	simdOf := map[string]string{}
-	for _, r := range records {
-		if r.Host != nil && r.Host.SIMD != "" {
-			simdOf[r.Host.Key()] = r.Host.SIMD
-		}
-	}
-	for _, hk := range hosts {
-		name := hk
-		if name == "" {
-			name = "unknown host"
-		}
-		fmt.Printf("## Host %s\n\n", name)
-		if simd := simdOf[hk]; simd != "" {
-			fmt.Printf("SIMD: `%s` (latest record)\n\n", simd)
-		}
-		// Scenario pipeline pairs (fused vs staged whole-pipeline runs)
-		// measure a different thing than kernel micro pairs, so they get
-		// their own table below the kernel one.
-		var kernelTrends, scenarioTrends []*benchjson.Trend
-		for _, t := range byHost[hk] {
-			if t.Kernel == "scenario" {
-				scenarioTrends = append(scenarioTrends, t)
-			} else {
-				kernelTrends = append(kernelTrends, t)
-			}
-		}
-		trendTable(kernelTrends)
-		if len(scenarioTrends) > 0 {
-			fmt.Printf("### Scenario pipelines (fused vs staged)\n\n")
-			trendTable(scenarioTrends)
-		}
-	}
-
-	v := benchjson.TrendGate(records, benchjson.TrendOptions{})
-	fmt.Println("## Trend gate on latest record")
-	fmt.Println()
-	if len(v.Failures) == 0 && len(v.Warnings) == 0 {
-		fmt.Println("No drift beyond tolerance.")
-	}
-	for _, f := range v.Failures {
-		fmt.Printf("- **FAIL** %s\n", f)
-	}
-	for _, w := range v.Warnings {
-		fmt.Printf("- WARN %s\n", w)
-	}
-	for _, s := range v.Skipped {
-		fmt.Printf("- skipped %s\n", s)
-	}
-	fmt.Println()
-	return nil
-}
-
-// trendTable renders one group of trends as the sparkline table.
-func trendTable(trends []*benchjson.Trend) {
-	fmt.Println("| pair | trend | first | best | latest | drift |")
-	fmt.Println("|---|---|---|---|---|---|")
-	for _, t := range trends {
-		pair := t.Kernel + "/" + t.Pair
-		if t.Skipped {
-			fmt.Printf("| %s | _skipped: needs %d cores_ | | | | |\n", pair, t.Threads)
-			continue
-		}
-		fmt.Printf("| %s | `%s` | %.2fx | %.2fx | %.2fx | %.0f%% |\n",
-			pair, benchjson.Sparkline(t.Speedups), t.First(), t.Best(), t.Last(), t.DriftPct())
-	}
-	fmt.Println()
-}
-
-func labelOr(r *benchjson.Report, fallback string) string {
-	if r.Label != "" {
-		return r.Label
-	}
-	return fallback
-}
-
-// renderScenarios parses a gbench-bench -scenario-trace NDJSON file
-// and renders one per-stage table per scenario run: each pipeline root
-// span ("scenario/<name>/<mode>") becomes a section whose rows are its
-// child stage spans, with the executor's occupancy/queue annotations
-// as columns. Any malformed line fails the whole report.
-func renderScenarios(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	mf, err := core.ReadMetricsNDJSON(f)
-	if err != nil {
-		return fmt.Errorf("parsing %s: %w", path, err)
-	}
-	type rootRun struct {
-		rec    obs.SpanRecord
-		stages []obs.SpanRecord
-	}
-	var roots []*rootRun
-	byID := map[uint64]*rootRun{}
-	for _, s := range mf.Spans {
-		if s.Parent == 0 && strings.HasPrefix(s.Name, "scenario/") {
-			r := &rootRun{rec: s}
-			roots = append(roots, r)
-			byID[s.ID] = r
-		}
-	}
-	for _, s := range mf.Spans {
-		if r, ok := byID[s.Parent]; ok {
-			r.stages = append(r.stages, s)
-		}
-	}
-	if len(roots) == 0 {
-		return fmt.Errorf("%s holds no scenario pipeline spans", path)
-	}
-	fmt.Printf("# Scenario pipeline report\n\n")
-	if m := mf.Meta; m != nil {
-		fmt.Printf("Trace started %s on %s/%s (%s, GOMAXPROCS %d).\n\n",
-			m.Start, m.OS, m.Arch, m.GoVersion, m.GOMAXPROCS)
-	}
-	annot := func(s obs.SpanRecord, key string) string {
-		if v, ok := s.Annots[key]; ok {
-			return v
-		}
-		return "-"
-	}
-	for _, r := range roots {
-		fmt.Printf("## %s\n\n", r.rec.Name)
-		fmt.Printf("%.1f ms end to end, %s outputs, stage-overlap ratio %s, status %s.\n\n",
-			float64(r.rec.DurNs)/1e6, annot(r.rec, "items"), annot(r.rec, "overlap_ratio"), r.rec.Status)
-		fmt.Println("| stage | workers | in | out | busy (ms) | wall (ms) | occupancy | queue peak |")
-		fmt.Println("|---|---|---|---|---|---|---|---|")
-		for _, s := range r.stages {
-			name := s.Name
-			if i := strings.LastIndexByte(name, '/'); i >= 0 {
-				name = name[i+1:]
-			}
-			fmt.Printf("| %s | %s | %s | %s | %s | %s | %s | %s |\n",
-				name, annot(s, "workers"), annot(s, "items_in"), annot(s, "items_out"),
-				annot(s, "busy_ms"), annot(s, "wall_ms"), annot(s, "occupancy"), annot(s, "queue_peak"))
-		}
-		fmt.Println()
-	}
-	return nil
+	return 0
 }
 
 // renderMetrics parses a gbench -metrics NDJSON file and renders its
 // tables. Any malformed line fails the whole report.
-func renderMetrics(path string) error {
+func renderMetrics(stdout io.Writer, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -313,18 +124,18 @@ func renderMetrics(path string) error {
 	if len(mf.Kernels) == 0 {
 		return fmt.Errorf("%s holds no kernel records", path)
 	}
-	fmt.Printf("# Suite metrics report\n\n")
+	fmt.Fprintf(stdout, "# Suite metrics report\n\n")
 	if m := mf.Meta; m != nil {
-		fmt.Printf("Run started %s on %s/%s (%s, GOMAXPROCS %d)",
+		fmt.Fprintf(stdout, "Run started %s on %s/%s (%s, GOMAXPROCS %d)",
 			m.Start, m.OS, m.Arch, m.GoVersion, m.GOMAXPROCS)
 		if m.Faults != "" {
-			fmt.Printf(", fault plan `%s`", m.Faults)
+			fmt.Fprintf(stdout, ", fault plan `%s`", m.Faults)
 		}
-		fmt.Printf(".\n\n")
+		fmt.Fprintf(stdout, ".\n\n")
 	}
 	for _, t := range core.MetricsTables(mf) {
 		title := strings.SplitN(t.Title, " (", 2)[0]
-		fmt.Printf("## %s\n\n```\n%s```\n\n", title, t.String())
+		fmt.Fprintf(stdout, "## %s\n\n```\n%s```\n\n", title, t.String())
 	}
 	return nil
 }

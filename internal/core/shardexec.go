@@ -30,32 +30,10 @@ import (
 // matrix tiles, the NN kernels' batched models) stay on the in-process
 // path; RunSuite falls back transparently for them.
 
-// fnvOffset/fnvPrime are the FNV-1a constants; digests and the job
-// fingerprint use the same fold.
-const (
-	fnvOffset = uint64(14695981039346656037)
-	fnvPrime  = uint64(1099511628211)
-)
-
-// foldWord folds one 64-bit word into an FNV-1a digest byte by byte.
-func foldWord(h, w uint64) uint64 {
-	for s := 0; s < 64; s += 8 {
-		h ^= (w >> s) & 0xff
-		h *= fnvPrime
-	}
-	return h
-}
-
-func foldInt(h uint64, v int) uint64       { return foldWord(h, uint64(int64(v))) }
-func foldFloat(h uint64, f float64) uint64 { return foldWord(h, math.Float64bits(f)) }
-
-func foldBases(h uint64, seq []byte) uint64 {
-	for _, b := range seq {
-		h ^= uint64(b)
-		h *= fnvPrime
-	}
-	return h
-}
+// Task digests use the fabric's fold (shard.FoldWord from
+// shard.DigestSeed), the same one the job fingerprint uses.
+func foldInt(h uint64, v int) uint64       { return shard.FoldWord(h, uint64(int64(v))) }
+func foldFloat(h uint64, f float64) uint64 { return shard.FoldWord(h, math.Float64bits(f)) }
 
 // parseExecSize converts the wire's size string back to a Size.
 func parseExecSize(s string) (Size, error) {
@@ -86,12 +64,12 @@ func (e *bswExecutor) Prepare(size string, seed int64) (int, error) {
 func (e *bswExecutor) RunTask(_ context.Context, task int) (uint64, uint64, error) {
 	p := e.bench.pairs[task]
 	r := bsw.Align(p.Query, p.Target, e.params)
-	h := fnvOffset
+	h := shard.DigestSeed
 	h = foldInt(h, r.Score)
 	h = foldInt(h, r.QEnd)
 	h = foldInt(h, r.TEnd)
 	if r.ZDropped {
-		h = foldWord(h, 1)
+		h = shard.FoldWord(h, 1)
 	}
 	return h, r.CellUpdates, nil
 }
@@ -115,7 +93,7 @@ func (e *chainExecutor) Prepare(size string, seed int64) (int, error) {
 
 func (e *chainExecutor) RunTask(_ context.Context, task int) (uint64, uint64, error) {
 	chains, comparisons := chain.ChainAnchors(e.bench.tasks[task].Anchors, e.cfg)
-	h := fnvOffset
+	h := shard.DigestSeed
 	h = foldInt(h, len(chains))
 	for _, c := range chains {
 		h = foldFloat(h, c.Score)
@@ -146,9 +124,9 @@ func (e *poaExecutor) Prepare(size string, seed int64) (int, error) {
 
 func (e *poaExecutor) RunTask(_ context.Context, task int) (uint64, uint64, error) {
 	consensus, cells := poa.ConsensusOf(e.bench.windows[task], e.params)
-	h := fnvOffset
+	h := shard.DigestSeed
 	h = foldInt(h, len(consensus))
-	h = foldBases(h, []byte(consensus))
+	h = shard.FoldBytes(h, []byte(consensus))
 	return h, cells, nil
 }
 
@@ -169,16 +147,16 @@ func (e *pileupExecutor) Prepare(size string, seed int64) (int, error) {
 
 func (e *pileupExecutor) RunTask(_ context.Context, task int) (uint64, uint64, error) {
 	counts, lookups := pileup.CountRegion(e.bench.regions[task])
-	h := fnvOffset
+	h := shard.DigestSeed
 	h = foldInt(h, len(counts))
 	for i := range counts {
 		c := &counts[i]
 		for s := 0; s < 2; s++ {
 			for b := 0; b < 4; b++ {
-				h = foldWord(h, uint64(c.Base[s][b]))
+				h = shard.FoldWord(h, uint64(c.Base[s][b]))
 			}
-			h = foldWord(h, uint64(c.Ins[s]))
-			h = foldWord(h, uint64(c.Del[s]))
+			h = shard.FoldWord(h, uint64(c.Ins[s]))
+			h = shard.FoldWord(h, uint64(c.Del[s]))
 		}
 	}
 	return h, uint64(lookups), nil
@@ -201,7 +179,7 @@ func (e *phmmExecutor) Prepare(size string, seed int64) (int, error) {
 
 func (e *phmmExecutor) RunTask(_ context.Context, task int) (uint64, uint64, error) {
 	rr := phmm.EvaluateRegion(e.bench.regions[task])
-	h := fnvOffset
+	h := shard.DigestSeed
 	for _, b := range rr.BestHap {
 		h = foldInt(h, b)
 	}
@@ -230,7 +208,7 @@ func (e *dbgExecutor) Prepare(size string, seed int64) (int, error) {
 
 func (e *dbgExecutor) RunTask(_ context.Context, task int) (uint64, uint64, error) {
 	r := dbg.AssembleRegion(e.bench.regions[task], e.cfg)
-	h := fnvOffset
+	h := shard.DigestSeed
 	h = foldInt(h, r.K)
 	h = foldInt(h, r.Nodes)
 	h = foldInt(h, r.Edges)
@@ -238,7 +216,7 @@ func (e *dbgExecutor) RunTask(_ context.Context, task int) (uint64, uint64, erro
 	h = foldInt(h, len(r.Haplotypes))
 	for _, hap := range r.Haplotypes {
 		h = foldInt(h, len(hap))
-		h = foldBases(h, []byte(hap))
+		h = shard.FoldBytes(h, []byte(hap))
 	}
 	return h, r.HashLookups, nil
 }

@@ -132,9 +132,9 @@ func Active() string {
 	return "portable"
 }
 
-// String renders the full capability story for the benchjson host
+// String renders the full capability story for the benchmark's host
 // stamp, e.g. "sse2+avx2", "sse2 (GBENCH_SIMD=sse2)", "portable
-// (GBENCH_SIMD=off)". Trend records from different SIMD tiers must be
+// (GBENCH_SIMD=off)". Results from different SIMD tiers must be
 // distinguishable, so the override state is part of the stamp.
 func String() string {
 	f := Get()

@@ -245,14 +245,6 @@ func (x *Index) occ4t(p int, tr MemTracer) [4]int32 {
 	return [4]int32{int32(blk.rank(0, p)), int32(blk.rank(1, p)), int32(blk.rank(2, p)), int32(blk.rank(3, p))}
 }
 
-// Occ4 exposes the popcount-ranked Occ lookup for external harnesses
-// (gbench-bench) and diagnostics.
-func (x *Index) Occ4(p int) [4]int32 { return x.occ4(p) }
-
-// Occ4Reference exposes the byte-scan reference ranking so harnesses
-// can benchmark and cross-check it against the popcount path.
-func (x *Index) Occ4Reference(p int) [4]int32 { return x.occ4Scalar(p) }
-
 // occ4Scalar is the byte-scan reference implementation of occ4, kept
 // for differential tests against the popcount path: the block's
 // checkpoint counts plus one increment per BWT byte.

@@ -238,9 +238,8 @@ func TestRunKernelCtxThreadInvariance(t *testing.T) {
 	}
 }
 
-// Byte-scan versus popcount Occ ranking: the bench harness's fmindex
-// before/after pair. Lookups hit positions spread across the text so
-// block prefixes of every length occur.
+// Byte-scan versus popcount Occ ranking. Lookups hit positions spread
+// across the text so block prefixes of every length occur.
 func BenchmarkOcc4(b *testing.B) {
 	rng := rand.New(rand.NewSource(35))
 	g := genome.Random(rng, 1<<16)

@@ -3,7 +3,6 @@ package kmercnt
 import (
 	"unsafe"
 
-	"repro/internal/genome"
 	"repro/internal/prefetch"
 	"repro/internal/seq2"
 	"repro/internal/tuning"
@@ -73,30 +72,14 @@ func (t *Table) waveScratch() []uint64 {
 	return t.wave[:0]
 }
 
-// CountSeqBatched inserts every canonical k-mer of s using the
-// wave-batched schedule and returns the k-mer count. Tables are
-// identical to CountSeq's.
-func CountSeqBatched(t *Table, s genome.Seq, k int) uint64 {
-	wave := t.waveScratch()
-	pt, _ := t.Tracer.(Prefetcher)
-	var n uint64
-	genome.EachKmer(s, k, func(_ int, code uint64) {
-		wave = append(wave, Canonical(code, k))
-		n++
-		if len(wave) == cap(wave) {
-			t.flushWave(wave, pt)
-			wave = wave[:0]
-		}
-	})
-	t.flushWave(wave, pt)
-	t.wave = wave[:0]
-	return n
-}
-
-// CountSeqPackedBatched is CountSeqPacked on the wave-batched schedule:
-// the 2-bit stream decoder fills the wave, the flush overlaps the slot
-// misses. This is the kernel's hot path (RunKernelCtx). Tables are
-// identical to CountSeqPacked's.
+// CountSeqPackedBatched counts the canonical k-mers of a 2-bit packed
+// sequence on the wave-batched schedule. Bases stream out of each
+// packed word two bits at a time (one word load per 32 bases), the
+// reverse-complement code is maintained incrementally alongside the
+// forward code (O(1) canonicalization per k-mer instead of O(k)), the
+// decoder fills the wave and the flush overlaps the slot misses. This
+// is the kernel's hot path (RunKernelCtx). Tables and probe counts are
+// identical to CountSeq's on the unpacked sequence.
 func CountSeqPackedBatched(t *Table, p seq2.Packed, k int) uint64 {
 	n := p.Len()
 	if n < k || k <= 0 || k > 31 {

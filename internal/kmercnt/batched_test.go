@@ -22,7 +22,7 @@ func TestBatchedMatchesUnbatched(t *testing.T) {
 	var nPlain, nBatched uint64
 	for _, r := range reads {
 		nPlain += CountSeq(plain, r, k)
-		nBatched += CountSeqBatched(batched, r, k)
+		nBatched += countPackedBatched(batched, r, k)
 	}
 	if nPlain != nBatched {
 		t.Fatalf("k-mer counts differ: %d vs %d", nPlain, nBatched)
@@ -40,7 +40,7 @@ func TestBatchedMatchesUnbatched(t *testing.T) {
 func TestBatchedShortRead(t *testing.T) {
 	tab := NewTable(64, Linear)
 	// Fewer k-mers than a batch.
-	n := CountSeqBatched(tab, genome.MustFromString("ACGTACGTACGTACGTACGTA"), 17)
+	n := countPackedBatched(tab, genome.MustFromString("ACGTACGTACGTACGTACGTA"), 17)
 	if n != 5 {
 		t.Errorf("counted %d k-mers, want 5", n)
 	}
@@ -70,7 +70,7 @@ func TestBatchedDemandStreamIdentical(t *testing.T) {
 		return got
 	}
 	plain := record(CountSeq)
-	batched := record(CountSeqBatched)
+	batched := record(countPackedBatched)
 	if !reflect.DeepEqual(plain, batched) {
 		t.Fatalf("demand streams diverge: serial %d accesses, batched %d",
 			len(plain), len(batched))
@@ -97,7 +97,7 @@ func TestBatchedPrefetchReducesSimulatedStalls(t *testing.T) {
 		return sim, tab
 	}
 	serialSim, serialTab := run(CountSeq)
-	batchedSim, batchedTab := run(CountSeqBatched)
+	batchedSim, batchedTab := run(countPackedBatched)
 
 	if serialTab.Probes != batchedTab.Probes {
 		t.Fatalf("probe counts diverge: %d vs %d", serialTab.Probes, batchedTab.Probes)
@@ -117,9 +117,9 @@ func TestBatchedPrefetchReducesSimulatedStalls(t *testing.T) {
 		rs.L1MissRatio, rb.L1MissRatio)
 }
 
-// CountSeqPackedBatched must produce tables identical to
-// CountSeqPacked's at every wave width, including widths larger than
-// the read's k-mer count.
+// CountSeqPackedBatched must produce tables identical to CountSeq's
+// at every wave width, including widths larger than the read's k-mer
+// count.
 func TestPackedBatchedForcedWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	reads := make([]genome.Seq, 10)
@@ -130,7 +130,7 @@ func TestPackedBatchedForcedWidths(t *testing.T) {
 		want := NewTable(64, Linear)
 		var wantN uint64
 		for _, r := range reads {
-			wantN += CountSeqPacked(want, seq2.Pack(r), k)
+			wantN += CountSeq(want, r, k)
 		}
 		for _, width := range []int{4, 7, 64, 512} {
 			restore := WaveWidth.Set(width)

@@ -264,7 +264,7 @@ func Canonical(code uint64, k int) uint64 {
 
 // CountSeq inserts every canonical k-mer of s into the table and
 // returns the number of k-mers processed. It is the scalar reference
-// implementation; CountSeqFast produces identical tables.
+// implementation; CountSeqPackedBatched produces identical tables.
 func CountSeq(t *Table, s genome.Seq, k int) uint64 {
 	var n uint64
 	genome.EachKmer(s, k, func(_ int, code uint64) {
@@ -272,78 +272,6 @@ func CountSeq(t *Table, s genome.Seq, k int) uint64 {
 		n++
 	})
 	return n
-}
-
-// CountSeqFast is CountSeq with the reverse-complement code maintained
-// incrementally alongside the forward code, replacing the O(k)
-// per-k-mer canonicalization with O(1) work. Tables produced are
-// identical to CountSeq's.
-func CountSeqFast(t *Table, s genome.Seq, k int) uint64 {
-	if len(s) < k || k <= 0 || k > 31 {
-		return 0
-	}
-	shift := 2 * uint(k-1)
-	mask := uint64(1)<<(2*uint(k)) - 1
-	var code, rcode uint64
-	for i := 0; i < k; i++ {
-		b := uint64(s[i] & 3)
-		code = code<<2 | b
-		rcode = rcode>>2 | (3-b)<<shift
-	}
-	canon := code
-	if rcode < code {
-		canon = rcode
-	}
-	t.Increment(canon)
-	n := uint64(1)
-	for i := k; i < len(s); i++ {
-		b := uint64(s[i] & 3)
-		code = (code<<2 | b) & mask
-		rcode = rcode>>2 | (3-b)<<shift
-		canon := code
-		if rcode < code {
-			canon = rcode
-		}
-		t.Increment(canon)
-		n++
-	}
-	return n
-}
-
-// CountSeqPacked counts the canonical k-mers of a 2-bit packed
-// sequence: bases stream out of each packed word two bits at a time,
-// so the encoder issues one word load per 32 bases instead of 32 byte
-// loads. Tables produced are identical to CountSeq's on the unpacked
-// sequence.
-func CountSeqPacked(t *Table, p seq2.Packed, k int) uint64 {
-	n := p.Len()
-	if n < k || k <= 0 || k > 31 {
-		return 0
-	}
-	shift := 2 * uint(k-1)
-	mask := uint64(1)<<(2*uint(k)) - 1
-	words := p.WordsSlice()
-	var code, rcode uint64
-	var w uint64
-	var count uint64
-	for i := 0; i < n; i++ {
-		if i%seq2.BasesPerWord == 0 {
-			w = words[i/seq2.BasesPerWord]
-		}
-		b := w & 3
-		w >>= 2
-		code = (code<<2 | b) & mask
-		rcode = rcode>>2 | (3-b)<<shift
-		if i >= k-1 {
-			canon := code
-			if rcode < code {
-				canon = rcode
-			}
-			t.Increment(canon)
-			count++
-		}
-	}
-	return count
 }
 
 // TopKmers returns the n most frequent k-mers (count-descending,

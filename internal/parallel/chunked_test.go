@@ -13,9 +13,9 @@ func TestForEachChunkedCtxCoversAllTasks(t *testing.T) {
 	for _, chunk := range []int{1, 3, 7, 64} {
 		const n = 100
 		var hits [n]int32
-		err := ForEachChunkedCtx(context.Background(), n, 4, chunk, func(worker, task int) {
+		err := ForEachChunkedCtxErr(context.Background(), n, 4, chunk, plain(func(worker, task int) {
 			atomic.AddInt32(&hits[task], 1)
-		})
+		}))
 		if err != nil {
 			t.Fatalf("chunk=%d: err = %v", chunk, err)
 		}
@@ -57,11 +57,11 @@ func TestForEachChunkedCtxErrCancellation(t *testing.T) {
 }
 
 func TestForEachChunkedCtxPanicIsolation(t *testing.T) {
-	err := ForEachChunkedCtx(context.Background(), 100, 2, 10, func(worker, task int) {
+	err := ForEachChunkedCtxErr(context.Background(), 100, 2, 10, plain(func(worker, task int) {
 		if task == 42 {
 			panic("kaboom")
 		}
-	})
+	}))
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PanicError", err)
@@ -72,14 +72,14 @@ func TestForEachChunkedCtxPanicIsolation(t *testing.T) {
 }
 
 // The chunked variant must feed the same observability instruments
-// ForEachCtx records: one latency observation per chunk, worker
+// ForEachCtxErr records: one latency observation per chunk, worker
 // utilization, and a completed-task count equal to the chunk count.
 func TestForEachChunkedCtxRecordsMetrics(t *testing.T) {
 	o := obs.NewObserver()
 	ctx := obs.With(context.Background(), o)
 	ctx = obs.WithLabel(ctx, "chunky")
 	const n, chunk = 40, 10
-	if err := ForEachChunkedCtx(ctx, n, 2, chunk, func(worker, task int) {}); err != nil {
+	if err := ForEachChunkedCtxErr(ctx, n, 2, chunk, plain(func(worker, task int) {})); err != nil {
 		t.Fatal(err)
 	}
 	hist := o.Histogram("parallel.task_latency_ns", "chunky", "ns")

@@ -11,10 +11,10 @@ import (
 // scheduler choice instead of hardcoding one.
 const (
 	// DispatchChunked is the shared-atomic-counter scheduler
-	// (ForEachCtx): one cache line of dispatch state, no locality.
+	// (forEachCtx): one cache line of dispatch state, no locality.
 	DispatchChunked = 0
 	// DispatchStealing is the per-worker-deque scheduler
-	// (ForEachStealingCtx): private blocks, steal-half from the most
+	// (forEachStealingCtx): private blocks, steal-half from the most
 	// loaded victim when a worker runs dry.
 	DispatchStealing = 1
 )
@@ -49,14 +49,6 @@ func ForEachDispatchErr(ctx context.Context, n, threads int, fn func(ctx context
 	return ForEachCtxErr(ctx, n, threads, fn)
 }
 
-// ForEachDispatchCtx is the error-free variant of ForEachDispatchErr.
-func ForEachDispatchCtx(ctx context.Context, n, threads int, fn func(worker, task int)) error {
-	if dispatchPolicy.Get() == DispatchStealing {
-		return ForEachStealingCtx(ctx, n, threads, fn)
-	}
-	return ForEachCtx(ctx, n, threads, fn)
-}
-
 // probeDispatch times both schedulers on a synthetic skewed workload
 // shaped like the dbg/phmm region loops: many tasks whose cost varies
 // ~25x in a repeating pattern, so seeded blocks end up imbalanced and
@@ -86,10 +78,10 @@ func probeDispatch() int {
 	}
 	ctx := context.Background()
 	chunkedNs := tuning.BestNs(3, 1, func() {
-		_ = ForEachCtx(ctx, tasks, threads, func(_, task int) { work(task) })
+		_ = forEachCtx(ctx, tasks, threads, func(_, task int) { work(task) })
 	})
 	stealNs := tuning.BestNs(3, 1, func() {
-		_ = ForEachStealingCtx(ctx, tasks, threads, func(_, task int) { work(task) })
+		_ = forEachStealingCtx(ctx, tasks, threads, func(_, task int) { work(task) })
 	})
 	_ = sink
 	if stealNs < chunkedNs*0.95 {

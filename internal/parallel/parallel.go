@@ -24,7 +24,7 @@ import (
 	"repro/internal/perf"
 )
 
-// PanicError is a worker panic recovered by ForEachCtx: the scheduler
+// PanicError is a worker panic recovered by the scheduler, which
 // converts the panic into an error so one bad task cannot take down
 // the whole process. The stack is captured at the panic site.
 type PanicError struct {
@@ -53,9 +53,9 @@ func (e *PanicError) PanicStack() []byte { return e.Stack }
 // A panicking task re-panics here (in the caller's goroutine, wrapped
 // in a *PanicError carrying the worker stack) instead of crashing the
 // process from a worker goroutine. Cancellable callers should use
-// ForEachCtx.
+// ForEachCtxErr.
 func ForEach(n, threads int, fn func(worker, task int)) {
-	if err := ForEachCtx(context.Background(), n, threads, fn); err != nil {
+	if err := forEachCtx(context.Background(), n, threads, fn); err != nil {
 		// With a background context the only possible failure is a
 		// recovered worker panic; surface it to preserve the historical
 		// panicking contract.
@@ -72,13 +72,13 @@ type workerClock struct {
 	_      perf.CacheLinePad
 }
 
-// ForEachCtx is ForEach with cooperative cancellation and panic
+// forEachCtx is ForEach with cooperative cancellation and panic
 // isolation: dispatch stops once ctx is cancelled (tasks already
 // running finish), and a panicking task stops dispatch and is returned
 // as a *PanicError instead of crashing the process. The first panic
 // wins; at most one error is returned. Returns ctx.Err() when the run
 // was cancelled, nil when every task completed.
-func ForEachCtx(ctx context.Context, n, threads int, fn func(worker, task int)) error {
+func forEachCtx(ctx context.Context, n, threads int, fn func(worker, task int)) error {
 	if threads <= 0 {
 		threads = runtime.GOMAXPROCS(0)
 	}
@@ -182,7 +182,7 @@ func ForEachCtx(ctx context.Context, n, threads int, fn func(worker, task int)) 
 	return ctx.Err()
 }
 
-// ForEachCtxErr is ForEachCtx for error-returning tasks: the first
+// ForEachCtxErr is forEachCtx for error-returning tasks: the first
 // non-nil error a task returns cancels dispatch (in-flight tasks
 // finish) and is returned — even when that error is context.Canceled
 // itself, the recorded task error is what comes back, so callers can
@@ -193,10 +193,10 @@ func ForEachCtx(ctx context.Context, n, threads int, fn func(worker, task int)) 
 // everything except panics and surfaces as the parent's cause
 // (context.Canceled or context.DeadlineExceeded).
 func ForEachCtxErr(ctx context.Context, n, threads int, fn func(ctx context.Context, worker, task int) error) error {
-	return errDispatch(ctx, n, threads, fn, ForEachCtx)
+	return errDispatch(ctx, n, threads, fn, forEachCtx)
 }
 
-// errDispatch adapts any plain scheduler (ForEachCtx-shaped run
+// errDispatch adapts any plain scheduler (forEachCtx-shaped run
 // function) to the error-returning task contract; ForEachCtxErr and
 // ForEachStealingErr share it so the subtle error/panic/cancellation
 // precedence lives in exactly one place.
@@ -232,61 +232,20 @@ func errDispatch(ctx context.Context, n, threads int, fn func(ctx context.Contex
 		return ctx.Err()
 	}
 	// taskErr was written before cancel(e) and the workers were joined
-	// before ForEachCtx returned, so this read is ordered.
+	// before forEachCtx returned, so this read is ordered.
 	if taskErr != nil {
 		return taskErr
 	}
 	return err
 }
 
-// ForEachChunked is ForEach with a chunk size greater than one, reducing
-// scheduling overhead for very short tasks.
-func ForEachChunked(n, threads, chunk int, fn func(worker, task int)) {
-	if chunk <= 1 {
-		ForEach(n, threads, fn)
-		return
-	}
-	chunks := (n + chunk - 1) / chunk
-	ForEach(chunks, threads, func(worker, c int) {
-		lo := c * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		for i := lo; i < hi; i++ {
-			fn(worker, i)
-		}
-	})
-}
-
-// ForEachChunkedCtx is ForEachCtx with a chunk size greater than one:
-// workers pull chunks of `chunk` consecutive task indices, cutting
-// scheduling overhead for fine-grained tasks while keeping cooperative
-// cancellation and panic isolation. It records into the same per-task
-// latency histogram and worker-utilization gauge ForEachCtx does; each
+// ForEachChunkedCtxErr is ForEachCtxErr with a chunk size greater than
+// one: workers pull chunks of `chunk` consecutive task indices, cutting
+// scheduling overhead for fine-grained tasks. The first task error
+// stops the chunk immediately (remaining indices of that chunk are
+// skipped) and cancels dispatch of further chunks. Each latency
 // observation covers one chunk (the scheduling unit), and a
 // *PanicError reports the chunk index in Task.
-func ForEachChunkedCtx(ctx context.Context, n, threads, chunk int, fn func(worker, task int)) error {
-	if chunk <= 1 {
-		return ForEachCtx(ctx, n, threads, fn)
-	}
-	chunks := (n + chunk - 1) / chunk
-	return ForEachCtx(ctx, chunks, threads, func(worker, c int) {
-		lo := c * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		for i := lo; i < hi; i++ {
-			fn(worker, i)
-		}
-	})
-}
-
-// ForEachChunkedCtxErr is ForEachCtxErr with chunked dispatch: the
-// error-returning, context-threading variant of ForEachChunkedCtx. The
-// first task error stops the chunk immediately (remaining indices of
-// that chunk are skipped) and cancels dispatch of further chunks.
 func ForEachChunkedCtxErr(ctx context.Context, n, threads, chunk int, fn func(ctx context.Context, worker, task int) error) error {
 	if chunk <= 1 {
 		return ForEachCtxErr(ctx, n, threads, fn)

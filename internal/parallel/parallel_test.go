@@ -49,12 +49,35 @@ func TestForEachWorkerIDsInRange(t *testing.T) {
 	})
 }
 
+// plain adapts an error-free task body to the schedulers' task
+// signature; runPlain and stealPlain run one through the two exported
+// error-returning schedulers.
+func plain(fn func(worker, task int)) func(context.Context, int, int) error {
+	return func(_ context.Context, worker, task int) error {
+		fn(worker, task)
+		return nil
+	}
+}
+
+func runPlain(ctx context.Context, n, threads int, fn func(worker, task int)) error {
+	return ForEachCtxErr(ctx, n, threads, plain(fn))
+}
+
+func stealPlain(ctx context.Context, n, threads int, fn func(worker, task int)) error {
+	return ForEachStealingErr(ctx, n, threads, plain(fn))
+}
+
+// A task count the chunk size does not divide: the short last chunk
+// must still run, and nothing past n.
 func TestForEachChunked(t *testing.T) {
 	n := 103
 	counts := make([]int32, n)
-	ForEachChunked(n, 4, 10, func(worker, task int) {
+	err := ForEachChunkedCtxErr(context.Background(), n, 4, 10, plain(func(worker, task int) {
 		atomic.AddInt32(&counts[task], 1)
-	})
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, c := range counts {
 		if c != 1 {
 			t.Fatalf("task %d ran %d times", i, c)
@@ -66,7 +89,7 @@ func TestForEachCtxCoversAllTasksOnce(t *testing.T) {
 	for _, threads := range []int{1, 2, 8} {
 		n := 500
 		counts := make([]int32, n)
-		err := ForEachCtx(context.Background(), n, threads, func(worker, task int) {
+		err := runPlain(context.Background(), n, threads, func(worker, task int) {
 			atomic.AddInt32(&counts[task], 1)
 		})
 		if err != nil {
@@ -83,7 +106,7 @@ func TestForEachCtxCoversAllTasksOnce(t *testing.T) {
 func TestForEachCtxPanicReturnsErrorExactlyOnce(t *testing.T) {
 	for _, threads := range []int{1, 4} {
 		var ran int32
-		err := ForEachCtx(context.Background(), 100, threads, func(worker, task int) {
+		err := runPlain(context.Background(), 100, threads, func(worker, task int) {
 			atomic.AddInt32(&ran, 1)
 			if task == 7 {
 				panic("boom in task 7")
@@ -110,7 +133,7 @@ func TestForEachCtxPanicReturnsErrorExactlyOnce(t *testing.T) {
 func TestForEachCtxAllWorkersPanicSingleError(t *testing.T) {
 	// Every task panics on every worker; exactly one error must come
 	// back, not a crash and not a composite.
-	err := ForEachCtx(context.Background(), 64, 8, func(worker, task int) {
+	err := runPlain(context.Background(), 64, 8, func(worker, task int) {
 		panic(task)
 	})
 	var pe *PanicError
@@ -124,7 +147,7 @@ func TestForEachCtxCancellationStopsDispatch(t *testing.T) {
 	var started int32
 	release := make(chan struct{})
 	var once sync.Once
-	err := ForEachCtx(ctx, 10_000, 4, func(worker, task int) {
+	err := runPlain(ctx, 10_000, 4, func(worker, task int) {
 		atomic.AddInt32(&started, 1)
 		once.Do(func() {
 			cancel()
@@ -146,7 +169,7 @@ func TestForEachCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := false
-	err := ForEachCtx(ctx, 100, 1, func(worker, task int) { ran = true })
+	err := runPlain(ctx, 100, 1, func(worker, task int) { ran = true })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -158,12 +181,12 @@ func TestForEachCtxPreCancelled(t *testing.T) {
 func TestForEachCtxEdgeCases(t *testing.T) {
 	// n == 0: no work, no error, fn never called.
 	ran := false
-	if err := ForEachCtx(context.Background(), 0, 4, func(int, int) { ran = true }); err != nil || ran {
+	if err := runPlain(context.Background(), 0, 4, func(int, int) { ran = true }); err != nil || ran {
 		t.Errorf("n=0: err=%v ran=%v", err, ran)
 	}
 	// threads > n: clamped, every task still runs exactly once.
 	counts := make([]int32, 3)
-	err := ForEachCtx(context.Background(), 3, 64, func(worker, task int) {
+	err := runPlain(context.Background(), 3, 64, func(worker, task int) {
 		if worker < 0 || worker >= 3 {
 			t.Errorf("worker id %d out of clamped range", worker)
 		}

@@ -178,7 +178,7 @@ func TestForEachCtxRecordsTaskMetrics(t *testing.T) {
 	o := obs.NewObserver()
 	ctx := obs.WithLabel(obs.With(context.Background(), o), "fmi")
 	n := 64
-	err := ForEachCtx(ctx, n, 4, func(worker, task int) {
+	err := runPlain(ctx, n, 4, func(worker, task int) {
 		time.Sleep(100 * time.Microsecond)
 	})
 	if err != nil {
@@ -206,7 +206,7 @@ func TestForEachCtxRecordsTaskMetrics(t *testing.T) {
 func TestForEachCtxNoObserverNoMetrics(t *testing.T) {
 	// Without an observer the scheduler must not panic or allocate
 	// metric state; plain runs stay plain.
-	if err := ForEachCtx(context.Background(), 16, 2, func(worker, task int) {}); err != nil {
+	if err := runPlain(context.Background(), 16, 2, func(worker, task int) {}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -19,9 +19,11 @@ func TestStealingCoversAllTasksOnce(t *testing.T) {
 	for _, threads := range []int{1, 2, 4, 8} {
 		for _, n := range []int{1, 7, 1000} {
 			counts := make([]int32, n)
-			ForEachStealing(n, threads, func(worker, task int) {
+			if err := stealPlain(context.Background(), n, threads, func(worker, task int) {
 				atomic.AddInt32(&counts[task], 1)
-			})
+			}); err != nil {
+				t.Fatalf("threads=%d n=%d: %v", threads, n, err)
+			}
 			for i, c := range counts {
 				if c != 1 {
 					t.Fatalf("threads=%d n=%d task %d ran %d times", threads, n, i, c)
@@ -33,27 +35,29 @@ func TestStealingCoversAllTasksOnce(t *testing.T) {
 
 func TestStealingZeroTasksAndDefaults(t *testing.T) {
 	ran := false
-	ForEachStealing(0, 4, func(int, int) { ran = true })
-	if ran {
-		t.Error("fn ran for n=0")
+	if err := stealPlain(context.Background(), 0, 4, func(int, int) { ran = true }); err != nil || ran {
+		t.Errorf("n=0: err=%v ran=%v", err, ran)
 	}
 	var total int64
-	ForEachStealing(100, 0, func(worker, task int) { atomic.AddInt64(&total, int64(task)) })
-	if total != 4950 {
-		t.Errorf("sum = %d, want 4950", total)
+	err := stealPlain(context.Background(), 100, 0, func(worker, task int) { atomic.AddInt64(&total, int64(task)) })
+	if err != nil || total != 4950 {
+		t.Errorf("err = %v, sum = %d, want nil, 4950", err, total)
 	}
 }
 
 func TestStealingWorkerIDsInRange(t *testing.T) {
 	threads := 3
-	ForEachStealing(200, threads, func(worker, task int) {
+	err := stealPlain(context.Background(), 200, threads, func(worker, task int) {
 		if worker < 0 || worker >= threads {
 			t.Errorf("worker id %d out of range", worker)
 		}
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// threads > n: clamped, worker ids stay under n.
 	counts := make([]int32, 3)
-	err := ForEachStealingCtx(context.Background(), 3, 64, func(worker, task int) {
+	err = stealPlain(context.Background(), 3, 64, func(worker, task int) {
 		if worker < 0 || worker >= 3 {
 			t.Errorf("worker id %d out of clamped range", worker)
 		}
@@ -72,7 +76,7 @@ func TestStealingWorkerIDsInRange(t *testing.T) {
 func TestStealingPanicReturnsErrorExactlyOnce(t *testing.T) {
 	for _, threads := range []int{1, 4} {
 		var ran int32
-		err := ForEachStealingCtx(context.Background(), 100, threads, func(worker, task int) {
+		err := stealPlain(context.Background(), 100, threads, func(worker, task int) {
 			atomic.AddInt32(&ran, 1)
 			if task == 7 {
 				panic("boom in task 7")
@@ -97,7 +101,7 @@ func TestStealingPanicReturnsErrorExactlyOnce(t *testing.T) {
 }
 
 func TestStealingAllWorkersPanicSingleError(t *testing.T) {
-	err := ForEachStealingCtx(context.Background(), 64, 8, func(worker, task int) {
+	err := stealPlain(context.Background(), 64, 8, func(worker, task int) {
 		panic(task)
 	})
 	var pe *PanicError
@@ -111,7 +115,7 @@ func TestStealingCancellationStopsDispatch(t *testing.T) {
 	var started int32
 	release := make(chan struct{})
 	var once sync.Once
-	err := ForEachStealingCtx(ctx, 10_000, 4, func(worker, task int) {
+	err := stealPlain(ctx, 10_000, 4, func(worker, task int) {
 		atomic.AddInt32(&started, 1)
 		once.Do(func() {
 			cancel()
@@ -131,7 +135,7 @@ func TestStealingPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := false
-	err := ForEachStealingCtx(ctx, 100, 1, func(worker, task int) { ran = true })
+	err := stealPlain(ctx, 100, 1, func(worker, task int) { ran = true })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -185,21 +189,6 @@ func TestStealingErrParentCancellation(t *testing.T) {
 	}
 }
 
-func TestStealingRepanics(t *testing.T) {
-	defer func() {
-		r := recover()
-		pe, ok := r.(*PanicError)
-		if !ok {
-			t.Fatalf("recovered %v (%T), want *PanicError", r, r)
-		}
-		if pe.Value != "stealing boom" {
-			t.Errorf("panic value = %v", pe.Value)
-		}
-	}()
-	ForEachStealing(10, 2, func(worker, task int) { panic("stealing boom") })
-	t.Fatal("ForEachStealing did not re-panic")
-}
-
 // TestStealingRebalancesSkew pins the scheduler's reason to exist:
 // with all the heavy tasks seeded into one worker's block, idle
 // workers must steal them. Every worker sleeps per task, so if no
@@ -212,7 +201,7 @@ func TestStealingRebalancesSkew(t *testing.T) {
 	d := 2 * time.Millisecond
 	owner := make([]int32, n)
 	start := time.Now()
-	ForEachStealing(n, threads, func(worker, task int) {
+	err := stealPlain(context.Background(), n, threads, func(worker, task int) {
 		// Tasks in the first block (worker 0's seed) are the slow ones.
 		if task < n/threads {
 			time.Sleep(4 * d)
@@ -221,6 +210,9 @@ func TestStealingRebalancesSkew(t *testing.T) {
 		}
 		atomic.StoreInt32(&owner[task], int32(worker)+1)
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	elapsed := time.Since(start)
 	workers := map[int32]bool{}
 	for _, w := range owner[:n/threads] {
@@ -242,11 +234,11 @@ func TestStealingRebalancesSkew(t *testing.T) {
 func TestStealingManyTasksRace(t *testing.T) {
 	for rep := 0; rep < 5; rep++ {
 		var total int64
-		ForEachStealing(5000, 8, func(worker, task int) {
+		err := stealPlain(context.Background(), 5000, 8, func(worker, task int) {
 			atomic.AddInt64(&total, 1)
 		})
-		if total != 5000 {
-			t.Fatalf("rep %d: ran %d tasks, want 5000", rep, total)
+		if err != nil || total != 5000 {
+			t.Fatalf("rep %d: err = %v, ran %d tasks, want 5000", rep, err, total)
 		}
 	}
 }

@@ -132,8 +132,8 @@ func CountRegion(rg *Region) ([]Counts, int) {
 // Short runs dominate noisy long-read CIGARs; long runs dominate
 // accurate (HiFi-like) ones — which of the three walkers wins at a
 // given length is a property of the host, so it is measured, not
-// assumed (the assumed constant is what let the pileup/count speedup
-// drift silently across BENCH_PR4 -> PR5).
+// assumed (the assumed constant is what let the packed-vs-scalar
+// speedup drift silently across PRs 4 and 5).
 const packedRunCutover = 32
 
 // countsStride is the byte distance between consecutive positions'
@@ -221,8 +221,7 @@ func countMatchRunShort(dst []Counts, words []uint64, q0, strand int) {
 }
 
 // CountRegionScalar is the original per-base CIGAR walker, kept as
-// the differential reference for CountRegion's packed fast path and
-// as the baseline side of the gbench-bench pileup pair.
+// the differential reference for CountRegion's packed fast path.
 func CountRegionScalar(rg *Region) ([]Counts, int) {
 	counts := make([]Counts, rg.End-rg.Start)
 	for _, a := range rg.Alignments {

@@ -290,7 +290,7 @@ func TestProbeWideMinWork(t *testing.T) {
 }
 
 // BenchmarkAddSequenceLanes is the scalar-vs-lane single-thread pair
-// on realistic windows (the BENCH_PR5 shape). The work floor is pinned
+// on realistic windows. The work floor is pinned
 // to zero so both sides measure what their names promise regardless of
 // the probe's verdict on the bench host.
 func BenchmarkAddSequenceLanes(b *testing.B) {

@@ -8,7 +8,7 @@
 //
 // Cancellation is cooperative: the function under Run receives a
 // context that expires at the per-attempt deadline, and the kernels'
-// task loops (parallel.ForEachCtx plus faultinject trip-points) poll
+// task loops (parallel.ForEachCtxErr plus faultinject trip-points) poll
 // it. Run never abandons a still-running attempt, so a retry can never
 // race its predecessor over shared benchmark state.
 package resilience
@@ -17,6 +17,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"runtime/debug"
 	"strings"
@@ -92,7 +93,7 @@ func (e *KernelError) StackExcerpt(n int) string {
 	return strings.Join(lines, "\n")
 }
 
-// panicker is how scheduler layers (parallel.ForEachCtx) hand their
+// panicker is how scheduler layers (parallel.ForEachCtxErr) hand their
 // recovered panics upward without this package importing them.
 type panicker interface {
 	PanicValue() any
@@ -236,12 +237,9 @@ func sleep(ctx context.Context, p Policy, d time.Duration) error {
 	}
 }
 
-// hashString is FNV-1a, inlined to keep the package stdlib-math only.
+// hashString is FNV-1a 64.
 func hashString(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
+	h := fnv.New64a()
+	h.Write([]byte(s))
+	return h.Sum64()
 }

@@ -165,18 +165,6 @@ func stageWorkers(st *Stage, opt Options) int {
 	return w
 }
 
-// FusedWorkers returns the fused executor's total worker concurrency
-// under opt — the thread count stamped on scenario bench pair entries
-// so hosts that cannot exercise the overlap skip the gate instead of
-// mis-reading a 1-core run as a regression.
-func (p *Pipeline) FusedWorkers(opt Options) int {
-	n := 0
-	for i := range p.Stages {
-		n += stageWorkers(&p.Stages[i], opt)
-	}
-	return n
-}
-
 // prefetchWorkers draws every stage's Worker structs from the pool in
 // one sequential pass (scratch.Pool is not concurrency-safe), with
 // slot numbering stage-major so fused and staged runs warm the same

@@ -18,7 +18,8 @@
 // Both fold the final outputs (sorted into deterministic source order)
 // through the same FNV-1a digest, so fused-vs-staged bit-identity is a
 // differential test and a CI smoke check, and the fused speedup is a
-// benchmark pair (`scenario/<name>` in gbench-bench), not a claim.
+// measured ratio (`scenario.fused_over_staged` in benchmark/), not a
+// claim.
 package scenario
 
 import (
@@ -251,18 +252,12 @@ func (d *Digest) U64(v uint64) {
 	d.h = h
 }
 
-// I64 folds a signed integer.
-func (d *Digest) I64(v int64) { d.U64(uint64(v)) }
-
 // Int folds an int.
 func (d *Digest) Int(v int) { d.U64(uint64(int64(v))) }
 
 // F64 folds a float64 bit pattern — bit-identity, not approximate
 // equality, is the contract.
 func (d *Digest) F64(v float64) { d.U64(math.Float64bits(v)) }
-
-// F32 folds a float32 bit pattern.
-func (d *Digest) F32(v float32) { d.U64(uint64(math.Float32bits(v))) }
 
 // Bool folds a bool.
 func (d *Digest) Bool(v bool) {
@@ -271,12 +266,6 @@ func (d *Digest) Bool(v bool) {
 	} else {
 		d.U64(0)
 	}
-}
-
-// Str folds a length-prefixed string.
-func (d *Digest) Str(s string) {
-	d.Int(len(s))
-	d.Bytes([]byte(s))
 }
 
 // Sum returns the folded digest.

@@ -7,7 +7,7 @@ import "context"
 // context it hands resilience.Run, so a retried attempt draws the same
 // warm arenas its predecessor grew instead of re-paying every band and
 // table allocation from a cold heap. Workers are keyed by the stable
-// worker index the schedulers (parallel.ForEachCtx) already hand their
+// worker index the schedulers (parallel.ForEachCtxErr) already hand their
 // task bodies.
 //
 // Like Arena, a Pool is not safe for concurrent use: kernels fetch

@@ -1,9 +1,8 @@
 // Package seq2 provides 2-bit packed nucleotide sequences and the
 // SWAR (SIMD-within-a-register) primitives the suite's optimized hot
 // paths are built on: packed-word base comparison (32 bases per
-// uint64 compare, used by bsw's row match masks), popcount-based base
-// ranking over packed words, and O(1) reverse-complement of packed
-// k-mer codes (kmercnt's canonicalizer).
+// uint64 compare, used by bsw's row match masks) and O(1)
+// reverse-complement of packed k-mer codes (kmercnt's canonicalizer).
 //
 // The byte-per-base genome.Seq representation stays the suite's
 // interchange type; Packed is the hot-path layout, exactly the
@@ -181,36 +180,6 @@ func MatchMaskBits(dst []uint64, p Packed, b genome.Base) []uint64 {
 		dst[nw-1] &= 1<<uint(tail) - 1
 	}
 	return dst
-}
-
-// CountRange counts positions i in [lo,hi) with base i == b, using one
-// popcount per 32 bases. It is the packed equivalent of a byte scan
-// `for i := lo; i < hi; i++ { if s[i] == b { n++ } }`.
-func (p Packed) CountRange(b genome.Base, lo, hi int) int {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > p.n {
-		hi = p.n
-	}
-	if lo >= hi {
-		return 0
-	}
-	pat := broadcast2(b)
-	wLo, wHi := lo/BasesPerWord, (hi-1)/BasesPerWord
-	n := 0
-	for w := wLo; w <= wHi; w++ {
-		m := eqLanes(p.words[w], pat)
-		// Trim lanes outside [lo,hi) in the boundary words.
-		if w == wLo && lo%BasesPerWord != 0 {
-			m &^= 1<<(2*uint(lo%BasesPerWord)) - 1
-		}
-		if w == wHi && hi%BasesPerWord != 0 {
-			m &= 1<<(2*uint(hi%BasesPerWord)) - 1
-		}
-		n += bits.OnesCount64(m)
-	}
-	return n
 }
 
 // RevCompCode returns the reverse complement of a 2-bit packed k-mer

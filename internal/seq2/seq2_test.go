@@ -97,26 +97,6 @@ func TestMatchMaskBitsDifferential(t *testing.T) {
 	}
 }
 
-func TestCountRangeDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(400)
-		s := genome.Random(rng, n)
-		p := Pack(s)
-		lo := rng.Intn(n + 1)
-		hi := lo + rng.Intn(n+1-lo)
-		var want [4]int
-		for i := lo; i < hi; i++ {
-			want[s[i]]++
-		}
-		for b := genome.Base(0); b < 4; b++ {
-			if got := p.CountRange(b, lo, hi); got != want[b] {
-				t.Fatalf("CountRange(b=%d, [%d,%d)) = %d, want %d", b, lo, hi, got, want[b])
-			}
-		}
-	}
-}
-
 func TestRevCompCodeDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for k := 1; k <= 31; k++ {

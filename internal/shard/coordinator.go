@@ -391,12 +391,9 @@ func (c *Coordinator) assembleLocked(j *jobState) *JobResult {
 // Fingerprint folds a digest vector into a single order-sensitive
 // value (FNV-1a over the 64-bit words).
 func Fingerprint(digests []uint64) uint64 {
-	h := uint64(14695981039346656037)
+	h := DigestSeed
 	for _, d := range digests {
-		for s := 0; s < 64; s += 8 {
-			h ^= (d >> s) & 0xff
-			h *= 1099511628211
-		}
+		h = FoldWord(h, d)
 	}
 	return h
 }

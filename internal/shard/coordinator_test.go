@@ -191,23 +191,31 @@ func TestWorkerKilledMidRunReschedules(t *testing.T) {
 
 	// w1 dies the instant it receives its first shard; w2 and w3 carry
 	// the job. The shard w1 took must be rescheduled and the digest
-	// vector must come out identical to a clean run.
+	// vector must come out identical to a clean run. Only w1 is
+	// connected when the job starts, so the first pull is its own; the
+	// survivors join once it has died holding that shard (the job
+	// waits out the workerless gap under NoWorkerGrace).
 	kill, err := faultinject.Parse("killworker:w1:1", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w1done := startWorker(t, ctx, c, "w1", kill)
-	startWorker(t, ctx, c, "w2", nil)
-	startWorker(t, ctx, c, "w3", nil)
-	if err := c.WaitForWorkers(ctx, 3); err != nil {
+	if err := c.WaitForWorkers(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
 
 	const n, seed = 120, int64(3)
-	res, err := c.RunJob(ctx, JobSpec{
+	resCh, errCh := runJobAsync(ctx, c, JobSpec{
 		ID: c.NextJobID(), Kernel: "synth", Size: strconv.Itoa(n), Seed: seed,
 		NumTasks: n, NumShards: 12,
 	})
+	if err := <-w1done; !errors.Is(err, ErrKilled) {
+		t.Fatalf("w1 exit = %v, want ErrKilled", err)
+	}
+	startWorker(t, ctx, c, "w2", nil)
+	startWorker(t, ctx, c, "w3", nil)
+
+	res, err := <-resCh, <-errCh
 	if err != nil {
 		t.Fatalf("RunJob: %v", err)
 	}
@@ -217,9 +225,6 @@ func TestWorkerKilledMidRunReschedules(t *testing.T) {
 	}
 	if res.Summary.Rescheduled == 0 {
 		t.Fatalf("expected reschedules after worker death: %+v", res.Summary)
-	}
-	if err := <-w1done; !errors.Is(err, ErrKilled) {
-		t.Fatalf("w1 exit = %v, want ErrKilled", err)
 	}
 }
 
@@ -574,11 +579,10 @@ func TestHeartbeatSilenceDeclaresWorkerDead(t *testing.T) {
 	opts.HedgeAge = 10 * time.Second
 	c := startCoordinator(t, opts)
 
+	// Only the silent client is connected when the job starts, so it
+	// is certain to be handed a shard; the live worker joins after that
+	// and must end up running both.
 	silent := dialRaw(t, c.Addr(), "silent")
-	startWorker(t, ctx, c, "live", nil)
-	if err := c.WaitForWorkers(ctx, 2); err != nil {
-		t.Fatal(err)
-	}
 
 	const n, seed = 40, int64(13)
 	resCh, errCh := runJobAsync(ctx, c, JobSpec{
@@ -586,6 +590,7 @@ func TestHeartbeatSilenceDeclaresWorkerDead(t *testing.T) {
 		NumTasks: n, NumShards: 2,
 	})
 	silent.pullAssign() // take a shard, then go completely quiet
+	startWorker(t, ctx, c, "live", nil)
 
 	res, err := <-resCh, <-errCh
 	if err != nil {

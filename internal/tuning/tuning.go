@@ -3,10 +3,9 @@
 // constant (the pileup packed-counting run-length threshold, the poa
 // lanes-vs-scalar work floor) declares an Int with a default and a
 // microprobe; the first Get runs the probe once on the live host and
-// caches the answer for the process. The committed BENCH_HISTORY
-// trajectory motivated this: the pileup/count speedup drifted across
-// PRs partly because a cutover tuned on one host class was wrong for
-// another (see docs/PERFORMANCE.md, "Bench history and trend gating").
+// caches the answer for the process. What motivated this: the
+// pileup packed-vs-scalar speedup drifted across PRs partly because a
+// cutover tuned on one host class was wrong for another.
 //
 // Resolution order for a tunable named "pileup.word_run_min":
 //
@@ -33,9 +32,8 @@ import (
 	"time"
 )
 
-// Profile identifies the host class a measured value applies to.
-// Records in BENCH_HISTORY carry the same triple so trend comparisons
-// stay within one host class.
+// Profile identifies the host class a measured value applies to; the
+// on-disk probe cache is keyed by it.
 type Profile struct {
 	OS     string
 	Arch   string
@@ -147,7 +145,7 @@ func envKey(name string) string {
 }
 
 // ResolveAll forces every registered tunable to resolve now. Long-lived
-// entry points (gbench, gbench-bench) call it at startup so probes run
+// entry points (benchmark/) call it at startup so probes run
 // before any timed or latency-sensitive work; without it the first
 // kernel call pays the probe inline.
 func ResolveAll() []Resolved {
