@@ -36,6 +36,20 @@ func pick[T any](size Size, small, large T) T {
 	return small
 }
 
+// Task counts of the shardable kernels. Each is a pure function of
+// size, read both by the bench's Prepare and by the kernel's shard
+// executor (Executor.Tasks), which is how the fabric's coordinator
+// partitions a job without building its dataset.
+func bswTasks(size Size) int     { return pick(size, 4000, 20000) }
+func dbgTasks(size Size) int     { return pick(size, 60, 300) }
+func phmmTasks(size Size) int    { return pick(size, 30, 150) }
+func chainTasks(size Size) int   { return pick(size, 150, 750) }
+func poaTasks(size Size) int     { return pick(size, 40, 240) } // paper: 1000/6000 consensus tasks
+func pileupRefLen(size Size) int { return pick(size, 600_000, 3_000_000) }
+func pileupTasks(size Size) int {
+	return (pileupRefLen(size) + pileup.RegionSize - 1) / pileup.RegionSize // SplitRegions' count
+}
+
 // ---- fmi ----
 
 type fmiBench struct {
@@ -99,7 +113,7 @@ func (b *bswBench) Info() Info {
 func (b *bswBench) Prepare(size Size, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	ref := genome.NewReference(rng, "chr", 300_000, 0.1)
-	n := pick(size, 4000, 20000)
+	n := bswTasks(size)
 	b.pairs = make([]bsw.Pair, 0, n)
 	for i := 0; i < n; i++ {
 		// Heavy-tailed seed-extension lengths: most extensions are
@@ -158,7 +172,7 @@ func (b *dbgBench) Info() Info {
 
 func (b *dbgBench) Prepare(size Size, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	nRegions := pick(size, 60, 300)
+	nRegions := dbgTasks(size)
 	sim := readsim.New(seed + 1)
 	cfg := readsim.DefaultShort()
 	cfg.Length = 100
@@ -211,7 +225,7 @@ func (b *phmmBench) Info() Info {
 
 func (b *phmmBench) Prepare(size Size, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	nRegions := pick(size, 30, 150)
+	nRegions := phmmTasks(size)
 	b.regions = make([]*phmm.Region, 0, nRegions)
 	for i := 0; i < nRegions; i++ {
 		// Heavy-tailed region sizes reproduce the paper's Figure 4
@@ -298,7 +312,7 @@ func (b *chainBench) Info() Info {
 func (b *chainBench) Prepare(size Size, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	src := genome.NewReference(rng, "asm", 150_000, 0.2)
-	nTasks := pick(size, 150, 750)
+	nTasks := chainTasks(size)
 	b.tasks = make([]chain.Task, 0, nTasks)
 	for i := 0; i < nTasks; i++ {
 		aLen := 2000 + rng.Intn(4000)
@@ -354,7 +368,7 @@ func (b *poaBench) Info() Info {
 
 func (b *poaBench) Prepare(size Size, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	nWindows := pick(size, 40, 240) // paper: 1000/6000 consensus tasks
+	nWindows := poaTasks(size)
 	b.windows = make([]*poa.Window, 0, nWindows)
 	for i := 0; i < nWindows; i++ {
 		truth := genome.Random(rng, 150+rng.Intn(200))
@@ -595,7 +609,7 @@ func (b *pileupBench) Info() Info {
 
 func (b *pileupBench) Prepare(size Size, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	refLen := pick(size, 600_000, 3_000_000)
+	refLen := pileupRefLen(size)
 	ref := genome.NewReference(rng, "chr", refLen, 0.1)
 	n := pick(size, 1500, 7500)
 	alns := simio.SimulateAlignments(rng, ref.Seq, n, simio.DefaultAlignSim())

@@ -57,14 +57,15 @@ func runDistKernel(ctx context.Context, info Info, cfg SuiteConfig, progress fun
 	var res *shard.JobResult
 	policy := resilience.Policy{Attempts: 1, Timeout: cfg.Policy.Timeout}
 	err := resilience.Run(ctx, info.Name, policy, func(actx context.Context) error {
-		// Prepare locally to learn the task count; executors are
-		// deterministic in (size, seed), so the workers' view of task
-		// [0, n) matches this one's exactly.
+		// The task count is a function of size alone, so the coordinator
+		// partitions [0, n) without building the dataset; n travels with
+		// every assignment and a worker whose Prepare built a different
+		// number fails the shard.
 		ex, err := shard.NewExecutor(info.Name)
 		if err != nil {
 			return err
 		}
-		n, err := ex.Prepare(cfg.Size.String(), cfg.Seed)
+		n, err := ex.Tasks(cfg.Size.String())
 		if err != nil {
 			return err
 		}

@@ -8,9 +8,11 @@ import (
 	"repro/internal/bsw"
 	"repro/internal/chain"
 	"repro/internal/dbg"
+	"repro/internal/genome"
 	"repro/internal/phmm"
 	"repro/internal/pileup"
 	"repro/internal/poa"
+	"repro/internal/scratch"
 	"repro/internal/shard"
 )
 
@@ -23,6 +25,14 @@ import (
 // because the distributed differential tests assert digest-vector
 // equality against a single-process run; a digest that skipped a field
 // would let a divergence hide.
+//
+// RunTask calls the same per-task entry point the in-process suite
+// runs (bsw.AlignInto, poa.ConsensusInto, Assembler.AssembleRegion,
+// phmm.EvaluateRegionInto, ...) with reusable state the executor owns,
+// so a shard costs what the kernel costs. The allocating reference
+// functions are the kernel packages' differential twins and are not
+// called here. Each executor serves one goroutine: a worker's task
+// loop, or LocalDigests.
 //
 // Only the task-granular kernels are shardable: bsw, chain, spoa,
 // pileup, phmm, and dbg all decompose into independent tasks with no
@@ -44,12 +54,26 @@ func parseExecSize(s string) (Size, error) {
 	return size, nil
 }
 
+// tasksAt answers Executor.Tasks from a kernel's task-count function
+// (benchmarks.go), the same one its bench's Prepare sizes the dataset
+// with.
+func tasksAt(size string, count func(Size) int) (int, error) {
+	sz, err := parseExecSize(size)
+	if err != nil {
+		return 0, err
+	}
+	return count(sz), nil
+}
+
 // ---- bsw ----
 
 type bswExecutor struct {
 	bench  bswBench
 	params bsw.Params
+	arena  *scratch.Arena
 }
+
+func (e *bswExecutor) Tasks(size string) (int, error) { return tasksAt(size, bswTasks) }
 
 func (e *bswExecutor) Prepare(size string, seed int64) (int, error) {
 	sz, err := parseExecSize(size)
@@ -57,13 +81,17 @@ func (e *bswExecutor) Prepare(size string, seed int64) (int, error) {
 		return 0, err
 	}
 	e.bench.Prepare(sz, seed)
-	e.params = bsw.DefaultParams()
+	e.params, e.arena = bsw.DefaultParams(), scratch.New()
 	return len(e.bench.pairs), nil
 }
 
 func (e *bswExecutor) RunTask(_ context.Context, task int) (uint64, uint64, error) {
 	p := e.bench.pairs[task]
-	r := bsw.Align(p.Query, p.Target, e.params)
+	r := bsw.AlignInto(p.Query, p.Target, e.params, e.arena)
+	return bswDigest(r), r.CellUpdates, nil
+}
+
+func bswDigest(r bsw.Result) uint64 {
 	h := shard.DigestSeed
 	h = foldInt(h, r.Score)
 	h = foldInt(h, r.QEnd)
@@ -71,7 +99,7 @@ func (e *bswExecutor) RunTask(_ context.Context, task int) (uint64, uint64, erro
 	if r.ZDropped {
 		h = shard.FoldWord(h, 1)
 	}
-	return h, r.CellUpdates, nil
+	return h
 }
 
 // ---- chain ----
@@ -80,6 +108,8 @@ type chainExecutor struct {
 	bench chainBench
 	cfg   chain.Config
 }
+
+func (e *chainExecutor) Tasks(size string) (int, error) { return tasksAt(size, chainTasks) }
 
 func (e *chainExecutor) Prepare(size string, seed int64) (int, error) {
 	sz, err := parseExecSize(size)
@@ -110,7 +140,10 @@ func (e *chainExecutor) RunTask(_ context.Context, task int) (uint64, uint64, er
 type poaExecutor struct {
 	bench  poaBench
 	params poa.Params
+	graph  *poa.Graph
 }
+
+func (e *poaExecutor) Tasks(size string) (int, error) { return tasksAt(size, poaTasks) }
 
 func (e *poaExecutor) Prepare(size string, seed int64) (int, error) {
 	sz, err := parseExecSize(size)
@@ -118,16 +151,18 @@ func (e *poaExecutor) Prepare(size string, seed int64) (int, error) {
 		return 0, err
 	}
 	e.bench.Prepare(sz, seed)
-	e.params = poa.DefaultParams()
+	e.params, e.graph = poa.DefaultParams(), poa.New()
 	return len(e.bench.windows), nil
 }
 
 func (e *poaExecutor) RunTask(_ context.Context, task int) (uint64, uint64, error) {
-	consensus, cells := poa.ConsensusOf(e.bench.windows[task], e.params)
-	h := shard.DigestSeed
-	h = foldInt(h, len(consensus))
-	h = shard.FoldBytes(h, []byte(consensus))
-	return h, cells, nil
+	consensus, cells := poa.ConsensusInto(e.bench.windows[task], e.params, e.graph)
+	return poaDigest(consensus), cells, nil
+}
+
+func poaDigest(consensus genome.Seq) uint64 {
+	h := foldInt(shard.DigestSeed, len(consensus))
+	return shard.FoldBytes(h, []byte(consensus))
 }
 
 // ---- pileup ----
@@ -135,6 +170,8 @@ func (e *poaExecutor) RunTask(_ context.Context, task int) (uint64, uint64, erro
 type pileupExecutor struct {
 	bench pileupBench
 }
+
+func (e *pileupExecutor) Tasks(size string) (int, error) { return tasksAt(size, pileupTasks) }
 
 func (e *pileupExecutor) Prepare(size string, seed int64) (int, error) {
 	sz, err := parseExecSize(size)
@@ -165,8 +202,11 @@ func (e *pileupExecutor) RunTask(_ context.Context, task int) (uint64, uint64, e
 // ---- phmm ----
 
 type phmmExecutor struct {
-	bench phmmBench
+	bench   phmmBench
+	scratch *phmm.Scratch
 }
+
+func (e *phmmExecutor) Tasks(size string) (int, error) { return tasksAt(size, phmmTasks) }
 
 func (e *phmmExecutor) Prepare(size string, seed int64) (int, error) {
 	sz, err := parseExecSize(size)
@@ -174,11 +214,12 @@ func (e *phmmExecutor) Prepare(size string, seed int64) (int, error) {
 		return 0, err
 	}
 	e.bench.Prepare(sz, seed)
+	e.scratch = phmm.NewScratch()
 	return len(e.bench.regions), nil
 }
 
 func (e *phmmExecutor) RunTask(_ context.Context, task int) (uint64, uint64, error) {
-	rr := phmm.EvaluateRegion(e.bench.regions[task])
+	rr := phmm.EvaluateRegionInto(e.bench.regions[task], e.scratch) // rr's slices are the scratch's until the next call
 	h := shard.DigestSeed
 	for _, b := range rr.BestHap {
 		h = foldInt(h, b)
@@ -194,7 +235,10 @@ func (e *phmmExecutor) RunTask(_ context.Context, task int) (uint64, uint64, err
 type dbgExecutor struct {
 	bench dbgBench
 	cfg   dbg.Config
+	asm   *dbg.Assembler
 }
+
+func (e *dbgExecutor) Tasks(size string) (int, error) { return tasksAt(size, dbgTasks) }
 
 func (e *dbgExecutor) Prepare(size string, seed int64) (int, error) {
 	sz, err := parseExecSize(size)
@@ -202,12 +246,16 @@ func (e *dbgExecutor) Prepare(size string, seed int64) (int, error) {
 		return 0, err
 	}
 	e.bench.Prepare(sz, seed)
-	e.cfg = dbg.DefaultConfig()
+	e.cfg, e.asm = dbg.DefaultConfig(), dbg.NewAssembler()
 	return len(e.bench.regions), nil
 }
 
 func (e *dbgExecutor) RunTask(_ context.Context, task int) (uint64, uint64, error) {
-	r := dbg.AssembleRegion(e.bench.regions[task], e.cfg)
+	r := e.asm.AssembleRegion(e.bench.regions[task], e.cfg)
+	return dbgDigest(r), r.HashLookups, nil
+}
+
+func dbgDigest(r dbg.Result) uint64 {
 	h := shard.DigestSeed
 	h = foldInt(h, r.K)
 	h = foldInt(h, r.Nodes)
@@ -218,7 +266,7 @@ func (e *dbgExecutor) RunTask(_ context.Context, task int) (uint64, uint64, erro
 		h = foldInt(h, len(hap))
 		h = shard.FoldBytes(h, []byte(hap))
 	}
-	return h, r.HashLookups, nil
+	return h
 }
 
 func init() {

@@ -128,14 +128,21 @@ type JobResult struct {
 }
 
 // ErrShardLost reports a shard whose dispatch attempts were exhausted.
+// Cause is the last error a worker reported for it, empty when every
+// attempt was lost to a dead worker or an expired lease.
 type ErrShardLost struct {
 	Kernel   string
 	Shard    int
 	Attempts int
+	Cause    string
 }
 
 func (e *ErrShardLost) Error() string {
-	return fmt.Sprintf("shard: %s shard %d lost after %d dispatch attempt(s)", e.Kernel, e.Shard, e.Attempts)
+	msg := fmt.Sprintf("shard: %s shard %d lost after %d dispatch attempt(s)", e.Kernel, e.Shard, e.Attempts)
+	if e.Cause != "" {
+		msg += ": " + e.Cause
+	}
+	return msg
 }
 
 // ErrNoWorkers reports a job starved of workers past the grace window.
@@ -159,20 +166,21 @@ type shardState struct {
 	digests []uint64
 	ops     uint64
 	elapsed int64
+	lastErr string // last worker-reported error, for ErrShardLost
 	leases  []lease
 }
 
 type jobState struct {
-	spec      JobSpec
-	shards    []*shardState
-	pending   []int // shard IDs awaiting (re)dispatch, FIFO
-	remaining int
-	durations []time.Duration // completed shard wall times, for the hedge quantile
-	summary   Summary
+	spec        JobSpec
+	shards      []*shardState
+	pending     []int // shard IDs awaiting (re)dispatch, FIFO
+	remaining   int
+	durations   []time.Duration // completed shard wall times, for the hedge quantile
+	summary     Summary
 	completedBy map[string]bool
-	done      chan struct{}
-	err       error
-	starved   time.Time // first sweep instant with zero live workers; zero when workers exist
+	done        chan struct{}
+	err         error
+	starved     time.Time // first sweep instant with zero live workers; zero when workers exist
 }
 
 type workerState struct {
@@ -539,7 +547,8 @@ func (c *Coordinator) assignLocked(w *workerState) *Msg {
 	return &Msg{
 		Type: MsgAssign, Job: j.spec.ID, Kernel: j.spec.Kernel,
 		Size: j.spec.Size, Seed: j.spec.Seed, Shard: s.id,
-		Attempt: s.attempt, Tasks: s.wire, LeaseMs: c.opts.Lease.Milliseconds(),
+		Attempt: s.attempt, Tasks: s.wire, NumTasks: j.spec.NumTasks,
+		LeaseMs: c.opts.Lease.Milliseconds(),
 	}
 }
 
@@ -615,6 +624,7 @@ func (c *Coordinator) handleResultLocked(w *workerState, m *Msg) {
 	}
 	c.releaseLeaseLocked(s, w.id)
 	if m.Err != "" {
+		s.lastErr = m.Err
 		c.count(&j.summary.Failed, "shard.failed", 1)
 		c.requeueLocked(j, s, "error")
 		return
@@ -670,7 +680,7 @@ func (c *Coordinator) requeueLocked(j *jobState, s *shardState, why string) {
 		return // another lease is still live; let it run
 	}
 	if s.attempt >= c.opts.MaxAttempts {
-		c.failJobLocked(&ErrShardLost{Kernel: j.spec.Kernel, Shard: s.id, Attempts: s.attempt})
+		c.failJobLocked(&ErrShardLost{Kernel: j.spec.Kernel, Shard: s.id, Attempts: s.attempt, Cause: s.lastErr})
 		return
 	}
 	s.queued = true

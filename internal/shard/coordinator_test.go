@@ -7,6 +7,7 @@ import (
 	"net"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,15 +23,29 @@ type synthExec struct {
 	n    int
 	seed int64
 	fail bool // every RunTask errors
+	skew int  // Prepare reports this many more tasks than Tasks does
 }
 
-func (e *synthExec) Prepare(size string, seed int64) (int, error) {
+// synthPrepares counts synthExec.Prepare calls, so a test can tell a
+// worker reusing its prepared executor from one building it again.
+var synthPrepares atomic.Int64
+
+func (e *synthExec) Tasks(size string) (int, error) {
 	n, err := strconv.Atoi(size)
 	if err != nil {
 		return 0, fmt.Errorf("synth: bad size %q", size)
 	}
-	e.n, e.seed = n, seed
 	return n, nil
+}
+
+func (e *synthExec) Prepare(size string, seed int64) (int, error) {
+	synthPrepares.Add(1)
+	n, err := e.Tasks(size)
+	if err != nil {
+		return 0, err
+	}
+	e.n, e.seed = n+e.skew, seed
+	return e.n, nil
 }
 
 func (e *synthExec) RunTask(ctx context.Context, task int) (uint64, uint64, error) {
@@ -58,6 +73,7 @@ func registerSynth() {
 	registerSynthOnce.Do(func() {
 		RegisterExecutor("synth", func() Executor { return &synthExec{} })
 		RegisterExecutor("synth-fail", func() Executor { return &synthExec{fail: true} })
+		RegisterExecutor("synth-skew", func() Executor { return &synthExec{skew: -1} })
 	})
 }
 

@@ -24,6 +24,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 )
 
@@ -72,20 +73,21 @@ func (t MsgType) String() string {
 // stream free of per-frame type registration and the protocol trivially
 // inspectable.
 type Msg struct {
-	Type    MsgType
-	Worker  string // Hello, Pull, Heartbeat, Result: sender's worker ID
-	Job     uint64 // Assign, Result: job the shard belongs to
-	Kernel  string // Assign: kernel name ("bsw", "spoa", ...)
-	Size    string // Assign: dataset size ("small", "large")
-	Seed    int64  // Assign: dataset seed
-	Shard   int    // Assign, Result: shard index within the job
-	Attempt int    // Assign, Result: dispatch attempt (1-based)
-	Tasks   []byte // Assign: delta-varint task index set (EncodeTasks)
-	LeaseMs int64  // HelloAck, Assign: lease duration in milliseconds
-	Digests []uint64 // Result: per-task digests, in Tasks order
-	Ops     uint64   // Result: kernel work units executed in the shard
-	ElapsedNs int64  // Result: worker-side shard execution time
-	Err     string   // Result: non-empty when the shard failed worker-side
+	Type      MsgType
+	Worker    string   // Hello, Pull, Heartbeat, Result: sender's worker ID
+	Job       uint64   // Assign, Result: job the shard belongs to
+	Kernel    string   // Assign: kernel name ("bsw", "spoa", ...)
+	Size      string   // Assign: dataset size ("small", "large")
+	Seed      int64    // Assign: dataset seed
+	Shard     int      // Assign, Result: shard index within the job
+	Attempt   int      // Assign, Result: dispatch attempt (1-based)
+	Tasks     []byte   // Assign: delta-varint task index set (EncodeTasks)
+	NumTasks  int      // Assign: the job's task count; the worker's Prepare must build exactly this many
+	LeaseMs   int64    // HelloAck, Assign: lease duration in milliseconds
+	Digests   []uint64 // Result: per-task digests, in Tasks order
+	Ops       uint64   // Result: kernel work units executed in the shard
+	ElapsedNs int64    // Result: worker-side shard execution time
+	Err       string   // Result: non-empty when the shard failed worker-side
 }
 
 // maxFrame bounds one frame; a small-input shard result is a few KB,
@@ -123,12 +125,17 @@ func readMsg(r io.Reader, m *Msg) error {
 	if n == 0 || n > maxFrame {
 		return fmt.Errorf("shard: bad frame length %d", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	// Grow the body as bytes arrive rather than trusting the header: a
+	// hostile length costs what the peer really sends, not maxFrame.
+	var body bytes.Buffer
+	if _, err := io.CopyN(&body, r, int64(n)); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return err
 	}
 	*m = Msg{}
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(m); err != nil {
+	if err := gob.NewDecoder(&body).Decode(m); err != nil {
 		return fmt.Errorf("shard: decoding frame: %w", err)
 	}
 	return nil
@@ -153,8 +160,10 @@ func EncodeTasks(tasks []int) []byte {
 	return buf
 }
 
-// DecodeTasks unpacks an EncodeTasks buffer into ascending task
-// indices.
+// DecodeTasks unpacks an EncodeTasks buffer into strictly ascending
+// task indices. The buffer comes off the wire, so a delta that repeats
+// an index or carries it past the int range is an error, never a
+// duplicate or a negative index handed to an executor.
 func DecodeTasks(b []byte) ([]int, error) {
 	if len(b) == 0 {
 		return nil, nil
@@ -164,11 +173,14 @@ func DecodeTasks(b []byte) ([]int, error) {
 	for len(b) > 0 {
 		d, n := binary.Uvarint(b)
 		if n <= 0 {
-			return nil, fmt.Errorf("shard: corrupt task set at offset %d", len(tasks))
+			return nil, fmt.Errorf("shard: corrupt task set at entry %d", len(tasks))
+		}
+		if d > uint64(math.MaxInt-prev) || (d == 0 && len(tasks) > 0) {
+			return nil, fmt.Errorf("shard: task set entry %d is not ascending (delta %d after %d)", len(tasks), d, prev)
 		}
 		b = b[n:]
-		tasks = append(tasks, prev+int(d))
 		prev += int(d)
+		tasks = append(tasks, prev)
 	}
 	return tasks, nil
 }

@@ -2,6 +2,8 @@ package shard
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -11,7 +13,7 @@ func TestMsgRoundTrip(t *testing.T) {
 	in := Msg{
 		Type: MsgAssign, Worker: "w1", Job: 42, Kernel: "spoa",
 		Size: "small", Seed: 7, Shard: 3, Attempt: 2,
-		Tasks: EncodeTasks([]int{1, 2, 9}), LeaseMs: 2000,
+		Tasks: EncodeTasks([]int{1, 2, 9}), NumTasks: 40, LeaseMs: 2000,
 		Digests: []uint64{0xdeadbeef, 0x1234}, Ops: 99, ElapsedNs: 12345, Err: "boom",
 	}
 	var buf bytes.Buffer
@@ -120,9 +122,14 @@ func TestEncodeTasksCompact(t *testing.T) {
 }
 
 func TestDecodeTasksCorrupt(t *testing.T) {
-	// A lone continuation byte is an invalid uvarint.
-	if _, err := DecodeTasks([]byte{0x80}); err == nil {
-		t.Fatal("corrupt task set accepted")
+	for name, b := range map[string][]byte{
+		"lone continuation byte (invalid uvarint)": {0x80},
+		"zero delta repeats task 5":                {5, 0},
+		"delta carries the index past MaxInt":      append([]byte{1}, binary.AppendUvarint(nil, math.MaxInt)...),
+	} {
+		if tasks, err := DecodeTasks(b); err == nil {
+			t.Errorf("%s: accepted as %v", name, tasks)
+		}
 	}
 }
 

@@ -80,8 +80,17 @@ type worker struct {
 	conn   net.Conn
 	wmu    sync.Mutex // serializes result/pull frames with heartbeats
 	joined bool       // completed a Hello handshake at least once
-	execs  map[string]Executor
-	prep   map[string]int // prepared dataset task counts, keyed kernel|size|seed
+
+	// The one prepared executor this worker holds; see executor.
+	cur      Executor
+	curKey   jobKey
+	curTasks int // what cur's Prepare reported
+}
+
+// jobKey names a prepared dataset: executors are deterministic in it.
+type jobKey struct {
+	kernel, size string
+	seed         int64
 }
 
 // RunWorker connects to the coordinator at opts.Addr and processes
@@ -92,7 +101,7 @@ type worker struct {
 // machinery reschedules it, and if this worker already computed the
 // result, the reschedule's duplicate is deduplicated upstream.
 func RunWorker(ctx context.Context, opts WorkerOptions) error {
-	w := &worker{opts: opts.withDefaults(), execs: map[string]Executor{}, prep: map[string]int{}}
+	w := &worker{opts: opts.withDefaults()}
 	defer w.closeConn()
 	for {
 		if err := ctx.Err(); err != nil {
@@ -265,6 +274,10 @@ func (w *worker) executeShard(ctx context.Context, conn net.Conn, m *Msg) error 
 	}
 
 	tasks, err := DecodeTasks(m.Tasks)
+	// DecodeTasks returns ascending indices, so the last is the largest.
+	if err == nil && len(tasks) > 0 && tasks[len(tasks)-1] >= m.NumTasks {
+		err = fmt.Errorf("shard: task %d outside the job's %d tasks", tasks[len(tasks)-1], m.NumTasks)
+	}
 	if err != nil {
 		return w.send(conn, &Msg{
 			Type: MsgResult, Worker: w.opts.ID, Job: m.Job,
@@ -276,7 +289,7 @@ func (w *worker) executeShard(ctx context.Context, conn net.Conn, m *Msg) error 
 	var digests []uint64
 	var ops uint64
 	runErr := resilience.Run(ctx, "shard:"+m.Kernel, w.opts.Retry, func(actx context.Context) error {
-		ex, err := w.executor(m.Kernel, m.Size, m.Seed, len(tasks))
+		ex, err := w.executor(jobKey{m.Kernel, m.Size, m.Seed}, m.NumTasks)
 		if err != nil {
 			return err
 		}
@@ -320,26 +333,31 @@ func (w *worker) executeShard(ctx context.Context, conn net.Conn, m *Msg) error 
 	return w.send(conn, res)
 }
 
-// executor returns the prepared executor for (kernel, size, seed),
-// building and preparing it on first use. Workers keep one executor
-// per job key; the suite runs kernels serially, so the map stays tiny,
-// and a rescheduled shard of an earlier kernel still finds its dataset
-// warm.
-func (w *worker) executor(kernel, size string, seed int64, want int) (Executor, error) {
-	key := fmt.Sprintf("%s|%s|%d", kernel, size, seed)
-	if ex, ok := w.execs[key]; ok {
-		return ex, nil
+// executor returns the prepared executor for key, building and
+// preparing it when key differs from the one held. A worker holds one
+// dataset at a time: the coordinator runs one job at a time and never
+// re-leases a finished job's shards, so the previous key's executor —
+// dataset and reusable kernel state — is dropped the moment a new key
+// arrives. want is the task count the coordinator partitioned; a
+// Prepare that built a different number means the two processes
+// disagree about the dataset, and every shard of the job fails with
+// both numbers rather than running a partial or out-of-range task set.
+func (w *worker) executor(key jobKey, want int) (Executor, error) {
+	if w.cur == nil || w.curKey != key {
+		w.cur = nil // release the old dataset before building the next
+		ex, err := NewExecutor(key.kernel)
+		if err != nil {
+			return nil, err
+		}
+		n, err := ex.Prepare(key.size, key.seed)
+		if err != nil {
+			return nil, fmt.Errorf("shard: preparing %s/%s seed %d: %w", key.kernel, key.size, key.seed, err)
+		}
+		w.cur, w.curKey, w.curTasks = ex, key, n
 	}
-	ex, err := NewExecutor(kernel)
-	if err != nil {
-		return nil, err
+	if w.curTasks != want {
+		return nil, fmt.Errorf("shard: %s/%s seed %d prepared %d tasks, the assignment says %d",
+			key.kernel, key.size, key.seed, w.curTasks, want)
 	}
-	n, err := ex.Prepare(size, seed)
-	if err != nil {
-		return nil, fmt.Errorf("shard: preparing %s: %w", key, err)
-	}
-	_ = want // the coordinator partitioned [0, n); any task index it sends is < n
-	w.execs[key] = ex
-	w.prep[key] = n
-	return ex, nil
+	return w.cur, nil
 }
