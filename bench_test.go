@@ -10,6 +10,7 @@ package repro
 // benchmarks time the regeneration paths and the kernels themselves.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -122,7 +123,9 @@ func BenchmarkKernel(b *testing.B) {
 			bench.Prepare(core.Small, benchSeed)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				bench.Run(1)
+				if _, err := bench.RunCtx(context.Background(), 1); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

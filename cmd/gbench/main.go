@@ -29,6 +29,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime/pprof"
@@ -43,73 +44,81 @@ import (
 	"repro/internal/shard"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command; it returns the exit status: 0 when every
+// kernel succeeded, 1 when one did not or an output could not be
+// written, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("gbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		benchName   = flag.String("bench", "all", "kernel name, comma list, or 'all'")
-		sizeName    = flag.String("size", "small", "dataset size: small or large")
-		threads     = flag.Int("threads", 1, "worker threads")
-		seed        = flag.Int64("seed", 42, "dataset seed")
-		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file (same as the first -pprof path)")
-		pprofSpec   = flag.String("pprof", "", `write runtime/pprof profiles: "cpu.out", "cpu.out,mem.out", or ",mem.out"`)
-		metricsPath = flag.String("metrics", "", "write run metrics (NDJSON) to this file")
-		tracePath   = flag.String("trace", "", "write phase spans (NDJSON) to this file")
-		sampleEvery = flag.Duration("sample-interval", 100*time.Millisecond, "runtime sampler interval (with -metrics)")
-		faults      = flag.String("faults", "", `fault plan, e.g. "panic:spoa:0.5,delay:chain:200ms" (see internal/faultinject)`)
-		faultSeed   = flag.Int64("fault-seed", 1, "seed for deterministic fault firing")
-		timeout     = flag.Duration("timeout", 0, "per-attempt kernel timeout (0 = size default)")
-		attempts    = flag.Int("attempts", 0, "attempts per kernel (0 = policy default)")
-		distN       = flag.Int("dist", 0, "run shardable kernels over N worker processes (0 = in-process)")
-		distAddr    = flag.String("dist-addr", "127.0.0.1:0", "coordinator listen address (with -dist)")
-		distShards  = flag.Int("dist-shards", 16, "shards per distributed kernel job")
-		distLease   = flag.Duration("dist-lease", 0, "shard lease duration (0 = 2s default)")
-		distVerify  = flag.Bool("dist-verify", false, "re-run each distributed kernel in-process and fail on digest mismatch")
-		workerBin   = flag.String("worker-bin", "", "gbench-worker binary (default: sibling of gbench, then $PATH)")
+		benchName   = fs.String("bench", "all", "kernel name, comma list, or 'all'")
+		sizeName    = fs.String("size", "small", "dataset size: small or large")
+		threads     = fs.Int("threads", 1, "worker threads")
+		seed        = fs.Int64("seed", 42, "dataset seed")
+		pprofSpec   = fs.String("pprof", "", `write runtime/pprof profiles: "cpu.out", "cpu.out,mem.out", or ",mem.out"`)
+		metricsPath = fs.String("metrics", "", "write run metrics (NDJSON) to this file")
+		tracePath   = fs.String("trace", "", "write phase spans (NDJSON) to this file")
+		sampleEvery = fs.Duration("sample-interval", 100*time.Millisecond, "runtime sampler interval (with -metrics)")
+		faults      = fs.String("faults", "", `fault plan, e.g. "panic:spoa:0.5,delay:chain:200ms" (see internal/faultinject)`)
+		faultSeed   = fs.Int64("fault-seed", 1, "seed for deterministic fault firing")
+		timeout     = fs.Duration("timeout", 0, "per-attempt kernel timeout (0 = size default)")
+		attempts    = fs.Int("attempts", 0, "attempts per kernel (0 = policy default)")
+		distN       = fs.Int("dist", 0, "run shardable kernels over N worker processes (0 = in-process)")
+		distAddr    = fs.String("dist-addr", "127.0.0.1:0", "coordinator listen address (with -dist)")
+		distShards  = fs.Int("dist-shards", 16, "shards per distributed kernel job")
+		distLease   = fs.Duration("dist-lease", 0, "shard lease duration (0 = 2s default)")
+		distVerify  = fs.Bool("dist-verify", false, "re-run each distributed kernel in-process and fail on digest mismatch")
+		workerBin   = fs.String("worker-bin", "", "gbench-worker binary (default: sibling of gbench, then $PATH)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	cpuPath, memPath, err := parsePprofSpec(*pprofSpec)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if cpuPath == "" {
-		cpuPath = *cpuProfile
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	if cpuPath != "" {
 		f, err := os.Create(cpuPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
 
 	size, err := core.ParseSize(*sizeName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	benches, err := selectBenches(*benchName)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 
 	var plan *faultinject.Plan
 	if *faults != "" {
 		plan, err = faultinject.Parse(*faults, *faultSeed)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
 		faultinject.Arm(plan)
 		defer faultinject.Disarm()
-		fmt.Fprintf(os.Stderr, "gbench: fault plan armed: %s\n", *faults)
+		fmt.Fprintf(stderr, "gbench: fault plan armed: %s\n", *faults)
 	}
 
 	policy := core.PolicyFor(size)
@@ -150,28 +159,28 @@ func main() {
 		}
 		coord = shard.NewCoordinator(opts)
 		if err := coord.Start(*distAddr); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		bin, err := shard.WorkerBinary(*workerBin)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		fleet, err = shard.SpawnWorkers(ctx, bin, coord.Addr(), *distN, *faults, *faultSeed)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		wctx, wcancel := context.WithTimeout(ctx, 15*time.Second)
 		err = coord.WaitForWorkers(wctx, *distN)
 		wcancel()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "gbench: %v\n", err)
+			fmt.Fprintf(stderr, "gbench: %v\n", err)
 			fleet.Stop()
-			os.Exit(1)
+			return 1
 		}
-		fmt.Fprintf(os.Stderr, "gbench: fabric up at %s with %d worker(s)\n", coord.Addr(), *distN)
+		fmt.Fprintf(stderr, "gbench: fabric up at %s with %d worker(s)\n", coord.Addr(), *distN)
 		distCfg = &core.DistConfig{Fabric: coord, Shards: *distShards, Verify: *distVerify}
 	}
 
@@ -182,7 +191,7 @@ func main() {
 		Policy:  policy,
 		Obs:     observer,
 		Progress: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "gbench: "+format+"\n", args...)
+			fmt.Fprintf(stderr, "gbench: "+format+"\n", args...)
 		},
 	}
 	cfg.Dist = distCfg
@@ -198,22 +207,22 @@ func main() {
 	}
 	if *metricsPath != "" {
 		if err := writeMetrics(*metricsPath, meta, outcomes, plan, observer); err != nil {
-			fmt.Fprintf(os.Stderr, "gbench: writing metrics: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "gbench: writing metrics: %v\n", err)
+			return 1
 		}
-		fmt.Fprintf(os.Stderr, "gbench: metrics written to %s\n", *metricsPath)
+		fmt.Fprintf(stderr, "gbench: metrics written to %s\n", *metricsPath)
 	}
 	if *tracePath != "" {
 		if err := writeTrace(*tracePath, meta, observer); err != nil {
-			fmt.Fprintf(os.Stderr, "gbench: writing trace: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "gbench: writing trace: %v\n", err)
+			return 1
 		}
-		fmt.Fprintf(os.Stderr, "gbench: trace written to %s\n", *tracePath)
+		fmt.Fprintf(stderr, "gbench: trace written to %s\n", *tracePath)
 	}
 	if memPath != "" {
 		if err := writeHeapProfile(memPath); err != nil {
-			fmt.Fprintf(os.Stderr, "gbench: writing heap profile: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "gbench: writing heap profile: %v\n", err)
+			return 1
 		}
 	}
 
@@ -234,22 +243,22 @@ func main() {
 		t.AddRow(o.Info.Name, o.Info.Tool, stats.Elapsed.Round(1e5),
 			stats.TaskStats.Count(), stats.Counters.Total(), stats.Counters.String(), o.Status, shardCell(o.Shard), "-")
 	}
-	fmt.Print(t) // partial results flush even when kernels failed
+	fmt.Fprint(stdout, t) // partial results flush even when kernels failed
 
 	failed := core.FailedOutcomes(outcomes)
 	if len(failed) == 0 {
-		return
+		return 0
 	}
-	fmt.Fprintf(os.Stderr, "\ngbench: %d of %d kernel(s) did not complete:\n", len(failed), len(outcomes))
+	fmt.Fprintf(stderr, "\ngbench: %d of %d kernel(s) did not complete:\n", len(failed), len(outcomes))
 	for i := range failed {
 		o := &failed[i]
-		fmt.Fprintf(os.Stderr, "  %s: %s: %v\n", o.Info.Name, o.Status, o.Err)
+		fmt.Fprintf(stderr, "  %s: %s: %v\n", o.Info.Name, o.Status, o.Err)
 		var ke *resilience.KernelError
 		if errors.As(o.Err, &ke) && ke.Panicked {
-			fmt.Fprintf(os.Stderr, "%s\n", indent(ke.StackExcerpt(12), "    "))
+			fmt.Fprintf(stderr, "%s\n", indent(ke.StackExcerpt(12), "    "))
 		}
 	}
-	os.Exit(1)
+	return 1
 }
 
 // parsePprofSpec splits -pprof into CPU and heap profile paths:

@@ -258,18 +258,8 @@ type KernelResult struct {
 	Counters    perf.Counters
 }
 
-// RunKernel aligns all signal reads with dynamic scheduling.
-// It panics on failure; cancellable callers use RunKernelCtx.
-func RunKernel(model *signalsim.PoreModel, reads []signalsim.SignalRead, cfg Config, threads int) KernelResult {
-	res, err := RunKernelCtx(context.Background(), model, reads, cfg, threads)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// RunKernelCtx is RunKernel with cooperative cancellation and a fault
-// trip-point per read.
+// RunKernelCtx aligns all signal reads with dynamic scheduling, under
+// cooperative cancellation and with a fault trip-point per read.
 func RunKernelCtx(ctx context.Context, model *signalsim.PoreModel, reads []signalsim.SignalRead, cfg Config, threads int) (KernelResult, error) {
 	if threads <= 0 {
 		threads = 1

@@ -1,6 +1,7 @@
 package abea
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -97,8 +98,8 @@ func TestRunKernelDeterministic(t *testing.T) {
 	model := signalsim.NewPoreModel()
 	src := genome.Random(rng, 20000)
 	reads := signalsim.SimulateReads(rng, model, src, 8, 200, 600, signalsim.DefaultConfig())
-	r1 := RunKernel(model, reads, DefaultConfig(), 1)
-	r4 := RunKernel(model, reads, DefaultConfig(), 4)
+	r1 := must(RunKernelCtx(context.Background(), model, reads, DefaultConfig(), 1))
+	r4 := must(RunKernelCtx(context.Background(), model, reads, DefaultConfig(), 4))
 	if r1.CellUpdates != r4.CellUpdates || r1.OutOfBand != r4.OutOfBand {
 		t.Errorf("threading changed results: %+v vs %+v", r1, r4)
 	}
@@ -173,4 +174,13 @@ func TestCalibrationRestoresAlignmentQuality(t *testing.T) {
 		t.Errorf("calibration recovered too little: clean %.0f drifted %.0f restored %.0f",
 			cleanScore, driftedScore, restoredScore)
 	}
+}
+
+// must unwraps a RunKernelCtx result; a kernel run under a background
+// context with no fault plan armed cannot fail.
+func must(res KernelResult, err error) KernelResult {
+	if err != nil {
+		panic(err)
+	}
+	return res
 }

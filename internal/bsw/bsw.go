@@ -484,18 +484,9 @@ type KernelResult struct {
 	Counters    perf.Counters
 }
 
-// RunKernel aligns all pairs with dynamic scheduling across threads.
-// It panics on failure; cancellable callers use RunKernelCtx.
-func RunKernel(pairs []Pair, p Params, threads int) KernelResult {
-	res, err := RunKernelCtx(context.Background(), pairs, p, threads)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// RunKernelCtx is RunKernel with cooperative cancellation and a fault
-// trip-point per pair.
+// RunKernelCtx aligns all pairs with dynamic scheduling across
+// threads, under cooperative cancellation and with a fault trip-point
+// per pair.
 func RunKernelCtx(ctx context.Context, pairs []Pair, p Params, threads int) (KernelResult, error) {
 	if threads <= 0 {
 		threads = 1
@@ -515,8 +506,7 @@ func RunKernelCtx(ctx context.Context, pairs []Pair, p Params, threads int) (Ker
 	}
 	// Alignments are fine-grained (sub-millisecond); chunked dispatch
 	// amortizes the shared-counter fetch across a few pairs per pull.
-	chunk := parallel.ChunkFor(len(pairs), threads)
-	err := parallel.ForEachChunkedCtxErr(ctx, len(pairs), threads, chunk, func(tctx context.Context, w, i int) error {
+	err := parallel.ForEachChunkedCtxErr(ctx, len(pairs), threads, func(tctx context.Context, w, i int) error {
 		if err := faultinject.Point(tctx); err != nil {
 			return err
 		}

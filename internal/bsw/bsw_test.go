@@ -1,6 +1,7 @@
 package bsw
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -239,8 +240,8 @@ func TestRunKernelThreadsConsistent(t *testing.T) {
 		tg[50] = genome.Complement(tg[50])
 		pairs[i] = Pair{q, tg}
 	}
-	r1 := RunKernel(pairs, p, 1)
-	r4 := RunKernel(pairs, p, 4)
+	r1 := must(RunKernelCtx(context.Background(), pairs, p, 1))
+	r4 := must(RunKernelCtx(context.Background(), pairs, p, 4))
 	if r1.TotalScore != r4.TotalScore || r1.CellUpdates != r4.CellUpdates {
 		t.Errorf("threading changed results: %+v vs %+v", r1, r4)
 	}
@@ -315,4 +316,13 @@ func TestLocalScoreTransposeSymmetry(t *testing.T) {
 			t.Fatalf("transpose changed local score: %d vs %d", a, b)
 		}
 	}
+}
+
+// must unwraps a RunKernelCtx result; a kernel run under a background
+// context with no fault plan armed cannot fail.
+func must(res KernelResult, err error) KernelResult {
+	if err != nil {
+		panic(err)
+	}
+	return res
 }

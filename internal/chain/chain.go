@@ -219,18 +219,8 @@ type KernelResult struct {
 	Counters    perf.Counters
 }
 
-// RunKernel chains every task with dynamic scheduling.
-// It panics on failure; cancellable callers use RunKernelCtx.
-func RunKernel(tasks []Task, cfg Config, threads int) KernelResult {
-	res, err := RunKernelCtx(context.Background(), tasks, cfg, threads)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// RunKernelCtx is RunKernel with cooperative cancellation and a fault
-// trip-point per task.
+// RunKernelCtx chains every task with dynamic scheduling, under
+// cooperative cancellation and with a fault trip-point per task.
 func RunKernelCtx(ctx context.Context, tasks []Task, cfg Config, threads int) (KernelResult, error) {
 	if threads <= 0 {
 		threads = 1

@@ -1,6 +1,7 @@
 package chain
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -216,8 +217,8 @@ func TestRunKernelDeterministic(t *testing.T) {
 		b := src[rng.Intn(1000) : 2000+rng.Intn(2000)]
 		tasks = append(tasks, Task{Anchors: SharedAnchors(a, b, 15, 10, 50)})
 	}
-	r1 := RunKernel(tasks, DefaultConfig(), 1)
-	r4 := RunKernel(tasks, DefaultConfig(), 4)
+	r1 := must(RunKernelCtx(context.Background(), tasks, DefaultConfig(), 1))
+	r4 := must(RunKernelCtx(context.Background(), tasks, DefaultConfig(), 4))
 	if r1.Chains != r4.Chains || r1.Comparisons != r4.Comparisons {
 		t.Errorf("threading changed results: %+v vs %+v", r1, r4)
 	}
@@ -272,4 +273,13 @@ func TestSortByScoreDescPathological(t *testing.T) {
 			}
 		}
 	}
+}
+
+// must unwraps a RunKernelCtx result; a kernel run under a background
+// context with no fault plan armed cannot fail.
+func must(res KernelResult, err error) KernelResult {
+	if err != nil {
+		panic(err)
+	}
+	return res
 }

@@ -712,10 +712,9 @@ func init() {
 	Register(&kmercntBench{})
 }
 
-// Run implementations preserve the legacy non-cancellable API: they
-// execute RunCtx under a background context and panic on failure,
-// which cannot happen unless a fault plan is armed.
-
+// mustRun is RunCtx for callers with nothing to cancel and no fault
+// plan armed (the figure and table generators), where a failure is a
+// bug: it panics.
 func mustRun(b Benchmark, threads int) RunStats {
 	stats, err := b.RunCtx(context.Background(), threads)
 	if err != nil {
@@ -723,19 +722,6 @@ func mustRun(b Benchmark, threads int) RunStats {
 	}
 	return stats
 }
-
-func (b *fmiBench) Run(threads int) RunStats       { return mustRun(b, threads) }
-func (b *bswBench) Run(threads int) RunStats       { return mustRun(b, threads) }
-func (b *dbgBench) Run(threads int) RunStats       { return mustRun(b, threads) }
-func (b *phmmBench) Run(threads int) RunStats      { return mustRun(b, threads) }
-func (b *chainBench) Run(threads int) RunStats     { return mustRun(b, threads) }
-func (b *poaBench) Run(threads int) RunStats       { return mustRun(b, threads) }
-func (b *abeaBench) Run(threads int) RunStats      { return mustRun(b, threads) }
-func (b *kmercntBench) Run(threads int) RunStats   { return mustRun(b, threads) }
-func (b *grmBench) Run(threads int) RunStats       { return mustRun(b, threads) }
-func (b *nnbaseBench) Run(threads int) RunStats    { return mustRun(b, threads) }
-func (b *pileupBench) Run(threads int) RunStats    { return mustRun(b, threads) }
-func (b *nnvariantBench) Run(threads int) RunStats { return mustRun(b, threads) }
 
 // Release implementations drop each benchmark's prepared dataset.
 

@@ -71,13 +71,10 @@ type RunStats struct {
 // deterministic), RunCtx executes it with the given thread count under
 // cooperative cancellation, and Release drops the dataset so a driver
 // iterating many kernels does not accumulate every dataset on the heap
-// (which inflates GC cost on later kernels). Run is the legacy
-// non-cancellable path; it panics if the kernel fails (which only
-// happens under fault injection or cancellation).
+// (which inflates GC cost on later kernels).
 type Benchmark interface {
 	Info() Info
 	Prepare(size Size, seed int64)
-	Run(threads int) RunStats
 	RunCtx(ctx context.Context, threads int) (RunStats, error)
 	Release()
 }

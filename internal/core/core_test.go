@@ -54,7 +54,7 @@ func TestEveryBenchmarkRunsTiny(t *testing.T) {
 	for _, b := range Benchmarks() {
 		info := b.Info()
 		b.Prepare(Small, 7)
-		stats := b.Run(2)
+		stats := mustRun(b, 2)
 		if stats.Counters.Total() == 0 {
 			t.Errorf("%s: no operations counted", info.Name)
 		}
@@ -251,9 +251,9 @@ func TestDatasetDeterminism(t *testing.T) {
 	for _, b := range Benchmarks() {
 		info := b.Info()
 		b.Prepare(Small, 99)
-		first := b.Run(1)
+		first := mustRun(b, 1)
 		b.Prepare(Small, 99)
-		second := b.Run(1)
+		second := mustRun(b, 1)
 		b.Release()
 		if first.Counters != second.Counters {
 			t.Errorf("%s: counters differ across identical Prepare/Run", info.Name)

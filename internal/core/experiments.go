@@ -67,7 +67,7 @@ func TableIII(size Size, seed int64) *Table {
 			continue
 		}
 		b.Prepare(size, seed)
-		stats := b.Run(1)
+		stats := mustRun(b, 1)
 		b.Release()
 		s := stats.TaskStats.Summarize()
 		t.AddRow(info.Name, info.Granularity, info.WorkUnit, s.Count, s.Mean)
@@ -205,7 +205,7 @@ func Fig4(size Size, seed int64) *Table {
 			continue
 		}
 		b.Prepare(size, seed)
-		stats := b.Run(1)
+		stats := mustRun(b, 1)
 		b.Release()
 		s := stats.TaskStats.Summarize()
 		p99Rel := 0.0
@@ -234,7 +234,7 @@ func Fig5(size Size, seed int64) *Table {
 			continue
 		}
 		b.Prepare(size, seed)
-		stats := b.Run(1)
+		stats := mustRun(b, 1)
 		b.Release()
 		fr := stats.Counters.Fractions()
 		row := make([]interface{}, 0, 8)
@@ -272,7 +272,7 @@ func MemoryProfiles(seed int64) []MemProfile {
 	for _, b := range Benchmarks() {
 		info := b.Info()
 		b.Prepare(Small, seed)
-		stats := b.Run(1)
+		stats := mustRun(b, 1)
 		b.Release()
 		h := cachesim.NewHierarchy(cachesim.XeonE31240v5())
 		fraction := replayTrace(info.Name, stats, h, seed)
@@ -578,9 +578,9 @@ func Fig7(size Size, seed int64, threadCounts []int) (*Table, []ScalingProfile) 
 	for _, b := range Benchmarks() {
 		info := b.Info()
 		b.Prepare(size, seed)
-		b.Run(1) // warm caches and allocator before timing
+		mustRun(b, 1) // warm caches and allocator before timing
 		measured := parallel.MeasureScaling(threadCounts, func(threads int) {
-			b.Run(threads)
+			mustRun(b, threads)
 		})
 		b.Release()
 		// Model: Amdahl's law capped by a bandwidth roofline. The cap

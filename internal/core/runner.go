@@ -132,89 +132,89 @@ func RunSuite(ctx context.Context, benches []Benchmark, cfg SuiteConfig) []Kerne
 		// a failed job (attempts exhausted, worker pool starved) degrades
 		// to a failed outcome exactly like an in-process kernel failure,
 		// and the remaining kernels still run.
-		if cfg.Dist.Distributed(info.Name) {
+		dist := cfg.Dist.Distributed(info.Name)
+		if dist {
 			out = runDistKernel(kctx, info, cfg, progress)
-			faultinject.ClearLabel()
-			o.SetLabel("")
-			o.Counter("suite.kernels", info.Name).Inc()
-			if out.Failed() {
-				kernelSpan.EndStatus(out.Status.String())
-				progress("%s: %s (distributed): %v", info.Name, out.Status, out.Err)
-			} else {
-				kernelSpan.End(nil)
-				recordKernelMetrics(o, info.Name, &out.Stats)
-				progress("%s: ok in %s (distributed: %d shards, %d rescheduled, %d hedged)",
-					info.Name, out.Stats.Elapsed.Round(time.Millisecond),
-					out.Shard.Shards, out.Shard.Rescheduled, out.Shard.Hedged)
-			}
-			o.Counter("suite.kernels_"+out.Status.String(), info.Name).Inc()
-			outcomes = append(outcomes, out)
-			continue
+		} else {
+			out = runLocalKernel(kctx, b, cfg, progress)
 		}
-		// One scratch pool per kernel, installed OUTSIDE the resilience
-		// envelope: a retried attempt draws the same per-worker arenas
-		// its predecessor grew, so retries skip the cold-heap band and
-		// table allocations. Scoped per kernel (not per suite) so one
-		// kernel's peak scratch is released before the next runs.
-		kctx = scratch.WithPool(kctx, scratch.NewPool())
-		// Prepare runs inside the resilience envelope so a panic while
-		// building the dataset is isolated like a kernel panic; the
-		// prepared flag keeps retries from rebuilding it needlessly.
-		prepared := false
-		var stats RunStats
-		attempt := 0
-		err := resilience.Run(kctx, info.Name, cfg.Policy, func(actx context.Context) error {
-			attempt++
-			if attempt > 1 {
-				progress("%s: retrying (attempt %d)", info.Name, attempt)
-			}
-			actx, attemptSpan := o.StartSpan(actx, fmt.Sprintf("attempt-%d", attempt))
-			defer func() { attemptSpan.End(nil) }()
-			if !prepared {
-				_, prepSpan := o.StartSpan(actx, "prepare")
-				b.Prepare(cfg.Size, cfg.Seed)
-				prepSpan.End(nil)
-				prepared = true
-			}
-			rctx, runSpan := o.StartSpan(actx, "run")
-			s, err := b.RunCtx(rctx, cfg.Threads)
-			runSpan.End(err)
-			if err == nil {
-				stats = s
-			}
-			return err
-		})
 		faultinject.ClearLabel()
 		o.SetLabel("")
-		b.Release()
 		o.Counter("suite.kernels", info.Name).Inc()
-		if err != nil {
-			var ke *resilience.KernelError
-			if errors.As(err, &ke) {
-				out.Attempts = ke.Attempts
-				if ke.TimedOut {
-					out.Status = StatusTimedOut
-				} else {
-					out.Status = StatusFailed
-				}
-			} else {
-				out.Status = StatusFailed
-			}
-			out.Err = err
+		if out.Failed() {
 			kernelSpan.EndStatus(out.Status.String())
-			progress("%s: %s after %d attempt(s): %v", info.Name, out.Status, out.Attempts, err)
+			how := fmt.Sprintf("after %d attempt(s)", out.Attempts)
+			if dist {
+				how = "(distributed)"
+			}
+			progress("%s: %s %s: %v", info.Name, out.Status, how, out.Err)
 		} else {
-			out.Stats = stats
-			out.Attempts = attempt
 			kernelSpan.End(nil)
-			recordKernelMetrics(o, info.Name, &stats)
-			progress("%s: ok in %s", info.Name, stats.Elapsed.Round(time.Millisecond))
+			recordKernelMetrics(o, info.Name, &out.Stats)
+			how := ""
+			if dist {
+				how = fmt.Sprintf(" (distributed: %d shards, %d rescheduled, %d hedged)",
+					out.Shard.Shards, out.Shard.Rescheduled, out.Shard.Hedged)
+			}
+			progress("%s: ok in %s%s", info.Name, out.Stats.Elapsed.Round(time.Millisecond), how)
 		}
 		o.Counter("suite.kernels_"+out.Status.String(), info.Name).Inc()
 		outcomes = append(outcomes, out)
 	}
 	suiteSpan.End(ctx.Err())
 	return outcomes
+}
+
+// runLocalKernel prepares, runs and releases one kernel in this
+// process under the suite's resilience policy and shapes what happened
+// into a KernelOutcome.
+func runLocalKernel(ctx context.Context, b Benchmark, cfg SuiteConfig, progress func(string, ...any)) KernelOutcome {
+	o := cfg.Obs
+	info := b.Info()
+	out := KernelOutcome{Info: info, Status: StatusOK}
+	// One scratch pool per kernel, installed OUTSIDE the resilience
+	// envelope: a retried attempt draws the same per-worker arenas
+	// its predecessor grew, so retries skip the cold-heap band and
+	// table allocations. Scoped per kernel (not per suite) so one
+	// kernel's peak scratch is released before the next runs.
+	ctx = scratch.WithPool(ctx, scratch.NewPool())
+	// Prepare runs inside the resilience envelope so a panic while
+	// building the dataset is isolated like a kernel panic; the
+	// prepared flag keeps retries from rebuilding it needlessly.
+	prepared := false
+	err := resilience.Run(ctx, info.Name, cfg.Policy, func(actx context.Context) error {
+		out.Attempts++
+		if out.Attempts > 1 {
+			progress("%s: retrying (attempt %d)", info.Name, out.Attempts)
+		}
+		actx, attemptSpan := o.StartSpan(actx, fmt.Sprintf("attempt-%d", out.Attempts))
+		defer func() { attemptSpan.End(nil) }()
+		if !prepared {
+			_, prepSpan := o.StartSpan(actx, "prepare")
+			b.Prepare(cfg.Size, cfg.Seed)
+			prepSpan.End(nil)
+			prepared = true
+		}
+		rctx, runSpan := o.StartSpan(actx, "run")
+		s, err := b.RunCtx(rctx, cfg.Threads)
+		runSpan.End(err)
+		if err == nil {
+			out.Stats = s
+		}
+		return err
+	})
+	b.Release()
+	if err != nil {
+		out.Status, out.Err = StatusFailed, err
+		var ke *resilience.KernelError
+		if errors.As(err, &ke) {
+			out.Attempts = ke.Attempts
+			if ke.TimedOut {
+				out.Status = StatusTimedOut
+			}
+		}
+	}
+	return out
 }
 
 // recordKernelMetrics publishes one successful kernel execution's

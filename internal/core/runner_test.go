@@ -23,7 +23,6 @@ type stubBench struct {
 func (b *stubBench) Info() Info                 { return Info{Name: b.name, Tool: "stub"} }
 func (b *stubBench) Prepare(size Size, s int64) { b.prepares++ }
 func (b *stubBench) Release()                   { b.releases++ }
-func (b *stubBench) Run(threads int) RunStats   { return mustRun(b, threads) }
 func (b *stubBench) RunCtx(ctx context.Context, threads int) (RunStats, error) {
 	b.runs++
 	if b.fn != nil {

@@ -45,6 +45,24 @@ import (
 func foldInt(h uint64, v int) uint64       { return shard.FoldWord(h, uint64(int64(v))) }
 func foldFloat(h uint64, f float64) uint64 { return shard.FoldWord(h, math.Float64bits(f)) }
 
+// kernelExec is a kernel's entry in the fabric: its task count as a
+// function of size alone (benchmarks.go — the same function its
+// bench's Prepare sizes the dataset with, which is how the coordinator
+// partitions a job without building it), and a prepare that builds the
+// dataset plus the reusable state its tasks need and returns the
+// number of tasks built and the per-task run.
+type kernelExec struct {
+	tasks   func(Size) int
+	prepare func(size Size, seed int64) (n int, run func(task int) (digest, ops uint64))
+}
+
+// executor adapts a kernelExec to shard.Executor, holding the prepared
+// run between calls.
+type executor struct {
+	kernelExec
+	run func(task int) (digest, ops uint64)
+}
+
 // parseExecSize converts the wire's size string back to a Size.
 func parseExecSize(s string) (Size, error) {
 	size, err := ParseSize(s)
@@ -54,41 +72,111 @@ func parseExecSize(s string) (Size, error) {
 	return size, nil
 }
 
-// tasksAt answers Executor.Tasks from a kernel's task-count function
-// (benchmarks.go), the same one its bench's Prepare sizes the dataset
-// with.
-func tasksAt(size string, count func(Size) int) (int, error) {
+func (e *executor) Tasks(size string) (int, error) {
 	sz, err := parseExecSize(size)
 	if err != nil {
 		return 0, err
 	}
-	return count(sz), nil
+	return e.tasks(sz), nil
 }
 
-// ---- bsw ----
-
-type bswExecutor struct {
-	bench  bswBench
-	params bsw.Params
-	arena  *scratch.Arena
-}
-
-func (e *bswExecutor) Tasks(size string) (int, error) { return tasksAt(size, bswTasks) }
-
-func (e *bswExecutor) Prepare(size string, seed int64) (int, error) {
+func (e *executor) Prepare(size string, seed int64) (n int, err error) {
 	sz, err := parseExecSize(size)
 	if err != nil {
 		return 0, err
 	}
-	e.bench.Prepare(sz, seed)
-	e.params, e.arena = bsw.DefaultParams(), scratch.New()
-	return len(e.bench.pairs), nil
+	n, e.run = e.prepare(sz, seed)
+	return n, nil
 }
 
-func (e *bswExecutor) RunTask(_ context.Context, task int) (uint64, uint64, error) {
-	p := e.bench.pairs[task]
-	r := bsw.AlignInto(p.Query, p.Target, e.params, e.arena)
-	return bswDigest(r), r.CellUpdates, nil
+func (e *executor) RunTask(_ context.Context, task int) (uint64, uint64, error) {
+	digest, ops := e.run(task)
+	return digest, ops, nil
+}
+
+var kernelExecs = map[string]kernelExec{
+	"bsw": {bswTasks, func(size Size, seed int64) (int, func(int) (uint64, uint64)) {
+		var b bswBench
+		b.Prepare(size, seed)
+		params, arena := bsw.DefaultParams(), scratch.New()
+		return len(b.pairs), func(task int) (uint64, uint64) {
+			p := b.pairs[task]
+			r := bsw.AlignInto(p.Query, p.Target, params, arena)
+			return bswDigest(r), r.CellUpdates
+		}
+	}},
+	"chain": {chainTasks, func(size Size, seed int64) (int, func(int) (uint64, uint64)) {
+		var b chainBench
+		b.Prepare(size, seed)
+		cfg := chain.DefaultConfig()
+		return len(b.tasks), func(task int) (uint64, uint64) {
+			chains, comparisons := chain.ChainAnchors(b.tasks[task].Anchors, cfg)
+			h := shard.DigestSeed
+			h = foldInt(h, len(chains))
+			for _, c := range chains {
+				h = foldFloat(h, c.Score)
+				h = foldInt(h, len(c.Anchors))
+				for _, a := range c.Anchors {
+					h = foldInt(h, a)
+				}
+			}
+			return h, comparisons
+		}
+	}},
+	"spoa": {poaTasks, func(size Size, seed int64) (int, func(int) (uint64, uint64)) {
+		var b poaBench
+		b.Prepare(size, seed)
+		params, graph := poa.DefaultParams(), poa.New()
+		return len(b.windows), func(task int) (uint64, uint64) {
+			consensus, cells := poa.ConsensusInto(b.windows[task], params, graph)
+			return poaDigest(consensus), cells
+		}
+	}},
+	"pileup": {pileupTasks, func(size Size, seed int64) (int, func(int) (uint64, uint64)) {
+		var b pileupBench
+		b.Prepare(size, seed)
+		return len(b.regions), func(task int) (uint64, uint64) {
+			counts, lookups := pileup.CountRegion(b.regions[task])
+			h := shard.DigestSeed
+			h = foldInt(h, len(counts))
+			for i := range counts {
+				c := &counts[i]
+				for s := 0; s < 2; s++ {
+					for base := 0; base < 4; base++ {
+						h = shard.FoldWord(h, uint64(c.Base[s][base]))
+					}
+					h = shard.FoldWord(h, uint64(c.Ins[s]))
+					h = shard.FoldWord(h, uint64(c.Del[s]))
+				}
+			}
+			return h, uint64(lookups)
+		}
+	}},
+	"phmm": {phmmTasks, func(size Size, seed int64) (int, func(int) (uint64, uint64)) {
+		var b phmmBench
+		b.Prepare(size, seed)
+		sc := phmm.NewScratch()
+		return len(b.regions), func(task int) (uint64, uint64) {
+			rr := phmm.EvaluateRegionInto(b.regions[task], sc) // rr's slices are sc's until the next call
+			h := shard.DigestSeed
+			for _, best := range rr.BestHap {
+				h = foldInt(h, best)
+			}
+			for _, l := range rr.Likelihoods {
+				h = foldFloat(h, l)
+			}
+			return h, rr.CellUpdates
+		}
+	}},
+	"dbg": {dbgTasks, func(size Size, seed int64) (int, func(int) (uint64, uint64)) {
+		var b dbgBench
+		b.Prepare(size, seed)
+		cfg, asm := dbg.DefaultConfig(), dbg.NewAssembler()
+		return len(b.regions), func(task int) (uint64, uint64) {
+			r := asm.AssembleRegion(b.regions[task], cfg)
+			return dbgDigest(r), r.HashLookups
+		}
+	}},
 }
 
 func bswDigest(r bsw.Result) uint64 {
@@ -102,157 +190,9 @@ func bswDigest(r bsw.Result) uint64 {
 	return h
 }
 
-// ---- chain ----
-
-type chainExecutor struct {
-	bench chainBench
-	cfg   chain.Config
-}
-
-func (e *chainExecutor) Tasks(size string) (int, error) { return tasksAt(size, chainTasks) }
-
-func (e *chainExecutor) Prepare(size string, seed int64) (int, error) {
-	sz, err := parseExecSize(size)
-	if err != nil {
-		return 0, err
-	}
-	e.bench.Prepare(sz, seed)
-	e.cfg = chain.DefaultConfig()
-	return len(e.bench.tasks), nil
-}
-
-func (e *chainExecutor) RunTask(_ context.Context, task int) (uint64, uint64, error) {
-	chains, comparisons := chain.ChainAnchors(e.bench.tasks[task].Anchors, e.cfg)
-	h := shard.DigestSeed
-	h = foldInt(h, len(chains))
-	for _, c := range chains {
-		h = foldFloat(h, c.Score)
-		h = foldInt(h, len(c.Anchors))
-		for _, a := range c.Anchors {
-			h = foldInt(h, a)
-		}
-	}
-	return h, comparisons, nil
-}
-
-// ---- spoa ----
-
-type poaExecutor struct {
-	bench  poaBench
-	params poa.Params
-	graph  *poa.Graph
-}
-
-func (e *poaExecutor) Tasks(size string) (int, error) { return tasksAt(size, poaTasks) }
-
-func (e *poaExecutor) Prepare(size string, seed int64) (int, error) {
-	sz, err := parseExecSize(size)
-	if err != nil {
-		return 0, err
-	}
-	e.bench.Prepare(sz, seed)
-	e.params, e.graph = poa.DefaultParams(), poa.New()
-	return len(e.bench.windows), nil
-}
-
-func (e *poaExecutor) RunTask(_ context.Context, task int) (uint64, uint64, error) {
-	consensus, cells := poa.ConsensusInto(e.bench.windows[task], e.params, e.graph)
-	return poaDigest(consensus), cells, nil
-}
-
 func poaDigest(consensus genome.Seq) uint64 {
 	h := foldInt(shard.DigestSeed, len(consensus))
 	return shard.FoldBytes(h, []byte(consensus))
-}
-
-// ---- pileup ----
-
-type pileupExecutor struct {
-	bench pileupBench
-}
-
-func (e *pileupExecutor) Tasks(size string) (int, error) { return tasksAt(size, pileupTasks) }
-
-func (e *pileupExecutor) Prepare(size string, seed int64) (int, error) {
-	sz, err := parseExecSize(size)
-	if err != nil {
-		return 0, err
-	}
-	e.bench.Prepare(sz, seed)
-	return len(e.bench.regions), nil
-}
-
-func (e *pileupExecutor) RunTask(_ context.Context, task int) (uint64, uint64, error) {
-	counts, lookups := pileup.CountRegion(e.bench.regions[task])
-	h := shard.DigestSeed
-	h = foldInt(h, len(counts))
-	for i := range counts {
-		c := &counts[i]
-		for s := 0; s < 2; s++ {
-			for b := 0; b < 4; b++ {
-				h = shard.FoldWord(h, uint64(c.Base[s][b]))
-			}
-			h = shard.FoldWord(h, uint64(c.Ins[s]))
-			h = shard.FoldWord(h, uint64(c.Del[s]))
-		}
-	}
-	return h, uint64(lookups), nil
-}
-
-// ---- phmm ----
-
-type phmmExecutor struct {
-	bench   phmmBench
-	scratch *phmm.Scratch
-}
-
-func (e *phmmExecutor) Tasks(size string) (int, error) { return tasksAt(size, phmmTasks) }
-
-func (e *phmmExecutor) Prepare(size string, seed int64) (int, error) {
-	sz, err := parseExecSize(size)
-	if err != nil {
-		return 0, err
-	}
-	e.bench.Prepare(sz, seed)
-	e.scratch = phmm.NewScratch()
-	return len(e.bench.regions), nil
-}
-
-func (e *phmmExecutor) RunTask(_ context.Context, task int) (uint64, uint64, error) {
-	rr := phmm.EvaluateRegionInto(e.bench.regions[task], e.scratch) // rr's slices are the scratch's until the next call
-	h := shard.DigestSeed
-	for _, b := range rr.BestHap {
-		h = foldInt(h, b)
-	}
-	for _, l := range rr.Likelihoods {
-		h = foldFloat(h, l)
-	}
-	return h, rr.CellUpdates, nil
-}
-
-// ---- dbg ----
-
-type dbgExecutor struct {
-	bench dbgBench
-	cfg   dbg.Config
-	asm   *dbg.Assembler
-}
-
-func (e *dbgExecutor) Tasks(size string) (int, error) { return tasksAt(size, dbgTasks) }
-
-func (e *dbgExecutor) Prepare(size string, seed int64) (int, error) {
-	sz, err := parseExecSize(size)
-	if err != nil {
-		return 0, err
-	}
-	e.bench.Prepare(sz, seed)
-	e.cfg, e.asm = dbg.DefaultConfig(), dbg.NewAssembler()
-	return len(e.bench.regions), nil
-}
-
-func (e *dbgExecutor) RunTask(_ context.Context, task int) (uint64, uint64, error) {
-	r := e.asm.AssembleRegion(e.bench.regions[task], e.cfg)
-	return dbgDigest(r), r.HashLookups, nil
 }
 
 func dbgDigest(r dbg.Result) uint64 {
@@ -270,12 +210,9 @@ func dbgDigest(r dbg.Result) uint64 {
 }
 
 func init() {
-	shard.RegisterExecutor("bsw", func() shard.Executor { return &bswExecutor{} })
-	shard.RegisterExecutor("chain", func() shard.Executor { return &chainExecutor{} })
-	shard.RegisterExecutor("spoa", func() shard.Executor { return &poaExecutor{} })
-	shard.RegisterExecutor("pileup", func() shard.Executor { return &pileupExecutor{} })
-	shard.RegisterExecutor("phmm", func() shard.Executor { return &phmmExecutor{} })
-	shard.RegisterExecutor("dbg", func() shard.Executor { return &dbgExecutor{} })
+	for kernel, k := range kernelExecs {
+		shard.RegisterExecutor(kernel, func() shard.Executor { return &executor{kernelExec: k} })
+	}
 }
 
 // LocalDigests runs every task of a kernel in the current process —

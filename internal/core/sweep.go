@@ -32,7 +32,7 @@ func CacheSweep(seed int64, kernels []string, llcSizes []int) []SweepPoint {
 			continue
 		}
 		b.Prepare(Small, seed)
-		stats := b.Run(1)
+		stats := mustRun(b, 1)
 		b.Release()
 		for _, size := range llcSizes {
 			cfg := cachesim.XeonE31240v5()

@@ -313,18 +313,8 @@ type KernelResult struct {
 	Counters     perf.Counters
 }
 
-// RunKernel assembles all regions with dynamic scheduling.
-// It panics on failure; cancellable callers use RunKernelCtx.
-func RunKernel(regions []*Region, cfg Config, threads int) KernelResult {
-	res, err := RunKernelCtx(context.Background(), regions, cfg, threads)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// RunKernelCtx is RunKernel with cooperative cancellation and a fault
-// trip-point per region.
+// RunKernelCtx assembles all regions with dynamic scheduling, under
+// cooperative cancellation and with a fault trip-point per region.
 func RunKernelCtx(ctx context.Context, regions []*Region, cfg Config, threads int) (KernelResult, error) {
 	if threads <= 0 {
 		threads = 1

@@ -1,6 +1,7 @@
 package dbg
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -184,8 +185,8 @@ func TestRunKernelDeterministic(t *testing.T) {
 		reads = append(reads, tileReads(alt, 80, 12)...)
 		regions = append(regions, &Region{Ref: ref, Reads: reads})
 	}
-	r1 := RunKernel(regions, DefaultConfig(), 1)
-	r4 := RunKernel(regions, DefaultConfig(), 4)
+	r1 := must(RunKernelCtx(context.Background(), regions, DefaultConfig(), 1))
+	r4 := must(RunKernelCtx(context.Background(), regions, DefaultConfig(), 4))
 	if r1.Haplotypes != r4.Haplotypes || r1.HashLookups != r4.HashLookups {
 		t.Errorf("threading changed results: %+v vs %+v", r1, r4)
 	}
@@ -203,4 +204,13 @@ func TestTinyRegionFallsBack(t *testing.T) {
 	if len(res.Haplotypes) != 1 || !res.Haplotypes[0].Equal(rg.Ref) {
 		t.Error("tiny region should fall back to the reference haplotype")
 	}
+}
+
+// must unwraps a RunKernelCtx result; a kernel run under a background
+// context with no fault plan armed cannot fail.
+func must(res KernelResult, err error) KernelResult {
+	if err != nil {
+		panic(err)
+	}
+	return res
 }

@@ -1,6 +1,7 @@
 package dbg
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -26,7 +27,7 @@ func TestRunKernelDispatchPolicyPure(t *testing.T) {
 	}
 	run := func(policy int) KernelResult {
 		defer parallel.ForceDispatch(policy)()
-		return RunKernel(regions, DefaultConfig(), 4)
+		return must(RunKernelCtx(context.Background(), regions, DefaultConfig(), 4))
 	}
 	chunked := run(parallel.DispatchChunked)
 	stealing := run(parallel.DispatchStealing)

@@ -1,6 +1,7 @@
 package fmindex
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -290,7 +291,7 @@ func TestRunKernelAggregates(t *testing.T) {
 	for _, threads := range []int{1, 4} {
 		cfg := DefaultKernelConfig()
 		cfg.Threads = threads
-		res := RunKernel(x, reads, cfg)
+		res := must(RunKernelCtx(context.Background(), x, reads, cfg))
 		if res.Reads != 20 {
 			t.Errorf("Reads = %d", res.Reads)
 		}
@@ -321,8 +322,8 @@ func TestKernelDeterministicAcrossThreads(t *testing.T) {
 	cfg1 := DefaultKernelConfig()
 	cfg4 := DefaultKernelConfig()
 	cfg4.Threads = 4
-	r1 := RunKernel(x, reads, cfg1)
-	r4 := RunKernel(x, reads, cfg4)
+	r1 := must(RunKernelCtx(context.Background(), x, reads, cfg1))
+	r4 := must(RunKernelCtx(context.Background(), x, reads, cfg4))
 	if r1.SMEMs != r4.SMEMs || r1.OccLookups != r4.OccLookups {
 		t.Errorf("thread count changed results: %v vs %v", r1, r4)
 	}
@@ -442,4 +443,13 @@ func TestBuildPanicsOnEmptyGenome(t *testing.T) {
 		}
 	}()
 	Build(nil)
+}
+
+// must unwraps a RunKernelCtx result; a kernel run under a background
+// context with no fault plan armed cannot fail.
+func must(res KernelResult, err error) KernelResult {
+	if err != nil {
+		panic(err)
+	}
+	return res
 }

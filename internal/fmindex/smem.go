@@ -177,23 +177,14 @@ type KernelResult struct {
 	Counters   perf.Counters
 }
 
-// RunKernel executes the fmi benchmark: SMEM search for every read,
+// RunKernelCtx executes the fmi benchmark: SMEM search for every read,
 // dynamically scheduled across threads, with per-read work statistics.
 // Reads route through per-worker lock-step BatchEngines (see batch.go)
 // so Occ-lookup misses overlap across in-flight reads; results are
-// bit-identical to serial FindSMEMs per read.
-// It panics on failure; cancellable callers use RunKernelCtx.
-func RunKernel(x *Index, reads []genome.Seq, cfg KernelConfig) KernelResult {
-	res, err := RunKernelCtx(context.Background(), x, reads, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// RunKernelCtx is RunKernel with cooperative cancellation and a fault
-// trip-point per read. On cancellation, injected fault, or worker panic
-// it returns a zero result and the error.
+// bit-identical to serial FindSMEMs per read. It runs under cooperative
+// cancellation with a fault trip-point per read: on cancellation,
+// injected fault, or worker panic it returns a zero result and the
+// error.
 func RunKernelCtx(ctx context.Context, x *Index, reads []genome.Seq, cfg KernelConfig) (KernelResult, error) {
 	if cfg.Threads <= 0 {
 		cfg.Threads = 1

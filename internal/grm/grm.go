@@ -204,18 +204,9 @@ type KernelResult struct {
 	Counters perf.Counters
 }
 
-// RunKernel computes the GRM and records its (very regular) op mix.
-// It panics on failure; cancellable callers use RunKernelCtx.
-func RunKernel(g *Genotypes, blockSize, threads int) KernelResult {
-	res, err := RunKernelCtx(context.Background(), g, blockSize, threads)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// RunKernelCtx is RunKernel with cooperative cancellation and fault
-// trip-points inside the tile loop.
+// RunKernelCtx computes the GRM and records its (very regular) op mix,
+// under cooperative cancellation and with fault trip-points inside the
+// tile loop.
 func RunKernelCtx(ctx context.Context, g *Genotypes, blockSize, threads int) (KernelResult, error) {
 	m, flops, err := ComputeCtx(ctx, g, blockSize, threads)
 	if err != nil {

@@ -1,6 +1,7 @@
 package grm
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -113,7 +114,7 @@ func TestBlockSizesAgree(t *testing.T) {
 func TestRunKernelCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := Simulate(rng, 20, 100, 0)
-	res := RunKernel(g, 16, 2)
+	res := must(RunKernelCtx(context.Background(), g, 16, 2))
 	if res.FLOPs == 0 || res.Counters.Total() == 0 {
 		t.Error("kernel did not count work")
 	}
@@ -149,4 +150,13 @@ func TestComputeNaiveMatchesBlocked(t *testing.T) {
 			t.Fatalf("element %d: blocked %v, naive %v", i, blocked[i], naive[i])
 		}
 	}
+}
+
+// must unwraps a RunKernelCtx result; a kernel run under a background
+// context with no fault plan armed cannot fail.
+func must(res KernelResult, err error) KernelResult {
+	if err != nil {
+		panic(err)
+	}
+	return res
 }

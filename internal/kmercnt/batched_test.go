@@ -1,6 +1,7 @@
 package kmercnt
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -183,7 +184,7 @@ func TestKernelBatchedDifferential(t *testing.T) {
 	for _, r := range reads {
 		wantN += CountSeq(want, r, 17)
 	}
-	res := RunKernel(reads, 17, 4, Linear)
+	res := must(RunKernelCtx(context.Background(), reads, 17, 4, Linear))
 	if res.Kmers != wantN {
 		t.Fatalf("kernel counted %d k-mers, want %d", res.Kmers, wantN)
 	}

@@ -310,20 +310,10 @@ type KernelResult struct {
 	Counters  perf.Counters
 }
 
-// RunKernel counts k-mers across reads. Threads each fill a private
+// RunKernelCtx counts k-mers across reads. Threads each fill a private
 // table (the shared-table version does not scale, as the paper's
-// Figure 7 shows for kmer-cnt); results merge at the end.
-// It panics on failure; cancellable callers use RunKernelCtx.
-func RunKernel(reads []genome.Seq, k, threads int, mode Probing) KernelResult {
-	res, err := RunKernelCtx(context.Background(), reads, k, threads, mode)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// RunKernelCtx is RunKernel with cooperative cancellation and a fault
-// trip-point per read.
+// Figure 7 shows for kmer-cnt); results merge at the end. It runs under
+// cooperative cancellation with a fault trip-point per read.
 func RunKernelCtx(ctx context.Context, reads []genome.Seq, k, threads int, mode Probing) (KernelResult, error) {
 	if threads <= 0 {
 		threads = 1
@@ -345,8 +335,7 @@ func RunKernelCtx(ctx context.Context, reads []genome.Seq, k, threads int, mode 
 	}
 	// Reads are fine-grained tasks; chunked dispatch amortizes the
 	// scheduler's atomic fetch across a batch of them.
-	chunk := parallel.ChunkFor(len(reads), threads)
-	err := parallel.ForEachChunkedCtxErr(ctx, len(reads), threads, chunk, func(tctx context.Context, w, i int) error {
+	err := parallel.ForEachChunkedCtxErr(ctx, len(reads), threads, func(tctx context.Context, w, i int) error {
 		if err := faultinject.Point(tctx); err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package kmercnt
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -162,7 +163,7 @@ func TestRunKernelMatchesNaiveDistinct(t *testing.T) {
 	k := 17
 	want := naiveCounts(reads, k)
 	for _, threads := range []int{1, 4} {
-		res := RunKernel(reads, k, threads, Linear)
+		res := must(RunKernelCtx(context.Background(), reads, k, threads, Linear))
 		if res.Distinct != len(want) {
 			t.Errorf("threads=%d: distinct %d, want %d", threads, res.Distinct, len(want))
 		}
@@ -188,3 +189,12 @@ func TestTracerReceivesAccesses(t *testing.T) {
 type tracerFunc func(addr uint64, size int, write bool)
 
 func (f tracerFunc) Access(addr uint64, size int, write bool) { f(addr, size, write) }
+
+// must unwraps a RunKernelCtx result; a kernel run under a background
+// context with no fault plan armed cannot fail.
+func must(res KernelResult, err error) KernelResult {
+	if err != nil {
+		panic(err)
+	}
+	return res
+}

@@ -172,18 +172,8 @@ type KernelResult struct {
 	Called    []genome.Seq
 }
 
-// RunKernel basecalls every read with dynamic scheduling.
-// It panics on failure; cancellable callers use RunKernelCtx.
-func RunKernel(m *Model, reads []Read, cfg Config, threads int) KernelResult {
-	res, err := RunKernelCtx(context.Background(), m, reads, cfg, threads)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// RunKernelCtx is RunKernel with cooperative cancellation and a fault
-// trip-point per read.
+// RunKernelCtx basecalls every read with dynamic scheduling, under
+// cooperative cancellation and with a fault trip-point per read.
 func RunKernelCtx(ctx context.Context, m *Model, reads []Read, cfg Config, threads int) (KernelResult, error) {
 	if threads <= 0 {
 		threads = 1

@@ -1,6 +1,7 @@
 package nnbase
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -164,8 +165,8 @@ func TestRunKernelThreads(t *testing.T) {
 			Signal: signalsim.RawSignal(rng, model, seq, signalsim.DefaultConfig()),
 		})
 	}
-	r1 := RunKernel(m, reads, cfg, 1)
-	r2 := RunKernel(m, reads, cfg, 2)
+	r1 := must(RunKernelCtx(context.Background(), m, reads, cfg, 1))
+	r2 := must(RunKernelCtx(context.Background(), m, reads, cfg, 2))
 	if r1.MACs != r2.MACs || r1.BasesOut != r2.BasesOut {
 		t.Errorf("threading changed results: %+v vs %+v", r1, r2)
 	}
@@ -210,4 +211,13 @@ func TestGPUMetricsShape(t *testing.T) {
 	if util < 0.9 {
 		t.Errorf("SM utilization %v, want ~0.99", util)
 	}
+}
+
+// must unwraps a RunKernelCtx result; a kernel run under a background
+// context with no fault plan armed cannot fail.
+func must(res KernelResult, err error) KernelResult {
+	if err != nil {
+		panic(err)
+	}
+	return res
 }

@@ -195,19 +195,9 @@ type KernelResult struct {
 	Counters  perf.Counters
 }
 
-// RunKernel predicts every candidate of every task with dynamic
-// scheduling across regions. It panics on failure; cancellable
-// callers use RunKernelCtx.
-func RunKernel(m *Model, tasks []*Task, threads int) KernelResult {
-	res, err := RunKernelCtx(context.Background(), m, tasks, threads)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// RunKernelCtx is RunKernel with cooperative cancellation and a fault
-// trip-point per region task.
+// RunKernelCtx predicts every candidate of every task with dynamic
+// scheduling across regions, under cooperative cancellation and with a
+// fault trip-point per region task.
 func RunKernelCtx(ctx context.Context, m *Model, tasks []*Task, threads int) (KernelResult, error) {
 	if threads <= 0 {
 		threads = 1

@@ -1,6 +1,7 @@
 package nnvariant
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -166,8 +167,8 @@ func TestEndToEndWithSimulatedAlignments(t *testing.T) {
 		cands := SelectCandidates(counts, ref, rg.Start, 8, 0.25)
 		tasks = append(tasks, &Task{Counts: counts, Candidates: cands})
 	}
-	r1 := RunKernel(m, tasks, 1)
-	r4 := RunKernel(m, tasks, 4)
+	r1 := must(RunKernelCtx(context.Background(), m, tasks, 1))
+	r4 := must(RunKernelCtx(context.Background(), m, tasks, 4))
 	if r1.Calls != r4.Calls || r1.MACs != r4.MACs {
 		t.Errorf("threading changed results: %+v vs %+v", r1, r4)
 	}
@@ -185,4 +186,13 @@ func TestMACsPerCallScales(t *testing.T) {
 	if small.MACsPerCall() >= big.MACsPerCall() {
 		t.Error("bigger model should cost more")
 	}
+}
+
+// must unwraps a RunKernelCtx result; a kernel run under a background
+// context with no fault plan armed cannot fail.
+func must(res KernelResult, err error) KernelResult {
+	if err != nil {
+		panic(err)
+	}
+	return res
 }

@@ -9,11 +9,17 @@ import (
 	"repro/internal/obs"
 )
 
+// forEachChunk drives the shared-counter source at an explicit chunk
+// size; the exported ForEachChunkedCtxErr sizes its own with chunkFor.
+func forEachChunk(ctx context.Context, n, threads, chunk int, fn func(context.Context, int, int) error) error {
+	return run(ctx, n, threads, chunked(chunk), fn)
+}
+
 func TestForEachChunkedCtxCoversAllTasks(t *testing.T) {
 	for _, chunk := range []int{1, 3, 7, 64} {
 		const n = 100
 		var hits [n]int32
-		err := ForEachChunkedCtxErr(context.Background(), n, 4, chunk, plain(func(worker, task int) {
+		err := forEachChunk(context.Background(), n, 4, chunk, plain(func(worker, task int) {
 			atomic.AddInt32(&hits[task], 1)
 		}))
 		if err != nil {
@@ -30,7 +36,7 @@ func TestForEachChunkedCtxCoversAllTasks(t *testing.T) {
 func TestForEachChunkedCtxErrStopsOnError(t *testing.T) {
 	boom := errors.New("boom")
 	var ran int64
-	err := ForEachChunkedCtxErr(context.Background(), 1000, 2, 10, func(ctx context.Context, worker, task int) error {
+	err := forEachChunk(context.Background(), 1000, 2, 10, func(ctx context.Context, worker, task int) error {
 		atomic.AddInt64(&ran, 1)
 		if task == 55 {
 			return boom
@@ -48,7 +54,7 @@ func TestForEachChunkedCtxErrStopsOnError(t *testing.T) {
 func TestForEachChunkedCtxErrCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := ForEachChunkedCtxErr(ctx, 100, 2, 8, func(ctx context.Context, worker, task int) error {
+	err := forEachChunk(ctx, 100, 2, 8, func(ctx context.Context, worker, task int) error {
 		return nil
 	})
 	if !errors.Is(err, context.Canceled) {
@@ -57,7 +63,7 @@ func TestForEachChunkedCtxErrCancellation(t *testing.T) {
 }
 
 func TestForEachChunkedCtxPanicIsolation(t *testing.T) {
-	err := ForEachChunkedCtxErr(context.Background(), 100, 2, 10, plain(func(worker, task int) {
+	err := forEachChunk(context.Background(), 100, 2, 10, plain(func(worker, task int) {
 		if task == 42 {
 			panic("kaboom")
 		}
@@ -69,6 +75,9 @@ func TestForEachChunkedCtxPanicIsolation(t *testing.T) {
 	if pe.Value != "kaboom" {
 		t.Fatalf("panic value = %v", pe.Value)
 	}
+	if pe.Task != 42 {
+		t.Fatalf("panic task = %d, want 42 (the task, not its chunk)", pe.Task)
+	}
 }
 
 // The chunked variant must feed the same observability instruments
@@ -79,7 +88,7 @@ func TestForEachChunkedCtxRecordsMetrics(t *testing.T) {
 	ctx := obs.With(context.Background(), o)
 	ctx = obs.WithLabel(ctx, "chunky")
 	const n, chunk = 40, 10
-	if err := ForEachChunkedCtxErr(ctx, n, 2, chunk, plain(func(worker, task int) {})); err != nil {
+	if err := forEachChunk(ctx, n, 2, chunk, plain(func(worker, task int) {})); err != nil {
 		t.Fatal(err)
 	}
 	hist := o.Histogram("parallel.task_latency_ns", "chunky", "ns")
@@ -92,13 +101,13 @@ func TestForEachChunkedCtxRecordsMetrics(t *testing.T) {
 }
 
 func TestChunkFor(t *testing.T) {
-	if c := ChunkFor(10, 4); c != 1 {
+	if c := chunkFor(10, 4); c != 1 {
 		t.Fatalf("small n: chunk = %d, want 1", c)
 	}
-	if c := ChunkFor(10_000, 4); c < 2 || c > 64 {
+	if c := chunkFor(10_000, 4); c < 2 || c > 64 {
 		t.Fatalf("large n: chunk = %d, want in [2,64]", c)
 	}
-	if c := ChunkFor(1_000_000, 1); c != 64 {
+	if c := chunkFor(1_000_000, 1); c != 64 {
 		t.Fatalf("huge n: chunk = %d, want capped at 64", c)
 	}
 }

@@ -10,12 +10,11 @@ import (
 // Dispatch policies for the kernels that route through the tunable
 // scheduler choice instead of hardcoding one.
 const (
-	// DispatchChunked is the shared-atomic-counter scheduler
-	// (forEachCtx): one cache line of dispatch state, no locality.
+	// DispatchChunked is the shared-atomic-counter source: one cache
+	// line of dispatch state, no locality.
 	DispatchChunked = 0
-	// DispatchStealing is the per-worker-deque scheduler
-	// (forEachStealingCtx): private blocks, steal-half from the most
-	// loaded victim when a worker runs dry.
+	// DispatchStealing is the per-worker-deque source: private blocks,
+	// steal-half from the most loaded victim when a worker runs dry.
 	DispatchStealing = 1
 )
 
@@ -36,12 +35,13 @@ func DispatchPolicy() int { return dispatchPolicy.Get() }
 // function: defer parallel.ForceDispatch(parallel.DispatchStealing)().
 func ForceDispatch(policy int) (restore func()) { return dispatchPolicy.Set(policy) }
 
-// ForEachDispatchErr runs fn over [0,n) on the probed scheduler. The
-// two schedulers share the cover-every-task-once, first-error-cancels,
-// panic-beats-error contract (see errDispatch), so which one runs is
-// pure policy: results must be identical, only dispatch order and
-// cross-worker balance differ. Differential tests in dbg and phmm pin
-// that property under both forced policies.
+// ForEachDispatchErr runs fn over [0,n) on the probed source. Both
+// sources sit under the one task loop (run) and so share its
+// cover-every-task-once, first-error-cancels, panic-beats-error
+// contract; which one serves is pure policy: results must be
+// identical, only dispatch order and cross-worker balance differ.
+// Differential tests in dbg and phmm pin that property under both
+// forced policies.
 func ForEachDispatchErr(ctx context.Context, n, threads int, fn func(ctx context.Context, worker, task int) error) error {
 	if dispatchPolicy.Get() == DispatchStealing {
 		return ForEachStealingErr(ctx, n, threads, fn)
@@ -49,17 +49,17 @@ func ForEachDispatchErr(ctx context.Context, n, threads int, fn func(ctx context
 	return ForEachCtxErr(ctx, n, threads, fn)
 }
 
-// probeDispatch times both schedulers on a synthetic skewed workload
+// probeDispatch times run over both sources on a synthetic skewed workload
 // shaped like the dbg/phmm region loops: many tasks whose cost varies
 // ~25x in a repeating pattern, so seeded blocks end up imbalanced and
 // stealing has something to win back. Probes must not call
-// dispatchPolicy.Get (sync.Once deadlock) — both paths are timed
+// dispatchPolicy.Get (sync.Once deadlock) — both sources are timed
 // directly. The shared counter keeps the tie: stealing must be >5%
-// faster to displace the simpler scheduler.
+// faster to displace the simpler source.
 func probeDispatch() int {
 	threads := runtime.GOMAXPROCS(0)
 	if threads <= 1 {
-		// Both schedulers degrade to the same inline loop; keep the
+		// One worker drains either source in the same order; keep the
 		// cheaper bookkeeping.
 		return DispatchChunked
 	}
@@ -67,7 +67,7 @@ func probeDispatch() int {
 	// One result slot per task: workers run tasks concurrently, so a
 	// shared accumulator would be a data race.
 	var sink [tasks]uint64
-	work := func(task int) {
+	work := func(_ context.Context, _, task int) error {
 		// Cost pattern 1..25 units, deterministic per task index.
 		units := (task%5 + 1) * (task%5 + 1)
 		s := uint64(task)*2654435761 + 1
@@ -75,15 +75,13 @@ func probeDispatch() int {
 			s = s*6364136223846793005 + 1442695040888963407
 		}
 		sink[task] = s
+		return nil
 	}
-	ctx := context.Background()
-	chunkedNs := tuning.BestNs(3, 1, func() {
-		_ = forEachCtx(ctx, tasks, threads, func(_, task int) { work(task) })
-	})
-	stealNs := tuning.BestNs(3, 1, func() {
-		_ = forEachStealingCtx(ctx, tasks, threads, func(_, task int) { work(task) })
-	})
-	_ = sink
+	timeSource := func(newSource func(n, threads int) source) float64 {
+		// work cannot fail, panic or be cancelled: nothing to report.
+		return tuning.BestNs(3, 1, func() { _ = run(context.Background(), tasks, threads, newSource, work) })
+	}
+	chunkedNs, stealNs := timeSource(chunked(1)), timeSource(newDeques)
 	if stealNs < chunkedNs*0.95 {
 		return DispatchStealing
 	}

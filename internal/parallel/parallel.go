@@ -3,15 +3,24 @@
 // OpenMP dynamic scheduling, plus the harness that measures thread
 // scaling for Figure 7.
 //
+// There is one task loop, run: it clamps the thread count, sets up
+// observability, isolates panics, honours cancellation and the first
+// task error, and asks a task source which index range a worker runs
+// next. There are two sources: the shared atomic counter (a range of
+// one task, or a chunk of consecutive ones) and the per-worker deques
+// with steal-half rebalancing (stealing.go). The five entry points —
+// ForEachCtxErr, ForEachChunkedCtxErr, ForEachStealingErr,
+// ForEachDispatchErr and ForEach — only choose a source.
+//
 // When an obs.Observer is installed in the context (the suite driver
-// does this), the scheduler records a per-task latency histogram and a
-// worker-utilization gauge per run, labeled with the kernel name from
-// obs.Label. Without an observer the only cost is a context lookup.
+// does this), the scheduler records a latency histogram per pulled
+// range and a worker-utilization gauge per run, labeled with the
+// kernel name from obs.Label. Without an observer the only cost is a
+// context lookup.
 package parallel
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -45,40 +54,82 @@ func (e *PanicError) PanicValue() any { return e.Value }
 // PanicStack returns the stack captured at the panic site.
 func (e *PanicError) PanicStack() []byte { return e.Stack }
 
-// ForEach runs fn(i) for every i in [0,n) on `threads` workers that pull
-// task indices from a shared atomic counter — the moral equivalent of
-// `#pragma omp parallel for schedule(dynamic)`. fn receives the worker
-// id so kernels can keep per-worker counters without locking.
-//
-// A panicking task re-panics here (in the caller's goroutine, wrapped
-// in a *PanicError carrying the worker stack) instead of crashing the
-// process from a worker goroutine. Cancellable callers should use
-// ForEachCtxErr.
-func ForEach(n, threads int, fn func(worker, task int)) {
-	if err := forEachCtx(context.Background(), n, threads, fn); err != nil {
-		// With a background context the only possible failure is a
-		// recovered worker panic; surface it to preserve the historical
-		// panicking contract.
-		panic(err)
+// source is a dispatch discipline: it hands a worker the next index
+// range to run. Everything else about a run lives in run.
+type source interface {
+	// next returns a non-empty range [lo, hi) for worker, or ok=false
+	// once no work is left for it anywhere.
+	next(worker int) (lo, hi int, ok bool)
+}
+
+// counter is the shared-cursor source — the moral equivalent of
+// `#pragma omp parallel for schedule(dynamic, chunk)`: every worker
+// pulls the next `chunk` consecutive indices off one atomic.
+type counter struct {
+	cursor   atomic.Int64
+	n, chunk int
+}
+
+func (c *counter) next(int) (lo, hi int, ok bool) {
+	hi = int(c.cursor.Add(int64(c.chunk)))
+	lo = hi - c.chunk
+	if lo >= c.n {
+		return 0, 0, false
+	}
+	return lo, min(hi, c.n), true
+}
+
+// chunked returns the constructor run wants for a shared counter
+// handing out `chunk` indices per pull; chunk <= 0 sizes the chunk
+// from the run's task and (clamped) thread counts with chunkFor.
+func chunked(chunk int) func(n, threads int) source {
+	return func(n, threads int) source {
+		if chunk <= 0 {
+			return &counter{n: n, chunk: chunkFor(n, threads)}
+		}
+		return &counter{n: n, chunk: chunk}
 	}
 }
 
-// workerClock accumulates one worker's busy time and completed-task
+// chunkFor picks a chunk size for n fine-grained tasks on `threads`
+// workers: large enough to amortize the shared-counter fetch, small
+// enough to keep ~8 chunks per worker for dynamic load balancing.
+func chunkFor(n, threads int) int {
+	return max(1, min(64, n/(threads*8)))
+}
+
+// workerClock accumulates one worker's busy time and completed-pull
 // count. The trailing pad keeps adjacent workers' clocks on separate
-// cache lines (the accumulators are written from every task).
+// cache lines (the accumulators are written from every pull).
 type workerClock struct {
 	busyNs int64
 	tasks  int64
 	_      perf.CacheLinePad
 }
 
-// forEachCtx is ForEach with cooperative cancellation and panic
-// isolation: dispatch stops once ctx is cancelled (tasks already
-// running finish), and a panicking task stops dispatch and is returned
-// as a *PanicError instead of crashing the process. The first panic
-// wins; at most one error is returned. Returns ctx.Err() when the run
-// was cancelled, nil when every task completed.
-func forEachCtx(ctx context.Context, n, threads int, fn func(worker, task int)) error {
+// run is the one task loop. It runs fn(ctx, worker, i) for every i in
+// [0,n) on `threads` workers (GOMAXPROCS when <= 0, never more than n;
+// a single worker runs inline on the caller's goroutine), each pulling
+// index ranges from the source newSource builds. fn receives the
+// worker id so kernels can keep per-worker state without locking, and
+// a derived context so nested blocking work (fault delays, IO)
+// observes the run winding down.
+//
+// Dispatch stops — in-flight tasks finish, the rest of a range whose
+// task failed is skipped — on the first task error, the first panic,
+// or cancellation of ctx. What comes back, in order of precedence: a
+// *PanicError for the first recovered panic (carrying the panicking
+// task's index and stack); the parent's cause (context.Canceled,
+// context.DeadlineExceeded, or what it was cancelled with) if ctx is
+// done; the first task error as recorded, even when that error is
+// context.Canceled itself, so callers can always attribute the
+// failure; nil when every task completed.
+//
+// With an observer installed, each pulled range is one
+// parallel.task_latency_ns observation and one parallel.tasks_completed
+// count (so a chunked run reports per chunk, its scheduling unit).
+func run(ctx context.Context, n, threads int, newSource func(n, threads int) source,
+	fn func(ctx context.Context, worker, task int) error) error {
 	if threads <= 0 {
 		threads = runtime.GOMAXPROCS(0)
 	}
@@ -88,9 +139,10 @@ func forEachCtx(ctx context.Context, n, threads int, fn func(worker, task int)) 
 	if n <= 0 {
 		return nil
 	}
+	src := newSource(n, threads)
+	cctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
 
-	// Observability: per-task latency histogram plus per-run worker
-	// utilization, labeled by the kernel installed via obs.WithLabel.
 	// All handles are nil (no-op) when no observer is installed.
 	var (
 		taskHist *obs.Histogram
@@ -106,56 +158,64 @@ func forEachCtx(ctx context.Context, n, threads int, fn func(worker, task int)) 
 		t0 = time.Now()
 	}
 
-	var stop atomic.Bool
-	var once sync.Once
-	var perr *PanicError
-	runTask := func(worker, task int) {
+	// The first task error is recorded here, not recovered from
+	// context.Cause: a task may legitimately return context.Canceled
+	// (e.g. a stale deadline bubbled out of nested work), and the
+	// cause slot cannot distinguish that from a plain cancellation.
+	var (
+		panicOnce, errOnce sync.Once
+		perr               *PanicError
+		taskErr            error
+	)
+	runRange := func(worker, lo, hi int) {
+		task := lo
 		defer func() {
 			if r := recover(); r != nil {
 				// debug.Stack in a deferred recover still sees the
 				// panicking frames, so the error carries the real site.
-				stack := debug.Stack()
-				once.Do(func() {
-					perr = &PanicError{Task: task, Value: r, Stack: stack}
-				})
-				stop.Store(true)
+				pe := &PanicError{Task: task, Value: r, Stack: debug.Stack()}
+				panicOnce.Do(func() { perr = pe })
+				cancel(pe)
 			}
 		}()
-		if taskHist == nil {
-			fn(worker, task)
-			return
+		var start time.Time
+		if taskHist != nil {
+			start = time.Now()
 		}
-		start := time.Now()
-		fn(worker, task)
-		d := time.Since(start)
-		taskHist.Observe(float64(d.Nanoseconds()))
-		clocks[worker].busyNs += d.Nanoseconds()
-		clocks[worker].tasks++
-	}
-	if threads <= 1 {
-		for i := 0; i < n && !stop.Load(); i++ {
-			if ctx.Err() != nil {
+		for ; task < hi; task++ {
+			if err := fn(cctx, worker, task); err != nil {
+				errOnce.Do(func() { taskErr = err })
+				cancel(err)
 				break
 			}
-			runTask(0, i)
 		}
+		if taskHist != nil {
+			d := time.Since(start).Nanoseconds()
+			taskHist.Observe(float64(d))
+			clocks[worker].busyNs += d
+			clocks[worker].tasks++
+		}
+	}
+	// cctx.Err is checked before every pull so cancellation stops new
+	// work deterministically.
+	work := func(worker int) {
+		for cctx.Err() == nil {
+			lo, hi, ok := src.next(worker)
+			if !ok {
+				return
+			}
+			runRange(worker, lo, hi)
+		}
+	}
+	if threads == 1 {
+		work(0)
 	} else {
-		var next int64
 		var wg sync.WaitGroup
 		wg.Add(threads)
 		for w := 0; w < threads; w++ {
 			go func(worker int) {
 				defer wg.Done()
-				// ctx.Err is checked before every dispatch so
-				// cancellation stops new work deterministically; for the
-				// Background context (the ForEach path) it is free.
-				for !stop.Load() && ctx.Err() == nil {
-					i := int(atomic.AddInt64(&next, 1)) - 1
-					if i >= n {
-						return
-					}
-					runTask(worker, i)
-				}
+				work(worker)
 			}(w)
 		}
 		wg.Wait()
@@ -174,113 +234,48 @@ func forEachCtx(ctx context.Context, n, threads int, fn func(worker, task int)) 
 		}
 		o.Gauge("parallel.workers", label).Set(float64(threads))
 		o.Counter("parallel.tasks_completed", label).Add(uint64(done))
-	}
-
-	if perr != nil {
-		return perr
-	}
-	return ctx.Err()
-}
-
-// ForEachCtxErr is forEachCtx for error-returning tasks: the first
-// non-nil error a task returns cancels dispatch (in-flight tasks
-// finish) and is returned — even when that error is context.Canceled
-// itself, the recorded task error is what comes back, so callers can
-// always attribute the failure. Tasks receive the derived context so
-// nested blocking work (fault delays, IO) observes the cancellation
-// too. Worker panics still surface as *PanicError, taking precedence
-// over task errors; parent-context cancellation takes precedence over
-// everything except panics and surfaces as the parent's cause
-// (context.Canceled or context.DeadlineExceeded).
-func ForEachCtxErr(ctx context.Context, n, threads int, fn func(ctx context.Context, worker, task int) error) error {
-	return errDispatch(ctx, n, threads, fn, forEachCtx)
-}
-
-// errDispatch adapts any plain scheduler (forEachCtx-shaped run
-// function) to the error-returning task contract; ForEachCtxErr and
-// ForEachStealingErr share it so the subtle error/panic/cancellation
-// precedence lives in exactly one place.
-func errDispatch(ctx context.Context, n, threads int, fn func(ctx context.Context, worker, task int) error,
-	run func(ctx context.Context, n, threads int, fn func(worker, task int)) error) error {
-	cctx, cancel := context.WithCancelCause(ctx)
-	defer cancel(nil)
-	// The first task error is recorded here, not recovered from
-	// context.Cause: a task may legitimately return context.Canceled
-	// (e.g. a stale deadline bubbled out of nested work), and the
-	// cause slot cannot distinguish that from a plain cancellation.
-	var errOnce sync.Once
-	var taskErr error
-	err := run(cctx, n, threads, func(worker, task int) {
-		if e := fn(cctx, worker, task); e != nil {
-			errOnce.Do(func() { taskErr = e })
-			cancel(e)
+		if d, ok := src.(*deques); ok {
+			o.Counter("parallel.steals", label).Add(uint64(d.steals.Load()))
 		}
-	})
-	if err == nil {
-		return nil
 	}
-	var pe *PanicError
-	if errors.As(err, &pe) {
-		return err
-	}
-	if ctx.Err() != nil {
+
+	// perr and taskErr were written before the cancel that followed
+	// them and the workers were joined above, so these reads are ordered.
+	switch {
+	case perr != nil:
+		return perr
+	case ctx.Err() != nil:
 		// The parent was cancelled: its cause wins even if a task also
 		// errored while dispatch was winding down.
-		if cause := context.Cause(ctx); cause != nil {
-			return cause
-		}
-		return ctx.Err()
+		return context.Cause(ctx)
 	}
-	// taskErr was written before cancel(e) and the workers were joined
-	// before forEachCtx returned, so this read is ordered.
-	if taskErr != nil {
-		return taskErr
-	}
-	return err
+	return taskErr
 }
 
-// ForEachChunkedCtxErr is ForEachCtxErr with a chunk size greater than
-// one: workers pull chunks of `chunk` consecutive task indices, cutting
-// scheduling overhead for fine-grained tasks. The first task error
-// stops the chunk immediately (remaining indices of that chunk are
-// skipped) and cancels dispatch of further chunks. Each latency
-// observation covers one chunk (the scheduling unit), and a
-// *PanicError reports the chunk index in Task.
-func ForEachChunkedCtxErr(ctx context.Context, n, threads, chunk int, fn func(ctx context.Context, worker, task int) error) error {
-	if chunk <= 1 {
-		return ForEachCtxErr(ctx, n, threads, fn)
-	}
-	chunks := (n + chunk - 1) / chunk
-	return ForEachCtxErr(ctx, chunks, threads, func(cctx context.Context, worker, c int) error {
-		lo := c * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		for i := lo; i < hi; i++ {
-			if err := fn(cctx, worker, i); err != nil {
-				return err
-			}
-		}
+// ForEachCtxErr is run over the shared counter, one task per pull.
+func ForEachCtxErr(ctx context.Context, n, threads int, fn func(ctx context.Context, worker, task int) error) error {
+	return run(ctx, n, threads, chunked(1), fn)
+}
+
+// ForEachChunkedCtxErr is run over the shared counter with chunkFor's
+// chunk of consecutive tasks per pull, cutting scheduling overhead for
+// fine-grained tasks.
+func ForEachChunkedCtxErr(ctx context.Context, n, threads int, fn func(ctx context.Context, worker, task int) error) error {
+	return run(ctx, n, threads, chunked(0), fn)
+}
+
+// ForEach is ForEachCtxErr for infallible, non-cancellable tasks. A
+// panicking task re-panics here (in the caller's goroutine, wrapped in
+// a *PanicError carrying the worker stack) instead of crashing the
+// process from a worker goroutine.
+func ForEach(n, threads int, fn func(worker, task int)) {
+	err := run(context.Background(), n, threads, chunked(1), func(_ context.Context, worker, task int) error {
+		fn(worker, task)
 		return nil
 	})
-}
-
-// ChunkFor picks a chunk size for n fine-grained tasks on `threads`
-// workers: large enough to amortize the shared-counter fetch, small
-// enough to keep ~8 chunks per worker for dynamic load balancing.
-func ChunkFor(n, threads int) int {
-	if threads <= 0 {
-		threads = runtime.GOMAXPROCS(0)
+	if err != nil {
+		panic(err)
 	}
-	chunk := n / (threads * 8)
-	if chunk < 1 {
-		return 1
-	}
-	if chunk > 64 {
-		return 64
-	}
-	return chunk
 }
 
 // ScalingPoint is one measurement of a scaling sweep.

@@ -72,7 +72,7 @@ func stealPlain(ctx context.Context, n, threads int, fn func(worker, task int)) 
 func TestForEachChunked(t *testing.T) {
 	n := 103
 	counts := make([]int32, n)
-	err := ForEachChunkedCtxErr(context.Background(), n, 4, 10, plain(func(worker, task int) {
+	err := forEachChunk(context.Background(), n, 4, 10, plain(func(worker, task int) {
 		atomic.AddInt32(&counts[task], 1)
 	}))
 	if err != nil {

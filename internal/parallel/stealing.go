@@ -2,25 +2,21 @@ package parallel
 
 import (
 	"context"
-	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"repro/internal/obs"
 	"repro/internal/perf"
 )
 
-// Work-stealing dispatch. The shared-counter schedulers (forEachCtx
-// and friends) serialize every dispatch on one atomic cache line; fine
-// for coarse tasks, but the line ping-pongs across cores and offers no
-// locality. ForEachStealingErr instead seeds each worker with a
-// contiguous block of task indices in a private deque: the owner pops
-// from its own deque with no cross-core traffic, and only workers that
-// run dry touch anyone else's, stealing from the most loaded victim —
-// so skewed workloads (poa windows vary ~10x in cell count) rebalance
-// while uniform ones never contend at all.
+// Work-stealing dispatch. The shared counter serializes every pull on
+// one atomic cache line; fine for coarse tasks, but the line
+// ping-pongs across cores and offers no locality. The deques source
+// instead seeds each worker with a contiguous block of task indices in
+// a private deque: the owner pops from its own deque with no
+// cross-core traffic, and only workers that run dry touch anyone
+// else's, stealing from the most loaded victim — so skewed workloads
+// (poa windows vary ~10x in cell count) rebalance while uniform ones
+// never contend at all.
 //
 // Deque discipline is the classic LIFO-pop/FIFO-steal split: the
 // seeded block is conceptually pushed in descending index order, so
@@ -33,10 +29,9 @@ import (
 // every kernel task here is microseconds to milliseconds of DP, so the
 // uncontended lock is noise and the contended case is rare by design.
 //
-// Panic isolation, cancellation, and observability match forEachCtx
-// exactly (same PanicError type and first-panic-wins contract, same
-// ctx.Err() dispatch check, same task-latency histogram and
-// utilization/workers/tasks gauges), plus a parallel.steals counter.
+// Panic isolation, cancellation and observability are run's, so they
+// match the shared counter exactly; run adds a parallel.steals counter
+// when this source served it.
 
 // stealDeque holds one worker's remaining seeded range [lo, hi).
 // Owners pop lo; thieves split off the top half.
@@ -93,143 +88,53 @@ func (d *stealDeque) refill(lo, hi int) {
 	d.mu.Unlock()
 }
 
-// forEachStealingCtx runs fn(worker, task) for every task in [0,n) on
-// `threads` workers with per-worker deques and skew-aware stealing.
-// Cancellation, panic isolation, and observability follow forEachCtx:
-// dispatch stops once ctx is cancelled (running tasks finish), the
-// first worker panic wins and returns as a *PanicError, and the same
-// histogram/gauges are recorded plus a parallel.steals counter.
-func forEachStealingCtx(ctx context.Context, n, threads int, fn func(worker, task int)) error {
-	if threads <= 0 {
-		threads = runtime.GOMAXPROCS(0)
-	}
-	if threads > n {
-		threads = n
-	}
-	if n <= 0 {
-		return nil
-	}
-
-	var (
-		taskHist *obs.Histogram
-		clocks   []workerClock
-		t0       time.Time
-	)
-	o := obs.From(ctx)
-	label := ""
-	if o != nil {
-		label = obs.Label(ctx)
-		taskHist = o.Histogram("parallel.task_latency_ns", label, "ns")
-		clocks = make([]workerClock, threads)
-		t0 = time.Now()
-	}
-
-	var stop atomic.Bool
-	var once sync.Once
-	var perr *PanicError
-	runTask := func(worker, task int) {
-		defer func() {
-			if r := recover(); r != nil {
-				// debug.Stack in a deferred recover still sees the
-				// panicking frames, same as forEachCtx.
-				stack := debug.Stack()
-				once.Do(func() {
-					perr = &PanicError{Task: task, Value: r, Stack: stack}
-				})
-				stop.Store(true)
-			}
-		}()
-		if taskHist == nil {
-			fn(worker, task)
-			return
-		}
-		start := time.Now()
-		fn(worker, task)
-		d := time.Since(start)
-		taskHist.Observe(float64(d.Nanoseconds()))
-		clocks[worker].busyNs += d.Nanoseconds()
-		clocks[worker].tasks++
-	}
-
-	var steals int64
-	if threads <= 1 {
-		for i := 0; i < n && !stop.Load(); i++ {
-			if ctx.Err() != nil {
-				break
-			}
-			runTask(0, i)
-		}
-	} else {
-		// Seed each deque with a balanced contiguous block.
-		deques := make([]stealDeque, threads)
-		for w := 0; w < threads; w++ {
-			deques[w].lo = w * n / threads
-			deques[w].hi = (w + 1) * n / threads
-		}
-		var wg sync.WaitGroup
-		wg.Add(threads)
-		for w := 0; w < threads; w++ {
-			go func(worker int) {
-				defer wg.Done()
-				own := &deques[worker]
-				for !stop.Load() && ctx.Err() == nil {
-					i, ok := own.pop()
-					if !ok {
-						// Skew-aware victim selection: steal from the
-						// worker with the most remaining tasks.
-						victim, most := -1, 0
-						for v := range deques {
-							if v == worker {
-								continue
-							}
-							if rem := deques[v].remaining(); rem > most {
-								most = rem
-								victim = v
-							}
-						}
-						if victim < 0 {
-							return // every deque drained
-						}
-						lo, hi, ok := deques[victim].steal()
-						if !ok {
-							continue // lost the race; rescan
-						}
-						own.refill(lo, hi)
-						atomic.AddInt64(&steals, 1)
-						continue
-					}
-					runTask(worker, i)
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
-
-	if o != nil {
-		wall := time.Since(t0)
-		var busy, done int64
-		for i := range clocks {
-			busy += clocks[i].busyNs
-			done += clocks[i].tasks
-		}
-		if wall > 0 {
-			util := float64(busy) / (float64(wall.Nanoseconds()) * float64(threads))
-			o.Gauge("parallel.worker_utilization", label).Set(util)
-		}
-		o.Gauge("parallel.workers", label).Set(float64(threads))
-		o.Counter("parallel.tasks_completed", label).Add(uint64(done))
-		o.Counter("parallel.steals", label).Add(uint64(steals))
-	}
-
-	if perr != nil {
-		return perr
-	}
-	return ctx.Err()
+// deques is the work-stealing source: one seeded deque per worker.
+type deques struct {
+	d      []stealDeque
+	steals atomic.Int64
 }
 
-// ForEachStealingErr is ForEachCtxErr over the stealing scheduler:
-// error-returning tasks, first error cancels dispatch, identical
-// panic/parent-cancellation precedence.
+// newDeques seeds each worker's deque with a balanced contiguous block.
+func newDeques(n, threads int) source {
+	s := &deques{d: make([]stealDeque, threads)}
+	for w := range s.d {
+		s.d[w].lo = w * n / threads
+		s.d[w].hi = (w + 1) * n / threads
+	}
+	return s
+}
+
+// next pops the worker's own deque, one task per pull; a worker that
+// has run dry first takes home half of the most loaded victim's range.
+func (s *deques) next(worker int) (lo, hi int, ok bool) {
+	own := &s.d[worker]
+	for {
+		if i, ok := own.pop(); ok {
+			return i, i + 1, true
+		}
+		victim, most := -1, 0
+		for v := range s.d {
+			if v == worker {
+				continue
+			}
+			if rem := s.d[v].remaining(); rem > most {
+				most = rem
+				victim = v
+			}
+		}
+		if victim < 0 {
+			return 0, 0, false // every deque drained
+		}
+		lo, hi, ok := s.d[victim].steal()
+		if !ok {
+			continue // lost the race; rescan
+		}
+		own.refill(lo, hi)
+		s.steals.Add(1)
+	}
+}
+
+// ForEachStealingErr is run over the per-worker deques.
 func ForEachStealingErr(ctx context.Context, n, threads int, fn func(ctx context.Context, worker, task int) error) error {
-	return errDispatch(ctx, n, threads, fn, forEachStealingCtx)
+	return run(ctx, n, threads, newDeques, fn)
 }

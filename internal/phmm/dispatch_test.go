@@ -1,6 +1,7 @@
 package phmm
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -29,7 +30,7 @@ func TestRunKernelDispatchPolicyPure(t *testing.T) {
 	}
 	run := func(policy int) KernelResult {
 		defer parallel.ForceDispatch(policy)()
-		return RunKernel(regions, 4)
+		return must(RunKernelCtx(context.Background(), regions, 4))
 	}
 	chunked := run(parallel.DispatchChunked)
 	stealing := run(parallel.DispatchStealing)

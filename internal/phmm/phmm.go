@@ -337,18 +337,6 @@ type KernelResult struct {
 	Counters    perf.Counters
 }
 
-// RunKernel evaluates all regions with dynamic scheduling; each region
-// is one task, matching the paper's genome-region parallelism
-// granularity for phmm. It panics on failure; cancellable callers use
-// RunKernelCtx.
-func RunKernel(regions []*Region, threads int) KernelResult {
-	res, err := RunKernelCtx(context.Background(), regions, threads)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
 // span is one dispatch unit of RunKernelCtx: a contiguous read range
 // of one region (the whole region unless planSpans cut it), plus the
 // slot its worker reports into.
@@ -410,8 +398,11 @@ func planSpans(regions []*Region, threads int) []span {
 	return spans
 }
 
-// RunKernelCtx is RunKernel with cooperative cancellation (checked
-// before every span) and a fault trip-point per region.
+// RunKernelCtx evaluates all regions with dynamic scheduling; a region
+// is one task, matching the paper's genome-region parallelism
+// granularity for phmm, unless planSpans cut it. It runs under
+// cooperative cancellation (checked before every span) with a fault
+// trip-point per region.
 func RunKernelCtx(ctx context.Context, regions []*Region, threads int) (KernelResult, error) {
 	if threads <= 0 {
 		threads = 1

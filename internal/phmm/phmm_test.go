@@ -1,6 +1,7 @@
 package phmm
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -148,8 +149,8 @@ func TestRunKernelConsistency(t *testing.T) {
 		}
 		regions[i] = &rg
 	}
-	r1 := RunKernel(regions, 1)
-	r4 := RunKernel(regions, 4)
+	r1 := must(RunKernelCtx(context.Background(), regions, 1))
+	r4 := must(RunKernelCtx(context.Background(), regions, 4))
 	if r1.CellUpdates != r4.CellUpdates || r1.Pairs != r4.Pairs {
 		t.Errorf("threading changed results: %+v vs %+v", r1, r4)
 	}
@@ -168,4 +169,13 @@ func TestCellUpdatesCount(t *testing.T) {
 	if res.CellUpdates != 50 {
 		t.Errorf("CellUpdates = %d, want 50", res.CellUpdates)
 	}
+}
+
+// must unwraps a RunKernelCtx result; a kernel run under a background
+// context with no fault plan armed cannot fail.
+func must(res KernelResult, err error) KernelResult {
+	if err != nil {
+		panic(err)
+	}
+	return res
 }

@@ -56,7 +56,7 @@ func regionDigest(lik []float64, best []int) uint64 {
 // evaluated per region however many spans it became.
 func TestRunKernelSplitInvariance(t *testing.T) {
 	regions := stragglerRegions(rand.New(rand.NewSource(31)), 80)
-	want := RunKernel(regions, 1)
+	want := must(RunKernelCtx(context.Background(), regions, 1))
 	sum := want.TaskStats.Summarize()
 	if sum.MaxToMean < 20 {
 		t.Fatalf("dataset has no straggler: max/mean = %.1f, want >= 20", sum.MaxToMean)
@@ -74,7 +74,7 @@ func TestRunKernelSplitInvariance(t *testing.T) {
 	for _, policy := range []int{parallel.DispatchChunked, parallel.DispatchStealing} {
 		restore := parallel.ForceDispatch(policy)
 		for _, threads := range []int{1, 2, 3, 4, 8} {
-			got := RunKernel(regions, threads)
+			got := must(RunKernelCtx(context.Background(), regions, threads))
 			runs++
 			if got.Regions != want.Regions || got.Pairs != want.Pairs ||
 				got.CellUpdates != want.CellUpdates || got.Fallbacks != want.Fallbacks ||

@@ -1,6 +1,7 @@
 package pileup
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -160,8 +161,8 @@ func TestRunKernelDeterministic(t *testing.T) {
 	ref := genome.Random(rng, 5000)
 	alns := simio.SimulateAlignments(rng, ref, 100, simio.DefaultAlignSim())
 	regions := SplitRegions(len(ref), alns, 1000)
-	r1 := RunKernel(regions, 1)
-	r4 := RunKernel(regions, 4)
+	r1 := must(RunKernelCtx(context.Background(), regions, 1))
+	r4 := must(RunKernelCtx(context.Background(), regions, 4))
 	if r1.TotalDepth != r4.TotalDepth || r1.ReadLookups != r4.ReadLookups {
 		t.Errorf("threading changed results: %+v vs %+v", r1, r4)
 	}
@@ -178,4 +179,13 @@ func TestMajorityBaseEmpty(t *testing.T) {
 	if _, _, ok := c.MajorityBase(); ok {
 		t.Error("empty counts reported a majority base")
 	}
+}
+
+// must unwraps a RunKernelCtx result; a kernel run under a background
+// context with no fault plan armed cannot fail.
+func must(res KernelResult, err error) KernelResult {
+	if err != nil {
+		panic(err)
+	}
+	return res
 }

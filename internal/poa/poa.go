@@ -591,17 +591,8 @@ type KernelResult struct {
 	Counters    perf.Counters
 }
 
-// RunKernel computes every window consensus with dynamic scheduling.
-// It panics on failure; cancellable callers use RunKernelCtx.
-func RunKernel(windows []*Window, p Params, threads int) KernelResult {
-	res, err := RunKernelCtx(context.Background(), windows, p, threads)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// RunKernelCtx is RunKernel with cooperative cancellation and a fault
+// RunKernelCtx computes every window consensus with dynamic
+// scheduling, under cooperative cancellation and with a fault
 // trip-point per window.
 func RunKernelCtx(ctx context.Context, windows []*Window, p Params, threads int) (KernelResult, error) {
 	if threads <= 0 {

@@ -1,6 +1,7 @@
 package poa
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -186,8 +187,8 @@ func TestRunKernelDeterministic(t *testing.T) {
 		}
 		windows = append(windows, w)
 	}
-	r1 := RunKernel(windows, DefaultParams(), 1)
-	r4 := RunKernel(windows, DefaultParams(), 4)
+	r1 := must(RunKernelCtx(context.Background(), windows, DefaultParams(), 1))
+	r4 := must(RunKernelCtx(context.Background(), windows, DefaultParams(), 4))
 	if r1.CellUpdates != r4.CellUpdates {
 		t.Errorf("threading changed cell counts: %d vs %d", r1.CellUpdates, r4.CellUpdates)
 	}
@@ -362,4 +363,13 @@ func TestTopoOrderPanicsOnCycle(t *testing.T) {
 		}
 	}()
 	g.Consensus()
+}
+
+// must unwraps a RunKernelCtx result; a kernel run under a background
+// context with no fault plan armed cannot fail.
+func must(res KernelResult, err error) KernelResult {
+	if err != nil {
+		panic(err)
+	}
+	return res
 }

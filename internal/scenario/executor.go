@@ -21,17 +21,12 @@ type Options struct {
 	// the backpressure knob. 0 means 8.
 	QueueCap int
 	// Workers caps every stage's worker count when > 0 (tests force 1
-	// for strict sequencing; benches force the measured width).
+	// for strict sequencing and 4 for the width-independence check).
 	Workers int
 	// Pool supplies warm per-worker arenas keyed by stable slot
 	// (stage-major, worker-minor — identical across both executors).
 	// nil hands out fresh arenas.
 	Pool *scratch.Pool
-	// StageTimeout bounds each stage's supervised execution; 0 means
-	// no deadline. Streaming stages cannot be retried (their input is
-	// consumed), so resilience runs every stage with Attempts=1 and
-	// this timeout.
-	StageTimeout time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -150,6 +145,21 @@ func (s *stageStats) wallNs() int64 {
 	return last - first
 }
 
+// snapshot reads the accounting into the public form. Occupancy is
+// busy time over (active window x workers).
+func (s *stageStats) snapshot(name string, workers int) StageStats {
+	out := StageStats{
+		Name: name, Workers: workers,
+		In: s.in.Load(), Out: s.out.Load(),
+		BusyNs: s.busyNs.Load(), WallNs: s.wallNs(),
+		QueuePeak: int(s.queuePeak.Load()),
+	}
+	if out.WallNs > 0 && workers > 0 {
+		out.Occupancy = float64(out.BusyNs) / (float64(out.WallNs) * float64(workers))
+	}
+	return out
+}
+
 // stageWorkers resolves a stage's effective pool width under opt.
 func stageWorkers(st *Stage, opt Options) int {
 	w := st.Workers
@@ -192,15 +202,104 @@ func prefetchWorkers(p *Pipeline, opt Options) [][]*Worker {
 	return out
 }
 
-func stagePolicy(opt Options) resilience.Policy {
-	// Streaming stages consume their input as they run, so a retry
-	// would replay nothing: one attempt, panic capture, optional
-	// deadline.
-	return resilience.Policy{Attempts: 1, Timeout: opt.StageTimeout}
+// stagePolicy supervises a stage: streaming stages consume their input
+// as they run, so a retry would replay nothing — one attempt, panic
+// capture, no deadline of its own.
+var stagePolicy = resilience.Policy{Attempts: 1}
+
+// stageRun is one stage of one executor run — everything about running
+// it that does not depend on how items arrive or where outputs go, so
+// RunFused and RunStaged differ in their plumbing only. The executors
+// hand step and flush an emit that delivers one keyed output (a
+// bounded-channel send, or an append to a materialized slice).
+type stageRun struct {
+	st    *Stage
+	si    int // stage index: received items carry keys of length si+1
+	ws    []*Worker
+	ss    *stageStats
+	point string // "scenario/<name>/<stage>": span, supervisor and fault-point label
+	plan  *faultinject.Plan
+	start time.Time // of the executor run; activity marks are offsets from it
 }
 
-func pointLabel(scenario, stage string) string {
-	return "scenario/" + scenario + "/" + stage
+// newStageRuns sets up every stage of one executor run: workers drawn
+// from the pool, zeroed accounting, the armed fault plan, and the run's
+// clock, started here.
+func newStageRuns(scenario string, p *Pipeline, opt Options) []*stageRun {
+	workers := prefetchWorkers(p, opt)
+	plan := faultinject.Armed()
+	start := time.Now()
+	runs := make([]*stageRun, len(p.Stages))
+	for si := range runs {
+		st := &p.Stages[si]
+		runs[si] = &stageRun{
+			st: st, si: si, ws: workers[si], ss: &stageStats{},
+			point: "scenario/" + scenario + "/" + st.Name, plan: plan, start: start,
+		}
+	}
+	return runs
+}
+
+// step runs one received item through the stage function on worker wk.
+func (r *stageRun) step(ctx context.Context, wk *Worker, it item, emit func(item) error) error {
+	r.ss.markActive(time.Since(r.start))
+	r.ss.in.Add(1)
+	if r.plan != nil {
+		if err := r.plan.PointAt(ctx, r.point); err != nil {
+			return err
+		}
+	}
+	t0 := time.Now()
+	err := r.st.Fn(ctx, wk, it.v, r.keyed(it.key, emit))
+	r.busy(t0)
+	return err
+}
+
+// flush runs the stage's Flush hook, if it has one, once its pool has
+// drained: poolErr is what the pool returned, and a failed or cancelled
+// pool skips the hook. Flush outputs sort after every per-item output.
+func (r *stageRun) flush(ctx context.Context, poolErr error, emit func(item) error) error {
+	if poolErr != nil || r.st.Flush == nil || ctx.Err() != nil {
+		return poolErr
+	}
+	t0 := time.Now()
+	err := r.st.Flush(ctx, r.ws[0], r.keyed(flushParentKey(r.si+1), emit))
+	r.busy(t0)
+	return err
+}
+
+// keyed adapts the executor's emit to the stage-facing one: outputs are
+// keyed under parent in emission order and counted once delivered.
+func (r *stageRun) keyed(parent []int32, emit func(item) error) func(any) error {
+	sub := 0
+	return func(v any) error {
+		ot := item{key: childKey(parent, sub), v: v}
+		sub++
+		if err := emit(ot); err != nil {
+			return err
+		}
+		r.ss.out.Add(1)
+		return nil
+	}
+}
+
+func (r *stageRun) busy(since time.Time) {
+	r.ss.busyNs.Add(time.Since(since).Nanoseconds())
+	r.ss.markActive(time.Since(r.start))
+}
+
+// endSpan annotates the stage's span with its live counters, so traces
+// of failed runs still carry partial progress, and ends it.
+func (r *stageRun) endSpan(sp *obs.Span, err error) {
+	ss := r.ss.snapshot(r.st.Name, len(r.ws))
+	sp.Annotate("items_in", fmt.Sprintf("%d", ss.In))
+	sp.Annotate("items_out", fmt.Sprintf("%d", ss.Out))
+	sp.Annotate("busy_ms", fmt.Sprintf("%.2f", float64(ss.BusyNs)/1e6))
+	sp.Annotate("wall_ms", fmt.Sprintf("%.2f", float64(ss.WallNs)/1e6))
+	sp.Annotate("occupancy", fmt.Sprintf("%.3f", ss.Occupancy))
+	sp.Annotate("queue_peak", fmt.Sprintf("%d", ss.QueuePeak))
+	sp.Annotate("workers", fmt.Sprintf("%d", ss.Workers))
+	sp.End(err)
 }
 
 // finish sorts, digests and accepts the collected outputs, filling the
@@ -220,58 +319,33 @@ func (r *Result) finish(p *Pipeline, final []item) error {
 	return nil
 }
 
-// fillStats converts the mutable accounting into the public stats and
-// computes occupancy and the overlap ratio, publishing gauges when an
-// observer is attached.
-func (r *Result) fillStats(o *obs.Observer, p *Pipeline, stats []*stageStats, workers [][]*Worker) {
+// fillStats stops the run's clock, converts the mutable accounting into
+// the public stats and computes occupancy and the overlap ratio,
+// publishing gauges when an observer is attached.
+func (r *Result) fillStats(o *obs.Observer, runs []*stageRun) {
+	r.Elapsed = time.Since(runs[0].start)
 	var sumWall, minFirst, maxLast int64
-	for si := range p.Stages {
-		ss := stats[si]
-		wall := ss.wallNs()
-		occ := 0.0
-		nw := len(workers[si])
-		if wall > 0 && nw > 0 {
-			occ = float64(ss.busyNs.Load()) / (float64(wall) * float64(nw))
-		}
-		r.Stages[si] = StageStats{
-			Name:      p.Stages[si].Name,
-			Workers:   nw,
-			In:        ss.in.Load(),
-			Out:       ss.out.Load(),
-			BusyNs:    ss.busyNs.Load(),
-			WallNs:    wall,
-			QueuePeak: int(ss.queuePeak.Load()),
-			Occupancy: occ,
-		}
-		sumWall += wall
+	for si, sr := range runs {
+		ss := sr.ss
+		st := ss.snapshot(sr.st.Name, len(sr.ws))
+		r.Stages[si] = st
+		sumWall += st.WallNs
 		if f := ss.firstNs.Load(); f > 0 && (minFirst == 0 || f < minFirst) {
 			minFirst = f
 		}
 		if l := ss.lastNs.Load(); l > maxLast {
 			maxLast = l
 		}
-		lbl := r.Scenario + "/" + p.Stages[si].Name
-		o.Gauge("scenario.stage_occupancy", lbl).Set(occ)
-		o.Gauge("scenario.queue_peak", lbl).Set(float64(ss.queuePeak.Load()))
-		o.Counter("scenario.items_in", lbl).Add(uint64(ss.in.Load()))
-		o.Counter("scenario.items_out", lbl).Add(uint64(ss.out.Load()))
+		lbl := r.Scenario + "/" + st.Name
+		o.Gauge("scenario.stage_occupancy", lbl).Set(st.Occupancy)
+		o.Gauge("scenario.queue_peak", lbl).Set(float64(st.QueuePeak))
+		o.Counter("scenario.items_in", lbl).Add(uint64(st.In))
+		o.Counter("scenario.items_out", lbl).Add(uint64(st.Out))
 	}
 	if span := maxLast - minFirst; span > 0 && sumWall > span {
 		r.Overlap = float64(sumWall-span) / float64(span)
 	}
 	o.Gauge("scenario.overlap_ratio", r.Scenario+"/"+r.Mode).Set(r.Overlap)
-}
-
-// annotateStageSpan writes a stage's stats onto its span so the NDJSON
-// trace export carries per-stage summaries for gbench-report.
-func annotateStageSpan(sp *obs.Span, ss *StageStats) {
-	sp.Annotate("items_in", fmt.Sprintf("%d", ss.In))
-	sp.Annotate("items_out", fmt.Sprintf("%d", ss.Out))
-	sp.Annotate("busy_ms", fmt.Sprintf("%.2f", float64(ss.BusyNs)/1e6))
-	sp.Annotate("wall_ms", fmt.Sprintf("%.2f", float64(ss.WallNs)/1e6))
-	sp.Annotate("occupancy", fmt.Sprintf("%.3f", ss.Occupancy))
-	sp.Annotate("queue_peak", fmt.Sprintf("%d", ss.QueuePeak))
-	sp.Annotate("workers", fmt.Sprintf("%d", ss.Workers))
 }
 
 // RunFused executes the pipeline as a fused stream: every stage's
@@ -313,13 +387,7 @@ func RunFused(ctx context.Context, name string, p *Pipeline, opt Options) (*Resu
 	for i := range chans {
 		chans[i] = make(chan item, opt.QueueCap)
 	}
-	workers := prefetchWorkers(p, opt)
-	stats := make([]*stageStats, nst)
-	for i := range stats {
-		stats[i] = &stageStats{}
-	}
-	plan := faultinject.Armed()
-	start := time.Now()
+	runs := newStageRuns(name, p, opt)
 
 	send := func(ctx context.Context, ch chan<- item, it item, ss *stageStats) error {
 		select {
@@ -344,7 +412,7 @@ func RunFused(ctx context.Context, name string, p *Pipeline, opt Options) (*Resu
 		emit := func(v any) error {
 			it := item{key: []int32{int32(idx)}, v: v}
 			idx++
-			if err := send(cctx, chans[0], it, stats[0]); err != nil {
+			if err := send(cctx, chans[0], it, runs[0].ss); err != nil {
 				return err
 			}
 			atomic.AddInt64(&res.Source, 1)
@@ -358,98 +426,40 @@ func RunFused(ctx context.Context, name string, p *Pipeline, opt Options) (*Resu
 	// Stages: a supervised worker pool each, draining its input
 	// channel and closing its output once the pool exits (success or
 	// not), so downstream always observes end-of-stream.
-	for si := 0; si < nst; si++ {
-		st := &p.Stages[si]
+	for si, r := range runs {
 		in, out := chans[si], chans[si+1]
-		ws := workers[si]
-		ss := stats[si]
 		var downstream *stageStats
 		if si+1 < nst {
-			downstream = stats[si+1]
+			downstream = runs[si+1].ss
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			defer close(out)
-			kname := pointLabel(name, st.Name)
-			sctx, span := o.StartSpan(cctx, kname)
-			err := resilience.Run(sctx, kname, stagePolicy(opt), func(actx context.Context) error {
-				perr := parallel.ForEachCtxErr(actx, len(ws), len(ws), func(tctx context.Context, w, _ int) error {
-					wk := ws[w]
+			sctx, span := o.StartSpan(cctx, r.point)
+			err := resilience.Run(sctx, r.point, stagePolicy, func(actx context.Context) error {
+				perr := parallel.ForEachCtxErr(actx, len(r.ws), len(r.ws), func(tctx context.Context, w, _ int) error {
+					emit := func(ot item) error { return send(tctx, out, ot, downstream) }
 					for {
-						var it item
-						var ok bool
 						select {
-						case it, ok = <-in:
+						case it, ok := <-in:
 							if !ok {
 								return nil
+							}
+							if err := r.step(tctx, r.ws[w], it, emit); err != nil {
+								return err
 							}
 						case <-tctx.Done():
 							return context.Cause(tctx)
 						}
-						ss.markActive(time.Since(start))
-						ss.in.Add(1)
-						if plan != nil {
-							if err := plan.PointAt(tctx, kname); err != nil {
-								return err
-							}
-						}
-						sub := 0
-						emit := func(v any) error {
-							ot := item{key: childKey(it.key, sub), v: v}
-							sub++
-							if err := send(tctx, out, ot, downstream); err != nil {
-								return err
-							}
-							ss.out.Add(1)
-							return nil
-						}
-						t0 := time.Now()
-						err := st.Fn(tctx, wk, it.v, emit)
-						ss.busyNs.Add(time.Since(t0).Nanoseconds())
-						ss.markActive(time.Since(start))
-						if err != nil {
-							return err
-						}
 					}
 				})
-				if perr != nil || st.Flush == nil || actx.Err() != nil {
-					return perr
-				}
-				sub := 0
-				parent := flushParentKey(si + 1)
-				emit := func(v any) error {
-					ot := item{key: childKey(parent, sub), v: v}
-					sub++
-					if err := send(actx, out, ot, downstream); err != nil {
-						return err
-					}
-					ss.out.Add(1)
-					return nil
-				}
-				t0 := time.Now()
-				ferr := st.Flush(actx, ws[0], emit)
-				ss.busyNs.Add(time.Since(t0).Nanoseconds())
-				ss.markActive(time.Since(start))
-				return ferr
+				return r.flush(actx, perr, func(ot item) error { return send(actx, out, ot, downstream) })
 			})
 			if err != nil {
 				fail(err)
 			}
-			// Span stats are filled post-hoc in fillStats; annotate
-			// with the live counters so traces of failed runs still
-			// carry partial progress.
-			snap := StageStats{
-				Name: st.Name, Workers: len(ws),
-				In: ss.in.Load(), Out: ss.out.Load(),
-				BusyNs: ss.busyNs.Load(), WallNs: ss.wallNs(),
-				QueuePeak: int(ss.queuePeak.Load()),
-			}
-			if snap.WallNs > 0 && len(ws) > 0 {
-				snap.Occupancy = float64(snap.BusyNs) / (float64(snap.WallNs) * float64(len(ws)))
-			}
-			annotateStageSpan(span, &snap)
-			span.End(err)
+			r.endSpan(span, err)
 		}()
 	}
 
@@ -473,8 +483,7 @@ func RunFused(ctx context.Context, name string, p *Pipeline, opt Options) (*Resu
 	}()
 
 	wg.Wait()
-	res.Elapsed = time.Since(start)
-	res.fillStats(o, p, stats, workers)
+	res.fillStats(o, runs)
 
 	err := firstErr
 	if err == nil {
@@ -507,60 +516,23 @@ func RunStaged(ctx context.Context, name string, p *Pipeline, opt Options) (*Res
 	res := &Result{Scenario: name, Mode: "staged", Stages: make([]StageStats, len(p.Stages))}
 	o := obs.From(ctx)
 	ctx, root := o.StartSpan(ctx, "scenario/"+name+"/staged")
-	workers := prefetchWorkers(p, opt)
-	stats := make([]*stageStats, len(p.Stages))
-	for i := range stats {
-		stats[i] = &stageStats{}
-	}
-	plan := faultinject.Armed()
-	start := time.Now()
+	runs := newStageRuns(name, p, opt)
 
-	runStage := func(si int, items []item) ([]item, error) {
-		st := &p.Stages[si]
-		ws := workers[si]
-		ss := stats[si]
-		kname := pointLabel(name, st.Name)
-		sctx, span := o.StartSpan(ctx, kname)
+	runStage := func(r *stageRun, items []item) ([]item, error) {
+		sctx, span := o.StartSpan(ctx, r.point)
 		outs := make([][]item, len(items))
 		var flushed []item
-		err := resilience.Run(sctx, kname, stagePolicy(opt), func(actx context.Context) error {
-			perr := parallel.ForEachCtxErr(actx, len(items), len(ws), func(tctx context.Context, w, i int) error {
-				ss.markActive(time.Since(start))
-				ss.in.Add(1)
-				if plan != nil {
-					if err := plan.PointAt(tctx, kname); err != nil {
-						return err
-					}
-				}
-				sub := 0
-				emit := func(v any) error {
-					outs[i] = append(outs[i], item{key: childKey(items[i].key, sub), v: v})
-					sub++
-					ss.out.Add(1)
+		err := resilience.Run(sctx, r.point, stagePolicy, func(actx context.Context) error {
+			perr := parallel.ForEachCtxErr(actx, len(items), len(r.ws), func(tctx context.Context, w, i int) error {
+				return r.step(tctx, r.ws[w], items[i], func(ot item) error {
+					outs[i] = append(outs[i], ot)
 					return nil
-				}
-				t0 := time.Now()
-				err := st.Fn(tctx, ws[w], items[i].v, emit)
-				ss.busyNs.Add(time.Since(t0).Nanoseconds())
-				ss.markActive(time.Since(start))
-				return err
+				})
 			})
-			if perr != nil || st.Flush == nil || actx.Err() != nil {
-				return perr
-			}
-			sub := 0
-			parent := flushParentKey(si + 1)
-			emit := func(v any) error {
-				flushed = append(flushed, item{key: childKey(parent, sub), v: v})
-				sub++
-				ss.out.Add(1)
+			return r.flush(actx, perr, func(ot item) error {
+				flushed = append(flushed, ot)
 				return nil
-			}
-			t0 := time.Now()
-			ferr := st.Flush(actx, ws[0], emit)
-			ss.busyNs.Add(time.Since(t0).Nanoseconds())
-			ss.markActive(time.Since(start))
-			return ferr
+			})
 		})
 		// Full materialization between stages is the point of the
 		// reference executor.
@@ -576,16 +548,7 @@ func RunStaged(ctx context.Context, name string, p *Pipeline, opt Options) (*Res
 			}
 			next = append(next, flushed...)
 		}
-		snap := StageStats{
-			Name: st.Name, Workers: len(ws),
-			In: ss.in.Load(), Out: ss.out.Load(),
-			BusyNs: ss.busyNs.Load(), WallNs: ss.wallNs(),
-		}
-		if snap.WallNs > 0 && len(ws) > 0 {
-			snap.Occupancy = float64(snap.BusyNs) / (float64(snap.WallNs) * float64(len(ws)))
-		}
-		annotateStageSpan(span, &snap)
-		span.End(err)
+		r.endSpan(span, err)
 		return next, err
 	}
 
@@ -601,15 +564,14 @@ func RunStaged(ctx context.Context, name string, p *Pipeline, opt Options) (*Res
 
 	err := srcErr
 	if err == nil {
-		for si := range p.Stages {
-			items, err = runStage(si, items)
+		for _, r := range runs {
+			items, err = runStage(r, items)
 			if err != nil {
 				break
 			}
 		}
 	}
-	res.Elapsed = time.Since(start)
-	res.fillStats(o, p, stats, workers)
+	res.fillStats(o, runs)
 	if err == nil {
 		err = res.finish(p, items)
 	}

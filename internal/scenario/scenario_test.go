@@ -84,7 +84,8 @@ func TestRegistryDeclarationsMatchConstruction(t *testing.T) {
 // TestFusedDigestMatchesStaged is the differential-twin contract: for
 // every registered scenario the fused streaming executor must produce
 // a digest bit-identical to the staged reference, across repeated runs
-// and a shared warm pool.
+// and a shared warm pool, and — both executors count in the one shared
+// stage step — the same source and per-stage In/Out item counts.
 func TestFusedDigestMatchesStaged(t *testing.T) {
 	for _, name := range Names() {
 		name := name
@@ -109,6 +110,15 @@ func TestFusedDigestMatchesStaged(t *testing.T) {
 				if fused.Digest != staged.Digest {
 					t.Fatalf("rep %d: fused digest %#x != staged %#x (%d vs %d items)",
 						rep, fused.Digest, staged.Digest, len(fused.Final), len(staged.Final))
+				}
+				if fused.Source != staged.Source {
+					t.Fatalf("rep %d: fused source emitted %d items, staged %d", rep, fused.Source, staged.Source)
+				}
+				for si, fs := range fused.Stages {
+					if ss := staged.Stages[si]; fs.Name != ss.Name || fs.In != ss.In || fs.Out != ss.Out {
+						t.Fatalf("rep %d: stage %d fused %s in=%d out=%d, staged %s in=%d out=%d",
+							rep, si, fs.Name, fs.In, fs.Out, ss.Name, ss.In, ss.Out)
+					}
 				}
 			}
 			if staged.Source == 0 {

@@ -93,7 +93,9 @@ func ReadFasta(r io.Reader) ([]FastaRecord, error) {
 			if err := flush(); err != nil {
 				return nil, err
 			}
-			name = strings.Fields(line[1:])[0]
+			if name = headerName(line); name == "" {
+				return nil, fmt.Errorf("simio: FASTA header %q has no name", line)
+			}
 			continue
 		}
 		if name == "" {
@@ -112,6 +114,15 @@ func ReadFasta(r io.Reader) ([]FastaRecord, error) {
 		return nil, err
 	}
 	return records, nil
+}
+
+// headerName returns the record name of a FASTA/FASTQ header line —
+// the first field after the marker byte — or "" when there is none.
+func headerName(header string) string {
+	if f := strings.Fields(header[1:]); len(f) > 0 {
+		return f[0]
+	}
+	return ""
 }
 
 // FastqRecord is one read with per-base qualities.
@@ -168,7 +179,10 @@ func ReadFastq(r io.Reader) ([]FastqRecord, error) {
 		if header[0] != '@' {
 			return fail(fmt.Errorf("bad FASTQ header %q", header))
 		}
-		name := strings.Fields(header[1:])[0]
+		name := headerName(header)
+		if name == "" {
+			return fail(fmt.Errorf("FASTQ header %q has no name", header))
+		}
 		if !sc.Scan() {
 			return fail(io.ErrUnexpectedEOF)
 		}
@@ -237,6 +251,10 @@ func (c Cigar) String() string {
 	return b.String()
 }
 
+// maxCigarLen bounds one element's length: BAM stores it in 28 bits,
+// and the bound keeps ReadLen and RefLen sums from overflowing.
+const maxCigarLen = 1<<28 - 1
+
 // ParseCigar parses SAM CIGAR text. "*" yields an empty Cigar.
 func ParseCigar(s string) (Cigar, error) {
 	if s == "*" || s == "" {
@@ -248,7 +266,9 @@ func ParseCigar(s string) (Cigar, error) {
 	for i := 0; i < len(s); i++ {
 		ch := s[i]
 		if ch >= '0' && ch <= '9' {
-			n = n*10 + int(ch-'0')
+			if n = n*10 + int(ch-'0'); n > maxCigarLen {
+				return nil, fmt.Errorf("simio: CIGAR length in %q exceeds %d", s, maxCigarLen)
+			}
 			sawDigit = true
 			continue
 		}

@@ -42,6 +42,13 @@ func TestReadFastaErrors(t *testing.T) {
 	if _, err := ReadFasta(strings.NewReader(">x\nACGN\n")); err == nil {
 		t.Error("expected error for invalid base")
 	}
+	// Found by FuzzReadFasta: a header with no name used to index an
+	// empty field list.
+	for _, in := range []string{">\nACGT\n", "> \t\nACGT\n"} {
+		if _, err := ReadFasta(strings.NewReader(in)); err == nil {
+			t.Errorf("expected error for nameless header %q", in)
+		}
+	}
 }
 
 func TestFastqRoundTrip(t *testing.T) {
@@ -86,6 +93,7 @@ func TestReadFastqErrors(t *testing.T) {
 		"ACGT\nACGT\n+\nIIII\n",  // missing @
 		"@x\nACGT\nACGT\nIIII\n", // missing +
 		"@x\nACGT\n+\nIII\n",     // quality length mismatch
+		"@\nACGT\n+\nIIII\n",     // no name (FuzzReadFastq: used to panic)
 	}
 	for _, in := range cases {
 		if _, err := ReadFastq(strings.NewReader(in)); err == nil {
@@ -125,7 +133,9 @@ func TestParseCigarStar(t *testing.T) {
 }
 
 func TestParseCigarErrors(t *testing.T) {
-	for _, s := range []string{"M", "0M", "10", "5X", "3M4"} {
+	// The last two are FuzzParseCigar's: a length that wrapped int came
+	// back negative, or zero and so "without positive length".
+	for _, s := range []string{"M", "0M", "10", "5X", "3M4", "268435456M", "9223372036854775808M", "18446744073709551616M"} {
 		if _, err := ParseCigar(s); err == nil {
 			t.Errorf("ParseCigar(%q): expected error", s)
 		}
