@@ -72,17 +72,31 @@ func Simulate(rng *rand.Rand, n, s int, relatedFraction float64) *Genotypes {
 	return g
 }
 
+// siteScale returns each site's mean 2p and inverse standard deviation
+// 1/sqrt(2p(1-p)). A site with no variance — p of 0 or 1, or a
+// frequency that is not a probability at all — carries no information
+// about relatedness and would otherwise put an Inf or NaN into every
+// entry of G; it gets mean 0 and scale 0, so it standardizes to
+// exactly 0 for everyone and contributes nothing (PLINK drops such
+// sites).
+func (g *Genotypes) siteScale() (mean, inv []float64) {
+	mean = make([]float64, g.S)
+	inv = make([]float64, g.S)
+	for s, p := range g.Freqs[:g.S] {
+		if v := 2 * p * (1 - p); v > 0 {
+			mean[s] = 2 * p
+			inv[s] = 1 / math.Sqrt(v)
+		}
+	}
+	return mean, inv
+}
+
 // Standardize converts genotypes to the Z matrix (N x S, row-major
-// float64): z = (x - 2p) / sqrt(2p(1-p)).
+// float64): z = (x - 2p) / sqrt(2p(1-p)), and 0 at a site with no
+// variance.
 func (g *Genotypes) Standardize() []float64 {
 	z := make([]float64, g.N*g.S)
-	inv := make([]float64, g.S)
-	mean := make([]float64, g.S)
-	for s := 0; s < g.S; s++ {
-		p := g.Freqs[s]
-		mean[s] = 2 * p
-		inv[s] = 1 / math.Sqrt(2*p*(1-p))
-	}
+	mean, inv := g.siteScale()
 	for i := 0; i < g.N; i++ {
 		row := z[i*g.S : (i+1)*g.S]
 		counts := g.Counts[i*g.S : (i+1)*g.S]
@@ -91,6 +105,29 @@ func (g *Genotypes) Standardize() []float64 {
 		}
 	}
 	return z
+}
+
+// standardizePanels is Standardize written straight into the tile
+// kernel's layout, with no row-major copy in between: individuals are
+// grouped into panels of panelWidth, and a panel is site-major, so
+// the panelWidth values of one site are contiguous —
+// zp[(p*S+s)*panelWidth+l] is z of individual p*panelWidth+l at site
+// s. The last panel is padded with zero rows.
+func (g *Genotypes) standardizePanels() []float64 {
+	n, S := g.N, g.S
+	panels := (n + panelWidth - 1) / panelWidth
+	zp := make([]float64, panels*S*panelWidth)
+	mean, inv := g.siteScale()
+	for p := 0; p < panels; p++ {
+		first := p * panelWidth
+		panel := zp[p*S*panelWidth : (p+1)*S*panelWidth]
+		for l := 0; l < min(panelWidth, n-first); l++ {
+			for s, c := range g.Counts[(first+l)*S : (first+l+1)*S] {
+				panel[s*panelWidth+l] = (float64(c) - mean[s]) * inv[s]
+			}
+		}
+	}
+	return zp
 }
 
 // Compute builds the N x N relationship matrix with tile blocking.
@@ -105,65 +142,82 @@ func Compute(g *Genotypes, blockSize, threads int) ([]float64, uint64) {
 }
 
 // ComputeCtx is Compute with cooperative cancellation and a fault
-// trip-point per tile.
+// trip-point per block. Blocks of blockSize x blockSize outputs in the
+// upper triangle are the parallel tasks; inside a block the work is
+// done a register tile at a time (tile.go): tileRows x panelWidth
+// dot products advance together down the sites, each with its own
+// accumulator and its sites in ascending order, so every entry is
+// bit-identical to ComputeNaive's one-at-a-time dot product whatever
+// the block size, thread count or SIMD tier. Tiles sit on a fixed grid
+// over the individuals; a block that is not aligned to it computes
+// the tiles it touches in full and keeps its own entries.
 func ComputeCtx(ctx context.Context, g *Genotypes, blockSize, threads int) ([]float64, uint64, error) {
 	if blockSize <= 0 {
 		blockSize = 64
 	}
-	z := g.Standardize()
+	zp := g.standardizePanels()
 	n, s := g.N, g.S
 	out := make([]float64, n*n)
 	nBlocks := (n + blockSize - 1) / blockSize
-	// Upper-triangle tiles as independent tasks.
-	type tile struct{ bi, bj int }
-	var tiles []tile
+	// Upper-triangle blocks as independent tasks.
+	type block struct{ bi, bj int }
+	blocks := make([]block, 0, nBlocks*(nBlocks+1)/2)
 	for bi := 0; bi < nBlocks; bi++ {
 		for bj := bi; bj < nBlocks; bj++ {
-			tiles = append(tiles, tile{bi, bj})
+			blocks = append(blocks, block{bi, bj})
 		}
 	}
-	var flops uint64
+	panel := s * panelWidth
 	flopsPer := make([]uint64, threadCount(threads))
-	err := parallel.ForEachCtxErr(ctx, len(tiles), threads, func(tctx context.Context, w, ti int) error {
+	err := parallel.ForEachCtxErr(ctx, len(blocks), threads, func(tctx context.Context, w, ti int) error {
 		if err := faultinject.Point(tctx); err != nil {
 			return err
 		}
-		t := tiles[ti]
-		i0, i1 := t.bi*blockSize, min(n, (t.bi+1)*blockSize)
-		j0, j1 := t.bj*blockSize, min(n, (t.bj+1)*blockSize)
-		var local uint64
-		for i := i0; i < i1; i++ {
-			zi := z[i*s : (i+1)*s]
-			jStart := j0
-			if t.bi == t.bj && j0 < i {
-				jStart = i
-			}
-			for j := jStart; j < j1; j++ {
-				zj := z[j*s : (j+1)*s]
-				var acc float64
-				for k := 0; k < s; k++ {
-					acc += zi[k] * zj[k]
+		b := blocks[ti]
+		i0, i1 := b.bi*blockSize, min(n, (b.bi+1)*blockSize)
+		j0, j1 := b.bj*blockSize, min(n, (b.bj+1)*blockSize)
+		var acc [tileRows * panelWidth]float64
+		for jp := j0 / panelWidth; jp*panelWidth < j1; jp++ {
+			zj := zp[jp*panel : (jp+1)*panel]
+			for it := i0 / tileRows; it*tileRows < i1; it++ {
+				ib := it * tileRows
+				if jp*panelWidth+panelWidth <= ib {
+					continue // wholly below the diagonal: the mirror covers it
 				}
-				v := acc / float64(s)
-				out[i*n+j] = v
-				out[j*n+i] = v
-				local += uint64(s)
+				ip := ib / panelWidth
+				dotTile(zp[ip*panel:(ip+1)*panel], ib%panelWidth, zj, s, &acc)
+				for r := max(ib, i0); r < min(ib+tileRows, i1); r++ {
+					for c := max(jp*panelWidth, j0, r); c < min((jp+1)*panelWidth, j1); c++ {
+						v := acc[(r-ib)*panelWidth+c-jp*panelWidth] / float64(s)
+						out[r*n+c] = v
+						out[c*n+r] = v
+					}
+				}
 			}
 		}
-		flopsPer[w] += local
+		// One multiply-accumulate per site per entry on or above the
+		// diagonal, however the tiles covered them.
+		pairs := (i1 - i0) * (j1 - j0)
+		if b.bi == b.bj {
+			pairs = (i1 - i0) * (i1 - i0 + 1) / 2
+		}
+		flopsPer[w] += uint64(pairs) * uint64(s)
 		return nil
 	})
 	if err != nil {
 		return nil, 0, err
 	}
+	var flops uint64
 	for _, f := range flopsPer {
 		flops += f
 	}
 	return out, flops, nil
 }
 
-// ComputeNaive is the unblocked O(N^2 S) baseline, provided for the
-// blocking ablation; production use should call Compute.
+// ComputeNaive is the unblocked O(N^2 S) baseline — every entry its
+// own dot product, one at a time — provided for the blocking ablation
+// and as the reference Compute must equal bit for bit; production use
+// should call Compute.
 func ComputeNaive(g *Genotypes) []float64 {
 	z := g.Standardize()
 	n, s := g.N, g.S
@@ -174,7 +228,7 @@ func ComputeNaive(g *Genotypes) []float64 {
 			zj := z[j*s : (j+1)*s]
 			var acc float64
 			for k := 0; k < s; k++ {
-				acc += zi[k] * zj[k]
+				acc += float64(zi[k] * zj[k])
 			}
 			out[i*n+j] = acc / float64(s)
 		}
@@ -187,13 +241,6 @@ func threadCount(threads int) int {
 		return 1
 	}
 	return threads
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // KernelResult aggregates a grm benchmark execution.

@@ -76,36 +76,41 @@ func (c *Conv1D) Forward(x *Tensor) *Tensor {
 	}
 	outLen := c.OutLen(x.Rows)
 	out := NewTensor(outLen, outCh)
-	half := (c.Kernel - 1) / 2
 	for o := 0; o < outLen; o++ {
-		center := o * c.Stride
-		orow := out.Row(o)
-		copy(orow, c.B)
-		for k := 0; k < c.Kernel; k++ {
-			tIdx := center + k - half
-			if tIdx < 0 || tIdx >= x.Rows {
-				continue
-			}
-			xrow := x.Row(tIdx)
-			wk := c.W[k]
-			for ic := 0; ic < inCh; ic++ {
-				xv := xrow[ic]
-				if xv == 0 {
-					continue
-				}
-				wrow := wk.Row(ic)
-				for oc := range orow {
-					orow[oc] += xv * wrow[oc]
-				}
-			}
+		copy(out.Row(o), c.B)
+	}
+	// One accumulate per kernel offset over every output row whose
+	// tap lands inside the input: each output element still sees its
+	// offsets, and the channels inside an offset, in ascending order.
+	for k := 0; k < c.Kernel; k++ {
+		lo, hi, t0 := tapRange(k, c.Kernel, c.Stride, x.Rows, outLen)
+		if lo >= hi {
+			continue
 		}
-		if c.Act != nil {
-			for oc := range orow {
-				orow[oc] = c.Act(orow[oc])
-			}
-		}
+		accRows(out.Data[lo*outCh:], outCh, x.Data[t0*inCh:], c.Stride*inCh, c.W[k].Data, outCh, hi-lo, inCh, outCh)
+	}
+	if c.Act != nil {
+		out.Apply(c.Act)
 	}
 	return out
+}
+
+// tapRange returns the output rows [lo, hi) of a 'same'-padded
+// convolution whose tap at kernel offset k reads a real input row,
+// 0 <= o*stride + k - half < inLen, and the input row t0 that output
+// row lo reads (each next output row reads stride rows further on).
+func tapRange(k, kernel, stride, inLen, outLen int) (lo, hi, t0 int) {
+	shift := k - (kernel-1)/2
+	if shift < 0 {
+		lo = (-shift + stride - 1) / stride
+	}
+	hi = outLen
+	if last := inLen - 1 - shift; last < 0 {
+		hi = 0
+	} else if last/stride+1 < hi {
+		hi = last/stride + 1
+	}
+	return lo, hi, lo*stride + shift
 }
 
 // SeparableConv1D is a depthwise convolution followed by a pointwise
@@ -158,21 +163,12 @@ func (c *SeparableConv1D) Forward(x *Tensor) *Tensor {
 	}
 	outLen := c.OutLen(x.Rows)
 	mid := NewTensor(outLen, inCh)
-	half := (c.Kernel - 1) / 2
-	for o := 0; o < outLen; o++ {
-		center := o * c.Stride
-		mrow := mid.Row(o)
-		for k := 0; k < c.Kernel; k++ {
-			tIdx := center + k - half
-			if tIdx < 0 || tIdx >= x.Rows {
-				continue
-			}
-			xrow := x.Row(tIdx)
-			dk := c.Depth[k]
-			for ch := range mrow {
-				mrow[ch] += xrow[ch] * dk[ch]
-			}
+	for k := 0; k < c.Kernel; k++ {
+		lo, hi, t0 := tapRange(k, c.Kernel, c.Stride, x.Rows, outLen)
+		if lo >= hi {
+			continue
 		}
+		mulAccRows(mid.Data[lo*inCh:], inCh, x.Data[t0*inCh:], c.Stride*inCh, c.Depth[k], hi-lo, inCh)
 	}
 	out := MatMul(mid, c.Point)
 	out.AddBias(c.B)
@@ -213,36 +209,19 @@ func NewLSTM(rng *rand.Rand, in, hidden int, name string) *LSTM {
 // wrapper).
 func (l *LSTM) Forward(x *Tensor, reverse bool) *Tensor {
 	T := x.Rows
-	h := make([]float32, l.Hidden)
-	c := make([]float32, l.Hidden)
-	gates := make([]float32, 4*l.Hidden)
-	out := NewTensor(T, l.Hidden)
+	H, G := l.Hidden, 4*l.Hidden
+	h := make([]float32, H)
+	c := make([]float32, H)
+	gates := make([]float32, G)
+	out := NewTensor(T, H)
 	for step := 0; step < T; step++ {
 		t := step
 		if reverse {
 			t = T - 1 - step
 		}
-		xrow := x.Row(t)
 		copy(gates, l.B)
-		for i, xv := range xrow {
-			if xv == 0 {
-				continue
-			}
-			wrow := l.Wx.Row(i)
-			for g := range gates {
-				gates[g] += xv * wrow[g]
-			}
-		}
-		for i, hv := range h {
-			if hv == 0 {
-				continue
-			}
-			wrow := l.Wh.Row(i)
-			for g := range gates {
-				gates[g] += hv * wrow[g]
-			}
-		}
-		H := l.Hidden
+		accRows(gates, G, x.Row(t), x.Cols, l.Wx.Data, G, 1, x.Cols, G)
+		accRows(gates, G, h, H, l.Wh.Data, G, 1, H, G)
 		orow := out.Row(t)
 		for j := 0; j < H; j++ {
 			ig := Sigmoid(gates[j])

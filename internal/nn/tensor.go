@@ -57,20 +57,7 @@ func MatMul(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("nn: MatMul shape mismatch (%d,%d)x(%d,%d)", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := NewTensor(a.Rows, b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for k := 0; k < a.Cols; k++ {
-			av := arow[k]
-			if av == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j := range orow {
-				orow[j] += av * brow[j]
-			}
-		}
-	}
+	accRows(out.Data, out.Cols, a.Data, a.Cols, b.Data, b.Cols, a.Rows, a.Cols, b.Cols)
 	return out
 }
 

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/cpufeat"
 	"repro/internal/genome"
 	"repro/internal/signalsim"
 	"repro/internal/simt"
@@ -220,4 +221,45 @@ func must(res KernelResult, err error) KernelResult {
 		panic(err)
 	}
 	return res
+}
+
+// TestCalledDifferential: the basecalls are the same on the portable
+// and the AVX2 microkernel and at 1, 2 and 4 threads, at the
+// benchmark's geometry (32 channels: the 4-row tile and no column
+// tail) and at one with a column tail in every layer.
+func TestCalledDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	pore := signalsim.NewPoreModel()
+	var reads []Read
+	for i := 0; i < 3; i++ {
+		seq := genome.Random(rng, 150+50*i)
+		reads = append(reads, Read{Name: "r", Signal: signalsim.RawSignal(rng, pore, seq, signalsim.DefaultConfig())})
+	}
+	for _, channels := range []int{32, 21} {
+		cfg := DefaultConfig()
+		cfg.Channels = channels
+		cfg.Blocks = 2
+		m := NewModel(9, cfg)
+		var want []genome.Seq
+		for _, tier := range []string{"off", "avx2"} {
+			restore := cpufeat.ForceForTest(tier)
+			if tier == "avx2" && !cpufeat.AVX2() {
+				t.Log("no AVX2 on this host: portable tier only")
+				restore()
+				continue
+			}
+			for _, threads := range []int{1, 2, 4} {
+				got := must(RunKernelCtx(context.Background(), m, reads, cfg, threads))
+				if want == nil {
+					want = got.Called
+				}
+				for i := range want {
+					if len(got.Called[i]) == 0 || !got.Called[i].Equal(want[i]) {
+						t.Errorf("channels %d, tier %s, %d threads: read %d called differently", channels, tier, threads, i)
+					}
+				}
+			}
+			restore()
+		}
+	}
 }

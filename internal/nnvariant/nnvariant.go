@@ -11,6 +11,10 @@ package nnvariant
 
 import (
 	"context"
+	"encoding/binary"
+	"hash"
+	"hash/fnv"
+	"math"
 	"math/rand"
 
 	"repro/internal/faultinject"
@@ -118,6 +122,17 @@ type Call struct {
 	Indel2   [IndelClasses]float32
 }
 
+// appendBits appends the float32 bits of the four heads, in field
+// order, to b.
+func (c *Call) appendBits(b []byte) []byte {
+	for _, head := range [][]float32{c.Genotype[:], c.Zygosity[:], c.Indel1[:], c.Indel2[:]} {
+		for _, v := range head {
+			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
+		}
+	}
+	return b
+}
+
 // Predict runs the network on one input tensor.
 func (m *Model) Predict(x *nn.Tensor) Call {
 	h := m.L1.Forward(x)
@@ -193,6 +208,11 @@ type KernelResult struct {
 	MACs      uint64
 	TaskStats *perf.TaskStats
 	Counters  perf.Counters
+	// Digest is FNV-1a over the float32 bits of every prediction,
+	// hashed per task and the task hashes hashed in task order: the
+	// one output of the run that depends on what the network computed,
+	// identical at any thread count.
+	Digest uint64
 }
 
 // RunKernelCtx predicts every candidate of every task with dynamic
@@ -206,32 +226,48 @@ func RunKernelCtx(ctx context.Context, m *Model, tasks []*Task, threads int) (Ke
 		calls int
 		macs  uint64
 		stats *perf.TaskStats
+		hash  hash.Hash64       // of the task in hand
+		bits  []byte            // of the call in hand
 		_     perf.CacheLinePad // workers update these per task; keep shards on private cache lines
 	}
 	workers := make([]ws, threads)
 	for i := range workers {
 		workers[i].stats = perf.NewTaskStats("MACs")
+		workers[i].hash = fnv.New64a()
 	}
 	perCall := m.MACsPerCall()
+	digests := make([]uint64, len(tasks))
 	err := parallel.ForEachCtxErr(ctx, len(tasks), threads, func(tctx context.Context, w, i int) error {
 		if err := faultinject.Point(tctx); err != nil {
 			return err
 		}
 		var macs uint64
+		wk := &workers[w]
+		wk.hash.Reset()
 		for _, pos := range tasks[i].Candidates {
 			x := BuildTensor(tasks[i].Counts, pos)
-			m.Predict(x)
+			call := m.Predict(x)
+			wk.bits = call.appendBits(wk.bits[:0])
+			wk.hash.Write(wk.bits)
 			macs += perCall
-			workers[w].calls++
+			wk.calls++
 		}
-		workers[w].macs += macs
-		workers[w].stats.Observe(float64(macs))
+		digests[i] = wk.hash.Sum64()
+		wk.macs += macs
+		wk.stats.Observe(float64(macs))
 		return nil
 	})
 	if err != nil {
 		return KernelResult{}, err
 	}
 	res := KernelResult{Tasks: len(tasks), TaskStats: perf.NewTaskStats("MACs")}
+	all := fnv.New64a()
+	var word [8]byte
+	for _, d := range digests {
+		binary.LittleEndian.PutUint64(word[:], d)
+		all.Write(word[:])
+	}
+	res.Digest = all.Sum64()
 	for i := range workers {
 		res.Calls += workers[i].calls
 		res.MACs += workers[i].macs
