@@ -236,12 +236,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for i := range outcomes {
 		o := &outcomes[i]
 		if o.Failed() {
-			t.AddRow(o.Info.Name, o.Info.Tool, "-", "-", "-", "-", o.Status, shardCell(o.Shard), firstLine(o.Err))
+			t.AddRow(o.Info.Name, o.Info.Tool, "-", "-", "-", "-", o.Status, core.ShardCell(o.Shard), core.FirstLine(o.Err.Error()))
 			continue
 		}
 		stats := o.Stats
 		t.AddRow(o.Info.Name, o.Info.Tool, stats.Elapsed.Round(1e5),
-			stats.TaskStats.Count(), stats.Counters.Total(), stats.Counters.String(), o.Status, shardCell(o.Shard), "-")
+			stats.TaskStats.Count(), stats.Counters.Total(), stats.Counters.String(), o.Status, core.ShardCell(o.Shard), "-")
 	}
 	fmt.Fprint(stdout, t) // partial results flush even when kernels failed
 
@@ -346,32 +346,6 @@ func selectBenches(spec string) ([]core.Benchmark, error) {
 		return nil, fmt.Errorf("no benchmarks selected by %q", spec)
 	}
 	return benches, nil
-}
-
-// shardCell compacts a distributed kernel's lifecycle summary:
-// workers/shards plus the recovery counters (rescheduled, hedged,
-// lease-expired).
-func shardCell(s *shard.Summary) string {
-	if s == nil {
-		return "-"
-	}
-	return fmt.Sprintf("%dw/%ds r=%d h=%d x=%d", s.Workers, s.Shards, s.Rescheduled, s.Hedged, s.LeaseExpired)
-}
-
-// firstLine compacts an error for a table cell.
-func firstLine(err error) string {
-	if err == nil {
-		return "-"
-	}
-	s := err.Error()
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		s = s[:i]
-	}
-	const max = 60
-	if len(s) > max {
-		s = s[:max-3] + "..."
-	}
-	return s
 }
 
 func indent(s, prefix string) string {

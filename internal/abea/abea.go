@@ -264,39 +264,29 @@ func RunKernelCtx(ctx context.Context, model *signalsim.PoreModel, reads []signa
 	if threads <= 0 {
 		threads = 1
 	}
-	type ws struct {
-		cells uint64
-		oob   int
-		stats *perf.TaskStats
-		arena *scratch.Arena
-		_     perf.CacheLinePad // workers update these per task; keep shards on private cache lines
-	}
-	workers := make([]ws, threads)
 	pool := scratch.PoolFrom(ctx) // nil pool hands out fresh arenas
-	for i := range workers {
-		workers[i].stats = perf.NewTaskStats("cell updates")
-		workers[i].arena = pool.Worker(i)
+	arenas := make([]*scratch.Arena, threads)
+	for i := range arenas {
+		arenas[i] = pool.Worker(i)
 	}
+	results := make([]Result, len(reads))
 	err := parallel.ForEachCtxErr(ctx, len(reads), threads, func(tctx context.Context, w, i int) error {
 		if err := faultinject.Point(tctx); err != nil {
 			return err
 		}
-		r := AlignLanesInto(model, reads[i].Seq, reads[i].Events, cfg, workers[w].arena)
-		workers[w].cells += r.CellUpdates
-		if r.OutOfBand {
-			workers[w].oob++
-		}
-		workers[w].stats.Observe(float64(r.CellUpdates))
+		results[i] = AlignLanesInto(model, reads[i].Seq, reads[i].Events, cfg, arenas[w])
 		return nil
 	})
 	if err != nil {
 		return KernelResult{}, err
 	}
 	res := KernelResult{Reads: len(reads), TaskStats: perf.NewTaskStats("cell updates")}
-	for i := range workers {
-		res.CellUpdates += workers[i].cells
-		res.OutOfBand += workers[i].oob
-		res.TaskStats.Merge(workers[i].stats)
+	for i := range results {
+		res.CellUpdates += results[i].CellUpdates
+		if results[i].OutOfBand {
+			res.OutOfBand++
+		}
+		res.TaskStats.Observe(float64(results[i].CellUpdates))
 	}
 	// 32-bit float log-likelihood DP: FP-heavy with model-table loads.
 	res.Counters.Add(perf.FloatOp, res.CellUpdates*5)

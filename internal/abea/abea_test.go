@@ -3,6 +3,7 @@ package abea
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/genome"
@@ -102,6 +103,9 @@ func TestRunKernelDeterministic(t *testing.T) {
 	r4 := must(RunKernelCtx(context.Background(), model, reads, DefaultConfig(), 4))
 	if r1.CellUpdates != r4.CellUpdates || r1.OutOfBand != r4.OutOfBand {
 		t.Errorf("threading changed results: %+v vs %+v", r1, r4)
+	}
+	if r1.Counters != r4.Counters || !slices.Equal(r1.TaskStats.Work(), r4.TaskStats.Work()) {
+		t.Error("counters or task-order sample sequence depend on the thread count")
 	}
 	if r1.TaskStats.Count() != 8 {
 		t.Errorf("task count %d", r1.TaskStats.Count())

@@ -491,39 +491,29 @@ func RunKernelCtx(ctx context.Context, pairs []Pair, p Params, threads int) (Ker
 	if threads <= 0 {
 		threads = 1
 	}
-	type ws struct {
-		score int64
-		cells uint64
-		stats *perf.TaskStats
-		arena *scratch.Arena
-		_     perf.CacheLinePad // workers update these per task; keep shards on private cache lines
-	}
-	workers := make([]ws, threads)
 	pool := scratch.PoolFrom(ctx) // nil pool hands out fresh arenas
-	for i := range workers {
-		workers[i].stats = perf.NewTaskStats("cell updates")
-		workers[i].arena = pool.Worker(i)
+	arenas := make([]*scratch.Arena, threads)
+	for i := range arenas {
+		arenas[i] = pool.Worker(i)
 	}
+	results := make([]Result, len(pairs))
 	// Alignments are fine-grained (sub-millisecond); chunked dispatch
 	// amortizes the shared-counter fetch across a few pairs per pull.
 	err := parallel.ForEachChunkedCtxErr(ctx, len(pairs), threads, func(tctx context.Context, w, i int) error {
 		if err := faultinject.Point(tctx); err != nil {
 			return err
 		}
-		r := AlignInto(pairs[i].Query, pairs[i].Target, p, workers[w].arena)
-		workers[w].score += int64(r.Score)
-		workers[w].cells += r.CellUpdates
-		workers[w].stats.Observe(float64(r.CellUpdates))
+		results[i] = AlignInto(pairs[i].Query, pairs[i].Target, p, arenas[w])
 		return nil
 	})
 	if err != nil {
 		return KernelResult{}, err
 	}
 	res := KernelResult{Pairs: len(pairs), TaskStats: perf.NewTaskStats("cell updates")}
-	for i := range workers {
-		res.TotalScore += workers[i].score
-		res.CellUpdates += workers[i].cells
-		res.TaskStats.Merge(workers[i].stats)
+	for i := range results {
+		res.TotalScore += int64(results[i].Score)
+		res.CellUpdates += results[i].CellUpdates
+		res.TaskStats.Observe(float64(results[i].CellUpdates))
 	}
 	// bsw is compute-bound with heavy vector usage in the original:
 	// each cell is a handful of max/blend ops plus two row-array

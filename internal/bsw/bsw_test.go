@@ -3,6 +3,7 @@ package bsw
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/genome"
@@ -244,6 +245,9 @@ func TestRunKernelThreadsConsistent(t *testing.T) {
 	r4 := must(RunKernelCtx(context.Background(), pairs, p, 4))
 	if r1.TotalScore != r4.TotalScore || r1.CellUpdates != r4.CellUpdates {
 		t.Errorf("threading changed results: %+v vs %+v", r1, r4)
+	}
+	if r1.Counters != r4.Counters || !slices.Equal(r1.TaskStats.Work(), r4.TaskStats.Work()) {
+		t.Error("counters or task-order sample sequence depend on the thread count")
 	}
 	if r1.TaskStats.Count() != 30 {
 		t.Errorf("task stats count %d", r1.TaskStats.Count())

@@ -225,34 +225,27 @@ func RunKernelCtx(ctx context.Context, tasks []Task, cfg Config, threads int) (K
 	if threads <= 0 {
 		threads = 1
 	}
-	type ws struct {
+	type slot struct {
 		chains int
 		comps  uint64
-		stats  *perf.TaskStats
-		_      perf.CacheLinePad // workers update these per task; keep shards on private cache lines
 	}
-	workers := make([]ws, threads)
-	for i := range workers {
-		workers[i].stats = perf.NewTaskStats("input anchors")
-	}
+	slots := make([]slot, len(tasks))
 	err := parallel.ForEachCtxErr(ctx, len(tasks), threads, func(tctx context.Context, w, i int) error {
 		if err := faultinject.Point(tctx); err != nil {
 			return err
 		}
 		chains, comps := ChainAnchors(tasks[i].Anchors, cfg)
-		workers[w].chains += len(chains)
-		workers[w].comps += comps
-		workers[w].stats.Observe(float64(len(tasks[i].Anchors)))
+		slots[i] = slot{len(chains), comps}
 		return nil
 	})
 	if err != nil {
 		return KernelResult{}, err
 	}
 	res := KernelResult{Tasks: len(tasks), TaskStats: perf.NewTaskStats("input anchors")}
-	for i := range workers {
-		res.Chains += workers[i].chains
-		res.Comparisons += workers[i].comps
-		res.TaskStats.Merge(workers[i].stats)
+	for i := range slots {
+		res.Chains += slots[i].chains
+		res.Comparisons += slots[i].comps
+		res.TaskStats.Observe(float64(len(tasks[i].Anchors)))
 	}
 	// Chaining is scalar compute-bound: per comparison roughly a dozen
 	// integer ops for the gap geometry, an FP gap-cost evaluation

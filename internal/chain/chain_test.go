@@ -3,6 +3,7 @@ package chain
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -221,6 +222,9 @@ func TestRunKernelDeterministic(t *testing.T) {
 	r4 := must(RunKernelCtx(context.Background(), tasks, DefaultConfig(), 4))
 	if r1.Chains != r4.Chains || r1.Comparisons != r4.Comparisons {
 		t.Errorf("threading changed results: %+v vs %+v", r1, r4)
+	}
+	if r1.Counters != r4.Counters || !slices.Equal(r1.TaskStats.Work(), r4.TaskStats.Work()) {
+		t.Error("counters or task-order sample sequence depend on the thread count")
 	}
 	if r1.TaskStats.Count() != 8 {
 		t.Errorf("task count %d", r1.TaskStats.Count())

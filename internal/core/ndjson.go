@@ -311,7 +311,7 @@ func MetricsTables(f *MetricsFile) []*Table {
 	for _, k := range f.Kernels {
 		if k.Status != StatusOK.String() {
 			kt.AddRow(k.Kernel, k.Status, k.Attempts, "-", "-", "-", "-", "-",
-				shardCell(k.Shard), firstLineOf(k.Error))
+				ShardCell(k.Shard), FirstLine(k.Error))
 			continue
 		}
 		tasks, p99, ratio := "-", "-", "-"
@@ -322,7 +322,7 @@ func MetricsTables(f *MetricsFile) []*Table {
 		}
 		kt.AddRow(k.Kernel, k.Status, k.Attempts,
 			time.Duration(k.ElapsedNs).Round(100*time.Microsecond),
-			tasks, k.Ops, p99, ratio, shardCell(k.Shard), "-")
+			tasks, k.Ops, p99, ratio, ShardCell(k.Shard), "-")
 	}
 	tables = append(tables, kt)
 
@@ -383,18 +383,18 @@ func MetricsTables(f *MetricsFile) []*Table {
 	return tables
 }
 
-// shardCell compacts a shard lifecycle summary for a table cell:
+// ShardCell compacts a shard lifecycle summary for a table cell:
 // worker count, shard count, and the recovery counters that matter
 // when triaging a chaotic run.
-func shardCell(s *shard.Summary) string {
+func ShardCell(s *shard.Summary) string {
 	if s == nil {
 		return "-"
 	}
 	return fmt.Sprintf("%dw/%ds r=%d h=%d x=%d", s.Workers, s.Shards, s.Rescheduled, s.Hedged, s.LeaseExpired)
 }
 
-// firstLineOf compacts a possibly multi-line error string for a cell.
-func firstLineOf(s string) string {
+// FirstLine compacts a possibly multi-line error string for a cell.
+func FirstLine(s string) string {
 	if s == "" {
 		return "-"
 	}

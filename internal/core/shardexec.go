@@ -8,6 +8,7 @@ import (
 	"repro/internal/bsw"
 	"repro/internal/chain"
 	"repro/internal/dbg"
+	"repro/internal/digest"
 	"repro/internal/genome"
 	"repro/internal/phmm"
 	"repro/internal/pileup"
@@ -40,10 +41,10 @@ import (
 // matrix tiles, the NN kernels' batched models) stay on the in-process
 // path; RunSuite falls back transparently for them.
 
-// Task digests use the fabric's fold (shard.FoldWord from
-// shard.DigestSeed), the same one the job fingerprint uses.
-func foldInt(h uint64, v int) uint64       { return shard.FoldWord(h, uint64(int64(v))) }
-func foldFloat(h uint64, f float64) uint64 { return shard.FoldWord(h, math.Float64bits(f)) }
+// Task digests use the same fold (digest.Word from digest.Seed) as
+// the job fingerprint.
+func foldInt(h uint64, v int) uint64       { return digest.Word(h, uint64(int64(v))) }
+func foldFloat(h uint64, f float64) uint64 { return digest.Word(h, math.Float64bits(f)) }
 
 // kernelExec is a kernel's entry in the fabric: its task count as a
 // function of size alone (benchmarks.go — the same function its
@@ -53,14 +54,14 @@ func foldFloat(h uint64, f float64) uint64 { return shard.FoldWord(h, math.Float
 // number of tasks built and the per-task run.
 type kernelExec struct {
 	tasks   func(Size) int
-	prepare func(size Size, seed int64) (n int, run func(task int) (digest, ops uint64))
+	prepare func(size Size, seed int64) (n int, run func(task int) (dig, ops uint64))
 }
 
 // executor adapts a kernelExec to shard.Executor, holding the prepared
 // run between calls.
 type executor struct {
 	kernelExec
-	run func(task int) (digest, ops uint64)
+	run func(task int) (dig, ops uint64)
 }
 
 // parseExecSize converts the wire's size string back to a Size.
@@ -90,8 +91,8 @@ func (e *executor) Prepare(size string, seed int64) (n int, err error) {
 }
 
 func (e *executor) RunTask(_ context.Context, task int) (uint64, uint64, error) {
-	digest, ops := e.run(task)
-	return digest, ops, nil
+	d, ops := e.run(task)
+	return d, ops, nil
 }
 
 var kernelExecs = map[string]kernelExec{
@@ -111,7 +112,7 @@ var kernelExecs = map[string]kernelExec{
 		cfg := chain.DefaultConfig()
 		return len(b.tasks), func(task int) (uint64, uint64) {
 			chains, comparisons := chain.ChainAnchors(b.tasks[task].Anchors, cfg)
-			h := shard.DigestSeed
+			h := digest.Seed
 			h = foldInt(h, len(chains))
 			for _, c := range chains {
 				h = foldFloat(h, c.Score)
@@ -137,16 +138,16 @@ var kernelExecs = map[string]kernelExec{
 		b.Prepare(size, seed)
 		return len(b.regions), func(task int) (uint64, uint64) {
 			counts, lookups := pileup.CountRegion(b.regions[task])
-			h := shard.DigestSeed
+			h := digest.Seed
 			h = foldInt(h, len(counts))
 			for i := range counts {
 				c := &counts[i]
 				for s := 0; s < 2; s++ {
 					for base := 0; base < 4; base++ {
-						h = shard.FoldWord(h, uint64(c.Base[s][base]))
+						h = digest.Word(h, uint64(c.Base[s][base]))
 					}
-					h = shard.FoldWord(h, uint64(c.Ins[s]))
-					h = shard.FoldWord(h, uint64(c.Del[s]))
+					h = digest.Word(h, uint64(c.Ins[s]))
+					h = digest.Word(h, uint64(c.Del[s]))
 				}
 			}
 			return h, uint64(lookups)
@@ -158,7 +159,7 @@ var kernelExecs = map[string]kernelExec{
 		sc := phmm.NewScratch()
 		return len(b.regions), func(task int) (uint64, uint64) {
 			rr := phmm.EvaluateRegionInto(b.regions[task], sc) // rr's slices are sc's until the next call
-			h := shard.DigestSeed
+			h := digest.Seed
 			for _, best := range rr.BestHap {
 				h = foldInt(h, best)
 			}
@@ -180,23 +181,23 @@ var kernelExecs = map[string]kernelExec{
 }
 
 func bswDigest(r bsw.Result) uint64 {
-	h := shard.DigestSeed
+	h := digest.Seed
 	h = foldInt(h, r.Score)
 	h = foldInt(h, r.QEnd)
 	h = foldInt(h, r.TEnd)
 	if r.ZDropped {
-		h = shard.FoldWord(h, 1)
+		h = digest.Word(h, 1)
 	}
 	return h
 }
 
 func poaDigest(consensus genome.Seq) uint64 {
-	h := foldInt(shard.DigestSeed, len(consensus))
-	return shard.FoldBytes(h, []byte(consensus))
+	h := foldInt(digest.Seed, len(consensus))
+	return digest.Bytes(h, []byte(consensus))
 }
 
 func dbgDigest(r dbg.Result) uint64 {
-	h := shard.DigestSeed
+	h := digest.Seed
 	h = foldInt(h, r.K)
 	h = foldInt(h, r.Nodes)
 	h = foldInt(h, r.Edges)
@@ -204,7 +205,7 @@ func dbgDigest(r dbg.Result) uint64 {
 	h = foldInt(h, len(r.Haplotypes))
 	for _, hap := range r.Haplotypes {
 		h = foldInt(h, len(hap))
-		h = shard.FoldBytes(h, []byte(hap))
+		h = digest.Bytes(h, []byte(hap))
 	}
 	return h
 }

@@ -103,12 +103,6 @@ func Get() Features {
 // and not overridden away.
 func AVX2() bool { return Get().HasAVX2 }
 
-// SSE2 reports whether SSE2 kernels may run.
-func SSE2() bool { return Get().HasSSE2 }
-
-// NEON reports whether NEON kernels may run.
-func NEON() bool { return Get().HasNEON }
-
 // Wide16 reports whether a 16-lane int16 asm kernel may run on this
 // host: AVX2 on amd64, NEON on arm64. This is the single dispatch
 // question the poa and bsw wide row kernels ask.

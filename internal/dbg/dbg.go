@@ -319,19 +319,15 @@ func RunKernelCtx(ctx context.Context, regions []*Region, cfg Config, threads in
 	if threads <= 0 {
 		threads = 1
 	}
-	type ws struct {
-		haps      int
-		lookups   uint64
-		retries   int
-		stats     *perf.TaskStats
-		assembler *Assembler
-		_         perf.CacheLinePad // workers update these per task; keep shards on private cache lines
+	assemblers := make([]*Assembler, threads)
+	for i := range assemblers {
+		assemblers[i] = NewAssembler()
 	}
-	workers := make([]ws, threads)
-	for i := range workers {
-		workers[i].stats = perf.NewTaskStats("hash lookups")
-		workers[i].assembler = NewAssembler()
+	type slot struct {
+		haps, retries int
+		lookups       uint64
 	}
+	slots := make([]slot, len(regions))
 	// Region cost skews with repeat content (k-bumps and cycle
 	// retries), so the scheduler is the probed parallel.dispatch choice:
 	// shared counter or work stealing, pure policy either way.
@@ -339,22 +335,19 @@ func RunKernelCtx(ctx context.Context, regions []*Region, cfg Config, threads in
 		if err := faultinject.Point(tctx); err != nil {
 			return err
 		}
-		r := workers[w].assembler.AssembleRegion(regions[i], cfg)
-		workers[w].haps += len(r.Haplotypes)
-		workers[w].lookups += r.HashLookups
-		workers[w].retries += r.CycleRetries
-		workers[w].stats.Observe(float64(r.HashLookups))
+		r := assemblers[w].AssembleRegion(regions[i], cfg)
+		slots[i] = slot{len(r.Haplotypes), r.CycleRetries, r.HashLookups}
 		return nil
 	})
 	if err != nil {
 		return KernelResult{}, err
 	}
 	res := KernelResult{Regions: len(regions), TaskStats: perf.NewTaskStats("hash lookups")}
-	for i := range workers {
-		res.Haplotypes += workers[i].haps
-		res.HashLookups += workers[i].lookups
-		res.CycleRetries += workers[i].retries
-		res.TaskStats.Merge(workers[i].stats)
+	for i := range slots {
+		res.Haplotypes += slots[i].haps
+		res.HashLookups += slots[i].lookups
+		res.CycleRetries += slots[i].retries
+		res.TaskStats.Observe(float64(slots[i].lookups))
 	}
 	// Hash-table dominated: every lookup carries hashing arithmetic,
 	// k-mer packing, probe loads and compare branches (Platypus'

@@ -3,6 +3,7 @@ package dbg
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/genome"
@@ -189,6 +190,9 @@ func TestRunKernelDeterministic(t *testing.T) {
 	r4 := must(RunKernelCtx(context.Background(), regions, DefaultConfig(), 4))
 	if r1.Haplotypes != r4.Haplotypes || r1.HashLookups != r4.HashLookups {
 		t.Errorf("threading changed results: %+v vs %+v", r1, r4)
+	}
+	if r1.Counters != r4.Counters || !slices.Equal(r1.TaskStats.Work(), r4.TaskStats.Work()) {
+		t.Error("counters or task-order sample sequence depend on the thread count")
 	}
 	if r1.TaskStats.Count() != 6 {
 		t.Errorf("task count %d", r1.TaskStats.Count())

@@ -187,12 +187,6 @@ func buildFromSA(g genome.Seq, text []byte, sa []int32, opts Options) *Index {
 	return idx
 }
 
-// TextLen returns the indexed text length (twice the genome length).
-func (x *Index) TextLen() int { return x.textLen }
-
-// GenomeLen returns the original genome length.
-func (x *Index) GenomeLen() int { return len(x.genome) }
-
 // Rows returns the number of BWT rows (textLen+1).
 func (x *Index) Rows() int { return x.textLen + 1 }
 

@@ -2,6 +2,7 @@ package fmindex
 
 import (
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -232,6 +233,9 @@ func TestRunKernelCtxThreadInvariance(t *testing.T) {
 	if got.SMEMs != want.SMEMs || got.OccLookups != want.OccLookups {
 		t.Fatalf("threads=4: SMEMs/lookups %d/%d, want %d/%d",
 			got.SMEMs, got.OccLookups, want.SMEMs, want.OccLookups)
+	}
+	if got.Counters != want.Counters || !slices.Equal(got.TaskStats.Work(), want.TaskStats.Work()) {
+		t.Fatal("threads=4: counters or read-order sample sequence differ from threads=1")
 	}
 	if spawned.Load() != 4 {
 		t.Fatalf("NewWorkerTracer called %d times, want 4", spawned.Load())

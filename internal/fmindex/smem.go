@@ -189,22 +189,19 @@ func RunKernelCtx(ctx context.Context, x *Index, reads []genome.Seq, cfg KernelC
 	if cfg.Threads <= 0 {
 		cfg.Threads = 1
 	}
-	type workerState struct {
+	engines := make([]*BatchEngine, cfg.Threads)
+	for i := range engines {
+		var tracer MemTracer
+		if cfg.NewWorkerTracer != nil {
+			tracer = cfg.NewWorkerTracer(i)
+		}
+		engines[i] = NewBatchEngine(x, cfg.BatchWidth, tracer)
+	}
+	type slot struct {
 		smems   int
 		lookups uint64
-		stats   *perf.TaskStats
-		tracer  MemTracer
-		engine  *BatchEngine
-		_       perf.CacheLinePad // workers update these per task; keep shards on private cache lines
 	}
-	workers := make([]workerState, cfg.Threads)
-	for i := range workers {
-		workers[i].stats = perf.NewTaskStats("occ lookups")
-		if cfg.NewWorkerTracer != nil {
-			workers[i].tracer = cfg.NewWorkerTracer(i)
-		}
-		workers[i].engine = NewBatchEngine(x, cfg.BatchWidth, workers[i].tracer)
-	}
+	slots := make([]slot, len(reads))
 	// Note: x.Tracer is deliberately NOT consulted here — a tracer
 	// shared by concurrent workers is a data race. Tracing kernel runs
 	// goes through cfg.NewWorkerTracer's per-worker sinks.
@@ -213,7 +210,7 @@ func RunKernelCtx(ctx context.Context, x *Index, reads []genome.Seq, cfg KernelC
 	// runs through the claiming worker's engine with its lanes full,
 	// while chunk-level claiming keeps dynamic load balance across
 	// threads. Per-read fault/cancel points thread through admit.
-	width := workers[0].engine.Width()
+	width := engines[0].Width()
 	chunk := 4 * width
 	if per := (len(reads) + cfg.Threads - 1) / cfg.Threads; chunk > per {
 		chunk = per
@@ -223,28 +220,25 @@ func RunKernelCtx(ctx context.Context, x *Index, reads []genome.Seq, cfg KernelC
 	}
 	nChunks := (len(reads) + chunk - 1) / chunk
 	err := parallel.ForEachCtxErr(ctx, nChunks, cfg.Threads, func(tctx context.Context, w, c int) error {
-		ws := &workers[w]
 		lo := c * chunk
 		hi := lo + chunk
 		if hi > len(reads) {
 			hi = len(reads)
 		}
-		return ws.engine.Run(reads[lo:hi], cfg.MinSeedLen, cfg.MinHits,
+		return engines[w].Run(reads[lo:hi], cfg.MinSeedLen, cfg.MinHits,
 			func(int) error { return faultinject.Point(tctx) },
-			func(_ int, smems []SMEM, lookups uint64) {
-				ws.smems += len(smems)
-				ws.lookups += lookups
-				ws.stats.Observe(float64(lookups))
+			func(r int, smems []SMEM, lookups uint64) {
+				slots[lo+r] = slot{len(smems), lookups}
 			})
 	})
 	if err != nil {
 		return KernelResult{}, err
 	}
 	res := KernelResult{Reads: len(reads), TaskStats: perf.NewTaskStats("occ lookups")}
-	for i := range workers {
-		res.SMEMs += workers[i].smems
-		res.OccLookups += workers[i].lookups
-		res.TaskStats.Merge(workers[i].stats)
+	for i := range slots {
+		res.SMEMs += slots[i].smems
+		res.OccLookups += slots[i].lookups
+		res.TaskStats.Observe(float64(slots[i].lookups))
 	}
 	// Operation mix per Occ lookup (memory heavy, matching the paper's
 	// fmi profile). The weights are part of the kernel's committed

@@ -79,10 +79,6 @@ func (s Seq) String() string {
 // Letter returns the ASCII letter for a base code.
 func Letter(b Base) byte { return baseLetters[b&3] }
 
-// Code returns the 2-bit code for an ASCII letter, or 0xFF if the byte is
-// not a nucleotide letter.
-func Code(letter byte) byte { return letterCodes[letter] }
-
 // Complement returns the Watson-Crick complement of a single base.
 func Complement(b Base) Base { return 3 - (b & 3) }
 

@@ -168,7 +168,7 @@ func ComputeCtx(ctx context.Context, g *Genotypes, blockSize, threads int) ([]fl
 		}
 	}
 	panel := s * panelWidth
-	flopsPer := make([]uint64, threadCount(threads))
+	blockFlops := make([]uint64, len(blocks))
 	err := parallel.ForEachCtxErr(ctx, len(blocks), threads, func(tctx context.Context, w, ti int) error {
 		if err := faultinject.Point(tctx); err != nil {
 			return err
@@ -201,14 +201,14 @@ func ComputeCtx(ctx context.Context, g *Genotypes, blockSize, threads int) ([]fl
 		if b.bi == b.bj {
 			pairs = (i1 - i0) * (i1 - i0 + 1) / 2
 		}
-		flopsPer[w] += uint64(pairs) * uint64(s)
+		blockFlops[ti] = uint64(pairs) * uint64(s)
 		return nil
 	})
 	if err != nil {
 		return nil, 0, err
 	}
 	var flops uint64
-	for _, f := range flopsPer {
+	for _, f := range blockFlops {
 		flops += f
 	}
 	return out, flops, nil
@@ -234,13 +234,6 @@ func ComputeNaive(g *Genotypes) []float64 {
 		}
 	}
 	return out
-}
-
-func threadCount(threads int) int {
-	if threads <= 0 {
-		return 1
-	}
-	return threads
 }
 
 // KernelResult aggregates a grm benchmark execution.

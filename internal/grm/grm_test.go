@@ -120,6 +120,9 @@ func TestRunKernelCounters(t *testing.T) {
 	if res.FLOPs == 0 || res.Counters.Total() == 0 {
 		t.Error("kernel did not count work")
 	}
+	if r4 := must(RunKernelCtx(context.Background(), g, 16, 4)); r4.FLOPs != res.FLOPs || r4.Counters != res.Counters {
+		t.Errorf("4 threads: flops %d counters %v, 2 threads: %d %v", r4.FLOPs, r4.Counters.Ops, res.FLOPs, res.Counters.Ops)
+	}
 	fr := res.Counters.Fractions()
 	// grm must be overwhelmingly vector/FP: the paper's most regular kernel.
 	if fr[2] < 0.5 { // VecOp index

@@ -318,21 +318,15 @@ func RunKernelCtx(ctx context.Context, reads []genome.Seq, k, threads int, mode 
 	if threads <= 0 {
 		threads = 1
 	}
-	// Per-worker shards are padded: bare adjacent uint64 accumulators
-	// false-share cache lines between workers, skewing the timings the
-	// kernel exists to measure.
 	type ws struct {
 		table   *Table
-		stats   *perf.TaskStats
-		count   uint64
 		packBuf []uint64 // grow-only 2-bit packing buffer, reused per read
-		_       perf.CacheLinePad
 	}
 	workers := make([]ws, threads)
 	for i := range workers {
 		workers[i].table = NewTable(1<<12, mode)
-		workers[i].stats = perf.NewTaskStats("kmers")
 	}
+	counts := make([]uint64, len(reads))
 	// Reads are fine-grained tasks; chunked dispatch amortizes the
 	// scheduler's atomic fetch across a batch of them.
 	err := parallel.ForEachChunkedCtxErr(ctx, len(reads), threads, func(tctx context.Context, w, i int) error {
@@ -341,9 +335,7 @@ func RunKernelCtx(ctx context.Context, reads []genome.Seq, k, threads int, mode 
 		}
 		p := seq2.PackInto(workers[w].packBuf, reads[i])
 		workers[w].packBuf = p.WordsSlice()
-		n := CountSeqPackedBatched(workers[w].table, p, k)
-		workers[w].count += n
-		workers[w].stats.Observe(float64(n))
+		counts[i] = CountSeqPackedBatched(workers[w].table, p, k)
 		return nil
 	})
 	if err != nil {
@@ -367,10 +359,12 @@ func RunKernelCtx(ctx context.Context, reads []genome.Seq, k, threads int, mode 
 		}
 	}
 	res.Distinct = merged.Len()
-	for i := 0; i < threads; i++ {
-		res.Kmers += workers[i].count
+	for i := range workers {
 		res.Probes += workers[i].table.Probes
-		res.TaskStats.Merge(workers[i].stats)
+	}
+	for _, n := range counts {
+		res.Kmers += n
+		res.TaskStats.Observe(float64(n))
 	}
 	// Memory-dominated: each insert is a random load + tiny store.
 	res.Counters.Add(perf.Load, res.Probes*2)

@@ -3,6 +3,7 @@ package kmercnt
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -162,8 +163,15 @@ func TestRunKernelMatchesNaiveDistinct(t *testing.T) {
 	reads := testReads(5, 30, 150)
 	k := 17
 	want := naiveCounts(reads, k)
+	var perRead []float64 // k-mers per read at one thread: read order
 	for _, threads := range []int{1, 4} {
 		res := must(RunKernelCtx(context.Background(), reads, k, threads, Linear))
+		if perRead == nil {
+			perRead = res.TaskStats.Work()
+		}
+		if !slices.Equal(res.TaskStats.Work(), perRead) {
+			t.Errorf("threads=%d: sample sequence is not in read order", threads)
+		}
 		if res.Distinct != len(want) {
 			t.Errorf("threads=%d: distinct %d, want %d", threads, res.Distinct, len(want))
 		}

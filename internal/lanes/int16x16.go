@@ -22,8 +22,6 @@ package lanes
 //     prefix-max gap chains in the wide kernels (log-step in asm,
 //     serial in the portable twins) are value-identical because max
 //     distributes over that clamp.
-//   - CmpGt16 + Blend16 express the scalar cores' strict-greater
-//     update as mask arithmetic, exactly like the I16x8 forms.
 
 // WideWidth is the wide tier's lane count: one ymm register of int16,
 // two NEON q-registers.
@@ -128,21 +126,6 @@ func (a I16x16) Max(b I16x16) I16x16 {
 	return I16x16{a.Lo.Max(b.Lo), a.Hi.Max(b.Hi)}
 }
 
-// CmpGt16 returns a per-lane mask with bit l set iff a_l > b_l.
-func (a I16x16) CmpGt16(b I16x16) uint16 {
-	return uint16(a.Lo.CmpGt(b.Lo)) | uint16(a.Hi.CmpGt(b.Hi))<<8
-}
-
-// Blend16 selects per lane by mask bit: lane l is on_l when bit l of
-// mask is set, off_l otherwise — VPBLENDVB / BSL through an expanded
-// word mask.
-func Blend16(mask uint16, on, off I16x16) I16x16 {
-	return I16x16{
-		BlendI16(uint8(mask), on.Lo, off.Lo),
-		BlendI16(uint8(mask>>8), on.Hi, off.Hi),
-	}
-}
-
 // Pick16 broadcasts a two-value choice through a lane mask: lane l is
 // on when bit l of mask is set, off otherwise. This is the wide
 // kernels' match-mask expansion: sixteen dense seq2.MatchMaskBits
@@ -154,33 +137,4 @@ func Pick16(mask uint16, on, off int16) I16x16 {
 		PickI16(uint8(mask), on, off),
 		PickI16(uint8(mask>>8), on, off),
 	}
-}
-
-// HMax returns the horizontal maximum across all sixteen lanes — the
-// bsw wide kernel's row-max reduction.
-func (a I16x16) HMax() int16 {
-	m := a.Lo.Max(a.Hi)
-	q := m.Lo
-	if m.Hi.A > q.A {
-		q.A = m.Hi.A
-	}
-	if m.Hi.B > q.B {
-		q.B = m.Hi.B
-	}
-	if m.Hi.C > q.C {
-		q.C = m.Hi.C
-	}
-	if m.Hi.D > q.D {
-		q.D = m.Hi.D
-	}
-	if q.B > q.A {
-		q.A = q.B
-	}
-	if q.C > q.A {
-		q.A = q.C
-	}
-	if q.D > q.A {
-		q.A = q.D
-	}
-	return q.A
 }

@@ -1,21 +1,23 @@
-// Package lanes provides fixed-width float32 lane vectors for the
-// suite's floating-point DP kernels. A Lane8 holds eight independent
-// DP problems side by side — eight haplotypes of one read in phmm,
-// eight band cells in abea — so one pass of the inner loop advances
-// all of them at once. This is the inter-task vectorization the
-// upstream tools (GATK's AVX PairHMM, f5c's per-band lanes) win their
-// speedups with, expressed in portable Go: every helper is an explicit
-// eight-element expression, fully unrolled by construction and
-// branch-free, sized to inline into the kernels' inner loops.
+// Package lanes provides the fixed-width lane vectors the suite's DP
+// kernels execute in portable Go: Quad (four float32 lanes) under the
+// phmm forward pass and abea's band sweep, Lane8 as the eight-wide
+// container phmm groups haplotypes in, and the int16 I16x16 (int16.go,
+// int16x16.go) that is the bit-level reference for poa's and bsw's
+// 16-wide asm row kernels. Lanes hold independent DP problems side by
+// side — eight haplotypes of one read, four band cells — so one pass
+// of the inner loop advances all of them at once: the inter-task
+// vectorization the upstream tools (GATK's AVX PairHMM, f5c's per-band
+// lanes) win their speedups with. Every helper is an explicit
+// fully-unrolled, branch-free expression sized to inline.
 //
 // Layout note: Lane8 is a nested struct of two four-float quads, not
 // a [8]float32. The Go compiler only SSA-decomposes structs of at
 // most four fields (recursively) — arrays and wider structs live in
 // memory, which would force every intermediate lane value through a
-// stack slot. The quad nesting keeps whole DP cell updates in
-// registers; A/B/.../H of Lo then Hi are lanes 0..7. The fields are
-// exported so kernels can hand-schedule a cell update when the method
-// chain would exceed the inliner's budget.
+// stack slot. amd64 has sixteen float registers and every live lane
+// costs one, so the float kernels do their arithmetic a Quad at a time
+// (two sweeps per Lane8 group) and use Lane8 only to carry a group's
+// values between passes; A/B/C/D of Lo then Hi are lanes 0..7.
 //
 // Two properties the DP kernels rely on:
 //
@@ -27,14 +29,10 @@
 //     never from these helpers; each kernel documents its resulting
 //     tolerance and asserts it in a differential test (see
 //     internal/phmm and internal/abea).
-//   - Blend and Pick2 select through float bit masks (integer and/or
+//   - Blend and Sel4 select through float bit masks (integer and/or
 //     on Float32bits), not branches or table loads, so selection cost
 //     is data-independent and the selected value is bit-exactly one of
 //     the two inputs.
-//   - LogSumExpApprox trades exactness for a committed error bound:
-//     the pairwise log-sum-exp is within LogSumExpMaxError of
-//     math.Log(exp(a)+exp(b)) (natural log), verified over the
-//     approximation table's domain by the package tests.
 package lanes
 
 import (
@@ -49,13 +47,9 @@ const Width = 8
 
 // Quad is four float32 lanes; two quads nest into a Lane8. Four fields
 // is the compiler's struct SSA-decomposition limit, which is the whole
-// reason this is not a flat eight-field struct or an array.
-//
-// Quad also carries its own arithmetic method set: a kernel whose cell
-// update keeps too many Lane8 values live (amd64 has sixteen float
-// registers and every lane costs one) can register-block the pass as
-// two Quad sweeps — same lane grouping, half the live floats. The phmm
-// forward pass does exactly this.
+// reason this is not a flat eight-field struct or an array. Quad
+// carries the arithmetic: the phmm forward pass and abea's band sweep
+// run as Quad sweeps.
 type Quad struct {
 	A, B, C, D float32
 }
@@ -66,22 +60,13 @@ func Load4(s []float32, i int) Quad {
 	return Quad{s[i], s[i+1], s[i+2], s[i+3]}
 }
 
-// Store4 scatters q into s[i..i+4).
-func Store4(s []float32, i int, q Quad) {
-	_ = s[i+3]
-	s[i] = q.A
-	s[i+1] = q.B
-	s[i+2] = q.C
-	s[i+3] = q.D
-}
-
-// Load4U and Store4U are the unchecked forms of Load4/Store4 for the
+// Load4U and Store4U are unchecked forms of a four-lane load/store for the
 // kernels' innermost loops, where the per-call bounds check is a
 // measurable fraction of a DP column's budget (the rows are sized
 // once per pass, so every in-loop check re-proves the same fact).
 // p is the base of the row (&row[0]) and i the float offset; the
 // CALLER owns the proof that i+4 <= len(row). Everything outside a
-// kernel's inner loop uses the checked forms.
+// kernel's inner loop uses the checked Load4 and Store8.
 
 // Load4U gathers four consecutive floats at p[i..i+4) without bounds
 // checks.
@@ -120,9 +105,14 @@ func (a Quad) Div(b Quad) Quad {
 	return Quad{a.A / b.A, a.B / b.B, a.C / b.C, a.D / b.D}
 }
 
-// Scale returns a * s with a scalar broadcast to every lane.
-func (a Quad) Scale(s float32) Quad {
-	return Quad{a.A * s, a.B * s, a.C * s, a.D * s}
+// maxf is the scalar two-way max with the DP kernels' tie convention:
+// the FIRST operand wins ties (and NaN in b never replaces a), exactly
+// the `v := stay; if step > v { v = step }` shape of the scalar cores.
+func maxf(a, b float32) float32 {
+	if b > a {
+		return b
+	}
+	return a
 }
 
 // Max returns the element-wise maximum with the first-operand-wins
@@ -132,16 +122,16 @@ func (a Quad) Max(b Quad) Quad {
 }
 
 // ScaleAdd2 returns a*s + b*t element-wise with every product and the
-// sum rounded SEPARATELY. The composed form a.Scale(s).Add(b.Scale(t))
-// computes the same reals, but after inlining it exposes a*s + b*t to
-// the compiler, which the Go spec permits to fuse into a single-
+// sum rounded SEPARATELY. Composing it from separate scale and add
+// helpers computes the same reals, but after inlining that exposes
+// a*s + b*t to the compiler, which the Go spec permits to fuse into a single-
 // rounding FMA on architectures that have one (arm64). The explicit
 // float32 conversions here pin each intermediate to float32, which the
 // spec forbids fusing across — so this form has ONE rounding order on
 // every architecture. On amd64 the conversions are no-ops and the
 // generated code is identical to the composed form. Kernels whose
 // assembly counterparts must be bit-identical across architectures
-// (phmm's row update) use this instead of Scale/Add chains.
+// (phmm's row update) use this.
 func (a Quad) ScaleAdd2(s float32, b Quad, t float32) Quad {
 	return Quad{
 		float32(a.A*s) + float32(b.A*t),
@@ -160,23 +150,10 @@ func Sel4(mask uint32, on, off Quad) Quad {
 	}
 }
 
-// Pick4 broadcasts a two-value choice through the low four mask bits.
-func Pick4(mask uint32, on, off float32) Quad {
-	return Quad{
-		Sel(mask&1, on, off), Sel(mask>>1&1, on, off),
-		Sel(mask>>2&1, on, off), Sel(mask>>3&1, on, off),
-	}
-}
-
 // Lane8 is a vector of eight independent float32 DP states: lanes 0-3
 // in Lo.A..Lo.D, lanes 4-7 in Hi.A..Hi.D.
 type Lane8 struct {
 	Lo, Hi Quad
-}
-
-// Splat returns a lane vector with x in every lane.
-func Splat(x float32) Lane8 {
-	return Lane8{Quad{x, x, x, x}, Quad{x, x, x, x}}
 }
 
 // FromArray builds a Lane8 from the array form (lane l = a[l]).
@@ -210,15 +187,6 @@ func (a Lane8) At(l int) float32 {
 	return a.Hi.D
 }
 
-// Load8 gathers eight consecutive values s[i..i+8) into a Lane8.
-func Load8(s []float32, i int) Lane8 {
-	_ = s[i+7]
-	return Lane8{
-		Quad{s[i], s[i+1], s[i+2], s[i+3]},
-		Quad{s[i+4], s[i+5], s[i+6], s[i+7]},
-	}
-}
-
 // Store8 scatters a into s[i..i+8).
 func Store8(s []float32, i int, a Lane8) {
 	_ = s[i+7]
@@ -230,73 +198,6 @@ func Store8(s []float32, i int, a Lane8) {
 	s[i+5] = a.Hi.B
 	s[i+6] = a.Hi.C
 	s[i+7] = a.Hi.D
-}
-
-// Add returns a + b element-wise.
-func (a Lane8) Add(b Lane8) Lane8 {
-	return Lane8{
-		Quad{a.Lo.A + b.Lo.A, a.Lo.B + b.Lo.B, a.Lo.C + b.Lo.C, a.Lo.D + b.Lo.D},
-		Quad{a.Hi.A + b.Hi.A, a.Hi.B + b.Hi.B, a.Hi.C + b.Hi.C, a.Hi.D + b.Hi.D},
-	}
-}
-
-// Mul returns a * b element-wise.
-func (a Lane8) Mul(b Lane8) Lane8 {
-	return Lane8{
-		Quad{a.Lo.A * b.Lo.A, a.Lo.B * b.Lo.B, a.Lo.C * b.Lo.C, a.Lo.D * b.Lo.D},
-		Quad{a.Hi.A * b.Hi.A, a.Hi.B * b.Hi.B, a.Hi.C * b.Hi.C, a.Hi.D * b.Hi.D},
-	}
-}
-
-// Sub returns a - b element-wise.
-func (a Lane8) Sub(b Lane8) Lane8 {
-	return Lane8{
-		Quad{a.Lo.A - b.Lo.A, a.Lo.B - b.Lo.B, a.Lo.C - b.Lo.C, a.Lo.D - b.Lo.D},
-		Quad{a.Hi.A - b.Hi.A, a.Hi.B - b.Hi.B, a.Hi.C - b.Hi.C, a.Hi.D - b.Hi.D},
-	}
-}
-
-// Div returns a / b element-wise.
-func (a Lane8) Div(b Lane8) Lane8 {
-	return Lane8{
-		Quad{a.Lo.A / b.Lo.A, a.Lo.B / b.Lo.B, a.Lo.C / b.Lo.C, a.Lo.D / b.Lo.D},
-		Quad{a.Hi.A / b.Hi.A, a.Hi.B / b.Hi.B, a.Hi.C / b.Hi.C, a.Hi.D / b.Hi.D},
-	}
-}
-
-// Scale returns a * s with a scalar broadcast to every lane.
-func (a Lane8) Scale(s float32) Lane8 {
-	return Lane8{
-		Quad{a.Lo.A * s, a.Lo.B * s, a.Lo.C * s, a.Lo.D * s},
-		Quad{a.Hi.A * s, a.Hi.B * s, a.Hi.C * s, a.Hi.D * s},
-	}
-}
-
-// AddS returns a + s with a scalar broadcast to every lane.
-func (a Lane8) AddS(s float32) Lane8 {
-	return Lane8{
-		Quad{a.Lo.A + s, a.Lo.B + s, a.Lo.C + s, a.Lo.D + s},
-		Quad{a.Hi.A + s, a.Hi.B + s, a.Hi.C + s, a.Hi.D + s},
-	}
-}
-
-// maxf is the scalar two-way max with the DP kernels' tie convention:
-// the FIRST operand wins ties (and NaN in b never replaces a), exactly
-// the `v := stay; if step > v { v = step }` shape of the scalar cores.
-func maxf(a, b float32) float32 {
-	if b > a {
-		return b
-	}
-	return a
-}
-
-// Max returns the element-wise maximum; lane l is a_l unless
-// b_l > a_l, matching the scalar cores' strict-greater updates.
-func (a Lane8) Max(b Lane8) Lane8 {
-	return Lane8{
-		Quad{maxf(a.Lo.A, b.Lo.A), maxf(a.Lo.B, b.Lo.B), maxf(a.Lo.C, b.Lo.C), maxf(a.Lo.D, b.Lo.D)},
-		Quad{maxf(a.Hi.A, b.Hi.A), maxf(a.Hi.B, b.Hi.B), maxf(a.Hi.C, b.Hi.C), maxf(a.Hi.D, b.Hi.D)},
-	}
 }
 
 // Sel selects one of two float32 values through a 0/1 bit without a
@@ -325,18 +226,6 @@ func Blend(mask uint8, on, off Lane8) Lane8 {
 	}
 }
 
-// Pick2 broadcasts a two-value choice through a lane mask: lane l is
-// on when bit l of mask is set, off otherwise. It is Blend for the
-// common case where both sides are scalars — phmm's per-cell
-// match/mismatch emission prior.
-func Pick2(mask uint8, on, off float32) Lane8 {
-	m := uint32(mask)
-	return Lane8{
-		Quad{Sel(m&1, on, off), Sel(m>>1&1, on, off), Sel(m>>2&1, on, off), Sel(m>>3&1, on, off)},
-		Quad{Sel(m>>4&1, on, off), Sel(m>>5&1, on, off), Sel(m>>6&1, on, off), Sel(m>>7&1, on, off)},
-	}
-}
-
 // HMax returns the horizontal maximum and the index of its FIRST
 // occurrence, scanning lanes in ascending order with strict-greater
 // updates — the same tie convention as the scalar band cores, so a
@@ -355,90 +244,4 @@ func (a Lane8) HMax() (m float32, arg int) {
 // HSum returns the horizontal sum in ascending lane order.
 func (a Lane8) HSum() float32 {
 	return ((a.Lo.A + a.Lo.B) + (a.Lo.C + a.Lo.D)) + ((a.Hi.A + a.Hi.B) + (a.Hi.C + a.Hi.D))
-}
-
-// ---- log-sum-exp approximation ----
-
-// The float DP kernels occasionally need log(exp(a)+exp(b)) — the
-// sum-product counterpart of the Viterbi max in log space. The exact
-// form costs an exp and a log1p per lane; the approximation below
-// replaces both with one 256-entry table lookup plus a linear
-// interpolation of f(d) = log(1+exp(-d)) on d in [0, lseCutoff],
-// clamping to 0 beyond the cutoff where f < 2^-24 is unrepresentable
-// against |max| anyway.
-
-const (
-	// lseCutoff is where f(d) drops below float32 significance.
-	lseCutoff = 17.0
-	// lseSteps is the interpolation table resolution.
-	lseSteps = 256
-	// LogSumExpMaxError is the committed absolute error bound of
-	// LogSumExpApprox against the exact math.Log(math.Exp(a)+math.Exp(b)),
-	// in natural-log units. The table's linear-interpolation error is
-	// bounded by max f''·h²/8 = (1/4)·(17/256)²/8 ≈ 1.4e-4; the commit
-	// rounds up for float32 evaluation noise. Verified by
-	// TestLogSumExpErrorBound over a dense grid of lane pairs.
-	LogSumExpMaxError = 5e-4
-)
-
-// lseTable[i] = log(1 + exp(-i·h)) for h = lseCutoff/lseSteps,
-// built once at init from the float64 reference.
-var lseTable [lseSteps + 1]float32
-
-func init() {
-	h := lseCutoff / float64(lseSteps)
-	for i := range lseTable {
-		lseTable[i] = float32(log1pexpRef(float64(i) * h))
-	}
-}
-
-// log1pexpRef is the float64 reference for log(1+exp(-d)), d >= 0.
-func log1pexpRef(d float64) float64 {
-	// Direct form is stable for d >= 0.
-	return math.Log1p(math.Exp(-d))
-}
-
-// log1pexp32 approximates log(1+exp(-d)) for d >= 0 by linear
-// interpolation of lseTable; exact 0 beyond the cutoff.
-func log1pexp32(d float32) float32 {
-	const scale = float32(lseSteps) / float32(lseCutoff)
-	x := d * scale
-	i := int(x)
-	if i >= lseSteps {
-		return 0
-	}
-	frac := x - float32(i)
-	lo := lseTable[i]
-	return lo + frac*(lseTable[i+1]-lo)
-}
-
-// LogSumExp1 is the scalar pairwise log-sum-exp approximation:
-// log(exp(a)+exp(b)) within LogSumExpMaxError, computed as
-// max(a,b) + f(|a-b|) with the table-interpolated f. Infinities
-// degrade gracefully: if either side is -Inf the other is returned.
-func LogSumExp1(a, b float32) float32 {
-	m, d := a, a-b
-	if b > a {
-		m, d = b, b-a
-	}
-	if d != d || d > lseCutoff { // NaN (from inf-inf) or negligible tail
-		return m
-	}
-	return m + log1pexp32(d)
-}
-
-// LogSumExpApprox returns the element-wise pairwise log-sum-exp
-// approximation of two lanes, each lane within LogSumExpMaxError of
-// the exact value.
-func LogSumExpApprox(a, b Lane8) Lane8 {
-	return Lane8{
-		Quad{
-			LogSumExp1(a.Lo.A, b.Lo.A), LogSumExp1(a.Lo.B, b.Lo.B),
-			LogSumExp1(a.Lo.C, b.Lo.C), LogSumExp1(a.Lo.D, b.Lo.D),
-		},
-		Quad{
-			LogSumExp1(a.Hi.A, b.Hi.A), LogSumExp1(a.Hi.B, b.Hi.B),
-			LogSumExp1(a.Hi.C, b.Hi.C), LogSumExp1(a.Hi.D, b.Hi.D),
-		},
-	}
 }

@@ -7,12 +7,17 @@ import (
 )
 
 func randLane(rng *rand.Rand, scale float32) Lane8 {
-	var a [Width]float32
-	for l := range a {
-		a[l] = (rng.Float32() - 0.5) * 2 * scale
-	}
-	return FromArray(a)
+	return Lane8{randQuad(rng, scale), randQuad(rng, scale)}
 }
+
+func randQuad(rng *rand.Rand, scale float32) Quad {
+	r := func() float32 { return (rng.Float32() - 0.5) * 2 * scale }
+	return Quad{r(), r(), r(), r()}
+}
+
+func (q Quad) array() [4]float32 { return [4]float32{q.A, q.B, q.C, q.D} }
+
+func splatQuad(x float32) Quad { return Quad{x, x, x, x} }
 
 // FromArray/Array/At must round-trip lane-for-lane; everything else in
 // this file leans on them as the lane accessors.
@@ -29,57 +34,63 @@ func TestArrayRoundTrip(t *testing.T) {
 	}
 }
 
+// Store8 writes a group's eight lanes where the Quad loads find them:
+// phmm stores rows with Store8 and sweeps them back as Load4 (and the
+// unchecked Load4U/Store4U) pairs at o and o+4.
 func TestLoadStore8(t *testing.T) {
-	s := []float32{9, 1, 2, 3, 4, 5, 6, 7, 8, 10}
-	a := Load8(s, 1)
 	want := [Width]float32{1, 2, 3, 4, 5, 6, 7, 8}
-	if a.Array() != want {
-		t.Fatalf("Load8 = %v, want %v", a.Array(), want)
-	}
-	dst := make([]float32, 10)
-	Store8(dst, 2, a)
-	for l := 0; l < Width; l++ {
-		if dst[2+l] != want[l] {
-			t.Fatalf("Store8 lane %d = %v, want %v", l, dst[2+l], want[l])
-		}
-	}
-	if dst[0] != 0 || dst[1] != 0 {
+	dst := make([]float32, 12)
+	Store8(dst, 2, FromArray(want))
+	if dst[0] != 0 || dst[1] != 0 || dst[10] != 0 || dst[11] != 0 {
 		t.Fatal("Store8 wrote outside its span")
+	}
+	got := Lane8{Load4(dst, 2), Load4(dst, 6)}
+	if got.Array() != want {
+		t.Fatalf("Load4 pair = %v, want %v", got.Array(), want)
+	}
+	if gotU := (Lane8{Load4U(&dst[0], 2), Load4U(&dst[0], 6)}); gotU != got {
+		t.Fatalf("Load4U pair = %v, want %v", gotU.Array(), want)
+	}
+	out := make([]float32, 12)
+	Store4U(&out[0], 2, got.Lo)
+	Store4U(&out[0], 6, got.Hi)
+	for i := range out {
+		if out[i] != dst[i] {
+			t.Fatalf("Store4U pair [%d] = %v, want %v", i, out[i], dst[i])
+		}
 	}
 }
 
-// Every element-wise helper must compute exactly the scalar expression
-// per lane: no reassociation, no widening.
+// Every element-wise Quad helper must compute exactly the scalar
+// expression per lane: no reassociation, no widening.
 func TestElementwiseMatchScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	for trial := 0; trial < 200; trial++ {
-		a := randLane(rng, 100)
-		b := randLane(rng, 100)
-		av, bv := a.Array(), b.Array()
-		s := (rng.Float32() - 0.5) * 10
+		a, b := randQuad(rng, 100), randQuad(rng, 100)
+		av, bv := a.array(), b.array()
+		s, u := (rng.Float32()-0.5)*10, (rng.Float32()-0.5)*10
 		checks := []struct {
 			name string
-			got  Lane8
+			got  Quad
 			want func(l int) float32
 		}{
 			{"Add", a.Add(b), func(l int) float32 { return av[l] + bv[l] }},
 			{"Sub", a.Sub(b), func(l int) float32 { return av[l] - bv[l] }},
 			{"Mul", a.Mul(b), func(l int) float32 { return av[l] * bv[l] }},
 			{"Div", a.Div(b), func(l int) float32 { return av[l] / bv[l] }},
-			{"Scale", a.Scale(s), func(l int) float32 { return av[l] * s }},
-			{"AddS", a.AddS(s), func(l int) float32 { return av[l] + s }},
+			{"ScaleAdd2", a.ScaleAdd2(s, b, u), func(l int) float32 { return float32(av[l]*s) + float32(bv[l]*u) }},
 			{"Max", a.Max(b), func(l int) float32 {
 				if bv[l] > av[l] {
 					return bv[l]
 				}
 				return av[l]
 			}},
-			{"Splat", Splat(s), func(int) float32 { return s }},
 		}
 		for _, c := range checks {
-			for l := 0; l < Width; l++ {
-				if want := c.want(l); c.got.At(l) != want {
-					t.Fatalf("trial %d: %s lane %d = %v, want %v", trial, c.name, l, c.got.At(l), want)
+			got := c.got.array()
+			for l := range got {
+				if want := c.want(l); got[l] != want {
+					t.Fatalf("trial %d: %s lane %d = %v, want %v", trial, c.name, l, got[l], want)
 				}
 			}
 		}
@@ -102,15 +113,12 @@ func TestBlendAndPick2(t *testing.T) {
 				t.Fatalf("Blend(%08b) lane %d = %v, want %v", mask, l, got.At(l), want)
 			}
 		}
-		x, y := rng.Float32(), rng.Float32()
-		p := Pick2(mask, x, y)
-		for l := 0; l < Width; l++ {
-			want := y
-			if mask>>uint(l)&1 != 0 {
-				want = x
-			}
-			if p.At(l) != want {
-				t.Fatalf("Pick2(%08b) lane %d = %v, want %v", mask, l, p.At(l), want)
+		// Sel4 is Blend a Quad at a time through the low four mask bits.
+		for half, q := range []Quad{Sel4(uint32(mask), on.Lo, off.Lo), Sel4(uint32(mask)>>4, on.Hi, off.Hi)} {
+			for l, v := range q.array() {
+				if want := got.At(4*half + l); v != want {
+					t.Fatalf("Sel4(%08b) half %d lane %d = %v, want %v", mask, half, l, v, want)
+				}
 			}
 		}
 	}
@@ -144,8 +152,8 @@ func TestHMaxFirstWinnerOnTies(t *testing.T) {
 	if m != 3 || arg != 1 {
 		t.Fatalf("HMax = (%v, %d), want (3, 1)", m, arg)
 	}
-	neg := Splat(float32(math.Inf(-1)))
-	if m, arg := neg.HMax(); arg != 0 || !math.IsInf(float64(m), -1) {
+	ninf := splatQuad(float32(math.Inf(-1)))
+	if m, arg := (Lane8{ninf, ninf}).HMax(); arg != 0 || !math.IsInf(float64(m), -1) {
 		t.Fatalf("all -inf HMax = (%v, %d), want (-inf, 0)", m, arg)
 	}
 }
@@ -159,62 +167,17 @@ func TestHSumOrder(t *testing.T) {
 	}
 }
 
-// The committed contract: LogSumExpApprox is within LogSumExpMaxError
-// (natural-log units) of the exact float64 log(exp(a)+exp(b)), over a
-// dense grid spanning the table domain and beyond the cutoff.
-func TestLogSumExpErrorBound(t *testing.T) {
-	worst := 0.0
-	for a := -40.0; a <= 5.0; a += 0.037 {
-		for d := 0.0; d <= 25.0; d += 0.043 {
-			b := a - d
-			exact := math.Log(math.Exp(a) + math.Exp(b))
-			got := float64(LogSumExp1(float32(a), float32(b)))
-			if err := math.Abs(got - exact); err > worst {
-				worst = err
-			}
-			// Symmetry: order of arguments must not matter.
-			if sym := LogSumExp1(float32(b), float32(a)); sym != LogSumExp1(float32(a), float32(b)) {
-				t.Fatalf("LogSumExp1 asymmetric at (%v, %v)", a, b)
-			}
-		}
-	}
-	if worst > LogSumExpMaxError {
-		t.Fatalf("worst log-sum-exp error %.2e exceeds committed bound %.2e", worst, LogSumExpMaxError)
-	}
-	t.Logf("worst error %.2e (bound %.2e)", worst, LogSumExpMaxError)
-}
-
-func TestLogSumExpInfinities(t *testing.T) {
-	ninf := float32(math.Inf(-1))
-	if got := LogSumExp1(ninf, 2); got != 2 {
-		t.Fatalf("lse(-inf, 2) = %v, want 2", got)
-	}
-	if got := LogSumExp1(2, ninf); got != 2 {
-		t.Fatalf("lse(2, -inf) = %v, want 2", got)
-	}
-	if got := LogSumExp1(ninf, ninf); !math.IsInf(float64(got), -1) {
-		t.Fatalf("lse(-inf, -inf) = %v, want -inf", got)
-	}
-	a := FromArray([Width]float32{0, 1, ninf, 2, ninf, -3, 4, 5})
-	b := FromArray([Width]float32{0, ninf, 1, 2, ninf, -3, 3, 8})
-	got := LogSumExpApprox(a, b)
-	for l := 0; l < Width; l++ {
-		if want := LogSumExp1(a.At(l), b.At(l)); got.At(l) != want {
-			t.Fatalf("lane %d = %v, want %v", l, got.At(l), want)
-		}
-	}
-}
-
 // The lane ops the DP inner loops compose must stay allocation-free.
 func TestLaneOpsZeroAlloc(t *testing.T) {
-	a := Splat(1.5)
-	b := Splat(2.5)
+	a, b := splatQuad(1.5), splatQuad(2.5)
+	row := make([]float32, Width)
 	var sink Lane8
 	n := testing.AllocsPerRun(100, func() {
-		m := a.Scale(0.25).Add(b.Scale(0.5)).Mul(b)
-		m = m.Max(b.AddS(-1))
-		m = Blend(0xa5, m, b)
-		sink = m.Add(LogSumExpApprox(a, b))
+		m := a.ScaleAdd2(0.25, b, 0.5).Mul(b).Sub(a).Div(b)
+		m = Sel4(0x5, m.Max(b), a).Add(Load4U(&row[0], 4))
+		Store4U(&row[0], 0, m)
+		Store8(row, 0, Blend(0xa5, Lane8{m, a}, Lane8{b, m}))
+		sink = Lane8{Load4(row, 0), Load4(row, 4)}
 	})
 	_ = sink
 	if n != 0 {
@@ -222,12 +185,12 @@ func TestLaneOpsZeroAlloc(t *testing.T) {
 	}
 }
 
+// The shape of phmm's row update: two dependent ScaleAdd2 per column.
 func BenchmarkLaneMulAddChain(b *testing.B) {
-	x := Splat(1.00001)
-	y := Splat(0.99999)
-	acc := Splat(1)
+	x, y := splatQuad(1.00001), splatQuad(0.99999)
+	acc := splatQuad(1)
 	for i := 0; i < b.N; i++ {
-		acc = acc.Mul(x).Add(y.Scale(1e-9))
+		acc = acc.Mul(x).ScaleAdd2(1, y, 1e-9)
 	}
 	_ = acc
 }

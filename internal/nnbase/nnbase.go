@@ -179,35 +179,22 @@ func RunKernelCtx(ctx context.Context, m *Model, reads []Read, cfg Config, threa
 		threads = 1
 	}
 	called := make([]genome.Seq, len(reads))
-	type ws struct {
-		bases int
-		macs  uint64
-		stats *perf.TaskStats
-		_     perf.CacheLinePad // workers update these per task; keep shards on private cache lines
-	}
-	workers := make([]ws, threads)
-	for i := range workers {
-		workers[i].stats = perf.NewTaskStats("MACs")
-	}
+	macs := make([]uint64, len(reads))
 	err := parallel.ForEachCtxErr(ctx, len(reads), threads, func(tctx context.Context, w, i int) error {
 		if err := faultinject.Point(tctx); err != nil {
 			return err
 		}
-		seq, macs := m.Basecall(reads[i].Signal, cfg)
-		called[i] = seq
-		workers[w].bases += len(seq)
-		workers[w].macs += macs
-		workers[w].stats.Observe(float64(macs))
+		called[i], macs[i] = m.Basecall(reads[i].Signal, cfg)
 		return nil
 	})
 	if err != nil {
 		return KernelResult{}, err
 	}
 	res := KernelResult{Reads: len(reads), Called: called, TaskStats: perf.NewTaskStats("MACs")}
-	for i := range workers {
-		res.BasesOut += workers[i].bases
-		res.MACs += workers[i].macs
-		res.TaskStats.Merge(workers[i].stats)
+	for i := range called {
+		res.BasesOut += len(called[i])
+		res.MACs += macs[i]
+		res.TaskStats.Observe(float64(macs[i]))
 	}
 	// Dense FP matrix arithmetic end to end.
 	res.Counters.Add(perf.VecOp, res.MACs)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cpufeat"
@@ -167,13 +168,18 @@ func TestRunKernelThreads(t *testing.T) {
 		})
 	}
 	r1 := must(RunKernelCtx(context.Background(), m, reads, cfg, 1))
-	r2 := must(RunKernelCtx(context.Background(), m, reads, cfg, 2))
-	if r1.MACs != r2.MACs || r1.BasesOut != r2.BasesOut {
-		t.Errorf("threading changed results: %+v vs %+v", r1, r2)
-	}
-	for i := range r1.Called {
-		if !r1.Called[i].Equal(r2.Called[i]) {
-			t.Fatal("called sequences differ across thread counts")
+	for _, threads := range []int{2, 4} {
+		rn := must(RunKernelCtx(context.Background(), m, reads, cfg, threads))
+		if r1.MACs != rn.MACs || r1.BasesOut != rn.BasesOut {
+			t.Errorf("threading changed results: %+v vs %+v", r1, rn)
+		}
+		if r1.Counters != rn.Counters || !slices.Equal(r1.TaskStats.Work(), rn.TaskStats.Work()) {
+			t.Errorf("%d threads: counters or task-order sample sequence differ from 1 thread", threads)
+		}
+		for i := range r1.Called {
+			if !r1.Called[i].Equal(rn.Called[i]) {
+				t.Fatal("called sequences differ across thread counts")
+			}
 		}
 	}
 	if r1.TaskStats.Count() != 4 {

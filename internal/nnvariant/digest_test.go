@@ -3,6 +3,7 @@ package nnvariant
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cpufeat"
@@ -49,6 +50,9 @@ func TestDigestDifferential(t *testing.T) {
 			if got.Calls == 0 || got.Calls != want.Calls || got.Digest != want.Digest {
 				t.Errorf("tier %s, %d threads: calls=%d digest=%016x, want calls=%d digest=%016x",
 					tier, threads, got.Calls, got.Digest, want.Calls, want.Digest)
+			}
+			if got.Counters != want.Counters || !slices.Equal(got.TaskStats.Work(), want.TaskStats.Work()) {
+				t.Errorf("tier %s, %d threads: counters or task-order sample sequence moved", tier, threads)
 			}
 		}
 		restore()

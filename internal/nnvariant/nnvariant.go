@@ -12,11 +12,10 @@ package nnvariant
 import (
 	"context"
 	"encoding/binary"
-	"hash"
-	"hash/fnv"
 	"math"
 	"math/rand"
 
+	"repro/internal/digest"
 	"repro/internal/faultinject"
 	"repro/internal/genome"
 	"repro/internal/nn"
@@ -122,15 +121,17 @@ type Call struct {
 	Indel2   [IndelClasses]float32
 }
 
-// appendBits appends the float32 bits of the four heads, in field
-// order, to b.
-func (c *Call) appendBits(b []byte) []byte {
+// fold extends the FNV-1a digest h with the float32 bits of the four
+// heads, in field order, each low byte first.
+func (c *Call) fold(h uint64) uint64 {
+	var le [4]byte
 	for _, head := range [][]float32{c.Genotype[:], c.Zygosity[:], c.Indel1[:], c.Indel2[:]} {
 		for _, v := range head {
-			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
+			binary.LittleEndian.PutUint32(le[:], math.Float32bits(v))
+			h = digest.Bytes(h, le[:])
 		}
 	}
-	return b
+	return h
 }
 
 // Predict runs the network on one input tensor.
@@ -222,56 +223,30 @@ func RunKernelCtx(ctx context.Context, m *Model, tasks []*Task, threads int) (Ke
 	if threads <= 0 {
 		threads = 1
 	}
-	type ws struct {
-		calls int
-		macs  uint64
-		stats *perf.TaskStats
-		hash  hash.Hash64       // of the task in hand
-		bits  []byte            // of the call in hand
-		_     perf.CacheLinePad // workers update these per task; keep shards on private cache lines
-	}
-	workers := make([]ws, threads)
-	for i := range workers {
-		workers[i].stats = perf.NewTaskStats("MACs")
-		workers[i].hash = fnv.New64a()
-	}
-	perCall := m.MACsPerCall()
 	digests := make([]uint64, len(tasks))
 	err := parallel.ForEachCtxErr(ctx, len(tasks), threads, func(tctx context.Context, w, i int) error {
 		if err := faultinject.Point(tctx); err != nil {
 			return err
 		}
-		var macs uint64
-		wk := &workers[w]
-		wk.hash.Reset()
+		h := digest.Seed
 		for _, pos := range tasks[i].Candidates {
-			x := BuildTensor(tasks[i].Counts, pos)
-			call := m.Predict(x)
-			wk.bits = call.appendBits(wk.bits[:0])
-			wk.hash.Write(wk.bits)
-			macs += perCall
-			wk.calls++
+			call := m.Predict(BuildTensor(tasks[i].Counts, pos))
+			h = call.fold(h)
 		}
-		digests[i] = wk.hash.Sum64()
-		wk.macs += macs
-		wk.stats.Observe(float64(macs))
+		digests[i] = h
 		return nil
 	})
 	if err != nil {
 		return KernelResult{}, err
 	}
-	res := KernelResult{Tasks: len(tasks), TaskStats: perf.NewTaskStats("MACs")}
-	all := fnv.New64a()
-	var word [8]byte
-	for _, d := range digests {
-		binary.LittleEndian.PutUint64(word[:], d)
-		all.Write(word[:])
-	}
-	res.Digest = all.Sum64()
-	for i := range workers {
-		res.Calls += workers[i].calls
-		res.MACs += workers[i].macs
-		res.TaskStats.Merge(workers[i].stats)
+	res := KernelResult{Tasks: len(tasks), Digest: digest.Seed, TaskStats: perf.NewTaskStats("MACs")}
+	perCall := m.MACsPerCall()
+	for i, t := range tasks {
+		macs := perCall * uint64(len(t.Candidates))
+		res.Calls += len(t.Candidates)
+		res.MACs += macs
+		res.TaskStats.Observe(float64(macs))
+		res.Digest = digest.Word(res.Digest, digests[i])
 	}
 	res.Counters.Add(perf.VecOp, res.MACs)
 	res.Counters.Add(perf.FloatOp, res.MACs/3)

@@ -4,10 +4,11 @@
 // (paper Figure 5) and per-task work-distribution statistics standing in
 // for the task imbalance study (paper Figure 4).
 //
-// Kernels increment counters from their inner loops. The counters are
-// plain uint64 fields so single-threaded instrumented runs add only an
-// increment per counted operation; multi-threaded runs use one Counters
-// value per worker and merge at the end.
+// Kernel drivers derive their counters from the run's totals and
+// record one TaskStats sample per task, in task order, after the
+// parallel loop (docs/KERNELS.md, "Driver shape"). The counters are
+// plain uint64 fields, so code that does count from an inner loop adds
+// only an increment per counted operation.
 package perf
 
 import (
@@ -48,9 +49,10 @@ func (c OpClass) String() string {
 const CacheLineSize = 64
 
 // CacheLinePad is a full cache line of padding. Embed it (as a blank
-// field) at the end of per-worker accumulator structs stored in a
-// contiguous slice: it guarantees no two workers' hot fields share a
-// line, whatever the struct's size or the slice's base alignment.
+// field) at the end of per-worker structs stored in a contiguous slice
+// (internal/parallel's scheduler state): it guarantees no two workers'
+// hot fields share a line, whatever the struct's size or the slice's
+// base alignment.
 type CacheLinePad struct{ _ [CacheLineSize]byte }
 
 // Counters accumulates operation counts for one execution context.
@@ -132,8 +134,9 @@ func NewTaskStats(unit string) *TaskStats { return &TaskStats{Unit: unit} }
 // Observe records the work performed by one task.
 func (t *TaskStats) Observe(work float64) { t.work = append(t.work, work) }
 
-// Merge appends all observations from other.
-func (t *TaskStats) Merge(other *TaskStats) { t.work = append(t.work, other.work...) }
+// Work returns the observations in the order they were recorded
+// (kernels record in task order). The slice is read-only.
+func (t *TaskStats) Work() []float64 { return t.work }
 
 // Count reports the number of tasks observed.
 func (t *TaskStats) Count() int { return len(t.work) }

@@ -2,6 +2,7 @@ package perf
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -73,8 +74,12 @@ func TestOpClassString(t *testing.T) {
 
 func TestTaskStatsSummary(t *testing.T) {
 	ts := NewTaskStats("cells")
-	for _, w := range []float64{1, 2, 3, 4, 10} {
+	in := []float64{3, 1, 10, 2, 4}
+	for _, w := range in {
 		ts.Observe(w)
+	}
+	if got := ts.Work(); !slices.Equal(got, in) {
+		t.Errorf("Work() = %v, want observation order %v", got, in)
 	}
 	s := ts.Summarize()
 	if s.Count != 5 {
@@ -101,18 +106,6 @@ func TestTaskStatsEmpty(t *testing.T) {
 	s := NewTaskStats("x").Summarize()
 	if s.Count != 0 || s.Mean != 0 || s.MaxToMean != 0 {
 		t.Errorf("empty summary nonzero: %+v", s)
-	}
-}
-
-func TestTaskStatsMerge(t *testing.T) {
-	a := NewTaskStats("x")
-	b := NewTaskStats("x")
-	a.Observe(1)
-	b.Observe(3)
-	a.Merge(b)
-	s := a.Summarize()
-	if s.Count != 2 || s.Mean != 2 {
-		t.Errorf("merged summary %+v", s)
 	}
 }
 

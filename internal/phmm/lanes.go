@@ -18,7 +18,7 @@ package phmm
 // internal/seq2 2-bit packing: each group precomputes, per reference
 // base b and column j, an 8-bit mask of which lanes match b, so the
 // scalar core's per-cell `hap[j-1] == rb` branch becomes a branch-free
-// Pick2 table select.
+// two-entry table select.
 //
 // Numerics: per-lane arithmetic follows the scalar expressions with
 // two documented deviations — the M update factors the symmetric

@@ -321,39 +321,29 @@ func RunKernelCtx(ctx context.Context, regions []*Region, threads int) (KernelRe
 	if threads <= 0 {
 		threads = 1
 	}
-	type ws struct {
-		lookups   uint64
-		positions uint64
-		depth     uint64
-		stats     *perf.TaskStats
-		_         perf.CacheLinePad // workers update these per task; keep shards on private cache lines
-	}
-	workers := make([]ws, threads)
-	for i := range workers {
-		workers[i].stats = perf.NewTaskStats("read lookups")
-	}
+	type slot struct{ reads, positions, depth uint64 }
+	slots := make([]slot, len(regions))
 	err := parallel.ForEachCtxErr(ctx, len(regions), threads, func(tctx context.Context, w, i int) error {
 		if err := faultinject.Point(tctx); err != nil {
 			return err
 		}
 		counts, reads := CountRegion(regions[i])
-		workers[w].lookups += uint64(reads)
-		workers[w].positions += uint64(len(counts))
+		s := slot{reads: uint64(reads), positions: uint64(len(counts))}
 		for p := range counts {
-			workers[w].depth += uint64(counts[p].Depth())
+			s.depth += uint64(counts[p].Depth())
 		}
-		workers[w].stats.Observe(float64(reads))
+		slots[i] = s
 		return nil
 	})
 	if err != nil {
 		return KernelResult{}, err
 	}
 	res := KernelResult{Regions: len(regions), TaskStats: perf.NewTaskStats("read lookups")}
-	for i := range workers {
-		res.ReadLookups += workers[i].lookups
-		res.Positions += workers[i].positions
-		res.TotalDepth += workers[i].depth
-		res.TaskStats.Merge(workers[i].stats)
+	for i := range slots {
+		res.ReadLookups += slots[i].reads
+		res.Positions += slots[i].positions
+		res.TotalDepth += slots[i].depth
+		res.TaskStats.Observe(float64(slots[i].reads))
 	}
 	// Random access into alignment records dominates; per counted base
 	// the original parses CIGAR state, decodes packed bases and

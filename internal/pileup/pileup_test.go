@@ -3,6 +3,7 @@ package pileup
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/genome"
@@ -165,6 +166,9 @@ func TestRunKernelDeterministic(t *testing.T) {
 	r4 := must(RunKernelCtx(context.Background(), regions, 4))
 	if r1.TotalDepth != r4.TotalDepth || r1.ReadLookups != r4.ReadLookups {
 		t.Errorf("threading changed results: %+v vs %+v", r1, r4)
+	}
+	if r1.Counters != r4.Counters || !slices.Equal(r1.TaskStats.Work(), r4.TaskStats.Work()) {
+		t.Error("counters or task-order sample sequence depend on the thread count")
 	}
 	if r1.Regions != len(regions) || r1.TaskStats.Count() != len(regions) {
 		t.Error("region bookkeeping wrong")

@@ -599,16 +599,10 @@ func RunKernelCtx(ctx context.Context, windows []*Window, p Params, threads int)
 		threads = 1
 	}
 	consensi := make([]genome.Seq, len(windows))
-	type ws struct {
-		cells uint64
-		stats *perf.TaskStats
-		graph *Graph
-		_     perf.CacheLinePad // workers update these per task; keep shards on private cache lines
-	}
-	workers := make([]ws, threads)
-	for i := range workers {
-		workers[i].stats = perf.NewTaskStats("cell updates")
-		workers[i].graph = New()
+	cells := make([]uint64, len(windows))
+	graphs := make([]*Graph, threads)
+	for i := range graphs {
+		graphs[i] = New()
 	}
 	// Windows vary ~10x in cell count (graph size times read coverage),
 	// so dispatch goes through the work-stealing scheduler: each worker
@@ -619,19 +613,16 @@ func RunKernelCtx(ctx context.Context, windows []*Window, p Params, threads int)
 		if err := faultinject.Point(tctx); err != nil {
 			return err
 		}
-		cons, cells := ConsensusInto(windows[i], p, workers[w].graph)
-		consensi[i] = cons
-		workers[w].cells += cells
-		workers[w].stats.Observe(float64(cells))
+		consensi[i], cells[i] = ConsensusInto(windows[i], p, graphs[w])
 		return nil
 	})
 	if err != nil {
 		return KernelResult{}, err
 	}
 	res := KernelResult{Windows: len(windows), Consensi: consensi, TaskStats: perf.NewTaskStats("cell updates")}
-	for i := range workers {
-		res.CellUpdates += workers[i].cells
-		res.TaskStats.Merge(workers[i].stats)
+	for _, c := range cells {
+		res.CellUpdates += c
+		res.TaskStats.Observe(float64(c))
 	}
 	// spoa vectorizes the row DP with shifts/blends; graph updates add
 	// pointer-chasing loads.

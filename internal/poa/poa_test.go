@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/genome"
@@ -191,6 +192,9 @@ func TestRunKernelDeterministic(t *testing.T) {
 	r4 := must(RunKernelCtx(context.Background(), windows, DefaultParams(), 4))
 	if r1.CellUpdates != r4.CellUpdates {
 		t.Errorf("threading changed cell counts: %d vs %d", r1.CellUpdates, r4.CellUpdates)
+	}
+	if r1.Counters != r4.Counters || !slices.Equal(r1.TaskStats.Work(), r4.TaskStats.Work()) {
+		t.Error("counters or task-order sample sequence depend on the thread count")
 	}
 	for i := range r1.Consensi {
 		if !r1.Consensi[i].Equal(r4.Consensi[i]) {

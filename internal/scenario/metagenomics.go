@@ -15,8 +15,8 @@ import (
 // scenario: long reads from a known species mixture stream through
 // SMEM seeding against a pan-genome FM-index and a locate-and-vote
 // classifier; acceptance checks classification accuracy and abundance
-// error against the planted mixture. Promoted from
-// examples/metagenomics.
+// error against the planted mixture. examples/scenarios runs it at
+// demo scale.
 
 // ClassifyRead is one read heading into the classifier, with its
 // planted truth label riding along for the acceptance check.

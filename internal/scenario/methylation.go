@@ -14,7 +14,7 @@ import (
 // CpG-island region is "sequenced" molecule by molecule through the
 // pore model (alternating methylated and unmethylated molecules), each
 // molecule's raw signal is event-aligned and its CpG sites called by
-// the abea kernel. Promoted from examples/methylation.
+// the abea kernel. examples/scenarios runs it at demo scale.
 
 // Molecule is one simulated read-to-be: which molecule, whether its
 // cytosines are methylated, and the per-molecule signal seed.

@@ -29,6 +29,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/digest"
 	"repro/internal/scratch"
 )
 
@@ -221,36 +222,18 @@ func Names() []string {
 	return out
 }
 
-// Digest folds final outputs through FNV-1a 64; scenario folds write
+// Digest folds final outputs through internal/digest; scenario folds write
 // every semantically meaningful field through the typed helpers so the
 // encoding is unambiguous and platform-stable.
 type Digest struct{ h uint64 }
 
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-func newDigest() *Digest { return &Digest{h: fnvOffset} }
+func newDigest() *Digest { return &Digest{h: digest.Seed} }
 
 // Bytes folds raw bytes.
-func (d *Digest) Bytes(p []byte) {
-	h := d.h
-	for _, b := range p {
-		h = (h ^ uint64(b)) * fnvPrime
-	}
-	d.h = h
-}
+func (d *Digest) Bytes(p []byte) { d.h = digest.Bytes(d.h, p) }
 
 // U64 folds a fixed-width integer (little-endian byte order).
-func (d *Digest) U64(v uint64) {
-	h := d.h
-	for i := 0; i < 8; i++ {
-		h = (h ^ (v & 0xff)) * fnvPrime
-		v >>= 8
-	}
-	d.h = h
-}
+func (d *Digest) U64(v uint64) { d.h = digest.Word(d.h, v) }
 
 // Int folds an int.
 func (d *Digest) Int(v int) { d.U64(uint64(int64(v))) }

@@ -13,9 +13,8 @@ import (
 
 // The GATK-style short-read pipeline as a registered scenario:
 // simulated reads stream through region binning, De-Bruijn assembly,
-// PairHMM scoring and genotype calling. Promoted from
-// examples/variantcalling, which is now a thin wrapper over this
-// definition.
+// PairHMM scoring and genotype calling. examples/scenarios runs it
+// at demo scale.
 
 // AssembledRegion is the dbg stage's output: a region whose reads
 // assembled into at least two candidate haplotypes.

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/digest"
 	"repro/internal/obs"
 )
 
@@ -399,9 +400,9 @@ func (c *Coordinator) assembleLocked(j *jobState) *JobResult {
 // Fingerprint folds a digest vector into a single order-sensitive
 // value (FNV-1a over the 64-bit words).
 func Fingerprint(digests []uint64) uint64 {
-	h := DigestSeed
+	h := digest.Seed
 	for _, d := range digests {
-		h = FoldWord(h, d)
+		h = digest.Word(h, d)
 	}
 	return h
 }

@@ -33,31 +33,6 @@ type Executor interface {
 	RunTask(ctx context.Context, task int) (digest, ops uint64, err error)
 }
 
-// DigestSeed is the FNV-1a 64 offset basis a task digest starts from;
-// executors extend it with FoldWord and FoldBytes, and Fingerprint
-// folds the merged vector the same way, so the fabric has one hash.
-const DigestSeed = uint64(14695981039346656037)
-
-const fnvPrime = uint64(1099511628211)
-
-// FoldWord folds one 64-bit word into an FNV-1a digest, low byte first.
-func FoldWord(h, w uint64) uint64 {
-	for s := 0; s < 64; s += 8 {
-		h ^= (w >> s) & 0xff
-		h *= fnvPrime
-	}
-	return h
-}
-
-// FoldBytes folds raw bytes into an FNV-1a digest.
-func FoldBytes(h uint64, p []byte) uint64 {
-	for _, b := range p {
-		h ^= uint64(b)
-		h *= fnvPrime
-	}
-	return h
-}
-
 var (
 	execMu      sync.RWMutex
 	execFactory = map[string]func() Executor{}

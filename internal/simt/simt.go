@@ -215,9 +215,6 @@ func NewPartialWarp(m *Metrics, d Device, n int) *WarpCtx {
 // Active returns the current active mask.
 func (w *WarpCtx) Active() Mask { return w.active }
 
-// AnyActive reports whether any lane is active.
-func (w *WarpCtx) AnyActive() bool { return w.active != 0 }
-
 // Exec issues n warp-instructions under the current mask.
 func (w *WarpCtx) Exec(n int) {
 	c := uint64(w.active.Count())
