@@ -1,72 +1,62 @@
 // Command gbench-tables regenerates the GenomicsBench paper's
-// evaluation tables and figures from the Go reproduction.
+// evaluation tables and figures from the Go reproduction, and this
+// repository's ablations after them.
 //
 // Usage:
 //
 //	gbench-tables                 # everything
 //	gbench-tables -t gpu-control  # one table
 //
-// Table ids: config overview granularity gpu-control gpu-memory
-// vector-waste imbalance instmix bpki scaling cache topdown cache-sweep
+// Table ids are core.Artefacts'; an unknown -t lists them in order.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"repro/internal/core"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command; it returns the exit status: 0 when the
+// tables were printed, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("gbench-tables", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		which = flag.String("t", "all", "table id (or 'all')")
-		size  = flag.String("size", "small", "dataset size for measured tables")
-		seed  = flag.Int64("seed", 42, "dataset seed")
+		which = fs.String("t", "all", "table id (or 'all')")
+		size  = fs.String("size", "small", "dataset size for measured tables")
+		seed  = fs.Int64("seed", 42, "dataset seed")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	sz, err := core.ParseSize(*size)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 
-	gen := map[string]func() *core.Table{
-		"config":      func() *core.Table { return core.TableI() },
-		"overview":    func() *core.Table { return core.TableII() },
-		"granularity": func() *core.Table { return core.TableIII(sz, *seed) },
-		"gpu-control": func() *core.Table { return core.TableIV(*seed) },
-		"gpu-memory":  func() *core.Table { return core.TableV(*seed) },
-		"vector-waste": func() *core.Table {
-			return core.VectorWaste(*seed)
-		},
-		"imbalance": func() *core.Table { return core.Fig4(sz, *seed) },
-		"instmix":   func() *core.Table { return core.Fig5(sz, *seed) },
-		"bpki":      func() *core.Table { return core.Fig6(*seed) },
-		"scaling": func() *core.Table {
-			t, _ := core.Fig7(sz, *seed, []int{1, 2, 4, 8})
-			return t
-		},
-		"cache":       func() *core.Table { return core.Fig8(*seed) },
-		"topdown":     func() *core.Table { return core.Fig9(*seed) },
-		"cache-sweep": func() *core.Table { return core.CacheSweepTable(*seed) },
-	}
-
-	if *which == "all" {
-		for _, t := range core.AllTables(sz, *seed) {
-			fmt.Println(t)
+	var ids []string
+	printed := false
+	for _, a := range core.Artefacts {
+		ids = append(ids, a.ID)
+		if *which == "all" || *which == a.ID {
+			fmt.Fprintln(stdout, a.Gen(sz, *seed))
+			printed = true
 		}
-		return
 	}
-	g, ok := gen[*which]
-	if !ok {
-		ids := make([]string, 0, len(gen))
-		for id := range gen {
-			ids = append(ids, id)
-		}
-		fmt.Fprintf(os.Stderr, "unknown table %q; have: %s\n", *which, strings.Join(ids, " "))
-		os.Exit(2)
+	if !printed {
+		fmt.Fprintf(stderr, "unknown table %q; have: %s\n", *which, strings.Join(ids, " "))
+		return 2
 	}
-	fmt.Println(g())
+	return 0
 }

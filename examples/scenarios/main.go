@@ -24,7 +24,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"maps"
 	"os"
 
 	"repro/internal/scenario"
@@ -35,8 +34,8 @@ import (
 // walk takes a few seconds.
 var demoScale = map[string]scenario.Params{
 	"variantcalling": {"ref_len": 12_000},
-	"metagenomics":   {},               // registry defaults already run in a fraction of a second
-	"methylation":    {"molecules": 2}, // one methylated, one unmethylated read
+	// metagenomics: the registry defaults already run in a fraction of a second
+	"methylation": {"molecules": 2}, // one methylated, one unmethylated read
 }
 
 func main() {
@@ -49,9 +48,7 @@ func main() {
 }
 
 func run(def *scenario.Def) error {
-	p := def.Params.Clone()
-	maps.Copy(p, demoScale[def.Name])
-	pipe, err := def.Build(p)
+	pipe, err := def.Build(demoScale[def.Name])
 	if err != nil {
 		return err
 	}

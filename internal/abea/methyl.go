@@ -131,13 +131,6 @@ func CallMethylation(unmeth, meth *signalsim.PoreModel, seq genome.Seq, events [
 	return calls
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // SimulateMethylatedRead simulates events for seq where CpG sites are
 // methylated (drawn from the methylated model), for testing and the
 // polishing example.

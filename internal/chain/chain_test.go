@@ -251,12 +251,12 @@ func TestSortByScoreDescPathological(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	const n = 200_000
 	cases := map[string]func(i int) float64{
-		"all-equal": func(int) float64 { return 42 },
-		"ascending": func(i int) float64 { return float64(i) },
+		"all-equal":  func(int) float64 { return 42 },
+		"ascending":  func(i int) float64 { return float64(i) },
 		"descending": func(i int) float64 { return float64(n - i) },
 		"two-valued": func(i int) float64 { return float64(i & 1) },
 		"organ-pipe": func(i int) float64 { return float64(min(i, n-i)) },
-		"random":    func(int) float64 { return rng.Float64() },
+		"random":     func(int) float64 { return rng.Float64() },
 	}
 	for name, gen := range cases {
 		score := make([]float64, n)

@@ -4,10 +4,12 @@ import (
 	"maps"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/cachesim"
 	"repro/internal/perf"
+	"repro/internal/shard"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -25,6 +27,115 @@ func TestRegistryComplete(t *testing.T) {
 		if !have[w] {
 			t.Errorf("kernel %q missing from registry", w)
 		}
+	}
+}
+
+// TestKernelTable: the table is the paper's Table II — twelve kernels
+// in its order, its GPU and compute-regularity columns — and a
+// shardable entry's task count is the count the same entry's build
+// makes, which is what lets the coordinator partition without a
+// dataset.
+func TestKernelTable(t *testing.T) {
+	type row struct {
+		name                      string
+		irregular, gpu, shardable bool
+	}
+	want := []row{
+		{"fmi", true, false, false},
+		{"bsw", true, false, true},
+		{"dbg", true, false, true},
+		{"phmm", true, false, true},
+		{"chain", true, false, true},
+		{"spoa", true, false, true},
+		{"abea", true, true, false},
+		{"grm", false, false, false},
+		{"nn-base", false, true, false},
+		{"pileup", true, false, true},
+		{"nn-variant", false, true, false},
+		{"kmer-cnt", false, false, false},
+	}
+	if len(kernels) != len(want) {
+		t.Fatalf("table has %d kernels, want %d: %v", len(kernels), len(want), Names())
+	}
+	for i, k := range kernels {
+		got := row{k.info.Name, k.info.Irregular, k.info.GPU, k.newExecutor != nil}
+		if got != want[i] {
+			t.Errorf("entry %d is %+v, want %+v", i, got, want[i])
+		}
+		if got.shardable != shard.HasExecutor(got.name) {
+			t.Errorf("%s: shardable in the table %v, registered with the fabric %v", got.name, got.shardable, !got.shardable)
+		}
+		if !got.shardable {
+			continue
+		}
+		ex := k.newExecutor()
+		n, err := ex.Tasks("small")
+		if err != nil {
+			t.Fatalf("%s Tasks: %v", got.name, err)
+		}
+		if built, err := ex.Prepare("small", 3); err != nil || built != n {
+			t.Errorf("%s: Tasks(small) = %d, Prepare built %d (%v)", got.name, n, built, err)
+		}
+	}
+}
+
+// TestBenchmarksAreIndependentInstances: every Benchmarks/ByName call
+// hands out its own instance, so two holders of one kernel each run
+// the dataset they prepared, and releasing one leaves the other's.
+func TestBenchmarksAreIndependentInstances(t *testing.T) {
+	bswAt := func(seed int64) (Benchmark, RunStats) {
+		b, err := ByName("bsw")
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Prepare(Small, seed)
+		return b, mustRun(b, 1)
+	}
+	a, wantA := bswAt(1)
+	b, wantB := bswAt(2)
+	if wantA.Counters == wantB.Counters {
+		t.Fatal("seeds 1 and 2 count the same work; the test cannot tell the instances apart")
+	}
+	same := func(who string, got, want RunStats) {
+		t.Helper()
+		if got.Counters != want.Counters || !maps.Equal(got.Extra, want.Extra) {
+			t.Errorf("%s ran another dataset: %v %v, its own seed gives %v %v",
+				who, got.Counters.Ops, got.Extra, want.Counters.Ops, want.Extra)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		same("a (seed 1)", mustRun(a, 2), wantA)
+		same("b (seed 2)", mustRun(b, 2), wantB)
+	}
+	a.Release()
+	same("b after a.Release", mustRun(b, 1), wantB)
+}
+
+// TestRunOnceSharesOnePass: the figure generators' single-thread pass
+// is run once per (kernel, size, seed) however many callers want it,
+// at once or in turn.
+func TestRunOnceSharesOnePass(t *testing.T) {
+	k, ok := lookup("chain")
+	if !ok {
+		t.Fatal("no chain entry")
+	}
+	got := make([]RunStats, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = runOnce(k, Small, 5)
+		}()
+	}
+	wg.Wait()
+	for i, st := range got {
+		if st.TaskStats == nil || st.TaskStats != got[0].TaskStats {
+			t.Errorf("caller %d got a pass of its own", i)
+		}
+	}
+	if other := runOnce(k, Small, 6); other.TaskStats == got[0].TaskStats {
+		t.Error("seed 6 was served seed 5's pass")
 	}
 }
 

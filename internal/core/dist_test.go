@@ -128,9 +128,9 @@ func TestDistributedSuiteUnderChaosBitIdentical(t *testing.T) {
 
 	clean, _ := run(nil)
 	chaotic, observer := run(map[string]string{
-		"w1": "killworker:w1:1",       // dies on its first shard, forever (respawned each time)
-		"w2": "slowshard:w2:250ms",    // straggles into the hedging path
-		"w3": "dropconn:w3:0.4",       // loses computed results to partitions
+		"w1": "killworker:w1:1",    // dies on its first shard, forever (respawned each time)
+		"w2": "slowshard:w2:250ms", // straggles into the hedging path
+		"w3": "dropconn:w3:0.4",    // loses computed results to partitions
 	})
 
 	for i := range chaotic {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
+	"sync"
 
 	"repro/internal/abea"
 	"repro/internal/bsw"
@@ -19,6 +21,54 @@ import (
 // This file regenerates the paper's evaluation tables and figures.
 // Each generator returns a Table whose rows correspond to the paper's
 // rows/series; EXPERIMENTS.md records paper-vs-measured values.
+
+// memo computes each key's value once, under a lock held across the
+// computation: a second caller wanting the same value waits for it
+// instead of repeating it.
+type memo[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]V
+}
+
+func (c *memo[K, V]) get(key K, compute func() V) V {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	v, ok := c.m[key]
+	if !ok {
+		if c.m == nil {
+			c.m = map[K]V{}
+		}
+		v = compute()
+		c.m[key] = v
+	}
+	return v
+}
+
+type runKey struct {
+	kernel string
+	size   Size
+	seed   int64
+}
+
+// Table III, Figs. 4 and 5, the memory profiles and the cache sweep
+// all read the same single-thread pass, and Figs. 6 to 9 the same
+// replay of it, so a process that renders several of them (gbench-
+// tables, gbench-report) runs each kernel and each replay once.
+var (
+	runMemo     memo[runKey, RunStats]
+	profileMemo memo[int64, []MemProfile]
+)
+
+// runOnce returns the kernel's RunStats from a single-thread run of
+// its (size, seed) dataset, which every field but Elapsed is a pure
+// function of. Callers read the result and must not modify it.
+func runOnce(k kernel, size Size, seed int64) RunStats {
+	return runMemo.get(runKey{k.info.Name, size, seed}, func() RunStats {
+		b := k.newBench()
+		b.Prepare(size, seed)
+		return mustRun(b, 1)
+	})
+}
 
 // TableI renders the baseline machine configuration the cache
 // simulator models (the paper's Xeon E3-1240 v5).
@@ -43,8 +93,8 @@ func TableII() *Table {
 		Title:   "Table II: Benchmark overview and parallelism motifs",
 		Columns: []string{"benchmark", "tool", "pipeline", "motif", "compute"},
 	}
-	for _, b := range Benchmarks() {
-		info := b.Info()
+	for _, k := range kernels {
+		info := k.info
 		compute := "regular"
 		if info.Irregular {
 			compute = "irregular"
@@ -61,14 +111,12 @@ func TableIII(size Size, seed int64) *Table {
 		Title:   "Table III: Parallelism granularity and data-parallel computation (irregular kernels)",
 		Columns: []string{"benchmark", "granularity", "work unit", "tasks", "mean work/task"},
 	}
-	for _, b := range Benchmarks() {
-		info := b.Info()
+	for _, k := range kernels {
+		info := k.info
 		if !info.Irregular {
 			continue
 		}
-		b.Prepare(size, seed)
-		stats := mustRun(b, 1)
-		b.Release()
+		stats := runOnce(k, size, seed)
 		s := stats.TaskStats.Summarize()
 		t.AddRow(info.Name, info.Granularity, info.WorkUnit, s.Count, s.Mean)
 	}
@@ -169,7 +217,7 @@ func VectorWaste(seed int64) *Table {
 		pairs = append(pairs, bsw.Pair{Query: q, Target: tg})
 	}
 	// Sort by query length, as BWA-MEM2 does before lane assignment.
-	sortPairsByLen(pairs)
+	sort.SliceStable(pairs, func(i, j int) bool { return len(pairs[i].Query) < len(pairs[j].Query) })
 	p := bsw.DefaultParams()
 	p.Band = 40
 	p.ZDrop = 30
@@ -185,28 +233,18 @@ func VectorWaste(seed int64) *Table {
 	return t
 }
 
-func sortPairsByLen(pairs []bsw.Pair) {
-	for i := 1; i < len(pairs); i++ {
-		for j := i; j > 0 && len(pairs[j].Query) < len(pairs[j-1].Query); j-- {
-			pairs[j], pairs[j-1] = pairs[j-1], pairs[j]
-		}
-	}
-}
-
 // Fig4 renders per-task work imbalance for the irregular kernels.
 func Fig4(size Size, seed int64) *Table {
 	t := &Table{
 		Title:   "Figure 4: per-task data-parallel work distribution (irregular kernels)",
 		Columns: []string{"benchmark", "unit", "tasks", "mean", "max", "max/mean", "p99/mean", "cv", "distribution"},
 	}
-	for _, b := range Benchmarks() {
-		info := b.Info()
+	for _, k := range kernels {
+		info := k.info
 		if !info.Irregular {
 			continue
 		}
-		b.Prepare(size, seed)
-		stats := mustRun(b, 1)
-		b.Release()
+		stats := runOnce(k, size, seed)
 		s := stats.TaskStats.Summarize()
 		p99Rel := 0.0
 		if s.Mean > 0 {
@@ -227,18 +265,15 @@ func Fig5(size Size, seed int64) *Table {
 		Title:   "Figure 5: dynamic operation breakdown (%)",
 		Columns: []string{"benchmark", "int-alu", "float", "vector", "load", "store", "branch", "other"},
 	}
-	for _, b := range Benchmarks() {
-		info := b.Info()
+	for _, k := range kernels {
+		info := k.info
 		if info.Name == "grm" {
 			// The paper excludes grm from the MICA instruction mix.
 			continue
 		}
-		b.Prepare(size, seed)
-		stats := mustRun(b, 1)
-		b.Release()
+		stats := runOnce(k, size, seed)
 		fr := stats.Counters.Fractions()
-		row := make([]interface{}, 0, 8)
-		row = append(row, info.Name)
+		row := []interface{}{info.Name}
 		for i := 0; i < perf.NumOpClasses(); i++ {
 			row = append(row, fmt.Sprintf("%.1f", 100*fr[i]))
 		}
@@ -256,24 +291,19 @@ type MemProfile struct {
 	TopDown cachesim.TopDown
 }
 
-// memProfileCache memoizes MemoryProfiles per seed: four figures share
-// the same simulation.
-var memProfileCache = map[int64][]MemProfile{}
-
 // MemoryProfiles runs every kernel small, then replays its
 // characteristic address stream (scaled to the paper's working-set
 // sizes: 10 GB FM-index, 8 GB k-mer table, ...) through the cache
 // simulator. Returns profiles in suite order.
 func MemoryProfiles(seed int64) []MemProfile {
-	if cached, ok := memProfileCache[seed]; ok {
-		return cached
-	}
+	return profileMemo.get(seed, func() []MemProfile { return memoryProfiles(seed) })
+}
+
+func memoryProfiles(seed int64) []MemProfile {
 	var out []MemProfile
-	for _, b := range Benchmarks() {
-		info := b.Info()
-		b.Prepare(Small, seed)
-		stats := mustRun(b, 1)
-		b.Release()
+	for _, k := range kernels {
+		info := k.info
+		stats := runOnce(k, Small, seed)
 		h := cachesim.NewHierarchy(cachesim.XeonE31240v5())
 		fraction := replayTrace(info.Name, stats, h, seed)
 		// The replay may be truncated for speed; scale the instruction
@@ -292,7 +322,6 @@ func MemoryProfiles(seed int64) []MemProfile {
 		td := h.TopDownEstimate(instr, fr[perf.Branch], vecFloat)
 		out = append(out, MemProfile{Name: info.Name, Report: rep, TopDown: td})
 	}
-	memProfileCache[seed] = out
 	return out
 }
 
@@ -566,45 +595,30 @@ type ScalingProfile struct {
 // to the paper's 8-thread Xeon: Amdahl's law with per-kernel
 // memory-bandwidth caps derived from the cache simulation.
 func Fig7(size Size, seed int64, threadCounts []int) (*Table, []ScalingProfile) {
-	if len(threadCounts) == 0 {
-		threadCounts = []int{1, 2, 4, 8}
-	}
-	profiles := make([]ScalingProfile, 0, len(registry))
-	mem := MemoryProfiles(seed)
-	memByName := map[string]MemProfile{}
-	for _, m := range mem {
-		memByName[m.Name] = m
-	}
-	for _, b := range Benchmarks() {
-		info := b.Info()
+	profiles := make([]ScalingProfile, 0, len(kernels))
+	mem := MemoryProfiles(seed) // in suite order, as kernels is
+	for ki, k := range kernels {
+		b := k.newBench()
 		b.Prepare(size, seed)
 		mustRun(b, 1) // warm caches and allocator before timing
 		measured := parallel.MeasureScaling(threadCounts, func(threads int) {
 			mustRun(b, threads)
 		})
-		b.Release()
 		// Model: Amdahl's law capped by a bandwidth roofline. The cap
 		// is driven by DRAM traffic volume (BPKI): latency-bound
 		// kernels (fmi) keep scaling because extra threads add memory-
 		// level parallelism, while bandwidth-bound ones (kmer-cnt)
 		// saturate the random-access bandwidth budget.
-		p := memByName[info.Name]
-		bpki := p.Report.BPKI
+		bpki := mem[ki].Report.BPKI
 		modeled := make([]float64, len(threadCounts))
 		for i, tc := range threadCounts {
 			s := amdahl(float64(tc), 0.995)
 			if bpki > 60 {
-				cap_ := 8 * math.Sqrt(60/bpki)
-				if cap_ < 1 {
-					cap_ = 1
-				}
-				if s > cap_ {
-					s = cap_
-				}
+				s = min(s, max(1, 8*math.Sqrt(60/bpki)))
 			}
 			modeled[i] = s
 		}
-		profiles = append(profiles, ScalingProfile{Name: info.Name, Measured: measured, Modeled: modeled})
+		profiles = append(profiles, ScalingProfile{Name: k.info.Name, Measured: measured, Modeled: modeled})
 	}
 	t := &Table{
 		Title:   "Figure 7: thread scaling (speedup over 1 thread)",
@@ -636,21 +650,42 @@ func amdahl(t, p float64) float64 {
 	return 1 / ((1 - p) + p/t)
 }
 
-// AllTables regenerates every table and figure in order.
+// Artefact is one table or figure this reproduction regenerates.
+type Artefact struct {
+	ID    string // gbench-tables' -t value
+	Paper bool   // one of the paper's own tables and figures
+	Gen   func(size Size, seed int64) *Table
+}
+
+// Artefacts lists every table and figure, the paper's twelve in the
+// paper's order and then this repository's ablations. It is the one
+// list: gbench-tables walks it and AllTables is its paper subset.
+var Artefacts = []Artefact{
+	{"config", true, func(Size, int64) *Table { return TableI() }},
+	{"overview", true, func(Size, int64) *Table { return TableII() }},
+	{"granularity", true, TableIII},
+	{"gpu-control", true, func(_ Size, seed int64) *Table { return TableIV(seed) }},
+	{"gpu-memory", true, func(_ Size, seed int64) *Table { return TableV(seed) }},
+	{"vector-waste", true, func(_ Size, seed int64) *Table { return VectorWaste(seed) }},
+	{"imbalance", true, Fig4},
+	{"instmix", true, Fig5},
+	{"bpki", true, func(_ Size, seed int64) *Table { return Fig6(seed) }},
+	{"scaling", true, func(size Size, seed int64) *Table {
+		t, _ := Fig7(size, seed, []int{1, 2, 4, 8})
+		return t
+	}},
+	{"cache", true, func(_ Size, seed int64) *Table { return Fig8(seed) }},
+	{"topdown", true, func(_ Size, seed int64) *Table { return Fig9(seed) }},
+	{"cache-sweep", false, func(_ Size, seed int64) *Table { return CacheSweepTable(seed) }},
+}
+
+// AllTables regenerates the paper's tables and figures in order.
 func AllTables(size Size, seed int64) []*Table {
-	fig7, _ := Fig7(size, seed, []int{1, 2, 4, 8})
-	return []*Table{
-		TableI(),
-		TableII(),
-		TableIII(size, seed),
-		TableIV(seed),
-		TableV(seed),
-		VectorWaste(seed),
-		Fig4(size, seed),
-		Fig5(size, seed),
-		Fig6(seed),
-		fig7,
-		Fig8(seed),
-		Fig9(seed),
+	var out []*Table
+	for _, a := range Artefacts {
+		if a.Paper {
+			out = append(out, a.Gen(size, seed))
+		}
 	}
+	return out
 }

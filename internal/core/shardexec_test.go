@@ -30,6 +30,17 @@ func preparedExecutor(t *testing.T, kernel, size string, seed int64) (shard.Exec
 	return ex, n
 }
 
+// built returns the dataset the named kernel's table entry builds.
+func built[D any](t *testing.T, kernel string, size Size, seed int64) D {
+	t.Helper()
+	b, err := ByName(kernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Prepare(size, seed)
+	return b.(*bench[D]).data
+}
+
 func runTask(t *testing.T, kernel string, ex shard.Executor, task int) uint64 {
 	t.Helper()
 	d, _, err := ex.RunTask(context.Background(), task)
@@ -73,29 +84,26 @@ func TestExecutorsMatchReferenceKernels(t *testing.T) {
 	const seed = 42
 	refs := map[string]func() []uint64{
 		"bsw": func() []uint64 {
-			var b bswBench
-			b.Prepare(Small, seed)
-			out := make([]uint64, len(b.pairs))
-			for i, p := range b.pairs {
+			pairs := built[[]bsw.Pair](t, "bsw", Small, seed)
+			out := make([]uint64, len(pairs))
+			for i, p := range pairs {
 				out[i] = bswDigest(bsw.Align(p.Query, p.Target, bsw.DefaultParams()))
 			}
 			return out
 		},
 		"spoa": func() []uint64 {
-			var b poaBench
-			b.Prepare(Small, seed)
-			out := make([]uint64, len(b.windows))
-			for i, w := range b.windows {
+			windows := built[[]*poa.Window](t, "spoa", Small, seed)
+			out := make([]uint64, len(windows))
+			for i, w := range windows {
 				consensus, _ := poa.ConsensusScalarInto(w, poa.DefaultParams(), poa.New())
 				out[i] = poaDigest(consensus)
 			}
 			return out
 		},
 		"dbg": func() []uint64 {
-			var b dbgBench
-			b.Prepare(Small, seed)
-			out := make([]uint64, len(b.regions))
-			for i, rg := range b.regions {
+			regions := built[[]*dbg.Region](t, "dbg", Small, seed)
+			out := make([]uint64, len(regions))
+			for i, rg := range regions {
 				out[i] = dbgDigest(dbg.AssembleRegion(rg, dbg.DefaultConfig()))
 			}
 			return out

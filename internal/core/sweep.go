@@ -21,19 +21,14 @@ type SweepPoint struct {
 
 // CacheSweep replays each kernel's trace against hierarchies with the
 // given LLC sizes (bytes). Other levels keep the Table I geometry.
-func CacheSweep(seed int64, kernels []string, llcSizes []int) []SweepPoint {
-	if len(llcSizes) == 0 {
-		llcSizes = []int{2 << 20, 4 << 20, 8 << 20, 16 << 20, 32 << 20}
-	}
+func CacheSweep(seed int64, names []string, llcSizes []int) []SweepPoint {
 	var out []SweepPoint
-	for _, name := range kernels {
-		b, err := ByName(name)
-		if err != nil {
+	for _, name := range names {
+		k, ok := lookup(name)
+		if !ok {
 			continue
 		}
-		b.Prepare(Small, seed)
-		stats := mustRun(b, 1)
-		b.Release()
+		stats := runOnce(k, Small, seed)
 		for _, size := range llcSizes {
 			cfg := cachesim.XeonE31240v5()
 			cfg.LLCSize = size
@@ -49,20 +44,16 @@ func CacheSweep(seed int64, kernels []string, llcSizes []int) []SweepPoint {
 // CacheSweepTable renders the sweep for the paper's two memory-bound
 // kernels plus a cache-friendly control.
 func CacheSweepTable(seed int64) *Table {
-	kernels := []string{"fmi", "kmer-cnt", "spoa"}
+	names := []string{"fmi", "kmer-cnt", "spoa"}
 	sizes := []int{2 << 20, 8 << 20, 32 << 20}
-	points := CacheSweep(seed, kernels, sizes)
+	points := CacheSweep(seed, names, sizes) // len(sizes) points per name, in names' order
 	t := &Table{
 		Title:   "Ablation: BPKI versus LLC size (paper-scale working sets)",
 		Columns: []string{"benchmark", "LLC 2MB", "LLC 8MB", "LLC 32MB"},
 	}
-	byKernel := map[string][]SweepPoint{}
-	for _, p := range points {
-		byKernel[p.Name] = append(byKernel[p.Name], p)
-	}
-	for _, k := range kernels {
-		row := []interface{}{k}
-		for _, p := range byKernel[k] {
+	for i, name := range names {
+		row := []interface{}{name}
+		for _, p := range points[i*len(sizes):][:len(sizes)] {
 			row = append(row, fmt.Sprintf("%.1f", p.Report.BPKI))
 		}
 		t.AddRow(row...)

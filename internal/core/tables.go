@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -30,10 +31,7 @@ func (t *Table) AddRow(cells ...interface{}) {
 }
 
 func formatFloat(v float64) string {
-	av := v
-	if av < 0 {
-		av = -av
-	}
+	av := math.Abs(v)
 	switch {
 	case v == 0:
 		return "0"

@@ -3,6 +3,7 @@ package scenario
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -77,13 +78,13 @@ func init() {
 
 func buildMetagenomics(p Params) (*Pipeline, error) {
 	var (
-		totalReads = p.Int("total_reads", 600)
-		meanLen    = p.Int("mean_len", 1_200)
-		errRate    = p.Get("error_rate", 0.08)
-		seed       = int64(p.Int("seed", 31))
-		readSeed   = int64(p.Int("read_seed", 32))
-		minAcc     = p.Get("min_accuracy", 0.80)
-		maxL1      = p.Get("max_l1", 0.30)
+		totalReads = p.Int("total_reads")
+		meanLen    = p.Int("mean_len")
+		errRate    = p.Get("error_rate")
+		seed       = int64(p.Int("seed"))
+		readSeed   = int64(p.Int("read_seed"))
+		minAcc     = p.Get("min_accuracy")
+		maxL1      = p.Get("max_l1")
 	)
 	names := []string{"e.coli-like", "s.aureus-like", "virus-like", "fungus-like"}
 	sizes := []int{60_000, 45_000, 8_000, 90_000}
@@ -130,7 +131,7 @@ func buildMetagenomics(p Params) (*Pipeline, error) {
 		Stages: []Stage{
 			{
 				Name:     "smem",
-				Workers:  p.Int("smem_workers", 2),
+				Workers:  p.Int("smem_workers"),
 				NewState: func() any { return &smemState{} },
 				Fn: func(ctx context.Context, w *Worker, v any, emit func(any) error) error {
 					r := v.(ClassifyRead)
@@ -166,7 +167,7 @@ func buildMetagenomics(p Params) (*Pipeline, error) {
 			},
 			{
 				Name:    "classify",
-				Workers: p.Int("classify_workers", 2),
+				Workers: p.Int("classify_workers"),
 				Fn: func(ctx context.Context, w *Worker, v any, emit func(any) error) error {
 					sr := v.(*SeededRead)
 					votes := make([]int, len(names))
@@ -222,7 +223,7 @@ func buildMetagenomics(p Params) (*Pipeline, error) {
 			}
 			var l1 float64
 			for i := range names {
-				l1 += abs(float64(counts[i])/float64(classified) - trueMix[i])
+				l1 += math.Abs(float64(counts[i])/float64(classified) - trueMix[i])
 			}
 			if l1 > maxL1 {
 				return fmt.Errorf("metagenomics: abundance L1 error %.2f above ceiling %.2f", l1, maxL1)
@@ -246,11 +247,4 @@ func buildMetagenomics(p Params) (*Pipeline, error) {
 		},
 	}
 	return pipe, nil
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

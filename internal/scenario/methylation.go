@@ -66,14 +66,14 @@ func init() {
 
 func buildMethylation(p Params) (*Pipeline, error) {
 	var (
-		seqLen    = p.Int("seq_len", 1_200)
-		cpgEvery  = p.Int("cpg_every", 60)
-		molecules = p.Int("molecules", 8)
-		noise     = p.Get("noise", 0.6)
-		threshold = float32(p.Get("threshold", 2.0))
-		seed      = int64(p.Int("seed", 41))
-		minTP     = p.Get("min_tp", 0.60)
-		maxFP     = p.Get("max_fp", 0.25)
+		seqLen    = p.Int("seq_len")
+		cpgEvery  = p.Int("cpg_every")
+		molecules = p.Int("molecules")
+		noise     = p.Get("noise")
+		threshold = float32(p.Get("threshold"))
+		seed      = int64(p.Int("seed"))
+		minTP     = p.Get("min_tp")
+		maxFP     = p.Get("max_fp")
 	)
 	rng := rand.New(rand.NewSource(seed))
 	base := signalsim.NewPoreModel()
@@ -103,7 +103,7 @@ func buildMethylation(p Params) (*Pipeline, error) {
 		Stages: []Stage{
 			{
 				Name:    "signal",
-				Workers: p.Int("sig_workers", 2),
+				Workers: p.Int("sig_workers"),
 				Fn: func(ctx context.Context, w *Worker, v any, emit func(any) error) error {
 					m := v.(Molecule)
 					model := base
@@ -119,7 +119,7 @@ func buildMethylation(p Params) (*Pipeline, error) {
 			},
 			{
 				Name:    "methylcall",
-				Workers: p.Int("call_workers", 2),
+				Workers: p.Int("call_workers"),
 				Fn: func(ctx context.Context, w *Worker, v any, emit func(any) error) error {
 					me := v.(*MoleculeEvents)
 					calls := abea.CallMethylation(base, meth, seq, me.Events, callCfg, threshold)

@@ -25,6 +25,7 @@ package scenario
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"sync"
@@ -38,31 +39,22 @@ import (
 // new workload variant is a new Params map, not new code.
 type Params map[string]float64
 
-// Get returns the named parameter or def when absent.
-func (p Params) Get(name string, def float64) float64 {
-	if v, ok := p[name]; ok {
-		return v
+// Get returns the named parameter. A Build closure reads only what
+// its Def.Params declares, so an absent name is a bug: it panics.
+func (p Params) Get(name string) float64 {
+	v, ok := p[name]
+	if !ok {
+		panic(fmt.Sprintf("scenario: parameter %q is not declared", name))
 	}
-	return def
+	return v
 }
 
-// Int returns the named parameter rounded to int, or def when absent.
-func (p Params) Int(name string, def int) int {
-	if v, ok := p[name]; ok {
-		return int(math.Round(v))
-	}
-	return def
-}
+// Int returns the named parameter rounded to int.
+func (p Params) Int(name string) int { return int(math.Round(p.Get(name))) }
 
 // Clone returns a copy of p that can be overridden without mutating
 // the registered definition.
-func (p Params) Clone() Params {
-	out := make(Params, len(p))
-	for k, v := range p {
-		out[k] = v
-	}
-	return out
-}
+func (p Params) Clone() Params { return maps.Clone(p) }
 
 // Worker is one stage worker's execution state: a warm arena drawn
 // from the run's scratch.Pool slot plus optional typed per-worker
@@ -178,10 +170,12 @@ type Def struct {
 	// pipeline must match ("source" + stage names); the registry test
 	// pins that the declaration and the construction agree.
 	Stages []string
-	// Params is the benchmark-scale parameter set. Callers clone and
-	// override for demo or test scale.
+	// Params declares every parameter with its benchmark-scale default.
 	Params Params
-	Build  func(p Params) (*Pipeline, error)
+	// Build closes the stage bodies over Params overlaid with the
+	// caller's overrides (demo or test scale); Register wraps it to
+	// reject an override Params does not declare.
+	Build func(overrides Params) (*Pipeline, error)
 }
 
 var (
@@ -199,6 +193,17 @@ func Register(d *Def) {
 	defer regMu.Unlock()
 	if _, dup := reg[d.Name]; dup {
 		panic("scenario: duplicate registration of " + d.Name)
+	}
+	build := d.Build
+	d.Build = func(overrides Params) (*Pipeline, error) {
+		p := d.Params.Clone()
+		for name, v := range overrides {
+			if _, ok := p[name]; !ok {
+				return nil, fmt.Errorf("scenario %s: unknown parameter %q (declared, with defaults: %v)", d.Name, name, d.Params)
+			}
+			p[name] = v
+		}
+		return build(p)
 	}
 	reg[d.Name] = d
 }

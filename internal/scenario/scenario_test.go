@@ -4,14 +4,27 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
 	"repro/internal/scratch"
 )
 
-// testParams returns a small-scale override of a registered scenario's
-// parameters so the differential suite stays fast.
+// testOverrides are the small-scale overrides that keep the
+// differential suite fast.
+var testOverrides = map[string]Params{
+	"variantcalling": {
+		"ref_len":    4_000,
+		"coverage":   12,
+		"min_recall": 0.2, // tiny genome: recall is noisy, identity is the contract
+	},
+	"methylation":  {"seq_len": 500, "molecules": 4},
+	"metagenomics": {"total_reads": 60},
+}
+
+// testParams returns a registered scenario's full parameter set with
+// testOverrides applied, the way benchmark/ passes a whole clone.
 func testParams(t *testing.T, name string) Params {
 	t.Helper()
 	def := Get(name)
@@ -19,16 +32,8 @@ func testParams(t *testing.T, name string) Params {
 		t.Fatalf("scenario %q not registered", name)
 	}
 	p := def.Params.Clone()
-	switch name {
-	case "variantcalling":
-		p["ref_len"] = 4_000
-		p["coverage"] = 12
-		p["min_recall"] = 0.2 // tiny genome: recall is noisy, identity is the contract
-	case "methylation":
-		p["seq_len"] = 500
-		p["molecules"] = 4
-	case "metagenomics":
-		p["total_reads"] = 60
+	for k, v := range testOverrides[name] {
+		p[k] = v
 	}
 	return p
 }
@@ -59,7 +64,9 @@ func buildFor(t *testing.T, name string, p Params) *Pipeline {
 // TestRegistryDeclarationsMatchConstruction pins that each definition's
 // declarative stage list agrees with what Build actually constructs:
 // the first entry names the source, the rest must equal the pipeline's
-// stage names in order.
+// stage names in order. Def.Params is the other declaration: a Build
+// given only the overrides must make the pipeline a Build given the
+// whole overridden set makes.
 func TestRegistryDeclarationsMatchConstruction(t *testing.T) {
 	names := Names()
 	if len(names) < 3 {
@@ -76,6 +83,34 @@ func TestRegistryDeclarationsMatchConstruction(t *testing.T) {
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("%s: declared stages %v, built %v", name, def.Stages, got)
+			}
+		}
+		full, err := RunStaged(context.Background(), name, pipe, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		partial, err := RunStaged(context.Background(), name, buildFor(t, name, testOverrides[name]), Options{})
+		if err != nil {
+			t.Fatalf("%s from overrides alone: %v", name, err)
+		}
+		if partial.Digest != full.Digest {
+			t.Errorf("%s: digest %#x from overrides alone, %#x from the whole parameter set", name, partial.Digest, full.Digest)
+		}
+	}
+}
+
+// TestBuildRejectsUnknownParam: an override Def.Params does not
+// declare is a typo, not a parameter; Build names it and the valid
+// ones instead of running at the defaults.
+func TestBuildRejectsUnknownParam(t *testing.T) {
+	for _, name := range Names() {
+		_, err := Get(name).Build(Params{"reflen": 12000})
+		if err == nil {
+			t.Fatalf("%s: Build accepted the undeclared parameter \"reflen\"", name)
+		}
+		for _, want := range []string{`"reflen"`, "seed"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error does not name %s: %v", name, want, err)
 			}
 		}
 	}
@@ -323,12 +358,20 @@ func TestRegionBinnerMatchesTwoPassBinning(t *testing.T) {
 // TestParamsHelpers covers the Params accessors.
 func TestParamsHelpers(t *testing.T) {
 	p := Params{"a": 2.6, "b": -1}
-	if p.Int("a", 0) != 3 || p.Int("missing", 7) != 7 {
+	if p.Int("a") != 3 {
 		t.Fatal("Params.Int")
 	}
-	if p.Get("b", 0) != -1 || p.Get("missing", 1.5) != 1.5 {
+	if p.Get("b") != -1 {
 		t.Fatal("Params.Get")
 	}
+	func() {
+		defer func() {
+			if msg := fmt.Sprint(recover()); !strings.Contains(msg, `"missing"`) {
+				t.Fatalf("Get of an undeclared name: panic %q does not name it", msg)
+			}
+		}()
+		p.Get("missing")
+	}()
 	c := p.Clone()
 	c["a"] = 9
 	if p["a"] != 2.6 {
@@ -343,11 +386,11 @@ func TestValidateRejectsMalformedPipelines(t *testing.T) {
 	fold := func(d *Digest, v any) {}
 	cases := []*Pipeline{
 		nil,
-		{Stages: []Stage{{Name: "a", Fn: fn}}, Fold: fold},             // no source
-		{Source: src, Fold: fold},                                      // no stages
-		{Source: src, Stages: []Stage{{Name: "a", Fn: fn}}},            // no fold
-		{Source: src, Stages: []Stage{{Fn: fn}}, Fold: fold},           // unnamed stage
-		{Source: src, Stages: []Stage{{Name: "a"}}, Fold: fold},        // no Fn
+		{Stages: []Stage{{Name: "a", Fn: fn}}, Fold: fold},                                   // no source
+		{Source: src, Fold: fold},                                                            // no stages
+		{Source: src, Stages: []Stage{{Name: "a", Fn: fn}}},                                  // no fold
+		{Source: src, Stages: []Stage{{Fn: fn}}, Fold: fold},                                 // unnamed stage
+		{Source: src, Stages: []Stage{{Name: "a"}}, Fold: fold},                              // no Fn
 		{Source: src, Fold: fold, Stages: []Stage{{Name: "a", Fn: fn}, {Name: "a", Fn: fn}}}, // dup name
 		{Source: src, Fold: fold, Stages: []Stage{
 			{Name: "wide", Fn: fn, Workers: 4},

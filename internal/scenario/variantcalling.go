@@ -57,15 +57,15 @@ func init() {
 
 func buildVariantCalling(p Params) (*Pipeline, error) {
 	var (
-		refLen     = p.Int("ref_len", 60_000)
-		regionSize = p.Int("region_size", 400)
-		coverage   = p.Get("coverage", 30)
-		readLen    = p.Int("read_len", 100)
-		snvRate    = p.Get("snv_rate", 0.0015)
-		indelRate  = p.Get("indel_rate", 0.0003)
-		seed       = int64(p.Int("seed", 11))
-		readSeed   = int64(p.Int("read_seed", 12))
-		minRecall  = p.Get("min_recall", 0.40)
+		refLen     = p.Int("ref_len")
+		regionSize = p.Int("region_size")
+		coverage   = p.Get("coverage")
+		readLen    = p.Int("read_len")
+		snvRate    = p.Get("snv_rate")
+		indelRate  = p.Get("indel_rate")
+		seed       = int64(p.Int("seed"))
+		readSeed   = int64(p.Int("read_seed"))
+		minRecall  = p.Get("min_recall")
 	)
 	rng := rand.New(rand.NewSource(seed))
 	ref := genome.NewReference(rng, "chr22", refLen, 0)
@@ -112,7 +112,7 @@ func buildVariantCalling(p Params) (*Pipeline, error) {
 			},
 			{
 				Name:     "dbg",
-				Workers:  p.Int("dbg_workers", 2),
+				Workers:  p.Int("dbg_workers"),
 				NewState: func() any { return dbg.NewAssembler() },
 				Fn: func(ctx context.Context, w *Worker, v any, emit func(any) error) error {
 					rr := v.(*RegionReads)
@@ -126,7 +126,7 @@ func buildVariantCalling(p Params) (*Pipeline, error) {
 			},
 			{
 				Name:     "phmm",
-				Workers:  p.Int("hmm_workers", 2),
+				Workers:  p.Int("hmm_workers"),
 				NewState: func() any { return phmm.NewScratch() },
 				Fn: func(ctx context.Context, w *Worker, v any, emit func(any) error) error {
 					ar := v.(*AssembledRegion)
