@@ -13,6 +13,7 @@ import (
 	"context"
 	"math"
 
+	"repro/internal/digest"
 	"repro/internal/faultinject"
 	"repro/internal/genome"
 	"repro/internal/parallel"
@@ -117,6 +118,10 @@ func Align(model *signalsim.PoreModel, seq genome.Seq, events []signalsim.Event,
 // Each call Resets a: the arena must not hold live buffers from other
 // kernels. Results are bit-identical to Align.
 func AlignInto(model *signalsim.PoreModel, seq genome.Seq, events []signalsim.Event, cfg Config, a *scratch.Arena) Result {
+	return alignInto(model, seq, events, cfg, a, nil)
+}
+
+func alignInto(model *signalsim.PoreModel, seq genome.Seq, events []signalsim.Event, cfg Config, a *scratch.Arena, traj *trajectory) Result {
 	if a == nil {
 		a = scratch.New()
 	}
@@ -241,6 +246,7 @@ func AlignInto(model *signalsim.PoreModel, seq genome.Seq, events []signalsim.Ev
 			}
 		}
 		maxOffsetPrev = rowArg
+		traj.observe(rowArg)
 		prev2, prev, cur = prev, cur, prev2
 	}
 	res.Score = bestFinal
@@ -256,6 +262,23 @@ type KernelResult struct {
 	OutOfBand   int
 	TaskStats   *perf.TaskStats
 	Counters    perf.Counters
+	// Digest is FNV-1a over every read's answer — the float32 bits of
+	// its score, its cell count, its out-of-band flag — hashed per read
+	// and the read hashes hashed in read order: the one output of the
+	// run that depends on what the band sweep computed, identical at
+	// any thread count and SIMD tier.
+	Digest uint64
+}
+
+// fold extends h with r's answer.
+func (r Result) fold(h uint64) uint64 {
+	h = digest.Word(h, uint64(math.Float32bits(r.Score)))
+	h = digest.Word(h, r.CellUpdates)
+	var oob uint64
+	if r.OutOfBand {
+		oob = 1
+	}
+	return digest.Word(h, oob)
 }
 
 // RunKernelCtx aligns all signal reads with dynamic scheduling, under
@@ -280,8 +303,9 @@ func RunKernelCtx(ctx context.Context, model *signalsim.PoreModel, reads []signa
 	if err != nil {
 		return KernelResult{}, err
 	}
-	res := KernelResult{Reads: len(reads), TaskStats: perf.NewTaskStats("cell updates")}
+	res := KernelResult{Reads: len(reads), Digest: digest.Seed, TaskStats: perf.NewTaskStats("cell updates")}
 	for i := range results {
+		res.Digest = digest.Word(res.Digest, results[i].fold(digest.Seed))
 		res.CellUpdates += results[i].CellUpdates
 		if results[i].OutOfBand {
 			res.OutOfBand++

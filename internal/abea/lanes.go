@@ -8,28 +8,49 @@ package abea
 // which the scalar path recomputes per cell, including a math.Log),
 // reverses the event means so every band-relative access is a
 // contiguous ascending gather, and then sweeps the in-band interior
-// in lane-width quad blocks with no per-cell bounds checks: within a
-// band every predecessor offset is the cell offset plus a constant
-// band shift, so the three dependencies become three shifted quad
+// in lane-width blocks with no per-cell bounds checks: within a band
+// every predecessor offset is the cell offset plus a constant band
+// shift, so the three dependencies become three shifted unaligned
 // loads against negInf-padded band buffers (the pads replay the
 // scalar path's out-of-band checks bit-for-bit).
 //
 // Unlike the PairHMM forward pass, the banded recurrence has no
 // within-band serial chain — stay/step/skip all read earlier bands —
-// so the quad sweep carries nothing across columns and the portable
-// Go form stays in registers without an assembly kernel.
+// so the sweep carries nothing across columns. Two bodies share that
+// contract:
+//
+//   - bandSweepAVX2 / bandArgmaxAVX2 (band_amd64.s), taken when
+//     cpufeat.AVX2() holds, the band has W >= 8 cells and the interior
+//     at least 8: an 8-lane sweep of the interior, then a vector
+//     arg-max over all W band cells. A ragged interior or band is
+//     finished by re-running the last full vector at offset n-8 — a
+//     cell depends only on earlier bands, so the overlap rewrites equal
+//     values and the assembly has no scalar epilogue.
+//   - bandSweepQuad / bandArgmax, the portable lanes.Quad sweep with a
+//     scalar tail and the scalar strict-greater arg-max: every other
+//     case (interiors under 8 cells, W < 8, GBENCH_SIMD=off|sse2,
+//     arm64 and amd64 hosts without AVX2). It is the assembly's one
+//     forced-portable twin.
 //
 // Numerics: every float expression replays the scalar path's
 // operations in the scalar order (the emission tables round exactly
 // once, in the same places), so scores, band movement, work counters
-// and trace behaviour are BIT-IDENTICAL to AlignInto — asserted, not
-// just bounded, by the differential tests. Bands the interval logic
-// cannot lane (the first two seed bands, band edges, ragged quad
-// tails) run the scalar per-cell body unchanged.
+// and trace behaviour are BIT-IDENTICAL to AlignInto on every tier —
+// asserted, not just bounded, by the differential tests and hammers.
+// The assembly keeps that by construction: a rounded VMULPS followed
+// by VSUBPS/VADDPS in the Go expression's order (never a fused
+// multiply-add), a real VDIVPS (never a reciprocal estimate), and
+// VMAXPS with the challenger as first source and the incumbent as
+// second, which is Go's `if b > a { a = b }` exactly — ties, the
+// negInf pads and NaN all resolve to the incumbent. The first two seed
+// bands and bands with an empty interior run the scalar per-cell body
+// unchanged.
 
 import (
 	"math"
 
+	"repro/internal/cpufeat"
+	"repro/internal/digest"
 	"repro/internal/genome"
 	"repro/internal/lanes"
 	"repro/internal/scratch"
@@ -56,6 +77,10 @@ func AlignLanes(model *signalsim.PoreModel, seq genome.Seq, events []signalsim.E
 // AlignLanesInto runs the lane-blocked adaptive banded alignment into
 // a's reusable buffers. Results are bit-identical to AlignInto.
 func AlignLanesInto(model *signalsim.PoreModel, seq genome.Seq, events []signalsim.Event, cfg Config, a *scratch.Arena) Result {
+	return alignLanesInto(model, seq, events, cfg, a, nil)
+}
+
+func alignLanesInto(model *signalsim.PoreModel, seq genome.Seq, events []signalsim.Event, cfg Config, a *scratch.Arena, traj *trajectory) Result {
 	if a == nil {
 		a = scratch.New()
 	}
@@ -72,18 +97,12 @@ func AlignLanesInto(model *signalsim.PoreModel, seq genome.Seq, events []signals
 		return res
 	}
 
-	// Per-read emission tables: one gather per k-mer rank instead of a
-	// KmerCode walk plus math.Log per band cell. Each entry rounds
-	// exactly where the scalar path rounds, so emissions stay
-	// bit-identical.
-	muK := a.Float32s(nk)
-	sdK := a.Float32s(nk)
-	lsK := a.Float32s(nk)
-	genome.EachKmer(seq, signalsim.K, func(pos int, code uint64) {
-		muK[pos] = model.Mean[code]
-		sdK[pos] = model.Stdv[code]
-		lsK[pos] = float32(math.Log(float64(model.Stdv[code])))
-	})
+	// The tier is asked for once per read; bands narrower than one
+	// vector stay on the portable body at every tier.
+	wide := haveBandAsm && W >= 8 && cpufeat.AVX2()
+
+	muK, sdK, lsK := a.Float32s(nk), a.Float32s(nk), a.Float32s(nk)
+	emissionTables(model, seq, muK, sdK, lsK)
 	// Reversed event means: cell o of a band at lower-left (e0,k0)
 	// reads event e0-o, so in reversed coordinates the band's event
 	// gather is contiguous and ascending, quad-loadable.
@@ -149,6 +168,7 @@ func AlignLanesInto(model *signalsim.PoreModel, seq genome.Seq, events []signals
 		if i < 2 || oB < oA {
 			// Seed bands and fully-out-of-band bands: scalar body.
 			maxOffsetPrev = scalarBand(i, W, ne, nk, lle, llk, prev, prev2, cur, evRev, muK, sdK, lsK, &res, &bestFinal, &foundFinal)
+			traj.observe(maxOffsetPrev)
 			prev2, prev, cur = prev, cur, prev2
 			continue
 		}
@@ -177,53 +197,25 @@ func AlignLanesInto(model *signalsim.PoreModel, seq genome.Seq, events []signals
 		eb := ne - 1 - e0 // evRev index of cell o = eb + o
 		kb := k0
 
-		res.CellUpdates += uint64(oB - oA + 1)
-		o := oA
-		for ; o+3 <= oB; o += 4 {
-			mu := lanes.Load4U(&muK[0], kb+o)
-			sd := lanes.Load4U(&sdK[0], kb+o)
-			ls := lanes.Load4U(&lsK[0], kb+o)
-			x := lanes.Load4U(&evRev[0], eb+o)
-			z := x.Sub(mu).Div(sd)
-			emit := halfNeg.Mul(z).Mul(z).Sub(ls).Sub(ls2piQ)
-			up := lanes.Load4U(&prev[0], o+s1+1)
-			left := lanes.Load4U(&prev[0], o+s1)
-			diag := lanes.Load4U(&prev2[0], o+s2+1)
-			stay := up.Add(lpStayQ).Add(emit)
-			step := diag.Add(lpStepQ).Add(emit)
-			skip := left.Add(lpSkipQ)
-			v := stay.Max(step).Max(skip)
-			lanes.Store4U(&cur[0], o+1, v)
-		}
-		// Ragged quad tail: the same expressions one cell at a time.
-		for ; o <= oB; o++ {
-			z := (evRev[eb+o] - muK[kb+o]) / sdK[kb+o]
-			emit := -0.5*z*z - lsK[kb+o] - logSqrt2Pi32
-			stay := prev[o+s1+1] + lpStay + emit
-			step := prev2[o+s2+1] + lpStep + emit
-			skip := prev[o+s1] + lpSkip
-			v := stay
-			if step > v {
-				v = step
-			}
-			if skip > v {
-				v = skip
-			}
-			cur[o+1] = v
+		n := oB - oA + 1
+		res.CellUpdates += uint64(n)
+		x, mu, sd, ls := evRev[eb+oA:][:n], muK[kb+oA:][:n], sdK[kb+oA:][:n], lsK[kb+oA:][:n]
+		up, left, diag := prev[oA+s1+1:][:n], prev[oA+s1:][:n], prev2[oA+s2+1:][:n]
+		if wide && n >= 8 {
+			bandSweepAVX2(x, mu, sd, ls, up, left, diag, cur[oA+1:][:n])
+		} else {
+			bandSweepQuad(x, mu, sd, ls, up, left, diag, cur[oA+1:][:n])
 		}
 
-		// Band max: a post-pass with the scalar loop's strict-greater
-		// first-winner semantics (negInf cells can never win unless the
-		// whole band is negInf, in which case rowArg stays 0 — exactly
-		// the scalar outcome).
-		rowMax, rowArg := negInf, 0
-		for o := 0; o < W; o++ {
-			if cur[o+1] > rowMax {
-				rowMax = cur[o+1]
-				rowArg = o
-			}
+		// Band max over all W cells, edges included (negInf cells can
+		// never win; an all-negInf band keeps offset 0 — exactly the
+		// scalar outcome).
+		if wide {
+			maxOffsetPrev = bandArgmaxAVX2(cur[1 : W+1])
+		} else {
+			maxOffsetPrev = bandArgmax(cur[1 : W+1])
 		}
-		maxOffsetPrev = rowArg
+		traj.observe(maxOffsetPrev)
 
 		// Terminal cell: at most one offset per band can be (ne-1,nk-1).
 		if oF := e0 - (ne - 1); oF >= oA && oF <= oB && k0+oF == nk-1 {
@@ -238,6 +230,80 @@ func AlignLanesInto(model *signalsim.PoreModel, seq genome.Seq, events []signals
 	res.OutOfBand = !foundFinal
 	res.Aligned = ne
 	return res
+}
+
+// emissionTables fills the per-read emission tables, indexed by k-mer
+// rank: one gather per band cell instead of a KmerCode walk plus a
+// math.Log. Each entry rounds exactly where LogProbMatch rounds, so
+// emission over the tables is bit-identical to it.
+func emissionTables(model *signalsim.PoreModel, seq genome.Seq, muK, sdK, lsK []float32) {
+	genome.EachKmer(seq, signalsim.K, func(pos int, code uint64) {
+		muK[pos] = model.Mean[code]
+		sdK[pos] = model.Stdv[code]
+		lsK[pos] = float32(math.Log(float64(model.Stdv[code])))
+	})
+}
+
+// emission is LogProbMatch over one emissionTables entry.
+func emission(x, mu, sd, ls float32) float32 {
+	z := (x - mu) / sd
+	return -0.5*z*z - ls - logSqrt2Pi32
+}
+
+// trajectory is the tests' view of the band path: a fold of every
+// band's arg-max offset. A nil *trajectory (every production call)
+// records nothing.
+type trajectory uint64
+
+func (t *trajectory) observe(arg int) {
+	if t != nil {
+		*t = trajectory(digest.Word(uint64(*t), uint64(arg)))
+	}
+}
+
+// bandSweepQuad is the portable interior sweep: cell o of the
+// interior reads x/mu/sd/ls[o], its up/left predecessors in band i-1
+// and its diagonal in band i-2 (all eight slices start at the
+// interior's first cell and have its length), and writes dst[o].
+func bandSweepQuad(x, mu, sd, ls, up, left, diag, dst []float32) {
+	n := len(dst)
+	o := 0
+	for ; o+4 <= n; o += 4 {
+		z := lanes.Load4U(&x[0], o).Sub(lanes.Load4U(&mu[0], o)).Div(lanes.Load4U(&sd[0], o))
+		emit := halfNeg.Mul(z).Mul(z).Sub(lanes.Load4U(&ls[0], o)).Sub(ls2piQ)
+		stay := lanes.Load4U(&up[0], o).Add(lpStayQ).Add(emit)
+		step := lanes.Load4U(&diag[0], o).Add(lpStepQ).Add(emit)
+		skip := lanes.Load4U(&left[0], o).Add(lpSkipQ)
+		lanes.Store4U(&dst[0], o, stay.Max(step).Max(skip))
+	}
+	// Ragged quad tail: the same expressions one cell at a time.
+	for ; o < n; o++ {
+		emit := emission(x[o], mu[o], sd[o], ls[o])
+		stay := up[o] + lpStay + emit
+		step := diag[o] + lpStep + emit
+		skip := left[o] + lpSkip
+		v := stay
+		if step > v {
+			v = step
+		}
+		if skip > v {
+			v = skip
+		}
+		dst[o] = v
+	}
+}
+
+// bandArgmax is the scalar loop's strict-greater first-winner arg-max
+// over one band: the lowest offset holding the band maximum, 0 when no
+// cell exceeds negInf.
+func bandArgmax(band []float32) int {
+	rowMax, rowArg := negInf, 0
+	for o, v := range band {
+		if v > rowMax {
+			rowMax, rowArg = v, o
+		}
+	}
+	return rowArg
 }
 
 // scalarBand runs AlignInto's per-cell body for one band on the
@@ -280,8 +346,7 @@ func scalarBand(i, W, ne, nk int, lle, llk []int, prev, prev2, cur []float32,
 				diag = prev2[o3+1]
 			}
 		}
-		z := (evRev[ne-1-e] - muK[k]) / sdK[k]
-		emit := -0.5*z*z - lsK[k] - logSqrt2Pi32
+		emit := emission(evRev[ne-1-e], muK[k], sdK[k], lsK[k])
 		stay := up + lpStay + emit
 		step := diag + lpStep + emit
 		skip := left + lpSkip

@@ -45,6 +45,11 @@ func AlignTrace(model *signalsim.PoreModel, seq genome.Seq, events []signalsim.E
 		res.Score = negInf
 		return res
 	}
+	// The emission tables AlignLanesInto sweeps over: no KmerCode walk
+	// or math.Log per band cell, same bits as LogProbMatch.
+	tab := make([]float32, 3*nk)
+	muK, sdK, lsK := tab[:nk], tab[nk:2*nk], tab[2*nk:]
+	emissionTables(model, seq, muK, sdK, lsK)
 	nBands := ne + nk + 1
 	prev := make([]float32, W)
 	prev2 := make([]float32, W)
@@ -109,7 +114,7 @@ func AlignTrace(model *signalsim.PoreModel, seq genome.Seq, events []signalsim.E
 					diag = prev2[o3]
 				}
 			}
-			emit := model.LogProbMatch(events[e].Mean, seq, k)
+			emit := emission(events[e].Mean, muK[k], sdK[k], lsK[k])
 			stay := up + lpStay + emit
 			step := diag + lpStep + emit
 			skip := left + lpSkip

@@ -1,6 +1,7 @@
 package abea
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -8,17 +9,25 @@ import (
 	"repro/internal/signalsim"
 )
 
+// AlignTrace reads its emissions from the per-read tables, AlignInto
+// from LogProbMatch: same score bits, same cells, same band fate.
 func TestAlignTraceScoreMatchesAlign(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	model := signalsim.NewPoreModel()
-	for trial := 0; trial < 10; trial++ {
+	for trial := 0; trial < 20; trial++ {
 		seq := genome.Random(rng, 60+rng.Intn(60))
-		events := signalsim.Simulate(rng, model, seq, signalsim.DefaultConfig())
-		plain := Align(model, seq, events, DefaultConfig())
-		traced := AlignTrace(model, seq, events, DefaultConfig())
-		if plain.Score != traced.Score || plain.OutOfBand != traced.OutOfBand {
-			t.Fatalf("trial %d: score %v/%v oob %v/%v", trial,
-				plain.Score, traced.Score, plain.OutOfBand, traced.OutOfBand)
+		simCfg := signalsim.DefaultConfig()
+		if trial%2 == 1 {
+			simCfg.NoiseScale = 3
+		}
+		events := signalsim.Simulate(rng, model, seq, simCfg)
+		cfg := Config{BandWidth: []int{100, 16, 9}[trial%3]}
+		plain := Align(model, seq, events, cfg)
+		traced := AlignTrace(model, seq, events, cfg)
+		if math.Float32bits(plain.Score) != math.Float32bits(traced.Score) ||
+			plain.CellUpdates != traced.CellUpdates || plain.OutOfBand != traced.OutOfBand {
+			t.Fatalf("trial %d (W=%d): score %v/%v cells %d/%d oob %v/%v", trial, cfg.BandWidth,
+				plain.Score, traced.Score, plain.CellUpdates, traced.CellUpdates, plain.OutOfBand, traced.OutOfBand)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 // Package lanes provides the fixed-width lane vectors the suite's DP
 // kernels execute in portable Go: Quad (four float32 lanes) under the
-// phmm forward pass and abea's band sweep, Lane8 as the eight-wide
+// phmm forward pass and abea's portable band sweep (the body every
+// tier below AVX2 runs, and the bit-level reference for the 8-lane
+// assembly sweep in internal/abea/band_amd64.s), Lane8 as the eight-wide
 // container phmm groups haplotypes in, and the int16 I16x16 (int16.go,
 // int16x16.go) that is the bit-level reference for poa's and bsw's
 // 16-wide asm row kernels. Lanes hold independent DP problems side by
@@ -48,8 +50,8 @@ const Width = 8
 // Quad is four float32 lanes; two quads nest into a Lane8. Four fields
 // is the compiler's struct SSA-decomposition limit, which is the whole
 // reason this is not a flat eight-field struct or an array. Quad
-// carries the arithmetic: the phmm forward pass and abea's band sweep
-// run as Quad sweeps.
+// carries the arithmetic: the phmm forward pass and abea's portable
+// band sweep run as Quad sweeps.
 type Quad struct {
 	A, B, C, D float32
 }
