@@ -14,6 +14,13 @@
 // docs/OBSERVABILITY.md. -pprof writes file-based runtime/pprof CPU
 // and heap profiles.
 //
+// -dist N runs the shardable kernels over N worker processes, which
+// are this same binary started as `gbench worker -addr A -id wK`: each
+// dials the coordinator, pulls shard leases, executes them through the
+// kernels table's executors and reports per-task digests (see
+// docs/DISTRIBUTED.md). Nobody types that form; it is how the
+// coordinator spawns its fleet.
+//
 // Usage:
 //
 //	gbench -bench fmi -size small -threads 4 -seed 42
@@ -46,10 +53,20 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// workerMode is the first argument of a spawned worker process.
+const workerMode = "worker"
+
+// exitKilled mimics an abrupt death: distinct from clean exits so the
+// chaos tests can assert the worker really died by injection.
+const exitKilled = 7
+
 // run is the whole command; it returns the exit status: 0 when every
 // kernel succeeded, 1 when one did not or an output could not be
 // written, 2 on a usage error.
 func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) > 0 && args[0] == workerMode {
+		return runWorker(args[1:], stderr)
+	}
 	fs := flag.NewFlagSet("gbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -70,7 +87,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		distShards  = fs.Int("dist-shards", 16, "shards per distributed kernel job")
 		distLease   = fs.Duration("dist-lease", 0, "shard lease duration (0 = 2s default)")
 		distVerify  = fs.Bool("dist-verify", false, "re-run each distributed kernel in-process and fail on digest mismatch")
-		workerBin   = fs.String("worker-bin", "", "gbench-worker binary (default: sibling of gbench, then $PATH)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -162,12 +178,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		bin, err := shard.WorkerBinary(*workerBin)
+		self, err := os.Executable()
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		fleet, err = shard.SpawnWorkers(ctx, bin, coord.Addr(), *distN, *faults, *faultSeed)
+		fleet, err = shard.SpawnWorkers(ctx, []string{self, workerMode}, coord.Addr(), *distN, *faults, *faultSeed)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
@@ -259,6 +275,52 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return 1
+}
+
+// runWorker is one worker process of the shard fabric. A -faults plan
+// arms worker-side chaos: killworker makes this process die abruptly
+// (exit 7, like a SIGKILL from outside), slowshard stalls shard
+// execution to trip lease expiry and hedging, and dropconn tears the
+// coordinator connection down after computing a shard, forcing a
+// reschedule of already-finished work. Fault sites match against
+// "workerID/kernel" labels, so "w1" targets one worker and "spoa"
+// targets one kernel fleet-wide.
+func runWorker(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("gbench "+workerMode, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		addr      = fs.String("addr", "", "coordinator address (required)")
+		id        = fs.String("id", "", "worker ID (required, e.g. w1)")
+		faults    = fs.String("faults", "", "worker-side fault plan (killworker/slowshard/dropconn, plus task trip-point kinds)")
+		faultSeed = fs.Int64("fault-seed", 1, "seed for deterministic fault firing")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *addr == "" || *id == "" {
+		fmt.Fprintf(stderr, "gbench %s: -addr and -id are required\n", workerMode)
+		return 2
+	}
+	plan, err := faultinject.Parse(*faults, *faultSeed)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
+	err = shard.RunWorker(ctx, shard.WorkerOptions{ID: *id, Addr: *addr, Plan: plan})
+	switch {
+	case err == nil, errors.Is(err, context.Canceled):
+		return 0 // coordinator said shutdown, or the fleet was interrupted
+	case errors.Is(err, shard.ErrKilled):
+		fmt.Fprintf(stderr, "gbench %s: %s killed by fault injection\n", workerMode, *id)
+		return exitKilled
+	default:
+		fmt.Fprintf(stderr, "gbench %s: %s: %v\n", workerMode, *id, err)
+		return 1
+	}
 }
 
 // parsePprofSpec splits -pprof into CPU and heap profile paths:

@@ -9,6 +9,16 @@ import (
 	"testing"
 )
 
+// A -dist fleet is this binary re-executed in worker mode; under go
+// test that binary is the test executable, so it answers the worker
+// form the way main does.
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == workerMode {
+		os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+	}
+	os.Exit(m.Run())
+}
+
 func TestRunReportsAnOkRowPerKernel(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-bench", "bsw,chain", "-size", "small", "-threads", "2"}, &stdout, &stderr); code != 0 {
@@ -17,6 +27,24 @@ func TestRunReportsAnOkRowPerKernel(t *testing.T) {
 	for _, kernel := range []string{"bsw", "chain"} {
 		if !regexp.MustCompile(`(?m)^\s*` + kernel + `\s.*\sok\s`).MatchString(stdout.String()) {
 			t.Errorf("no ok row for %s:\n%s", kernel, stdout.String())
+		}
+	}
+}
+
+// The worker path end to end: two spawned copies of this binary join
+// the fabric, every shard comes back, and -dist-verify finds the
+// digests bit-identical to the in-process run.
+func TestDistRunsItsOwnBinaryAsWorkers(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-bench", "chain,spoa", "-size", "small", "-dist", "2", "-dist-verify"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
+	}
+	for _, kernel := range []string{"chain", "spoa"} {
+		if !regexp.MustCompile(`(?m)^\s*` + kernel + `\s.*\sok\s+2w/16s\s`).MatchString(stdout.String()) {
+			t.Errorf("no ok row over 2 workers and 16 shards for %s:\n%s", kernel, stdout.String())
+		}
+		if want := kernel + ": verified bit-identical against in-process run"; !strings.Contains(stderr.String(), want) {
+			t.Errorf("stderr lacks %q:\n%s", want, stderr.String())
 		}
 	}
 }
@@ -44,6 +72,8 @@ func TestUsageErrorsNameTheOffender(t *testing.T) {
 		{[]string{"-bench", "bsw,nope"}, `"nope"`},
 		{[]string{"-size", "huge"}, `"huge"`},
 		{[]string{"-pprof", "a,b,c"}, `"a,b,c"`},
+		{[]string{"-worker-bin", "x"}, "-worker-bin"}, // retired with cmd/gbench-worker
+		{[]string{workerMode, "-id", "w1"}, "-addr"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != 2 {

@@ -1,16 +1,13 @@
-//go:build amd64 || arm64
-
 package bsw
 
-// Assembly fast paths for the 16-wide band row: AVX2 on amd64
-// (row_amd64.s), NEON on arm64 (row_arm64.s). Both replay
-// bswRowPortable's arithmetic with one 16-lane saturating-int16
-// vector per column group, resolving the F chain with the log-step
-// prefix-max scan wide.go proves equal to the serial chain for ge in
-// [0, 4095]. TestBswRowAsmHammer asserts bit-identity on arbitrary
-// inputs in that contract.
+// Assembly fast path for the 16-wide band row: AVX2 (row_amd64.s). It
+// replays bswRowPortable's arithmetic with one 16-lane
+// saturating-int16 vector per column group, resolving the F chain with
+// the log-step prefix-max scan wide.go proves equal to the serial
+// chain for ge in [0, 4095]. TestBswRowAsmHammer asserts bit-identity
+// on arbitrary inputs in that contract.
 //
-// As with poa's kernels, AVX2 is not in the amd64 baseline: callers
+// As with poa's kernel, AVX2 is not in the amd64 baseline: callers
 // gate on cpufeat.Wide16(), which folds in the CPUID/XCR0 probe and
 // the GBENCH_SIMD override.
 
@@ -21,7 +18,7 @@ const bswHaveWideAsm = true
 
 // bswRowArgs is the flattened argument block for bswRowAsm. Field
 // offsets are fixed by the assembly — keep layout in sync with
-// row_amd64.s and row_arm64.s.
+// row_amd64.s.
 type bswRowArgs struct {
 	prevH   *int16  // +0:  previous H row
 	curH    *int16  // +8:  output H row

@@ -1,9 +1,9 @@
-//go:build !amd64 && !arm64
+//go:build !amd64
 
 package bsw
 
-// No assembly band-row kernel on this architecture; alignWide (only
-// reachable from tests here — AlignInto's dispatch requires
+// No assembly band-row kernel off amd64 (arm64 included); alignWide
+// (only reachable from tests here — AlignInto's dispatch requires
 // bswHaveWideAsm) runs the portable body.
 const bswHaveWideAsm = false
 

@@ -15,8 +15,8 @@ import (
 // alignWide replays AlignInto's recurrence exactly and is
 // differential-tested to return identical Results. The int16 rows
 // halve the memory traffic of the int32 SWAR rows again, and the asm
-// kernels (row_amd64.s / row_arm64.s via row_asm.go) retire 16 cells
-// per step. Dispatch is three-way gated in AlignInto: the architecture
+// kernel (row_amd64.s via row_amd64.go) retires 16 cells per step.
+// Dispatch is three-way gated in AlignInto: the architecture
 // must have an asm kernel (bswHaveWideAsm), the host must report a
 // wide tier (cpufeat.Wide16, which folds in the GBENCH_SIMD override),
 // the scoring must pass wideEligible's range proof, and the DP area
@@ -41,7 +41,7 @@ import (
 //     clamp) - oe, where htmp is the cell value before the F merge
 //     (the f-through-H term is dominated by the direct f chain). That
 //     chain is the same shift-and-max recurrence as poa's gap scan,
-//     so the asm kernels run it as a log-step prefix-max scan; scan
+//     so the asm kernel runs it as a log-step prefix-max scan; scan
 //     and serial chain are value-identical for ge in [0, 4095] (each
 //     scan constant ge, 2ge, 4ge, 8ge is an exact int16 product, and
 //     saturating subtractions of same-sign constants compose exactly).
@@ -244,7 +244,7 @@ func alignWide(q, t genome.Seq, p Params, a *scratch.Arena, useAsm bool) Result 
 }
 
 // bswRowPortable advances one banded DP row, 16 columns per group.
-// It is the bit-level reference for the asm kernels: same candidate
+// It is the bit-level reference for the asm kernel: same candidate
 // order, same saturation, serial F chain where the asm runs the scan.
 //   - prevH/curH/ev: previous H row, output H row, E row (updated in
 //     place); all padded so index lo-1+16*ngroups stays in bounds.

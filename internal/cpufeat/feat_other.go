@@ -1,8 +1,8 @@
-//go:build !amd64 && !arm64
+//go:build !amd64
 
 package cpufeat
 
-// detect on architectures without any asm kernels: portable Go only.
+// detect off amd64 (arm64 included): no asm kernels, portable Go only.
 func detect() Features {
 	return Features{}
 }

@@ -4,27 +4,26 @@ package lanes
 // I16x8s nest so the whole value still SSA-decomposes into registers
 // (each I16x8 is two four-field quads); lanes 0-7 live in Lo, 8-15 in
 // Hi. One I16x16 is exactly one AVX2 ymm register (VPADDSW/VPMAXSW/
-// VPBLENDVB lanes) or one NEON q-register pair, which is why the poa
-// and bsw wide row kernels speak this type: the portable methods here
-// are the bit-level reference the asm row kernels are differential-
-// tested against.
+// VPBLENDVB lanes), which is why the poa and bsw wide row kernels
+// speak this type: the portable methods here are the bit-level
+// reference the asm row kernels are differential-tested against, and
+// the only body arm64 and every other architecture run.
 //
 // Semantics the wide kernels rely on:
 //
 //   - Add/AddS wrap exactly like Go int16; Adds/AddsS/Subs/SubsS
-//     saturate at ±32767/-32768, matching VPADDSW/VPSUBSW and SQADD/
-//     SQSUB lane for lane. Under a kernel's range proof the two forms
-//     agree (nothing wraps, nothing saturates), which is how the asm
-//     kernels — saturating, for sentinel safety — stay bit-identical
-//     to scalar int32 references that neither wrap nor clamp.
+//     saturate at ±32767/-32768, matching VPADDSW/VPSUBSW lane for
+//     lane. Under a kernel's range proof the two forms agree (nothing
+//     wraps, nothing saturates), which is how the asm kernels —
+//     saturating, for sentinel safety — stay bit-identical to scalar
+//     int32 references that neither wrap nor clamp.
 //   - Saturating subtraction of non-negative decrements composes
 //     exactly: sat(sat(x-a)-b) == sat(x-(a+b)) for a,b >= 0. The
 //     prefix-max gap chains in the wide kernels (log-step in asm,
 //     serial in the portable twins) are value-identical because max
 //     distributes over that clamp.
 
-// WideWidth is the wide tier's lane count: one ymm register of int16,
-// two NEON q-registers.
+// WideWidth is the wide tier's lane count: one ymm register of int16.
 const WideWidth = 16
 
 // I16x16 is a vector of sixteen int16 DP cells.

@@ -5,7 +5,8 @@
 // assembly sweep in internal/abea/band_amd64.s), Lane8 as the eight-wide
 // container phmm groups haplotypes in, and the int16 I16x16 (int16.go,
 // int16x16.go) that is the bit-level reference for poa's and bsw's
-// 16-wide asm row kernels. Lanes hold independent DP problems side by
+// 16-wide amd64 row kernels and the body arm64 and every other
+// architecture run. Lanes hold independent DP problems side by
 // side — eight haplotypes of one read, four band cells — so one pass
 // of the inner loop advances all of them at once: the inter-task
 // vectorization the upstream tools (GATK's AVX PairHMM, f5c's per-band

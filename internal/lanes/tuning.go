@@ -1,6 +1,6 @@
 // Measured 16-wide-vs-narrow dispatch floor for the wide SIMD tier.
 //
-// The wide (I16x16 / AVX2 / NEON) row kernels pay fixed setup per
+// The wide (I16x16 / AVX2) row kernels pay fixed setup per
 // alignment — mask builds, ramp constants, one asm call per DP row —
 // that the narrower paths skip, so tiny problems can lose to the
 // narrow path even on hosts where the wide kernels scream. Where the

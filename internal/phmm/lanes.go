@@ -239,9 +239,9 @@ func forwardLanes(read genome.Seq, qual []byte, grp *laneGroup, rows *[6][]float
 // conversions around the products (inline for the table-indexed M
 // update, via Quad.ScaleAdd2 for the I/D updates). The conversions
 // pin each product to a separate rounding, so the arm64 compiler may
-// not fuse them into FMAs — this is what lets the NEON kernel in
-// row_arm64.s (which rounds every product and sum separately) be
-// bit-identical to this reference. On amd64 they are no-ops.
+// not fuse them into FMAs — this is what keeps arm64, which runs this
+// body, bit-identical to the SSE2 kernel in row_amd64.s (which rounds
+// every product and sum separately). On amd64 they are no-ops.
 //
 // Each M/I/D quad goes through flush4 as it is computed — before the
 // store and before it feeds the D chain — the same flush points as

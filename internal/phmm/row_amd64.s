@@ -1,5 +1,5 @@
 // SSE2 kernel for the lane-batched PairHMM row update. See
-// row_asm.go for the contract: bit-identical to two pure-Go rowQuad
+// row_amd64.go for the contract: bit-identical to two pure-Go rowQuad
 // sweeps (same per-lane operations in the same rounding order, same
 // flush points).
 //

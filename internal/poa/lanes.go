@@ -21,11 +21,11 @@ import (
 //     rows come from one flat slice per node, already resolved to row
 //     indices, so the inner loop is loads off a contiguous array.
 //   - Sixteen columns advance per step as an int16 lane vector (the
-//     wide tier; lanes.I16x16, one AVX2 ymm or NEON q-pair). The
-//     match/mismatch choice comes from a dense bit mask over the
-//     2-bit packed query (seq2.MatchMaskBits): one 16-bit read yields
-//     the group's match bits, one blend turns them into substitution
-//     scores — no per-cell base compare, no branch.
+//     wide tier; lanes.I16x16, one AVX2 ymm). The match/mismatch
+//     choice comes from a dense bit mask over the 2-bit packed query
+//     (seq2.MatchMaskBits): one 16-bit read yields the group's match
+//     bits, one blend turns them into substitution scores — no
+//     per-cell base compare, no branch.
 //   - Only scores are stored (2 bytes per cell). Moves are recovered
 //     during backtracking by re-checking each visited cell's
 //     candidates in the scalar enumeration order — the forward pass's
@@ -33,9 +33,9 @@ import (
 //     reaches the final value, so "first candidate equal to the cell
 //     score" recovers exactly the scalar moveT/movePred decisions.
 //
-// The per-row body lives in row_wide.go (portable) and row_amd64.s /
-// row_arm64.s (AVX2 / NEON), dispatched once per alignment on
-// cpufeat.Wide16() — so GBENCH_SIMD=off pins the portable twin.
+// The per-row body lives in row_wide.go (portable) and row_amd64.s
+// (AVX2), dispatched once per alignment on cpufeat.Wide16() — so
+// GBENCH_SIMD=off pins the portable twin.
 //
 // The result is bit-identical to the scalar path: same scores, same
 // backtrack tie-breaks, same fused graph, same CellUpdates. The

@@ -1,21 +1,17 @@
-//go:build amd64 || arm64
-
 package poa
 
-// Assembly fast paths for the 16-wide row sweep: AVX2 on amd64
-// (row_amd64.s), NEON on arm64 (row_arm64.s). Both replay
-// poaRowPortable's arithmetic with one 16-lane saturating-int16
-// vector per column group — same candidate order, same saturation —
-// so their output is bit-identical to the portable body on every
-// input the kernel contract admits (gap <= 0; see row_wide.go for
-// why the asm prefix-max scan equals the portable serial chain even
-// off the range proof). TestPoaRowAsmHammer asserts exactly that.
+// Assembly fast path for the 16-wide row sweep: AVX2 (row_amd64.s). It
+// replays poaRowPortable's arithmetic with one 16-lane
+// saturating-int16 vector per column group — same candidate order,
+// same saturation — so its output is bit-identical to the portable
+// body on every input the kernel contract admits (gap <= 0; see
+// row_wide.go for why the asm prefix-max scan equals the portable
+// serial chain even off the range proof). TestPoaRowAsmHammer asserts
+// exactly that.
 //
-// Unlike phmm's SSE2/baseline-NEON kernels, AVX2 is not in the amd64
-// baseline: callers must gate on cpufeat.Wide16(), which folds in
-// both the CPUID/XCR0 probe and the GBENCH_SIMD override. arm64's
-// ASIMD is baseline, so Wide16 is always true there unless
-// overridden.
+// Unlike phmm's SSE2 kernel, AVX2 is not in the amd64 baseline:
+// callers must gate on cpufeat.Wide16(), which folds in both the
+// CPUID/XCR0 probe and the GBENCH_SIMD override.
 
 // poaHaveWideAsm reports whether this architecture has an assembly
 // row kernel compiled in (it still needs cpufeat.Wide16() at run
@@ -24,7 +20,7 @@ const poaHaveWideAsm = true
 
 // poaRowArgs is the flattened argument block for poaRowAsm. Field
 // offsets are fixed by the assembly — keep layout in sync with
-// row_amd64.s and row_arm64.s.
+// row_amd64.s.
 type poaRowArgs struct {
 	score   *int16  // +0:  DP table base
 	predOff *int64  // +8:  predecessor row element offsets, npred entries

@@ -9,17 +9,16 @@ import "repro/internal/lanes"
 // over the vertical candidates (diagonal + up per predecessor row),
 // inject the left-chain carry from column j0-1, resolve the
 // horizontal gap chain, and store the finished row segment. The asm
-// kernels (row_amd64.s / row_arm64.s, dispatched through row_asm.go)
-// implement exactly this function with one ymm register / NEON
-// q-register pair per group; poaRowPortable is their bit-level
-// reference and the fallback when cpufeat reports no wide tier.
+// kernel (row_amd64.s, dispatched through row_amd64.go) implements
+// exactly this function with one ymm register per group;
+// poaRowPortable is its bit-level reference and the fallback when
+// cpufeat reports no wide tier.
 //
-// Everything is saturating int16 (lanes.I16x16 Adds / VPADDSW /
-// SQADD). Under laneEligible's range proof nothing ever saturates, so
+// Everything is saturating int16 (lanes.I16x16 Adds / VPADDSW). Under laneEligible's range proof nothing ever saturates, so
 // the kernel equals the scalar int32 reference bit for bit; on
 // arbitrary out-of-proof inputs (the differential hammer feeds random
 // tables) asm and portable still agree exactly because for gap in
-// [-4096, 0] the asm kernels' log-step prefix-max gap scan is
+// [-4096, 0] the asm kernel's log-step prefix-max gap scan is
 // value-identical to the serial chain here: each scan step's constant
 // (gap, 2*gap, 4*gap, 8*gap) is an exact int16 product at that bound,
 // saturating adds of same-sign in-range constants compose exactly,

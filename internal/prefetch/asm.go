@@ -1,4 +1,4 @@
-//go:build amd64 || arm64
+//go:build amd64
 
 package prefetch
 
@@ -9,8 +9,7 @@ import "unsafe"
 // docs — the phmm haveRowAsm idiom).
 const HaveAsm = true
 
-// prefetchT0 is implemented in prefetch_amd64.s (PREFETCHT0) and
-// prefetch_arm64.s (PRFM PLDL1KEEP).
+// prefetchT0 is implemented in prefetch_amd64.s (PREFETCHT0).
 //
 //go:noescape
 func prefetchT0(addr unsafe.Pointer)

@@ -1,4 +1,4 @@
-//go:build !amd64 && !arm64
+//go:build !amd64
 
 package prefetch
 
@@ -8,7 +8,7 @@ import "unsafe"
 // instruction on this architecture.
 const HaveAsm = false
 
-// Ptr is a no-op on architectures without a prefetch stub: batching
-// still reorders the access stream (useful under the cache simulator),
-// the hardware just gets no early hint.
+// Ptr is a no-op off amd64 (arm64 included): batching still reorders
+// the access stream (useful under the cache simulator), the hardware
+// just gets no early hint.
 func Ptr(p unsafe.Pointer) { _ = p }

@@ -7,11 +7,11 @@
 // software-prefetch batching BWA-MEM2 applies to the same FM-index
 // kernel (Vasimuddin et al., IPDPS 2019).
 //
-// Ptr compiles to PREFETCHT0 on amd64 and PRFM PLDL1KEEP on arm64
-// (see prefetch_amd64.s / prefetch_arm64.s, following the phmm
-// row_asm.go dispatch pattern); elsewhere it is a no-op, so callers
-// can prefetch unconditionally. A prefetch is a hint: it never
-// faults, never changes architectural state, and costs one call.
+// Ptr compiles to PREFETCHT0 on amd64 (prefetch_amd64.s, following
+// the phmm row_amd64.go dispatch pattern); on arm64 and everywhere
+// else it is a no-op, so callers can prefetch unconditionally. A
+// prefetch is a hint: it never faults, never changes architectural
+// state, and costs one call.
 package prefetch
 
 import (

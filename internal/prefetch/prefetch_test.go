@@ -1,6 +1,7 @@
 package prefetch
 
 import (
+	"runtime"
 	"testing"
 	"unsafe"
 )
@@ -24,10 +25,12 @@ func TestPtrIsHarmless(t *testing.T) {
 	}
 }
 
-// On amd64/arm64 the stub must be wired; the pure-Go fallback only
-// exists for other architectures.
+// The stub is wired on amd64 only; arm64 and every other architecture
+// take the pure-Go no-op.
 func TestHaveAsmMatchesArch(t *testing.T) {
-	t.Logf("HaveAsm=%v", HaveAsm)
+	if want := runtime.GOARCH == "amd64"; HaveAsm != want {
+		t.Fatalf("HaveAsm = %v on %s, want %v", HaveAsm, runtime.GOARCH, want)
+	}
 }
 
 // BestWidth must return one of its candidates (clamped sane), resolve

@@ -5,32 +5,9 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
-	"path/filepath"
+	"slices"
 	"sync"
 )
-
-// WorkerBinary locates the gbench-worker executable: an explicit path
-// wins, then a sibling of the running binary, then $PATH. Keeping the
-// lookup here means cmd/gbench and the chaos tests resolve the worker
-// the same way.
-func WorkerBinary(explicit string) (string, error) {
-	if explicit != "" {
-		if _, err := os.Stat(explicit); err != nil {
-			return "", fmt.Errorf("shard: worker binary %s: %w", explicit, err)
-		}
-		return explicit, nil
-	}
-	if self, err := os.Executable(); err == nil {
-		sibling := filepath.Join(filepath.Dir(self), "gbench-worker")
-		if _, err := os.Stat(sibling); err == nil {
-			return sibling, nil
-		}
-	}
-	if p, err := exec.LookPath("gbench-worker"); err == nil {
-		return p, nil
-	}
-	return "", fmt.Errorf("shard: gbench-worker binary not found (build it with `go build ./cmd/gbench-worker` or pass -worker-bin)")
-}
 
 // Fleet is a set of spawned worker processes.
 type Fleet struct {
@@ -39,17 +16,20 @@ type Fleet struct {
 }
 
 // SpawnWorkers launches n worker processes against addr, each with its
-// own ID (w1, w2, ...) and the given fault spec (may be empty). The
-// processes inherit stderr so worker-side fault logs surface in the
-// suite's output; stdout is discarded.
-func SpawnWorkers(ctx context.Context, bin, addr string, n int, faults string, faultSeed int64) (*Fleet, error) {
+// own ID (w1, w2, ...) and the given fault spec (may be empty).
+// command is the worker's argv prefix — cmd/gbench passes its own
+// executable and its worker-mode word — to which -addr, -id and the
+// fault flags are appended. The processes inherit stderr so
+// worker-side fault logs surface in the suite's output; stdout is
+// discarded.
+func SpawnWorkers(ctx context.Context, command []string, addr string, n int, faults string, faultSeed int64) (*Fleet, error) {
 	f := &Fleet{}
 	for i := 1; i <= n; i++ {
-		args := []string{"-addr", addr, "-id", fmt.Sprintf("w%d", i)}
+		args := slices.Concat(command[1:], []string{"-addr", addr, "-id", fmt.Sprintf("w%d", i)})
 		if faults != "" {
 			args = append(args, "-faults", faults, "-fault-seed", fmt.Sprint(faultSeed))
 		}
-		cmd := exec.CommandContext(ctx, bin, args...)
+		cmd := exec.CommandContext(ctx, command[0], args...)
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
 			f.Stop()

@@ -14,8 +14,8 @@ import (
 
 // ErrKilled is returned by RunWorker when a killworker fault fires:
 // the worker abandoned its connection and everything it was executing,
-// exactly as a SIGKILLed process would. cmd/gbench-worker turns it
-// into an abrupt nonzero exit.
+// exactly as a SIGKILLed process would. cmd/gbench's worker mode turns
+// it into an abrupt nonzero exit.
 var ErrKilled = errors.New("shard: worker killed by fault injection")
 
 // WorkerOptions configures one worker.
