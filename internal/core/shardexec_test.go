@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/bsw"
+	"repro/internal/cpufeat"
 	"repro/internal/dbg"
 	"repro/internal/poa"
 	"repro/internal/shard"
@@ -122,6 +123,31 @@ func TestExecutorsMatchReferenceKernels(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("%s task %d: executor digest %016x, reference %016x", kernel, i, got[i], want[i])
 			}
+		}
+	}
+}
+
+// TestPhmmDigestsTierInvariant: phmm's task digests fold BestHap and
+// the bits of every likelihood, so at Small seed 42 — the suite's own
+// dataset, straggler region included — they must be equal on the
+// dispatched SIMD tier and with the tier forced off.
+func TestPhmmDigestsTierInvariant(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs phmm Small twice")
+	}
+	tier := cpufeat.Active()
+	got, _, err := LocalDigests(context.Background(), "phmm", "small", 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cpufeat.ForceForTest("off")()
+	want, _, err := LocalDigests(context.Background(), "phmm", "small", 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("phmm task %d: digest %016x at %s, %016x at GBENCH_SIMD=off", i, got[i], tier, want[i])
 		}
 	}
 }

@@ -21,12 +21,12 @@
 // The GBENCH_SIMD environment variable overrides the allowed ceiling:
 //
 //	GBENCH_SIMD=off    portable Go everywhere (no asm at all)
-//	GBENCH_SIMD=sse2   SSE2 kernels only, no AVX2
+//	GBENCH_SIMD=sse2   no AVX2 (every SIMD kernel is AVX2, so portable Go)
 //	GBENCH_SIMD=avx2   allow up to AVX2 (still requires hardware support)
 //
 // An override can only lower the ceiling below the hardware, never
 // raise it above: GBENCH_SIMD=avx2 on a non-AVX2 host still runs the
-// SSE2/portable paths. Unset or unrecognized values mean "use the
+// portable paths. Unset or unrecognized values mean "use the
 // best tier detected".
 package cpufeat
 

@@ -36,18 +36,20 @@ package phmm
 // scalar path, and ragged group tails (|H| mod 8) use the scalar
 // float32 path unchanged.
 //
-// On amd64 the per-row update dispatches to an SSE2 assembly kernel
-// (row_amd64.s), bit-identical to the pure-Go quad sweeps — the
-// portable path below is the reference it is tested against, and the
-// production path on every other architecture. To keep amd64 and
-// arm64 answers identical, rowQuad is written fusion-free: every
-// multiply feeding an add goes through an explicit float32 conversion,
-// which the Go spec forbids the compiler from fusing into a
-// single-rounding FMA. The conversions are no-ops on amd64.
+// On amd64 hosts with AVX2 the rows advance two at a time through an
+// assembly kernel (row_amd64.s), bit-identical to the pure-Go quad
+// sweeps — the portable path below is the reference it is tested
+// against, the path GBENCH_SIMD=sse2|off select, and the production
+// path on every other architecture. To keep amd64 and arm64 answers
+// identical, rowQuad is written fusion-free: every multiply feeding an
+// add goes through an explicit float32 conversion, which the Go spec
+// forbids the compiler from fusing into a single-rounding FMA. The
+// conversions are no-ops on amd64.
 
 import (
 	"math"
 
+	"repro/internal/cpufeat"
 	"repro/internal/genome"
 	"repro/internal/lanes"
 	"repro/internal/scratch"
@@ -153,23 +155,13 @@ func prepareGroups(haps []genome.Seq, s *Scratch) int {
 // semantic work is len(read) * lens[l] cells, identical to the scalar
 // pass), keeping the kernel's work counters exact.
 //
-// Each DP row is advanced by three register-blocked sweeps rather
-// than one fused loop: a full Lane8 cell update keeps ~10 lane values
-// live (~80 floats against amd64's sixteen float registers), which
-// spills the carried DP state to the stack every column and erases
-// the batching win. The split changes no expression — every sweep
-// reads exactly the values the fused loop would have — so results
-// stay bit-identical to the scalar reference on amd64:
-//
-//   - miRow (twice, one Quad half each): M and I have no
-//     within-row dependency, so the sweep carries nothing across
-//     columns; diagonal predecessors are re-loaded from the previous
-//     row, which is L1-resident by construction.
-//   - dRow (both halves fused): the D recurrence is a serial
-//     multiply-add chain per lane, so one column costs a full
-//     latency round-trip no matter the width; running the Lo and Hi
-//     chains in one loop overlaps two independent chains while
-//     carrying only four quads.
+// Rows advance in pairs (rowPair): row i from prev into cur, then row
+// i+1 from cur back over prev, so after every pair the newest row is
+// in prev again. On the AVX2 tier one fused assembly sweep computes
+// both rows, row i+1 one column behind row i, so the two serial D
+// chains overlap; on every other tier the pair is four rowQuad sweeps.
+// An odd read's first row runs alone, through the portable rowLanes on
+// every tier. The tier is asked for once per call.
 func forwardLanes(read genome.Seq, qual []byte, grp *laneGroup, rows *[6][]float32) lanes.Lane8 {
 	m := len(read)
 	n := grp.maxN
@@ -179,27 +171,27 @@ func forwardLanes(read genome.Seq, qual []byte, grp *laneGroup, rows *[6][]float
 	for k := range rows {
 		rows[k] = scratch.Grow(rows[k], (n+1)*lanes.Width)
 	}
-	curM, curI, curD := rows[0], rows[1], rows[2]
-	prevM, prevI, prevD := rows[3], rows[4], rows[5]
+	cur, prev := (*[3][]float32)(rows[:3]), (*[3][]float32)(rows[3:])
 	var zeroL lanes.Lane8
 	for j := 0; j <= n; j++ {
 		o := j * lanes.Width
-		lanes.Store8(prevM, o, zeroL)
-		lanes.Store8(prevI, o, zeroL)
+		lanes.Store8(prev[0], o, zeroL)
+		lanes.Store8(prev[1], o, zeroL)
 		// Free start anywhere on the haplotype: lane l carries its own
 		// scaled initial mass on its own [0, len(hap_l)] columns.
-		lanes.Store8(prevD, o, lanes.Blend(grp.live[j], grp.init, zeroL))
+		lanes.Store8(prev[2], o, lanes.Blend(grp.live[j], grp.init, zeroL))
 	}
-	for i := 1; i <= m; i++ {
-		err := qualToErr[qual[i-1]]
-		priorMatch := float32(1 - err)
-		priorMismatch := float32(err / 3)
-		rowMask := grp.mask[read[i-1]&3][:n]
-		rowLanes(rowMask, priorMatch, priorMismatch,
-			prevM, prevI, prevD, curM, curI, curD, n)
-		prevM, curM = curM, prevM
-		prevI, curI = curI, prevI
-		prevD, curD = curD, prevD
+	wide := haveRowAsm && cpufeat.AVX2()
+	i := 1
+	if m%2 == 1 {
+		r := rowAt(read, qual, grp, 1)
+		rowLanes(&r, prev, cur, n)
+		prev, cur = cur, prev
+		i = 2
+	}
+	for ; i < m; i += 2 {
+		ri, rj := rowAt(read, qual, grp, i), rowAt(read, qual, grp, i+1)
+		rowPair(wide, &ri, &rj, prev, cur, n)
 	}
 	// Free end on the haplotype: sum M and I across each lane's own
 	// final row span, in the scalar path's ascending-j order.
@@ -207,12 +199,50 @@ func forwardLanes(read genome.Seq, qual []byte, grp *laneGroup, rows *[6][]float
 	for j := 1; j <= n; j++ {
 		o := j * lanes.Width
 		lb := uint32(grp.live[j])
-		miLo := lanes.Load4(prevM, o).Add(lanes.Load4(prevI, o))
-		miHi := lanes.Load4(prevM, o+4).Add(lanes.Load4(prevI, o+4))
+		miLo := lanes.Load4(prev[0], o).Add(lanes.Load4(prev[1], o))
+		miHi := lanes.Load4(prev[0], o+4).Add(lanes.Load4(prev[1], o+4))
 		sumLo = sumLo.Add(lanes.Sel4(lb, miLo, zero))
 		sumHi = sumHi.Add(lanes.Sel4(lb>>4, miHi, zero))
 	}
 	return lanes.Lane8{Lo: sumLo, Hi: sumHi}
+}
+
+// laneRow is one read position's inputs to the row kernels.
+type laneRow struct {
+	mask                      []uint8 // grp.mask of the read base, len n
+	priorMatch, priorMismatch float32
+}
+
+// rowAt returns the row inputs of read position i (1-based).
+func rowAt(read genome.Seq, qual []byte, grp *laneGroup, i int) laneRow {
+	err := qualToErr[qual[i-1]]
+	return laneRow{
+		mask:          grp.mask[read[i-1]&3][:grp.maxN],
+		priorMatch:    float32(1 - err),
+		priorMismatch: float32(err / 3),
+	}
+}
+
+// rowPair advances two read rows: ri from prev into cur, then rj from
+// cur over prev. wide selects the AVX2 kernel; otherwise it is two
+// rowLanes calls.
+func rowPair(wide bool, ri, rj *laneRow, prev, cur *[3][]float32, n int) {
+	if wide {
+		rowPairAVX2(ri, rj, prev, cur, n)
+		return
+	}
+	rowLanes(ri, prev, cur, n)
+	rowLanes(rj, cur, prev, n)
+}
+
+// rowLanes advances all eight lanes of one read row on the portable
+// body: column 0 of cur is zeroed and columns 1..n are filled from
+// prev, one rowQuad sweep per Quad.
+func rowLanes(r *laneRow, prev, cur *[3][]float32, n int) {
+	for base := 0; base < lanes.Width; base += 4 {
+		rowQuad(r.mask, r.priorMatch, r.priorMismatch,
+			&prev[0][0], &prev[1][0], &prev[2][0], &cur[0][0], &cur[1][0], &cur[2][0], n, base)
+	}
 }
 
 // rowQuad advances the M, I and D rows for lanes [base, base+4) of
@@ -240,7 +270,7 @@ func forwardLanes(read genome.Seq, qual []byte, grp *laneGroup, rows *[6][]float
 // update, via Quad.ScaleAdd2 for the I/D updates). The conversions
 // pin each product to a separate rounding, so the arm64 compiler may
 // not fuse them into FMAs — this is what keeps arm64, which runs this
-// body, bit-identical to the SSE2 kernel in row_amd64.s (which rounds
+// body, bit-identical to the AVX2 kernel in row_amd64.s (which rounds
 // every product and sum separately). On amd64 they are no-ops.
 //
 // Each M/I/D quad goes through flush4 as it is computed — before the

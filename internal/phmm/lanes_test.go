@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/cpufeat"
 	"repro/internal/genome"
+	"repro/internal/lanes"
 )
 
 // laneRegion builds a region with enough haplotypes to engage the
@@ -148,6 +150,70 @@ func TestEvaluateRegionLanesDegenerate(t *testing.T) {
 	}
 }
 
+// FuzzForwardLanes: any read, base qualities and group of eight
+// haplotypes give the same forwardLanes bits — the per-lane sums and
+// all six DP rows — on the dispatched tier and with the tier forced
+// off. Lane l's haplotype is hap rotated by l, cut short by byte l of
+// ragged; a nonzero floorGap starts every live lane at
+// 2^(-93 + floorGap%32) instead of 2^120/len, so the rows straddle the
+// flush floor from the first read position on. Seed corpus under
+// testdata/fuzz: m = 1 and 2, n = 1, near-floor rows under Phred 40
+// and 2, Phred 93, and a ragged group with one lane uncut.
+func FuzzForwardLanes(f *testing.F) {
+	f.Fuzz(func(t *testing.T, readB, qualB, hapB []byte, ragged uint64, floorGap uint8) {
+		read := make(genome.Seq, min(len(readB), 300))
+		for i := range read {
+			read[i] = genome.Base(readB[i] & 3)
+		}
+		qual := make([]byte, len(read))
+		for i := range qual {
+			qual[i] = 30
+			if len(qualB) > 0 {
+				qual[i] = qualB[i%len(qualB)] % byte(len(qualToErr))
+			}
+		}
+		hapB = hapB[:min(len(hapB), 400)]
+		haps := make([]genome.Seq, lanes.Width)
+		for l := range haps {
+			n := len(hapB) - int(ragged>>(8*l)&0xff)%(len(hapB)+1)
+			haps[l] = make(genome.Seq, n)
+			for j := range haps[l] {
+				haps[l][j] = genome.Base(hapB[(j+l)%len(hapB)] & 3)
+			}
+		}
+		run := func() (lanes.Lane8, [6][]float32) {
+			s := NewScratch()
+			prepareGroups(haps, s)
+			grp := &s.groups[0]
+			if floorGap > 0 {
+				var init [lanes.Width]float32
+				for l := range init {
+					init[l] = float32(math.Ldexp(1, -93+int(floorGap%32)))
+				}
+				grp.init = lanes.FromArray(init)
+			}
+			sums := forwardLanes(read, qual, grp, &s.laneRows) // grows the rows
+			return sums, s.laneRows
+		}
+		tier := cpufeat.Active()
+		sums, rows := run()
+		defer cpufeat.ForceForTest("off")()
+		wantSums, wantRows := run()
+		for l := 0; l < lanes.Width; l++ {
+			if g, w := math.Float32bits(sums.At(l)), math.Float32bits(wantSums.At(l)); g != w {
+				t.Fatalf("lane %d sum: dispatched (%s) %x, portable %x", l, tier, g, w)
+			}
+		}
+		for k := range rows {
+			for o := range rows[k] {
+				if g, w := math.Float32bits(rows[k][o]), math.Float32bits(wantRows[k][o]); g != w {
+					t.Fatalf("row %d[%d]: dispatched (%s) %x, portable %x", k, o, tier, g, w)
+				}
+			}
+		}
+	})
+}
+
 // The lane path must preserve the steady-state zero-allocation
 // invariant with a warm scratch.
 func TestEvaluateRegionLanesZeroAlloc(t *testing.T) {
@@ -164,7 +230,9 @@ func TestEvaluateRegionLanesZeroAlloc(t *testing.T) {
 }
 
 // Scalar versus lane-batched region evaluation: the bench harness's
-// phmm/lanes before/after pair.
+// phmm/lanes before/after pair. The lane side runs once per row-kernel
+// tier — tier=avx2 the two-row assembly sweep, tier=off the portable
+// rowQuad rows — so the row kernel's cost can be re-measured alone.
 func BenchmarkEvaluateRegionLanes(b *testing.B) {
 	rng := rand.New(rand.NewSource(24))
 	rg := laneRegion(rng, 8, 16)
@@ -175,11 +243,17 @@ func BenchmarkEvaluateRegionLanes(b *testing.B) {
 			EvaluateRegionScalarInto(rg, s)
 		}
 	})
-	b.Run("lanes", func(b *testing.B) {
-		b.ReportAllocs()
-		s := NewScratch()
-		for i := 0; i < b.N; i++ {
-			EvaluateRegionInto(rg, s)
-		}
-	})
+	for _, tier := range []string{"avx2", "off"} {
+		b.Run("lanes/tier="+tier, func(b *testing.B) {
+			defer cpufeat.ForceForTest(tier)()
+			if tier == "avx2" && !cpufeat.AVX2() {
+				b.Skip("no AVX2 on this host")
+			}
+			b.ReportAllocs()
+			s := NewScratch()
+			for i := 0; i < b.N; i++ {
+				EvaluateRegionInto(rg, s)
+			}
+		})
+	}
 }

@@ -36,7 +36,7 @@
 // the more accurate answer — so Fallbacks can rise on junk pairs.
 //
 // Implementations: forwardInto (scalar, one pair) and the lane-batched
-// pass of lanes.go (eight haplotypes per read; portable rowQuad, SSE2
+// pass of lanes.go (eight haplotypes per read; portable rowQuad, AVX2
 // row_amd64.s). The lane implementations are bit-identical to each
 // other on every SIMD tier and architecture (same operations, same
 // rounding order, same flush points); against the scalar pass they
@@ -226,8 +226,8 @@ type Scratch struct {
 
 	// Lane-batched state (lanes.go): grouped haplotype layouts, the
 	// per-lane packed haplotype words, and the lane DP rows — flat
-	// float32 with a stride of lanes.Width per column, swept four
-	// lanes at a time (see forwardQuad).
+	// float32 with a stride of lanes.Width per column, advanced two
+	// read rows at a time (see forwardLanes).
 	groups   []laneGroup
 	packs    [lanes.Width][]uint64
 	laneRows [6][]float32

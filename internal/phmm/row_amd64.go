@@ -1,77 +1,68 @@
 package phmm
 
-import "repro/internal/cpufeat"
+import "repro/internal/lanes"
 
-// Assembly fast path for the lane-batched row update: SSE2
-// (row_amd64.s). The kernel replays rowQuad's per-lane arithmetic with
-// packed 4-wide ops — same operations, same rounding order, same flush
-// points, so its output is bit-identical to the pure-Go quad path
-// (TestRowLanesMatchesRowQuad asserts exactly that). SSE2 is in the
-// amd64 baseline, so the hardware always qualifies; dispatch still
-// consults cpufeat so GBENCH_SIMD=off pins the portable quad path —
-// every asm kernel in the suite has a forced-portable twin reachable
-// without rebuilding.
+// AVX2 kernel for the lane-batched row update (row_amd64.s): one ymm
+// per Lane8, two read rows per call. It replays rowQuad's per-lane
+// arithmetic with packed 8-wide ops — same operations, same rounding
+// order, same flush points, no FMA — so its output is bit-identical to
+// the pure-Go rows it replaces (TestRowLanesMatchesRowQuad asserts
+// exactly that). AVX2 is not in the amd64 baseline: forwardLanes gates
+// the kernel on cpufeat.AVX2(), which folds in the CPUID/XCR0 probe and
+// the GBENCH_SIMD override, so GBENCH_SIMD=sse2|off run the portable
+// rows.
 
-// haveRowAsm reports whether rowLanes dispatches to an assembly
-// kernel on this architecture (informational, used by tests/docs).
 const haveRowAsm = true
 
-// rowArgs is the flattened argument block for rowLanesAsm. Field
-// offsets are fixed by the assembly — keep layout and the int64 n in
-// sync with row_amd64.s.
-type rowArgs struct {
-	pPM, pPI, pPD *float32 // previous M/I/D rows (stride lanes.Width)
-	pCM, pCI, pCD *float32 // current M/I/D rows
-	mask          *uint8   // per-column 8-lane match bits, len n
-	tab           *uint32  // &blendTab[0][0]: nibble -> 4-lane select mask
-	n             int64    // columns (haplotype positions)
-	prMatchM      float32  // priorMatch * tMM
-	prMismM       float32  // priorMismatch * tMM
-	prMatchG      float32  // priorMatch * tIM
-	prMismG       float32  // priorMismatch * tIM
-	tgo           float32  // tMI (== tMD)
-	tge           float32  // tII (== tDD)
-	floor         float32  // flushFloor32
+// rowK holds the kernel's three broadcast constants; row_amd64.s
+// addresses them by index.
+var rowK = [3]float32{tmi32, tii32, flushFloor32}
+
+// laneShift moves bit l of a broadcast mask byte to bit 0 of lane l,
+// the bit that picks mismatch or match from a rowPriors pair.
+var laneShift = [8]uint32{0, 1, 2, 3, 4, 5, 6, 7}
+
+// pairArgs is the flattened argument block for rowPairAsm. Field
+// offsets are fixed by the assembly — keep layout in sync with
+// row_amd64.s.
+type pairArgs struct {
+	pM, pI, pD *float32     // +0: row i-1 on entry, row i+1 on return
+	cM, cI, cD *float32     // +24: row i
+	maskI      *uint8       // +48: row i's per-column match bits, len n
+	maskJ      *uint8       // +56: row i+1's
+	n          int64        // +64: columns, at least 1
+	pr         [2]rowPriors // +72: row i's, +88: row i+1's
 }
 
-// blendTab maps a 4-bit lane-match nibble to a 128-bit select mask:
-// entry i, dword k is all-ones iff bit k of i is set. The amd64 kernel
-// gathers one entry per nibble and selects between the match and
-// mismatch prior vectors with AND/ANDN/OR.
-var blendTab = func() (t [16][4]uint32) {
-	for i := range t {
-		for k := 0; k < 4; k++ {
-			if i>>k&1 == 1 {
-				t[i][k] = ^uint32(0)
-			}
-		}
+// rowPriors are one read row's emission priors with the M-update
+// transition folded in — rowQuad's prM and prG tables, in the same
+// {mismatch, match} order.
+type rowPriors struct {
+	prM, prG [2]float32
+}
+
+func priorsOf(r *laneRow) rowPriors {
+	return rowPriors{
+		prM: [2]float32{r.priorMismatch * tmm32, r.priorMatch * tmm32},
+		prG: [2]float32{r.priorMismatch * tim32, r.priorMatch * tim32},
 	}
-	return
-}()
+}
 
 //go:noescape
-func rowLanesAsm(a *rowArgs)
+func rowPairAsm(a *pairArgs)
 
-// rowLanes advances all eight lanes of one read position: column 0 of
-// the current rows is zeroed and columns 1..n are filled from the
-// previous rows, exactly as two rowQuad sweeps would. With the SIMD
-// tier overridden off, it IS two rowQuad sweeps.
-func rowLanes(rowMask []uint8, priorMatch, priorMismatch float32,
-	prevM, prevI, prevD, curM, curI, curD []float32, n int) {
-	if !cpufeat.Get().HasSSE2 {
-		rowQuad(rowMask, priorMatch, priorMismatch,
-			&prevM[0], &prevI[0], &prevD[0], &curM[0], &curI[0], &curD[0], n, 0)
-		rowQuad(rowMask, priorMatch, priorMismatch,
-			&prevM[0], &prevI[0], &prevD[0], &curM[0], &curI[0], &curD[0], n, 4)
-		return
+// rowPairAVX2 is rowPair's AVX2 body: row ri from prev into cur, then
+// row rj from cur over prev.
+func rowPairAVX2(ri, rj *laneRow, prev, cur *[3][]float32, n int) {
+	// The assembly runs unchecked: every row must cover columns 0..n.
+	w := (n+1)*lanes.Width - 1
+	_, _, _, _, _, _ = prev[0][w], prev[1][w], prev[2][w], cur[0][w], cur[1][w], cur[2][w]
+	_, _ = ri.mask[n-1], rj.mask[n-1]
+	a := pairArgs{
+		pM: &prev[0][0], pI: &prev[1][0], pD: &prev[2][0],
+		cM: &cur[0][0], cI: &cur[1][0], cD: &cur[2][0],
+		maskI: &ri.mask[0], maskJ: &rj.mask[0], n: int64(n),
+		pr: [2]rowPriors{priorsOf(ri), priorsOf(rj)},
 	}
-	a := rowArgs{
-		pPM: &prevM[0], pPI: &prevI[0], pPD: &prevD[0],
-		pCM: &curM[0], pCI: &curI[0], pCD: &curD[0],
-		mask: &rowMask[0], tab: &blendTab[0][0], n: int64(n),
-		prMatchM: priorMatch * tmm32, prMismM: priorMismatch * tmm32,
-		prMatchG: priorMatch * tim32, prMismG: priorMismatch * tim32,
-		tgo: tmi32, tge: tii32, floor: flushFloor32,
-	}
-	rowLanesAsm(&a)
+	rowPairAsm(&a)
 }

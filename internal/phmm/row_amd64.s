@@ -1,178 +1,133 @@
-// SSE2 kernel for the lane-batched PairHMM row update. See
-// row_amd64.go for the contract: bit-identical to two pure-Go rowQuad
-// sweeps (same per-lane operations in the same rounding order, same
-// flush points).
+// AVX2 kernel for the lane-batched PairHMM row update. See
+// row_amd64.go for the contract: bit-identical to running rowQuad over
+// both quads of read row i, then of read row i+1 (same per-lane
+// operations in the same rounding order, same flush points, no fused
+// multiply-add).
+//
+// One ymm holds one column's Lane8. Each loop step computes row i at
+// column k (from row i-1 in the P rows, into the C rows) and then row
+// i+1 at column k-1 (from the C rows, over row i-1 in the P rows):
+// the two carried D chains are independent, so their latencies
+// overlap. Row i has read P column k-1 before row i+1 overwrites it,
+// and never reads a column below k-1 again.
 //
 // Register plan:
-//   X0  tgo (broadcast)      X6 lastM lo   X10-X14 transients
-//   X1  tge (broadcast)      X7 lastD lo   X15 flush floor (broadcast)
-//   X2  prMatchM (broadcast) X8 lastM hi
-//   X3  prMismM (broadcast)  X9 lastD hi
-//   X4  prMatchG (broadcast)
-//   X5  prMismG (broadcast)
-//   SI/DI/R8 prev M/I/D   R9/R10/R11 cur M/I/D
-//   R12 mask cursor  BX blend table  CX columns left  DX byte offset
-//   R13/AX nibble scratch
+//   Y0-Y3   transients
+//   Y4 lastM i     Y5 lastD i     Y6 lastM i+1   Y7 lastD i+1
+//   Y8 prM table i   Y9 prG table i   Y10 prM table i+1   Y11 prG table i+1
+//   Y12 lane shift counts   Y13 tge   Y14 tgo   Y15 flush floor
+//   SI/DI/R8 P M/I/D   R9/R10/R11 C M/I/D
+//   R12/R13 mask ends   BX column index minus n+1   DX byte offset of column k
 //
-// Column j (1-based) lives at byte offset j*32; the lo quad at +0,
-// the hi quad at +16; diagonal predecessors at -32/-16.
+// Column j lives at byte offset j*32.
 
 #include "textflag.h"
 
-// FLUSH(v, t) is flush4: lanes of v below the floor become +0. NLT
-// (predicate 5) is true for v >= floor and for NaN, so like the Go
-// `if v < floor { v = 0 }` it leaves a NaN alone.
+// FLUSH(v, t) is flush4 on eight lanes: lanes of v below the floor
+// become +0. NLT (predicate 5) is true for v >= floor and for NaN, so
+// like the Go `if v < floor { v = 0 }` it leaves a NaN alone.
 #define FLUSH(v, t) \
-	MOVAPS v, t       \
-	CMPPS  X15, t, $5 \
-	ANDPS  t, v
+	VCMPPS $5, Y15, v, t; \
+	VANDPS t, v, v
 
-TEXT ·rowLanesAsm(SB), NOSPLIT, $0-8
+// ROW computes one column of one DP row. The predecessor row's
+// diagonal and straight-up columns sit at byte offsets diag and up
+// from DX in the s rows; the result is stored at offset up in the d
+// rows. The mask byte, shifted right by l in lane l, indexes the
+// {mismatch, match} pairs of the prior tables with its bit 0.
+// VPERMILPS also reads bit 1 (lane l+1's match bit), which only picks
+// between the two copies of the pair VBROADCASTSD put in each 128-bit
+// half.
+//   dj = flush(lastM*tgo + lastD*tge)
+//   mj = flush(pMd*prM + (pDd+pId)*prG)
+//   ij = flush(pMu*tgo + pIu*tge)
+#define ROW(mask, diag, up, sM, sI, sD, dM, dI, dD, tabM, tabG, lastM, lastD) \
+	VPBROADCASTB mask, Y0; \
+	VPSRLVD      Y12, Y0, Y0; \
+	VPERMILPS    Y0, tabM, Y1; \
+	VPERMILPS    Y0, tabG, Y2; \
+	VMULPS       Y14, lastM, Y3; \
+	VMULPS       Y13, lastD, lastD; \
+	VADDPS       lastD, Y3, lastD; \
+	FLUSH(lastD, Y0); \
+	VMULPS       diag(sM)(DX*1), Y1, lastM; \
+	VMOVUPS      diag(sD)(DX*1), Y3; \
+	VADDPS       diag(sI)(DX*1), Y3, Y3; \
+	VMULPS       Y2, Y3, Y3; \
+	VADDPS       Y3, lastM, lastM; \
+	FLUSH(lastM, Y0); \
+	VMULPS       up(sM)(DX*1), Y14, Y2; \
+	VMULPS       up(sI)(DX*1), Y13, Y3; \
+	VADDPS       Y3, Y2, Y2; \
+	FLUSH(Y2, Y0); \
+	VMOVUPS      lastM, up(dM)(DX*1); \
+	VMOVUPS      Y2, up(dI)(DX*1); \
+	VMOVUPS      lastD, up(dD)(DX*1)
+
+// Row i at column k: P -> C.
+#define ROWI ROW((R12)(BX*1), -32, 0, SI, DI, R8, R9, R10, R11, Y8, Y9, Y4, Y5)
+
+// Row i+1 at column k-1: C -> P.
+#define ROWJ ROW((R13)(BX*1), -64, -32, R9, R10, R11, SI, DI, R8, Y10, Y11, Y6, Y7)
+
+// func rowPairAsm(a *pairArgs)
+TEXT ·rowPairAsm(SB), NOSPLIT, $0-8
 	MOVQ a+0(FP), AX
-	MOVQ 0(AX), SI   // pPM
-	MOVQ 8(AX), DI   // pPI
-	MOVQ 16(AX), R8  // pPD
-	MOVQ 24(AX), R9  // pCM
-	MOVQ 32(AX), R10 // pCI
-	MOVQ 40(AX), R11 // pCD
-	MOVQ 48(AX), R12 // mask
-	MOVQ 56(AX), BX  // blend table
-	MOVQ 64(AX), CX  // n
+	MOVQ 0(AX), SI   // pM
+	MOVQ 8(AX), DI   // pI
+	MOVQ 16(AX), R8  // pD
+	MOVQ 24(AX), R9  // cM
+	MOVQ 32(AX), R10 // cI
+	MOVQ 40(AX), R11 // cD
+	MOVQ 48(AX), R12 // maskI
+	MOVQ 56(AX), R13 // maskJ
+	MOVQ 64(AX), BX  // n, at least 1
 
-	MOVSS  72(AX), X2 // prMatchM
-	SHUFPS $0, X2, X2
-	MOVSS  76(AX), X3 // prMismM
-	SHUFPS $0, X3, X3
-	MOVSS  80(AX), X4 // prMatchG
-	SHUFPS $0, X4, X4
-	MOVSS  84(AX), X5 // prMismG
-	SHUFPS $0, X5, X5
-	MOVSS  88(AX), X0 // tgo
-	SHUFPS $0, X0, X0
-	MOVSS  92(AX), X1 // tge
-	SHUFPS $0, X1, X1
-	MOVSS  96(AX), X15 // floor
-	SHUFPS $0, X15, X15
+	// Column k reads maskI[k-1] and, for row i+1 at column k-1,
+	// maskJ[k-2]; with BX = k-n-1 both are (end)(BX*1).
+	LEAQ (R12)(BX*1), R12
+	LEAQ -1(R13)(BX*1), R13
+	NEGQ BX
 
-	// Column 0 of the current rows is the DP boundary: all zero.
-	XORPS  X10, X10
-	MOVUPS X10, 0(R9)
-	MOVUPS X10, 16(R9)
-	MOVUPS X10, 0(R10)
-	MOVUPS X10, 16(R10)
-	MOVUPS X10, 0(R11)
-	MOVUPS X10, 16(R11)
+	VBROADCASTSD 72(AX), Y8  // row i {mismM, matchM}
+	VBROADCASTSD 80(AX), Y9  // row i {mismG, matchG}
+	VBROADCASTSD 88(AX), Y10 // row i+1 {mismM, matchM}
+	VBROADCASTSD 96(AX), Y11 // row i+1 {mismG, matchG}
+	VMOVDQU      ·laneShift(SB), Y12
+	VBROADCASTSS ·rowK+4(SB), Y13 // tge
+	VBROADCASTSS ·rowK+0(SB), Y14 // tgo
+	VBROADCASTSS ·rowK+8(SB), Y15 // floor
 
-	// D chains start at the boundary zeros.
-	XORPS X6, X6
-	XORPS X7, X7
-	XORPS X8, X8
-	XORPS X9, X9
+	// Column 0 of row i is the DP boundary, and the D chains start at
+	// its zeros.
+	VXORPS  Y4, Y4, Y4
+	VMOVUPS Y4, (R9)
+	VMOVUPS Y4, (R10)
+	VMOVUPS Y4, (R11)
+	VXORPS  Y5, Y5, Y5
+	VXORPS  Y6, Y6, Y6
+	VXORPS  Y7, Y7, Y7
 
-	MOVQ  $32, DX // byte offset of column 1
-	TESTQ CX, CX
-	JLE   done
+	// Row i at column 1 reads P column 0; only then does row i+1's
+	// boundary column overwrite it.
+	MOVQ $32, DX
+	ROWI
+	VMOVUPS Y6, (SI)
+	VMOVUPS Y6, (DI)
+	VMOVUPS Y6, (R8)
+	ADDQ    $32, DX
+	INCQ    BX
+	JZ      last
 
 loop:
-	MOVBLZX (R12), R13 // mb = mask[j-1]
-	INCQ    R12
-
-	// ---------- lo quad (lanes 0-3, nibble mb&15) ----------
-	MOVQ   R13, AX
-	ANDQ   $15, AX
-	SHLQ   $4, AX
-	MOVUPS (BX)(AX*1), X10 // lane-select mask
-
-	// prM = mask ? prMatchM : prMismM ; prG likewise.
-	MOVAPS X10, X11
-	ANDPS  X2, X11
-	MOVAPS X10, X12
-	ANDNPS X3, X12
-	ORPS   X12, X11        // X11 = prM
-	MOVAPS X10, X12
-	ANDPS  X4, X12
-	ANDNPS X5, X10
-	ORPS   X10, X12        // X12 = prG
-
-	// mj = pMd*prM + (pId+pDd)*prG
-	MOVUPS -32(SI)(DX*1), X13
-	MULPS  X11, X13
-	MOVUPS -32(DI)(DX*1), X14
-	MOVUPS -32(R8)(DX*1), X10
-	ADDPS  X14, X10
-	MULPS  X12, X10
-	ADDPS  X10, X13        // X13 = mj
-	FLUSH(X13, X10)
-
-	// ij = pMu*tgo + pIu*tge
-	MOVUPS (SI)(DX*1), X14
-	MULPS  X0, X14
-	MOVUPS (DI)(DX*1), X11
-	MULPS  X1, X11
-	ADDPS  X11, X14        // X14 = ij
-	FLUSH(X14, X10)
-
-	// dj = lastM*tgo + lastD*tge
-	MOVAPS X6, X12
-	MULPS  X0, X12
-	MOVAPS X7, X11
-	MULPS  X1, X11
-	ADDPS  X11, X12        // X12 = dj
-	FLUSH(X12, X10)
-
-	MOVUPS X13, (R9)(DX*1)
-	MOVUPS X14, (R10)(DX*1)
-	MOVUPS X12, (R11)(DX*1)
-	MOVAPS X13, X6         // lastM lo
-	MOVAPS X12, X7         // lastD lo
-
-	// ---------- hi quad (lanes 4-7, nibble mb>>4) ----------
-	SHRQ   $4, R13
-	SHLQ   $4, R13
-	MOVUPS (BX)(R13*1), X10
-
-	MOVAPS X10, X11
-	ANDPS  X2, X11
-	MOVAPS X10, X12
-	ANDNPS X3, X12
-	ORPS   X12, X11
-	MOVAPS X10, X12
-	ANDPS  X4, X12
-	ANDNPS X5, X10
-	ORPS   X10, X12
-
-	MOVUPS -16(SI)(DX*1), X13
-	MULPS  X11, X13
-	MOVUPS -16(DI)(DX*1), X14
-	MOVUPS -16(R8)(DX*1), X10
-	ADDPS  X14, X10
-	MULPS  X12, X10
-	ADDPS  X10, X13
-	FLUSH(X13, X10)
-
-	MOVUPS 16(SI)(DX*1), X14
-	MULPS  X0, X14
-	MOVUPS 16(DI)(DX*1), X11
-	MULPS  X1, X11
-	ADDPS  X11, X14
-	FLUSH(X14, X10)
-
-	MOVAPS X8, X12
-	MULPS  X0, X12
-	MOVAPS X9, X11
-	MULPS  X1, X11
-	ADDPS  X11, X12
-	FLUSH(X12, X10)
-
-	MOVUPS X13, 16(R9)(DX*1)
-	MOVUPS X14, 16(R10)(DX*1)
-	MOVUPS X12, 16(R11)(DX*1)
-	MOVAPS X13, X8
-	MOVAPS X12, X9
-
+	ROWI
+	ROWJ
 	ADDQ $32, DX
-	DECQ CX
+	INCQ BX
 	JNZ  loop
 
-done:
+last:
+	// Row i+1 at column n.
+	ROWJ
+	VZEROUPPER
 	RET

@@ -2,19 +2,16 @@
 
 package phmm
 
-// haveRowAsm reports whether rowLanes dispatches to an assembly
-// kernel on this architecture.
+// No assembly body off amd64: the portable rows in lanes.go are the
+// only path (on arm64 too — there is no arm64 host or emulator to
+// execute an assembly twin under TestRowLanesMatchesRowQuad, and a
+// kernel that has never run must not be the one tier whose answers
+// could differ). The stub keeps the dispatch site compiling;
+// haveRowAsm being a false constant removes the call.
+
 const haveRowAsm = false
 
-// rowLanes advances all eight lanes of one read position on the
-// portable path: two register-blocked quad sweeps. arm64 runs this too:
-// there is no arm64 host or emulator to execute an assembly twin under
-// TestRowLanesMatchesRowQuad, and a kernel that has never run must not
-// be the one tier whose answers could differ.
-func rowLanes(rowMask []uint8, priorMatch, priorMismatch float32,
-	prevM, prevI, prevD, curM, curI, curD []float32, n int) {
-	rowQuad(rowMask, priorMatch, priorMismatch,
-		&prevM[0], &prevI[0], &prevD[0], &curM[0], &curI[0], &curD[0], n, 0)
-	rowQuad(rowMask, priorMatch, priorMismatch,
-		&prevM[0], &prevI[0], &prevD[0], &curM[0], &curI[0], &curD[0], n, 4)
+func rowPairAVX2(ri, rj *laneRow, prev, cur *[3][]float32, n int) {
+	rowLanes(ri, prev, cur, n)
+	rowLanes(rj, cur, prev, n)
 }

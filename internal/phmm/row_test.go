@@ -3,6 +3,7 @@ package phmm
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cpufeat"
@@ -10,18 +11,24 @@ import (
 	"repro/internal/lanes"
 )
 
-// TestRowLanesMatchesRowQuad pins the architecture-dispatched row
-// kernel (SSE2 assembly on amd64) to the pure-Go quad sweeps,
-// bit-for-bit: both replay the same per-lane operations in the same
-// rounding order with the same flush points, so there is no tolerance
-// here. Two input families: mid-range values (nothing near the floor),
-// and the flush-boundary hammer — previous-row values that are 0 or
+// TestRowLanesMatchesRowQuad pins the tier-dispatched two-row entry
+// (rowPair: the AVX2 assembly on amd64 hosts that have it) to
+// sequential pure-Go quad sweeps on separate buffers, bit-for-bit: both
+// replay the same per-lane operations in the same rounding order with
+// the same flush points, so there is no tolerance here, and the
+// in-place write of row i+1 over row i-1 is checked against a row that
+// never shared storage. Each trial steps m = 1…5 rows, each with its
+// own mask and priors, the way forwardLanes does (an odd first row
+// alone, then pairs), and compares the last two.
+// Two input families: mid-range values (nothing near the floor), and
+// the flush-boundary hammer — previous-row values that are 0 or
 // log-uniform in [2^-93, 2^-78], the only values the flushed
 // recurrence can hand itself near the floor, under priors spanning
 // Phred 2…93 so outputs land on both sides of 2^-93 in every lane
-// pattern.
+// pattern. Widths cover n = 1, 2, 3 and then odd and even n up to 67.
 func TestRowLanesMatchesRowQuad(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
+	wide := haveRowAsm && cpufeat.AVX2()
 	midRange := func() float32 { return rng.Float32() * 1e3 }
 	nearFloor := func() float32 {
 		if rng.Intn(4) == 0 {
@@ -41,7 +48,10 @@ func TestRowLanesMatchesRowQuad(t *testing.T) {
 	} {
 		flushed, kept := 0, 0
 		for trial := 0; trial < tc.trials; trial++ {
-			n := 1 + rng.Intn(67)
+			n := 1 + trial%3
+			if trial >= 3 {
+				n = 1 + rng.Intn(67)
+			}
 			w := (n + 1) * lanes.Width
 			mk := func() []float32 {
 				s := make([]float32, w)
@@ -50,46 +60,70 @@ func TestRowLanesMatchesRowQuad(t *testing.T) {
 				}
 				return s
 			}
-			prevM, prevI, prevD := mk(), mk(), mk()
-			mask := make([]uint8, n)
-			for i := range mask {
-				mask[i] = uint8(rng.Intn(256))
-			}
-			err := qualToErr[tc.phred()]
-			priorMatch, priorMismatch := float32(1-err), float32(err/3)
-
-			gotM, gotI, gotD := mk(), mk(), mk()
-			rowLanes(mask, priorMatch, priorMismatch,
-				prevM, prevI, prevD, gotM, gotI, gotD, n)
-
-			wantM, wantI, wantD := mk(), mk(), mk()
-			for base := 0; base <= 4; base += 4 {
-				rowQuad(mask, priorMatch, priorMismatch,
-					&prevM[0], &prevI[0], &prevD[0],
-					&wantM[0], &wantI[0], &wantD[0], n, base)
-			}
-
-			for name, pair := range map[string][2][]float32{
-				"M": {gotM, wantM}, "I": {gotI, wantI}, "D": {gotD, wantD},
-			} {
-				got, want := pair[0], pair[1]
-				for o := 0; o < w; o++ {
-					if math.Float32bits(got[o]) != math.Float32bits(want[o]) {
-						t.Fatalf("%s trial %d (n=%d, asm=%v): row %s[%d] = %x, want %x",
-							tc.name, trial, n, haveRowAsm, name, o,
-							math.Float32bits(got[o]), math.Float32bits(want[o]))
-					}
-					if o < lanes.Width {
-						continue // column 0 is the all-zero boundary
-					}
-					if want[o] == 0 {
-						flushed++
-					} else {
-						kept++
-					}
+			mkRow := func() laneRow {
+				r := laneRow{mask: make([]uint8, n)}
+				for i := range r.mask {
+					r.mask[i] = uint8(rng.Intn(256))
 				}
-				if i := firstSubnormal(want); tc.hammer && i >= 0 {
-					t.Fatalf("%s trial %d: row %s[%d] = %g is below the flush floor", tc.name, trial, name, i, want[i])
+				err := qualToErr[tc.phred()]
+				r.priorMatch, r.priorMismatch = float32(1-err), float32(err/3)
+				return r
+			}
+			m := 1 + trial%5
+			rows := make([]laneRow, m)
+			for r := range rows {
+				rows[r] = mkRow()
+			}
+
+			// Reference: every row swept from the one before it into
+			// buffers of its own, one rowQuad sweep per Quad (rowLanes).
+			want := make([][3][]float32, m+1)
+			want[0] = [3][]float32{mk(), mk(), mk()}
+			for r := range rows {
+				want[r+1] = [3][]float32{mk(), mk(), mk()}
+				rowLanes(&rows[r], &want[r], &want[r+1], n)
+			}
+
+			// Under test: forwardLanes' stepping over two buffer sets — an
+			// odd first row alone, then pairs, row i+1 over row i-1.
+			prev := [3][]float32{slices.Clone(want[0][0]), slices.Clone(want[0][1]), slices.Clone(want[0][2])}
+			cur := [3][]float32{mk(), mk(), mk()}
+			p, c := &prev, &cur
+			i := 0
+			if m%2 == 1 {
+				rowLanes(&rows[0], p, c, n)
+				p, c = c, p
+				i = 1
+			}
+			for ; i < m; i += 2 {
+				rowPair(wide, &rows[i], &rows[i+1], p, c, n)
+			}
+
+			// p holds row m and c row m-1 (the untouched row 0 when m = 1).
+			for _, chk := range []struct {
+				row       int
+				got, want *[3][]float32
+			}{{m, p, &want[m]}, {m - 1, c, &want[m-1]}} {
+				for k, name := range []string{"M", "I", "D"} {
+					got, want := chk.got[k], chk.want[k]
+					for o := 0; o < w; o++ {
+						if math.Float32bits(got[o]) != math.Float32bits(want[o]) {
+							t.Fatalf("%s trial %d (n=%d, m=%d, asm=%v): row %d %s[%d] = %x, want %x",
+								tc.name, trial, n, m, wide, chk.row, name, o,
+								math.Float32bits(got[o]), math.Float32bits(want[o]))
+						}
+						if chk.row == 0 || o < lanes.Width {
+							continue // the input row; column 0 is the all-zero boundary
+						}
+						if want[o] == 0 {
+							flushed++
+						} else {
+							kept++
+						}
+					}
+					if i := firstSubnormal(want); tc.hammer && i >= 0 {
+						t.Fatalf("%s trial %d: row %d %s[%d] = %g is below the flush floor", tc.name, trial, chk.row, name, i, want[i])
+					}
 				}
 			}
 		}

@@ -9,8 +9,8 @@ package poa
 // serial chain even off the range proof). TestPoaRowAsmHammer asserts
 // exactly that.
 //
-// Unlike phmm's SSE2 kernel, AVX2 is not in the amd64 baseline:
-// callers must gate on cpufeat.Wide16(), which folds in both the
+// AVX2 is not in the amd64 baseline: callers must gate on
+// cpufeat.Wide16(), which folds in both the
 // CPUID/XCR0 probe and the GBENCH_SIMD override.
 
 // poaHaveWideAsm reports whether this architecture has an assembly
