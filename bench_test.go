@@ -238,25 +238,6 @@ func BenchmarkAblationCTCDecode(b *testing.B) {
 	})
 }
 
-// Float32 versus int8-quantized dense inference (Bonito ships
-// quantized models).
-func BenchmarkAblationQuantizedDense(b *testing.B) {
-	rng := rand.New(rand.NewSource(benchSeed))
-	d := nn.NewDense(rng, 256, 128, nn.ReLU, "fc")
-	q := d.Quantize()
-	x := nn.RandomTensor(rng, 64, 256, 1)
-	b.Run("float32", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			d.Forward(x)
-		}
-	})
-	b.Run("int8", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			q.Forward(x)
-		}
-	})
-}
-
 // Inter-sequence batch width: SIMD lane-count trade-off for bsw.
 func BenchmarkAblationBSWLanes(b *testing.B) {
 	rng := rand.New(rand.NewSource(benchSeed))

@@ -1,8 +1,8 @@
 package repro
 
 // Integration tests: full pipelines crossing module boundaries, run on
-// small seeded datasets with quantitative accuracy assertions. These
-// mirror the runnable examples but fail loudly on regressions.
+// small seeded datasets with quantitative accuracy assertions, so a
+// regression anywhere along a pipeline fails loudly.
 
 import (
 	"bytes"
@@ -10,13 +10,11 @@ import (
 	"testing"
 
 	"repro/internal/abea"
-	"repro/internal/bqsr"
 	"repro/internal/bsw"
 	"repro/internal/chain"
 	"repro/internal/dbg"
 	"repro/internal/fmindex"
 	"repro/internal/genome"
-	"repro/internal/markdup"
 	"repro/internal/nnbase"
 	"repro/internal/nnvariant"
 	"repro/internal/phmm"
@@ -315,86 +313,6 @@ func TestPipelineSignalToEventsToAlignment(t *testing.T) {
 	}
 	if positive*2 < len(calls) {
 		t.Errorf("only %d/%d CpG sites show positive LLR on methylated signal", positive, len(calls))
-	}
-}
-
-func TestPipelineBestPracticesPreprocessing(t *testing.T) {
-	// The GATK Best Practices preprocessing chain the paper's
-	// reference-guided pipeline implies: paired reads -> duplicate
-	// marking -> base-quality recalibration -> PairHMM-ready evidence.
-	rng := rand.New(rand.NewSource(31))
-	ref := genome.NewReference(rng, "chr", 20_000, 0)
-	sim := readsim.New(32)
-	pcfg := readsim.DefaultPaired()
-	pcfg.Read.Length = 100
-	pairs := sim.PairedReads(ref.Seq, -1, 300, pcfg, "f")
-
-	// Convert to alignment records at their true coordinates with
-	// systematically overconfident qualities.
-	cig, err := simio.ParseCigar("100M")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var alns []*simio.Alignment
-	addRead := func(r readsim.Read) {
-		if len(r.Seq) != 100 {
-			return // indel-bearing read; keep the test's CIGARs simple
-		}
-		seq := r.Seq
-		if r.Reverse {
-			seq = seq.ReverseComplement()
-		}
-		qual := make([]byte, len(seq))
-		for i := range qual {
-			qual[i] = 40 // machine reports Q40 regardless of truth
-		}
-		alns = append(alns, &simio.Alignment{
-			ReadName: r.Name, RefName: "chr", Pos: r.RefPos,
-			Cigar: cig, Seq: seq, Qual: qual, Reverse: r.Reverse,
-		})
-	}
-	for _, p := range pairs {
-		addRead(p.R1)
-		addRead(p.R2)
-	}
-	// Inject PCR duplicates.
-	for i := 0; i < 60; i++ {
-		dup := *alns[rng.Intn(len(alns))]
-		alns = append(alns, &dup)
-	}
-
-	marked := markdup.Mark(alns)
-	if marked.Duplicates < 60 {
-		t.Errorf("marked %d duplicates, planted 60", marked.Duplicates)
-	}
-	kept := markdup.Filter(alns)
-
-	table := bqsr.Train(ref.Seq, kept, nil)
-	// DefaultShort's ~0.2% substitution rate means true quality ~Q28,
-	// well below the reported Q40.
-	emp := table.Empirical(40, 50, 100)
-	if emp < 22 || emp > 36 {
-		t.Errorf("empirical quality %d, want in the high-20s for a 0.2%% error stream", emp)
-	}
-	if changed := table.Recalibrate(kept); changed == 0 {
-		t.Error("recalibration changed nothing")
-	}
-	// Recalibrated evidence flows into the PairHMM.
-	hap := ref.Seq[5000:5200]
-	var region phmm.Region
-	region.Haps = []genome.Seq{hap}
-	for _, a := range kept {
-		if a.Pos >= 5000 && a.Pos+100 <= 5200 {
-			region.Reads = append(region.Reads, a.Seq)
-			region.Quals = append(region.Quals, a.Qual)
-		}
-	}
-	if len(region.Reads) == 0 {
-		t.Skip("no reads landed in the probe window")
-	}
-	res := phmm.EvaluateRegion(&region)
-	if res.CellUpdates == 0 {
-		t.Error("PairHMM did no work on recalibrated reads")
 	}
 }
 

@@ -152,34 +152,6 @@ func TestGPUMetricsShape(t *testing.T) {
 	}
 }
 
-func TestCalibrationRestoresAlignmentQuality(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	model := signalsim.NewPoreModel()
-	seq := genome.Random(rng, 300)
-	cfg := signalsim.Config{OversegmentationRate: 0.3, SkipRate: 0.05, NoiseScale: 0.5, MeanDwell: 5}
-	clean := signalsim.Simulate(rng, model, seq, cfg)
-	cleanScore := Align(model, seq, clean, DefaultConfig()).Score
-
-	// Pore drift wrecks the raw alignment score.
-	drift := signalsim.Drift{Scale: 1.08, Shift: -6}
-	drifted := drift.Apply(append([]signalsim.Event(nil), clean...))
-	driftedScore := Align(model, seq, drifted, DefaultConfig()).Score
-	if driftedScore >= cleanScore-10 {
-		t.Fatalf("drift did not hurt: clean %.0f drifted %.0f", cleanScore, driftedScore)
-	}
-
-	// Method-of-moments calibration restores most of it.
-	restored := signalsim.CalibrateEvents(model, drifted)
-	restoredScore := Align(model, seq, restored, DefaultConfig()).Score
-	if restoredScore <= driftedScore {
-		t.Fatalf("calibration did not help: drifted %.0f restored %.0f", driftedScore, restoredScore)
-	}
-	if gap := cleanScore - restoredScore; gap > float32(0.3*float64(cleanScore-driftedScore)) {
-		t.Errorf("calibration recovered too little: clean %.0f drifted %.0f restored %.0f",
-			cleanScore, driftedScore, restoredScore)
-	}
-}
-
 // must unwraps a RunKernelCtx result; a kernel run under a background
 // context with no fault plan armed cannot fail.
 func must(res KernelResult, err error) KernelResult {

@@ -28,7 +28,7 @@ package abea
 //     values and the assembly has no scalar epilogue.
 //   - bandSweepQuad / bandArgmax, the portable lanes.Quad sweep with a
 //     scalar tail and the scalar strict-greater arg-max: every other
-//     case (interiors under 8 cells, W < 8, GBENCH_SIMD=off|sse2,
+//     case (interiors under 8 cells, W < 8, GBENCH_SIMD=off,
 //     arm64 and amd64 hosts without AVX2). It is the assembly's one
 //     forced-portable twin.
 //

@@ -13,15 +13,19 @@ import (
 	"repro/internal/signalsim"
 )
 
-// forEachTier runs f with the SIMD ceiling forced to each rung of the
-// GBENCH_SIMD ladder: "off" and "sse2" take the portable quad body,
-// "avx2" the assembly (skipped when the host has none to force).
+// forEachTier runs f with the SIMD ceiling forced to each GBENCH_SIMD
+// value: "off" takes the portable quad body, "avx2" the assembly
+// (skipped when the host has none to force). "sse2" names no tier any
+// more; a stale pin must take the portable body exactly as "off" does.
 func forEachTier(t *testing.T, f func(t *testing.T)) {
 	for _, tier := range []string{"off", "sse2", "avx2"} {
 		t.Run(tier, func(t *testing.T) {
 			defer cpufeat.ForceForTest(tier)()
 			if tier == "avx2" && !(haveBandAsm && cpufeat.AVX2()) {
 				t.Skip("no AVX2 on this host")
+			}
+			if tier == "sse2" && cpufeat.AVX2() {
+				t.Fatal("GBENCH_SIMD=sse2 must pin the portable body, not AVX2")
 			}
 			f(t)
 		})
@@ -122,7 +126,7 @@ func FuzzAlignLanes(f *testing.F) {
 		}
 		cfg := Config{BandWidth: int(w)}
 		if err := lanesMatchScalar(model, seq, events, cfg, nil); err != nil {
-			t.Fatalf("dispatched tier (%s): %v", cpufeat.Active(), err)
+			t.Fatalf("dispatched tier (%s): %v", cpufeat.String(), err)
 		}
 		defer cpufeat.ForceForTest("off")()
 		if err := lanesMatchScalar(model, seq, events, cfg, nil); err != nil {

@@ -205,7 +205,7 @@ const negInf32 = int32(-(1 << 29))
 // arena to get the zero-allocation path). Results are bit-identical to
 // Align on every input.
 //
-// On hosts with a 16-wide SIMD tier (cpufeat.Wide16), alignments
+// On hosts with the AVX2 tier (cpufeat.AVX2), alignments
 // whose scoring passes wideEligible's int16 range proof and whose DP
 // area clears the measured lanes.WideMinWork floor route to
 // alignWide, the 16-cells-per-step assembly band kernel (wide.go);
@@ -216,7 +216,7 @@ func AlignInto(q, t genome.Seq, p Params, a *scratch.Arena) Result {
 	if m == 0 || n == 0 {
 		return res
 	}
-	if bswHaveWideAsm && cpufeat.Wide16() && wideEligible(p, m, n) &&
+	if bswHaveWideAsm && cpufeat.AVX2() && wideEligible(p, m, n) &&
 		wideArea(p, m, n) >= lanes.WideMinWork.Get() {
 		return alignWide(q, t, p, a, true)
 	}

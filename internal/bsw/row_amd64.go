@@ -8,11 +8,11 @@ package bsw
 // on arbitrary inputs in that contract.
 //
 // As with poa's kernel, AVX2 is not in the amd64 baseline: callers
-// gate on cpufeat.Wide16(), which folds in the CPUID/XCR0 probe and
+// gate on cpufeat.AVX2(), which folds in the CPUID/XCR0 probe and
 // the GBENCH_SIMD override.
 
 // bswHaveWideAsm reports whether this architecture has an assembly
-// band-row kernel compiled in (it still needs cpufeat.Wide16() at
+// band-row kernel compiled in (it still needs cpufeat.AVX2() at
 // run time to be dispatchable).
 const bswHaveWideAsm = true
 

@@ -18,7 +18,7 @@ import (
 // kernel (row_amd64.s via row_amd64.go) retires 16 cells per step.
 // Dispatch is three-way gated in AlignInto: the architecture
 // must have an asm kernel (bswHaveWideAsm), the host must report a
-// wide tier (cpufeat.Wide16, which folds in the GBENCH_SIMD override),
+// live AVX2 tier (cpufeat.AVX2, which folds in the GBENCH_SIMD override),
 // the scoring must pass wideEligible's range proof, and the DP area
 // must clear the measured lanes.WideMinWork floor.
 //

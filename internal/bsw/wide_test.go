@@ -73,7 +73,7 @@ func TestAlignWideDifferential(t *testing.T) {
 		if got != want {
 			t.Fatalf("trial %d: portable wide %+v != scalar %+v (params %+v, m=%d n=%d)", trial, got, want, p, len(q), len(tg))
 		}
-		if bswHaveWideAsm && cpufeat.Wide16() {
+		if bswHaveWideAsm && cpufeat.AVX2() {
 			gotAsm := alignWide(q, tg, p, a, true)
 			if gotAsm != want {
 				t.Fatalf("trial %d: asm wide %+v != scalar %+v (params %+v, m=%d n=%d)", trial, gotAsm, want, p, len(q), len(tg))
@@ -92,8 +92,8 @@ func TestBswRowAsmHammer(t *testing.T) {
 	if !bswHaveWideAsm {
 		t.Skip("no assembly band-row kernel on this architecture")
 	}
-	if !cpufeat.Wide16() {
-		t.Skip("no wide SIMD tier on this host (or GBENCH_SIMD lowered the ceiling)")
+	if !cpufeat.AVX2() {
+		t.Skip("no AVX2 on this host (or GBENCH_SIMD lowered the ceiling)")
 	}
 	rng := rand.New(rand.NewSource(92))
 	for it := 0; it < 2000; it++ {
@@ -214,7 +214,7 @@ func TestAlignWideZDropAndLocal(t *testing.T) {
 		if got := alignWide(q, tg, p, a, false); got != want {
 			t.Fatalf("zdrop trial %d: portable wide %+v != scalar %+v", trial, got, want)
 		}
-		if bswHaveWideAsm && cpufeat.Wide16() {
+		if bswHaveWideAsm && cpufeat.AVX2() {
 			if got := alignWide(q, tg, p, a, true); got != want {
 				t.Fatalf("zdrop trial %d: asm wide %+v != scalar %+v", trial, got, want)
 			}
@@ -228,7 +228,7 @@ func TestAlignWideZDropAndLocal(t *testing.T) {
 		if got := alignWide(q, tg, lp, a, false); got != want {
 			t.Fatalf("local trial %d: portable wide %+v != scalar %+v", trial, got, want)
 		}
-		if bswHaveWideAsm && cpufeat.Wide16() {
+		if bswHaveWideAsm && cpufeat.AVX2() {
 			if got := alignWide(q, tg, lp, a, true); got != want {
 				t.Fatalf("local trial %d: asm wide %+v != scalar %+v", trial, got, want)
 			}

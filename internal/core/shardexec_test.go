@@ -135,7 +135,7 @@ func TestPhmmDigestsTierInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs phmm Small twice")
 	}
-	tier := cpufeat.Active()
+	tier := cpufeat.String()
 	got, _, err := LocalDigests(context.Background(), "phmm", "small", 42)
 	if err != nil {
 		t.Fatal(err)

@@ -9,15 +9,15 @@ import (
 
 func TestDetectBaseline(t *testing.T) {
 	f := detect()
-	if runtime.GOARCH == "amd64" {
-		if !f.HasSSE2 {
-			t.Fatal("amd64 must report SSE2: it is part of the architecture baseline")
-		}
-		return
+	if f.Override != "" {
+		t.Fatalf("detect must report hardware only, got override %q", f.Override)
+	}
+	if detect() != f {
+		t.Fatal("detect must answer the same on every call")
 	}
 	// No assembly ships off amd64, arm64 included: the portable bodies
 	// are the only path, so there is no tier to report.
-	if f != (Features{}) {
+	if runtime.GOARCH != "amd64" && f != (Features{}) {
 		t.Fatalf("no SIMD tiers expected on %s, got %+v", runtime.GOARCH, f)
 	}
 }
@@ -39,48 +39,64 @@ func TestOverrideLowersCeilingOnly(t *testing.T) {
 	}
 	defer readers.Wait()
 
-	restore := ForceForTest("off")
-	if Get().HasSSE2 || Get().HasAVX2 {
-		t.Fatal("GBENCH_SIMD=off must disable every tier")
+	// "off", a retired "sse2" and a typo all pin the portable bodies
+	// and stamp what was asked for.
+	for _, simd := range []string{"off", "sse2", "avx"} {
+		restore := ForceForTest(simd)
+		if AVX2() {
+			t.Fatalf("GBENCH_SIMD=%s must disable AVX2", simd)
+		}
+		if want := "portable (GBENCH_SIMD=" + simd + ")"; String() != want {
+			t.Fatalf("String under %s = %q, want %q", simd, String(), want)
+		}
+		restore()
 	}
-	if Active() != "portable" {
-		t.Fatalf("Active under off = %q, want portable", Active())
-	}
-	if Wide16() {
-		t.Fatal("Wide16 must be false under GBENCH_SIMD=off")
-	}
-	restore()
 
-	restore = ForceForTest("sse2")
-	if Get().HasAVX2 {
-		t.Fatal("GBENCH_SIMD=sse2 must disable AVX2")
+	for _, simd := range []string{"avx2", ""} {
+		restore := ForceForTest(simd)
+		if AVX2() != hw.HasAVX2 {
+			t.Fatalf("GBENCH_SIMD=%q: AVX2() = %v, hardware %v — an override must neither enable a tier the hardware lacks nor drop one it allows", simd, AVX2(), hw.HasAVX2)
+		}
+		restore()
 	}
-	if Get().HasSSE2 != hw.HasSSE2 {
-		t.Fatal("GBENCH_SIMD=sse2 must not invent or remove SSE2 support")
-	}
-	restore()
-
-	restore = ForceForTest("avx2")
-	if Get().HasAVX2 && !hw.HasAVX2 {
-		t.Fatal("an override must never enable a tier the hardware lacks")
-	}
-	restore()
 
 	// After every restore the effective set is back to process state.
-	if Get().Override != parseOverride(Get().Override) {
+	if s, _ := parseOverride(Get().Override); s != Get().Override {
 		t.Fatal("restore left a non-canonical override")
 	}
 }
 
 func TestParseOverride(t *testing.T) {
-	for in, want := range map[string]string{
-		"off": "off", "OFF": "off", " Sse2 ": "sse2", "avx2": "avx2",
-		"": "", "bogus": "", "avx512": "",
-		"neon": "", // no arm64 tier: ignored like any unknown value, not an error
+	type want struct {
+		stamp     string
+		allowAVX2 bool
+	}
+	for in, w := range map[string]want{
+		"": {"", true}, "avx2": {"avx2", true}, " AVX2 ": {"avx2", true},
+		"off": {"off", false}, "OFF": {"off", false},
+		// Every other value pins the portable bodies: a stale "sse2"
+		// must not silently run AVX2, and neither may a typo.
+		" Sse2 ": {"sse2", false}, "avx": {"avx", false},
+		"bogus": {"bogus", false}, "avx512": {"avx512", false},
+		"neon": {"neon", false}, // no arm64 tier
 	} {
-		if got := parseOverride(in); got != want {
-			t.Errorf("parseOverride(%q) = %q, want %q", in, got, want)
+		if stamp, allow := parseOverride(in); stamp != w.stamp || allow != w.allowAVX2 {
+			t.Errorf("parseOverride(%q) = (%q, %v), want (%q, %v)", in, stamp, allow, w.stamp, w.allowAVX2)
 		}
+	}
+}
+
+// TestWide16MatchesTiers: the 16-lane int16 kernels (bsw, poa) run
+// exactly when AVX2() says so, and the host stamp must name that same
+// tier under every GBENCH_SIMD value, so wide and portable results are
+// never filed under one another's stamp.
+func TestWide16MatchesTiers(t *testing.T) {
+	for _, simd := range []string{"", "off", "avx2", "sse2", "avx"} {
+		restore := ForceForTest(simd)
+		if wide, stamp := AVX2(), String(); wide != strings.HasPrefix(stamp, "avx2") {
+			t.Errorf("GBENCH_SIMD=%q: AVX2() = %v but stamp %q", simd, wide, stamp)
+		}
+		restore()
 	}
 }
 
@@ -90,11 +106,5 @@ func TestStringCarriesOverride(t *testing.T) {
 	s := String()
 	if !strings.Contains(s, "portable") || !strings.Contains(s, "GBENCH_SIMD=off") {
 		t.Fatalf("String() = %q, want portable with override stamp", s)
-	}
-}
-
-func TestWide16MatchesTiers(t *testing.T) {
-	if Wide16() != AVX2() {
-		t.Fatal("Wide16 must be exactly AVX2: the only 16-lane int16 asm kernels are AVX2")
 	}
 }

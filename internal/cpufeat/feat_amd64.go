@@ -7,11 +7,10 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 // CPUID reports OSXSAVE (cpuid_amd64.s).
 func xgetbv() (eax, edx uint32)
 
-// detect probes the hardware tiers on amd64. SSE2 is part of the
-// amd64 baseline — every binary the Go toolchain emits already
-// assumes it — so only AVX2 needs a runtime answer.
+// detect probes the hardware for AVX2, the one tier the suite's asm
+// kernels use.
 func detect() Features {
-	f := Features{HasSSE2: true}
+	var f Features
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
 		return f

@@ -69,12 +69,6 @@ type frame struct {
 	next int
 }
 
-func newGraph(k int) *graph {
-	g := &graph{}
-	g.reset(k)
-	return g
-}
-
 // reset clears the graph for a new build at k-mer size k, retaining
 // the node slab, map buckets, and traversal buffers.
 func (g *graph) reset(k int) {

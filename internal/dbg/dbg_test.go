@@ -142,7 +142,8 @@ func TestRepeatForcesKEscalation(t *testing.T) {
 func TestGraphCycleDetection(t *testing.T) {
 	// Sequence ending where it began: ACGTACGTACGT has k-mer cycle at k=4.
 	s := genome.MustFromString("ACGTACGTACGT")
-	g := newGraph(4)
+	g := &graph{}
+	g.reset(4)
 	g.addSeq(s, true)
 	if !g.hasCycleFrom(genome.KmerCode(s, 0, 4), 1) {
 		t.Error("tandem repeat should be cyclic at k=4")
@@ -150,7 +151,8 @@ func TestGraphCycleDetection(t *testing.T) {
 	// A non-repetitive sequence is acyclic.
 	rng := rand.New(rand.NewSource(6))
 	u := genome.Random(rng, 50)
-	g2 := newGraph(15)
+	g2 := &graph{}
+	g2.reset(15)
 	g2.addSeq(u, true)
 	if g2.hasCycleFrom(genome.KmerCode(u, 0, 15), 1) {
 		t.Error("random 50-mer flagged cyclic at k=15")

@@ -56,8 +56,8 @@ type Index struct {
 	bwt []byte
 
 	// blocks[p>>6] answers every Occ lookup at row p. Derived from bwt
-	// (buildBlocks), never serialized. Sentinel occurrences are derived
-	// from the single primary position.
+	// (buildBlocks). Sentinel occurrences are derived from the single
+	// primary position.
 	blocks  []occBlock
 	primary int // BWT row whose character is the sentinel
 

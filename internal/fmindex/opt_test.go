@@ -116,35 +116,6 @@ func checkLF(t *testing.T, x *Index) {
 	}
 }
 
-// Deserialized indexes must rebuild the Occ blocks, which the file
-// does not carry.
-func TestOcc4PackedAfterRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	g := genome.Random(rng, 500)
-	x := Build(g)
-	var buf sliceWriter
-	if _, err := x.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	y, err := ReadIndex(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkOcc4(t, y)
-}
-
-type sliceWriter struct {
-	data []byte
-	off  int
-}
-
-func (s *sliceWriter) Write(p []byte) (int, error) { s.data = append(s.data, p...); return len(p), nil }
-func (s *sliceWriter) Read(p []byte) (int, error) {
-	n := copy(p, s.data[s.off:])
-	s.off += n
-	return n, nil
-}
-
 // countingTracer counts accesses with a plain (unsynchronized) field —
 // exactly the kind of tracer that raced when shared across workers.
 type countingTracer struct {

@@ -18,12 +18,10 @@ package lanes
 //     saturating forms for callers that prefer clamping to wrapping
 //     at the range boundary; saturation is a guard, not a semantics
 //     change — a kernel that can saturate must not take the lane path.
-//   - CmpGt + Blend implement the scalar cores' strict-greater update
-//     (`if s > best { best = s }`) as mask arithmetic: CmpGt compares
-//     in full int precision (no wraparound at the int16 boundary) and
-//     Blend selects bit-exactly one of the two inputs per lane, so a
-//     candidate loop over CmpGt/Blend visits candidates in the same
-//     order, with the same first-winner ties, as the scalar loop.
+//   - Max implements the scalar cores' strict-greater update
+//     (`if s > best { best = s }`) lane by lane, with the same
+//     first-operand-wins ties, and PickI16 selects bit-exactly one of
+//     two values per lane.
 
 // QuadI16 is four int16 lanes; two quads nest into an I16x8.
 type QuadI16 struct {
@@ -137,26 +135,6 @@ func (a I16x8) Max(b I16x8) I16x8 {
 	}
 }
 
-// gtBit returns 1 when a > b, comparing in int32 so lanes at the
-// int16 boundary never wrap the comparison.
-func gtBit(a, b int16) uint8 {
-	// (b - a) is exact in int32; its sign bit is the comparison.
-	return uint8(uint32(int32(b)-int32(a)) >> 31)
-}
-
-// CmpGt returns a per-lane mask with bit l set iff a_l > b_l — the
-// strict-greater test the scalar DP update loops are built from.
-func (a I16x8) CmpGt(b I16x8) uint8 {
-	return gtBit(a.Lo.A, b.Lo.A) |
-		gtBit(a.Lo.B, b.Lo.B)<<1 |
-		gtBit(a.Lo.C, b.Lo.C)<<2 |
-		gtBit(a.Lo.D, b.Lo.D)<<3 |
-		gtBit(a.Hi.A, b.Hi.A)<<4 |
-		gtBit(a.Hi.B, b.Hi.B)<<5 |
-		gtBit(a.Hi.C, b.Hi.C)<<6 |
-		gtBit(a.Hi.D, b.Hi.D)<<7
-}
-
 // selI16 selects one of two int16 values through a 0/1 bit without a
 // branch: the bit widens to an all-ones/all-zeros mask applied to the
 // raw bit patterns, so the result is bit-exactly on (bit==1) or off.
@@ -165,25 +143,8 @@ func selI16(bit uint32, on, off int16) int16 {
 	return on&msk | off&^msk
 }
 
-// BlendI16 selects per lane by mask bit: lane l is on_l when bit l of
-// mask is set, off_l otherwise.
-func BlendI16(mask uint8, on, off I16x8) I16x8 {
-	m := uint32(mask)
-	return I16x8{
-		QuadI16{
-			selI16(m&1, on.Lo.A, off.Lo.A), selI16(m>>1&1, on.Lo.B, off.Lo.B),
-			selI16(m>>2&1, on.Lo.C, off.Lo.C), selI16(m>>3&1, on.Lo.D, off.Lo.D),
-		},
-		QuadI16{
-			selI16(m>>4&1, on.Hi.A, off.Hi.A), selI16(m>>5&1, on.Hi.B, off.Hi.B),
-			selI16(m>>6&1, on.Hi.C, off.Hi.C), selI16(m>>7&1, on.Hi.D, off.Hi.D),
-		},
-	}
-}
-
 // PickI16 broadcasts a two-value choice through a lane mask: lane l
-// is on when bit l of mask is set, off otherwise. It is BlendI16 for
-// the common case where both sides are scalars — poa's per-column
+// is on when bit l of mask is set, off otherwise — poa's per-column
 // match/mismatch substitution score.
 func PickI16(mask uint8, on, off int16) I16x8 {
 	m := uint32(mask)

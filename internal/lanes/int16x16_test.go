@@ -96,26 +96,17 @@ func TestI16x16SaturatingSubComposes(t *testing.T) {
 }
 
 func TestI16x16BlendMaxExhaustiveLanePatterns(t *testing.T) {
-	// Every one of the 65536 mask patterns, against lane-distinct
-	// payloads so a crossed lane is visible.
-	var onA, offA [WideWidth]int16
-	for l := range onA {
-		onA[l] = int16(1000 + l)
-		offA[l] = int16(-1000 - l)
-	}
-	on, off := FromArrayI16x16(onA), FromArrayI16x16(offA)
+	// Every one of the 65536 mask patterns, against a scalar per-lane
+	// select, so a crossed lane is visible.
 	for m := 0; m < 1<<WideWidth; m++ {
-		got := I16x16{BlendI16(uint8(m), on.Lo, off.Lo), BlendI16(uint8(m>>8), on.Hi, off.Hi)}.Array()
 		pick := Pick16(uint16(m), 7, -9).Array()
 		for l := 0; l < WideWidth; l++ {
+			want := int16(-9)
 			if m>>l&1 == 1 {
-				if got[l] != onA[l] || pick[l] != 7 {
-					t.Fatalf("mask %04x lane %d: blend=%d pick=%d, want on", m, l, got[l], pick[l])
-				}
-			} else {
-				if got[l] != offA[l] || pick[l] != -9 {
-					t.Fatalf("mask %04x lane %d: blend=%d pick=%d, want off", m, l, got[l], pick[l])
-				}
+				want = 7
+			}
+			if pick[l] != want {
+				t.Fatalf("mask %04x lane %d: pick=%d, want %d", m, l, pick[l], want)
 			}
 		}
 	}
@@ -147,15 +138,23 @@ func TestI16x16BlendMaxExhaustiveLanePatterns(t *testing.T) {
 }
 
 func TestI16x16CmpGtFullPrecision(t *testing.T) {
-	// Comparison must not wrap at the int16 boundary: -32768 > 32767
-	// must be false, 32767 > -32768 true.
-	cmpGt16 := func(a, b I16x16) uint16 { return uint16(a.Lo.CmpGt(b.Lo)) | uint16(a.Hi.CmpGt(b.Hi))<<8 }
-	lo, hi := SplatI16x16(-32768), SplatI16x16(32767)
-	if m := cmpGt16(lo, hi); m != 0 {
-		t.Fatalf("-32768 > 32767 mask = %04x, want 0", m)
-	}
-	if m := cmpGt16(hi, lo); m != 0xffff {
-		t.Fatalf("32767 > -32768 mask = %04x, want ffff", m)
+	// Max's strict-greater comparison must not wrap at the int16
+	// boundary: -32768 > 32767 is false, 32767 > -32768 true, for every
+	// pairing of boundary operands in every lane position.
+	for pa := range boundary {
+		for pb := range boundary {
+			a, b := spread(boundary, pa), spread(boundary, pb)
+			aa, ba, got := a.Array(), b.Array(), a.Max(b).Array()
+			for l := 0; l < WideWidth; l++ {
+				want := aa[l]
+				if ba[l] > want {
+					want = ba[l]
+				}
+				if got[l] != want {
+					t.Fatalf("Max lane %d: max(%d, %d) = %d, want %d", l, aa[l], ba[l], got[l], want)
+				}
+			}
+		}
 	}
 	rng := rand.New(rand.NewSource(7))
 	for it := 0; it < 2000; it++ {
@@ -163,10 +162,14 @@ func TestI16x16CmpGtFullPrecision(t *testing.T) {
 		for l := range aA {
 			aA[l], bA[l] = int16(rng.Int()), int16(rng.Int())
 		}
-		m := cmpGt16(FromArrayI16x16(aA), FromArrayI16x16(bA))
+		got := FromArrayI16x16(aA).Max(FromArrayI16x16(bA)).Array()
 		for l := range aA {
-			if (m>>l&1 == 1) != (aA[l] > bA[l]) {
-				t.Fatalf("CmpGt lane %d: %d > %d mask bit %d", l, aA[l], bA[l], m>>l&1)
+			want := aA[l]
+			if bA[l] > want {
+				want = bA[l]
+			}
+			if got[l] != want {
+				t.Fatalf("Max lane %d: max(%d, %d) = %d, want %d", l, aA[l], bA[l], got[l], want)
 			}
 		}
 	}

@@ -228,23 +228,3 @@ func Blend(mask uint8, on, off Lane8) Lane8 {
 		},
 	}
 }
-
-// HMax returns the horizontal maximum and the index of its FIRST
-// occurrence, scanning lanes in ascending order with strict-greater
-// updates — the same tie convention as the scalar band cores, so a
-// lane-blocked argmax lands on the same cell as the scalar sweep.
-func (a Lane8) HMax() (m float32, arg int) {
-	arr := a.Array()
-	m = arr[0]
-	for l := 1; l < Width; l++ {
-		if arr[l] > m {
-			m, arg = arr[l], l
-		}
-	}
-	return m, arg
-}
-
-// HSum returns the horizontal sum in ascending lane order.
-func (a Lane8) HSum() float32 {
-	return ((a.Lo.A + a.Lo.B) + (a.Lo.C + a.Lo.D)) + ((a.Hi.A + a.Hi.B) + (a.Hi.C + a.Hi.D))
-}

@@ -144,29 +144,6 @@ func TestSelBitExact(t *testing.T) {
 	}
 }
 
-// HMax must land on the FIRST maximal lane (strict-greater updates),
-// the tie convention the adaptive band's argmax depends on.
-func TestHMaxFirstWinnerOnTies(t *testing.T) {
-	a := FromArray([Width]float32{1, 3, 3, 2, 3, 0, -1, 3})
-	m, arg := a.HMax()
-	if m != 3 || arg != 1 {
-		t.Fatalf("HMax = (%v, %d), want (3, 1)", m, arg)
-	}
-	ninf := splatQuad(float32(math.Inf(-1)))
-	if m, arg := (Lane8{ninf, ninf}).HMax(); arg != 0 || !math.IsInf(float64(m), -1) {
-		t.Fatalf("all -inf HMax = (%v, %d), want (-inf, 0)", m, arg)
-	}
-}
-
-func TestHSumOrder(t *testing.T) {
-	a := FromArray([Width]float32{1e-7, 1, 2, 3, 4, 5, 6, 1e7})
-	av := a.Array()
-	want := ((av[0] + av[1]) + (av[2] + av[3])) + ((av[4] + av[5]) + (av[6] + av[7]))
-	if got := a.HSum(); got != want {
-		t.Fatalf("HSum = %v, want %v (pairwise sum)", got, want)
-	}
-}
-
 // The lane ops the DP inner loops compose must stay allocation-free.
 func TestLaneOpsZeroAlloc(t *testing.T) {
 	a, b := splatQuad(1.5), splatQuad(2.5)

@@ -8,9 +8,9 @@
 // task error, and asks a task source which index range a worker runs
 // next. There are two sources: the shared atomic counter (a range of
 // one task, or a chunk of consecutive ones) and the per-worker deques
-// with steal-half rebalancing (stealing.go). The five entry points —
-// ForEachCtxErr, ForEachChunkedCtxErr, ForEachStealingErr,
-// ForEachDispatchErr and ForEach — only choose a source.
+// with steal-half rebalancing (stealing.go). The four entry points —
+// ForEachCtxErr, ForEachChunkedCtxErr, ForEachStealingErr and
+// ForEachDispatchErr — only choose a source.
 //
 // When an obs.Observer is installed in the context (the suite driver
 // does this), the scheduler records a latency histogram per pulled
@@ -262,20 +262,6 @@ func ForEachCtxErr(ctx context.Context, n, threads int, fn func(ctx context.Cont
 // fine-grained tasks.
 func ForEachChunkedCtxErr(ctx context.Context, n, threads int, fn func(ctx context.Context, worker, task int) error) error {
 	return run(ctx, n, threads, chunked(0), fn)
-}
-
-// ForEach is ForEachCtxErr for infallible, non-cancellable tasks. A
-// panicking task re-panics here (in the caller's goroutine, wrapped in
-// a *PanicError carrying the worker stack) instead of crashing the
-// process from a worker goroutine.
-func ForEach(n, threads int, fn func(worker, task int)) {
-	err := run(context.Background(), n, threads, chunked(1), func(_ context.Context, worker, task int) error {
-		fn(worker, task)
-		return nil
-	})
-	if err != nil {
-		panic(err)
-	}
 }
 
 // ScalingPoint is one measurement of a scaling sweep.

@@ -3,6 +3,7 @@ package parallel
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,9 +14,11 @@ func TestForEachCoversAllTasksOnce(t *testing.T) {
 	for _, threads := range []int{1, 2, 4, 8} {
 		n := 1000
 		counts := make([]int32, n)
-		ForEach(n, threads, func(worker, task int) {
+		if err := runPlain(context.Background(), n, threads, func(worker, task int) {
 			atomic.AddInt32(&counts[task], 1)
-		})
+		}); err != nil {
+			t.Fatalf("threads=%d err=%v", threads, err)
+		}
 		for i, c := range counts {
 			if c != 1 {
 				t.Fatalf("threads=%d task %d ran %d times", threads, i, c)
@@ -26,7 +29,9 @@ func TestForEachCoversAllTasksOnce(t *testing.T) {
 
 func TestForEachZeroTasks(t *testing.T) {
 	ran := false
-	ForEach(0, 4, func(int, int) { ran = true })
+	if err := runPlain(context.Background(), 0, 4, func(int, int) { ran = true }); err != nil {
+		t.Fatal(err)
+	}
 	if ran {
 		t.Error("fn ran for n=0")
 	}
@@ -34,7 +39,9 @@ func TestForEachZeroTasks(t *testing.T) {
 
 func TestForEachDefaultThreads(t *testing.T) {
 	var total int64
-	ForEach(100, 0, func(worker, task int) { atomic.AddInt64(&total, int64(task)) })
+	if err := runPlain(context.Background(), 100, 0, func(worker, task int) { atomic.AddInt64(&total, int64(task)) }); err != nil {
+		t.Fatal(err)
+	}
 	if total != 4950 {
 		t.Errorf("sum = %d, want 4950", total)
 	}
@@ -42,11 +49,13 @@ func TestForEachDefaultThreads(t *testing.T) {
 
 func TestForEachWorkerIDsInRange(t *testing.T) {
 	threads := 3
-	ForEach(200, threads, func(worker, task int) {
+	if err := runPlain(context.Background(), 200, threads, func(worker, task int) {
 		if worker < 0 || worker >= threads {
 			t.Errorf("worker id %d out of range", worker)
 		}
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // plain adapts an error-free task body to the schedulers' task
@@ -248,30 +257,39 @@ func TestForEachCtxErrParentCancellation(t *testing.T) {
 	}
 }
 
+// TestForEachRepanicsWorkerPanic: a worker panic reaches the caller's
+// layer with its value and panic-site stack intact, through the
+// PanicValue/PanicStack pair that error-wrapping layers
+// (internal/resilience) read, even after the caller wraps the error.
 func TestForEachRepanicsWorkerPanic(t *testing.T) {
-	defer func() {
-		r := recover()
-		pe, ok := r.(*PanicError)
-		if !ok {
-			t.Fatalf("recovered %v (%T), want *PanicError", r, r)
-		}
-		if pe.Value != "legacy boom" {
-			t.Errorf("panic value = %v", pe.Value)
-		}
-	}()
-	ForEach(10, 2, func(worker, task int) { panic("legacy boom") })
-	t.Fatal("ForEach did not re-panic")
+	err := runPlain(context.Background(), 10, 2, func(worker, task int) { panic("legacy boom") })
+	err = fmt.Errorf("shard: %w", err)
+	var pv interface {
+		PanicValue() any
+		PanicStack() []byte
+	}
+	if !errors.As(err, &pv) {
+		t.Fatalf("err = %v (%T), want a panic carrier", err, err)
+	}
+	if pv.PanicValue() != "legacy boom" {
+		t.Errorf("panic value = %v", pv.PanicValue())
+	}
+	if !strings.Contains(string(pv.PanicStack()), "TestForEachRepanicsWorkerPanic") {
+		t.Errorf("stack missing panic site:\n%s", pv.PanicStack())
+	}
 }
 
 func TestMeasureScalingShape(t *testing.T) {
 	points := MeasureScaling([]int{1, 2}, func(threads int) {
-		ForEach(1000, threads, func(_, task int) {
+		if err := runPlain(context.Background(), 1000, threads, func(_, task int) {
 			x := 0
 			for i := 0; i < 1000; i++ {
 				x += i * task
 			}
 			_ = x
-		})
+		}); err != nil {
+			t.Error(err)
+		}
 	})
 	if len(points) != 2 {
 		t.Fatalf("got %d points", len(points))

@@ -39,7 +39,7 @@ package phmm
 // On amd64 hosts with AVX2 the rows advance two at a time through an
 // assembly kernel (row_amd64.s), bit-identical to the pure-Go quad
 // sweeps — the portable path below is the reference it is tested
-// against, the path GBENCH_SIMD=sse2|off select, and the production
+// against, the path GBENCH_SIMD=off selects, and the production
 // path on every other architecture. To keep amd64 and arm64 answers
 // identical, rowQuad is written fusion-free: every multiply feeding an
 // add goes through an explicit float32 conversion, which the Go spec

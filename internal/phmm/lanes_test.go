@@ -195,7 +195,7 @@ func FuzzForwardLanes(f *testing.F) {
 			sums := forwardLanes(read, qual, grp, &s.laneRows) // grows the rows
 			return sums, s.laneRows
 		}
-		tier := cpufeat.Active()
+		tier := cpufeat.String()
 		sums, rows := run()
 		defer cpufeat.ForceForTest("off")()
 		wantSums, wantRows := run()

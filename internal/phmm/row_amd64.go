@@ -9,7 +9,7 @@ import "repro/internal/lanes"
 // the pure-Go rows it replaces (TestRowLanesMatchesRowQuad asserts
 // exactly that). AVX2 is not in the amd64 baseline: forwardLanes gates
 // the kernel on cpufeat.AVX2(), which folds in the CPUID/XCR0 probe and
-// the GBENCH_SIMD override, so GBENCH_SIMD=sse2|off run the portable
+// the GBENCH_SIMD override, so GBENCH_SIMD=off runs the portable
 // rows.
 
 const haveRowAsm = true

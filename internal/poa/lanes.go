@@ -34,7 +34,7 @@ import (
 //     score" recovers exactly the scalar moveT/movePred decisions.
 //
 // The per-row body lives in row_wide.go (portable) and row_amd64.s
-// (AVX2), dispatched once per alignment on cpufeat.Wide16() — so
+// (AVX2), dispatched once per alignment on cpufeat.AVX2() — so
 // GBENCH_SIMD=off pins the portable twin.
 //
 // The result is bit-identical to the scalar path: same scores, same
@@ -111,9 +111,9 @@ func (g *Graph) addSequenceLanes(seq genome.Seq, p Params, mode AlignMode, order
 	}
 	match16, mism16, gap16 := int16(p.Match), int16(p.Mismatch), int16(p.Gap)
 	// One dispatch decision per alignment, not per row: asm needs both
-	// a compiled kernel and a live wide tier (GBENCH_SIMD can lower
+	// a compiled kernel and a live AVX2 tier (GBENCH_SIMD can lower
 	// the ceiling to the portable twin at run time).
-	useAsm := poaHaveWideAsm && cpufeat.Wide16()
+	useAsm := poaHaveWideAsm && cpufeat.AVX2()
 	// Row 0: virtual start.
 	score[0] = 0
 	for j := 1; j < wpad; j++ {

@@ -10,11 +10,11 @@ package poa
 // exactly that.
 //
 // AVX2 is not in the amd64 baseline: callers must gate on
-// cpufeat.Wide16(), which folds in both the
+// cpufeat.AVX2(), which folds in both the
 // CPUID/XCR0 probe and the GBENCH_SIMD override.
 
 // poaHaveWideAsm reports whether this architecture has an assembly
-// row kernel compiled in (it still needs cpufeat.Wide16() at run
+// row kernel compiled in (it still needs cpufeat.AVX2() at run
 // time to be dispatchable).
 const poaHaveWideAsm = true
 

@@ -7,7 +7,7 @@ package poa
 const poaHaveWideAsm = false
 
 // poaRowWide off amd64 (arm64 included) is the portable body; the
-// dispatch guard (poaHaveWideAsm && cpufeat.Wide16()) means it is
+// dispatch guard (poaHaveWideAsm && cpufeat.AVX2()) means it is
 // never actually reached here, but keeping it callable lets the
 // dispatch site compile unconditionally.
 func poaRowWide(score []int16, predOff []int64, mask []uint64, rowOff, ngroups int, match, mism, gap int16) {

@@ -15,8 +15,8 @@ import (
 // as gap stays in [-4096, 0], so the hammer draws from the full int16
 // range and asserts every cell of the written row, padding included.
 func TestPoaRowAsmHammer(t *testing.T) {
-	if !cpufeat.Wide16() {
-		t.Skip("no wide SIMD tier on this host (or GBENCH_SIMD lowered the ceiling)")
+	if !cpufeat.AVX2() {
+		t.Skip("no AVX2 on this host (or GBENCH_SIMD lowered the ceiling)")
 	}
 	rng := rand.New(rand.NewSource(57))
 	for it := 0; it < 2000; it++ {
