@@ -231,9 +231,9 @@ var kernels = []kernel{
 				nReads := 4 + rng.Intn(12)
 				// GATK's assembler emits up to maxNumHaplotypesInPopulation=128
 				// candidate haplotypes per active region; a typical indel-bearing
-				// region carries a few dozen. Spanning 4..32 keeps both the
-				// lane-batched path (>= 8 haplotypes) and the scalar small-region
-				// path (< 8) on the measured profile.
+				// region carries a few dozen. Spanning 4..32 keeps both lane
+				// passes on the measured profile: haplotype lanes for full
+				// groups of 8, read lanes for regions under 8 and the tails.
 				nHaps := 4 + rng.Intn(29)
 				// A few pathological regions (deep pileups over long haplotype
 				// sets) dominate, as in the paper's Figure 4 where phmm's max

@@ -33,8 +33,9 @@ package phmm
 // value is flushed to +0 below flushFloor32 at the same point the
 // scalar pass flushes it (package comment). Lanes whose float32 sum
 // underflows fall back to the scalar float64 pass, exactly like the
-// scalar path, and ragged group tails (|H| mod 8) use the scalar
-// float32 path unchanged.
+// scalar path. Haplotypes outside a full group (|H| mod 8, or all of
+// them when |H| < 8) run the read lanes of readlanes.go instead, which
+// are bit-identical to the scalar pass.
 //
 // On amd64 hosts with AVX2 the rows advance two at a time through an
 // assembly kernel (row_amd64.s), bit-identical to the pure-Go quad
@@ -47,8 +48,6 @@ package phmm
 // conversions are no-ops on amd64.
 
 import (
-	"math"
-
 	"repro/internal/cpufeat"
 	"repro/internal/genome"
 	"repro/internal/lanes"
@@ -384,65 +383,21 @@ func flush4(q lanes.Quad) lanes.Quad {
 	return q
 }
 
-// evaluateRegionLanes is the lane-batched region evaluation: full
-// groups of eight haplotypes per lane pass, the ragged tail and any
-// underflowing lanes on the scalar paths. Caller guarantees s != nil
-// and len(rg.Haps) >= lanes.Width.
-func evaluateRegionLanes(rg *Region, s *Scratch) RegionResult {
-	nr, nh := len(rg.Reads), len(rg.Haps)
-	var res RegionResult
-	s.bestHap = scratch.Grow(s.bestHap, nr)
-	s.likelihoods = scratch.Grow(s.likelihoods, nr*nh)
-	res.BestHap = s.bestHap
-	res.Likelihoods = s.likelihoods
-	clear(res.BestHap)
+// evaluateHapLanes settles every pair of the region's full groups of
+// eight haplotypes in res, one haplotype-lane pass per read and group,
+// and returns the index of the first haplotype outside them.
+func evaluateHapLanes(rg *Region, s *Scratch, res *RegionResult) int {
 	nGroups := prepareGroups(rg.Haps, s)
-	for r := 0; r < nr; r++ {
-		read, qual := rg.Reads[r], rg.Quals[r]
-		m := len(read)
-		best := math.Inf(-1)
+	for r, read := range rg.Reads {
 		for g := 0; g < nGroups; g++ {
-			grp := &s.groups[g]
 			var sums lanes.Lane8
-			if m > 0 {
-				sums = forwardLanes(read, qual, grp, &s.laneRows)
+			if len(read) > 0 {
+				sums = forwardLanes(read, rg.Quals[r], &s.groups[g], &s.laneRows)
 			}
 			for l := 0; l < lanes.Width; l++ {
-				h := g*lanes.Width + l
-				nl := grp.lens[l]
-				ll := math.Inf(-1)
-				if m > 0 && nl > 0 {
-					res.CellUpdates += uint64(m) * uint64(nl)
-					var ok bool
-					if ll, ok = log10From32(sums.At(l)); !ok {
-						// float32 underflow: scalar float64 fallback,
-						// identical to the scalar path's rescue.
-						var cells64 uint64
-						ll, cells64 = fallback64(read, qual, rg.Haps[h], &s.rows64)
-						res.Fallbacks++
-						res.CellUpdates += cells64
-					}
-				}
-				res.Likelihoods[r*nh+h] = ll
-				if ll > best {
-					best = ll
-					res.BestHap[r] = h
-				}
-			}
-		}
-		// Ragged tail: the scalar float32 path unchanged.
-		for h := nGroups * lanes.Width; h < nh; h++ {
-			lr := LikelihoodInto(read, qual, rg.Haps[h], s)
-			res.Likelihoods[r*nh+h] = lr.Log10Likelihood
-			res.CellUpdates += lr.CellUpdates
-			if lr.UsedDouble {
-				res.Fallbacks++
-			}
-			if lr.Log10Likelihood > best {
-				best = lr.Log10Likelihood
-				res.BestHap[r] = h
+				settlePair(rg, r, g*lanes.Width+l, sums.At(l), s, res)
 			}
 		}
 	}
-	return res
+	return nGroups * lanes.Width
 }

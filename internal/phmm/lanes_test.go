@@ -109,7 +109,8 @@ func TestEvaluateRegionLanesDifferential(t *testing.T) {
 			// The two paths may legitimately disagree only on a genuine
 			// near-tie: two haplotypes whose scalar likelihoods sit within
 			// the documented tolerance of each other (e.g. identical clones
-			// split across the lane and scalar-tail paths). Anything wider
+			// split across the haplotype lanes and the exact read-lane
+			// tail). Anything wider
 			// is a real argmax bug.
 			gw := want.Likelihoods[r*nh+gh]
 			ww := want.Likelihoods[r*nh+wh]
@@ -214,11 +215,12 @@ func FuzzForwardLanes(f *testing.F) {
 	})
 }
 
-// The lane path must preserve the steady-state zero-allocation
-// invariant with a warm scratch.
+// The lane paths must preserve the steady-state zero-allocation
+// invariant with a warm scratch: 19 haplotypes are two full groups for
+// the haplotype lanes and a three-haplotype tail for the read lanes.
 func TestEvaluateRegionLanesZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	rg := laneRegion(rng, 6, 16)
+	rg := laneRegion(rng, 6, 19)
 	s := NewScratch()
 	EvaluateRegionInto(rg, s) // warm
 	n := testing.AllocsPerRun(20, func() {
@@ -229,10 +231,11 @@ func TestEvaluateRegionLanesZeroAlloc(t *testing.T) {
 	}
 }
 
-// Scalar versus lane-batched region evaluation: the bench harness's
-// phmm/lanes before/after pair. The lane side runs once per row-kernel
-// tier — tier=avx2 the two-row assembly sweep, tier=off the portable
-// rowQuad rows — so the row kernel's cost can be re-measured alone.
+// Scalar versus lane-batched evaluation of a sixteen-haplotype region,
+// which runs entirely in haplotype lanes. The lane side runs once per
+// row-kernel tier — tier=avx2 the two-row assembly sweep, tier=off the
+// portable rowQuad rows — so the row kernel's cost can be re-measured
+// alone.
 func BenchmarkEvaluateRegionLanes(b *testing.B) {
 	rng := rand.New(rand.NewSource(24))
 	rg := laneRegion(rng, 8, 16)

@@ -1,10 +1,15 @@
 package phmm
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/cpufeat"
 	"repro/internal/genome"
+	"repro/internal/lanes"
 )
 
 func randomReadHap(rng *rand.Rand) (genome.Seq, []byte, genome.Seq) {
@@ -43,26 +48,67 @@ func TestLikelihoodIntoDifferential(t *testing.T) {
 	}
 }
 
+// EvaluateRegionInto is bit-identical to the scalar reference on every
+// pair outside a full haplotype group — the read-lane pass — on the
+// dispatched tier and with the tier forced off. With fewer than eight
+// haplotypes that is the whole result: every likelihood's bits,
+// BestHap and both counters. With more it is the |H| mod 8 tail's
+// likelihood bits (the full groups are TestEvaluateRegionLanesDifferential's).
+// Read counts straddle the eight-read groups, reads inside a group are
+// ragged, one trial per count carries an empty read and one an empty
+// haplotype, and a third of the base qualities are drawn from Phred
+// 0–93, so many pairs take the float64 redo.
 func TestEvaluateRegionIntoDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	s := NewScratch()
-	for trial := 0; trial < 20; trial++ {
-		rg := randomRegion(rng, 4+rng.Intn(6), 2+rng.Intn(3))
-		want := EvaluateRegion(rg)
-		got := EvaluateRegionInto(rg, s)
-		if got.CellUpdates != want.CellUpdates || got.Fallbacks != want.Fallbacks {
-			t.Fatalf("trial %d: counters differ: got %+v want %+v", trial, got, want)
-		}
-		for i := range want.BestHap {
-			if got.BestHap[i] != want.BestHap[i] {
-				t.Fatalf("trial %d: BestHap[%d] = %d, want %d", trial, i, got.BestHap[i], want.BestHap[i])
+	for _, simd := range []string{"", "off"} {
+		t.Run("simd="+cmp.Or(simd, "unset"), func(t *testing.T) {
+			defer cpufeat.ForceForTest(simd)()
+			rng := rand.New(rand.NewSource(12))
+			s := NewScratch()
+			fallbacks := 0
+			for _, nr := range []int{1, 7, 8, 9, 17} {
+				for trial, nh := range []int{1 + rng.Intn(7), 1 + rng.Intn(7), 9 + rng.Intn(15)} {
+					rg := laneRegionSized(rng, nr, nh, 100, 30, 90)
+					for _, qual := range rg.Quals {
+						for i := range qual {
+							if rng.Intn(3) == 0 {
+								qual[i] = byte(rng.Intn(len(qualToErr)))
+							}
+						}
+					}
+					switch trial {
+					case 0:
+						r := rng.Intn(nr)
+						rg.Reads[r], rg.Quals[r] = nil, nil
+					case 1:
+						rg.Haps[rng.Intn(nh)] = nil
+					}
+					want := EvaluateRegionScalarInto(rg, nil)
+					got := EvaluateRegionInto(rg, s)
+					fallbacks += want.Fallbacks
+					tail := nh - nh%lanes.Width
+					if nh < lanes.Width {
+						if got.CellUpdates != want.CellUpdates || got.Fallbacks != want.Fallbacks {
+							t.Fatalf("reads %d haps %d: counters (%d, %d), want (%d, %d)", nr, nh,
+								got.CellUpdates, got.Fallbacks, want.CellUpdates, want.Fallbacks)
+						}
+						if !slices.Equal(got.BestHap, want.BestHap) {
+							t.Fatalf("reads %d haps %d: BestHap %v, want %v", nr, nh, got.BestHap, want.BestHap)
+						}
+					}
+					for r := 0; r < nr; r++ {
+						for h := tail; h < nh; h++ {
+							g, w := got.Likelihoods[r*nh+h], want.Likelihoods[r*nh+h]
+							if math.Float64bits(g) != math.Float64bits(w) {
+								t.Fatalf("reads %d haps %d: read %d hap %d likelihood %v, want %v", nr, nh, r, h, g, w)
+							}
+						}
+					}
+				}
 			}
-		}
-		for i := range want.Likelihoods {
-			if got.Likelihoods[i] != want.Likelihoods[i] {
-				t.Fatalf("trial %d: Likelihoods[%d] = %v, want %v", trial, i, got.Likelihoods[i], want.Likelihoods[i])
+			if fallbacks == 0 {
+				t.Fatal("workload never exercised the float64 underflow fallback")
 			}
-		}
+		})
 	}
 }
 
@@ -94,8 +140,10 @@ func TestEvaluateRegionIntoZeroAlloc(t *testing.T) {
 	}
 }
 
-// Unpooled versus pooled region evaluation: the bench harness's phmm
-// before/after pair.
+// Unpooled scalar evaluation (EvaluateRegion) versus the pooled
+// production path of a four-haplotype region, which runs entirely in
+// read lanes. The pooled side runs once per read-row tier — tier=avx2
+// the assembly sweep, tier=off the portable readRowQuad rows.
 func BenchmarkEvaluateRegion(b *testing.B) {
 	rng := rand.New(rand.NewSource(14))
 	rg := randomRegion(rng, 8, 4)
@@ -105,11 +153,17 @@ func BenchmarkEvaluateRegion(b *testing.B) {
 			EvaluateRegion(rg)
 		}
 	})
-	b.Run("pooled", func(b *testing.B) {
-		b.ReportAllocs()
-		s := NewScratch()
-		for i := 0; i < b.N; i++ {
-			EvaluateRegionInto(rg, s)
-		}
-	})
+	for _, tier := range []string{"avx2", "off"} {
+		b.Run("pooled/tier="+tier, func(b *testing.B) {
+			defer cpufeat.ForceForTest(tier)()
+			if tier == "avx2" && !cpufeat.AVX2() {
+				b.Skip("no AVX2 on this host")
+			}
+			b.ReportAllocs()
+			s := NewScratch()
+			for i := 0; i < b.N; i++ {
+				EvaluateRegionInto(rg, s)
+			}
+		})
+	}
 }

@@ -11,7 +11,11 @@
 // M/I/D state value below 2^-93 (flushFloor32) to +0 right after it is
 // computed, before it is stored or fed to the D chain; a pair whose
 // float32 sum is not above 1e-28 (underflowThreshold32, GATK's value)
-// is redone in float64 from 1e280 with no floor.
+// is redone in float64 from 1e280 with no floor. Every product in the
+// recurrence is rounded on its own: an explicit conversion wraps each
+// one, which the Go spec forbids the compiler to fuse into an FMA (a
+// no-op on amd64; on arm64 it keeps every implementation on one
+// rounding order).
 //
 // Why 2^-93: off-target DP mass decays through float32's subnormal
 // range (2^-126…2^-149) in the tail rows of every read longer than
@@ -35,13 +39,17 @@
 // margin of 1e-28 may take the float64 redo where it did not before —
 // the more accurate answer — so Fallbacks can rise on junk pairs.
 //
-// Implementations: forwardInto (scalar, one pair) and the lane-batched
-// pass of lanes.go (eight haplotypes per read; portable rowQuad, AVX2
-// row_amd64.s). The lane implementations are bit-identical to each
-// other on every SIMD tier and architecture (same operations, same
-// rounding order, same flush points); against the scalar pass they
-// agree within laneTolerance, because the lane M update reassociates
-// (derivation at that constant).
+// Implementations: forwardInto (scalar, one pair) and two lane-batched
+// passes. The haplotype lanes of lanes.go run one read against a full
+// group of eight haplotypes (portable rowQuad, AVX2 row_amd64.s); they
+// reassociate the M update, so they agree with the scalar pass within
+// laneTolerance (derivation at that constant). The read lanes of
+// readlanes.go run up to eight reads against one haplotype — every
+// haplotype outside a full group — in forwardInto's own expression
+// order (portable readRowQuad, AVX2 readrow_amd64.s), so each lane is
+// bit-identical to the scalar pass. Each lane pass is bit-identical
+// across SIMD tiers and architectures (same operations, same rounding
+// order, same flush points).
 package phmm
 
 import (
@@ -157,15 +165,15 @@ func forwardInto[F Float](read genome.Seq, qual []byte, hap genome.Seq, scale fl
 			if hap[j-1] == rb {
 				prior = priorMatch
 			}
-			mj := prior * (tmm*prevM[j-1] + tim*prevI[j-1] + tdm*prevD[j-1])
+			mj := F(prior * (F(tmm*prevM[j-1]) + F(tim*prevI[j-1]) + F(tdm*prevD[j-1])))
 			if mj < floor {
 				mj = 0
 			}
-			ij := tmi*prevM[j] + tii*prevI[j]
+			ij := F(tmi*prevM[j]) + F(tii*prevI[j])
 			if ij < floor {
 				ij = 0
 			}
-			dj := tmd*curM[j-1] + tdd*curD[j-1]
+			dj := F(tmd*curM[j-1]) + F(tdd*curD[j-1])
 			if dj < floor {
 				dj = 0
 			}
@@ -224,12 +232,13 @@ type Scratch struct {
 	bestHap     []int
 	likelihoods []float64
 
-	// Lane-batched state (lanes.go): grouped haplotype layouts, the
-	// per-lane packed haplotype words, and the lane DP rows — flat
-	// float32 with a stride of lanes.Width per column, advanced two
-	// read rows at a time (see forwardLanes).
+	// Lane-batched state: grouped haplotype layouts and the per-lane
+	// packed haplotype words (lanes.go), one read group's prior tables
+	// (readlanes.go), and the lane DP rows both passes share — flat
+	// float32 with a stride of lanes.Width per column.
 	groups   []laneGroup
 	packs    [lanes.Width][]uint64
+	reads    readGroup
 	laneRows [6][]float32
 }
 
@@ -280,22 +289,63 @@ func EvaluateRegion(rg *Region) RegionResult {
 
 // EvaluateRegionInto is EvaluateRegion computing into s's reusable
 // storage; the returned slices are owned by s and valid until the next
-// call. A nil s allocates fresh output slices. Regions with at least
-// eight haplotypes take the lane-batched forward pass (lanes.go):
-// results match the scalar reference within laneTolerance per
-// likelihood with exact cell counters, and are bit-identical across
-// SIMD tiers and architectures (package comment, numerics contract).
+// call. A nil s allocates fresh storage. Every float32 forward pass is
+// lane-batched. Full groups of eight haplotypes run the haplotype
+// lanes (lanes.go): their likelihoods match the scalar reference
+// within laneTolerance. Every other haplotype — all of them in a
+// region with fewer than eight, the |H| mod 8 tail otherwise — runs
+// the read lanes (readlanes.go), bit-identical to the scalar
+// reference. Cell counters are exact, float32 underflows take the
+// scalar float64 redo, and all results are bit-identical across SIMD
+// tiers and architectures (package comment, numerics contract).
 func EvaluateRegionInto(rg *Region, s *Scratch) RegionResult {
-	if s != nil && len(rg.Haps) >= lanes.Width {
-		return evaluateRegionLanes(rg, s)
+	if s == nil {
+		s = NewScratch()
 	}
-	return EvaluateRegionScalarInto(rg, s)
+	nr, nh := len(rg.Reads), len(rg.Haps)
+	s.bestHap = scratch.Grow(s.bestHap, nr)
+	s.likelihoods = scratch.Grow(s.likelihoods, nr*nh)
+	res := RegionResult{BestHap: s.bestHap, Likelihoods: s.likelihoods}
+	tail := evaluateHapLanes(rg, s, &res)
+	evaluateReadLanes(rg, tail, s, &res)
+	// BestHap: the first maximum in ascending h, as the scalar path's
+	// running strict > picks it.
+	for r := 0; r < nr; r++ {
+		best, bestH := math.Inf(-1), 0
+		for h, ll := range res.Likelihoods[r*nh : (r+1)*nh] {
+			if ll > best {
+				best, bestH = ll, h
+			}
+		}
+		res.BestHap[r] = bestH
+	}
+	return res
+}
+
+// settlePair records pair (r, h)'s float32 forward sum in res: its
+// likelihood and cells, or on float32 underflow the scalar float64
+// redo, exactly as LikelihoodInto settles it. An empty read or
+// haplotype is -Inf with no cells.
+func settlePair(rg *Region, r, h int, sum float32, s *Scratch, res *RegionResult) {
+	read, hap := rg.Reads[r], rg.Haps[h]
+	ll := math.Inf(-1)
+	if len(read) > 0 && len(hap) > 0 {
+		res.CellUpdates += uint64(len(read)) * uint64(len(hap))
+		var ok bool
+		if ll, ok = log10From32(sum); !ok {
+			var cells64 uint64
+			ll, cells64 = fallback64(read, rg.Quals[r], hap, &s.rows64)
+			res.Fallbacks++
+			res.CellUpdates += cells64
+		}
+	}
+	res.Likelihoods[r*len(rg.Haps)+h] = ll
 }
 
 // EvaluateRegionScalarInto is the scalar reference path: one forward
-// pass per (read, haplotype) pair. It backs the lane path's
-// differential tests and serves as the baseline side of the
-// phmm/lanes benchmark pair.
+// pass per (read, haplotype) pair. It backs the lane passes'
+// differential tests and is the scalar side of
+// BenchmarkEvaluateRegionLanes.
 func EvaluateRegionScalarInto(rg *Region, s *Scratch) RegionResult {
 	nr, nh := len(rg.Reads), len(rg.Haps)
 	var res RegionResult

@@ -146,12 +146,13 @@ func firstSubnormal(row []float32) int {
 }
 
 // TestNoSubnormalStored is the property the flush floor exists for:
-// after the float32 forward pass — scalar forwardInto, and the lane
-// pass through both rowLanes dispatches (the process's SIMD tier, and
-// the portable rowQuad sweeps forced by "off") — every DP state value
-// is 0 or ≥ 2^-93, so no later multiply can produce or consume a
-// subnormal. Reads are prefixes of one 250-base read, so the rows
-// inspected are rows 40, 64, 100, 151 and 250 of the same DP.
+// after the float32 forward pass — scalar forwardInto, and both lane
+// passes through both dispatches (the process's SIMD tier, and the
+// portable Quad sweeps forced by "off") — every DP state value is 0 or
+// ≥ 2^-93, so no later multiply can produce or consume a subnormal.
+// Reads are prefixes of one 250-base read, so the rows inspected are
+// rows 40, 64, 100, 151 and 250 of the same DP; the read lanes run
+// all five prefixes as one group.
 func TestNoSubnormalStored(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	for _, simd := range []string{"", "off"} {
@@ -208,6 +209,23 @@ func TestNoSubnormalStored(t *testing.T) {
 						}
 					}
 				}
+				// Read lanes: the five prefixes as one ragged group, so all
+				// but the longest lane run on past their read's end at
+				// prior 0 and decay through the floor.
+				var reads []genome.Seq
+				var quals [][]byte
+				for _, m := range []int{40, 64, 100, 151, 250} {
+					reads, quals = append(reads, read[:m]), append(quals, qual[:m])
+				}
+				prepareReads(reads, quals, &s.reads)
+				for h, hap := range haps {
+					forwardReads(&s.reads, hap, initialScale32, &s.laneRows)
+					for k, row := range s.laneRows {
+						if i := firstSubnormal(row[:(len(hap)+1)*lanes.Width]); i >= 0 {
+							t.Fatalf("simd=%q n=%d hap %d: read-lane row %d[%d] = %g is below the flush floor", simd, n, h, k, i, row[i])
+						}
+					}
+				}
 			}
 		}
 		restore()
@@ -215,9 +233,10 @@ func TestNoSubnormalStored(t *testing.T) {
 }
 
 // TestRowLanesSimdOffMatches pins GBENCH_SIMD=off and re-runs a full
-// lane-batched region evaluation: rowLanes must fall back to the
-// portable quad sweeps and produce bit-identical likelihoods to the
-// default (assembly on amd64) dispatch.
+// lane-batched region evaluation (two haplotype groups and a read-lane
+// tail): both lane passes must fall back to their portable quad sweeps
+// and produce bit-identical likelihoods to the default (assembly on
+// amd64) dispatch.
 func TestRowLanesSimdOffMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	mkSeq := func(n int) genome.Seq {
