@@ -32,10 +32,10 @@ package phmm
 // tests pin BestHap exactly except on such near-ties. Every M/I/D
 // value is flushed to +0 below flushFloor32 at the same point the
 // scalar pass flushes it (package comment). Lanes whose float32 sum
-// underflows fall back to the scalar float64 pass, exactly like the
-// scalar path. Haplotypes outside a full group (|H| mod 8, or all of
-// them when |H| < 8) run the read lanes of readlanes.go instead, which
-// are bit-identical to the scalar pass.
+// underflows take the float64 redo (settleFallbacks), bit-identical to
+// the scalar path's. Haplotypes outside a full group (|H| mod 8, or
+// all of them when |H| < 8) run the read lanes of readlanes.go
+// instead, which are bit-identical to the scalar pass.
 //
 // On amd64 hosts with AVX2 the rows advance two at a time through an
 // assembly kernel (row_amd64.s), bit-identical to the pure-Go quad

@@ -47,14 +47,19 @@
 // readlanes.go run up to eight reads against one haplotype — every
 // haplotype outside a full group — in forwardInto's own expression
 // order (portable readRowQuad, AVX2 readrow_amd64.s), so each lane is
-// bit-identical to the scalar pass. Each lane pass is bit-identical
-// across SIMD tiers and architectures (same operations, same rounding
-// order, same flush points).
+// bit-identical to the scalar pass. The same read lanes in float64,
+// four reads per sweep (readrow64_amd64.s), are EvaluateRegionInto's
+// float64 redo for the underflowing pairs of both passes, bit-identical
+// to the scalar redo. Each lane pass is bit-identical across SIMD tiers
+// and architectures (same operations, same rounding order, same flush
+// points).
 package phmm
 
 import (
+	"cmp"
 	"context"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/faultinject"
@@ -215,7 +220,9 @@ func log10From32(sum float32) (ll float64, ok bool) {
 	return 0, false
 }
 
-// fallback64 is the float64 redo of one pair: no flush floor.
+// fallback64 is the float64 redo of one pair: no flush floor. It is
+// LikelihoodInto's; settleFallbacks computes the same bits four pairs
+// at a time in float64 read lanes.
 func fallback64(read genome.Seq, qual []byte, hap genome.Seq, rows *[6][]float64) (ll float64, cells uint64) {
 	sum, cells := forwardInto(read, qual, hap, scale64, 0, rows)
 	return math.Log10(sum) - log10Scale64, cells
@@ -228,19 +235,25 @@ func fallback64(read genome.Seq, qual []byte, hap genome.Seq, rows *[6][]float64
 // valid only until the next call with the same Scratch.
 type Scratch struct {
 	rows32      [6][]float32
-	rows64      [6][]float64
+	rows64      [6][]float64 // forwardInto's, or the float64 read lanes'
 	bestHap     []int
 	likelihoods []float64
 
 	// Lane-batched state: grouped haplotype layouts and the per-lane
 	// packed haplotype words (lanes.go), one read group's prior tables
-	// (readlanes.go), and the lane DP rows both passes share — flat
-	// float32 with a stride of lanes.Width per column.
+	// per precision (readlanes.go), the float32 lane DP rows both
+	// passes share — flat, with a stride of lanes.Width per column —
+	// and the pairs awaiting the float64 redo.
 	groups   []laneGroup
 	packs    [lanes.Width][]uint64
-	reads    readGroup
+	reads    readGroup[float32]
+	reads64  readGroup[float64]
 	laneRows [6][]float32
+	redo     []pairRef
 }
+
+// pairRef names one (haplotype, read) pair of a region.
+type pairRef struct{ h, r int32 }
 
 // NewScratch returns an empty Scratch; buffers grow on first use.
 func NewScratch() *Scratch { return &Scratch{} }
@@ -295,9 +308,11 @@ func EvaluateRegion(rg *Region) RegionResult {
 // within laneTolerance. Every other haplotype — all of them in a
 // region with fewer than eight, the |H| mod 8 tail otherwise — runs
 // the read lanes (readlanes.go), bit-identical to the scalar
-// reference. Cell counters are exact, float32 underflows take the
-// scalar float64 redo, and all results are bit-identical across SIMD
-// tiers and architectures (package comment, numerics contract).
+// reference. Pairs whose float32 sum underflows, from either pass, are
+// redone together afterwards in float64 read lanes (settleFallbacks),
+// bit-identical to the scalar float64 redo. Cell counters are exact,
+// and all results are bit-identical across SIMD tiers and
+// architectures (package comment, numerics contract).
 func EvaluateRegionInto(rg *Region, s *Scratch) RegionResult {
 	if s == nil {
 		s = NewScratch()
@@ -306,8 +321,10 @@ func EvaluateRegionInto(rg *Region, s *Scratch) RegionResult {
 	s.bestHap = scratch.Grow(s.bestHap, nr)
 	s.likelihoods = scratch.Grow(s.likelihoods, nr*nh)
 	res := RegionResult{BestHap: s.bestHap, Likelihoods: s.likelihoods}
+	s.redo = s.redo[:0]
 	tail := evaluateHapLanes(rg, s, &res)
 	evaluateReadLanes(rg, tail, s, &res)
+	settleFallbacks(rg, s, &res)
 	// BestHap: the first maximum in ascending h, as the scalar path's
 	// running strict > picks it.
 	for r := 0; r < nr; r++ {
@@ -322,24 +339,54 @@ func EvaluateRegionInto(rg *Region, s *Scratch) RegionResult {
 	return res
 }
 
-// settlePair records pair (r, h)'s float32 forward sum in res: its
-// likelihood and cells, or on float32 underflow the scalar float64
-// redo, exactly as LikelihoodInto settles it. An empty read or
+// settlePair records pair (r, h)'s float32 forward sum in res as
+// LikelihoodInto settles it: its likelihood and cells, or on float32
+// underflow the cells of both passes and a place in s.redo, whose
+// float64 likelihood settleFallbacks fills in. An empty read or
 // haplotype is -Inf with no cells.
 func settlePair(rg *Region, r, h int, sum float32, s *Scratch, res *RegionResult) {
 	read, hap := rg.Reads[r], rg.Haps[h]
 	ll := math.Inf(-1)
 	if len(read) > 0 && len(hap) > 0 {
-		res.CellUpdates += uint64(len(read)) * uint64(len(hap))
+		cells := uint64(len(read)) * uint64(len(hap))
+		res.CellUpdates += cells
 		var ok bool
 		if ll, ok = log10From32(sum); !ok {
-			var cells64 uint64
-			ll, cells64 = fallback64(read, rg.Quals[r], hap, &s.rows64)
+			s.redo = append(s.redo, pairRef{h: int32(h), r: int32(r)})
 			res.Fallbacks++
-			res.CellUpdates += cells64
+			res.CellUpdates += cells
 		}
 	}
 	res.Likelihoods[r*len(rg.Haps)+h] = ll
+}
+
+// settleFallbacks runs the float64 redo of every pair settlePair queued
+// in s.redo and writes their likelihoods into res. The pairs are sorted
+// by (haplotype, read) and each haplotype's reads run four to a float64
+// read-lane sweep, each lane bit-identical to fallback64 on its pair.
+func settleFallbacks(rg *Region, s *Scratch, res *RegionResult) {
+	slices.SortFunc(s.redo, func(a, b pairRef) int {
+		return cmp.Or(cmp.Compare(a.h, b.h), cmp.Compare(a.r, b.r))
+	})
+	var reads [4]genome.Seq // laneCount[float64]()
+	var quals [4][]byte
+	for i := 0; i < len(s.redo); {
+		h := s.redo[i].h
+		k := i + 1
+		for k < min(i+len(reads), len(s.redo)) && s.redo[k].h == h {
+			k++
+		}
+		group := s.redo[i:k]
+		for l, p := range group {
+			reads[l], quals[l] = rg.Reads[p.r], rg.Quals[p.r]
+		}
+		prepareReads(reads[:len(group)], quals[:len(group)], &s.reads64)
+		sums := forwardReads(&s.reads64, rg.Haps[h], scale64, &s.rows64)
+		for l, p := range group {
+			res.Likelihoods[int(p.r)*len(rg.Haps)+int(h)] = math.Log10(sums[l]) - log10Scale64
+		}
+		i = k
+	}
 }
 
 // EvaluateRegionScalarInto is the scalar reference path: one forward

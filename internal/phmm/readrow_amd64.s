@@ -1,37 +1,33 @@
-// AVX2 kernel for the read-lane PairHMM row update. See
-// readrow_amd64.go for the contract: bit-identical to running
-// readRowQuad over both quads of one read row (same per-lane
-// operations in the same rounding order, same flush points, no fused
+// AVX2 kernel for the float32 read-lane row pair. See readrow_amd64.go
+// for the contract: bit-identical to running readRowQuad over both
+// quads of read row i, then of read row i+1 (same per-lane operations
+// in the same rounding order, same flush points, no fused
 // multiply-add), and so to forwardInto in every lane.
 //
-// One ymm holds one column's Lane8: eight reads at one haplotype
-// position. Each loop step computes column k of row i from row i-1 in
-// the P rows into the C rows: D first (it needs only column k-1 of
-// row i, carried in registers), then M from P's diagonal column and I
-// from P's column k.
-//
-// Register plan:
-//   Y0-Y3   transients
-//   Y4 lastM   Y5 lastD   Y6 prior
-//   Y11 flush floor   Y12 tmm   Y13 tim = tdm   Y14 tmi = tmd   Y15 tii = tdd
-//   SI/DI/R8 P M/I/D   R9/R10/R11 C M/I/D
-//   R12 haplotype end   R13 prior table   BX column index minus n+1
-//   DX byte offset of column k   AX table offset of hap[k-1]
-//
-// Column j lives at byte offset j*32; the prior table holds one Lane8
-// per base, base b at byte offset b*32.
+// One ymm holds one column's eight lanes: eight reads at one haplotype
+// position. Each loop step computes row i at column k (from row i-1 in
+// the P rows, into the C rows) and then row i+1 at column k-1 (from the
+// C rows, over row i-1 in the P rows): the two carried D chains are
+// independent, so their latencies overlap. Row i has read P column k-1
+// before row i+1 overwrites it, and never reads a column below k-1
+// again. Registers and the row step are in readrow_amd64.h.
 
 #include "textflag.h"
 
-// FLUSH(v, t) is flush4 on eight lanes: lanes of v below the floor
-// become +0. NLT (predicate 5) is true for v >= floor and for NaN, so
-// like the Go `if v < floor { v = 0 }` it leaves a NaN alone.
+#define VMUL VMULPS
+#define VADD VADDPS
+
+// FLUSH(v, t) is the float32 flush on eight lanes: lanes of v below the
+// floor become +0. NLT (predicate 5) is true for v >= floor and for
+// NaN, so like the Go `if v < floor { v = 0 }` it leaves a NaN alone.
 #define FLUSH(v, t) \
 	VCMPPS $5, Y11, v, t; \
 	VANDPS t, v, v
 
-// func readRowAsm(prev, cur *[3][]float32, hap *byte, tab *float32, n int)
-TEXT ·readRowAsm(SB), NOSPLIT, $0-40
+#include "readrow_amd64.h"
+
+// func readRowPairAsm(prev, cur *[3][]float32, hap *byte, tab *float32, n int)
+TEXT ·readRowPairAsm(SB), NOSPLIT, $0-40
 	MOVQ prev+0(FP), AX
 	MOVQ 0(AX), SI   // prev[0]: M
 	MOVQ 24(AX), DI  // prev[1]: I
@@ -54,47 +50,36 @@ TEXT ·readRowAsm(SB), NOSPLIT, $0-40
 	VBROADCASTSS ·readK+12(SB), Y15 // tii = tdd
 	VBROADCASTSS ·readK+16(SB), Y11 // floor
 
-	// Column 0 is the DP boundary, and the D chain starts at its zeros.
+	// Column 0 of row i is the DP boundary, and the D chains start at
+	// its zeros.
 	VXORPS  Y4, Y4, Y4
-	VXORPS  Y5, Y5, Y5
 	VMOVUPS Y4, (R9)
 	VMOVUPS Y4, (R10)
 	VMOVUPS Y4, (R11)
-	MOVQ    $32, DX
+	VXORPS  Y5, Y5, Y5
+	VXORPS  Y6, Y6, Y6
+	VXORPS  Y7, Y7, Y7
 
-loop:
-	MOVBLZX (R12)(BX*1), AX
-	ANDL    $3, AX
-	SHLL    $5, AX
-	VMOVUPS (R13)(AX*1), Y6
-
-	// dj = flush(tmd*lastM + tdd*lastD)
-	VMULPS Y14, Y4, Y3
-	VMULPS Y15, Y5, Y5
-	VADDPS Y5, Y3, Y5
-	FLUSH(Y5, Y0)
-
-	// mj = flush(prior*((tmm*pM + tim*pI) + tdm*pD)), diagonal column
-	VMULPS -32(SI)(DX*1), Y12, Y1
-	VMULPS -32(DI)(DX*1), Y13, Y2
-	VADDPS Y2, Y1, Y1
-	VMULPS -32(R8)(DX*1), Y13, Y2
-	VADDPS Y2, Y1, Y1
-	VMULPS Y1, Y6, Y4
-	FLUSH(Y4, Y0)
-
-	// ij = flush(tmi*pM + tii*pI), column k
-	VMULPS (SI)(DX*1), Y14, Y1
-	VMULPS (DI)(DX*1), Y15, Y2
-	VADDPS Y2, Y1, Y1
-	FLUSH(Y1, Y0)
-
-	VMOVUPS Y4, (R9)(DX*1)
-	VMOVUPS Y1, (R10)(DX*1)
-	VMOVUPS Y5, (R11)(DX*1)
+	// Row i at column 1 reads P column 0; only then does row i+1's
+	// boundary column overwrite it.
+	MOVQ $32, DX
+	ROWI
+	VMOVUPS Y6, (SI)
+	VMOVUPS Y6, (DI)
+	VMOVUPS Y6, (R8)
 	ADDQ    $32, DX
 	INCQ    BX
-	JNZ     loop
+	JZ      last
 
+loop:
+	ROWI
+	ROWJ
+	ADDQ $32, DX
+	INCQ BX
+	JNZ  loop
+
+last:
+	// Row i+1 at column n.
+	ROWJ
 	VZEROUPPER
 	RET

@@ -8,6 +8,8 @@ import "repro/internal/genome"
 // read rows are the only path. The stub keeps the dispatch site
 // compiling; haveRowAsm being a false constant removes the call.
 
-func readRowAVX2(tab []float32, hap genome.Seq, prev, cur *[3][]float32) {
-	readRowLanes(tab, hap, prev, cur)
+func readRowPairAVX2[F Float](tab []F, hap genome.Seq, prev, cur *[3][]F) {
+	w := laneCount[F]()
+	readRowLanes(tab[:4*w], hap, prev, cur)
+	readRowLanes(tab[4*w:], hap, cur, prev)
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cpufeat"
 	"repro/internal/obs"
 	"repro/internal/scratch"
 )
@@ -244,6 +245,34 @@ func TestDigestStableAcrossWorkerWidths(t *testing.T) {
 		if narrow.Digest != wide.Digest {
 			t.Fatalf("%s: digest depends on worker width: %#x vs %#x", name, narrow.Digest, wide.Digest)
 		}
+	}
+}
+
+// TestVariantCallingDigestTierInvariant: the fused variantcalling
+// digest folds every genotype call, so it must be the same on the
+// detected SIMD tier and with the tier forced off. At ref_len 12000
+// (the benchmark's scale) the phmm stage runs both lane passes and
+// redoes about a tenth of its pairs in float64 read lanes, so this is
+// the redo's check on a real pipeline.
+func TestVariantCallingDigestTierInvariant(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs variantcalling twice at benchmark scale")
+	}
+	p := Get("variantcalling").Params.Clone()
+	p["ref_len"] = 12_000
+	pipe := buildFor(t, "variantcalling", p)
+	run := func() uint64 {
+		res, err := RunFused(context.Background(), "variantcalling", pipe, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Digest
+	}
+	tier := cpufeat.String()
+	got := run()
+	defer cpufeat.ForceForTest("off")()
+	if want := run(); got != want {
+		t.Fatalf("digest %#x at %s, %#x at GBENCH_SIMD=off", got, tier, want)
 	}
 }
 
