@@ -16,7 +16,10 @@
 //   - amd64: AVX2 requires CPUID.7.0:EBX[5] AND the OS to have enabled
 //     YMM state saving (CPUID.1:ECX.OSXSAVE[27] and XGETBV(0) reporting
 //     XMM|YMM, bits 1-2) — a kernel that executes VPADDSW without OS
-//     support faults even on an AVX2 CPU.
+//     support faults even on an AVX2 CPU. The tier also requires AVX
+//     and FMA (CPUID.1:ECX[28] and [12]), the condition under which Go's
+//     math.Exp takes the FMA path that nn's activation lanes copy; every
+//     known AVX2 CPU has both, so no other kernel notices.
 //   - everything else, arm64 included: no tiers, portable Go only.
 //
 // The GBENCH_SIMD environment variable overrides the allowed ceiling:
@@ -41,9 +44,9 @@ import (
 // Features is the detected-and-allowed capability set consulted by
 // the kernels' dispatch shims.
 type Features struct {
-	// HasAVX2: amd64 CPUID + OS YMM state, and not overridden away —
-	// dispatch sites read the struct directly, so "allowed" and
-	// "present" collapse into one answer.
+	// HasAVX2: amd64 CPUID (AVX2, AVX, FMA) + OS YMM state, and not
+	// overridden away — dispatch sites read the struct directly, so
+	// "allowed" and "present" collapse into one answer.
 	HasAVX2 bool
 
 	// Override is the GBENCH_SIMD value in effect, trimmed and

@@ -10,27 +10,40 @@ func xgetbv() (eax, edx uint32)
 // detect probes the hardware for AVX2, the one tier the suite's asm
 // kernels use.
 func detect() Features {
-	var f Features
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
-		return f
+		return Features{}
 	}
-	// OS support first: CPUID.1:ECX bit 27 (OSXSAVE) says XGETBV is
-	// usable; XCR0 bits 1-2 say the OS saves XMM and YMM state on
-	// context switch. Without both, executing a VEX.256 instruction
-	// faults regardless of what leaf 7 advertises.
 	_, _, ecx1, _ := cpuid(1, 0)
-	const osxsave = 1 << 27
-	if ecx1&osxsave == 0 {
-		return f
-	}
-	xlo, _ := xgetbv()
-	const xmmYmm = 0x6
-	if xlo&xmmYmm != xmmYmm {
-		return f
+	var xcr0 uint32
+	if ecx1&osxsaveBit != 0 {
+		xcr0, _ = xgetbv()
 	}
 	_, ebx7, _, _ := cpuid(7, 0)
-	const avx2Bit = 1 << 5
-	f.HasAVX2 = ebx7&avx2Bit != 0
-	return f
+	return Features{HasAVX2: avx2Usable(ecx1, xcr0, ebx7)}
+}
+
+const (
+	fmaBit     = 1 << 12 // CPUID.1:ECX
+	osxsaveBit = 1 << 27 // CPUID.1:ECX
+	avxBit     = 1 << 28 // CPUID.1:ECX
+	xmmYmm     = 0x6     // XCR0
+	avx2Bit    = 1 << 5  // CPUID.7.0:EBX
+)
+
+// avx2Usable decides the AVX2 tier from CPUID.1:ECX, XCR0 (0 when
+// OSXSAVE is clear) and CPUID.7.0:EBX.
+//
+// OS support first: OSXSAVE says XGETBV is usable; XCR0 bits 1-2 say
+// the OS saves XMM and YMM state on context switch. Without both,
+// executing a VEX.256 instruction faults regardless of what leaf 7
+// advertises. The tier also requires AVX and FMA: nn's activation
+// lanes copy the FMA path of math.Exp, which Go takes exactly when the
+// CPU has both (math.useFMA), so on a host with AVX2 but no FMA they
+// would not equal the scalar functions. No known AVX2 CPU lacks FMA3,
+// so this costs no real host its tier.
+func avx2Usable(ecx1, xcr0, ebx7 uint32) bool {
+	return ecx1&(osxsaveBit|avxBit|fmaBit) == osxsaveBit|avxBit|fmaBit &&
+		xcr0&xmmYmm == xmmYmm &&
+		ebx7&avx2Bit != 0
 }

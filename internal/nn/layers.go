@@ -222,16 +222,19 @@ func (l *LSTM) Forward(x *Tensor, reverse bool) *Tensor {
 		copy(gates, l.B)
 		accRows(gates, G, x.Row(t), x.Cols, l.Wx.Data, G, 1, x.Cols, G)
 		accRows(gates, G, h, H, l.Wh.Data, G, 1, H, G)
-		orow := out.Row(t)
-		for j := 0; j < H; j++ {
-			ig := Sigmoid(gates[j])
-			fg := Sigmoid(gates[H+j])
-			cg := Tanh(gates[2*H+j])
-			og := Sigmoid(gates[3*H+j])
-			c[j] = fg*c[j] + ig*cg
-			h[j] = og * Tanh(c[j])
-			orow[j] = h[j]
+		ig, fg, cg, og := gates[:H], gates[H:2*H], gates[2*H:3*H], gates[3*H:]
+		SigmoidSlice(gates[:2*H], gates[:2*H]) // ig and fg
+		TanhSlice(cg, cg)
+		SigmoidSlice(og, og)
+		for j := range c {
+			c[j] = fg[j]*c[j] + ig[j]*cg[j]
 		}
+		// ig is spent: tanh(c) takes its place.
+		TanhSlice(ig, c)
+		for j, tc := range ig {
+			h[j] = og[j] * tc
+		}
+		copy(out.Row(t), h)
 	}
 	return out
 }

@@ -78,7 +78,7 @@ func TestActivations(t *testing.T) {
 
 func TestDenseShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	d := NewDense(rng, 8, 4, ReLU, "fc")
+	d := NewDense(rng, 8, 4, ReLUSlice, "fc")
 	x := RandomTensor(rng, 10, 8, 1)
 	y := d.Forward(x)
 	if y.Rows != 10 || y.Cols != 4 {
@@ -110,7 +110,7 @@ func TestConv1DIdentityKernel(t *testing.T) {
 
 func TestConv1DStrideHalvesLength(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	c := NewConv1D(rng, 4, 8, 5, 2, ReLU, "down")
+	c := NewConv1D(rng, 4, 8, 5, 2, ReLUSlice, "down")
 	x := RandomTensor(rng, 100, 4, 1)
 	y := c.Forward(x)
 	if y.Rows != 50 || y.Cols != 8 {
@@ -140,7 +140,7 @@ func TestConv1DMovingAverage(t *testing.T) {
 
 func TestSeparableConvShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	c := NewSeparableConv1D(rng, 16, 32, 9, 3, Swish, "sep")
+	c := NewSeparableConv1D(rng, 16, 32, 9, 3, SwishSlice, "sep")
 	x := RandomTensor(rng, 99, 16, 1)
 	y := c.Forward(x)
 	if y.Rows != 33 || y.Cols != 32 {

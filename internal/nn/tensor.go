@@ -74,33 +74,9 @@ func (t *Tensor) AddBias(bias []float32) {
 	}
 }
 
-// Activation is an elementwise nonlinearity.
-type Activation func(float32) float32
-
-// ReLU clamps negatives to zero.
-func ReLU(x float32) float32 {
-	if x < 0 {
-		return 0
-	}
-	return x
-}
-
-// Sigmoid is the logistic function.
-func Sigmoid(x float32) float32 {
-	return float32(1 / (1 + math.Exp(-float64(x))))
-}
-
-// Tanh is the hyperbolic tangent.
-func Tanh(x float32) float32 { return float32(math.Tanh(float64(x))) }
-
-// Swish is x*sigmoid(x), Bonito's activation.
-func Swish(x float32) float32 { return x * Sigmoid(x) }
-
 // Apply maps the activation over the tensor in place and returns it.
 func (t *Tensor) Apply(f Activation) *Tensor {
-	for i, v := range t.Data {
-		t.Data[i] = f(v)
-	}
+	f(t.Data, t.Data)
 	return t
 }
 

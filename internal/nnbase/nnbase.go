@@ -12,7 +12,7 @@ package nnbase
 import (
 	"context"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/faultinject"
 	"repro/internal/genome"
@@ -55,24 +55,26 @@ func DefaultConfig() Config {
 func NewModel(seed int64, cfg Config) *Model {
 	rng := rand.New(rand.NewSource(seed))
 	m := &Model{
-		Stem:   nn.NewConv1D(rng, 1, cfg.Channels, 9, 3, nn.Swish, "stem"),
+		Stem:   nn.NewConv1D(rng, 1, cfg.Channels, 9, 3, nn.SwishSlice, "stem"),
 		Stride: 3,
 	}
 	for b := 0; b < cfg.Blocks; b++ {
-		m.Blocks = append(m.Blocks, nn.NewSeparableConv1D(rng, cfg.Channels, cfg.Channels, cfg.Kernel, 1, nn.Swish, "block"))
+		m.Blocks = append(m.Blocks, nn.NewSeparableConv1D(rng, cfg.Channels, cfg.Channels, cfg.Kernel, 1, nn.SwishSlice, "block"))
 		m.Norms = append(m.Norms, nn.NewBatchNorm(rng, cfg.Channels, "bn"))
 	}
 	m.Head = nn.NewDense(rng, cfg.Channels, NumClasses, nil, "head")
 	return m
 }
 
-// Normalize applies med/MAD normalization, Bonito's preprocessing.
+// Normalize applies med/MAD normalization, Bonito's preprocessing. The
+// signal must be finite: slices.Sort orders NaNs first, so a NaN would
+// shift both medians.
 func Normalize(signal []float32) []float32 {
 	if len(signal) == 0 {
 		return nil
 	}
 	sorted := append([]float32(nil), signal...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	slices.Sort(sorted)
 	med := sorted[len(sorted)/2]
 	devs := make([]float32, len(signal))
 	for i, v := range signal {
@@ -82,7 +84,7 @@ func Normalize(signal []float32) []float32 {
 		}
 		devs[i] = d
 	}
-	sort.Slice(devs, func(i, j int) bool { return devs[i] < devs[j] })
+	slices.Sort(devs)
 	mad := devs[len(devs)/2]
 	if mad == 0 {
 		mad = 1

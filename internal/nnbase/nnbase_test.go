@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/cpufeat"
@@ -37,6 +38,68 @@ func TestNormalize(t *testing.T) {
 	}
 	if Normalize(nil) != nil {
 		t.Error("Normalize(nil) should be nil")
+	}
+}
+
+// normalizeSortSlice is Normalize as it was before slices.Sort: the
+// reference for TestNormalizeMatchesSortSlice.
+func normalizeSortSlice(signal []float32) []float32 {
+	sorted := append([]float32(nil), signal...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	med := sorted[len(sorted)/2]
+	devs := make([]float32, len(signal))
+	for i, v := range signal {
+		d := v - med
+		if d < 0 {
+			d = -d
+		}
+		devs[i] = d
+	}
+	sort.Slice(devs, func(i, j int) bool { return devs[i] < devs[j] })
+	mad := devs[len(devs)/2]
+	if mad == 0 {
+		mad = 1
+	}
+	out := make([]float32, len(signal))
+	scale := 1 / (1.4826 * mad)
+	for i, v := range signal {
+		out[i] = (v - med) * scale
+	}
+	return out
+}
+
+// TestNormalizeMatchesSortSlice: on finite signals, Normalize's output
+// bits are the sort.Slice form's, including the sign of every zero,
+// when the median or the MAD lands among duplicates, negatives and a
+// mix of +0 and -0.
+func TestNormalizeMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	negZero := float32(math.Copysign(0, -1))
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(300)
+		if trial%4 == 0 {
+			n = 12 + rng.Intn(2) // below the insertion-sort cutoff
+		}
+		sig := make([]float32, n)
+		for i := range sig {
+			switch rng.Intn(6) {
+			case 0:
+				sig[i] = 0
+			case 1:
+				sig[i] = negZero
+			case 2:
+				sig[i] = float32(rng.Intn(5) - 2) // duplicates either side of 0
+			default:
+				sig[i] = float32(rng.NormFloat64() * 40)
+			}
+		}
+		got, want := Normalize(sig), normalizeSortSlice(sig)
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("trial %d (n=%d): out[%d] = %#08x, want %#08x", trial, n, i,
+					math.Float32bits(got[i]), math.Float32bits(want[i]))
+			}
+		}
 	}
 }
 

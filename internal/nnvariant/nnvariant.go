@@ -104,7 +104,7 @@ func NewModel(seed int64, cfg Config) *Model {
 	return &Model{
 		L1:       nn.NewBiLSTM(rng, Features, cfg.Hidden, "l1"),
 		L2:       nn.NewBiLSTM(rng, 2*cfg.Hidden, cfg.Hidden, "l2"),
-		Shared:   nn.NewDense(rng, 2*cfg.Hidden, cfg.Dense, nn.ReLU, "shared"),
+		Shared:   nn.NewDense(rng, 2*cfg.Hidden, cfg.Dense, nn.ReLUSlice, "shared"),
 		Genotype: nn.NewDense(rng, cfg.Dense, GenotypeClasses, nil, "gt"),
 		Zygosity: nn.NewDense(rng, cfg.Dense, ZygosityClasses, nil, "zy"),
 		Indel1:   nn.NewDense(rng, cfg.Dense, IndelClasses, nil, "i1"),
