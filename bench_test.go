@@ -281,7 +281,7 @@ func BenchmarkAblationGRMBlocking(b *testing.B) {
 	})
 	b.Run("blocked", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			grm.Compute(g, 64, 1)
+			grm.ComputeCtx(context.Background(), g, 64, 1)
 		}
 	})
 }

@@ -1,7 +1,6 @@
 // Command gbench-data generates the suite's synthetic datasets as
-// standard files: a reference FASTA, donor-haplotype truth VCF, short-
-// and long-read FASTQ, and the raw pore-signal levels as a text table —
-// everything a kernel run needs, reproducible from a seed.
+// standard files: a reference FASTA, a donor-haplotype truth VCF, and
+// short- and long-read FASTQ, reproducible from a seed.
 //
 // Usage:
 //
@@ -9,8 +8,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -20,24 +21,35 @@ import (
 	"repro/internal/simio"
 )
 
-func main() {
-	var (
-		outDir     = flag.String("out", "data", "output directory")
-		refLen     = flag.Int("ref-len", 100_000, "reference length in bases")
-		shortReads = flag.Int("short-reads", 1000, "number of short reads")
-		longReads  = flag.Int("long-reads", 100, "number of long reads")
-		coverage   = flag.Float64("coverage", 0, "if > 0, emit donor coverage reads instead of -short-reads")
-		seed       = flag.Int64("seed", 42, "generator seed")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if err := run(*outDir, *refLen, *shortReads, *longReads, *coverage, *seed); err != nil {
-		fmt.Fprintln(os.Stderr, "gbench-data:", err)
-		os.Exit(1)
+// run is the whole command; it returns the exit status: 0 on success,
+// 1 when a file cannot be written, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("gbench-data", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		outDir     = fs.String("out", "data", "output directory")
+		refLen     = fs.Int("ref-len", 100_000, "reference length in bases")
+		shortReads = fs.Int("short-reads", 1000, "number of short reads")
+		longReads  = fs.Int("long-reads", 100, "number of long reads")
+		coverage   = fs.Float64("coverage", 0, "if > 0, emit donor coverage reads instead of -short-reads")
+		seed       = fs.Int64("seed", 42, "generator seed")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
+	if err := generate(*outDir, *refLen, *shortReads, *longReads, *coverage, *seed, stdout); err != nil {
+		fmt.Fprintln(stderr, "gbench-data:", err)
+		return 1
+	}
+	return 0
 }
 
-func run(outDir string, refLen, nShort, nLong int, coverage float64, seed int64) error {
+func generate(outDir string, refLen, nShort, nLong int, coverage float64, seed int64, stdout io.Writer) error {
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return err
 	}
@@ -115,7 +127,7 @@ func run(outDir string, refLen, nShort, nLong int, coverage float64, seed int64)
 		return err
 	}
 
-	fmt.Printf("wrote %s: reference (%d bp), %d truth variants, %d short reads, %d long reads\n",
+	fmt.Fprintf(stdout, "wrote %s: reference (%d bp), %d truth variants, %d short reads, %d long reads\n",
 		outDir, refLen, len(vcf), len(short), len(long))
 	return nil
 }

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/bsw"
@@ -26,38 +27,51 @@ import (
 	"repro/internal/simio"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command; it returns the exit status: 0 on success
+// (a truncated reads file included), 1 when the inputs cannot be read
+// or the SAM cannot be written, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("gbench-map", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		refPath   = flag.String("ref", "", "reference FASTA (.fa or .fa.gz)")
-		readsPath = flag.String("reads", "", "reads FASTQ (.fastq or .fastq.gz)")
-		outPath   = flag.String("out", "-", "output SAM path, '-' for stdout")
-		kFlag     = flag.Int("k", 15, "minimizer k-mer size")
-		wFlag     = flag.Int("w", 10, "minimizer window")
-		band      = flag.Int("band", 200, "alignment band width")
-		faults    = flag.String("faults", "", `fault plan for the input readers, e.g. "truncate:fastq:0.5"`)
-		faultSeed = flag.Int64("fault-seed", 1, "seed for deterministic fault firing")
+		refPath   = fs.String("ref", "", "reference FASTA (.fa or .fa.gz)")
+		readsPath = fs.String("reads", "", "reads FASTQ (.fastq or .fastq.gz)")
+		outPath   = fs.String("out", "-", "output SAM path, '-' for stdout")
+		kFlag     = fs.Int("k", 15, "minimizer k-mer size")
+		wFlag     = fs.Int("w", 10, "minimizer window")
+		band      = fs.Int("band", 200, "alignment band width")
+		faults    = fs.String("faults", "", `fault plan for the input readers, e.g. "truncate:fastq:0.5"`)
+		faultSeed = fs.Int64("fault-seed", 1, "seed for deterministic fault firing")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	if *refPath == "" || *readsPath == "" {
-		fmt.Fprintln(os.Stderr, "gbench-map: -ref and -reads are required")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "gbench-map: -ref and -reads are required")
+		return 2
 	}
 	if *faults != "" {
 		plan, err := faultinject.Parse(*faults, *faultSeed)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "gbench-map:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "gbench-map:", err)
+			return 2
 		}
 		faultinject.Arm(plan)
 		defer faultinject.Disarm()
 	}
-	if err := run(*refPath, *readsPath, *outPath, *kFlag, *wFlag, *band); err != nil {
-		fmt.Fprintln(os.Stderr, "gbench-map:", err)
-		os.Exit(1)
+	if err := mapReads(*refPath, *readsPath, *outPath, *kFlag, *wFlag, *band, stdout, stderr); err != nil {
+		fmt.Fprintln(stderr, "gbench-map:", err)
+		return 1
 	}
+	return 0
 }
 
-func run(refPath, readsPath, outPath string, k, w, band int) error {
+func mapReads(refPath, readsPath, outPath string, k, w, band int, stdout, stderr io.Writer) error {
 	rf, err := os.Open(refPath)
 	if err != nil {
 		return err
@@ -86,7 +100,7 @@ func run(refPath, readsPath, outPath string, k, w, band int) error {
 			return err
 		}
 		// Truncated reads file: map what decoded cleanly.
-		fmt.Fprintf(os.Stderr, "gbench-map: warning: %v; continuing with %d complete read(s)\n", err, len(reads))
+		fmt.Fprintf(stderr, "gbench-map: warning: %v; continuing with %d complete read(s)\n", err, len(reads))
 	}
 
 	mapper := chain.NewMapper(ref.Seq, k, w, 100)
@@ -150,18 +164,28 @@ func run(refPath, readsPath, outPath string, k, w, band int) error {
 		mapped++
 	}
 
-	out := os.Stdout
-	if outPath != "-" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
+	if outPath == "-" {
+		err = simio.WriteSAM(stdout, refs, alignments)
+	} else {
+		err = writeSAMFile(outPath, refs, alignments)
 	}
-	if err := simio.WriteSAM(out, refs, alignments); err != nil {
+	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "gbench-map: mapped %d/%d reads\n", mapped, len(reads))
+	fmt.Fprintf(stderr, "gbench-map: mapped %d/%d reads\n", mapped, len(reads))
 	return nil
+}
+
+// writeSAMFile writes the SAM to path. A failed Close is an error: it
+// can be the final write, and the file would be a truncated SAM.
+func writeSAMFile(path string, refs []simio.FastaRecord, alignments []*simio.Alignment) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := simio.WriteSAM(f, refs, alignments); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -69,13 +69,9 @@ var (
 	ls2piQ  = lanes.Quad{A: logSqrt2Pi32, B: logSqrt2Pi32, C: logSqrt2Pi32, D: logSqrt2Pi32}
 )
 
-// AlignLanes is AlignInto's lane-blocked twin with a temporary arena.
-func AlignLanes(model *signalsim.PoreModel, seq genome.Seq, events []signalsim.Event, cfg Config) Result {
-	return AlignLanesInto(model, seq, events, cfg, nil)
-}
-
 // AlignLanesInto runs the lane-blocked adaptive banded alignment into
-// a's reusable buffers. Results are bit-identical to AlignInto.
+// a's reusable buffers (nil for a temporary arena). Results are
+// bit-identical to AlignInto.
 func AlignLanesInto(model *signalsim.PoreModel, seq genome.Seq, events []signalsim.Event, cfg Config, a *scratch.Arena) Result {
 	return alignLanesInto(model, seq, events, cfg, a, nil)
 }

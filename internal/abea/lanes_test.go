@@ -138,12 +138,12 @@ func FuzzAlignLanes(f *testing.F) {
 // TestAlignLanesDegenerate mirrors the scalar degenerate cases.
 func TestAlignLanesDegenerate(t *testing.T) {
 	model := signalsim.NewPoreModel()
-	if r := AlignLanes(model, genome.MustFromString("ACG"), nil, DefaultConfig()); r.Score != negInf {
+	if r := AlignLanesInto(model, genome.MustFromString("ACG"), nil, DefaultConfig(), nil); r.Score != negInf {
 		t.Error("short sequence should yield -inf")
 	}
 	rng := rand.New(rand.NewSource(32))
 	seq := genome.Random(rng, 50)
-	if r := AlignLanes(model, seq, nil, DefaultConfig()); r.Score != negInf {
+	if r := AlignLanesInto(model, seq, nil, DefaultConfig(), nil); r.Score != negInf {
 		t.Error("no events should yield -inf")
 	}
 }

@@ -1,8 +1,6 @@
 package abea
 
 import (
-	"math/rand"
-
 	"repro/internal/genome"
 	"repro/internal/signalsim"
 )
@@ -129,11 +127,4 @@ func CallMethylation(unmeth, meth *signalsim.PoreModel, seq genome.Seq, events [
 		})
 	}
 	return calls
-}
-
-// SimulateMethylatedRead simulates events for seq where CpG sites are
-// methylated (drawn from the methylated model), for testing and the
-// polishing example.
-func SimulateMethylatedRead(rng *rand.Rand, meth *signalsim.PoreModel, seq genome.Seq, cfg signalsim.Config) []signalsim.Event {
-	return signalsim.Simulate(rng, meth, seq, cfg)
 }

@@ -32,7 +32,7 @@ func TestMethylatedModelShiftsOnlyCpGKmers(t *testing.T) {
 	base := signalsim.NewPoreModel()
 	meth := MethylatedModel(base)
 	shifted, same := 0, 0
-	for code := 0; code < base.NumKmers(); code += 13 {
+	for code := 0; code < len(base.Mean); code += 13 {
 		diff := meth.Mean[code] - base.Mean[code]
 		if kmerHasCpG(uint64(code)) {
 			if diff == 0 {
@@ -72,7 +72,7 @@ func TestCallMethylationDiscriminates(t *testing.T) {
 	simCfg := signalsim.DefaultConfig()
 	simCfg.NoiseScale = 0.5
 
-	evMeth := SimulateMethylatedRead(rng, meth, seq, simCfg)
+	evMeth := signalsim.Simulate(rng, meth, seq, simCfg)
 	evUnmeth := signalsim.Simulate(rng, base, seq, simCfg)
 
 	cfg := DefaultConfig()

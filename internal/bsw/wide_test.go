@@ -235,3 +235,69 @@ func TestAlignWideZDropAndLocal(t *testing.T) {
 		}
 	}
 }
+
+// FuzzAlignWideBoundary drives the int16 range proof from both sides:
+// the fuzzer picks the scoring, band, z-drop and mode, and the query
+// and target lengths sum to wideEligible's largest eligible total plus
+// delta (clamped to [-2, 2]), so delta <= 0 is the last eligible
+// problem and delta > 0 the first that must fall back. AlignInto must
+// equal the scalar Align on the dispatched tier and with the SIMD
+// ceiling forced off, and where the proof admits the problem, both
+// wide bodies must too, whatever the work floor decides.
+func FuzzAlignWideBoundary(f *testing.F) {
+	for _, delta := range []int8{-1, 0, 1} {
+		f.Add(int64(1), uint8(0), uint8(3), uint8(5), uint8(0), uint8(30), uint16(100), false, uint8(128), delta)
+		f.Add(int64(2), uint8(7), uint8(1), uint8(0), uint8(2), uint8(5), uint16(0), true, uint8(10), delta)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, match, mismatch, gapOpen, gapExtend, band uint8, zdrop uint16, local bool, split uint8, delta int8) {
+		p := Params{
+			Match:     1 + int(match%8),
+			Mismatch:  int(mismatch % 9),
+			GapOpen:   int(gapOpen % 13),
+			GapExtend: int(gapExtend % 5),
+			Band:      1 + int(band%100),
+			ZDrop:     int(zdrop) % (wideScoreBound + 1),
+			Mode:      Extension,
+		}
+		if local {
+			p.Mode = Local
+		}
+		step := max(p.Match, p.Mismatch, p.GapOpen+p.GapExtend)
+		d := max(-2, min(2, int(delta)))
+		total := (wideScoreBound-p.GapOpen)/step - 16 + d
+		m := max(1, min(total-1, total*int(split)/255))
+		n := total - m
+		if got, want := wideEligible(p, m, n), d <= 0; got != want {
+			t.Fatalf("wideEligible(%+v, %d, %d) = %v at delta %d", p, m, n, got, d)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		q := randSeqWide(rng, m)
+		tg := make(genome.Seq, n)
+		for i := range tg {
+			tg[i] = q[i*m/n]
+			if rng.Intn(10) == 0 {
+				tg[i] = genome.Base(rng.Intn(4))
+			}
+		}
+		want := Align(q, tg, p)
+		a := scratch.New()
+		if got := AlignInto(q, tg, p, a); got != want {
+			t.Fatalf("dispatched AlignInto %+v != Align %+v (params %+v, m=%d n=%d)", got, want, p, m, n)
+		}
+		if wideEligible(p, m, n) {
+			if got := alignWide(q, tg, p, a, false); got != want {
+				t.Fatalf("portable wide %+v != Align %+v (params %+v, m=%d n=%d)", got, want, p, m, n)
+			}
+			if bswHaveWideAsm && cpufeat.AVX2() {
+				if got := alignWide(q, tg, p, a, true); got != want {
+					t.Fatalf("asm wide %+v != Align %+v (params %+v, m=%d n=%d)", got, want, p, m, n)
+				}
+			}
+		}
+		restore := cpufeat.ForceForTest("off")
+		defer restore()
+		if got := AlignInto(q, tg, p, a); got != want {
+			t.Fatalf("portable-tier AlignInto %+v != Align %+v (params %+v, m=%d n=%d)", got, want, p, m, n)
+		}
+	})
+}

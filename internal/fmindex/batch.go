@@ -343,20 +343,3 @@ func (e *BatchEngine) prefetchOcc(p int) {
 		e.pt.Prefetch(uint64(p)&^63, 64)
 	}
 }
-
-// FindSMEMsBatch enumerates SMEMs for all reads through a fresh batch
-// engine of the given width (<=0 for the tunable), returning per-read
-// results in read order. lookups, when non-nil, accumulates total Occ
-// lookups. Results are freshly allocated copies; the hot kernel path
-// (RunKernelCtx) drives a per-worker engine directly instead.
-func (x *Index) FindSMEMsBatch(reads []genome.Seq, minLen, minHits, width int, lookups *uint64, tr MemTracer) [][]SMEM {
-	out := make([][]SMEM, len(reads))
-	e := NewBatchEngine(x, width, tr)
-	_ = e.Run(reads, minLen, minHits, nil, func(i int, smems []SMEM, lk uint64) {
-		out[i] = append([]SMEM(nil), smems...)
-		if lookups != nil {
-			*lookups += lk
-		}
-	})
-	return out
-}

@@ -299,7 +299,12 @@ func TestBatchedStallBelowSerial(t *testing.T) {
 
 	batched := cachesim.NewHierarchy(cachesim.XeonE31240v5())
 	var batchedLk uint64
-	x.FindSMEMsBatch(reads, 19, 1, 16, &batchedLk, batched)
+	err := NewBatchEngine(x, 16, batched).Run(reads, 19, 1, nil, func(_ int, _ []SMEM, lk uint64) {
+		batchedLk += lk
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if serialLk != batchedLk {
 		t.Fatalf("lookup counts diverge: serial %d, batched %d", serialLk, batchedLk)

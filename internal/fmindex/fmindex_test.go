@@ -165,7 +165,7 @@ func TestExtendForwardConsistentWithBackwardSearch(t *testing.T) {
 		iv := x.Root()
 		for j := 0; j < 10; j++ {
 			b := g[start+j]
-			iv = x.ExtendForward(iv)[b&3]
+			iv = x.extendForwardT(iv, nil)[b&3]
 			pat := g[start : start+j+1].String()
 			want := countOccurrences(text, pat)
 			if iv.S != want {
@@ -289,7 +289,7 @@ func TestRunKernelAggregates(t *testing.T) {
 		reads[i] = g[start : start+100]
 	}
 	for _, threads := range []int{1, 4} {
-		cfg := DefaultKernelConfig()
+		cfg := KernelConfig{MinSeedLen: 19, MinHits: 1, Threads: 1}
 		cfg.Threads = threads
 		res := must(RunKernelCtx(context.Background(), x, reads, cfg))
 		if res.Reads != 20 {
@@ -319,8 +319,8 @@ func TestKernelDeterministicAcrossThreads(t *testing.T) {
 		start := rng.Intn(len(g) - 80)
 		reads[i] = g[start : start+80]
 	}
-	cfg1 := DefaultKernelConfig()
-	cfg4 := DefaultKernelConfig()
+	cfg1 := KernelConfig{MinSeedLen: 19, MinHits: 1, Threads: 1}
+	cfg4 := KernelConfig{MinSeedLen: 19, MinHits: 1, Threads: 1}
 	cfg4.Threads = 4
 	r1 := must(RunKernelCtx(context.Background(), x, reads, cfg1))
 	r4 := must(RunKernelCtx(context.Background(), x, reads, cfg4))
@@ -355,7 +355,11 @@ func TestOptionsDoNotChangeResults(t *testing.T) {
 	configs := []Options{{SARate: 4}, {SARate: 32}, {SARate: 64}}
 	indices := make([]*Index, len(configs))
 	for i, o := range configs {
-		indices[i] = BuildWithOptions(g, o)
+		x, err := BuildWithOptionsChecked(g, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		indices[i] = x
 	}
 	read := g[100:220]
 	want := indices[0].FindSMEMs(read, 19, 1, nil)
@@ -397,14 +401,9 @@ func TestBuildWithOptionsValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	g := genome.Random(rng, 100)
 	for _, o := range []Options{{SARate: 1}, {SARate: 24}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("options %+v accepted", o)
-				}
-			}()
-			BuildWithOptions(g, o)
-		}()
+		if _, err := BuildWithOptionsChecked(g, o); err == nil {
+			t.Errorf("options %+v accepted", o)
+		}
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 
 // FuzzOccBlock drives the one-hot Occ block and everything built on it
 // against the byte-scan forms. The fuzzer supplies genome bytes (mapped
-// &3, length 1..4096) and a row. On the built index: occ4 against
+// &3, length 1..4096) and a row. On the built index: occ4t against
 // occ4Scalar and a prefix count at every p in [0, rows] (so at row, at
 // rows, and on both sides of every block boundary); lf against the
 // scalar rank at every row; both single-base extensions against the

@@ -70,8 +70,8 @@ type Index struct {
 	saVals   []int32
 
 	// Tracer, when non-nil, receives Occ/BWT lookup addresses from the
-	// single-threaded entry points (ExtendBackward, BackwardSearch,
-	// FindSMEMs, ...). It is not synchronized: concurrent searchers
+	// single-threaded entry points (BackwardSearch, Locate, FindSMEMs,
+	// ...). It is not synchronized: concurrent searchers
 	// must use FindSMEMsTraced with per-worker tracers, which is what
 	// RunKernelCtx does via KernelConfig.NewWorkerTracer — it never
 	// touches this field. Occ-lookup counts (the kernel's
@@ -98,18 +98,8 @@ func BuildChecked(g genome.Seq) (*Index, error) {
 	return BuildWithOptionsChecked(g, DefaultOptions())
 }
 
-// BuildWithOptions is Build with explicit sampling rates. It panics on
-// invalid input; callers that prefer errors use BuildWithOptionsChecked.
-func BuildWithOptions(g genome.Seq, opts Options) *Index {
-	x, err := BuildWithOptionsChecked(g, opts)
-	if err != nil {
-		panic(err.Error())
-	}
-	return x
-}
-
-// BuildWithOptionsChecked is BuildWithOptions returning an error on
-// invalid input instead of panicking.
+// BuildWithOptionsChecked is BuildChecked with explicit sampling
+// rates.
 func BuildWithOptionsChecked(g genome.Seq, opts Options) (*Index, error) {
 	if len(g) == 0 {
 		return nil, errors.New("fmindex: empty genome")
@@ -210,11 +200,6 @@ func (x *Index) buildBlocks() {
 	}
 }
 
-// occ4 returns cumulative counts of the four bases in bwt[0:p].
-func (x *Index) occ4(p int) [4]int32 {
-	return x.occ4t(p, x.Tracer)
-}
-
 // occAt is the paper's characteristic irregular lookup: it returns
 // the block that answers Occ at row p, after reporting the lookup's
 // one 64-byte access to tr (nil for none). The sink is passed
@@ -233,13 +218,14 @@ func (blk *occBlock) rank(b genome.Base, p int) int {
 	return int(blk.cnt[b]) + bits.OnesCount64(blk.bits[b]&(1<<(uint(p)&63)-1))
 }
 
-// occ4t is occ4 with the trace sink passed explicitly.
+// occ4t returns cumulative counts of the four bases in bwt[0:p],
+// reporting the lookup to tr (nil for none).
 func (x *Index) occ4t(p int, tr MemTracer) [4]int32 {
 	blk := x.occAt(p, tr)
 	return [4]int32{int32(blk.rank(0, p)), int32(blk.rank(1, p)), int32(blk.rank(2, p)), int32(blk.rank(3, p))}
 }
 
-// occ4Scalar is the byte-scan reference implementation of occ4, kept
+// occ4Scalar is the byte-scan reference implementation of occ4t, kept
 // for differential tests against the popcount path: the block's
 // checkpoint counts plus one increment per BWT byte.
 func (x *Index) occ4Scalar(p int) [4]int32 {
@@ -272,13 +258,10 @@ func (x *Index) Root() BiInterval {
 	return BiInterval{K: 0, L: 0, S: x.textLen + 1}
 }
 
-// ExtendBackward extends pattern P to bP for all four bases at once,
-// returning intervals in base order. This is BWA's bwt_extend with
-// is_back=1.
-func (x *Index) ExtendBackward(iv BiInterval) [4]BiInterval {
-	return x.extendBackwardT(iv, x.Tracer)
-}
-
+// extendBackwardT extends pattern P to bP for all four bases at once,
+// returning intervals in base order and reporting lookups to tr. This
+// is BWA's bwt_extend with is_back=1: the all-four reference
+// extendBackward1 is held to.
 func (x *Index) extendBackwardT(iv BiInterval, tr MemTracer) [4]BiInterval {
 	lo := x.occ4t(iv.K, tr)
 	hi := x.occ4t(iv.K+iv.S, tr)
@@ -299,13 +282,9 @@ func (x *Index) extendBackwardT(iv BiInterval, tr MemTracer) [4]BiInterval {
 	return out
 }
 
-// ExtendForward extends pattern P to Pb for all four bases. By FMD
+// extendForwardT extends pattern P to Pb for all four bases. By FMD
 // symmetry this is a backward extension on the reverse-complement
 // coordinates with complemented bases.
-func (x *Index) ExtendForward(iv BiInterval) [4]BiInterval {
-	return x.extendForwardT(iv, x.Tracer)
-}
-
 func (x *Index) extendForwardT(iv BiInterval, tr MemTracer) [4]BiInterval {
 	swapped := BiInterval{K: iv.L, L: iv.K, S: iv.S}
 	ext := x.extendBackwardT(swapped, tr)

@@ -17,7 +17,7 @@ func checkOcc4(t *testing.T, x *Index) {
 	t.Helper()
 	var want [4]int32
 	for p := 0; p <= len(x.bwt); p++ {
-		if got, ref := x.occ4(p), x.occ4Scalar(p); got != want || ref != want {
+		if got, ref := x.occ4t(p, nil), x.occ4Scalar(p); got != want || ref != want {
 			t.Fatalf("rows=%d p=%d (primary=%d): popcount %v, byte scan %v, prefix count %v",
 				len(x.bwt), p, x.primary, got, ref, want)
 		}
@@ -42,7 +42,7 @@ func blocksOver(rows []byte, primary int) *Index {
 	return x
 }
 
-// The popcount-ranked occ4 must match the byte-scan reference at every
+// The popcount-ranked occ4t must match the byte-scan reference at every
 // position, p == rows included: with rows%64 at 1 and 63 on built
 // indexes, and on raw rows with rows%64 == 0 and the sentinel on the
 // first and last bit of a block.
@@ -148,7 +148,7 @@ func TestRunKernelCtxPerWorkerTracerRace(t *testing.T) {
 		off := rng.Intn(len(g) - 100)
 		reads[i] = g[off : off+100].Clone()
 	}
-	cfg := DefaultKernelConfig()
+	cfg := KernelConfig{MinSeedLen: 19, MinHits: 1, Threads: 1}
 	cfg.Threads = 4
 	tracers := make([]*countingTracer, cfg.Threads)
 	cfg.NewWorkerTracer = func(w int) MemTracer {
@@ -188,7 +188,7 @@ func TestRunKernelCtxThreadInvariance(t *testing.T) {
 		off := rng.Intn(len(g) - 150)
 		reads[i] = g[off : off+150].Clone()
 	}
-	cfg := DefaultKernelConfig()
+	cfg := KernelConfig{MinSeedLen: 19, MinHits: 1, Threads: 1}
 	cfg.Threads = 1
 	want, err := RunKernelCtx(t.Context(), x, reads, cfg)
 	if err != nil {
@@ -234,7 +234,7 @@ func BenchmarkOcc4(b *testing.B) {
 	b.Run("packed", func(b *testing.B) {
 		var sink int32
 		for i := 0; i < b.N; i++ {
-			c := x.occ4(positions[i%len(positions)])
+			c := x.occ4t(positions[i%len(positions)], nil)
 			sink += c[0]
 		}
 		_ = sink

@@ -163,11 +163,6 @@ type KernelConfig struct {
 	NewWorkerTracer func(worker int) MemTracer
 }
 
-// DefaultKernelConfig mirrors BWA-MEM2 defaults.
-func DefaultKernelConfig() KernelConfig {
-	return KernelConfig{MinSeedLen: 19, MinHits: 1, Threads: 1}
-}
-
 // KernelResult aggregates an fmi kernel execution.
 type KernelResult struct {
 	Reads      int

@@ -76,9 +76,6 @@ func (s Seq) String() string {
 	return b.String()
 }
 
-// Letter returns the ASCII letter for a base code.
-func Letter(b Base) byte { return baseLetters[b&3] }
-
 // Complement returns the Watson-Crick complement of a single base.
 func Complement(b Base) Base { return 3 - (b & 3) }
 
@@ -292,14 +289,4 @@ func EachKmer(s Seq, k int, fn func(pos int, code uint64)) {
 		code = (code<<2 | uint64(s[i+k-1]&3)) & mask
 		fn(i, code)
 	}
-}
-
-// KmerString decodes a packed k-mer code back into letters.
-func KmerString(code uint64, k int) string {
-	buf := make([]byte, k)
-	for i := k - 1; i >= 0; i-- {
-		buf[i] = baseLetters[code&3]
-		code >>= 2
-	}
-	return string(buf)
 }

@@ -32,7 +32,7 @@ func TestComplement(t *testing.T) {
 	pairs := [][2]Base{{A, T}, {C, G}, {G, C}, {T, A}}
 	for _, p := range pairs {
 		if got := Complement(p[0]); got != p[1] {
-			t.Errorf("Complement(%c) = %c, want %c", Letter(p[0]), Letter(got), Letter(p[1]))
+			t.Errorf("Complement(%v) = %v, want %v", Seq{p[0]}, Seq{got}, Seq{p[1]})
 		}
 	}
 }
@@ -148,13 +148,15 @@ func TestPlantVariantsZeroRateIsReference(t *testing.T) {
 
 func TestKmerCodeMatchesString(t *testing.T) {
 	s := MustFromString("ACGTACGT")
-	code := KmerCode(s, 0, 4)
-	if got := KmerString(code, 4); got != "ACGT" {
-		t.Errorf("KmerString(KmerCode) = %s, want ACGT", got)
+	// First base in the most significant 2-bit group: A=0 C=1 G=2 T=3.
+	if got := KmerCode(s, 0, 4); got != 0b00_01_10_11 {
+		t.Errorf("KmerCode(ACGT) = %#b", got)
 	}
-	code = KmerCode(s, 1, 3)
-	if got := KmerString(code, 3); got != "CGT" {
-		t.Errorf("KmerString = %s, want CGT", got)
+	if got := KmerCode(s, 1, 3); got != 0b01_10_11 {
+		t.Errorf("KmerCode(CGT) = %#b", got)
+	}
+	if got := KmerCode(s, 3, 2); got != 0b11_00 {
+		t.Errorf("KmerCode(TA) = %#b", got)
 	}
 }
 

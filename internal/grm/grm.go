@@ -130,20 +130,11 @@ func (g *Genotypes) standardizePanels() []float64 {
 	return zp
 }
 
-// Compute builds the N x N relationship matrix with tile blocking.
-// The result is symmetric; both triangles are filled.
-// It panics on failure; cancellable callers use ComputeCtx.
-func Compute(g *Genotypes, blockSize, threads int) ([]float64, uint64) {
-	out, flops, err := ComputeCtx(context.Background(), g, blockSize, threads)
-	if err != nil {
-		panic(err)
-	}
-	return out, flops
-}
-
-// ComputeCtx is Compute with cooperative cancellation and a fault
-// trip-point per block. Blocks of blockSize x blockSize outputs in the
-// upper triangle are the parallel tasks; inside a block the work is
+// ComputeCtx builds the N x N relationship matrix with tile blocking,
+// under cooperative cancellation and with a fault trip-point per
+// block. The result is symmetric; both triangles are filled. Blocks
+// of blockSize x blockSize outputs in the upper triangle are the
+// parallel tasks; inside a block the work is
 // done a register tile at a time (tile.go): tileRows x panelWidth
 // dot products advance together down the sites, each with its own
 // accumulator and its sites in ascending order, so every entry is
@@ -216,8 +207,8 @@ func ComputeCtx(ctx context.Context, g *Genotypes, blockSize, threads int) ([]fl
 
 // ComputeNaive is the unblocked O(N^2 S) baseline — every entry its
 // own dot product, one at a time — provided for the blocking ablation
-// and as the reference Compute must equal bit for bit; production use
-// should call Compute.
+// and as the reference ComputeCtx must equal bit for bit; production
+// use should call ComputeCtx.
 func ComputeNaive(g *Genotypes) []float64 {
 	z := g.Standardize()
 	n, s := g.N, g.S

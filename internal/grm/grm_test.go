@@ -30,7 +30,7 @@ func naiveGRM(g *Genotypes) []float64 {
 func TestComputeMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := Simulate(rng, 17, 100, 0) // awkward size vs block
-	got, flops := Compute(g, 8, 2)
+	got, flops := mustCompute(ComputeCtx(context.Background(), g, 8, 2))
 	want := naiveGRM(g)
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-9 {
@@ -45,7 +45,7 @@ func TestComputeMatchesNaive(t *testing.T) {
 func TestMatrixSymmetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := Simulate(rng, 30, 200, 0.2)
-	m, _ := Compute(g, 16, 4)
+	m, _ := mustCompute(ComputeCtx(context.Background(), g, 16, 4))
 	for i := 0; i < g.N; i++ {
 		for j := 0; j < g.N; j++ {
 			if m[i*g.N+j] != m[j*g.N+i] {
@@ -58,7 +58,7 @@ func TestMatrixSymmetric(t *testing.T) {
 func TestDiagonalNearOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := Simulate(rng, 50, 2000, 0)
-	m, _ := Compute(g, 32, 2)
+	m, _ := mustCompute(ComputeCtx(context.Background(), g, 32, 2))
 	var sum float64
 	for i := 0; i < g.N; i++ {
 		sum += m[i*g.N+i]
@@ -73,7 +73,7 @@ func TestDiagonalNearOne(t *testing.T) {
 func TestUnrelatedNearZeroOffDiagonal(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := Simulate(rng, 40, 5000, 0)
-	m, _ := Compute(g, 32, 2)
+	m, _ := mustCompute(ComputeCtx(context.Background(), g, 32, 2))
 	var sum float64
 	var count int
 	for i := 0; i < g.N; i++ {
@@ -93,7 +93,7 @@ func TestRelativesShowKinship(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	// Force individual 1 to be the child of individual 0.
 	g := Simulate(rng, 2, 8000, 1.0)
-	m, _ := Compute(g, 32, 1)
+	m, _ := mustCompute(ComputeCtx(context.Background(), g, 32, 1))
 	kinship := m[1] // G[0][1]
 	// Parent-child kinship in GRM terms is ~0.5.
 	if kinship < 0.3 || kinship > 0.7 {
@@ -104,8 +104,8 @@ func TestRelativesShowKinship(t *testing.T) {
 func TestBlockSizesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	g := Simulate(rng, 25, 300, 0.1)
-	a, _ := Compute(g, 4, 1)
-	b, _ := Compute(g, 64, 3)
+	a, _ := mustCompute(ComputeCtx(context.Background(), g, 4, 1))
+	b, _ := mustCompute(ComputeCtx(context.Background(), g, 64, 3))
 	for i := range a {
 		if math.Abs(a[i]-b[i]) > 1e-12 {
 			t.Fatalf("block size changed result at %d: %v vs %v", i, a[i], b[i])
@@ -148,7 +148,7 @@ func TestSimulateGenotypeRange(t *testing.T) {
 func TestComputeNaiveMatchesBlocked(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := Simulate(rng, 23, 150, 0.2)
-	blocked, _ := Compute(g, 8, 2)
+	blocked, _ := mustCompute(ComputeCtx(context.Background(), g, 8, 2))
 	naive := ComputeNaive(g)
 	for i := range naive {
 		if math.Abs(blocked[i]-naive[i]) > 1e-9 {
@@ -164,6 +164,14 @@ func must(res KernelResult, err error) KernelResult {
 		panic(err)
 	}
 	return res
+}
+
+// mustCompute unwraps a ComputeCtx result the same way.
+func mustCompute(m []float64, flops uint64, err error) ([]float64, uint64) {
+	if err != nil {
+		panic(err)
+	}
+	return m, flops
 }
 
 // forEachTier runs f once with the SIMD ceiling forced to "off" (the
@@ -197,7 +205,7 @@ func TestComputeDifferential(t *testing.T) {
 				wantFlops := uint64(n*(n+1)/2) * uint64(s)
 				for _, bs := range []int{1, 7, 8, 64} {
 					for _, threads := range []int{1, 2, 4} {
-						got, flops := Compute(g, bs, threads)
+						got, flops := mustCompute(ComputeCtx(context.Background(), g, bs, threads))
 						if flops != wantFlops {
 							t.Fatalf("N=%d S=%d block=%d threads=%d: flops %d, want %d", n, s, bs, threads, flops, wantFlops)
 						}
@@ -221,7 +229,7 @@ func TestComputeDifferential(t *testing.T) {
 func TestMonomorphicSiteContributesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := Simulate(rng, 9, 40, 0.2)
-	without, _ := Compute(g, 4, 2)
+	without, _ := mustCompute(ComputeCtx(context.Background(), g, 4, 2))
 
 	withMono := &Genotypes{N: g.N, S: g.S + 3, Counts: make([]uint8, g.N*(g.S+3))}
 	withMono.Freqs = append(append([]float64{}, g.Freqs...), 0, 1, math.NaN())
@@ -236,7 +244,7 @@ func TestMonomorphicSiteContributesNothing(t *testing.T) {
 			t.Fatalf("Standardize produced %v", z)
 		}
 	}
-	got, _ := Compute(withMono, 4, 2)
+	got, _ := mustCompute(ComputeCtx(context.Background(), withMono, 4, 2))
 	naive := ComputeNaive(withMono)
 	for i := range got {
 		want := without[i] * float64(g.S) / float64(withMono.S)
@@ -257,7 +265,7 @@ func TestComputeAllocsBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	allocs := func(n int) float64 {
 		g := Simulate(rng, n, 20, 0)
-		return testing.AllocsPerRun(5, func() { Compute(g, 8, 1) })
+		return testing.AllocsPerRun(5, func() { mustCompute(ComputeCtx(context.Background(), g, 8, 1)) })
 	}
 	small, large := allocs(8), allocs(96)
 	if small != large {
@@ -280,7 +288,7 @@ func BenchmarkGRMTile(b *testing.B) {
 			var macs uint64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, macs = Compute(g, 64, 1)
+				_, macs = mustCompute(ComputeCtx(context.Background(), g, 64, 1))
 			}
 			b.ReportMetric(float64(macs)*float64(b.N)/b.Elapsed().Seconds(), "MACs/s")
 		})

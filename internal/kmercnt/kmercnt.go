@@ -9,7 +9,6 @@ package kmercnt
 
 import (
 	"context"
-	"sort"
 
 	"repro/internal/faultinject"
 	"repro/internal/genome"
@@ -69,9 +68,6 @@ func NewTable(capacity int, mode Probing) *Table {
 
 // Len reports the number of distinct k-mers stored.
 func (t *Table) Len() int { return t.used }
-
-// Cap reports the slot count.
-func (t *Table) Cap() int { return len(t.keys) }
 
 // hash mixes a k-mer code (murmur-style finalizer).
 func hash(x uint64) uint64 {
@@ -247,58 +243,23 @@ func (t *Table) reinsert(stored uint64, count uint32) {
 	}
 }
 
-// Canonical returns the lexicographically smaller of a k-mer code and
-// its reverse complement, the standard counting key.
-func Canonical(code uint64, k int) uint64 {
-	rc := uint64(0)
-	x := code
-	for i := 0; i < k; i++ {
-		rc = rc<<2 | (3 - (x & 3))
-		x >>= 2
-	}
-	if rc < code {
-		return rc
-	}
-	return code
-}
-
 // CountSeq inserts every canonical k-mer of s into the table and
-// returns the number of k-mers processed. It is the scalar reference
-// implementation; CountSeqPackedBatched produces identical tables.
+// returns the number of k-mers processed. The canonical key is the
+// smaller of a k-mer code and its reverse complement, built here one
+// base at a time. It is the scalar reference implementation;
+// CountSeqPackedBatched produces identical tables.
 func CountSeq(t *Table, s genome.Seq, k int) uint64 {
 	var n uint64
 	genome.EachKmer(s, k, func(_ int, code uint64) {
-		t.Increment(Canonical(code, k))
+		rc, x := uint64(0), code
+		for i := 0; i < k; i++ {
+			rc = rc<<2 | (3 - (x & 3))
+			x >>= 2
+		}
+		t.Increment(min(code, rc))
 		n++
 	})
 	return n
-}
-
-// TopKmers returns the n most frequent k-mers (count-descending,
-// key-ascending for ties).
-func (t *Table) TopKmers(n int) []KmerCount {
-	var all []KmerCount
-	for i, key := range t.keys {
-		if key != 0 {
-			all = append(all, KmerCount{Kmer: key - 1, Count: t.counts[i]})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Count != all[j].Count {
-			return all[i].Count > all[j].Count
-		}
-		return all[i].Kmer < all[j].Kmer
-	})
-	if n < len(all) {
-		all = all[:n]
-	}
-	return all
-}
-
-// KmerCount pairs a k-mer code with its abundance.
-type KmerCount struct {
-	Kmer  uint64
-	Count uint32
 }
 
 // KernelResult aggregates a kmer-cnt benchmark execution.

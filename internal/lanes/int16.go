@@ -79,14 +79,6 @@ func (a I16x8) Add(b I16x8) I16x8 {
 	}
 }
 
-// AddS returns a + s with a scalar broadcast to every lane (wrapping).
-func (a I16x8) AddS(s int16) I16x8 {
-	return I16x8{
-		QuadI16{a.Lo.A + s, a.Lo.B + s, a.Lo.C + s, a.Lo.D + s},
-		QuadI16{a.Hi.A + s, a.Hi.B + s, a.Hi.C + s, a.Hi.D + s},
-	}
-}
-
 // addsI16 is the scalar saturating add: the exact sum clamped to the
 // int16 range instead of wrapped.
 func addsI16(a, b int16) int16 {

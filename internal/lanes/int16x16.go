@@ -70,11 +70,6 @@ func (a I16x16) Add(b I16x16) I16x16 {
 	return I16x16{a.Lo.Add(b.Lo), a.Hi.Add(b.Hi)}
 }
 
-// AddS returns a + s with a scalar broadcast to every lane (wrapping).
-func (a I16x16) AddS(s int16) I16x16 {
-	return I16x16{a.Lo.AddS(s), a.Hi.AddS(s)}
-}
-
 // Adds returns a + b element-wise, saturating at the int16 range —
 // VPADDSW / SQADD.
 func (a I16x16) Adds(b I16x16) I16x16 {

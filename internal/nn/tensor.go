@@ -102,25 +102,3 @@ func (t *Tensor) Softmax() *Tensor {
 	}
 	return t
 }
-
-// LogSoftmax converts each row to log-probabilities in place.
-func (t *Tensor) LogSoftmax() *Tensor {
-	for r := 0; r < t.Rows; r++ {
-		row := t.Row(r)
-		maxV := row[0]
-		for _, v := range row[1:] {
-			if v > maxV {
-				maxV = v
-			}
-		}
-		var sum float64
-		for _, v := range row {
-			sum += math.Exp(float64(v - maxV))
-		}
-		logSum := float32(math.Log(sum)) + maxV
-		for c := range row {
-			row[c] -= logSum
-		}
-	}
-	return t
-}

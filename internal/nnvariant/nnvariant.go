@@ -162,12 +162,6 @@ func (m *Model) MACsPerCall() uint64 {
 	return total
 }
 
-// Candidate is one position selected for calling.
-type Candidate struct {
-	Region int // region index
-	Pos    int // offset within the region's counts
-}
-
 // SelectCandidates returns positions whose pileup shows enough depth
 // and non-reference support to be worth calling, mirroring Clair's
 // candidate filter.

@@ -71,13 +71,6 @@ type Counters struct {
 // Add increments a class by n.
 func (c *Counters) Add(class OpClass, n uint64) { c.Ops[class] += n }
 
-// Merge adds other's counts into c.
-func (c *Counters) Merge(other *Counters) {
-	for i := range c.Ops {
-		c.Ops[i] += other.Ops[i]
-	}
-}
-
 // Total returns the total operation count across all classes.
 func (c *Counters) Total() uint64 {
 	var t uint64

@@ -20,17 +20,6 @@ func TestCountersAddTotal(t *testing.T) {
 	}
 }
 
-func TestCountersMerge(t *testing.T) {
-	var a, b Counters
-	a.Add(FloatOp, 3)
-	b.Add(FloatOp, 4)
-	b.Add(Branch, 1)
-	a.Merge(&b)
-	if a.Ops[FloatOp] != 7 || a.Ops[Branch] != 1 {
-		t.Errorf("merge result %+v", a.Ops)
-	}
-}
-
 func TestCountersFractionsSumToOne(t *testing.T) {
 	f := func(vals [7]uint16) bool {
 		var c Counters

@@ -39,7 +39,7 @@ func TestLikelihoodIntoDifferential(t *testing.T) {
 	s := NewScratch()
 	for trial := 0; trial < 200; trial++ {
 		read, qual, hap := randomReadHap(rng)
-		want := Likelihood(read, qual, hap)
+		want := LikelihoodInto(read, qual, hap, nil)
 		got := LikelihoodInto(read, qual, hap, s)
 		if got != want {
 			t.Fatalf("trial %d (|r|=%d |h|=%d): got %+v want %+v",
@@ -234,7 +234,7 @@ func BenchmarkEvaluateRegion(b *testing.B) {
 	b.Run("alloc", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			EvaluateRegion(rg)
+			EvaluateRegionScalarInto(rg, nil)
 		}
 	})
 	for _, tier := range []string{"avx2", "off"} {

@@ -203,12 +203,6 @@ type Result struct {
 	CellUpdates     uint64 // includes any fallback recomputation
 }
 
-// Likelihood computes log10 P(read | haplotype), attempting float32
-// first and falling back to float64 on underflow.
-func Likelihood(read genome.Seq, qual []byte, hap genome.Seq) Result {
-	return LikelihoodInto(read, qual, hap, nil)
-}
-
 // log10From32 converts a scaled float32 forward sum to a log10
 // likelihood; ok is false when the sum is too small (or not finite)
 // to trust and the pair needs the float64 redo.
@@ -258,8 +252,10 @@ type pairRef struct{ h, r int32 }
 // NewScratch returns an empty Scratch; buffers grow on first use.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// LikelihoodInto is Likelihood using s's reusable DP rows; a nil s
-// allocates fresh ones. Results do not depend on s.
+// LikelihoodInto computes log10 P(read | haplotype), attempting
+// float32 first and falling back to float64 on underflow. It uses s's
+// reusable DP rows; a nil s allocates fresh ones. Results do not depend
+// on s.
 func LikelihoodInto(read genome.Seq, qual []byte, hap genome.Seq, s *Scratch) Result {
 	if len(read) == 0 || len(hap) == 0 {
 		return Result{Log10Likelihood: math.Inf(-1)}
@@ -295,14 +291,9 @@ type RegionResult struct {
 	Fallbacks   int
 }
 
-// EvaluateRegion runs all pairwise alignments of one region.
-func EvaluateRegion(rg *Region) RegionResult {
-	return EvaluateRegionScalarInto(rg, nil)
-}
-
-// EvaluateRegionInto is EvaluateRegion computing into s's reusable
-// storage; the returned slices are owned by s and valid until the next
-// call. A nil s allocates fresh storage. Every float32 forward pass is
+// EvaluateRegionInto runs all pairwise alignments of one region into
+// s's reusable storage; the returned slices are owned by s and valid
+// until the next call. A nil s allocates fresh storage. Every float32 forward pass is
 // lane-batched. Full groups of eight haplotypes run the haplotype
 // lanes (lanes.go): their likelihoods match the scalar reference
 // within laneTolerance. Every other haplotype — all of them in a

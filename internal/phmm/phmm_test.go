@@ -40,7 +40,7 @@ func TestPerfectReadLikelihoodNearExpected(t *testing.T) {
 	hap := genome.Random(rng, 100)
 	read := hap[20:70].Clone()
 	q := byte(30)
-	res := Likelihood(read, uniformQual(len(read), q), hap)
+	res := LikelihoodInto(read, uniformQual(len(read), q), hap, nil)
 	// A perfectly matching read: likelihood ~ (1/n) * prod(priorMatch * tMM)
 	// summed over one dominant path.
 	err := math.Pow(10, -3)
@@ -59,10 +59,10 @@ func TestMismatchLowersLikelihood(t *testing.T) {
 	hap := genome.Random(rng, 80)
 	read := hap[10:60].Clone()
 	qual := uniformQual(len(read), 30)
-	perfect := Likelihood(read, qual, hap).Log10Likelihood
+	perfect := LikelihoodInto(read, qual, hap, nil).Log10Likelihood
 	mut := read.Clone()
 	mut[25] = genome.Complement(mut[25])
-	mutated := Likelihood(mut, qual, hap).Log10Likelihood
+	mutated := LikelihoodInto(mut, qual, hap, nil).Log10Likelihood
 	if mutated >= perfect {
 		t.Errorf("mismatch likelihood %v not below perfect %v", mutated, perfect)
 	}
@@ -84,10 +84,10 @@ func TestLowQualityMismatchCostsLess(t *testing.T) {
 	qualLow := uniformQual(len(read), 40)
 	qualLow[25] = 5 // basecaller flags the mismatching base as unreliable
 
-	dropHigh := Likelihood(read, qualHigh, hap).Log10Likelihood -
-		Likelihood(mut, qualHigh, hap).Log10Likelihood
-	dropLow := Likelihood(read, qualLow, hap).Log10Likelihood -
-		Likelihood(mut, qualLow, hap).Log10Likelihood
+	dropHigh := LikelihoodInto(read, qualHigh, hap, nil).Log10Likelihood -
+		LikelihoodInto(mut, qualHigh, hap, nil).Log10Likelihood
+	dropLow := LikelihoodInto(read, qualLow, hap, nil).Log10Likelihood -
+		LikelihoodInto(mut, qualLow, hap, nil).Log10Likelihood
 	if dropLow >= dropHigh {
 		t.Errorf("low-quality mismatch drop %v not below high-quality %v", dropLow, dropHigh)
 	}
@@ -100,7 +100,7 @@ func TestLongReadTriggersDoubleFallback(t *testing.T) {
 	hap := genome.Random(rng, 12000)
 	read := hap[:10000].Clone()
 	qual := uniformQual(len(read), 30)
-	res := Likelihood(read, qual, hap)
+	res := LikelihoodInto(read, qual, hap, nil)
 	if !res.UsedDouble {
 		t.Skip("float32 survived; fallback not exercised at this length")
 	}
@@ -122,14 +122,14 @@ func TestReadPrefersTrueHaplotype(t *testing.T) {
 		Quals: [][]byte{qual},
 		Haps:  []genome.Seq{hapA, hapB},
 	}
-	res := EvaluateRegion(rg)
+	res := EvaluateRegionScalarInto(rg, nil)
 	if res.BestHap[0] != 1 {
 		t.Errorf("read assigned to hap %d, want 1 (likelihoods %v)", res.BestHap[0], res.Likelihoods)
 	}
 }
 
 func TestEmptyInputs(t *testing.T) {
-	res := Likelihood(nil, nil, genome.MustFromString("ACGT"))
+	res := LikelihoodInto(nil, nil, genome.MustFromString("ACGT"), nil)
 	if !math.IsInf(res.Log10Likelihood, -1) {
 		t.Error("empty read should have -Inf likelihood")
 	}
@@ -165,7 +165,7 @@ func TestRunKernelConsistency(t *testing.T) {
 func TestCellUpdatesCount(t *testing.T) {
 	hap := genome.MustFromString("ACGTACGTAC")
 	read := genome.MustFromString("ACGTA")
-	res := Likelihood(read, uniformQual(5, 30), hap)
+	res := LikelihoodInto(read, uniformQual(5, 30), hap, nil)
 	if res.CellUpdates != 50 {
 		t.Errorf("CellUpdates = %d, want 50", res.CellUpdates)
 	}

@@ -2,7 +2,6 @@ package pileup
 
 import (
 	"math/rand"
-	"strconv"
 	"testing"
 
 	"repro/internal/genome"
@@ -48,7 +47,7 @@ func TestCountRegionPackedRunLengths(t *testing.T) {
 	for _, runLen := range []int{1, 4, 15, 16, 17, 31, 32, 33, 64, 65, 127} {
 		for _, clip := range []int{0, 1, 7, 31, 32, 45} {
 			seq := genome.Random(rng, clip+runLen)
-			cig := mustCigar(t, clipCigar(clip, runLen))
+			cig := clipCigar(clip, runLen)
 			for _, pos := range []int{95, 100, 150 - runLen/2, 200 - runLen, 197} {
 				for _, packed := range []bool{false, true} {
 					a := &simio.Alignment{Pos: pos, Cigar: cig, Seq: seq, Reverse: runLen%2 == 0}
@@ -80,7 +79,7 @@ func TestCountRegionShortRunExhaustive(t *testing.T) {
 	seq := genome.Random(rng, 96)
 	for runLen := 1; runLen < packedRunCutover; runLen++ {
 		for phase := 0; phase < 32; phase++ {
-			cig := mustCigar(t, clipCigar(phase, runLen))
+			cig := clipCigar(phase, runLen)
 			a := &simio.Alignment{Pos: 100, Cigar: cig, Seq: seq[:phase+runLen], Reverse: phase%2 == 1}
 			a.Pack()
 			rg := &Region{Start: 100, End: 200, Alignments: []*simio.Alignment{a}}
@@ -118,7 +117,7 @@ func TestCountRegionForcedPolicies(t *testing.T) {
 			defer wordRunMin.Set(pol.word)()
 			for runLen := 1; runLen < packedRunCutover; runLen += 3 {
 				for phase := 0; phase < 32; phase += 5 {
-					cig := mustCigar(t, clipCigar(phase, runLen))
+					cig := clipCigar(phase, runLen)
 					a := &simio.Alignment{Pos: 100, Cigar: cig, Seq: seq[:phase+runLen], Reverse: phase%2 == 1}
 					a.Pack()
 					rg := &Region{Start: 100, End: 200, Alignments: []*simio.Alignment{a}}
@@ -152,9 +151,9 @@ func TestProbeRunThresholds(t *testing.T) {
 	}
 }
 
-func clipCigar(clip, runLen int) string {
+func clipCigar(clip, runLen int) simio.Cigar {
 	if clip == 0 {
-		return strconv.Itoa(runLen) + "M"
+		return simio.Cigar{{Len: runLen, Op: simio.CigarMatch}}
 	}
-	return strconv.Itoa(clip) + "S" + strconv.Itoa(runLen) + "M"
+	return simio.Cigar{{Len: clip, Op: simio.CigarSoftClip}, {Len: runLen, Op: simio.CigarMatch}}
 }

@@ -10,18 +10,9 @@ import (
 	"repro/internal/simio"
 )
 
-func mustCigar(t *testing.T, s string) simio.Cigar {
-	t.Helper()
-	c, err := simio.ParseCigar(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
 func TestCountRegionPerfectAlignment(t *testing.T) {
 	seq := genome.MustFromString("ACGTACGT")
-	a := &simio.Alignment{Pos: 10, Cigar: mustCigar(t, "8M"), Seq: seq}
+	a := &simio.Alignment{Pos: 10, Cigar: simio.Cigar{{Len: 8, Op: simio.CigarMatch}}, Seq: seq}
 	rg := &Region{Start: 0, End: 30, Alignments: []*simio.Alignment{a}}
 	counts, reads := CountRegion(rg)
 	if reads != 1 {
@@ -29,7 +20,7 @@ func TestCountRegionPerfectAlignment(t *testing.T) {
 	}
 	for i, b := range seq {
 		if counts[10+i].Base[0][b] != 1 {
-			t.Errorf("position %d base %c not counted", 10+i, genome.Letter(b))
+			t.Errorf("position %d base %v not counted", 10+i, genome.Seq{b})
 		}
 		if counts[10+i].Depth() != 1 {
 			t.Errorf("position %d depth %d", 10+i, counts[10+i].Depth())
@@ -43,7 +34,7 @@ func TestCountRegionPerfectAlignment(t *testing.T) {
 func TestCountRegionIndelsAndClips(t *testing.T) {
 	// 2S3M1I2M2D1M: read = SSMMMIMMM, ref spans 3+2+2+1 = 8 bases.
 	seq := genome.MustFromString("TTACGTAAC")
-	a := &simio.Alignment{Pos: 5, Cigar: mustCigar(t, "2S3M1I2M2D1M"), Seq: seq, Reverse: true}
+	a := &simio.Alignment{Pos: 5, Cigar: simio.Cigar{{Len: 2, Op: simio.CigarSoftClip}, {Len: 3, Op: simio.CigarMatch}, {Len: 1, Op: simio.CigarIns}, {Len: 2, Op: simio.CigarMatch}, {Len: 2, Op: simio.CigarDel}, {Len: 1, Op: simio.CigarMatch}}, Seq: seq, Reverse: true}
 	if err := a.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +86,7 @@ func seqBaseAt(t *testing.T, a *simio.Alignment, pos int) genome.Base {
 
 func TestRegionClipping(t *testing.T) {
 	seq := genome.MustFromString("AAAAAAAAAA")
-	a := &simio.Alignment{Pos: 95, Cigar: mustCigar(t, "10M"), Seq: seq}
+	a := &simio.Alignment{Pos: 95, Cigar: simio.Cigar{{Len: 10, Op: simio.CigarMatch}}, Seq: seq}
 	rg := &Region{Start: 100, End: 110, Alignments: []*simio.Alignment{a}}
 	counts, _ := CountRegion(rg)
 	// Only positions 100-104 fall inside the window.
@@ -109,8 +100,8 @@ func TestRegionClipping(t *testing.T) {
 }
 
 func TestSplitRegionsAssignsOverlaps(t *testing.T) {
-	a1 := &simio.Alignment{Pos: 50, Cigar: mustCigar(t, "100M"), Seq: make(genome.Seq, 100)}
-	a2 := &simio.Alignment{Pos: 950, Cigar: mustCigar(t, "100M"), Seq: make(genome.Seq, 100)} // spans two windows
+	a1 := &simio.Alignment{Pos: 50, Cigar: simio.Cigar{{Len: 100, Op: simio.CigarMatch}}, Seq: make(genome.Seq, 100)}
+	a2 := &simio.Alignment{Pos: 950, Cigar: simio.Cigar{{Len: 100, Op: simio.CigarMatch}}, Seq: make(genome.Seq, 100)} // spans two windows
 	regions := SplitRegions(2000, []*simio.Alignment{a1, a2}, 1000)
 	if len(regions) != 2 {
 		t.Fatalf("got %d regions", len(regions))

@@ -8,7 +8,7 @@ import (
 	"repro/internal/seq2"
 )
 
-// Lane-batched row sweep for AddSequenceMode.
+// Lane-batched row sweep for AddSequence.
 //
 // The scalar DP walks one cell at a time: per cell it chases the
 // node's in-edge list, looks each predecessor up through rank[], takes
@@ -80,9 +80,9 @@ func laneEligible(p Params, V, n int) bool {
 	return p.Gap <= 0 && maxAbs*int64(V+n+16) <= 32000
 }
 
-// addSequenceLanes is the lane-batched AddSequenceMode body. order is
-// the current topological order; the caller has verified eligibility.
-func (g *Graph) addSequenceLanes(seq genome.Seq, p Params, mode AlignMode, order []int32) {
+// addSequenceLanes is the lane-batched AddSequence body. order is the
+// current topological order; the caller has verified eligibility.
+func (g *Graph) addSequenceLanes(seq genome.Seq, p Params, order []int32) {
 	n := len(seq)
 	V := len(order)
 	c := g.csrSnapshot(order)
@@ -125,19 +125,14 @@ func (g *Graph) addSequenceLanes(seq genome.Seq, p Params, mode AlignMode, order
 		if len(plist) == 0 {
 			plist = virtualStartRow
 		}
-		// Column 0 consumes graph nodes only; it stays scalar. In
-		// FitMode leading graph nodes are free.
-		if mode == FitMode {
-			score[row] = 0
-		} else {
-			best0 := score[int(plist[0])*wpad] + gap16
-			for _, pr := range plist[1:] {
-				if s := score[int(pr)*wpad] + gap16; s > best0 {
-					best0 = s
-				}
+		// Column 0 consumes graph nodes only; it stays scalar.
+		best0 := score[int(plist[0])*wpad] + gap16
+		for _, pr := range plist[1:] {
+			if s := score[int(pr)*wpad] + gap16; s > best0 {
+				best0 = s
 			}
-			score[row] = best0
 		}
+		score[row] = best0
 		// Resolve predecessor rows to element offsets once; the row
 		// kernels then touch nothing but flat arrays.
 		g.predOff = scratch.Grow(g.predOff, len(plist))
@@ -154,11 +149,11 @@ func (g *Graph) addSequenceLanes(seq genome.Seq, p Params, mode AlignMode, order
 	}
 	g.CellUpdates += uint64(V) * uint64(n)
 	// End-cell selection, identical to the scalar scan: global
-	// alignment must end at a graph sink, fit alignment anywhere.
+	// alignment must end at a graph sink.
 	endRow := int32(-1)
 	var endScore int16
 	for r := 0; r < V; r++ {
-		if mode == GlobalMode && c.outDeg[r] != 0 {
+		if c.outDeg[r] != 0 {
 			continue
 		}
 		s := score[(r+1)*wpad+n]
@@ -170,7 +165,7 @@ func (g *Graph) addSequenceLanes(seq genome.Seq, p Params, mode AlignMode, order
 	if endRow < 0 {
 		endRow = int32(V)
 	}
-	g.laneBacktrack(seq, order, c, mode, wpad, endRow, p)
+	g.laneBacktrack(seq, order, c, wpad, endRow, p)
 	g.fusePath(seq)
 }
 
@@ -183,7 +178,7 @@ func (g *Graph) addSequenceLanes(seq genome.Seq, p Params, mode AlignMode, order
 // moveT/movePred decisions without the forward pass storing them.
 // Cost is O(preds) per visited cell over at most V+n cells — noise
 // next to the O(E*n) sweep.
-func (g *Graph) laneBacktrack(seq genome.Seq, order []int32, c *csr, mode AlignMode, wpad int, endRow int32, p Params) {
+func (g *Graph) laneBacktrack(seq genome.Seq, order []int32, c *csr, wpad int, endRow int32, p Params) {
 	score := g.score16
 	match16, mism16, gap16 := int16(p.Match), int16(p.Mismatch), int16(p.Gap)
 	path := g.path[:0]
@@ -202,9 +197,6 @@ func (g *Graph) laneBacktrack(seq genome.Seq, order []int32, c *csr, mode AlignM
 			plist = virtualStartRow
 		}
 		if j == 0 {
-			if mode == FitMode {
-				break // free leading graph nodes: moveStart
-			}
 			// Column 0 is always moveUp; recover the predecessor.
 			s := score[r*wpad]
 			path = append(path, aligned{order[r-1], -1})

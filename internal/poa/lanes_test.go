@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/cpufeat"
 	"repro/internal/genome"
 	"repro/internal/lanes"
 )
@@ -12,12 +13,12 @@ import (
 // checks that every observable the backtracked fusion depends on is
 // bit-identical: the full DP score table (int32 vs int16 cells), the
 // backtracked path, the fused graph shape, and CellUpdates.
-func addBoth(t *testing.T, gs, gl *Graph, seq genome.Seq, p Params, mode AlignMode, trial, step int) {
+func addBoth(t *testing.T, gs, gl *Graph, seq genome.Seq, p Params, trial, step int) {
 	t.Helper()
 	gs.forceScalar = true
 	gl.forceLanes = true // pin the path under test past the measured work floor
-	gs.AddSequenceMode(seq, p, mode)
-	gl.AddSequenceMode(seq, p, mode)
+	gs.AddSequence(seq, p)
+	gl.AddSequence(seq, p)
 	if gs.NumNodes() != gl.NumNodes() || gs.NumEdges() != gl.NumEdges() {
 		t.Fatalf("trial %d step %d: graph shape diverged: scalar %d nodes/%d edges, lanes %d/%d",
 			trial, step, gs.NumNodes(), gs.NumEdges(), gl.NumNodes(), gl.NumEdges())
@@ -71,7 +72,7 @@ func TestLanesScalarDifferential(t *testing.T) {
 					t.Fatalf("trial %d step %d: window unexpectedly ineligible (V=%d n=%d)", trial, step, V, len(seq))
 				}
 			}
-			addBoth(t, gs, gl, seq, p, GlobalMode, trial, step)
+			addBoth(t, gs, gl, seq, p, trial, step)
 			if step > 0 { // first sequence seeds the backbone, no DP
 				compareScoreTables(t, gs, gl, V, len(seq), trial, step)
 			}
@@ -79,35 +80,6 @@ func TestLanesScalarDifferential(t *testing.T) {
 		cs, cl := gs.Consensus(), gl.Consensus()
 		if !cs.Equal(cl) {
 			t.Fatalf("trial %d: consensus differs:\nscalar %v\nlanes  %v", trial, cs, cl)
-		}
-	}
-}
-
-// TestLanesScalarDifferentialFitMode covers the FitMode column-0 and
-// moveStart recovery paths (free leading/trailing graph nodes).
-func TestLanesScalarDifferentialFitMode(t *testing.T) {
-	rng := rand.New(rand.NewSource(52))
-	p := DefaultParams()
-	for trial := 0; trial < 20; trial++ {
-		backbone := genome.Random(rng, 80+rng.Intn(120))
-		gs, gl := New(), New()
-		addBoth(t, gs, gl, backbone, p, GlobalMode, trial, 0)
-		for step := 1; step <= 4; step++ {
-			// A chunk of the backbone with a few mutations, aligned in
-			// FitMode as the chunked-window fusion does.
-			lo := rng.Intn(len(backbone) / 2)
-			hi := lo + 20 + rng.Intn(len(backbone)-lo-20)
-			chunk := backbone[lo:hi].Clone()
-			for k := 0; k < len(chunk)/12+1; k++ {
-				chunk[rng.Intn(len(chunk))] = genome.Base(rng.Intn(4))
-			}
-			V := gs.NumNodes()
-			addBoth(t, gs, gl, chunk, p, FitMode, trial, step)
-			compareScoreTables(t, gs, gl, V, len(chunk), trial, step)
-		}
-		cs, cl := gs.Consensus(), gl.Consensus()
-		if !cs.Equal(cl) {
-			t.Fatalf("trial %d: FitMode consensus differs", trial)
 		}
 	}
 }
@@ -128,7 +100,7 @@ func TestLanesScalarDifferentialParams(t *testing.T) {
 			w := randomWindow(rng)
 			gs, gl := New(), New()
 			for step, seq := range w.Sequences {
-				addBoth(t, gs, gl, seq, p, GlobalMode, pi*100+trial, step)
+				addBoth(t, gs, gl, seq, p, pi*100+trial, step)
 			}
 			cs, cl := gs.Consensus(), gl.Consensus()
 			if !cs.Equal(cl) {
@@ -190,13 +162,13 @@ func TestBarelyIneligibleForcedWideFallsBack(t *testing.T) {
 
 	gs := New()
 	gs.forceScalar = true
-	gs.AddSequenceMode(backbone, p, GlobalMode)
-	gs.AddSequenceMode(mutated, p, GlobalMode)
+	gs.AddSequence(backbone, p)
+	gs.AddSequence(mutated, p)
 
 	gw := New()
 	gw.forceLanes = true
-	gw.AddSequenceMode(backbone, p, GlobalMode)
-	gw.AddSequenceMode(mutated, p, GlobalMode)
+	gw.AddSequence(backbone, p)
+	gw.AddSequence(mutated, p)
 
 	if len(gw.score16) != 0 {
 		t.Fatal("barely-ineligible window still took the wide int16 path under forced dispatch")
@@ -287,6 +259,60 @@ func TestProbeWideMinWork(t *testing.T) {
 	if got < 0 || got > lanes.WideMinWorkCap {
 		t.Fatalf("probe returned %d, out of [0, %d]", got, lanes.WideMinWorkCap)
 	}
+}
+
+// FuzzConsensusLaneBoundary drives laneEligible's int16 range proof
+// from both sides. The fuzzer picks the scoring and a split; the
+// backbone length V and the second sequence's length n sum to the
+// proof's largest eligible V+n plus delta (clamped to [-2, 2]), so the
+// second alignment is the last eligible one at delta <= 0 and the
+// first that must take the scalar path above it. A third sequence, a
+// noisy copy of the second, aligns against the grown graph. With the
+// work floor at zero, ConsensusInto must equal ConsensusScalarInto in
+// consensus and cells on the dispatched tier and with the SIMD ceiling
+// forced off.
+func FuzzConsensusLaneBoundary(f *testing.F) {
+	for _, delta := range []int8{-1, 0, 1} {
+		f.Add(int64(1), uint8(2), uint8(4), uint8(0), uint8(128), delta)   // maxAbs 16: V+n around 1984
+		f.Add(int64(2), uint8(63), uint8(10), uint8(20), uint8(40), delta) // maxAbs 64: V+n around 484
+	}
+	f.Fuzz(func(t *testing.T, seed int64, match, mismatch, gap, split uint8, delta int8) {
+		p := Params{Match: 1 + int32(match%64), Mismatch: -int32(mismatch % 65), Gap: -16 - int32(gap%49)}
+		maxAbs := max(p.Match, -p.Mismatch, -p.Gap)
+		d := max(-2, min(2, int(delta)))
+		total := 32000/int(maxAbs) - 16 + d
+		V := max(1, min(total-1, total*int(split)/255))
+		n := total - V
+		if got, want := laneEligible(p, V, n), d <= 0; got != want {
+			t.Fatalf("laneEligible(%+v, %d, %d) = %v at delta %d", p, V, n, got, d)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		backbone := genome.Random(rng, V)
+		noisy := func(src genome.Seq, length int) genome.Seq {
+			out := make(genome.Seq, length)
+			for i := range out {
+				out[i] = src[i*len(src)/length]
+				if rng.Intn(10) == 0 {
+					out[i] = genome.Base(rng.Intn(4))
+				}
+			}
+			return out
+		}
+		second := noisy(backbone, n)
+		w := &Window{Sequences: []genome.Seq{backbone, second, noisy(second, n)}}
+		defer lanes.WideMinWork.Set(0)()
+		want, wantCells := ConsensusScalarInto(w, p, New())
+		check := func(tier string) {
+			got, cells := ConsensusInto(w, p, New())
+			if !got.Equal(want) || cells != wantCells {
+				t.Fatalf("%s: ConsensusInto (%d bases, %d cells) != scalar (%d bases, %d cells); params %+v V=%d n=%d",
+					tier, len(got), cells, len(want), wantCells, p, V, n)
+			}
+		}
+		check("dispatched")
+		defer cpufeat.ForceForTest("off")()
+		check("portable")
+	})
 }
 
 // BenchmarkAddSequenceLanes is the scalar-vs-lane single-thread pair

@@ -27,7 +27,7 @@ func TestConsensusIntoDifferential(t *testing.T) {
 	g := New()
 	for trial := 0; trial < 40; trial++ {
 		w := randomWindow(rng)
-		wantCons, wantCells := ConsensusOf(w, DefaultParams())
+		wantCons, wantCells := ConsensusInto(w, DefaultParams(), New())
 		gotCons, gotCells := ConsensusInto(w, DefaultParams(), g)
 		if !gotCons.Equal(wantCons) {
 			t.Fatalf("trial %d: consensus differs:\n got %v\nwant %v", trial, gotCons, wantCons)
@@ -47,7 +47,7 @@ func TestResetReuseAcrossSizes(t *testing.T) {
 		big := randomWindow(rng)
 		small := &Window{Sequences: []genome.Seq{genome.Random(rng, 10)}}
 		for _, w := range []*Window{big, small, big} {
-			want, _ := ConsensusOf(w, DefaultParams())
+			want, _ := ConsensusInto(w, DefaultParams(), New())
 			got, _ := ConsensusInto(w, DefaultParams(), g)
 			if !got.Equal(want) {
 				t.Fatalf("trial %d: consensus differs after size change", trial)
@@ -67,7 +67,7 @@ func TestConsensusIntoAllocsBounded(t *testing.T) {
 		ConsensusInto(w, DefaultParams(), g)
 	})
 	fresh := testing.AllocsPerRun(20, func() {
-		ConsensusOf(w, DefaultParams())
+		ConsensusInto(w, DefaultParams(), New())
 	})
 	// One allocation for the returned consensus; allow a little slack
 	// for map-free incidentals but stay far under the fresh-graph cost.
@@ -91,7 +91,7 @@ func BenchmarkConsensus(b *testing.B) {
 	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ConsensusOf(windows[i%len(windows)], p)
+			ConsensusInto(windows[i%len(windows)], p, New())
 		}
 	})
 	b.Run("pooled", func(b *testing.B) {

@@ -8,7 +8,6 @@ package poa
 
 import (
 	"context"
-	"errors"
 
 	"repro/internal/faultinject"
 	"repro/internal/genome"
@@ -161,26 +160,12 @@ func (g *Graph) addEdge(from, to int32, w int32) {
 	g.dirty = true
 }
 
-// ErrCycle reports a partial-order graph that is no longer acyclic.
-// A well-formed POA graph is a DAG by construction; hitting this means
-// the graph was corrupted (a kernel bug or injected fault).
-var ErrCycle = errors.New("poa: graph has a cycle")
-
 // topoOrder returns (computing if needed) a topological order via
-// Kahn's algorithm. It panics on a cyclic graph; callers that prefer
-// errors use topoOrderChecked via the Checked API.
+// Kahn's algorithm. A well-formed POA graph is a DAG by construction,
+// so a cycle means the graph was corrupted by a kernel bug: it panics.
 func (g *Graph) topoOrder() []int32 {
-	order, err := g.topoOrderChecked()
-	if err != nil {
-		panic(err.Error())
-	}
-	return order
-}
-
-// topoOrderChecked is topoOrder returning ErrCycle instead of panicking.
-func (g *Graph) topoOrderChecked() ([]int32, error) {
 	if !g.dirty && g.topo != nil {
-		return g.topo, nil
+		return g.topo
 	}
 	n := len(g.nodes)
 	g.indeg = scratch.Grow(g.indeg, n)
@@ -210,65 +195,26 @@ func (g *Graph) topoOrderChecked() ([]int32, error) {
 	}
 	g.queue = queue
 	if len(order) != n {
-		return nil, ErrCycle
+		panic("poa: graph has a cycle")
 	}
 	g.topo = order
 	g.dirty = false
-	return order, nil
+	return order
 }
 
 // move codes for backtracking.
 const (
-	moveNone  = 0
 	moveDiag  = 1 // consume graph node + sequence base
 	moveUp    = 2 // consume graph node (deletion in sequence)
 	moveLeft  = 3 // consume sequence base (insertion)
 	moveStart = 4
 )
 
-// AlignMode selects how a sequence is placed against the graph.
-type AlignMode int
-
-// Alignment modes.
-const (
-	// GlobalMode aligns the whole sequence against a full source-to-
-	// sink path of the graph (Racon's window-consensus setting).
-	GlobalMode AlignMode = iota
-	// FitMode aligns the whole sequence against any contiguous part of
-	// the graph: leading and trailing graph nodes are free. Used when
-	// fusing a short chunk into a longer window graph.
-	FitMode
-)
-
-// AddSequence aligns seq to the graph (global alignment) and fuses it
-// in, updating edge weights. The first sequence simply seeds a linear
-// backbone.
+// AddSequence aligns the whole of seq against a full source-to-sink
+// path of the graph (global alignment, Racon's window-consensus
+// setting) and fuses it in, updating edge weights. The first sequence
+// simply seeds a linear backbone.
 func (g *Graph) AddSequence(seq genome.Seq, p Params) {
-	g.AddSequenceMode(seq, p, GlobalMode)
-}
-
-// AddSequenceChecked is AddSequence returning ErrCycle instead of
-// panicking when the graph has been corrupted into a cycle.
-func (g *Graph) AddSequenceChecked(seq genome.Seq, p Params) error {
-	return g.AddSequenceModeChecked(seq, p, GlobalMode)
-}
-
-// AddSequenceModeChecked is AddSequenceMode returning ErrCycle instead
-// of panicking. The cycle check runs up front; alignment and fusion
-// only ever extend a valid DAG, so a graph that passes cannot panic
-// mid-update.
-func (g *Graph) AddSequenceModeChecked(seq genome.Seq, p Params, mode AlignMode) error {
-	if len(seq) > 0 && len(g.nodes) > 0 {
-		if _, err := g.topoOrderChecked(); err != nil {
-			return err
-		}
-	}
-	g.AddSequenceMode(seq, p, mode)
-	return nil
-}
-
-// AddSequenceMode is AddSequence with an explicit alignment mode.
-func (g *Graph) AddSequenceMode(seq genome.Seq, p Params, mode AlignMode) {
 	if len(seq) == 0 {
 		return
 	}
@@ -293,7 +239,7 @@ func (g *Graph) AddSequenceMode(seq genome.Seq, p Params, mode AlignMode) {
 	// microprobe never consult the tunable mid-resolution).
 	if !g.forceScalar && laneEligible(p, V, n) &&
 		(g.forceLanes || V*n >= lanes.WideMinWork.Get()) {
-		g.addSequenceLanes(seq, p, mode, order)
+		g.addSequenceLanes(seq, p, order)
 		return
 	}
 	// rank[v] is the DP row of node v. All DP buffers are grow-only
@@ -320,31 +266,24 @@ func (g *Graph) AddSequenceMode(seq genome.Seq, p Params, mode AlignMode) {
 	for r, v := range order {
 		row := (r + 1) * width
 		nd := &g.nodes[v]
-		// Column 0: consume graph nodes only. In FitMode leading graph
-		// nodes are free, so every row restarts at zero.
-		if mode == FitMode {
-			score[row] = 0
-			moveT[row] = moveStart
-			movePred[row] = 0
-		} else {
-			best0 := int32(p.Gap) // from virtual start
-			bestP0 := int32(0)    // row index of predecessor (0 = start)
-			if len(nd.in) > 0 {
-				first := true
-				for _, e := range nd.in {
-					pr := int32(rank[e.to]) + 1
-					s := score[pr*int32(width)] + p.Gap
-					if first || s > best0 {
-						best0 = s
-						bestP0 = pr
-						first = false
-					}
+		// Column 0: consume graph nodes only.
+		best0 := int32(p.Gap) // from virtual start
+		bestP0 := int32(0)    // row index of predecessor (0 = start)
+		if len(nd.in) > 0 {
+			first := true
+			for _, e := range nd.in {
+				pr := int32(rank[e.to]) + 1
+				s := score[pr*int32(width)] + p.Gap
+				if first || s > best0 {
+					best0 = s
+					bestP0 = pr
+					first = false
 				}
 			}
-			score[row] = best0
-			moveT[row] = moveUp
-			movePred[row] = bestP0
 		}
+		score[row] = best0
+		moveT[row] = moveUp
+		movePred[row] = bestP0
 		for j := 1; j <= n; j++ {
 			g.CellUpdates++
 			sub := p.Mismatch
@@ -392,12 +331,11 @@ func (g *Graph) AddSequenceMode(seq genome.Seq, p Params, mode AlignMode) {
 		}
 	}
 	// Global alignment ends having consumed the whole sequence at some
-	// graph sink (node with no out-edges); fit alignment may end at any
-	// node (trailing graph is free). Pick the best admissible row.
+	// graph sink (node with no out-edges). Pick the best such row.
 	endRow := int32(-1)
 	var endScore int32
 	for r, v := range order {
-		if mode == GlobalMode && len(g.nodes[v].out) != 0 {
+		if len(g.nodes[v].out) != 0 {
 			continue
 		}
 		s := score[(r+1)*width+n]
@@ -535,34 +473,17 @@ func (g *Graph) Consensus() genome.Seq {
 	return out
 }
 
-// ConsensusChecked is Consensus returning ErrCycle instead of
-// panicking when the graph has been corrupted into a cycle.
-func (g *Graph) ConsensusChecked() (genome.Seq, error) {
-	if len(g.nodes) == 0 {
-		return nil, nil
-	}
-	if _, err := g.topoOrderChecked(); err != nil {
-		return nil, err
-	}
-	return g.Consensus(), nil
-}
-
 // Window is one consensus task: the read chunks covering one target
 // window, processed on a single thread as in Racon.
 type Window struct {
 	Sequences []genome.Seq
 }
 
-// ConsensusOf builds the POA for a window and returns its consensus
-// plus the DP cells computed.
-func ConsensusOf(w *Window, p Params) (genome.Seq, uint64) {
-	return ConsensusInto(w, p, New())
-}
-
-// ConsensusInto is ConsensusOf reusing g's node, edge, and DP storage:
-// the graph is Reset and rebuilt, so a worker looping over windows
-// with one graph stops allocating once its buffers have grown to the
-// largest window seen. The returned consensus is freshly allocated and
+// ConsensusInto builds the POA for a window in g and returns its
+// consensus plus the DP cells computed. g's node, edge, and DP storage
+// is Reset and reused, so a worker looping over windows with one graph
+// stops allocating once its buffers have grown to the largest window
+// seen. The returned consensus is freshly allocated and
 // safe to retain.
 func ConsensusInto(w *Window, p Params, g *Graph) (genome.Seq, uint64) {
 	g.Reset()

@@ -2,7 +2,6 @@ package poa
 
 import (
 	"context"
-	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -58,7 +57,7 @@ func TestMajorityConsensusOverSNVs(t *testing.T) {
 		mut[pos] = genome.Complement(mut[pos])
 		w.Sequences = append(w.Sequences, mut)
 	}
-	cons, cells := ConsensusOf(w, DefaultParams())
+	cons, cells := ConsensusInto(w, DefaultParams(), New())
 	if !cons.Equal(s) {
 		t.Errorf("majority consensus incorrect:\n got %s\nwant %s", cons, s)
 	}
@@ -80,7 +79,7 @@ func TestConsensusCorrectsIndels(t *testing.T) {
 	ins := append(s[:80].Clone(), genome.MustFromString("AC")...)
 	ins = append(ins, s[80:]...)
 	w.Sequences = append(w.Sequences, ins)
-	cons, _ := ConsensusOf(w, DefaultParams())
+	cons, _ := ConsensusInto(w, DefaultParams(), New())
 	if !cons.Equal(s) {
 		t.Errorf("indel consensus incorrect:\n got %s\nwant %s", cons, s)
 	}
@@ -99,7 +98,7 @@ func TestNoisyReadsConsensus(t *testing.T) {
 		}
 		w.Sequences = append(w.Sequences, read)
 	}
-	cons, _ := ConsensusOf(w, DefaultParams())
+	cons, _ := ConsensusInto(w, DefaultParams(), New())
 	// Consensus should be much closer to truth than any single read.
 	if len(cons) < 190 || len(cons) > 210 {
 		t.Fatalf("consensus length %d far from 200", len(cons))
@@ -222,99 +221,6 @@ func TestCellUpdatesComplexity(t *testing.T) {
 	}
 }
 
-func TestFitModeAlignsChunkWithoutEndNodes(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	window := genome.Random(rng, 200)
-	g := New()
-	p := DefaultParams()
-	g.AddSequence(window, p)
-	before := g.NumNodes()
-	// A perfect mid-window chunk fused in fit mode must reuse the
-	// backbone exactly: no new nodes.
-	chunk := window[60:140].Clone()
-	g.AddSequenceMode(chunk, p, FitMode)
-	if g.NumNodes() != before {
-		t.Errorf("fit-mode chunk added %d nodes", g.NumNodes()-before)
-	}
-	if got := g.Consensus(); !got.Equal(window) {
-		t.Error("consensus changed after fusing a perfect chunk")
-	}
-}
-
-func TestFitModeVsGlobalModeOnChunk(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	window := genome.Random(rng, 150)
-	p := DefaultParams()
-
-	gGlobal := New()
-	gGlobal.AddSequence(window, p)
-	gGlobal.AddSequenceMode(window[40:110], p, GlobalMode)
-
-	gFit := New()
-	gFit.AddSequence(window, p)
-	gFit.AddSequenceMode(window[40:110], p, FitMode)
-
-	// Global mode must stretch the chunk across the whole window
-	// (creating spurious structure or long gap paths); fit mode must
-	// not grow the graph at all.
-	if gFit.NumNodes() != 150 {
-		t.Errorf("fit mode grew graph to %d nodes", gFit.NumNodes())
-	}
-	if gGlobal.NumNodes() < gFit.NumNodes() {
-		t.Errorf("global mode should not produce fewer nodes than fit mode")
-	}
-}
-
-func TestFitModeChunkCoverageStrengthensConsensus(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	truth := genome.Random(rng, 240)
-	g := New()
-	p := DefaultParams()
-	// Backbone from a noisy full-length read.
-	noisy := truth.Clone()
-	for i := 0; i < 12; i++ {
-		noisy[rng.Intn(len(noisy))] = genome.Base(rng.Intn(4))
-	}
-	g.AddSequence(noisy, p)
-	// Overlapping error-free chunks fused in fit mode.
-	for start := 0; start+120 <= len(truth); start += 40 {
-		g.AddSequenceMode(truth[start:start+120].Clone(), p, FitMode)
-	}
-	cons := g.Consensus()
-	// Consensus should be driven by the chunk majority despite the
-	// noisy backbone.
-	if d := editDist(cons, truth); d > 6 {
-		t.Errorf("consensus edit distance %d after chunk fusion", d)
-	}
-}
-
-func editDist(a, b genome.Seq) int {
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(a); i++ {
-		cur[0] = i
-		for j := 1; j <= len(b); j++ {
-			c := 1
-			if a[i-1] == b[j-1] {
-				c = 0
-			}
-			v := prev[j-1] + c
-			if s := prev[j] + 1; s < v {
-				v = s
-			}
-			if s := cur[j-1] + 1; s < v {
-				v = s
-			}
-			cur[j] = v
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(b)]
-}
-
 // corruptWithCycle seeds a small graph and wires a back-edge so the
 // DAG invariant is broken.
 func corruptWithCycle(t *testing.T) *Graph {
@@ -326,37 +232,6 @@ func corruptWithCycle(t *testing.T) *Graph {
 		t.Fatal("addEdge should mark the graph dirty")
 	}
 	return g
-}
-
-func TestCheckedVariantsDetectCycle(t *testing.T) {
-	g := corruptWithCycle(t)
-	if err := g.AddSequenceChecked(genome.Seq{0, 1, 2}, DefaultParams()); !errors.Is(err, ErrCycle) {
-		t.Errorf("AddSequenceChecked err = %v, want ErrCycle", err)
-	}
-	if _, err := g.ConsensusChecked(); !errors.Is(err, ErrCycle) {
-		t.Errorf("ConsensusChecked err = %v, want ErrCycle", err)
-	}
-}
-
-func TestCheckedVariantsHealthyGraph(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	s := genome.Random(rng, 80)
-	g := New()
-	for i := 0; i < 3; i++ {
-		if err := g.AddSequenceChecked(s, DefaultParams()); err != nil {
-			t.Fatalf("AddSequenceChecked on healthy graph: %v", err)
-		}
-	}
-	cons, err := g.ConsensusChecked()
-	if err != nil {
-		t.Fatalf("ConsensusChecked on healthy graph: %v", err)
-	}
-	if !cons.Equal(s) {
-		t.Errorf("checked consensus differs from input")
-	}
-	if cons2, err := New().ConsensusChecked(); err != nil || cons2 != nil {
-		t.Errorf("empty graph ConsensusChecked = %v, %v", cons2, err)
-	}
 }
 
 func TestTopoOrderPanicsOnCycle(t *testing.T) {

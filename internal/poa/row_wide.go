@@ -2,7 +2,7 @@ package poa
 
 import "repro/internal/lanes"
 
-// The 16-wide row kernel for the lane-batched AddSequenceMode sweep.
+// The 16-wide row kernel for the lane-batched AddSequence sweep.
 //
 // One call advances one DP row across every 16-column group: expand
 // the dense match bits into substitution scores, take the running max

@@ -67,7 +67,7 @@ func TestWideSimdOffMatchesAsm(t *testing.T) {
 		ga.forceLanes = true
 		var ca genome.Seq
 		for _, seq := range w.Sequences {
-			ga.AddSequenceMode(seq, p, GlobalMode)
+			ga.AddSequence(seq, p)
 		}
 		ca = ga.Consensus()
 		tabA := append([]int16(nil), ga.score16...)
@@ -76,7 +76,7 @@ func TestWideSimdOffMatchesAsm(t *testing.T) {
 		gp := New()
 		gp.forceLanes = true
 		for _, seq := range w.Sequences {
-			gp.AddSequenceMode(seq, p, GlobalMode)
+			gp.AddSequence(seq, p)
 		}
 		cp := gp.Consensus()
 		restore()

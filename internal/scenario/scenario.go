@@ -151,15 +151,6 @@ func (p *Pipeline) validate() error {
 	return nil
 }
 
-// StageNames returns the pipeline's stage names in DAG order.
-func (p *Pipeline) StageNames() []string {
-	out := make([]string, len(p.Stages))
-	for i := range p.Stages {
-		out[i] = p.Stages[i].Name
-	}
-	return out
-}
-
 // Def is one registered scenario: the declarative part (name, kernel
 // DAG, simulator parameters) plus the Build function that closes the
 // stage bodies over a parameter set.

@@ -76,7 +76,10 @@ func TestRegistryDeclarationsMatchConstruction(t *testing.T) {
 	for _, name := range names {
 		def := Get(name)
 		pipe := buildCached(t, name)
-		got := pipe.StageNames()
+		var got []string
+		for _, st := range pipe.Stages {
+			got = append(got, st.Name)
+		}
 		want := def.Stages[1:]
 		if len(got) != len(want) {
 			t.Fatalf("%s: declared stages %v, built %v", name, def.Stages, got)
@@ -314,8 +317,8 @@ func TestStageStatsAccounting(t *testing.T) {
 	// Spans were exported for every stage plus the run root.
 	recs := o.Tracer.Spans()
 	want := map[string]bool{}
-	for _, st := range pipe.StageNames() {
-		want["scenario/"+name+"/"+st] = false
+	for _, st := range pipe.Stages {
+		want["scenario/"+name+"/"+st.Name] = false
 	}
 	want["scenario/"+name+"/fused"] = false
 	for _, r := range recs {

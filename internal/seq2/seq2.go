@@ -1,8 +1,8 @@
 // Package seq2 provides 2-bit packed nucleotide sequences and the
 // SWAR (SIMD-within-a-register) primitives the suite's optimized hot
 // paths are built on: packed-word base comparison (32 bases per
-// uint64 compare, used by bsw's row match masks) and O(1)
-// reverse-complement of packed k-mer codes (kmercnt's canonicalizer).
+// uint64 compare, used by bsw's row match masks and poa's dense match
+// bits).
 //
 // The byte-per-base genome.Seq representation stays the suite's
 // interchange type; Packed is the hot-path layout, exactly the
@@ -12,17 +12,10 @@
 // answers.
 package seq2
 
-import (
-	"math/bits"
+import "repro/internal/genome"
 
-	"repro/internal/genome"
-)
-
-// lane masks for 2-bit SWAR lanes.
-const (
-	loBits = 0x5555555555555555 // low bit of every 2-bit lane
-	hiBits = 0xaaaaaaaaaaaaaaaa // high bit of every 2-bit lane
-)
+// loBits is the low bit of every 2-bit SWAR lane.
+const loBits = 0x5555555555555555
 
 // BasesPerWord is the packing density: 32 bases per uint64.
 const BasesPerWord = 32
@@ -88,15 +81,6 @@ func (p Packed) Get(i int) genome.Base {
 	return genome.Base(p.words[i/BasesPerWord] >> (2 * (uint(i) % BasesPerWord)) & 3)
 }
 
-// Unpack decodes the sequence back into byte-per-base form.
-func (p Packed) Unpack() genome.Seq {
-	out := make(genome.Seq, p.n)
-	for i := range out {
-		out[i] = p.Get(i)
-	}
-	return out
-}
-
 // broadcast2 replicates a 2-bit base code into all 32 lanes.
 func broadcast2(b genome.Base) uint64 {
 	return uint64(b&3) * loBits // b * 0x5555... replicates b into every lane
@@ -125,12 +109,6 @@ func MatchMask(dst []uint64, p Packed, b genome.Base) []uint64 {
 		dst[w] = eqLanes(v, pat)
 	}
 	return dst
-}
-
-// MatchBit reports whether bit for base i is set in a 0x5555-spaced
-// mask produced by MatchMask.
-func MatchBit(mask []uint64, i int) bool {
-	return mask[i/BasesPerWord]>>(2*(uint(i)%BasesPerWord))&1 != 0
 }
 
 // BitsWords returns the number of uint64 words a dense 1-bit-per-base
@@ -180,27 +158,4 @@ func MatchMaskBits(dst []uint64, p Packed, b genome.Base) []uint64 {
 		dst[nw-1] &= 1<<uint(tail) - 1
 	}
 	return dst
-}
-
-// RevCompCode returns the reverse complement of a 2-bit packed k-mer
-// code (first base in the most significant 2-bit group, as produced by
-// genome.KmerCode) in O(1) word ops instead of the O(k) shift loop:
-// complement all lanes, byte-reverse, swap 2-bit groups within bytes,
-// then right-align. k must be in [1,31].
-func RevCompCode(code uint64, k int) uint64 {
-	x := ^code // complement: 3-b == ^b & 3 per lane
-	x = bits.ReverseBytes64(x)
-	x = (x&0x0f0f0f0f0f0f0f0f)<<4 | (x>>4)&0x0f0f0f0f0f0f0f0f
-	x = (x&0x3333333333333333)<<2 | (x>>2)&0x3333333333333333
-	return x >> (64 - 2*uint(k))
-}
-
-// Canonical returns the lexicographically smaller of a k-mer code and
-// its reverse complement — the packed, O(1) form of the canonical
-// counting key.
-func Canonical(code uint64, k int) uint64 {
-	if rc := RevCompCode(code, k); rc < code {
-		return rc
-	}
-	return code
 }

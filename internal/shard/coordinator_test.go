@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/obs"
 )
 
 // The synthetic executor: Prepare parses the size string as the task
@@ -541,7 +542,8 @@ func TestHedgeDuplicateFirstResultWins(t *testing.T) {
 	// finishes it, then hedges A; slow's late result for A must count
 	// as a duplicate (helper still holds C, keeping the job alive).
 	const n, seed = 90, int64(5)
-	resCh, errCh := runJobAsync(ctx, c, JobSpec{
+	o := obs.NewObserver()
+	resCh, errCh := runJobAsync(obs.With(ctx, o), c, JobSpec{
 		ID: c.NextJobID(), Kernel: "synth", Size: strconv.Itoa(n), Seed: seed,
 		NumTasks: n, NumShards: 3,
 	})
@@ -565,8 +567,15 @@ func TestHedgeDuplicateFirstResultWins(t *testing.T) {
 	fast.finish(hedge)   // first result wins for shard A
 	slow.finish(aAssign) // late duplicate while shard C is still out
 
-	// Give the duplicate a moment to be processed, then finish the job.
-	time.Sleep(50 * time.Millisecond)
+	// Finish C only after the coordinator has counted the duplicate, so
+	// the job is certainly still running when the second A arrives.
+	dup := o.Counter("shard.duplicate", "synth")
+	for dup.Value() == 0 {
+		if ctx.Err() != nil {
+			t.Fatalf("second result for shard %d never counted as a duplicate", aAssign.Shard)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	helper.finish(cAssign)
 
 	res, err := <-resCh, <-errCh

@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -62,16 +61,4 @@ func HasExecutor(kernel string) bool {
 	execMu.RLock()
 	defer execMu.RUnlock()
 	return execFactory[kernel] != nil
-}
-
-// ExecutorKernels lists the registered kernels, sorted.
-func ExecutorKernels() []string {
-	execMu.RLock()
-	defer execMu.RUnlock()
-	out := make([]string, 0, len(execFactory))
-	for k := range execFactory {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

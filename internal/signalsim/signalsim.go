@@ -59,9 +59,6 @@ func (m *PoreModel) Level(s genome.Seq, i int) (mean, stdv float32) {
 	return m.Mean[code], m.Stdv[code]
 }
 
-// NumKmers reports the number of modelled k-mers.
-func (m *PoreModel) NumKmers() int { return len(m.Mean) }
-
 // Event is one segmented signal event: the mean current observed while a
 // k-mer context occupied the pore.
 type Event struct {

@@ -11,10 +11,10 @@ import (
 func TestPoreModelDeterministicAndInRange(t *testing.T) {
 	a := NewPoreModel()
 	b := NewPoreModel()
-	if a.NumKmers() != 1<<(2*K) {
-		t.Fatalf("NumKmers = %d", a.NumKmers())
+	if len(a.Mean) != 1<<(2*K) {
+		t.Fatalf("len(Mean) = %d", len(a.Mean))
 	}
-	for code := 0; code < a.NumKmers(); code += 97 {
+	for code := 0; code < len(a.Mean); code += 97 {
 		if a.Mean[code] != b.Mean[code] {
 			t.Fatal("pore model not deterministic")
 		}

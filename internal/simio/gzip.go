@@ -48,23 +48,3 @@ func ReadFastqAuto(r io.Reader) ([]FastqRecord, error) {
 	}
 	return ReadFastq(rr)
 }
-
-// WriteFastqGzip writes gzip-compressed FASTQ.
-func WriteFastqGzip(w io.Writer, records []FastqRecord) error {
-	gw := gzip.NewWriter(w)
-	if err := WriteFastq(gw, records); err != nil {
-		gw.Close()
-		return err
-	}
-	return gw.Close()
-}
-
-// WriteFastaGzip writes gzip-compressed FASTA.
-func WriteFastaGzip(w io.Writer, records []FastaRecord) error {
-	gw := gzip.NewWriter(w)
-	if err := WriteFasta(gw, records); err != nil {
-		gw.Close()
-		return err
-	}
-	return gw.Close()
-}

@@ -2,6 +2,7 @@ package simio
 
 import (
 	"bytes"
+	"compress/gzip"
 	"errors"
 	"io"
 	"math/rand"
@@ -9,6 +10,20 @@ import (
 
 	"repro/internal/genome"
 )
+
+// gzipped compresses what write produces into a .gz fixture.
+func gzipped(tb testing.TB, write func(io.Writer) error) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	zw := gzip.NewWriter(&buf)
+	if err := write(zw); err != nil {
+		tb.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
 
 func TestGzipFastqRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -21,14 +36,8 @@ func TestGzipFastqRoundTrip(t *testing.T) {
 		}
 		records = append(records, FastqRecord{Name: "r", Seq: seq, Qual: qual})
 	}
-	var buf bytes.Buffer
-	if err := WriteFastqGzip(&buf, records); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() == 0 || buf.Bytes()[0] != 0x1f {
-		t.Fatal("output not gzipped")
-	}
-	got, err := ReadFastqAuto(&buf)
+	data := gzipped(t, func(w io.Writer) error { return WriteFastq(w, records) })
+	got, err := ReadFastqAuto(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,11 +54,8 @@ func TestGzipFastqRoundTrip(t *testing.T) {
 func TestGzipFastaRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	records := []FastaRecord{{Name: "chr", Seq: genome.Random(rng, 500)}}
-	var buf bytes.Buffer
-	if err := WriteFastaGzip(&buf, records); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFastaAuto(&buf)
+	data := gzipped(t, func(w io.Writer) error { return WriteFasta(w, records) })
+	got, err := ReadFastaAuto(bytes.NewReader(data))
 	if err != nil || len(got) != 1 || !got[0].Seq.Equal(records[0].Seq) {
 		t.Fatalf("gzip FASTA round trip failed: %v", err)
 	}
@@ -88,11 +94,7 @@ func makeFastqGz(t *testing.T, n int) ([]byte, []FastqRecord) {
 		}
 		records = append(records, FastqRecord{Name: "read", Seq: seq, Qual: qual})
 	}
-	var buf bytes.Buffer
-	if err := WriteFastqGzip(&buf, records); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes(), records
+	return gzipped(t, func(w io.Writer) error { return WriteFastq(w, records) }), records
 }
 
 func TestReadFastqTruncatedGzip(t *testing.T) {
@@ -145,11 +147,8 @@ func TestReadFastaTruncatedGzip(t *testing.T) {
 	for i := range records {
 		records[i] = FastaRecord{Name: "seq", Seq: genome.Random(rng, 300)}
 	}
-	var buf bytes.Buffer
-	if err := WriteFastaGzip(&buf, records); err != nil {
-		t.Fatal(err)
-	}
-	cut := buf.Bytes()[:buf.Len()/2]
+	data := gzipped(t, func(w io.Writer) error { return WriteFasta(w, records) })
+	cut := data[:len(data)/2]
 	got, err := ReadFastaAuto(bytes.NewReader(cut))
 	if err == nil {
 		t.Fatal("truncated .fa.gz parsed without error")

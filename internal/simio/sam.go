@@ -4,22 +4,14 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
-
-	"repro/internal/genome"
 )
 
-// SAM text output/input: the lingua franca between alignment and
-// downstream kernels (pileup, dbg, nn-variant all consume aligned
-// records). The subset here covers single-end records with the flags
-// the suite uses.
+// SAM text output: the lingua franca between alignment and downstream
+// kernels (pileup, dbg, nn-variant all consume aligned records). The
+// subset here covers single-end records with the flags the suite uses.
 
-// SAM flag bits used by the suite.
-const (
-	FlagReverse  = 0x10
-	FlagUnmapped = 0x4
-)
+// FlagReverse is the SAM flag bit of a reverse-strand record.
+const FlagReverse = 0x10
 
 // WriteSAM writes a header (@HD + @SQ per reference) and the records.
 func WriteSAM(w io.Writer, refs []FastaRecord, alignments []*Alignment) error {
@@ -58,68 +50,4 @@ func WriteSAM(w io.Writer, refs []FastaRecord, alignments []*Alignment) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadSAM parses records written by WriteSAM (headers skipped).
-func ReadSAM(r io.Reader) ([]*Alignment, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	var out []*Alignment
-	for sc.Scan() {
-		line := sc.Text()
-		if line == "" || strings.HasPrefix(line, "@") {
-			continue
-		}
-		fields := strings.Split(line, "\t")
-		if len(fields) < 11 {
-			return nil, fmt.Errorf("simio: SAM line has %d fields, want 11", len(fields))
-		}
-		flag, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return nil, fmt.Errorf("simio: bad SAM flag %q", fields[1])
-		}
-		pos, err := strconv.Atoi(fields[3])
-		if err != nil || pos < 0 {
-			return nil, fmt.Errorf("simio: bad SAM position %q", fields[3])
-		}
-		mapq, err := strconv.Atoi(fields[4])
-		if err != nil || mapq < 0 || mapq > 255 {
-			return nil, fmt.Errorf("simio: bad SAM MAPQ %q", fields[4])
-		}
-		cig, err := ParseCigar(fields[5])
-		if err != nil {
-			return nil, err
-		}
-		a := &Alignment{
-			ReadName: fields[0],
-			RefName:  fields[2],
-			Pos:      pos - 1,
-			MapQ:     byte(mapq),
-			Cigar:    cig,
-			Reverse:  flag&FlagReverse != 0,
-		}
-		if fields[9] != "*" {
-			if a.Seq, err = genome.FromString(fields[9]); err != nil {
-				return nil, err
-			}
-		}
-		if fields[10] != "*" {
-			a.Qual = make([]byte, len(fields[10]))
-			for i := 0; i < len(fields[10]); i++ {
-				if fields[10][i] < 33 {
-					return nil, fmt.Errorf("simio: bad SAM quality byte %d", fields[10][i])
-				}
-				a.Qual[i] = fields[10][i] - 33
-			}
-		}
-		if err := a.Validate(); err != nil {
-			return nil, err
-		}
-		a.Pack()
-		out = append(out, a)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

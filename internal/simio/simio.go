@@ -251,45 +251,6 @@ func (c Cigar) String() string {
 	return b.String()
 }
 
-// maxCigarLen bounds one element's length: BAM stores it in 28 bits,
-// and the bound keeps ReadLen and RefLen sums from overflowing.
-const maxCigarLen = 1<<28 - 1
-
-// ParseCigar parses SAM CIGAR text. "*" yields an empty Cigar.
-func ParseCigar(s string) (Cigar, error) {
-	if s == "*" || s == "" {
-		return nil, nil
-	}
-	var out Cigar
-	n := 0
-	sawDigit := false
-	for i := 0; i < len(s); i++ {
-		ch := s[i]
-		if ch >= '0' && ch <= '9' {
-			if n = n*10 + int(ch-'0'); n > maxCigarLen {
-				return nil, fmt.Errorf("simio: CIGAR length in %q exceeds %d", s, maxCigarLen)
-			}
-			sawDigit = true
-			continue
-		}
-		if !sawDigit || n == 0 {
-			return nil, fmt.Errorf("simio: CIGAR op %q without positive length", ch)
-		}
-		switch CigarOp(ch) {
-		case CigarMatch, CigarIns, CigarDel, CigarSoftClip:
-			out = append(out, CigarElem{Len: n, Op: CigarOp(ch)})
-		default:
-			return nil, fmt.Errorf("simio: unsupported CIGAR op %q", ch)
-		}
-		n = 0
-		sawDigit = false
-	}
-	if sawDigit {
-		return nil, fmt.Errorf("simio: trailing CIGAR length without op")
-	}
-	return out, nil
-}
-
 // ReadLen reports how many read bases the CIGAR consumes.
 func (c Cigar) ReadLen() int {
 	n := 0

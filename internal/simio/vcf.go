@@ -5,23 +5,20 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/genome"
 )
 
 // VCF-lite: enough of the Variant Call Format for the suite's variant
-// pipelines to emit and re-read their calls (single sample, SNVs and
-// small indels, GT field only).
+// pipelines to emit their calls (single sample, SNVs and small indels,
+// GT field only).
 
 // Genotype is a diploid genotype call.
 type Genotype int
 
-// Genotype values.
+// Genotype values. The zero Genotype is homozygous reference ("0/0").
 const (
-	HomRef Genotype = iota
-	Het
+	Het Genotype = iota + 1
 	HomAlt
 )
 
@@ -76,54 +73,4 @@ func WriteVCF(w io.Writer, sample string, records []VCFRecord) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadVCF parses a VCF written by WriteVCF (single sample, GT only).
-func ReadVCF(r io.Reader) ([]VCFRecord, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	var out []VCFRecord
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Split(line, "\t")
-		if len(fields) < 10 {
-			return nil, fmt.Errorf("simio: VCF line has %d fields, want 10", len(fields))
-		}
-		pos, err := strconv.Atoi(fields[1])
-		if err != nil || pos < 1 {
-			return nil, fmt.Errorf("simio: bad VCF position %q", fields[1])
-		}
-		rec := VCFRecord{Chrom: fields[0], Pos: pos - 1}
-		if fields[3] != "." {
-			if rec.Ref, err = genome.FromString(fields[3]); err != nil {
-				return nil, err
-			}
-		}
-		if fields[4] != "." {
-			if rec.Alt, err = genome.FromString(fields[4]); err != nil {
-				return nil, err
-			}
-		}
-		if rec.Qual, err = strconv.ParseFloat(fields[5], 64); err != nil {
-			return nil, fmt.Errorf("simio: bad VCF quality %q", fields[5])
-		}
-		switch fields[9] {
-		case "0/1", "1/0":
-			rec.Genotype = Het
-		case "1/1":
-			rec.Genotype = HomAlt
-		case "0/0":
-			rec.Genotype = HomRef
-		default:
-			return nil, fmt.Errorf("simio: unsupported genotype %q", fields[9])
-		}
-		out = append(out, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

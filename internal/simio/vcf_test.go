@@ -2,74 +2,42 @@ package simio
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"repro/internal/genome"
 )
 
-func TestVCFRoundTrip(t *testing.T) {
+func TestWriteVCFGolden(t *testing.T) {
 	records := []VCFRecord{
 		{Chrom: "chr1", Pos: 99, Ref: genome.MustFromString("A"), Alt: genome.MustFromString("T"), Qual: 42.5, Genotype: Het},
 		{Chrom: "chr1", Pos: 9, Ref: genome.MustFromString("AC"), Alt: genome.MustFromString("A"), Qual: 10, Genotype: HomAlt},
-		{Chrom: "chr2", Pos: 0, Ref: genome.MustFromString("G"), Alt: genome.MustFromString("GTT"), Qual: 99.9, Genotype: HomRef},
+		{Chrom: "chr2", Pos: 0, Ref: genome.MustFromString("G"), Alt: genome.MustFromString("GTT"), Qual: 99.9},
+		{Chrom: "chr2", Pos: 4, Alt: genome.MustFromString("C"), Qual: 1, Genotype: Het},
 	}
 	var buf bytes.Buffer
 	if err := WriteVCF(&buf, "sample1", records); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	if !strings.Contains(out, "##fileformat=VCFv4.2") || !strings.Contains(out, "sample1") {
-		t.Error("header malformed")
+	// Sorted by chromosome then position, 1-based, "." for an empty allele.
+	want := "##fileformat=VCFv4.2\n" +
+		"##source=genomicsbench-go\n" +
+		"##FORMAT=<ID=GT,Number=1,Type=String,Description=\"Genotype\">\n" +
+		"#CHROM\tPOS\tID\tREF\tALT\tQUAL\tFILTER\tINFO\tFORMAT\tsample1\n" +
+		"chr1\t10\t.\tAC\tA\t10.0\tPASS\t.\tGT\t1/1\n" +
+		"chr1\t100\t.\tA\tT\t42.5\tPASS\t.\tGT\t0/1\n" +
+		"chr2\t1\t.\tG\tGTT\t99.9\tPASS\t.\tGT\t0/0\n" +
+		"chr2\t5\t.\t.\tC\t1.0\tPASS\t.\tGT\t0/1\n"
+	if got := buf.String(); got != want {
+		t.Errorf("WriteVCF wrote\n%q\nwant\n%q", got, want)
 	}
-	got, err := ReadVCF(strings.NewReader(out))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("got %d records", len(got))
-	}
-	// Written sorted: chr1:10, chr1:100, chr2:1.
-	if got[0].Pos != 9 || got[1].Pos != 99 || got[2].Chrom != "chr2" {
-		t.Errorf("sort order wrong: %+v", got)
-	}
-	if !got[1].Ref.Equal(records[0].Ref) || !got[1].Alt.Equal(records[0].Alt) {
-		t.Error("alleles corrupted")
-	}
-	if got[1].Genotype != Het || got[0].Genotype != HomAlt {
-		t.Error("genotypes corrupted")
-	}
-	if got[1].Qual != 42.5 {
-		t.Errorf("quality %v", got[1].Qual)
+	if records[0].Pos != 99 {
+		t.Error("WriteVCF reordered its input")
 	}
 }
 
 func TestVCFGenotypeString(t *testing.T) {
-	if HomRef.String() != "0/0" || Het.String() != "0/1" || HomAlt.String() != "1/1" {
+	var homRef Genotype
+	if homRef.String() != "0/0" || Het.String() != "0/1" || HomAlt.String() != "1/1" {
 		t.Error("genotype strings wrong")
-	}
-}
-
-func TestReadVCFErrors(t *testing.T) {
-	cases := []string{
-		"chr1\t0\t.\tA\tT\t10\tPASS\t.\tGT\t0/1\n",  // pos < 1
-		"chr1\tx\t.\tA\tT\t10\tPASS\t.\tGT\t0/1\n",  // bad pos
-		"chr1\t5\t.\tA\tT\tbad\tPASS\t.\tGT\t0/1\n", // bad qual
-		"chr1\t5\t.\tA\tT\t10\tPASS\t.\tGT\t2/1\n",  // bad GT
-		"chr1\t5\t.\tN\tT\t10\tPASS\t.\tGT\t0/1\n",  // bad base
-		"chr1\t5\t.\tA\tT\t10\n",                    // short line
-	}
-	for _, c := range cases {
-		if _, err := ReadVCF(strings.NewReader(c)); err == nil {
-			t.Errorf("expected error for %q", c)
-		}
-	}
-}
-
-func TestReadVCFSkipsHeaders(t *testing.T) {
-	in := "##meta\n#CHROM\tstuff\n\nchr1\t5\t.\tA\tT\t10\tPASS\t.\tGT\t0/1\n"
-	got, err := ReadVCF(strings.NewReader(in))
-	if err != nil || len(got) != 1 {
-		t.Fatalf("got %v, %v", got, err)
 	}
 }

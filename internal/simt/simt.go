@@ -212,9 +212,6 @@ func NewPartialWarp(m *Metrics, d Device, n int) *WarpCtx {
 	return &WarpCtx{M: m, active: Mask(uint32(1)<<uint(n) - 1), device: d}
 }
 
-// Active returns the current active mask.
-func (w *WarpCtx) Active() Mask { return w.active }
-
 // Exec issues n warp-instructions under the current mask.
 func (w *WarpCtx) Exec(n int) {
 	c := uint64(w.active.Count())
@@ -268,36 +265,6 @@ func (w *WarpCtx) Branch(pred func(lane int) bool, then, els func()) {
 	if notTaken != 0 && els != nil {
 		w.active = notTaken
 		els()
-	}
-	w.active = saved
-}
-
-// While loops body while any lane's condition holds; lanes whose
-// condition fails are masked off until reconvergence at loop exit. The
-// classic source of warp inefficiency for irregular trip counts.
-func (w *WarpCtx) While(cond func(lane int) bool, body func()) {
-	saved := w.active
-	for {
-		var still Mask
-		for lane := 0; lane < WarpSize; lane++ {
-			bit := Mask(1) << uint(lane)
-			if w.active&bit != 0 && cond(lane) {
-				still |= bit
-			}
-		}
-		w.M.Branches++
-		w.M.WarpInstructions++
-		c := uint64(w.active.Count())
-		w.M.ActiveLaneSlots += c
-		w.M.UsefulLaneSlots += c
-		if still == w.active || still == 0 {
-			w.M.UniformBranches++
-		}
-		if still == 0 {
-			break
-		}
-		w.active = still
-		body()
 	}
 	w.active = saved
 }

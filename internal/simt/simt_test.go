@@ -72,15 +72,15 @@ func TestBranchDivergent(t *testing.T) {
 	w.Branch(func(lane int) bool { return lane < 8 },
 		func() {
 			thenRan = true
-			if w.Active().Count() != 8 {
-				t.Errorf("then mask %d lanes", w.Active().Count())
+			if w.active.Count() != 8 {
+				t.Errorf("then mask %d lanes", w.active.Count())
 			}
 			w.Exec(2)
 		},
 		func() {
 			elseRan = true
-			if w.Active().Count() != 24 {
-				t.Errorf("else mask %d lanes", w.Active().Count())
+			if w.active.Count() != 24 {
+				t.Errorf("else mask %d lanes", w.active.Count())
 			}
 			w.Exec(2)
 		})
@@ -90,7 +90,7 @@ func TestBranchDivergent(t *testing.T) {
 	if m.BranchEfficiency() != 0 {
 		t.Errorf("divergent branch efficiency %v, want 0", m.BranchEfficiency())
 	}
-	if w.Active() != FullMask {
+	if w.active != FullMask {
 		t.Error("warp did not reconverge")
 	}
 	if e := m.WarpEfficiency(); e >= 1 {
@@ -107,33 +107,6 @@ func TestExecPredicated(t *testing.T) {
 	}
 	if m.NonPredicatedWarpEfficiency() != 0.5 {
 		t.Errorf("non-predicated efficiency %v, want 0.5", m.NonPredicatedWarpEfficiency())
-	}
-}
-
-func TestWhileIrregularTripCounts(t *testing.T) {
-	var m Metrics
-	w := NewWarp(&m, TitanXp())
-	counters := make([]int, WarpSize)
-	// Lane i iterates i+1 times: classic irregular loop.
-	w.While(func(lane int) bool { return counters[lane] <= lane },
-		func() {
-			w.Exec(1)
-			for lane := 0; lane < WarpSize; lane++ {
-				if w.Active()&(1<<uint(lane)) != 0 {
-					counters[lane]++
-				}
-			}
-		})
-	for lane, c := range counters {
-		if c != lane+1 {
-			t.Fatalf("lane %d ran %d times, want %d", lane, c, lane+1)
-		}
-	}
-	if e := m.WarpEfficiency(); e >= 0.9 {
-		t.Errorf("irregular while should hurt efficiency, got %v", e)
-	}
-	if w.Active() != FullMask {
-		t.Error("warp did not reconverge after While")
 	}
 }
 
