@@ -63,9 +63,8 @@ var referenceOnly = map[string]string{
 	"phmm.EvaluateRegionScalarInto": "scalar region reference of the IntoDifferential tests and the lanes benchmark pair",
 	"phmm.laneTolerance":            "bound the haplotype-lane differential tests allow until those lanes are exact",
 	"pileup.CountRegionScalar":      "per-base reference the packed match-run differential tests compare against",
+	"poa.ConsensusScalarInto":       "scalar reference of TestLaneEligibleGuard, FuzzConsensusLaneBoundary and core's shard executor test",
 	"cpufeat.ForceForTest":          "test hook that lowers the SIMD ceiling so tests cover both sides of a dispatch",
-	"parallel.ForceDispatch":        "test hook that pins the dispatch policy",
-	"parallel.DispatchPolicy":       "test hook that reads the resolved dispatch policy",
 	"genome.MustFromString":         "test hook for constant sequences",
 	"poa.Graph.NumNodes":            "test hook: the graph shape the lane and scalar differential tests compare",
 	"poa.Graph.NumEdges":            "test hook: the graph shape the lane and scalar differential tests compare",

@@ -14,7 +14,6 @@ import (
 	"repro/internal/cpufeat"
 	"repro/internal/faultinject"
 	"repro/internal/genome"
-	"repro/internal/lanes"
 	"repro/internal/parallel"
 	"repro/internal/perf"
 	"repro/internal/scratch"
@@ -206,8 +205,7 @@ const negInf32 = int32(-(1 << 29))
 // Align on every input.
 //
 // On hosts with the AVX2 tier (cpufeat.AVX2), alignments
-// whose scoring passes wideEligible's int16 range proof and whose DP
-// area clears the measured lanes.WideMinWork floor route to
+// whose scoring passes wideEligible's int16 range proof route to
 // alignWide, the 16-cells-per-step assembly band kernel (wide.go);
 // results stay bit-identical either way.
 func AlignInto(q, t genome.Seq, p Params, a *scratch.Arena) Result {
@@ -216,8 +214,7 @@ func AlignInto(q, t genome.Seq, p Params, a *scratch.Arena) Result {
 	if m == 0 || n == 0 {
 		return res
 	}
-	if bswHaveWideAsm && cpufeat.AVX2() && wideEligible(p, m, n) &&
-		wideArea(p, m, n) >= lanes.WideMinWork.Get() {
+	if bswHaveWideAsm && cpufeat.AVX2() && wideEligible(p, m, n) {
 		return alignWide(q, t, p, a, true)
 	}
 	if a == nil {

@@ -19,8 +19,7 @@ import (
 // Dispatch is three-way gated in AlignInto: the architecture
 // must have an asm kernel (bswHaveWideAsm), the host must report a
 // live AVX2 tier (cpufeat.AVX2, which folds in the GBENCH_SIMD override),
-// the scoring must pass wideEligible's range proof, and the DP area
-// must clear the measured lanes.WideMinWork floor.
+// and the scoring must pass wideEligible's range proof.
 //
 // Correctness structure, mirroring poa's row_wide.go:
 //
@@ -86,20 +85,6 @@ func wideEligible(p Params, m, n int) bool {
 		step = oe
 	}
 	return int64(p.GapOpen)+int64(m+n+16)*step <= wideScoreBound
-}
-
-// wideArea is the DP-area estimate the dispatch floor compares
-// against lanes.WideMinWork: rows times banded columns.
-func wideArea(p Params, m, n int) int {
-	w := p.Band
-	if w <= 0 {
-		w = 1
-	}
-	cols := 2*w + 1
-	if cols > n {
-		cols = n
-	}
-	return m * cols
 }
 
 // alignWide is AlignInto over int16 rows and 16-column groups. Same

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cpufeat"
 	"repro/internal/genome"
-	"repro/internal/lanes"
 	"repro/internal/scratch"
 )
 
@@ -171,8 +170,7 @@ func TestWideSimdOffMatchesDispatch(t *testing.T) {
 }
 
 // TestWideEligibleBounds checks the range-proof gate: the bench
-// regime is eligible, over-long or hostile-scoring problems are not,
-// and the DP-area floor consults the shared lanes tunable.
+// regime is eligible, over-long or hostile-scoring problems are not.
 func TestWideEligibleBounds(t *testing.T) {
 	p := DefaultParams()
 	if !wideEligible(p, 200, 220) {
@@ -187,13 +185,6 @@ func TestWideEligibleBounds(t *testing.T) {
 	if wideEligible(Params{Match: 1, Mismatch: 4, GapOpen: 6, GapExtend: 1, ZDrop: wideScoreBound + 1}, 10, 10) {
 		t.Fatal("ZDrop beyond the sentinel separation margin must be ineligible")
 	}
-	if got := wideArea(Params{Band: 10}, 7, 100); got != 7*21 {
-		t.Fatalf("wideArea = %d, want %d", got, 7*21)
-	}
-	if got := wideArea(Params{Band: 200}, 7, 100); got != 700 {
-		t.Fatalf("wideArea clamps at n: got %d, want 700", got)
-	}
-	_ = lanes.WideMinWork.Get() // the floor must resolve without panicking
 }
 
 // TestAlignWideZDropAndLocal locks the two mode-specific behaviors to
@@ -243,7 +234,7 @@ func TestAlignWideZDropAndLocal(t *testing.T) {
 // problem and delta > 0 the first that must fall back. AlignInto must
 // equal the scalar Align on the dispatched tier and with the SIMD
 // ceiling forced off, and where the proof admits the problem, both
-// wide bodies must too, whatever the work floor decides.
+// wide bodies must too.
 func FuzzAlignWideBoundary(f *testing.F) {
 	for _, delta := range []int8{-1, 0, 1} {
 		f.Add(int64(1), uint8(0), uint8(3), uint8(5), uint8(0), uint8(30), uint16(100), false, uint8(128), delta)

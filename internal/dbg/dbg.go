@@ -323,9 +323,8 @@ func RunKernelCtx(ctx context.Context, regions []*Region, cfg Config, threads in
 	}
 	slots := make([]slot, len(regions))
 	// Region cost skews with repeat content (k-bumps and cycle
-	// retries), so the scheduler is the probed parallel.dispatch choice:
-	// shared counter or work stealing, pure policy either way.
-	err := parallel.ForEachDispatchErr(ctx, len(regions), threads, func(tctx context.Context, w, i int) error {
+	// retries); one region per pull off the shared counter balances it.
+	err := parallel.ForEachCtxErr(ctx, len(regions), threads, func(tctx context.Context, w, i int) error {
 		if err := faultinject.Point(tctx); err != nil {
 			return err
 		}

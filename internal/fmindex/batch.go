@@ -82,14 +82,19 @@ type BatchEngine struct {
 	minHit int
 }
 
-// NewBatchEngine builds an engine of the given width over x. width<=0
-// resolves the fmindex.batch_width tunable (probed once per host,
-// cached on disk). tr (nil for none) receives the demand address
+// BatchWidth is the engine's default lane count: the W of the
+// lock-step schedule. Widths 8, 16 and 32 timed alike on fmi at Large
+// (docs/PERFORMANCE.md), and any width yields bit-identical SMEMs
+// (TestSmemBatchForcedWidths).
+const BatchWidth = 16
+
+// NewBatchEngine builds an engine of the given width over x; width<=0
+// means BatchWidth. tr (nil for none) receives the demand address
 // stream; if it also implements Prefetcher it receives the prefetch
 // stream.
 func NewBatchEngine(x *Index, width int, tr MemTracer) *BatchEngine {
 	if width <= 0 {
-		width = BatchWidth.Get()
+		width = BatchWidth
 	}
 	e := &BatchEngine{x: x, width: width, tr: tr, lanes: make([]batchLane, width)}
 	if tr != nil {

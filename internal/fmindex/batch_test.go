@@ -105,11 +105,8 @@ func TestSmemBatchForcedWidths(t *testing.T) {
 		}
 		compareSMEMs(t, "width", reads, want, got, wantLk, gotLk)
 	}
-	// Width 0 resolves the tunable; pin it so the test is hermetic.
-	defer BatchWidth.Set(16)()
-	e := NewBatchEngine(x, 0, nil)
-	if e.Width() != 16 {
-		t.Fatalf("width 0 resolved to %d, want pinned 16", e.Width())
+	if e := NewBatchEngine(x, 0, nil); e.Width() != BatchWidth {
+		t.Fatalf("width 0 resolved to %d, want BatchWidth %d", e.Width(), BatchWidth)
 	}
 }
 

@@ -149,10 +149,9 @@ type KernelConfig struct {
 	Threads    int
 
 	// BatchWidth forces the lock-step batch engine's lane count; 0
-	// resolves the fmindex.batch_width tunable (microprobed per host,
-	// cached on disk). Width is pure dispatch policy: any value
-	// produces bit-identical results (batch_test.go pins this), it
-	// only moves the prefetch distance.
+	// means the BatchWidth constant. Width is pure dispatch policy:
+	// any value produces bit-identical results (batch_test.go pins
+	// this), it only moves the prefetch distance.
 	BatchWidth int
 
 	// NewWorkerTracer, when non-nil, is called once per worker to make

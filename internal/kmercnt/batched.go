@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/prefetch"
 	"repro/internal/seq2"
-	"repro/internal/tuning"
 )
 
 // Wave-batched counting: the paper observes that kmer-cnt's stalls
@@ -19,14 +18,11 @@ import (
 // tables are bit-identical to the serial counters'.
 
 // WaveWidth is the prefetch window: how many k-mer slots are issued
-// before the first insert consumes one. Like fmindex.batch_width it is
-// probed from the host's memory-level-parallelism capacity (and cached
-// on disk); unlike it, hash probes carry no per-lane state, so wider
-// waves stay cheap and the default sits higher. Width is pure dispatch
+// before the first insert consumes one. Waves of 16 to 128 timed alike
+// on kmer-cnt at Large (docs/PERFORMANCE.md); hash probes carry no
+// per-lane state, so a wide wave stays cheap. Width is pure dispatch
 // policy — any value yields identical tables.
-var WaveWidth = tuning.NewInt("kmercnt.wave_width", 64, 4, 512, func() int {
-	return prefetch.BestWidth([]int{16, 32, 64, 128})
-})
+const WaveWidth = 64
 
 // Prefetcher is the optional MemTracer extension for software-prefetch
 // visibility (cachesim.Hierarchy implements it). Tracers without it see
@@ -62,14 +58,13 @@ func (t *Table) flushWave(wave []uint64, pt Prefetcher) {
 	}
 }
 
-// waveScratch returns the table's grow-only wave buffer sized to the
-// resolved width.
-func (t *Table) waveScratch() []uint64 {
-	w := WaveWidth.Get()
-	if cap(t.wave) < w {
-		t.wave = make([]uint64, 0, w)
+// waveScratch returns the table's grow-only wave buffer with exactly
+// width slots: the counter flushes when the wave is full.
+func (t *Table) waveScratch(width int) []uint64 {
+	if cap(t.wave) < width {
+		t.wave = make([]uint64, 0, width)
 	}
-	return t.wave[:0]
+	return t.wave[:0:width]
 }
 
 // CountSeqPackedBatched counts the canonical k-mers of a 2-bit packed
@@ -81,11 +76,16 @@ func (t *Table) waveScratch() []uint64 {
 // is the kernel's hot path (RunKernelCtx). Tables and probe counts are
 // identical to CountSeq's on the unpacked sequence.
 func CountSeqPackedBatched(t *Table, p seq2.Packed, k int) uint64 {
+	return countSeqPackedBatched(t, p, k, WaveWidth)
+}
+
+// countSeqPackedBatched is CountSeqPackedBatched at a given wave width.
+func countSeqPackedBatched(t *Table, p seq2.Packed, k, width int) uint64 {
 	n := p.Len()
 	if n < k || k <= 0 || k > 31 {
 		return 0
 	}
-	wave := t.waveScratch()
+	wave := t.waveScratch(width)
 	pt, _ := t.Tracer.(Prefetcher)
 	shift := 2 * uint(k-1)
 	mask := uint64(1)<<(2*uint(k)) - 1

@@ -123,7 +123,8 @@ func TestBatchedPrefetchReducesSimulatedStalls(t *testing.T) {
 
 // CountSeqPackedBatched must produce tables identical to CountSeq's
 // at every wave width, including widths larger than the read's k-mer
-// count.
+// count, and a table that once counted at a wider wave must not keep
+// flushing at that width.
 func TestPackedBatchedForcedWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	reads := make([]genome.Seq, 10)
@@ -137,13 +138,11 @@ func TestPackedBatchedForcedWidths(t *testing.T) {
 			wantN += CountSeq(want, r, k)
 		}
 		for _, width := range []int{4, 7, 64, 512} {
-			restore := WaveWidth.Set(width)
 			got := NewTable(64, Linear)
 			var gotN uint64
 			for _, r := range reads {
-				gotN += CountSeqPackedBatched(got, seq2.Pack(r), k)
+				gotN += countSeqPackedBatched(got, seq2.Pack(r), k, width)
 			}
-			restore()
 			if gotN != wantN {
 				t.Fatalf("k=%d width=%d: counted %d, want %d", k, width, gotN, wantN)
 			}
@@ -159,6 +158,11 @@ func TestPackedBatchedForcedWidths(t *testing.T) {
 				}
 			}
 		}
+	}
+	tab := NewTable(64, Linear)
+	countSeqPackedBatched(tab, seq2.Pack(reads[0]), 17, 512)
+	if got := cap(tab.waveScratch(WaveWidth)); got != WaveWidth {
+		t.Fatalf("wave after a 512-wide count holds %d slots, want WaveWidth %d", got, WaveWidth)
 	}
 }
 

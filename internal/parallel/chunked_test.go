@@ -9,10 +9,10 @@ import (
 	"repro/internal/obs"
 )
 
-// forEachChunk drives the shared-counter source at an explicit chunk
-// size; the exported ForEachChunkedCtxErr sizes its own with chunkFor.
+// forEachChunk drives the task loop at an explicit chunk size; the
+// exported ForEachChunkedCtxErr sizes its own with chunkFor.
 func forEachChunk(ctx context.Context, n, threads, chunk int, fn func(context.Context, int, int) error) error {
-	return run(ctx, n, threads, chunked(chunk), fn)
+	return run(ctx, n, threads, chunk, fn)
 }
 
 func TestForEachChunkedCtxCoversAllTasks(t *testing.T) {

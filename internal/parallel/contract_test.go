@@ -14,22 +14,12 @@ import (
 // names its task; a cancelled parent beats a task error and comes back
 // as the parent's cause.
 func TestErrAdaptersShareTheContract(t *testing.T) {
-	type adapter = func(ctx context.Context, n, threads int, fn func(context.Context, int, int) error) error
-	forced := func(policy int) adapter {
-		return func(ctx context.Context, n, threads int, fn func(context.Context, int, int) error) error {
-			defer ForceDispatch(policy)()
-			return ForEachDispatchErr(ctx, n, threads, fn)
-		}
-	}
 	adapters := []struct {
 		name string
-		run  adapter
+		run  func(ctx context.Context, n, threads int, fn func(context.Context, int, int) error) error
 	}{
 		{"ForEachCtxErr", ForEachCtxErr},
 		{"ForEachChunkedCtxErr", ForEachChunkedCtxErr},
-		{"ForEachStealingErr", ForEachStealingErr},
-		{"ForEachDispatchErr/chunked", forced(DispatchChunked)},
-		{"ForEachDispatchErr/stealing", forced(DispatchStealing)},
 	}
 	const n = 1000 // enough for ForEachChunkedCtxErr to pull real chunks
 	boom := errors.New("boom")

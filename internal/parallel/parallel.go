@@ -5,12 +5,9 @@
 //
 // There is one task loop, run: it clamps the thread count, sets up
 // observability, isolates panics, honours cancellation and the first
-// task error, and asks a task source which index range a worker runs
-// next. There are two sources: the shared atomic counter (a range of
-// one task, or a chunk of consecutive ones) and the per-worker deques
-// with steal-half rebalancing (stealing.go). The four entry points —
-// ForEachCtxErr, ForEachChunkedCtxErr, ForEachStealingErr and
-// ForEachDispatchErr — only choose a source.
+// task error, and has every worker pull the next index range off one
+// shared atomic counter. The two entry points — ForEachCtxErr and
+// ForEachChunkedCtxErr — only choose how many tasks a pull takes.
 //
 // When an obs.Observer is installed in the context (the suite driver
 // does this), the scheduler records a latency histogram per pulled
@@ -54,43 +51,6 @@ func (e *PanicError) PanicValue() any { return e.Value }
 // PanicStack returns the stack captured at the panic site.
 func (e *PanicError) PanicStack() []byte { return e.Stack }
 
-// source is a dispatch discipline: it hands a worker the next index
-// range to run. Everything else about a run lives in run.
-type source interface {
-	// next returns a non-empty range [lo, hi) for worker, or ok=false
-	// once no work is left for it anywhere.
-	next(worker int) (lo, hi int, ok bool)
-}
-
-// counter is the shared-cursor source — the moral equivalent of
-// `#pragma omp parallel for schedule(dynamic, chunk)`: every worker
-// pulls the next `chunk` consecutive indices off one atomic.
-type counter struct {
-	cursor   atomic.Int64
-	n, chunk int
-}
-
-func (c *counter) next(int) (lo, hi int, ok bool) {
-	hi = int(c.cursor.Add(int64(c.chunk)))
-	lo = hi - c.chunk
-	if lo >= c.n {
-		return 0, 0, false
-	}
-	return lo, min(hi, c.n), true
-}
-
-// chunked returns the constructor run wants for a shared counter
-// handing out `chunk` indices per pull; chunk <= 0 sizes the chunk
-// from the run's task and (clamped) thread counts with chunkFor.
-func chunked(chunk int) func(n, threads int) source {
-	return func(n, threads int) source {
-		if chunk <= 0 {
-			return &counter{n: n, chunk: chunkFor(n, threads)}
-		}
-		return &counter{n: n, chunk: chunk}
-	}
-}
-
 // chunkFor picks a chunk size for n fine-grained tasks on `threads`
 // workers: large enough to amortize the shared-counter fetch, small
 // enough to keep ~8 chunks per worker for dynamic load balancing.
@@ -110,10 +70,12 @@ type workerClock struct {
 // run is the one task loop. It runs fn(ctx, worker, i) for every i in
 // [0,n) on `threads` workers (GOMAXPROCS when <= 0, never more than n;
 // a single worker runs inline on the caller's goroutine), each pulling
-// index ranges from the source newSource builds. fn receives the
-// worker id so kernels can keep per-worker state without locking, and
-// a derived context so nested blocking work (fault delays, IO)
-// observes the run winding down.
+// the next `chunk` consecutive indices off one shared atomic counter —
+// the moral equivalent of `#pragma omp parallel for schedule(dynamic,
+// chunk)`; chunk <= 0 sizes it from the task and clamped thread counts
+// with chunkFor. fn receives the worker id so kernels can keep
+// per-worker state without locking, and a derived context so nested
+// blocking work (fault delays, IO) observes the run winding down.
 //
 // Dispatch stops — in-flight tasks finish, the rest of a range whose
 // task failed is skipped — on the first task error, the first panic,
@@ -128,7 +90,7 @@ type workerClock struct {
 // With an observer installed, each pulled range is one
 // parallel.task_latency_ns observation and one parallel.tasks_completed
 // count (so a chunked run reports per chunk, its scheduling unit).
-func run(ctx context.Context, n, threads int, newSource func(n, threads int) source,
+func run(ctx context.Context, n, threads, chunk int,
 	fn func(ctx context.Context, worker, task int) error) error {
 	if threads <= 0 {
 		threads = runtime.GOMAXPROCS(0)
@@ -139,7 +101,10 @@ func run(ctx context.Context, n, threads int, newSource func(n, threads int) sou
 	if n <= 0 {
 		return nil
 	}
-	src := newSource(n, threads)
+	if chunk <= 0 {
+		chunk = chunkFor(n, threads)
+	}
+	var cursor atomic.Int64
 	cctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
 
@@ -200,11 +165,12 @@ func run(ctx context.Context, n, threads int, newSource func(n, threads int) sou
 	// work deterministically.
 	work := func(worker int) {
 		for cctx.Err() == nil {
-			lo, hi, ok := src.next(worker)
-			if !ok {
+			hi := int(cursor.Add(int64(chunk)))
+			lo := hi - chunk
+			if lo >= n {
 				return
 			}
-			runRange(worker, lo, hi)
+			runRange(worker, lo, min(hi, n))
 		}
 	}
 	if threads == 1 {
@@ -234,9 +200,6 @@ func run(ctx context.Context, n, threads int, newSource func(n, threads int) sou
 		}
 		o.Gauge("parallel.workers", label).Set(float64(threads))
 		o.Counter("parallel.tasks_completed", label).Add(uint64(done))
-		if d, ok := src.(*deques); ok {
-			o.Counter("parallel.steals", label).Add(uint64(d.steals.Load()))
-		}
 	}
 
 	// perr and taskErr were written before the cancel that followed
@@ -254,14 +217,14 @@ func run(ctx context.Context, n, threads int, newSource func(n, threads int) sou
 
 // ForEachCtxErr is run over the shared counter, one task per pull.
 func ForEachCtxErr(ctx context.Context, n, threads int, fn func(ctx context.Context, worker, task int) error) error {
-	return run(ctx, n, threads, chunked(1), fn)
+	return run(ctx, n, threads, 1, fn)
 }
 
 // ForEachChunkedCtxErr is run over the shared counter with chunkFor's
 // chunk of consecutive tasks per pull, cutting scheduling overhead for
 // fine-grained tasks.
 func ForEachChunkedCtxErr(ctx context.Context, n, threads int, fn func(ctx context.Context, worker, task int) error) error {
-	return run(ctx, n, threads, chunked(0), fn)
+	return run(ctx, n, threads, 0, fn)
 }
 
 // ScalingPoint is one measurement of a scaling sweep.

@@ -58,9 +58,8 @@ func TestForEachWorkerIDsInRange(t *testing.T) {
 	}
 }
 
-// plain adapts an error-free task body to the schedulers' task
-// signature; runPlain and stealPlain run one through the two exported
-// error-returning schedulers.
+// plain adapts an error-free task body to the scheduler's task
+// signature; runPlain runs one through ForEachCtxErr.
 func plain(fn func(worker, task int)) func(context.Context, int, int) error {
 	return func(_ context.Context, worker, task int) error {
 		fn(worker, task)
@@ -70,10 +69,6 @@ func plain(fn func(worker, task int)) func(context.Context, int, int) error {
 
 func runPlain(ctx context.Context, n, threads int, fn func(worker, task int)) error {
 	return ForEachCtxErr(ctx, n, threads, plain(fn))
-}
-
-func stealPlain(ctx context.Context, n, threads int, fn func(worker, task int)) error {
-	return ForEachStealingErr(ctx, n, threads, plain(fn))
 }
 
 // A task count the chunk size does not divide: the short last chunk

@@ -501,10 +501,9 @@ func RunKernelCtx(ctx context.Context, regions []*Region, threads int) (KernelRe
 		scratches[i] = pool.WorkerState(i, func() any { return NewScratch() }).(*Scratch)
 	}
 	spans := planSpans(regions, threads)
-	// Active-region cost skews with read depth and haplotype count, so
-	// the scheduler is the probed parallel.dispatch choice (shared
-	// counter vs work stealing); results are policy-independent.
-	err := parallel.ForEachDispatchErr(ctx, len(spans), threads, func(tctx context.Context, w, i int) error {
+	// Active-region cost skews with read depth and haplotype count;
+	// one span per pull off the shared counter balances it.
+	err := parallel.ForEachCtxErr(ctx, len(spans), threads, func(tctx context.Context, w, i int) error {
 		sp := &spans[i]
 		if sp.first {
 			if err := faultinject.Point(tctx); err != nil {

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 )
 
 // stragglerRegions is the suite dataset's shape in miniature: 29 light
@@ -52,8 +51,8 @@ func regionDigest(lik []float64, best []int) uint64 {
 // TestRunKernelSplitInvariance pins that cutting the heavy region
 // along reads is invisible in the result: every aggregate and the
 // per-region work distribution equal the one-thread run for every
-// thread count under both schedulers, and one fault trip-point is
-// evaluated per region however many spans it became.
+// thread count, and one fault trip-point is evaluated per region
+// however many spans it became.
 func TestRunKernelSplitInvariance(t *testing.T) {
 	regions := stragglerRegions(rand.New(rand.NewSource(31)), 80)
 	want := must(RunKernelCtx(context.Background(), regions, 1))
@@ -71,30 +70,26 @@ func TestRunKernelSplitInvariance(t *testing.T) {
 	faultinject.Arm(plan)
 	defer faultinject.Disarm()
 	runs := uint64(0)
-	for _, policy := range []int{parallel.DispatchChunked, parallel.DispatchStealing} {
-		restore := parallel.ForceDispatch(policy)
-		for _, threads := range []int{1, 2, 3, 4, 8} {
-			got := must(RunKernelCtx(context.Background(), regions, threads))
-			runs++
-			if got.Regions != want.Regions || got.Pairs != want.Pairs ||
-				got.CellUpdates != want.CellUpdates || got.Fallbacks != want.Fallbacks ||
-				!reflect.DeepEqual(got.Counters, want.Counters) {
-				t.Errorf("policy %d threads %d: result changed:\ngot  %+v\nwant %+v", policy, threads, got, want)
-			}
-			if got.TaskStats.Count() != len(regions) {
-				t.Errorf("policy %d threads %d: %d TaskStats samples, want one per region (%d)",
-					policy, threads, got.TaskStats.Count(), len(regions))
-			}
-			if !reflect.DeepEqual(got.TaskStats.Summarize(), sum) {
-				t.Errorf("policy %d threads %d: task-work distribution changed:\ngot  %+v\nwant %+v",
-					policy, threads, got.TaskStats.Summarize(), sum)
-			}
-			if evals := plan.Stats()[0].Evals; evals != runs*uint64(len(regions)) {
-				t.Errorf("policy %d threads %d: %d trip-point evaluations after %d runs, want %d per run",
-					policy, threads, evals, runs, len(regions))
-			}
+	for _, threads := range []int{1, 2, 3, 4, 8} {
+		got := must(RunKernelCtx(context.Background(), regions, threads))
+		runs++
+		if got.Regions != want.Regions || got.Pairs != want.Pairs ||
+			got.CellUpdates != want.CellUpdates || got.Fallbacks != want.Fallbacks ||
+			!reflect.DeepEqual(got.Counters, want.Counters) {
+			t.Errorf("threads %d: result changed:\ngot  %+v\nwant %+v", threads, got, want)
 		}
-		restore()
+		if got.TaskStats.Count() != len(regions) {
+			t.Errorf("threads %d: %d TaskStats samples, want one per region (%d)",
+				threads, got.TaskStats.Count(), len(regions))
+		}
+		if !reflect.DeepEqual(got.TaskStats.Summarize(), sum) {
+			t.Errorf("threads %d: task-work distribution changed:\ngot  %+v\nwant %+v",
+				threads, got.TaskStats.Summarize(), sum)
+		}
+		if evals := plan.Stats()[0].Evals; evals != runs*uint64(len(regions)) {
+			t.Errorf("threads %d: %d trip-point evaluations after %d runs, want %d per run",
+				threads, evals, runs, len(regions))
+		}
 	}
 }
 
@@ -174,7 +169,6 @@ func TestPlanSpansReassemble(t *testing.T) {
 func TestRunKernelSplitCancel(t *testing.T) {
 	regions := stragglerRegions(rand.New(rand.NewSource(33)), 1200)
 	const threads = 2
-	defer parallel.ForceDispatch(parallel.DispatchChunked)()
 	nSpans := len(planSpans(regions, threads))
 	plan, err := faultinject.Parse("delay:*:1h", 1)
 	if err != nil {

@@ -69,15 +69,15 @@ func TestCountRegionPackedRunLengths(t *testing.T) {
 	}
 }
 
-// TestCountRegionShortRunExhaustive drives the short-run SWAR gather
-// through every (length, start-phase) pair it can see: all run lengths
-// below the cutover crossed with every in-word phase, including every
-// phase that straddles a packed word boundary. Each case is pinned
-// exactly to the per-base reference.
+// TestCountRegionShortRunExhaustive covers the byte-walk side of the
+// PackedRunMin cutover on packed records: every run length below it
+// crossed with every in-word start phase, including every phase that
+// straddles a packed word boundary. Each case is pinned exactly to the
+// per-base reference.
 func TestCountRegionShortRunExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	seq := genome.Random(rng, 96)
-	for runLen := 1; runLen < packedRunCutover; runLen++ {
+	for runLen := 1; runLen < PackedRunMin; runLen++ {
 		for phase := 0; phase < 32; phase++ {
 			cig := clipCigar(phase, runLen)
 			a := &simio.Alignment{Pos: 100, Cigar: cig, Seq: seq[:phase+runLen], Reverse: phase%2 == 1}
@@ -92,62 +92,6 @@ func TestCountRegionShortRunExhaustive(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestCountRegionForcedPolicies re-runs the run-length sweep with the
-// dispatch thresholds pinned to each extreme, so the byte walk, the
-// short gather, and the word walk each cover the whole short regime
-// regardless of what the microprobe measures on the test host. The
-// thresholds are pure dispatch policy: results must be identical.
-func TestCountRegionForcedPolicies(t *testing.T) {
-	policies := []struct {
-		name        string
-		short, word int
-	}{
-		{"byte-only-below-cutover", packedRunCutover, packedRunCutover},
-		{"gather-below-cutover", 0, packedRunCutover},
-		{"word-everywhere", 0, 1},
-	}
-	rng := rand.New(rand.NewSource(11))
-	seq := genome.Random(rng, 96)
-	for _, pol := range policies {
-		t.Run(pol.name, func(t *testing.T) {
-			defer shortRunMin.Set(pol.short)()
-			defer wordRunMin.Set(pol.word)()
-			for runLen := 1; runLen < packedRunCutover; runLen += 3 {
-				for phase := 0; phase < 32; phase += 5 {
-					cig := clipCigar(phase, runLen)
-					a := &simio.Alignment{Pos: 100, Cigar: cig, Seq: seq[:phase+runLen], Reverse: phase%2 == 1}
-					a.Pack()
-					rg := &Region{Start: 100, End: 200, Alignments: []*simio.Alignment{a}}
-					got, _ := CountRegion(rg)
-					want, _ := CountRegionScalar(rg)
-					for p := range want {
-						if got[p] != want[p] {
-							t.Fatalf("runLen %d phase %d position %d: %+v, want %+v",
-								runLen, phase, rg.Start+p, got[p], want[p])
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestProbeRunThresholds checks the microprobe yields in-range,
-// memoized thresholds. It makes no claim about WHICH walker wins —
-// that is the point of measuring — only that the answer is usable.
-func TestProbeRunThresholds(t *testing.T) {
-	got := probeRunThresholds()
-	if got.short < 0 || got.short > packedRunCutover {
-		t.Fatalf("short threshold %d out of range", got.short)
-	}
-	if got.word < 1 || got.word > packedRunCutover {
-		t.Fatalf("word threshold %d out of range", got.word)
-	}
-	if again := probeRunThresholds(); again != got {
-		t.Fatalf("probe not memoized: %+v then %+v", got, again)
 	}
 }
 

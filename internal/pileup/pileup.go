@@ -54,20 +54,16 @@ type Region struct {
 // Match runs — the overwhelming bulk of real CIGARs — take a packed
 // fast path: the run is clamped to the window once (no per-base
 // window branch), and when the record carries its 2-bit packed form
-// (simio.Alignment.Pack; real BAM records are packed natively) the
-// counters are bumped four bases per word chunk — one word load per
-// 32 bases, two shifts, a mask and an increment per base, no per-base
-// bounds checks. Runs below the word-walk cutover take the SWAR
-// gather (countMatchRunShort): the whole run is spliced out of its one
-// or two packed words into a single register first. Very short runs —
-// and every run of an unpacked record — use the byte walk on the
-// clamped run. The two thresholds are per-host tunables measured by a
-// startup microprobe (see tuning.go); the dispatch is pure routing, so
-// results are exactly CountRegionScalar's for any threshold setting
-// (integer counters, no rounding to tolerate), which the differential
-// tests assert across forced policies.
+// (simio.Alignment.Pack; real BAM records are packed natively) and
+// the clamped run is at least PackedRunMin bases long, the counters
+// are bumped four bases per word chunk — one word load per 32 bases,
+// two shifts, a mask and an increment per base, no per-base bounds
+// checks. Shorter runs, and every run of an unpacked record, use the
+// byte walk on the clamped run. The cutover is pure routing, so
+// results are exactly CountRegionScalar's (integer counters, no
+// rounding to tolerate), which the differential tests assert on both
+// sides of it.
 func CountRegion(rg *Region) ([]Counts, int) {
-	wordMin, shortMin := wordRunMin.Get(), shortRunMin.Get()
 	counts := make([]Counts, rg.End-rg.Start)
 	for _, a := range rg.Alignments {
 		strand := 0
@@ -91,12 +87,9 @@ func CountRegion(rg *Region) ([]Counts, int) {
 				if lo < hi {
 					dst := counts[lo-rg.Start : lo-rg.Start+(hi-lo)]
 					q0 := readPos + (lo - refPos)
-					switch {
-					case packed != nil && hi-lo >= wordMin:
+					if packed != nil && hi-lo >= PackedRunMin {
 						countMatchRunPacked(dst, packed, q0, strand)
-					case packed != nil && hi-lo >= shortMin:
-						countMatchRunShort(dst, packed, q0, strand)
-					default:
+					} else {
 						run := a.Seq[q0 : q0+(hi-lo)]
 						for i := range dst {
 							dst[i].Base[strand][run[i]&3]++
@@ -125,16 +118,12 @@ func CountRegion(rg *Region) ([]Counts, int) {
 	return counts, len(rg.Alignments)
 }
 
-// packedRunCutover is the hard capacity bound of the short-run SWAR
-// gather: a run it handles must fit one 64-bit register after the
-// phase shift, so at most 31 bases. It caps the measured wordRunMin
-// tunable; the actual per-host dispatch thresholds live in tuning.go.
-// Short runs dominate noisy long-read CIGARs; long runs dominate
-// accurate (HiFi-like) ones — which of the three walkers wins at a
-// given length is a property of the host, so it is measured, not
-// assumed (the assumed constant is what let the packed-vs-scalar
-// speedup drift silently across PRs 4 and 5).
-const packedRunCutover = 32
+// PackedRunMin is the shortest clamped match run CountRegion counts
+// with the packed word walk; shorter runs take the byte walk. The
+// start-up probe this constant replaced always put the packed walk's
+// break-even at 32, and a SWAR gather for the runs below it never beat
+// the byte walk above noise (docs/PERFORMANCE.md).
+const PackedRunMin = 32
 
 // countsStride is the byte distance between consecutive positions'
 // counters, used by the packed walk's pointer stride.
@@ -181,42 +170,6 @@ func countMatchRunPacked(dst []Counts, words []uint64, q0, strand int) {
 			w = words[wi]
 			rem = seq2.BasesPerWord
 		}
-	}
-}
-
-// countMatchRunShort handles clamped match runs below the cutover when
-// the packed form is available. A run of fewer than 32 bases is at
-// most 62 bits of 2-bit codes, so a SWAR gather splices it out of its
-// one or two packed words into a single register up front; the counter
-// loop then peels two bits per base off that register with the same
-// strided pointer walk as the long-run path — no per-base byte loads,
-// no word/phase bookkeeping inside the loop. This is the short-run
-// regime noisy long-read CIGARs live in (mean match run well under the
-// cutover), which previously fell back to the byte walk.
-func countMatchRunShort(dst []Counts, words []uint64, q0, strand int) {
-	n := len(dst) // < packedRunCutover <= 32
-	c := unsafe.Pointer(&dst[0].Base[strand][0])
-	phase := q0 % seq2.BasesPerWord
-	sh := 2 * uint(phase)
-	w := words[q0/seq2.BasesPerWord] >> sh
-	if seq2.BasesPerWord-phase < n {
-		// The run straddles a word boundary; sh > 0 here (a phase-0 run
-		// of < 32 bases fits its word), so 64-sh is a valid shift.
-		w |= words[q0/seq2.BasesPerWord+1] << (64 - sh)
-	}
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		*(*uint32)(unsafe.Add(c, uintptr(w&3)*4))++
-		*(*uint32)(unsafe.Add(c, countsStride+uintptr(w>>2&3)*4))++
-		*(*uint32)(unsafe.Add(c, 2*countsStride+uintptr(w>>4&3)*4))++
-		*(*uint32)(unsafe.Add(c, 3*countsStride+uintptr(w>>6&3)*4))++
-		c = unsafe.Add(c, 4*countsStride)
-		w >>= 8
-	}
-	for ; i < n; i++ {
-		*(*uint32)(unsafe.Add(c, uintptr(w&3)*4))++
-		c = unsafe.Add(c, countsStride)
-		w >>= 2
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cpufeat"
 	"repro/internal/genome"
-	"repro/internal/lanes"
 )
 
 // addBoth adds seq to a scalar-pinned graph and a lane graph and
@@ -16,7 +15,6 @@ import (
 func addBoth(t *testing.T, gs, gl *Graph, seq genome.Seq, p Params, trial, step int) {
 	t.Helper()
 	gs.forceScalar = true
-	gl.forceLanes = true // pin the path under test past the measured work floor
 	gs.AddSequence(seq, p)
 	gl.AddSequence(seq, p)
 	if gs.NumNodes() != gl.NumNodes() || gs.NumEdges() != gl.NumEdges() {
@@ -139,12 +137,10 @@ func TestLaneEligibleGuard(t *testing.T) {
 
 // TestBarelyIneligibleForcedWideFallsBack pins the widened 16-lane
 // range proof at its boundary: a window that misses eligibility by a
-// hair must take the scalar path even when the caller forces wide
-// dispatch (forceLanes overrides the measured work floor, never the
-// proof), and must still produce the scalar result. With maxAbs=170
-// the bound maxAbs*(V+n+16) <= 32000 admits V+n <= 172: a 90-base
-// backbone re-aligned against itself (V=n=90, V+n=180) sits just
-// outside, a 78-base one (V+n=156) just inside.
+// hair must take the scalar path, and must still produce the scalar
+// result. With maxAbs=170 the bound maxAbs*(V+n+16) <= 32000 admits
+// V+n <= 172: a 90-base backbone re-aligned against itself (V=n=90,
+// V+n=180) sits just outside, a 78-base one (V+n=156) just inside.
 func TestBarelyIneligibleForcedWideFallsBack(t *testing.T) {
 	p := Params{Match: 170, Mismatch: -170, Gap: -1}
 	if laneEligible(p, 78, 78) != true {
@@ -166,12 +162,11 @@ func TestBarelyIneligibleForcedWideFallsBack(t *testing.T) {
 	gs.AddSequence(mutated, p)
 
 	gw := New()
-	gw.forceLanes = true
 	gw.AddSequence(backbone, p)
 	gw.AddSequence(mutated, p)
 
 	if len(gw.score16) != 0 {
-		t.Fatal("barely-ineligible window still took the wide int16 path under forced dispatch")
+		t.Fatal("barely-ineligible window still took the wide int16 path")
 	}
 	if gw.NumNodes() != gs.NumNodes() || gw.NumEdges() != gs.NumEdges() {
 		t.Fatal("fallback graph shape diverged from the scalar reference")
@@ -211,66 +206,15 @@ func TestCSRSnapshotInvalidation(t *testing.T) {
 	}
 }
 
-// TestLaneMinWorkDispatch pins the measured-profitability gate: an
-// eligible window below the work floor must take the scalar path (its
-// int16 table is never grown), and the floor at zero restores lanes.
-// The consensus must not change either way — the floor is pure policy.
-func TestLaneMinWorkDispatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(56))
-	// Small window: every alignment's V*n stays well under the floor
-	// cap, so pinning the floor to the cap must route all of them to
-	// the scalar path.
-	base := genome.Random(rng, 40)
-	w := &Window{}
-	for s := 0; s < 3; s++ {
-		seq := base.Clone()
-		seq[rng.Intn(len(seq))] = genome.Base(rng.Intn(4))
-		w.Sequences = append(w.Sequences, seq)
-	}
-	p := DefaultParams()
-	want, _ := ConsensusScalarInto(w, p, New())
-
-	restore := lanes.WideMinWork.Set(lanes.WideMinWorkCap)
-	g := New()
-	got, _ := ConsensusInto(w, p, g)
-	if len(g.score16) != 0 {
-		t.Fatal("window below the work floor still took the lane path")
-	}
-	if !got.Equal(want) {
-		t.Fatal("scalar-routed consensus diverged")
-	}
-	restore()
-
-	defer lanes.WideMinWork.Set(0)()
-	g = New()
-	got, _ = ConsensusInto(w, p, g)
-	if len(g.score16) == 0 {
-		t.Fatal("zero work floor did not restore the lane path")
-	}
-	if !got.Equal(want) {
-		t.Fatal("lane-routed consensus diverged")
-	}
-}
-
-// TestProbeWideMinWork checks the microprobe returns an in-range,
-// cap-respecting answer on this host.
-func TestProbeWideMinWork(t *testing.T) {
-	got := probeWideMinWork()
-	if got < 0 || got > lanes.WideMinWorkCap {
-		t.Fatalf("probe returned %d, out of [0, %d]", got, lanes.WideMinWorkCap)
-	}
-}
-
 // FuzzConsensusLaneBoundary drives laneEligible's int16 range proof
 // from both sides. The fuzzer picks the scoring and a split; the
 // backbone length V and the second sequence's length n sum to the
 // proof's largest eligible V+n plus delta (clamped to [-2, 2]), so the
 // second alignment is the last eligible one at delta <= 0 and the
 // first that must take the scalar path above it. A third sequence, a
-// noisy copy of the second, aligns against the grown graph. With the
-// work floor at zero, ConsensusInto must equal ConsensusScalarInto in
-// consensus and cells on the dispatched tier and with the SIMD ceiling
-// forced off.
+// noisy copy of the second, aligns against the grown graph.
+// ConsensusInto must equal ConsensusScalarInto in consensus and cells
+// on the dispatched tier and with the SIMD ceiling forced off.
 func FuzzConsensusLaneBoundary(f *testing.F) {
 	for _, delta := range []int8{-1, 0, 1} {
 		f.Add(int64(1), uint8(2), uint8(4), uint8(0), uint8(128), delta)   // maxAbs 16: V+n around 1984
@@ -300,7 +244,6 @@ func FuzzConsensusLaneBoundary(f *testing.F) {
 		}
 		second := noisy(backbone, n)
 		w := &Window{Sequences: []genome.Seq{backbone, second, noisy(second, n)}}
-		defer lanes.WideMinWork.Set(0)()
 		want, wantCells := ConsensusScalarInto(w, p, New())
 		check := func(tier string) {
 			got, cells := ConsensusInto(w, p, New())
@@ -316,11 +259,8 @@ func FuzzConsensusLaneBoundary(f *testing.F) {
 }
 
 // BenchmarkAddSequenceLanes is the scalar-vs-lane single-thread pair
-// on realistic windows. The work floor is pinned
-// to zero so both sides measure what their names promise regardless of
-// the probe's verdict on the bench host.
+// on realistic windows.
 func BenchmarkAddSequenceLanes(b *testing.B) {
-	defer lanes.WideMinWork.Set(0)()
 	rng := rand.New(rand.NewSource(55))
 	windows := make([]*Window, 8)
 	for i := range windows {

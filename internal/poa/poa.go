@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/genome"
-	"repro/internal/lanes"
 	"repro/internal/parallel"
 	"repro/internal/perf"
 	"repro/internal/scratch"
@@ -86,12 +85,7 @@ type Graph struct {
 
 	// forceScalar pins AddSequence to the scalar int32 reference path
 	// (set via ConsensusScalarInto, and by differential tests).
-	// forceLanes pins eligible windows to the lane path regardless of
-	// the measured lanes.WideMinWork floor (differential tests and the
-	// tuning microprobe, which must not consult the tunable it feeds).
-	// forceScalar wins when both are set.
 	forceScalar bool
-	forceLanes  bool
 }
 
 // New creates an empty graph.
@@ -232,13 +226,9 @@ func (g *Graph) AddSequence(seq genome.Seq, p Params) {
 	order := g.topoOrder()
 	n := len(seq)
 	V := len(order)
-	// Lane dispatch is two independent questions: laneEligible is the
-	// int16 range proof (correctness — never overridden),
-	// lanes.WideMinWork the measured profitability floor on V*n
-	// (policy — forceLanes short-circuits it so forced paths and the
-	// microprobe never consult the tunable mid-resolution).
-	if !g.forceScalar && laneEligible(p, V, n) &&
-		(g.forceLanes || V*n >= lanes.WideMinWork.Get()) {
+	// laneEligible is the int16 range proof: every eligible window
+	// takes the lane path.
+	if !g.forceScalar && laneEligible(p, V, n) {
 		g.addSequenceLanes(seq, p, order)
 		return
 	}
@@ -525,12 +515,9 @@ func RunKernelCtx(ctx context.Context, windows []*Window, p Params, threads int)
 	for i := range graphs {
 		graphs[i] = New()
 	}
-	// Windows vary ~10x in cell count (graph size times read coverage),
-	// so dispatch goes through the work-stealing scheduler: each worker
-	// owns a contiguous block of windows and idle workers steal from
-	// the most loaded, instead of every dispatch bouncing the shared
-	// counter's cache line.
-	err := parallel.ForEachStealingErr(ctx, len(windows), threads, func(tctx context.Context, w, i int) error {
+	// Windows vary ~10x in cell count (graph size times read coverage);
+	// one window per pull off the shared counter balances that.
+	err := parallel.ForEachCtxErr(ctx, len(windows), threads, func(tctx context.Context, w, i int) error {
 		if err := faultinject.Point(tctx); err != nil {
 			return err
 		}

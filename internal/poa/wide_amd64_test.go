@@ -64,7 +64,6 @@ func TestWideSimdOffMatchesAsm(t *testing.T) {
 		w := randomWindow(rng)
 
 		ga := New()
-		ga.forceLanes = true
 		var ca genome.Seq
 		for _, seq := range w.Sequences {
 			ga.AddSequence(seq, p)
@@ -74,7 +73,6 @@ func TestWideSimdOffMatchesAsm(t *testing.T) {
 
 		restore := cpufeat.ForceForTest("off")
 		gp := New()
-		gp.forceLanes = true
 		for _, seq := range w.Sequences {
 			gp.AddSequence(seq, p)
 		}

@@ -32,41 +32,3 @@ func TestHaveAsmMatchesArch(t *testing.T) {
 		t.Fatalf("HaveAsm = %v on %s, want %v", HaveAsm, runtime.GOARCH, want)
 	}
 }
-
-// BestWidth must return one of its candidates (clamped sane), resolve
-// deterministically from an empty candidate list, and not blow the
-// probe budget.
-func TestBestWidthPicksACandidate(t *testing.T) {
-	if got := BestWidth(nil); got != 1 {
-		t.Fatalf("BestWidth(nil) = %d, want 1", got)
-	}
-	cands := []int{4, 8, 16}
-	got := BestWidth(cands)
-	found := false
-	for _, c := range cands {
-		if got == c {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("BestWidth(%v) = %d, not a candidate", cands, got)
-	}
-}
-
-// The probe table must be a single cycle: following next-hops from
-// slot 0 has to visit every slot exactly once before returning.
-func TestProbeTableIsSingleCycle(t *testing.T) {
-	table := probeTable()
-	seen := make([]bool, len(table))
-	cur := uint32(0)
-	for i := 0; i < len(table); i++ {
-		if seen[cur] {
-			t.Fatalf("revisited slot %d after %d hops", cur, i)
-		}
-		seen[cur] = true
-		cur = table[cur]
-	}
-	if cur != 0 {
-		t.Fatalf("cycle did not close: ended at %d", cur)
-	}
-}

@@ -1,123 +1,60 @@
 package tuning
 
 import (
+	"encoding/json"
 	"os"
-	"sync"
+	"reflect"
+	"strings"
 	"testing"
 )
 
-func TestProbeRunsOnceAndClamps(t *testing.T) {
-	calls := 0
-	tn := NewInt("test.once", 10, 0, 20, func() int { calls++; return 99 })
-	if got := tn.Get(); got != 20 {
-		t.Fatalf("Get = %d, want probe result clamped to 20", got)
+// TestResolveAllIgnoresEnvironment pins that the dispatch constants are
+// constants: the variables that once forced, froze or cached them
+// change nothing and write nothing, and the table names exactly the
+// tuning.* rows BENCHMARK.json declares.
+func TestResolveAllIgnoresEnvironment(t *testing.T) {
+	dir := t.TempDir()
+	env := map[string]string{
+		"GBENCH_TUNE":                     "off",
+		"GBENCH_TUNE_FMINDEX_BATCH_WIDTH": "3",
+		"GBENCH_TUNE_CACHE_DIR":           dir,
 	}
-	for i := 0; i < 5; i++ {
-		tn.Get()
+	for k := range env {
+		t.Setenv(k, "")
+		os.Unsetenv(k)
 	}
-	if calls != 1 {
-		t.Fatalf("probe ran %d times, want 1", calls)
+	want := ResolveAll()
+	for k, v := range env {
+		t.Setenv(k, v)
 	}
-}
+	if got := ResolveAll(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ResolveAll under the environment = %v, want %v", got, want)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Fatalf("cache dir holds %d entries (err %v), want none", len(entries), err)
+	}
 
-func TestNilProbeUsesDefault(t *testing.T) {
-	tn := NewInt("test.default", 7, 0, 20, nil)
-	if got := tn.Get(); got != 7 {
-		t.Fatalf("Get = %d, want default 7", got)
+	data, err := os.ReadFile("../../BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestSetOverridesAndRestores(t *testing.T) {
-	calls := 0
-	tn := NewInt("test.set", 3, 0, 100, func() int { calls++; return 50 })
-	restore := tn.Set(8)
-	if got := tn.Get(); got != 8 || calls != 0 {
-		t.Fatalf("Get = %d (probe calls %d), want pinned 8 with no probe", got, calls)
+	var spec struct {
+		PerLayer []struct{ Name string } `json:"per_layer"`
 	}
-	restore()
-	if got := tn.Get(); got != 50 || calls != 1 {
-		t.Fatalf("after restore Get = %d (probe calls %d), want probed 50", got, calls)
+	if err := json.Unmarshal(data, &spec); err != nil {
+		t.Fatal(err)
 	}
-	// Restoring an already-resolved state keeps the probed value.
-	restore2 := tn.Set(1)
-	restore2()
-	if got := tn.Get(); got != 50 || calls != 1 {
-		t.Fatalf("second restore Get = %d (probe calls %d), want cached 50", got, calls)
-	}
-}
-
-func TestEnvOverride(t *testing.T) {
-	os.Setenv("GBENCH_TUNE_TEST_ENV_VALUE", "13")
-	defer os.Unsetenv("GBENCH_TUNE_TEST_ENV_VALUE")
-	tn := NewInt("test.env_value", 3, 0, 100, func() int { return 50 })
-	if got := tn.Get(); got != 13 {
-		t.Fatalf("Get = %d, want env override 13", got)
-	}
-}
-
-func TestTuneOffFreezesDefaults(t *testing.T) {
-	os.Setenv("GBENCH_TUNE", "off")
-	defer os.Unsetenv("GBENCH_TUNE")
-	calls := 0
-	tn := NewInt("test.off", 4, 0, 100, func() int { calls++; return 50 })
-	if got := tn.Get(); got != 4 || calls != 0 {
-		t.Fatalf("Get = %d (probe calls %d), want default 4 with probe skipped", got, calls)
-	}
-}
-
-func TestGetConcurrent(t *testing.T) {
-	calls := 0
-	tn := NewInt("test.concurrent", 0, 0, 100, func() int { calls++; return 42 })
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if got := tn.Get(); got != 42 {
-				t.Errorf("Get = %d, want 42", got)
-			}
-		}()
-	}
-	wg.Wait()
-	if calls != 1 {
-		t.Fatalf("probe ran %d times under concurrency, want 1", calls)
-	}
-}
-
-func TestResolveAllIncludesRegistered(t *testing.T) {
-	tn := NewInt("test.resolveall", 6, 0, 100, nil)
-	found := false
-	for _, r := range ResolveAll() {
-		if r.Name == "test.resolveall" {
-			found = true
-			if r.Value != 6 {
-				t.Fatalf("resolved value = %d, want 6", r.Value)
-			}
+	var declared []string
+	for _, m := range spec.PerLayer {
+		if n, ok := strings.CutPrefix(m.Name, "tuning."); ok && n != "resolve_s" {
+			declared = append(declared, n)
 		}
 	}
-	if !found {
-		t.Fatal("registered tunable missing from ResolveAll")
+	var names []string
+	for _, r := range want {
+		names = append(names, r.Name)
 	}
-	_ = tn
-}
-
-func TestHostKey(t *testing.T) {
-	p := Profile{OS: "linux", Arch: "amd64", NumCPU: 4}
-	if p.Key() != "linux/amd64/c4" {
-		t.Fatalf("Key = %q", p.Key())
-	}
-	if Host().NumCPU < 1 {
-		t.Fatalf("Host().NumCPU = %d", Host().NumCPU)
-	}
-}
-
-func TestBestNsPositive(t *testing.T) {
-	x := 0
-	ns := BestNs(3, 100, func() { x++ })
-	if ns < 0 {
-		t.Fatalf("BestNs = %v, want >= 0", ns)
-	}
-	if x != 300 {
-		t.Fatalf("f ran %d times, want 300", x)
+	if len(declared) != 6 || !reflect.DeepEqual(names, declared) {
+		t.Fatalf("ResolveAll names %v, BENCHMARK.json declares %v; want the same six", names, declared)
 	}
 }
