@@ -1,4 +1,4 @@
-// Scenarios: the three registered end-to-end pipelines, at demo scale.
+// Scenarios: the two registered end-to-end pipelines, at demo scale.
 //
 //   - variantcalling — the GATK-style short-read path: a donor genome
 //     with planted variants is sequenced at 30x; reads stream through
@@ -7,16 +7,11 @@
 //   - metagenomics — abundance estimation against a pan-genome: a read
 //     mixture of known composition streams through SMEM seeding (fmi
 //     kernel) and locate-and-vote classification.
-//   - methylation — the application ABEA serves in Nanopolish: a CpG
-//     island is "sequenced" molecule by molecule through the pore
-//     model, and each molecule's signal streams through event
-//     simulation and adaptive-banded event-alignment 5mC calling (abea
-//     kernel).
 //
 // The pipelines live in the scenario registry (internal/scenario);
 // this example walks it, runs each one fused (streaming,
 // stage-overlapped) and staged (run-to-completion reference), and
-// shows both agree bit for bit.
+// exits 1 unless both agree bit for bit.
 //
 // Run: go run ./examples/scenarios
 package main
@@ -35,7 +30,6 @@ import (
 var demoScale = map[string]scenario.Params{
 	"variantcalling": {"ref_len": 12_000},
 	// metagenomics: the registry defaults already run in a fraction of a second
-	"methylation": {"molecules": 2}, // one methylated, one unmethylated read
 }
 
 func main() {
@@ -66,6 +60,9 @@ func run(def *scenario.Def) error {
 	fmt.Print(fused.Table())
 	fmt.Printf("staged reference: %.1f ms, digest %016x (match: %v)\n\n",
 		float64(staged.Elapsed.Nanoseconds())/1e6, staged.Digest, staged.Digest == fused.Digest)
+	if staged.Digest != fused.Digest {
+		return fmt.Errorf("fused digest %016x differs from the staged reference %016x", fused.Digest, staged.Digest)
+	}
 	fmt.Println(pipe.Summary(fused.Final))
 	return nil
 }

@@ -111,7 +111,7 @@ func TestPipelineVariantCallingWithVCF(t *testing.T) {
 	for rg := 0; rg < nRegions; rg++ {
 		start := rg * regionSize
 		region := &dbg.Region{Ref: ref.Seq[start : start+regionSize], Reads: regionReads[rg]}
-		asm := dbg.AssembleRegion(region, dbg.DefaultConfig())
+		asm := dbg.NewAssembler().AssembleRegion(region, dbg.DefaultConfig())
 		if len(asm.Haplotypes) < 2 {
 			continue
 		}
@@ -288,34 +288,13 @@ func TestPipelineSignalToEventsToAlignment(t *testing.T) {
 	pore := signalsim.NewPoreModel()
 	seq := genome.Random(rng, 600)
 	events := signalsim.Simulate(rng, pore, seq, signalsim.DefaultConfig())
-	right := abea.Align(pore, seq, events, abea.DefaultConfig())
+	right := abea.AlignLanesInto(pore, seq, events, abea.DefaultConfig(), nil)
 	if right.OutOfBand {
 		t.Fatal("alignment fell out of band")
 	}
-	wrong := abea.Align(pore, genome.Random(rng, 600), events, abea.DefaultConfig())
+	wrong := abea.AlignLanesInto(pore, genome.Random(rng, 600), events, abea.DefaultConfig(), nil)
 	if right.Score <= wrong.Score {
 		t.Errorf("true sequence %f not preferred over random %f", right.Score, wrong.Score)
-	}
-
-	// Methylation detection end to end.
-	meth := abea.MethylatedModel(pore)
-	cpg := seq.Clone()
-	cpg[100], cpg[101] = genome.C, genome.G
-	simCfg := signalsim.DefaultConfig()
-	simCfg.NoiseScale = 0.5
-	evMeth := signalsim.Simulate(rng, meth, cpg, simCfg)
-	calls := abea.CallMethylation(pore, meth, cpg, evMeth, abea.DefaultConfig(), 2)
-	if len(calls) == 0 {
-		t.Fatal("no methylation calls")
-	}
-	var positive int
-	for _, c := range calls {
-		if c.LogLikRatio > 0 {
-			positive++
-		}
-	}
-	if positive*2 < len(calls) {
-		t.Errorf("only %d/%d CpG sites show positive LLR on methylated signal", positive, len(calls))
 	}
 }
 

@@ -43,7 +43,6 @@ func DefaultConfig() Config { return Config{BandWidth: 100} }
 // Result reports one event-to-sequence alignment.
 type Result struct {
 	Score       float32
-	Aligned     int    // events aligned on the traced path
 	CellUpdates uint64 // band cells computed
 	OutOfBand   bool   // the terminal cell fell outside every band
 }
@@ -101,26 +100,14 @@ func FullAlign(model *signalsim.PoreModel, seq genome.Seq, events []signalsim.Ev
 	return prev[nk-1]
 }
 
-// bandPos is the (event, kmer) coordinate of a band's offset-0 cell.
-type bandPos struct{ e, k int }
-
-// Align runs the adaptive banded event alignment. The band spans W
-// cells along each anti-diagonal; after computing a band, the band
-// moves right when the running maximum sits in the lower (k-poor) half
-// and down otherwise, so it tracks the alignment path.
-func Align(model *signalsim.PoreModel, seq genome.Seq, events []signalsim.Event, cfg Config) Result {
-	return AlignInto(model, seq, events, cfg, nil)
-}
-
-// AlignInto is Align computing into a's reusable band buffers, so a
-// worker looping over reads with one arena aligns with zero
-// steady-state heap allocations. A nil a allocates a temporary arena.
-// Each call Resets a: the arena must not hold live buffers from other
-// kernels. Results are bit-identical to Align.
-func AlignInto(model *signalsim.PoreModel, seq genome.Seq, events []signalsim.Event, cfg Config, a *scratch.Arena) Result {
-	return alignInto(model, seq, events, cfg, a, nil)
-}
-
+// alignInto runs the adaptive banded event alignment one cell at a
+// time into a's reusable band buffers (nil for a temporary arena; each
+// call Resets a). The band spans W cells along each anti-diagonal;
+// after computing a band, the band moves right when the running
+// maximum sits in the lower (k-poor) half and down otherwise, so it
+// tracks the alignment path. It is the scalar definition the lane
+// sweep (AlignLanesInto) is held to bit for bit; traj, when non-nil,
+// records the band path.
 func alignInto(model *signalsim.PoreModel, seq genome.Seq, events []signalsim.Event, cfg Config, a *scratch.Arena, traj *trajectory) Result {
 	if a == nil {
 		a = scratch.New()
@@ -251,7 +238,6 @@ func alignInto(model *signalsim.PoreModel, seq genome.Seq, events []signalsim.Ev
 	}
 	res.Score = bestFinal
 	res.OutOfBand = !foundFinal
-	res.Aligned = ne
 	return res
 }
 

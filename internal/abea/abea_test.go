@@ -22,7 +22,7 @@ func TestBandedMatchesFullOnCleanSignal(t *testing.T) {
 		seq := genome.Random(rng, 25+rng.Intn(15))
 		events := signalsim.Simulate(rng, model, seq, cleanConfig())
 		full := FullAlign(model, seq, events)
-		banded := Align(model, seq, events, DefaultConfig())
+		banded := alignInto(model, seq, events, DefaultConfig(), nil, nil)
 		if banded.OutOfBand {
 			t.Fatalf("trial %d: clean alignment fell out of band", trial)
 		}
@@ -39,7 +39,7 @@ func TestBandedCloseToFullWithNoise(t *testing.T) {
 	seq := genome.Random(rng, 40)
 	events := signalsim.Simulate(rng, model, seq, signalsim.DefaultConfig())
 	full := FullAlign(model, seq, events)
-	banded := Align(model, seq, events, DefaultConfig())
+	banded := alignInto(model, seq, events, DefaultConfig(), nil, nil)
 	if banded.OutOfBand {
 		t.Fatal("noisy alignment fell out of band")
 	}
@@ -57,8 +57,8 @@ func TestTrueSequenceScoresAboveRandom(t *testing.T) {
 	model := signalsim.NewPoreModel()
 	seq := genome.Random(rng, 100)
 	events := signalsim.Simulate(rng, model, seq, signalsim.DefaultConfig())
-	right := Align(model, seq, events, DefaultConfig())
-	wrong := Align(model, genome.Random(rng, 100), events, DefaultConfig())
+	right := alignInto(model, seq, events, DefaultConfig(), nil, nil)
+	wrong := alignInto(model, genome.Random(rng, 100), events, DefaultConfig(), nil, nil)
 	if right.Score <= wrong.Score {
 		t.Errorf("true sequence score %v not above random %v", right.Score, wrong.Score)
 	}
@@ -70,7 +70,7 @@ func TestCellUpdatesBounded(t *testing.T) {
 	seq := genome.Random(rng, 300)
 	events := signalsim.Simulate(rng, model, seq, signalsim.DefaultConfig())
 	cfg := DefaultConfig()
-	r := Align(model, seq, events, cfg)
+	r := alignInto(model, seq, events, cfg, nil, nil)
 	nBands := len(events) + (len(seq) - signalsim.K + 1) + 1
 	capCells := uint64(nBands) * uint64(cfg.BandWidth)
 	if r.CellUpdates == 0 || r.CellUpdates > capCells {
@@ -86,7 +86,7 @@ func TestCellUpdatesBounded(t *testing.T) {
 
 func TestDegenerateInputs(t *testing.T) {
 	model := signalsim.NewPoreModel()
-	if r := Align(model, genome.MustFromString("ACG"), nil, DefaultConfig()); r.Score != negInf {
+	if r := alignInto(model, genome.MustFromString("ACG"), nil, DefaultConfig(), nil, nil); r.Score != negInf {
 		t.Error("short sequence should yield -inf")
 	}
 	if s := FullAlign(model, genome.MustFromString("ACG"), nil); s != negInf {

@@ -113,7 +113,7 @@ func (c *bandCase) edge(rng *rand.Rand, o int) {
 	}
 }
 
-// emissionRef and cellRef are the scalar expressions of AlignInto and
+// emissionRef and cellRef are the scalar expressions of alignInto and
 // LogProbMatch, written out again so the hammer does not lean on the
 // helpers the bodies under test share.
 func emissionRef(x, mu, sd, ls float32) float32 {

@@ -24,7 +24,7 @@ func TestDigestDifferential(t *testing.T) {
 	reference := func() uint64 {
 		h := digest.Seed
 		for _, r := range reads {
-			h = digest.Word(h, AlignInto(model, r.Seq, r.Events, cfg, nil).fold(digest.Seed))
+			h = digest.Word(h, alignInto(model, r.Seq, r.Events, cfg, nil, nil).fold(digest.Seed))
 		}
 		return h
 	}
@@ -33,7 +33,7 @@ func TestDigestDifferential(t *testing.T) {
 		for _, threads := range []int{1, 2, 4} {
 			got := must(RunKernelCtx(context.Background(), model, reads, cfg, threads))
 			if got.Reads != len(reads) || got.Digest != want {
-				t.Errorf("%d threads: reads=%d digest=%016x, want reads=%d digest=%016x (AlignInto reference)",
+				t.Errorf("%d threads: reads=%d digest=%016x, want reads=%d digest=%016x (alignInto reference)",
 					threads, got.Reads, got.Digest, len(reads), want)
 			}
 		}
@@ -46,6 +46,6 @@ func TestDigestDifferential(t *testing.T) {
 		t.Error("digest did not move when an event mean changed")
 	}
 	if moved := reference(); got.Digest != moved {
-		t.Errorf("perturbed read: digest %016x, AlignInto reference %016x", got.Digest, moved)
+		t.Errorf("perturbed read: digest %016x, alignInto reference %016x", got.Digest, moved)
 	}
 }

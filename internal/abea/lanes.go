@@ -1,7 +1,7 @@
 package abea
 
 // Lane-blocked adaptive banded event alignment. AlignLanesInto
-// restructures AlignInto's per-cell loop the way the lane-batched
+// restructures alignInto's per-cell loop the way the lane-batched
 // PairHMM pass restructures phmm (see internal/lanes): per read it
 // hoists the pore-model emission terms into per-k-mer-rank tables
 // (k-mer code, model mean/stdv, the log-stdv normalizer — all of
@@ -35,7 +35,7 @@ package abea
 // Numerics: every float expression replays the scalar path's
 // operations in the scalar order (the emission tables round exactly
 // once, in the same places), so scores, band movement, work counters
-// and trace behaviour are BIT-IDENTICAL to AlignInto on every tier —
+// and trace behaviour are BIT-IDENTICAL to alignInto on every tier —
 // asserted, not just bounded, by the differential tests and hammers.
 // The assembly keeps that by construction: a rounded VMULPS followed
 // by VSUBPS/VADDPS in the Go expression's order (never a fused
@@ -71,7 +71,7 @@ var (
 
 // AlignLanesInto runs the lane-blocked adaptive banded alignment into
 // a's reusable buffers (nil for a temporary arena). Results are
-// bit-identical to AlignInto.
+// bit-identical to alignInto.
 func AlignLanesInto(model *signalsim.PoreModel, seq genome.Seq, events []signalsim.Event, cfg Config, a *scratch.Arena) Result {
 	return alignLanesInto(model, seq, events, cfg, a, nil)
 }
@@ -224,7 +224,6 @@ func alignLanesInto(model *signalsim.PoreModel, seq genome.Seq, events []signals
 	}
 	res.Score = bestFinal
 	res.OutOfBand = !foundFinal
-	res.Aligned = ne
 	return res
 }
 
@@ -302,7 +301,7 @@ func bandArgmax(band []float32) int {
 	return rowArg
 }
 
-// scalarBand runs AlignInto's per-cell body for one band on the
+// scalarBand runs alignInto's per-cell body for one band on the
 // padded buffers: the exact reference loop, used for the two seed
 // bands and bands with an empty lane interior. Returns the band's
 // argmax offset.

@@ -19,8 +19,8 @@ func TestAlignIntoArenaReuseDifferential(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		seq := genome.Random(rng, 20+rng.Intn(120))
 		events := signalsim.Simulate(rng, model, seq, signalsim.DefaultConfig())
-		want := AlignInto(model, seq, events, DefaultConfig(), nil)
-		got := AlignInto(model, seq, events, DefaultConfig(), arena)
+		want := alignInto(model, seq, events, DefaultConfig(), nil, nil)
+		got := alignInto(model, seq, events, DefaultConfig(), arena, nil)
 		if got != want {
 			t.Fatalf("trial %d (|seq|=%d |events|=%d): got %+v want %+v",
 				trial, len(seq), len(events), got, want)
@@ -36,9 +36,9 @@ func TestAlignIntoZeroAlloc(t *testing.T) {
 	seq := genome.Random(rng, 80)
 	events := signalsim.Simulate(rng, model, seq, signalsim.DefaultConfig())
 	arena := scratch.New()
-	AlignInto(model, seq, events, DefaultConfig(), arena) // warm
+	alignInto(model, seq, events, DefaultConfig(), arena, nil) // warm
 	n := testing.AllocsPerRun(20, func() {
-		AlignInto(model, seq, events, DefaultConfig(), arena)
+		alignInto(model, seq, events, DefaultConfig(), arena, nil)
 	})
 	if n != 0 {
 		t.Fatalf("AllocsPerRun = %v, want 0", n)
@@ -56,14 +56,14 @@ func BenchmarkAlignBanded(b *testing.B) {
 	b.Run("alloc", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			AlignInto(model, seq, events, cfg, nil)
+			alignInto(model, seq, events, cfg, nil, nil)
 		}
 	})
 	b.Run("pooled", func(b *testing.B) {
 		b.ReportAllocs()
 		arena := scratch.New()
 		for i := 0; i < b.N; i++ {
-			AlignInto(model, seq, events, cfg, arena)
+			alignInto(model, seq, events, cfg, arena, nil)
 		}
 	})
 }

@@ -17,10 +17,8 @@ import (
 // Cache is one set-associative, write-allocate, write-back cache level
 // with LRU replacement.
 type Cache struct {
-	name     string
-	lineSize int
-	sets     int
-	ways     int
+	sets int
+	ways int
 
 	offsetBits uint
 	indexMask  uint64
@@ -52,8 +50,6 @@ func NewCache(name string, size, ways, lineSize int) *Cache {
 		panic("cachesim: line size not a power of two")
 	}
 	c := &Cache{
-		name:       name,
-		lineSize:   lineSize,
 		sets:       sets,
 		ways:       ways,
 		offsetBits: uint(bits.TrailingZeros(uint(lineSize))),
@@ -65,12 +61,6 @@ func NewCache(name string, size, ways, lineSize int) *Cache {
 	}
 	return c
 }
-
-// Name returns the level name ("L1D", "L2", "LLC").
-func (c *Cache) Name() string { return c.name }
-
-// LineSize returns the cache-line size in bytes.
-func (c *Cache) LineSize() int { return c.lineSize }
 
 // MissRatio reports misses/accesses, or 0 with no accesses.
 func (c *Cache) MissRatio() float64 {
@@ -197,9 +187,6 @@ func NewHierarchy(cfg Config) *Hierarchy {
 		LLC: NewCache("LLC", cfg.LLCSize, cfg.LLCWays, cfg.LineSize),
 	}
 }
-
-// Config returns the hierarchy's configuration.
-func (h *Hierarchy) Config() Config { return h.cfg }
 
 // ResetStats zeroes all counters while keeping cache contents, so a
 // warm-up pass over resident data structures is excluded from the

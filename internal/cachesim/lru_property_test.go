@@ -81,7 +81,7 @@ func TestHierarchyInclusionTraffic(t *testing.T) {
 		t.Errorf("LLC accesses %d exceed L2 misses %d + writebacks %d",
 			h.LLC.Accesses, h.L2.Misses, h.L2.Writebacks)
 	}
-	if h.DRAMBytes%uint64(h.Config().LineSize) != 0 {
+	if h.DRAMBytes%uint64(h.cfg.LineSize) != 0 {
 		t.Error("DRAM traffic not line-aligned")
 	}
 }

@@ -138,7 +138,7 @@ func TestDistributedSuiteUnderChaosBitIdentical(t *testing.T) {
 		if chaotic[i].Status != StatusOK {
 			t.Fatalf("%s under chaos: %s: %v", name, chaotic[i].Status, chaotic[i].Err)
 		}
-		if !chaotic[i].Distributed() {
+		if chaotic[i].Shard == nil {
 			t.Fatalf("%s did not run on the fabric", name)
 		}
 		// Verify=true already proved each run bit-identical to local;
@@ -196,10 +196,10 @@ func TestDistributedSuiteFallsBackForUnshardedKernels(t *testing.T) {
 			t.Fatalf("%s: %s: %v", outcomes[i].Info.Name, outcomes[i].Status, outcomes[i].Err)
 		}
 	}
-	if outcomes[0].Distributed() {
+	if outcomes[0].Shard != nil {
 		t.Fatal("kmer-cnt claims to have run distributed without an executor")
 	}
-	if !outcomes[1].Distributed() {
+	if outcomes[1].Shard == nil {
 		t.Fatal("chain did not run on the fabric")
 	}
 }

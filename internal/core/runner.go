@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/resilience"
 	"repro/internal/scratch"
@@ -55,9 +54,6 @@ type KernelOutcome struct {
 	// two runs of the same (kernel, size, seed) must match.
 	Fingerprint uint64
 }
-
-// Distributed reports whether the kernel ran on the shard fabric.
-func (o *KernelOutcome) Distributed() bool { return o.Shard != nil }
 
 // Failed reports whether the kernel did not complete successfully.
 func (o *KernelOutcome) Failed() bool { return o.Status != StatusOK }
@@ -125,7 +121,6 @@ func RunSuite(ctx context.Context, benches []Benchmark, cfg SuiteConfig) []Kerne
 			continue
 		}
 		progress("%s: running", info.Name)
-		faultinject.SetLabel(info.Name)
 		o.SetLabel(info.Name)
 		kctx, kernelSpan := o.StartSpan(obs.WithLabel(sctx, info.Name), "kernel:"+info.Name)
 		// Shardable kernels route over the fabric when one is attached;
@@ -138,7 +133,6 @@ func RunSuite(ctx context.Context, benches []Benchmark, cfg SuiteConfig) []Kerne
 		} else {
 			out = runLocalKernel(kctx, b, cfg, progress)
 		}
-		faultinject.ClearLabel()
 		o.SetLabel("")
 		o.Counter("suite.kernels", info.Name).Inc()
 		if out.Failed() {

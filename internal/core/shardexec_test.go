@@ -117,7 +117,7 @@ func TestExecutorsMatchReferenceKernels(t *testing.T) {
 			regions := built[[]*dbg.Region](t, "dbg", Small, seed)
 			out := make([]uint64, len(regions))
 			for i, rg := range regions {
-				out[i] = dbgDigest(dbg.AssembleRegion(rg, dbg.DefaultConfig()))
+				out[i] = dbgDigest(dbg.NewAssembler().AssembleRegion(rg, dbg.DefaultConfig()))
 			}
 			return out
 		},

@@ -247,7 +247,7 @@ type Result struct {
 // worker: a worker looping over regions rebuilds into the same node
 // slab, hash buckets, and traversal buffers instead of reallocating
 // them per region. Not safe for concurrent use. Results are identical
-// to the package-level AssembleRegion, including HashLookups.
+// to a fresh Assembler's, including HashLookups.
 type Assembler struct {
 	g graph
 }
@@ -255,14 +255,9 @@ type Assembler struct {
 // NewAssembler returns an empty Assembler; storage grows on first use.
 func NewAssembler() *Assembler { return &Assembler{} }
 
-// AssembleRegion builds the De-Bruijn graph for a region, escalating k
-// until the graph is acyclic (or MaxK is reached), then enumerates
-// candidate haplotypes.
-func AssembleRegion(rg *Region, cfg Config) Result {
-	return NewAssembler().AssembleRegion(rg, cfg)
-}
-
-// AssembleRegion assembles one region reusing a's graph storage.
+// AssembleRegion builds the De-Bruijn graph for a region in a's graph
+// storage, escalating k until the graph is acyclic (or MaxK is
+// reached), then enumerates candidate haplotypes.
 func (a *Assembler) AssembleRegion(rg *Region, cfg Config) Result {
 	var res Result
 	g := &a.g

@@ -27,7 +27,7 @@ func TestAssembleNoVariantsYieldsReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	ref := genome.Random(rng, 300)
 	rg := &Region{Ref: ref, Reads: tileReads(ref, 100, 10)}
-	res := AssembleRegion(rg, DefaultConfig())
+	res := NewAssembler().AssembleRegion(rg, DefaultConfig())
 	if res.K == 0 {
 		t.Fatal("assembly failed on clean input")
 	}
@@ -50,7 +50,7 @@ func TestAssembleHetSNVYieldsTwoHaplotypes(t *testing.T) {
 	reads := tileReads(ref, 100, 15)
 	reads = append(reads, tileReads(alt, 100, 15)...)
 	rg := &Region{Ref: ref, Reads: reads}
-	res := AssembleRegion(rg, DefaultConfig())
+	res := NewAssembler().AssembleRegion(rg, DefaultConfig())
 	if len(res.Haplotypes) != 2 {
 		t.Fatalf("got %d haplotypes, want 2", len(res.Haplotypes))
 	}
@@ -77,7 +77,7 @@ func TestAssembleInsertionHaplotype(t *testing.T) {
 	reads := tileReads(ref, 100, 15)
 	reads = append(reads, tileReads(alt, 100, 15)...)
 	rg := &Region{Ref: ref, Reads: reads}
-	res := AssembleRegion(rg, DefaultConfig())
+	res := NewAssembler().AssembleRegion(rg, DefaultConfig())
 	foundAlt := false
 	for _, h := range res.Haplotypes {
 		if h.Equal(alt) {
@@ -99,7 +99,7 @@ func TestSequencingErrorsPruned(t *testing.T) {
 	bad[50] = genome.Complement(bad[50])
 	reads = append(reads, bad)
 	rg := &Region{Ref: ref, Reads: reads}
-	res := AssembleRegion(rg, DefaultConfig())
+	res := NewAssembler().AssembleRegion(rg, DefaultConfig())
 	if len(res.Haplotypes) != 1 {
 		t.Fatalf("got %d haplotypes, want 1 (error should be pruned)", len(res.Haplotypes))
 	}
@@ -121,7 +121,7 @@ func TestRepeatForcesKEscalation(t *testing.T) {
 	ref = append(ref, genome.Random(rng, 80)...)
 	rg := &Region{Ref: ref, Reads: tileReads(ref, 100, 10)}
 	cfg := DefaultConfig()
-	res := AssembleRegion(rg, cfg)
+	res := NewAssembler().AssembleRegion(rg, cfg)
 	if res.CycleRetries == 0 {
 		t.Error("expected at least one cycle retry for repeat region")
 	}
@@ -171,7 +171,7 @@ func TestMaxHaplotypesCap(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.MaxHaplotypes = 4
-	res := AssembleRegion(&Region{Ref: ref, Reads: reads}, cfg)
+	res := NewAssembler().AssembleRegion(&Region{Ref: ref, Reads: reads}, cfg)
 	if len(res.Haplotypes) > 4 {
 		t.Errorf("%d haplotypes exceed cap 4", len(res.Haplotypes))
 	}
@@ -206,7 +206,7 @@ func TestRunKernelDeterministic(t *testing.T) {
 
 func TestTinyRegionFallsBack(t *testing.T) {
 	rg := &Region{Ref: genome.MustFromString("ACGTACGT")}
-	res := AssembleRegion(rg, DefaultConfig())
+	res := NewAssembler().AssembleRegion(rg, DefaultConfig())
 	if len(res.Haplotypes) != 1 || !res.Haplotypes[0].Equal(rg.Ref) {
 		t.Error("tiny region should fall back to the reference haplotype")
 	}

@@ -44,7 +44,7 @@ func TestAssemblerReuseDifferential(t *testing.T) {
 	cfg := DefaultConfig()
 	for trial := 0; trial < 40; trial++ {
 		rg := randomDbgRegion(rng)
-		want := AssembleRegion(rg, cfg)
+		want := NewAssembler().AssembleRegion(rg, cfg)
 		got := a.AssembleRegion(rg, cfg)
 		if !resultsEqual(got, want) {
 			t.Fatalf("trial %d: reused assembler diverged:\n got %+v\nwant %+v", trial, got, want)
@@ -62,7 +62,7 @@ func TestAssemblerReuseAcrossSizes(t *testing.T) {
 	small := &Region{Ref: genome.Random(rng, 40)}
 	for trial := 0; trial < 10; trial++ {
 		for _, rg := range []*Region{big, small, big} {
-			want := AssembleRegion(rg, cfg)
+			want := NewAssembler().AssembleRegion(rg, cfg)
 			got := a.AssembleRegion(rg, cfg)
 			if !resultsEqual(got, want) {
 				t.Fatalf("trial %d: diverged after size change", trial)
@@ -83,7 +83,7 @@ func BenchmarkAssembleRegion(b *testing.B) {
 	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			AssembleRegion(regions[i%len(regions)], cfg)
+			NewAssembler().AssembleRegion(regions[i%len(regions)], cfg)
 		}
 	})
 	b.Run("pooled", func(b *testing.B) {

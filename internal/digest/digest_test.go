@@ -39,3 +39,16 @@ func TestMatchesHashFNV(t *testing.T) {
 		}
 	}
 }
+
+// TestMix64Golden pins Mix64 to SplitMix64's published outputs: fault
+// draws, shard partitions and the pore model all depend on its bits.
+func TestMix64Golden(t *testing.T) {
+	for _, c := range []struct{ in, want uint64 }{
+		{0, 0xe220a8397b1dcdaf},
+		{1, 0x910a2dec89025cc1},
+	} {
+		if got := Mix64(c.in); got != c.want {
+			t.Errorf("Mix64(%d) = %#016x, want %#016x", c.in, got, c.want)
+		}
+	}
+}

@@ -25,9 +25,10 @@
 // of "spoa" targets every worker's shards of one kernel.
 //
 // A site matches a trip-point if it equals or is contained in the
-// current label (so `panic:poa` hits the kernel registered as "spoa"),
-// and "*" matches everything. All randomness derives from the plan
-// seed, so a given plan injects the same faults run after run.
+// kernel label the trip-point's context carries (so `panic:poa` hits
+// the kernel registered as "spoa"), and "*" matches everything. All
+// randomness derives from the plan seed, so a given plan injects the
+// same faults run after run.
 package faultinject
 
 import (
@@ -37,6 +38,10 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/digest"
+	"repro/internal/obs"
+	"repro/internal/resilience"
 )
 
 // Kind enumerates the fault kinds.
@@ -219,15 +224,6 @@ func (f *Fault) matches(label string) bool {
 	return label != "" && (f.Site == label || strings.Contains(label, f.Site))
 }
 
-// splitmix64 is the standard 64-bit finalizer-style mixer; good enough
-// to turn (seed, fault, evaluation) into an i.i.d.-looking uniform draw.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // fire decides deterministically whether evaluation n of fault i
 // fires, updating the clause's eval and trip counters.
 func (p *Plan) fire(i int, prob float64) bool {
@@ -239,7 +235,7 @@ func (p *Plan) fire(i int, prob float64) bool {
 	case prob <= 0:
 		fired = false
 	default:
-		u := splitmix64(uint64(p.Seed)*0x9e3779b97f4a7c15 ^ uint64(i)<<32 ^ n)
+		u := digest.Mix64(uint64(p.Seed)*0x9e3779b97f4a7c15 ^ uint64(i)<<32 ^ n)
 		fired = float64(u>>11)/(1<<53) < prob
 	}
 	if fired {
@@ -250,14 +246,12 @@ func (p *Plan) fire(i int, prob float64) bool {
 
 // ---- global arming ----
 
-var (
-	armed        atomic.Pointer[Plan]
-	currentLabel atomic.Pointer[string]
-)
+var armed atomic.Pointer[Plan]
 
-// Arm installs p as the process-wide active plan (nil disarms). The
-// suite driver runs kernels serially, so a single armed plan plus a
-// label is enough to target faults at one kernel at a time.
+// Arm installs p as the process-wide active plan (nil disarms). Each
+// trip-point matches the plan against the kernel label its context
+// carries (obs.WithLabel), so one armed plan targets faults at one
+// kernel however many run at once.
 func Arm(p *Plan) {
 	if p != nil && len(p.Faults) == 0 {
 		p = nil
@@ -270,20 +264,6 @@ func Disarm() { armed.Store(nil) }
 
 // Armed reports the active plan (nil when disarmed).
 func Armed() *Plan { return armed.Load() }
-
-// SetLabel records the site label trip-points evaluate against —
-// the suite runner sets it to the kernel name it is about to execute.
-func SetLabel(label string) { currentLabel.Store(&label) }
-
-// ClearLabel removes the current label.
-func ClearLabel() { currentLabel.Store(nil) }
-
-func label() string {
-	if l := currentLabel.Load(); l != nil {
-		return *l
-	}
-	return ""
-}
 
 // InjectedPanic is the value thrown by panic faults, so tests and
 // error reports can tell an injected panic from a genuine bug.
@@ -308,22 +288,22 @@ func (e *InjectedError) Error() string {
 
 // Point is the trip-point kernels place inside their task loops. When
 // no plan is armed it is a single atomic load. With a plan armed it
-// evaluates every matching fault: delay faults sleep (context-aware,
-// returning ctx.Err() when cancelled mid-sleep), panic faults panic
-// with an *InjectedPanic, and error faults return an *InjectedError.
+// evaluates every fault matching ctx's kernel label (obs.Label): delay
+// faults sleep (context-aware, returning ctx.Err() when cancelled
+// mid-sleep), panic faults panic with an *InjectedPanic, and error
+// faults return an *InjectedError.
 func Point(ctx context.Context) error {
 	p := armed.Load()
 	if p == nil {
 		return nil
 	}
-	return p.PointAt(ctx, label())
+	return p.PointAt(ctx, obs.Label(ctx))
 }
 
 // PointAt evaluates p's trip-point faults against an explicit label,
-// bypassing the process-global armed plan and label. Shard workers use
-// it: several in-process workers can each hold their own plan and
-// evaluate it under their own "workerID/kernel" label without racing
-// over the global label. Nil-safe.
+// bypassing the process-global armed plan. Shard workers use it:
+// several in-process workers can each hold their own plan and evaluate
+// it under their own "workerID/kernel" label. Nil-safe.
 func (p *Plan) PointAt(ctx context.Context, lbl string) error {
 	if p == nil {
 		return nil
@@ -337,7 +317,7 @@ func (p *Plan) PointAt(ctx context.Context, lbl string) error {
 		case KindDelay:
 			p.evals[i].Add(1)
 			p.trips[i].Add(1) // a delay fault fires on every matching evaluation
-			if err := sleepCtx(ctx, f.Delay); err != nil {
+			if err := resilience.Sleep(ctx, f.Delay); err != nil {
 				return err
 			}
 		case KindPanic:
@@ -379,7 +359,7 @@ func (p *Plan) ShardFault(ctx context.Context, lbl string) (ShardDisruption, err
 		case KindSlowShard:
 			p.evals[i].Add(1)
 			p.trips[i].Add(1) // a slowshard fault fires on every matching evaluation
-			if err := sleepCtx(ctx, f.Delay); err != nil {
+			if err := resilience.Sleep(ctx, f.Delay); err != nil {
 				return d, err
 			}
 		case KindKillWorker:
@@ -393,25 +373,4 @@ func (p *Plan) ShardFault(ctx context.Context, lbl string) (ShardDisruption, err
 		}
 	}
 	return d, nil
-}
-
-// sleepCtx sleeps d, returning early with the context error when ctx
-// is cancelled — including when it was already cancelled on entry, so
-// a fault-injected delay never outlives the attempt it was meant to
-// stall.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if d <= 0 {
-		return nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }

@@ -6,8 +6,12 @@ import (
 	"errors"
 	"io"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func TestParseGrammar(t *testing.T) {
@@ -77,8 +81,7 @@ func TestPointPanicDeterministic(t *testing.T) {
 	p, _ := Parse("panic:kern:1.0", 7)
 	Arm(p)
 	defer Disarm()
-	SetLabel("kern")
-	defer ClearLabel()
+	ctx := obs.WithLabel(context.Background(), "kern")
 	defer func() {
 		ip, ok := recover().(*InjectedPanic)
 		if !ok {
@@ -88,7 +91,7 @@ func TestPointPanicDeterministic(t *testing.T) {
 			t.Errorf("panic = %+v", ip)
 		}
 	}()
-	Point(context.Background())
+	Point(ctx)
 	t.Fatal("Point did not panic at probability 1")
 }
 
@@ -97,18 +100,17 @@ func TestPointRespectsLabelAndProbabilityZero(t *testing.T) {
 	Arm(p)
 	defer Disarm()
 	// Wrong label: nothing fires.
-	SetLabel("unrelated")
-	if err := Point(context.Background()); err != nil {
+	ctx := obs.WithLabel(context.Background(), "unrelated")
+	if err := Point(ctx); err != nil {
 		t.Fatal(err)
 	}
 	// Probability 0 never fires even with a matching label.
-	SetLabel("other")
+	ctx = obs.WithLabel(context.Background(), "other")
 	for i := 0; i < 100; i++ {
-		if err := Point(context.Background()); err != nil {
+		if err := Point(ctx); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ClearLabel()
 }
 
 func TestPointProbabilityIsSeededAndStable(t *testing.T) {
@@ -116,11 +118,10 @@ func TestPointProbabilityIsSeededAndStable(t *testing.T) {
 		p, _ := Parse("error:kern:0.3", seed)
 		Arm(p)
 		defer Disarm()
-		SetLabel("kern")
-		defer ClearLabel()
+		ctx := obs.WithLabel(context.Background(), "kern")
 		fired := 0
 		for i := 0; i < 1000; i++ {
-			if Point(context.Background()) != nil {
+			if Point(ctx) != nil {
 				fired++
 			}
 		}
@@ -142,9 +143,7 @@ func TestPointDelayHonorsCancellation(t *testing.T) {
 	p, _ := Parse("delay:kern:1h", 7)
 	Arm(p)
 	defer Disarm()
-	SetLabel("kern")
-	defer ClearLabel()
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancel(obs.WithLabel(context.Background(), "kern"))
 	done := make(chan error, 1)
 	go func() { done <- Point(ctx) }()
 	cancel()
@@ -158,11 +157,45 @@ func TestPointDelayHonorsCancellation(t *testing.T) {
 	}
 }
 
+// TestPointTargetsContextLabel: a trip-point matches the kernel label
+// its own context carries, so kernels running at once under one armed
+// plan each see only their own faults.
+func TestPointTargetsContextLabel(t *testing.T) {
+	p, _ := Parse("error:bsw:1.0", 7)
+	Arm(p)
+	defer Disarm()
+	const calls = 50
+	labels := []string{"bsw", "fmi"}
+	var tripped [2]atomic.Int64
+	var wg sync.WaitGroup
+	for i, lbl := range labels {
+		ctx := obs.WithLabel(context.Background(), lbl)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < calls; n++ {
+				var ie *InjectedError
+				if err := Point(ctx); errors.As(err, &ie) && ie.Label == lbl {
+					tripped[i].Add(1)
+				} else if err != nil {
+					t.Errorf("%s: %v", lbl, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := tripped[0].Load(); got != calls {
+		t.Errorf("bsw tripped %d of %d calls under error:bsw:1.0", got, calls)
+	}
+	if got := tripped[1].Load(); got != 0 {
+		t.Errorf("fmi tripped %d times under error:bsw:1.0", got)
+	}
+}
+
 func TestPointDisarmedIsNoop(t *testing.T) {
 	Disarm()
-	SetLabel("kern")
-	defer ClearLabel()
-	if err := Point(context.Background()); err != nil {
+	ctx := obs.WithLabel(context.Background(), "kern")
+	if err := Point(ctx); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -170,7 +203,7 @@ func TestPointDisarmedIsNoop(t *testing.T) {
 func TestTruncateReader(t *testing.T) {
 	p, _ := Parse("truncate:fasta:10", 7)
 	src := bytes.NewReader(make([]byte, 100))
-	data, err := io.ReadAll(p.WrapReader("fasta", src))
+	data, err := io.ReadAll(p.WrapReaderCtx(context.Background(), "fasta", src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +212,7 @@ func TestTruncateReader(t *testing.T) {
 	}
 	// Non-matching site passes through untouched.
 	src2 := bytes.NewReader(make([]byte, 100))
-	if r := p.WrapReader("fastq", src2); r != src2 {
+	if r := p.WrapReaderCtx(context.Background(), "fastq", src2); r != src2 {
 		t.Error("non-matching site should return the reader unchanged")
 	}
 }
@@ -188,7 +221,7 @@ func TestCorruptReaderDeterministic(t *testing.T) {
 	read := func(seed int64) []byte {
 		p, _ := Parse("corrupt:fastq:0.2", seed)
 		src := bytes.NewReader(make([]byte, 4096))
-		data, err := io.ReadAll(p.WrapReader("fastq", src))
+		data, err := io.ReadAll(p.WrapReaderCtx(context.Background(), "fastq", src))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +248,7 @@ func TestCorruptReaderDeterministic(t *testing.T) {
 func TestSlowReaderStillDelivers(t *testing.T) {
 	p, _ := Parse("slow:fastq:1ms", 7)
 	src := bytes.NewReader([]byte("hello"))
-	data, err := io.ReadAll(p.WrapReader("fastq", src))
+	data, err := io.ReadAll(p.WrapReaderCtx(context.Background(), "fastq", src))
 	if err != nil || string(data) != "hello" {
 		t.Fatalf("slow reader corrupted stream: %q %v", data, err)
 	}
@@ -277,7 +310,7 @@ func TestParseShardFaultKinds(t *testing.T) {
 		t.Fatalf("PointAt fired a shard fault: %v", err)
 	}
 	src := bytes.NewReader([]byte("x"))
-	if r := p.WrapReader("w2/spoa", src); r != src {
+	if r := p.WrapReaderCtx(context.Background(), "w2/spoa", src); r != src {
 		t.Error("WrapReader wrapped for a shard-only plan")
 	}
 }

@@ -5,6 +5,9 @@ import (
 	"io"
 	"math/rand"
 	"time"
+
+	"repro/internal/digest"
+	"repro/internal/resilience"
 )
 
 // WrapReader applies the armed plan's reader faults (truncate, corrupt,
@@ -26,11 +29,6 @@ func WrapReaderCtx(ctx context.Context, site string, r io.Reader) io.Reader {
 		return r
 	}
 	return p.WrapReaderCtx(ctx, site, r)
-}
-
-// WrapReader applies p's matching reader faults around r.
-func (p *Plan) WrapReader(site string, r io.Reader) io.Reader {
-	return p.WrapReaderCtx(context.Background(), site, r)
 }
 
 // WrapReaderCtx applies p's matching reader faults around r, with slow
@@ -56,7 +54,7 @@ func (p *Plan) WrapReaderCtx(ctx context.Context, site string, r io.Reader) io.R
 			r = &corruptReader{
 				r:    r,
 				prob: f.Prob,
-				rng:  rand.New(rand.NewSource(p.Seed ^ int64(splitmix64(uint64(i)+0xc0ffee)))),
+				rng:  rand.New(rand.NewSource(p.Seed ^ int64(digest.Mix64(uint64(i)+0xc0ffee)))),
 			}
 		case KindSlow:
 			r = &slowReader{r: r, ctx: ctx, delay: f.Delay}
@@ -116,7 +114,7 @@ type slowReader struct {
 }
 
 func (s *slowReader) Read(b []byte) (int, error) {
-	if err := sleepCtx(s.ctx, s.delay); err != nil {
+	if err := resilience.Sleep(s.ctx, s.delay); err != nil {
 		return 0, err
 	}
 	return s.r.Read(b)

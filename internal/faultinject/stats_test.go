@@ -6,6 +6,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func statFor(t *testing.T, stats []FaultStat, site string) FaultStat {
@@ -26,15 +28,14 @@ func TestStatsArmedVsTripped(t *testing.T) {
 	}
 	Arm(p)
 	defer Disarm()
-	defer ClearLabel()
 
-	SetLabel("always")
+	ctx := obs.WithLabel(context.Background(), "always")
 	for i := 0; i < 5; i++ {
-		_ = Point(context.Background())
+		_ = Point(ctx)
 	}
-	SetLabel("never")
+	ctx = obs.WithLabel(context.Background(), "never")
 	for i := 0; i < 7; i++ {
-		if err := Point(context.Background()); err != nil {
+		if err := Point(ctx); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -68,12 +69,11 @@ func TestStatsFractionalProbability(t *testing.T) {
 	}
 	Arm(p)
 	defer Disarm()
-	SetLabel("kern")
-	defer ClearLabel()
+	ctx := obs.WithLabel(context.Background(), "kern")
 	const n = 1000
 	fired := 0
 	for i := 0; i < n; i++ {
-		if Point(context.Background()) != nil {
+		if Point(ctx) != nil {
 			fired++
 		}
 	}
@@ -96,10 +96,9 @@ func TestStatsDelayCountsEveryFiring(t *testing.T) {
 	}
 	Arm(p)
 	defer Disarm()
-	SetLabel("kern")
-	defer ClearLabel()
+	ctx := obs.WithLabel(context.Background(), "kern")
 	for i := 0; i < 3; i++ {
-		if err := Point(context.Background()); err != nil {
+		if err := Point(ctx); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -114,7 +113,7 @@ func TestStatsReaderWraps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := p.WrapReader("input", strings.NewReader("0123456789"))
+	r := p.WrapReaderCtx(context.Background(), "input", strings.NewReader("0123456789"))
 	data, _ := io.ReadAll(r)
 	if !bytes.Equal(data, []byte("0123")) {
 		t.Errorf("truncated read = %q", data)
@@ -129,7 +128,7 @@ func TestStatsReaderWraps(t *testing.T) {
 		t.Errorf("non-matching wrap clause counted: %+v", corrupt)
 	}
 	// A second stream through the same clause counts again.
-	io.Copy(io.Discard, p.WrapReader("input", strings.NewReader("abc")))
+	io.Copy(io.Discard, p.WrapReaderCtx(context.Background(), "input", strings.NewReader("abc")))
 	if s := statFor(t, p.Stats(), "input"); s.Tripped != 2 {
 		t.Errorf("second wrap not counted: %+v", s)
 	}

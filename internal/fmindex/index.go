@@ -363,13 +363,6 @@ func (x *Index) lf(r int) int {
 	return x.c[b] + x.occAt(r, x.Tracer).rank(b, r)
 }
 
-// Count returns the number of occurrences of pattern in the indexed
-// text (both strands of the genome).
-func (x *Index) Count(pattern genome.Seq) int {
-	_, s := x.BackwardSearch(pattern)
-	return s
-}
-
 // LocateAll returns every text position where pattern occurs, capped at
 // limit (<=0 for no cap).
 func (x *Index) LocateAll(pattern genome.Seq, limit int) []int {

@@ -15,14 +15,6 @@ import (
 // Base is a 2-bit encoded nucleotide: A=0, C=1, G=2, T=3.
 type Base = byte
 
-// Canonical base codes.
-const (
-	A Base = 0
-	C Base = 1
-	G Base = 2
-	T Base = 3
-)
-
 // baseLetters maps 2-bit codes to ASCII letters.
 var baseLetters = [4]byte{'A', 'C', 'G', 'T'}
 

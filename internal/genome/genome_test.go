@@ -28,6 +28,14 @@ func TestFromStringRejectsInvalid(t *testing.T) {
 	}
 }
 
+// The 2-bit base codes, by letter.
+const (
+	A Base = iota
+	C
+	G
+	T
+)
+
 func TestComplement(t *testing.T) {
 	pairs := [][2]Base{{A, T}, {C, G}, {G, C}, {T, A}}
 	for _, p := range pairs {

@@ -35,7 +35,7 @@ func TestBatchedMatchesUnbatched(t *testing.T) {
 		if key == 0 {
 			continue
 		}
-		if got := batched.Count(key - 1); got != plain.counts[i] {
+		if got := batched.count(key - 1); got != plain.counts[i] {
 			t.Fatalf("k-mer %x: %d vs %d", key-1, got, plain.counts[i])
 		}
 	}
@@ -141,7 +141,7 @@ func TestPackedBatchedForcedWidths(t *testing.T) {
 			got := NewTable(64, Linear)
 			var gotN uint64
 			for _, r := range reads {
-				gotN += countSeqPackedBatched(got, seq2.Pack(r), k, width)
+				gotN += countSeqPackedBatched(got, seq2.PackInto(nil, r), k, width)
 			}
 			if gotN != wantN {
 				t.Fatalf("k=%d width=%d: counted %d, want %d", k, width, gotN, wantN)
@@ -153,14 +153,14 @@ func TestPackedBatchedForcedWidths(t *testing.T) {
 				if key == 0 {
 					continue
 				}
-				if c := got.Count(key - 1); c != want.counts[i] {
+				if c := got.count(key - 1); c != want.counts[i] {
 					t.Fatalf("k=%d width=%d kmer %x: %d, want %d", k, width, key-1, c, want.counts[i])
 				}
 			}
 		}
 	}
 	tab := NewTable(64, Linear)
-	countSeqPackedBatched(tab, seq2.Pack(reads[0]), 17, 512)
+	countSeqPackedBatched(tab, seq2.PackInto(nil, reads[0]), 17, 512)
 	if got := cap(tab.waveScratch(WaveWidth)); got != WaveWidth {
 		t.Fatalf("wave after a 512-wide count holds %d slots, want WaveWidth %d", got, WaveWidth)
 	}
@@ -171,7 +171,7 @@ func TestPackedBatchedForcedWidths(t *testing.T) {
 func TestPackedBatchedZeroAllocSteadyState(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	read := genome.Random(rng, 3000)
-	p := seq2.Pack(read)
+	p := seq2.PackInto(nil, read)
 	tab := NewTable(1<<16, Linear) // large enough that no grow happens
 	CountSeqPackedBatched(tab, p, 17)
 	if allocs := testing.AllocsPerRun(10, func() {

@@ -158,22 +158,6 @@ func (t *Table) Increment(key uint64) {
 	}
 }
 
-// Count returns the stored count for key (0 when absent).
-func (t *Table) Count(key uint64) uint32 {
-	stored := key + 1
-	slot := hash(key) & t.mask
-	for probes := 0; probes <= len(t.keys); probes++ {
-		if t.keys[slot] == stored {
-			return t.counts[slot]
-		}
-		if t.keys[slot] == 0 {
-			return 0
-		}
-		slot = (slot + 1) & t.mask
-	}
-	return 0
-}
-
 // scanStride returns an odd stride for visiting all slots of a
 // power-of-two table in an order decorrelated from slot order. Walking
 // a source table in plain slot order yields keys in ascending hash

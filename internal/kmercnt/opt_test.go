@@ -19,7 +19,7 @@ func tablesEqual(a, b *Table) bool {
 		if key == 0 {
 			continue
 		}
-		if b.Count(key-1) != a.counts[i] {
+		if b.count(key-1) != a.counts[i] {
 			return false
 		}
 	}
@@ -30,7 +30,7 @@ func tablesEqual(a, b *Table) bool {
 // has CountSeq's shape so a test can run either side of the
 // differential through one closure.
 func countPackedBatched(t *Table, s genome.Seq, k int) uint64 {
-	return CountSeqPackedBatched(t, seq2.Pack(s), k)
+	return CountSeqPackedBatched(t, seq2.PackInto(nil, s), k)
 }
 
 // The production path (packed decode, rolling reverse complement, wave

@@ -71,14 +71,6 @@ func Store8I16(s []int16, i int, a I16x8) {
 	s[i+7] = a.Hi.D
 }
 
-// Add returns a + b element-wise with Go's wrapping int16 semantics.
-func (a I16x8) Add(b I16x8) I16x8 {
-	return I16x8{
-		QuadI16{a.Lo.A + b.Lo.A, a.Lo.B + b.Lo.B, a.Lo.C + b.Lo.C, a.Lo.D + b.Lo.D},
-		QuadI16{a.Hi.A + b.Hi.A, a.Hi.B + b.Hi.B, a.Hi.C + b.Hi.C, a.Hi.D + b.Hi.D},
-	}
-}
-
 // addsI16 is the scalar saturating add: the exact sum clamped to the
 // int16 range instead of wrapped.
 func addsI16(a, b int16) int16 {

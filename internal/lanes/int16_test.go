@@ -32,20 +32,6 @@ func TestAddsI16Saturates(t *testing.T) {
 	}
 }
 
-func TestAddI16WrapsLikeScalar(t *testing.T) {
-	for _, a := range i16Edges {
-		for _, b := range i16Edges {
-			want := a + b // Go's wrapping int16 add is the contract
-			got := SplatI16(a).Add(SplatI16(b))
-			for l, v := range got.Array() {
-				if v != want {
-					t.Fatalf("Add(%d,%d) lane %d = %d, want %d", a, b, l, v, want)
-				}
-			}
-		}
-	}
-}
-
 // TestCmpGtI16NoWraparound pins Max's comparison at the range
 // boundary with a different edge pairing in every lane: 32767 >
 // -32768 must hold even though their int16 difference wraps, and no

@@ -65,11 +65,6 @@ func Store16I16(s []int16, i int, a I16x16) {
 	Store8I16(s, i+8, a.Hi)
 }
 
-// Add returns a + b element-wise with Go's wrapping int16 semantics.
-func (a I16x16) Add(b I16x16) I16x16 {
-	return I16x16{a.Lo.Add(b.Lo), a.Hi.Add(b.Hi)}
-}
-
 // Adds returns a + b element-wise, saturating at the int16 range —
 // VPADDSW / SQADD.
 func (a I16x16) Adds(b I16x16) I16x16 {

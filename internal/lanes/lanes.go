@@ -164,11 +164,6 @@ func FromArray(a [Width]float32) Lane8 {
 	return Lane8{Quad{a[0], a[1], a[2], a[3]}, Quad{a[4], a[5], a[6], a[7]}}
 }
 
-// Array returns the lanes in array form (for tests and cold paths).
-func (a Lane8) Array() [Width]float32 {
-	return [Width]float32{a.Lo.A, a.Lo.B, a.Lo.C, a.Lo.D, a.Hi.A, a.Hi.B, a.Hi.C, a.Hi.D}
-}
-
 // At returns lane l. Cold-path accessor: results extraction, tests.
 func (a Lane8) At(l int) float32 {
 	switch l {

@@ -17,15 +17,19 @@ func randQuad(rng *rand.Rand, scale float32) Quad {
 
 func (q Quad) array() [4]float32 { return [4]float32{q.A, q.B, q.C, q.D} }
 
+func (a Lane8) array() [Width]float32 {
+	return [Width]float32{a.Lo.A, a.Lo.B, a.Lo.C, a.Lo.D, a.Hi.A, a.Hi.B, a.Hi.C, a.Hi.D}
+}
+
 func splatQuad(x float32) Quad { return Quad{x, x, x, x} }
 
-// FromArray/Array/At must round-trip lane-for-lane; everything else in
-// this file leans on them as the lane accessors.
+// FromArray/At must round-trip lane-for-lane; everything else in this
+// file leans on them as the lane accessors.
 func TestArrayRoundTrip(t *testing.T) {
 	in := [Width]float32{1, -2, 3.5, 0, 7, -8.25, 9, 1e-7}
 	a := FromArray(in)
-	if got := a.Array(); got != in {
-		t.Fatalf("Array() = %v, want %v", got, in)
+	if got := a.array(); got != in {
+		t.Fatalf("array() = %v, want %v", got, in)
 	}
 	for l := 0; l < Width; l++ {
 		if a.At(l) != in[l] {
@@ -45,11 +49,11 @@ func TestLoadStore8(t *testing.T) {
 		t.Fatal("Store8 wrote outside its span")
 	}
 	got := Lane8{Load4(dst, 2), Load4(dst, 6)}
-	if got.Array() != want {
-		t.Fatalf("Load4 pair = %v, want %v", got.Array(), want)
+	if got.array() != want {
+		t.Fatalf("Load4 pair = %v, want %v", got.array(), want)
 	}
 	if gotU := (Lane8{Load4U(&dst[0], 2), Load4U(&dst[0], 6)}); gotU != got {
-		t.Fatalf("Load4U pair = %v, want %v", gotU.Array(), want)
+		t.Fatalf("Load4U pair = %v, want %v", gotU.array(), want)
 	}
 	out := make([]float32, 12)
 	Store4U(&out[0], 2, got.Lo)

@@ -11,7 +11,7 @@ import (
 func TestConv1x1EqualsDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	conv := NewConv1D(rng, 8, 6, 1, 1, nil, "c1")
-	dense := &Dense{W: conv.W[0].Clone(), B: append([]float32(nil), conv.B...), Name: "d"}
+	dense := &Dense{W: clone(conv.W[0]), B: append([]float32(nil), conv.B...), Name: "d"}
 	x := RandomTensor(rng, 20, 8, 1)
 	yc := conv.Forward(x)
 	yd := dense.Forward(x)
@@ -39,7 +39,7 @@ func TestSeparableConvIdentityPointwise(t *testing.T) {
 			if r == c {
 				v = 1
 			}
-			sep.Point.Set(r, c, v)
+			sep.Point.Row(r)[c] = v
 		}
 	}
 	for c := range sep.B {
@@ -56,10 +56,10 @@ func TestSeparableConvIdentityPointwise(t *testing.T) {
 				if tIdx < 0 || tIdx >= x.Rows {
 					continue
 				}
-				want += x.At(tIdx, chI) * sep.Depth[k][chI]
+				want += x.Row(tIdx)[chI] * sep.Depth[k][chI]
 			}
-			if math.Abs(float64(y.At(o, chI)-want)) > 1e-5 {
-				t.Fatalf("(%d,%d): got %v want %v", o, chI, y.At(o, chI), want)
+			if math.Abs(float64(y.Row(o)[chI]-want)) > 1e-5 {
+				t.Fatalf("(%d,%d): got %v want %v", o, chI, y.Row(o)[chI], want)
 			}
 		}
 	}
@@ -87,7 +87,7 @@ func TestLSTMBoundedUnderExtremeInputs(t *testing.T) {
 func TestSoftmaxShiftInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := RandomTensor(rng, 4, 6, 2)
-	b := a.Clone()
+	b := clone(a)
 	for r := 0; r < b.Rows; r++ {
 		row := b.Row(r)
 		for c := range row {

@@ -7,6 +7,11 @@ import (
 	"testing/quick"
 )
 
+// clone deep-copies t.
+func clone(t *Tensor) *Tensor {
+	return &Tensor{Rows: t.Rows, Cols: t.Cols, Data: append([]float32(nil), t.Data...)}
+}
+
 func TestMatMulKnown(t *testing.T) {
 	a := NewTensor(2, 3)
 	copy(a.Data, []float32{1, 2, 3, 4, 5, 6})
@@ -81,16 +86,16 @@ func TestDenseShapes(t *testing.T) {
 func TestConv1DIdentityKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	c := NewConv1D(rng, 1, 1, 1, 1, nil, "id")
-	c.W[0].Set(0, 0, 1)
+	c.W[0].Row(0)[0] = 1
 	c.B[0] = 0
 	x := NewTensor(5, 1)
 	for i := 0; i < 5; i++ {
-		x.Set(i, 0, float32(i))
+		x.Row(i)[0] = float32(i)
 	}
 	y := c.Forward(x)
 	for i := 0; i < 5; i++ {
-		if y.At(i, 0) != float32(i) {
-			t.Errorf("identity conv y[%d] = %v", i, y.At(i, 0))
+		if y.Row(i)[0] != float32(i) {
+			t.Errorf("identity conv y[%d] = %v", i, y.Row(i)[0])
 		}
 	}
 }
@@ -109,7 +114,7 @@ func TestConv1DMovingAverage(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	c := NewConv1D(rng, 1, 1, 3, 1, nil, "avg")
 	for k := 0; k < 3; k++ {
-		c.W[k].Set(0, 0, 1.0/3)
+		c.W[k].Row(0)[0] = 1.0 / 3
 	}
 	x := NewTensor(4, 1)
 	for i := range x.Data {
@@ -117,11 +122,11 @@ func TestConv1DMovingAverage(t *testing.T) {
 	}
 	y := c.Forward(x)
 	// Interior positions see all three taps: 3; edges see two: 2.
-	if math.Abs(float64(y.At(1, 0))-3) > 1e-5 {
-		t.Errorf("interior avg = %v", y.At(1, 0))
+	if math.Abs(float64(y.Row(1)[0])-3) > 1e-5 {
+		t.Errorf("interior avg = %v", y.Row(1)[0])
 	}
-	if math.Abs(float64(y.At(0, 0))-2) > 1e-5 {
-		t.Errorf("edge avg = %v", y.At(0, 0))
+	if math.Abs(float64(y.Row(0)[0])-2) > 1e-5 {
+		t.Errorf("edge avg = %v", y.Row(0)[0])
 	}
 }
 
@@ -198,7 +203,7 @@ func TestBatchNormAffine(t *testing.T) {
 func TestCTCGreedyDecodeCollapses(t *testing.T) {
 	// classes: blank, A, C, G, T
 	p := NewTensor(6, 5)
-	set := func(t_, c int) { p.Set(t_, c, 1) }
+	set := func(t_, c int) { p.Row(t_)[c] = 1 }
 	set(0, 1) // A
 	set(1, 1) // A (repeat, collapsed)
 	set(2, 0) // blank
@@ -226,9 +231,9 @@ func TestCTCBeamMatchesGreedyOnPeakedDistributions(t *testing.T) {
 			best := r.Intn(5)
 			for c := 0; c < 5; c++ {
 				if c == best {
-					p.Set(t_, c, 0.9)
+					p.Row(t_)[c] = 0.9
 				} else {
-					p.Set(t_, c, 0.025)
+					p.Row(t_)[c] = 0.025
 				}
 			}
 		}
@@ -254,7 +259,7 @@ func TestCTCBeamMatchesGreedyOnPeakedDistributions(t *testing.T) {
 func TestCTCBeamEmpty(t *testing.T) {
 	p := NewTensor(3, 5)
 	for t_ := 0; t_ < 3; t_++ {
-		p.Set(t_, 0, 1) // all blanks
+		p.Row(t_)[0] = 1 // all blanks
 	}
 	if got := CTCBeamDecode(p, 4); len(got) != 0 {
 		t.Errorf("all-blank decode = %v", got)
@@ -268,7 +273,7 @@ func TestTensorCloneIndependence(t *testing.T) {
 		}
 		x := &Tensor{Rows: 1, Cols: len(vals), Data: append([]float32(nil), vals...)}
 		orig := x.Data[0]
-		y := x.Clone()
+		y := clone(x)
 		if y.Data[0] == 0 {
 			y.Data[0] = 1
 		} else {

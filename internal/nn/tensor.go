@@ -25,21 +25,8 @@ func NewTensor(rows, cols int) *Tensor {
 	return &Tensor{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
 }
 
-// At returns element (r,c).
-func (t *Tensor) At(r, c int) float32 { return t.Data[r*t.Cols+c] }
-
-// Set assigns element (r,c).
-func (t *Tensor) Set(r, c int, v float32) { t.Data[r*t.Cols+c] = v }
-
 // Row returns a view of row r.
 func (t *Tensor) Row(r int) []float32 { return t.Data[r*t.Cols : (r+1)*t.Cols] }
-
-// Clone deep-copies the tensor.
-func (t *Tensor) Clone() *Tensor {
-	out := NewTensor(t.Rows, t.Cols)
-	copy(out.Data, t.Data)
-	return out
-}
 
 // RandomTensor fills a tensor with scaled uniform weights in
 // [-scale, scale], Xavier-style when scale = 1/sqrt(fanIn).

@@ -11,6 +11,14 @@ import (
 	"repro/internal/simio"
 )
 
+// The 2-bit base codes the synthetic windows plant.
+const (
+	baseA genome.Base = iota
+	baseC
+	baseG
+	baseT
+)
+
 // syntheticCounts builds a counts window with uniform coverage of the
 // given reference and an optional het SNV at hetPos.
 func syntheticCounts(ref genome.Seq, depth uint32, hetPos int, altBase genome.Base) []pileup.Counts {
@@ -40,7 +48,7 @@ func TestBuildTensorShapeAndNormalization(t *testing.T) {
 	for p := 0; p < Positions; p++ {
 		var sum float64
 		for ch := 0; ch < Channels; ch++ {
-			sum += float64(x.At(p, ch))
+			sum += float64(x.Row(p)[ch])
 		}
 		if math.Abs(sum-1) > 1e-5 {
 			t.Fatalf("position %d raw channels sum %v", p, sum)
@@ -51,8 +59,8 @@ func TestBuildTensorShapeAndNormalization(t *testing.T) {
 func TestBuildTensorAltEncoding(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	ref := genome.Random(rng, 100)
-	ref[50] = genome.A
-	counts := syntheticCounts(ref, 20, 50, genome.T)
+	ref[50] = baseA
+	counts := syntheticCounts(ref, 20, 50, baseT)
 	x := BuildTensor(counts, 50)
 	centre := Positions / 2
 	// The alternative-allele encoding (block d) should show support for
@@ -60,9 +68,9 @@ func TestBuildTensorAltEncoding(t *testing.T) {
 	maj, _, _ := counts[50].MajorityBase()
 	var altSupport float64
 	for strand := 0; strand < 2; strand++ {
-		altSupport += float64(x.At(centre, 3*Channels+strand*4+int(genome.T)))
+		altSupport += float64(x.Row(centre)[3*Channels+strand*4+int(baseT)])
 	}
-	if maj == genome.T {
+	if maj == baseT {
 		t.Skip("tie broke toward T; majority ambiguous")
 	}
 	if altSupport <= 0 {
@@ -70,7 +78,7 @@ func TestBuildTensorAltEncoding(t *testing.T) {
 	}
 	var majSupport float64
 	for strand := 0; strand < 2; strand++ {
-		majSupport += float64(x.At(centre, 3*Channels+strand*4+int(maj)))
+		majSupport += float64(x.Row(centre)[3*Channels+strand*4+int(maj)])
 	}
 	if majSupport != 0 {
 		t.Error("alt encoding contains the majority base")
@@ -84,7 +92,7 @@ func TestBuildTensorWindowClipping(t *testing.T) {
 	x := BuildTensor(counts, 2) // window extends before the region
 	for p := 0; p < Flank-2; p++ {
 		for c := 0; c < Features; c++ {
-			if x.At(p, c) != 0 {
+			if x.Row(p)[c] != 0 {
 				t.Fatalf("out-of-region position %d nonzero", p)
 			}
 		}
@@ -94,7 +102,7 @@ func TestBuildTensorWindowClipping(t *testing.T) {
 func TestPredictHeadsAreDistributions(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	ref := genome.Random(rng, 100)
-	counts := syntheticCounts(ref, 30, 50, genome.C)
+	counts := syntheticCounts(ref, 30, 50, baseC)
 	m := NewModel(7, DefaultConfig())
 	call := m.Predict(BuildTensor(counts, 50))
 	checkDist := func(name string, xs []float32) {
@@ -118,7 +126,7 @@ func TestPredictHeadsAreDistributions(t *testing.T) {
 func TestPredictDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ref := genome.Random(rng, 100)
-	counts := syntheticCounts(ref, 25, 50, genome.G)
+	counts := syntheticCounts(ref, 25, 50, baseG)
 	m := NewModel(9, DefaultConfig())
 	a := m.Predict(BuildTensor(counts, 50))
 	b := m.Predict(BuildTensor(counts, 50))
@@ -130,8 +138,8 @@ func TestPredictDeterministic(t *testing.T) {
 func TestSelectCandidates(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	ref := genome.Random(rng, 200)
-	ref[100] = genome.A
-	counts := syntheticCounts(ref, 30, 100, genome.T)
+	ref[100] = baseA
+	counts := syntheticCounts(ref, 30, 100, baseT)
 	cands := SelectCandidates(counts, ref, 0, 10, 0.2)
 	found := false
 	for _, p := range cands {

@@ -286,15 +286,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.Max()
 }
 
-// Mean reports the arithmetic mean of the observations. Nil-safe.
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return h.Sum() / float64(n)
-}
-
 // MetricSnapshot is one metric's exported state, shaped for NDJSON.
 // Exactly one of Value (counter), Gauge (gauge) or the histogram
 // fields is meaningful, selected by Kind.

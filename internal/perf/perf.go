@@ -80,9 +80,6 @@ func (c *Counters) Total() uint64 {
 	return t
 }
 
-// Reset zeroes all counters.
-func (c *Counters) Reset() { *c = Counters{} }
-
 // Fractions returns each class's share of the total, or all zeros when no
 // operations were counted.
 func (c *Counters) Fractions() [numOpClasses]float64 {

@@ -43,15 +43,6 @@ func TestCountersFractionsSumToOne(t *testing.T) {
 	}
 }
 
-func TestCountersReset(t *testing.T) {
-	var c Counters
-	c.Add(Other, 42)
-	c.Reset()
-	if c.Total() != 0 {
-		t.Error("Reset did not zero counters")
-	}
-}
-
 func TestOpClassString(t *testing.T) {
 	if IntALU.String() != "int-alu" || VecOp.String() != "vector" {
 		t.Error("OpClass names wrong")

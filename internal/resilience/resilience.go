@@ -34,7 +34,7 @@ type Policy struct {
 	BackoffCap  time.Duration // upper bound for the backoff curve
 	JitterSeed  int64         // seeds the deterministic jitter stream
 
-	// Sleep, when non-nil, replaces the context-aware backoff sleep.
+	// Sleep, when non-nil, replaces the package-level Sleep.
 	// Tests inject a recorder here so retry schedules are asserted
 	// without wall-clock waits.
 	Sleep func(ctx context.Context, d time.Duration) error
@@ -224,8 +224,19 @@ func sleep(ctx context.Context, p Policy, d time.Duration) error {
 	if p.Sleep != nil {
 		return p.Sleep(ctx, d)
 	}
+	return Sleep(ctx, d)
+}
+
+// Sleep waits d, returning early with ctx's error when ctx is
+// cancelled — including when it already was on entry, so a delay never
+// outlives the attempt it stalls. Retry backoff, fault-injected delays
+// and the shard worker's waits all sleep through it.
+func Sleep(ctx context.Context, d time.Duration) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	if d <= 0 {
-		return ctx.Err()
+		return nil
 	}
 	t := time.NewTimer(d)
 	defer t.Stop()

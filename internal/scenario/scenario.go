@@ -225,18 +225,11 @@ type Digest struct{ h uint64 }
 
 func newDigest() *Digest { return &Digest{h: digest.Seed} }
 
-// Bytes folds raw bytes.
-func (d *Digest) Bytes(p []byte) { d.h = digest.Bytes(d.h, p) }
-
 // U64 folds a fixed-width integer (little-endian byte order).
 func (d *Digest) U64(v uint64) { d.h = digest.Word(d.h, v) }
 
 // Int folds an int.
 func (d *Digest) Int(v int) { d.U64(uint64(int64(v))) }
-
-// F64 folds a float64 bit pattern — bit-identity, not approximate
-// equality, is the contract.
-func (d *Digest) F64(v float64) { d.U64(math.Float64bits(v)) }
 
 // Bool folds a bool.
 func (d *Digest) Bool(v bool) {

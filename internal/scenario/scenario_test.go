@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -20,7 +21,6 @@ var testOverrides = map[string]Params{
 		"coverage":   12,
 		"min_recall": 0.2, // tiny genome: recall is noisy, identity is the contract
 	},
-	"methylation":  {"seq_len": 500, "molecules": 4},
 	"metagenomics": {"total_reads": 60},
 }
 
@@ -70,8 +70,8 @@ func buildFor(t *testing.T, name string, p Params) *Pipeline {
 // whole overridden set makes.
 func TestRegistryDeclarationsMatchConstruction(t *testing.T) {
 	names := Names()
-	if len(names) < 3 {
-		t.Fatalf("want >=3 registered scenarios, have %v", names)
+	if want := []string{"metagenomics", "variantcalling"}; !slices.Equal(names, want) {
+		t.Fatalf("registered scenarios %v, want %v", names, want)
 	}
 	for _, name := range names {
 		def := Get(name)

@@ -54,8 +54,6 @@ type Arena struct {
 	i32  pool[int32]
 	u64  pool[uint64]
 	f32  pool[float32]
-	f64  pool[float64]
-	byt  pool[byte]
 }
 
 // New returns an empty Arena. Equivalent to new(Arena); provided for
@@ -71,8 +69,6 @@ func (a *Arena) Reset() {
 	a.i32.reset()
 	a.u64.reset()
 	a.f32.reset()
-	a.f64.reset()
-	a.byt.reset()
 }
 
 // Ints returns a reusable []int of length n (contents unspecified).
@@ -92,12 +88,6 @@ func (a *Arena) Uint64s(n int) []uint64 { return a.u64.get(n) }
 
 // Float32s returns a reusable []float32 of length n (contents unspecified).
 func (a *Arena) Float32s(n int) []float32 { return a.f32.get(n) }
-
-// Float64s returns a reusable []float64 of length n (contents unspecified).
-func (a *Arena) Float64s(n int) []float64 { return a.f64.get(n) }
-
-// Bytes returns a reusable []byte of length n (contents unspecified).
-func (a *Arena) Bytes(n int) []byte { return a.byt.get(n) }
 
 // Grow returns a slice of length n backed by buf's array when it is
 // large enough, allocating a fresh array only when capacity is

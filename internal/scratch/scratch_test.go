@@ -38,8 +38,8 @@ func TestArenaTypesIndependent(t *testing.T) {
 	a := New()
 	i := a.Ints(4)
 	u := a.Uint64s(4)
-	f := a.Float64s(4)
-	b := a.Bytes(4)
+	f := a.Float32s(4)
+	b := a.Int16s(4)
 	if len(i) != 4 || len(u) != 4 || len(f) != 4 || len(b) != 4 {
 		t.Fatal("wrong lengths")
 	}

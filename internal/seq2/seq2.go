@@ -32,11 +32,6 @@ type Packed struct {
 	n     int
 }
 
-// Pack encodes s into a freshly allocated Packed.
-func Pack(s genome.Seq) Packed {
-	return PackInto(make([]uint64, Words(len(s))), s)
-}
-
 // PackInto encodes s into buf (reusing its backing array when large
 // enough, so arena callers pack with zero allocations) and returns the
 // Packed view. buf may be nil.

@@ -24,7 +24,7 @@ func TestPackRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{0, 1, 31, 32, 33, 63, 64, 65, 1000} {
 		s := genome.Random(rng, n)
-		p := Pack(s)
+		p := PackInto(nil, s)
 		if p.Len() != n {
 			t.Fatalf("n=%d: Len=%d", n, p.Len())
 		}
@@ -56,7 +56,7 @@ func TestMatchMaskDifferential(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		n := 1 + rng.Intn(300)
 		s := genome.Random(rng, n)
-		p := Pack(s)
+		p := PackInto(nil, s)
 		mask := make([]uint64, Words(n))
 		for b := genome.Base(0); b < 4; b++ {
 			MatchMask(mask, p, b)
@@ -76,7 +76,7 @@ func TestMatchMaskBitsDifferential(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		n := 1 + rng.Intn(400)
 		s := genome.Random(rng, n)
-		p := Pack(s)
+		p := PackInto(nil, s)
 		mask := make([]uint64, BitsWords(n))
 		for b := genome.Base(0); b < 4; b++ {
 			MatchMaskBits(mask, p, b)

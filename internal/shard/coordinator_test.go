@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/digest"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
 )
@@ -57,7 +58,7 @@ func (e *synthExec) RunTask(ctx context.Context, task int) (uint64, uint64, erro
 }
 
 func synthDigest(seed int64, task int) uint64 {
-	return mix64(uint64(seed) ^ uint64(task)<<1 ^ 0xabcdef)
+	return digest.Mix64(uint64(seed) ^ uint64(task)<<1 ^ 0xabcdef)
 }
 
 func synthDigests(seed int64, n int) []uint64 {

@@ -1,6 +1,10 @@
 package shard
 
-import "sort"
+import (
+	"sort"
+
+	"repro/internal/digest"
+)
 
 // Consistent-hash partitioning of a dense task range [0, n) into
 // shards. Each shard owns several virtual points on a 64-bit ring and
@@ -14,15 +18,6 @@ import "sort"
 // largest shard within ~2x of the mean, enough skew to exercise the
 // straggler machinery without starving anyone.
 const vnodesPerShard = 16
-
-// mix64 is the splitmix64 finalizer, the same mixer faultinject uses
-// for its deterministic fault draws.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
 
 // Partition splits tasks [0, n) across nshards shards by consistent
 // hashing, returning each shard's ascending task list. Shards may end
@@ -43,7 +38,7 @@ func Partition(job uint64, n, nshards int) [][]int {
 	points := make([]point, 0, nshards*vnodesPerShard)
 	for s := 0; s < nshards; s++ {
 		for v := 0; v < vnodesPerShard; v++ {
-			h := mix64(job ^ mix64(uint64(s)<<20|uint64(v)+1))
+			h := digest.Mix64(job ^ digest.Mix64(uint64(s)<<20|uint64(v)+1))
 			points = append(points, point{h, s})
 		}
 	}
@@ -58,7 +53,7 @@ func Partition(job uint64, n, nshards int) [][]int {
 		hashes[i] = p.hash
 	}
 	for t := 0; t < n; t++ {
-		h := mix64(job ^ mix64(uint64(t)+0x5bd1e995))
+		h := digest.Mix64(job ^ digest.Mix64(uint64(t)+0x5bd1e995))
 		i := sort.Search(len(hashes), func(i int) bool { return hashes[i] >= h })
 		if i == len(hashes) {
 			i = 0 // wrap around the ring

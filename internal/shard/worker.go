@@ -56,24 +56,6 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 	return o
 }
 
-// sleepCtx sleeps for d or until ctx is cancelled.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if d <= 0 {
-		return nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
 // worker is one connection-scoped execution loop.
 type worker struct {
 	opts   WorkerOptions
@@ -153,7 +135,7 @@ func (w *worker) connect(ctx context.Context) error {
 		conn, err := d.DialContext(ctx, "tcp", w.opts.Addr)
 		if err != nil {
 			lastErr = err
-			if err := sleepCtx(ctx, time.Duration(i+1)*50*time.Millisecond); err != nil {
+			if err := resilience.Sleep(ctx, time.Duration(i+1)*50*time.Millisecond); err != nil {
 				return err
 			}
 			continue
@@ -244,7 +226,7 @@ func (w *worker) serve(ctx context.Context) error {
 		case MsgShutdown:
 			return nil
 		case MsgNoWork:
-			if err := sleepCtx(ctx, w.opts.PullDelay); err != nil {
+			if err := resilience.Sleep(ctx, w.opts.PullDelay); err != nil {
 				return err
 			}
 		case MsgAssign:

@@ -10,6 +10,7 @@ import (
 	"math"
 	"math/rand"
 
+	"repro/internal/digest"
 	"repro/internal/genome"
 )
 
@@ -34,22 +35,14 @@ func NewPoreModel() *PoreModel {
 		Stdv: make([]float32, n),
 	}
 	for code := 0; code < n; code++ {
-		h := splitmix64(uint64(code))
+		h := digest.Mix64(uint64(code))
 		frac := float64(h>>11) / float64(1<<53)
 		m.Mean[code] = float32(60 + 70*frac)
-		h2 := splitmix64(h)
+		h2 := digest.Mix64(h)
 		frac2 := float64(h2>>11) / float64(1<<53)
 		m.Stdv[code] = float32(1.0 + 2.0*frac2)
 	}
 	return m
-}
-
-// splitmix64 is the SplitMix64 mixing function.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // Level returns the model mean and standard deviation for the k-mer of s

@@ -236,39 +236,6 @@ func (w *WarpCtx) ExecPredicated(n int, pred func(lane int) bool) {
 	w.M.UsefulLaneSlots += uint64(n) * useful
 }
 
-// Branch evaluates a per-lane predicate as a real branch: if lanes
-// disagree, the warp diverges and then/else bodies run serially under
-// reduced masks. Returns after reconverging.
-func (w *WarpCtx) Branch(pred func(lane int) bool, then, els func()) {
-	w.M.Branches++
-	w.M.WarpInstructions++
-	c := uint64(w.active.Count())
-	w.M.ActiveLaneSlots += c
-	w.M.UsefulLaneSlots += c
-
-	var taken Mask
-	for lane := 0; lane < WarpSize; lane++ {
-		bit := Mask(1) << uint(lane)
-		if w.active&bit != 0 && pred(lane) {
-			taken |= bit
-		}
-	}
-	notTaken := w.active &^ taken
-	if taken == w.active || notTaken == w.active {
-		w.M.UniformBranches++
-	}
-	saved := w.active
-	if taken != 0 && then != nil {
-		w.active = taken
-		then()
-	}
-	if notTaken != 0 && els != nil {
-		w.active = notTaken
-		els()
-	}
-	w.active = saved
-}
-
 // GlobalLoad issues one warp-wide global read; addr/size give each
 // active lane's request. Coalescing groups requests into SectorSize
 // sectors.

@@ -55,49 +55,6 @@ func TestPartialWarp(t *testing.T) {
 	}
 }
 
-func TestBranchUniform(t *testing.T) {
-	var m Metrics
-	w := NewWarp(&m, TitanXp())
-	w.Branch(func(lane int) bool { return true },
-		func() { w.Exec(1) }, func() { t.Error("else ran") })
-	if m.BranchEfficiency() != 1 {
-		t.Errorf("uniform branch efficiency %v", m.BranchEfficiency())
-	}
-}
-
-func TestBranchDivergent(t *testing.T) {
-	var m Metrics
-	w := NewWarp(&m, TitanXp())
-	thenRan, elseRan := false, false
-	w.Branch(func(lane int) bool { return lane < 8 },
-		func() {
-			thenRan = true
-			if w.active.Count() != 8 {
-				t.Errorf("then mask %d lanes", w.active.Count())
-			}
-			w.Exec(2)
-		},
-		func() {
-			elseRan = true
-			if w.active.Count() != 24 {
-				t.Errorf("else mask %d lanes", w.active.Count())
-			}
-			w.Exec(2)
-		})
-	if !thenRan || !elseRan {
-		t.Fatal("divergent paths did not both run")
-	}
-	if m.BranchEfficiency() != 0 {
-		t.Errorf("divergent branch efficiency %v, want 0", m.BranchEfficiency())
-	}
-	if w.active != FullMask {
-		t.Error("warp did not reconverge")
-	}
-	if e := m.WarpEfficiency(); e >= 1 {
-		t.Errorf("divergence should lower warp efficiency, got %v", e)
-	}
-}
-
 func TestExecPredicated(t *testing.T) {
 	var m Metrics
 	w := NewWarp(&m, TitanXp())
