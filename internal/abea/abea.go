@@ -10,14 +10,9 @@
 package abea
 
 import (
-	"context"
 	"math"
 
-	"repro/internal/digest"
-	"repro/internal/faultinject"
 	"repro/internal/genome"
-	"repro/internal/parallel"
-	"repro/internal/perf"
 	"repro/internal/scratch"
 	"repro/internal/signalsim"
 )
@@ -239,70 +234,4 @@ func alignInto(model *signalsim.PoreModel, seq genome.Seq, events []signalsim.Ev
 	res.Score = bestFinal
 	res.OutOfBand = !foundFinal
 	return res
-}
-
-// KernelResult aggregates an abea benchmark execution.
-type KernelResult struct {
-	Reads       int
-	CellUpdates uint64
-	OutOfBand   int
-	TaskStats   *perf.TaskStats
-	Counters    perf.Counters
-	// Digest is FNV-1a over every read's answer — the float32 bits of
-	// its score, its cell count, its out-of-band flag — hashed per read
-	// and the read hashes hashed in read order: the one output of the
-	// run that depends on what the band sweep computed, identical at
-	// any thread count and SIMD tier.
-	Digest uint64
-}
-
-// fold extends h with r's answer.
-func (r Result) fold(h uint64) uint64 {
-	h = digest.Word(h, uint64(math.Float32bits(r.Score)))
-	h = digest.Word(h, r.CellUpdates)
-	var oob uint64
-	if r.OutOfBand {
-		oob = 1
-	}
-	return digest.Word(h, oob)
-}
-
-// RunKernelCtx aligns all signal reads with dynamic scheduling, under
-// cooperative cancellation and with a fault trip-point per read.
-func RunKernelCtx(ctx context.Context, model *signalsim.PoreModel, reads []signalsim.SignalRead, cfg Config, threads int) (KernelResult, error) {
-	if threads <= 0 {
-		threads = 1
-	}
-	pool := scratch.PoolFrom(ctx) // nil pool hands out fresh arenas
-	arenas := make([]*scratch.Arena, threads)
-	for i := range arenas {
-		arenas[i] = pool.Worker(i)
-	}
-	results := make([]Result, len(reads))
-	err := parallel.ForEachCtxErr(ctx, len(reads), threads, func(tctx context.Context, w, i int) error {
-		if err := faultinject.Point(tctx); err != nil {
-			return err
-		}
-		results[i] = AlignLanesInto(model, reads[i].Seq, reads[i].Events, cfg, arenas[w])
-		return nil
-	})
-	if err != nil {
-		return KernelResult{}, err
-	}
-	res := KernelResult{Reads: len(reads), Digest: digest.Seed, TaskStats: perf.NewTaskStats("cell updates")}
-	for i := range results {
-		res.Digest = digest.Word(res.Digest, results[i].fold(digest.Seed))
-		res.CellUpdates += results[i].CellUpdates
-		if results[i].OutOfBand {
-			res.OutOfBand++
-		}
-		res.TaskStats.Observe(float64(results[i].CellUpdates))
-	}
-	// 32-bit float log-likelihood DP: FP-heavy with model-table loads.
-	res.Counters.Add(perf.FloatOp, res.CellUpdates*5)
-	res.Counters.Add(perf.Load, res.CellUpdates*3)
-	res.Counters.Add(perf.Store, res.CellUpdates)
-	res.Counters.Add(perf.IntALU, res.CellUpdates*2)
-	res.Counters.Add(perf.Branch, res.CellUpdates/2)
-	return res, nil
 }

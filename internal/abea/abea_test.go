@@ -1,9 +1,7 @@
 package abea
 
 import (
-	"context"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"repro/internal/genome"
@@ -94,27 +92,6 @@ func TestDegenerateInputs(t *testing.T) {
 	}
 }
 
-func TestRunKernelDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	model := signalsim.NewPoreModel()
-	src := genome.Random(rng, 20000)
-	reads := signalsim.SimulateReads(rng, model, src, 8, 200, 600, signalsim.DefaultConfig())
-	r1 := must(RunKernelCtx(context.Background(), model, reads, DefaultConfig(), 1))
-	r4 := must(RunKernelCtx(context.Background(), model, reads, DefaultConfig(), 4))
-	if r1.CellUpdates != r4.CellUpdates || r1.OutOfBand != r4.OutOfBand {
-		t.Errorf("threading changed results: %+v vs %+v", r1, r4)
-	}
-	if r1.Counters != r4.Counters || !slices.Equal(r1.TaskStats.Work(), r4.TaskStats.Work()) {
-		t.Error("counters or task-order sample sequence depend on the thread count")
-	}
-	if r1.TaskStats.Count() != 8 {
-		t.Errorf("task count %d", r1.TaskStats.Count())
-	}
-	if r1.Counters.Ops[1] == 0 { // FloatOp
-		t.Error("abea should count FP ops")
-	}
-}
-
 func TestGPUMetricsShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	model := signalsim.NewPoreModel()
@@ -150,13 +127,4 @@ func TestGPUMetricsShape(t *testing.T) {
 	if util <= 0.3 || util >= 0.99 {
 		t.Errorf("SM utilization %.3f outside plausible abea band", util)
 	}
-}
-
-// must unwraps a RunKernelCtx result; a kernel run under a background
-// context with no fault plan armed cannot fail.
-func must(res KernelResult, err error) KernelResult {
-	if err != nil {
-		panic(err)
-	}
-	return res
 }

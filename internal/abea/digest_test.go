@@ -1,51 +1,53 @@
 package abea
 
 import (
-	"context"
+	"math"
 	"math/rand"
 	"testing"
 
-	"repro/internal/digest"
 	"repro/internal/genome"
+	"repro/internal/scratch"
 	"repro/internal/signalsim"
 )
 
+// answer is what the suite's abea task digest folds from one read:
+// the float32 bits of its score, its cell count, its out-of-band flag.
+func answer(r Result) [3]uint64 {
+	var oob uint64
+	if r.OutOfBand {
+		oob = 1
+	}
+	return [3]uint64{uint64(math.Float32bits(r.Score)), r.CellUpdates, oob}
+}
+
 // TestDigestDifferential: the suite's abea signature is tasks, cells
-// and out-of-band counts, none of which moves when a score is wrong.
-// KernelResult.Digest is over the scores too: it must equal the scalar
-// reference's fold on every SIMD tier and at 1, 2 and 4 threads, and
-// one perturbed event mean must move it.
+// and out-of-band counts, none of which moves when a score is wrong;
+// its task digest folds the scores too. On every SIMD tier the lanes,
+// run the way the suite runs them (one worker arena across reads),
+// must give every read the scalar reference's answer, and one
+// perturbed event mean must move that read's answer.
 func TestDigestDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	model := signalsim.NewPoreModel()
 	src := genome.Random(rng, 20000)
 	reads := signalsim.SimulateReads(rng, model, src, 12, 100, 500, signalsim.DefaultConfig())
 	cfg := DefaultConfig()
-	reference := func() uint64 {
-		h := digest.Seed
-		for _, r := range reads {
-			h = digest.Word(h, alignInto(model, r.Seq, r.Events, cfg, nil, nil).fold(digest.Seed))
-		}
-		return h
-	}
-	want := reference()
-	forEachTier(t, func(t *testing.T) {
-		for _, threads := range []int{1, 2, 4} {
-			got := must(RunKernelCtx(context.Background(), model, reads, cfg, threads))
-			if got.Reads != len(reads) || got.Digest != want {
-				t.Errorf("%d threads: reads=%d digest=%016x, want reads=%d digest=%016x (alignInto reference)",
-					threads, got.Reads, got.Digest, len(reads), want)
+	check := func(t *testing.T, what string) {
+		a := scratch.New()
+		for i, r := range reads {
+			got := answer(AlignLanesInto(model, r.Seq, r.Events, cfg, a))
+			if want := answer(alignInto(model, r.Seq, r.Events, cfg, nil, nil)); got != want {
+				t.Errorf("%s read %d: lanes %x, alignInto reference %x", what, i, got, want)
 			}
 		}
-	})
+	}
+	forEachTier(t, func(t *testing.T) { check(t, "clean") })
 
-	ev := &reads[len(reads)/2].Events[40]
-	ev.Mean += 0.5
-	got := must(RunKernelCtx(context.Background(), model, reads, cfg, 2))
-	if got.Digest == want {
-		t.Error("digest did not move when an event mean changed")
+	r := &reads[len(reads)/2]
+	before := answer(alignInto(model, r.Seq, r.Events, cfg, nil, nil))
+	r.Events[40].Mean += 0.5
+	if answer(alignInto(model, r.Seq, r.Events, cfg, nil, nil)) == before {
+		t.Error("the answer did not move when an event mean changed")
 	}
-	if moved := reference(); got.Digest != moved {
-		t.Errorf("perturbed read: digest %016x, alignInto reference %016x", got.Digest, moved)
-	}
+	check(t, "perturbed")
 }

@@ -9,13 +9,8 @@
 package bsw
 
 import (
-	"context"
-
 	"repro/internal/cpufeat"
-	"repro/internal/faultinject"
 	"repro/internal/genome"
-	"repro/internal/parallel"
-	"repro/internal/perf"
 	"repro/internal/scratch"
 	"repro/internal/seq2"
 )
@@ -470,55 +465,4 @@ func rowsForCells(cells uint64, m, n, w int) int {
 		}
 	}
 	return m
-}
-
-// KernelResult aggregates a bsw benchmark execution.
-type KernelResult struct {
-	Pairs       int
-	TotalScore  int64
-	CellUpdates uint64
-	TaskStats   *perf.TaskStats
-	Counters    perf.Counters
-}
-
-// RunKernelCtx aligns all pairs with dynamic scheduling across
-// threads, under cooperative cancellation and with a fault trip-point
-// per pair.
-func RunKernelCtx(ctx context.Context, pairs []Pair, p Params, threads int) (KernelResult, error) {
-	if threads <= 0 {
-		threads = 1
-	}
-	pool := scratch.PoolFrom(ctx) // nil pool hands out fresh arenas
-	arenas := make([]*scratch.Arena, threads)
-	for i := range arenas {
-		arenas[i] = pool.Worker(i)
-	}
-	results := make([]Result, len(pairs))
-	// Alignments are fine-grained (sub-millisecond); chunked dispatch
-	// amortizes the shared-counter fetch across a few pairs per pull.
-	err := parallel.ForEachChunkedCtxErr(ctx, len(pairs), threads, func(tctx context.Context, w, i int) error {
-		if err := faultinject.Point(tctx); err != nil {
-			return err
-		}
-		results[i] = AlignInto(pairs[i].Query, pairs[i].Target, p, arenas[w])
-		return nil
-	})
-	if err != nil {
-		return KernelResult{}, err
-	}
-	res := KernelResult{Pairs: len(pairs), TaskStats: perf.NewTaskStats("cell updates")}
-	for i := range results {
-		res.TotalScore += int64(results[i].Score)
-		res.CellUpdates += results[i].CellUpdates
-		res.TaskStats.Observe(float64(results[i].CellUpdates))
-	}
-	// bsw is compute-bound with heavy vector usage in the original:
-	// each cell is a handful of max/blend ops plus two row-array
-	// touches.
-	res.Counters.Add(perf.VecOp, res.CellUpdates*6)
-	res.Counters.Add(perf.IntALU, res.CellUpdates*2)
-	res.Counters.Add(perf.Load, res.CellUpdates*2)
-	res.Counters.Add(perf.Store, res.CellUpdates)
-	res.Counters.Add(perf.Branch, res.CellUpdates/4)
-	return res, nil
 }

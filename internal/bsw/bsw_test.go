@@ -1,9 +1,7 @@
 package bsw
 
 import (
-	"context"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"repro/internal/genome"
@@ -231,32 +229,6 @@ func TestBatchOverheadGrowsWithDissimilarity(t *testing.T) {
 	}
 }
 
-func TestRunKernelThreadsConsistent(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	p := DefaultParams()
-	pairs := make([]Pair, 30)
-	for i := range pairs {
-		q := genome.Random(rng, 100)
-		tg := q.Clone()
-		tg[50] = genome.Complement(tg[50])
-		pairs[i] = Pair{q, tg}
-	}
-	r1 := must(RunKernelCtx(context.Background(), pairs, p, 1))
-	r4 := must(RunKernelCtx(context.Background(), pairs, p, 4))
-	if r1.TotalScore != r4.TotalScore || r1.CellUpdates != r4.CellUpdates {
-		t.Errorf("threading changed results: %+v vs %+v", r1, r4)
-	}
-	if r1.Counters != r4.Counters || !slices.Equal(r1.TaskStats.Work(), r4.TaskStats.Work()) {
-		t.Error("counters or task-order sample sequence depend on the thread count")
-	}
-	if r1.TaskStats.Count() != 30 {
-		t.Errorf("task stats count %d", r1.TaskStats.Count())
-	}
-	if r1.Counters.Ops[0] == 0 && r1.Counters.Total() == 0 {
-		t.Error("no counters recorded")
-	}
-}
-
 func TestCellUpdatesRespectBand(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	q := genome.Random(rng, 100)
@@ -320,13 +292,4 @@ func TestLocalScoreTransposeSymmetry(t *testing.T) {
 			t.Fatalf("transpose changed local score: %d vs %d", a, b)
 		}
 	}
-}
-
-// must unwraps a RunKernelCtx result; a kernel run under a background
-// context with no fault plan armed cannot fail.
-func must(res KernelResult, err error) KernelResult {
-	if err != nil {
-		panic(err)
-	}
-	return res
 }

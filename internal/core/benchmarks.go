@@ -143,26 +143,32 @@ var kernels = []kernel{
 			}
 			return pairs
 		},
-		run: func(ctx context.Context, pairs []bsw.Pair, threads int) (RunStats, error) {
-			res, err := bsw.RunKernelCtx(ctx, pairs, bsw.DefaultParams(), threads)
-			return RunStats{
-				Counters:  res.Counters,
-				TaskStats: res.TaskStats,
-				Extra: map[string]float64{
-					"cells": float64(res.CellUpdates),
-					"score": float64(res.TotalScore),
-				},
-			}, err
-		},
+		loop: perTask[[]bsw.Pair, *scratch.Arena, bsw.Result]{
+			n:      func(pairs []bsw.Pair) int { return len(pairs) },
+			worker: (*scratch.Pool).Worker,
+			task: func(pairs []bsw.Pair, a *scratch.Arena, i int) bsw.Result {
+				return bsw.AlignInto(pairs[i].Query, pairs[i].Target, bsw.DefaultParams(), a)
+			},
+			digest:  func(r bsw.Result) (uint64, uint64) { return bswDigest(r), r.CellUpdates },
+			chunked: true,
+			unit:    "cell updates",
+			extra:   []string{"cells", "score"},
+			tally: func(_ []bsw.Pair, _ int, r bsw.Result) tally {
+				return tally{r.CellUpdates, [3]int64{int64(r.CellUpdates), int64(r.Score)}}
+			},
+			counters: func(t tally) (c perf.Counters) {
+				// bsw is compute-bound with heavy vector usage in the
+				// original: each cell is a handful of max/blend ops plus
+				// two row-array touches.
+				c.Add(perf.VecOp, t.work*6)
+				c.Add(perf.IntALU, t.work*2)
+				c.Add(perf.Load, t.work*2)
+				c.Add(perf.Store, t.work)
+				c.Add(perf.Branch, t.work/4)
+				return c
+			},
+		}.with,
 		tasks: bswTasks,
-		digests: func(pairs []bsw.Pair) (int, func(int) (uint64, uint64)) {
-			params, arena := bsw.DefaultParams(), scratch.New()
-			return len(pairs), func(task int) (uint64, uint64) {
-				p := pairs[task]
-				r := bsw.AlignInto(p.Query, p.Target, params, arena)
-				return bswDigest(r), r.CellUpdates
-			}
-		},
 	}.row(),
 
 	kernelDef[[]*dbg.Region]{
@@ -192,26 +198,31 @@ var kernels = []kernel{
 			}
 			return regions
 		},
-		run: func(ctx context.Context, regions []*dbg.Region, threads int) (RunStats, error) {
-			res, err := dbg.RunKernelCtx(ctx, regions, dbg.DefaultConfig(), threads)
-			return RunStats{
-				Counters:  res.Counters,
-				TaskStats: res.TaskStats,
-				Extra: map[string]float64{
-					"haplotypes":    float64(res.Haplotypes),
-					"hash_lookups":  float64(res.HashLookups),
-					"cycle_retries": float64(res.CycleRetries),
-				},
-			}, err
-		},
+		loop: perTask[[]*dbg.Region, *dbg.Assembler, dbg.Result]{
+			n:      func(regions []*dbg.Region) int { return len(regions) },
+			worker: func(*scratch.Pool, int) *dbg.Assembler { return dbg.NewAssembler() },
+			task: func(regions []*dbg.Region, a *dbg.Assembler, i int) dbg.Result {
+				return a.AssembleRegion(regions[i], dbg.DefaultConfig())
+			},
+			digest: func(r dbg.Result) (uint64, uint64) { return dbgDigest(r), r.HashLookups },
+			unit:   "hash lookups",
+			extra:  []string{"haplotypes", "hash_lookups", "cycle_retries"},
+			tally: func(_ []*dbg.Region, _ int, r dbg.Result) tally {
+				return tally{r.HashLookups, [3]int64{int64(len(r.Haplotypes)), int64(r.HashLookups), int64(r.CycleRetries)}}
+			},
+			counters: func(t tally) (c perf.Counters) {
+				// Hash-table dominated: every lookup carries hashing
+				// arithmetic, k-mer packing, probe loads and compare
+				// branches (Platypus' assembly loop runs ~18 instructions
+				// per lookup).
+				c.Add(perf.Load, t.work*5)
+				c.Add(perf.IntALU, t.work*9)
+				c.Add(perf.Store, t.work)
+				c.Add(perf.Branch, t.work*3)
+				return c
+			},
+		}.with,
 		tasks: dbgTasks,
-		digests: func(regions []*dbg.Region) (int, func(int) (uint64, uint64)) {
-			cfg, asm := dbg.DefaultConfig(), dbg.NewAssembler()
-			return len(regions), func(task int) (uint64, uint64) {
-				r := asm.AssembleRegion(regions[task], cfg)
-				return dbgDigest(r), r.HashLookups
-			}
-		},
 	}.row(),
 
 	kernelDef[[]*phmm.Region]{
@@ -286,11 +297,13 @@ var kernels = []kernel{
 				},
 			}, err
 		},
-		tasks: phmmTasks,
-		digests: func(regions []*phmm.Region) (int, func(int) (uint64, uint64)) {
-			sc := phmm.NewScratch()
-			return len(regions), func(task int) (uint64, uint64) {
-				rr := phmm.EvaluateRegionInto(regions[task], sc) // rr's slices are sc's until the next call
+		loop: perTask[[]*phmm.Region, *phmm.Scratch, phmm.RegionResult]{
+			n:      func(regions []*phmm.Region) int { return len(regions) },
+			worker: func(*scratch.Pool, int) *phmm.Scratch { return phmm.NewScratch() },
+			task: func(regions []*phmm.Region, sc *phmm.Scratch, i int) phmm.RegionResult {
+				return phmm.EvaluateRegionInto(regions[i], sc) // its slices are sc's until the next call
+			},
+			digest: func(rr phmm.RegionResult) (uint64, uint64) {
 				h := digest.Seed
 				for _, best := range rr.BestHap {
 					h = foldInt(h, best)
@@ -299,8 +312,9 @@ var kernels = []kernel{
 					h = foldFloat(h, l)
 				}
 				return h, rr.CellUpdates
-			}
-		},
+			},
+		}.with,
+		tasks: phmmTasks,
 	}.row(),
 
 	kernelDef[[]chain.Task]{
@@ -335,34 +349,41 @@ var kernels = []kernel{
 			}
 			return tasks
 		},
-		run: func(ctx context.Context, tasks []chain.Task, threads int) (RunStats, error) {
-			res, err := chain.RunKernelCtx(ctx, tasks, chain.DefaultConfig(), threads)
-			return RunStats{
-				Counters:  res.Counters,
-				TaskStats: res.TaskStats,
-				Extra: map[string]float64{
-					"chains":      float64(res.Chains),
-					"comparisons": float64(res.Comparisons),
-				},
-			}, err
-		},
-		tasks: chainTasks,
-		digests: func(tasks []chain.Task) (int, func(int) (uint64, uint64)) {
-			cfg := chain.DefaultConfig()
-			return len(tasks), func(task int) (uint64, uint64) {
-				chains, comparisons := chain.ChainAnchors(tasks[task].Anchors, cfg)
-				h := digest.Seed
-				h = foldInt(h, len(chains))
-				for _, c := range chains {
+		loop: perTask[[]chain.Task, struct{}, counted[[]chain.Chain]]{
+			n: func(tasks []chain.Task) int { return len(tasks) },
+			task: func(tasks []chain.Task, _ struct{}, i int) counted[[]chain.Chain] {
+				chains, comparisons := chain.ChainAnchors(tasks[i].Anchors, chain.DefaultConfig())
+				return counted[[]chain.Chain]{chains, comparisons}
+			},
+			digest: func(r counted[[]chain.Chain]) (uint64, uint64) {
+				h := foldInt(digest.Seed, len(r.answer))
+				for _, c := range r.answer {
 					h = foldFloat(h, c.Score)
 					h = foldInt(h, len(c.Anchors))
 					for _, a := range c.Anchors {
 						h = foldInt(h, a)
 					}
 				}
-				return h, comparisons
-			}
-		},
+				return h, r.work
+			},
+			unit:  "input anchors",
+			extra: []string{"chains", "comparisons"},
+			tally: func(tasks []chain.Task, i int, r counted[[]chain.Chain]) tally {
+				return tally{uint64(len(tasks[i].Anchors)), [3]int64{int64(len(r.answer)), int64(r.work)}}
+			},
+			counters: func(t tally) (c perf.Counters) {
+				// Chaining is scalar compute-bound: per comparison roughly
+				// a dozen integer ops for the gap geometry, an FP gap-cost
+				// evaluation (with log2) and data-dependent branches.
+				comparisons := uint64(t.sums[1])
+				c.Add(perf.IntALU, comparisons*10)
+				c.Add(perf.FloatOp, comparisons*4)
+				c.Add(perf.Load, comparisons*3)
+				c.Add(perf.Branch, comparisons*4)
+				return c
+			},
+		}.with,
+		tasks: chainTasks,
 	}.row(),
 
 	kernelDef[[]*poa.Window]{
@@ -400,22 +421,31 @@ var kernels = []kernel{
 			}
 			return windows
 		},
-		run: func(ctx context.Context, windows []*poa.Window, threads int) (RunStats, error) {
-			res, err := poa.RunKernelCtx(ctx, windows, poa.DefaultParams(), threads)
-			return RunStats{
-				Counters:  res.Counters,
-				TaskStats: res.TaskStats,
-				Extra:     map[string]float64{"cells": float64(res.CellUpdates)},
-			}, err
-		},
+		loop: perTask[[]*poa.Window, *poa.Graph, counted[genome.Seq]]{
+			n:      func(windows []*poa.Window) int { return len(windows) },
+			worker: func(*scratch.Pool, int) *poa.Graph { return poa.New() },
+			task: func(windows []*poa.Window, g *poa.Graph, i int) counted[genome.Seq] {
+				consensus, cells := poa.ConsensusInto(windows[i], poa.DefaultParams(), g)
+				return counted[genome.Seq]{consensus, cells}
+			},
+			digest: func(r counted[genome.Seq]) (uint64, uint64) { return seqDigest(r.answer), r.work },
+			unit:   "cell updates",
+			extra:  []string{"cells"},
+			tally: func(_ []*poa.Window, _ int, r counted[genome.Seq]) tally {
+				return tally{r.work, [3]int64{int64(r.work)}}
+			},
+			counters: func(t tally) (c perf.Counters) {
+				// spoa vectorizes the row DP with shifts/blends; graph
+				// updates add pointer-chasing loads.
+				c.Add(perf.VecOp, t.work*4)
+				c.Add(perf.IntALU, t.work*2)
+				c.Add(perf.Load, t.work*3)
+				c.Add(perf.Store, t.work)
+				c.Add(perf.Branch, t.work/2)
+				return c
+			},
+		}.with,
 		tasks: poaTasks,
-		digests: func(windows []*poa.Window) (int, func(int) (uint64, uint64)) {
-			params, graph := poa.DefaultParams(), poa.New()
-			return len(windows), func(task int) (uint64, uint64) {
-				consensus, cells := poa.ConsensusInto(windows[task], params, graph)
-				return poaDigest(consensus), cells
-			}
-		},
 	}.row(),
 
 	kernelDef[abeaData]{
@@ -440,17 +470,33 @@ var kernels = []kernel{
 			}
 			return d
 		},
-		run: func(ctx context.Context, d abeaData, threads int) (RunStats, error) {
-			res, err := abea.RunKernelCtx(ctx, d.model, d.reads, abea.DefaultConfig(), threads)
-			return RunStats{
-				Counters:  res.Counters,
-				TaskStats: res.TaskStats,
-				Extra: map[string]float64{
-					"cells":       float64(res.CellUpdates),
-					"out_of_band": float64(res.OutOfBand),
-				},
-			}, err
-		},
+		loop: perTask[abeaData, *scratch.Arena, abea.Result]{
+			n:      func(d abeaData) int { return len(d.reads) },
+			worker: (*scratch.Pool).Worker,
+			task: func(d abeaData, a *scratch.Arena, i int) abea.Result {
+				return abea.AlignLanesInto(d.model, d.reads[i].Seq, d.reads[i].Events, abea.DefaultConfig(), a)
+			},
+			digest: func(r abea.Result) (uint64, uint64) { return abeaDigest(r), r.CellUpdates },
+			unit:   "cell updates",
+			extra:  []string{"cells", "out_of_band"},
+			tally: func(_ abeaData, _ int, r abea.Result) tally {
+				t := tally{work: r.CellUpdates, sums: [3]int64{int64(r.CellUpdates)}}
+				if r.OutOfBand {
+					t.sums[1] = 1
+				}
+				return t
+			},
+			counters: func(t tally) (c perf.Counters) {
+				// 32-bit float log-likelihood DP: FP-heavy with
+				// model-table loads.
+				c.Add(perf.FloatOp, t.work*5)
+				c.Add(perf.Load, t.work*3)
+				c.Add(perf.Store, t.work)
+				c.Add(perf.IntALU, t.work*2)
+				c.Add(perf.Branch, t.work/2)
+				return c
+			},
+		}.with,
 	}.row(),
 
 	kernelDef[*grm.Genotypes]{
@@ -501,17 +547,28 @@ var kernels = []kernel{
 			}
 			return d
 		},
-		run: func(ctx context.Context, d nnbaseData, threads int) (RunStats, error) {
-			res, err := nnbase.RunKernelCtx(ctx, d.model, d.reads, d.cfg, threads)
-			return RunStats{
-				Counters:  res.Counters,
-				TaskStats: res.TaskStats,
-				Extra: map[string]float64{
-					"macs":  float64(res.MACs),
-					"bases": float64(res.BasesOut),
-				},
-			}, err
-		},
+		loop: perTask[nnbaseData, struct{}, counted[genome.Seq]]{
+			n: func(d nnbaseData) int { return len(d.reads) },
+			task: func(d nnbaseData, _ struct{}, i int) counted[genome.Seq] {
+				called, macs := d.model.Basecall(d.reads[i].Signal, d.cfg)
+				return counted[genome.Seq]{called, macs}
+			},
+			digest: func(r counted[genome.Seq]) (uint64, uint64) { return seqDigest(r.answer), r.work },
+			unit:   "MACs",
+			extra:  []string{"macs", "bases"},
+			tally: func(_ nnbaseData, _ int, r counted[genome.Seq]) tally {
+				return tally{r.work, [3]int64{int64(r.work), int64(len(r.answer))}}
+			},
+			counters: func(t tally) (c perf.Counters) {
+				// Dense FP matrix arithmetic end to end.
+				c.Add(perf.VecOp, t.work)
+				c.Add(perf.FloatOp, t.work/4)
+				c.Add(perf.Load, t.work/8)
+				c.Add(perf.Store, t.work/32)
+				c.Add(perf.Branch, t.work/256)
+				return c
+			},
+		}.with,
 	}.row(),
 
 	kernelDef[[]*pileup.Region]{
@@ -537,25 +594,16 @@ var kernels = []kernel{
 			}
 			return pileup.SplitRegions(refLen, alns, pileup.RegionSize)
 		},
-		run: func(ctx context.Context, regions []*pileup.Region, threads int) (RunStats, error) {
-			res, err := pileup.RunKernelCtx(ctx, regions, threads)
-			return RunStats{
-				Counters:  res.Counters,
-				TaskStats: res.TaskStats,
-				Extra: map[string]float64{
-					"read_lookups": float64(res.ReadLookups),
-					"depth":        float64(res.TotalDepth),
-				},
-			}, err
-		},
-		tasks: pileupTasks,
-		digests: func(regions []*pileup.Region) (int, func(int) (uint64, uint64)) {
-			return len(regions), func(task int) (uint64, uint64) {
-				counts, lookups := pileup.CountRegion(regions[task])
-				h := digest.Seed
-				h = foldInt(h, len(counts))
-				for i := range counts {
-					c := &counts[i]
+		loop: perTask[[]*pileup.Region, struct{}, counted[[]pileup.Counts]]{
+			n: func(regions []*pileup.Region) int { return len(regions) },
+			task: func(regions []*pileup.Region, _ struct{}, i int) counted[[]pileup.Counts] {
+				counts, lookups := pileup.CountRegion(regions[i])
+				return counted[[]pileup.Counts]{counts, uint64(lookups)}
+			},
+			digest: func(r counted[[]pileup.Counts]) (uint64, uint64) {
+				h := foldInt(digest.Seed, len(r.answer))
+				for i := range r.answer {
+					c := &r.answer[i]
 					for s := 0; s < 2; s++ {
 						for base := 0; base < 4; base++ {
 							h = digest.Word(h, uint64(c.Base[s][base]))
@@ -564,9 +612,32 @@ var kernels = []kernel{
 						h = digest.Word(h, uint64(c.Del[s]))
 					}
 				}
-				return h, uint64(lookups)
-			}
-		},
+				return h, r.work
+			},
+			unit:  "read lookups",
+			extra: []string{"read_lookups", "depth"},
+			tally: func(_ []*pileup.Region, _ int, r counted[[]pileup.Counts]) tally {
+				t := tally{work: r.work, sums: [3]int64{int64(r.work)}}
+				for p := range r.answer {
+					t.sums[1] += int64(r.answer[p].Depth())
+				}
+				return t
+			},
+			counters: func(t tally) (c perf.Counters) {
+				// Random access into alignment records dominates; per
+				// counted base the original parses CIGAR state, decodes
+				// packed bases and updates counters (~25 instructions in
+				// htslib-based code).
+				depth := uint64(t.sums[1])
+				c.Add(perf.Load, depth*7)
+				c.Add(perf.Store, depth*2)
+				c.Add(perf.IntALU, depth*11)
+				c.Add(perf.Branch, depth*5)
+				c.Add(perf.Other, t.work)
+				return c
+			},
+		}.with,
+		tasks: pileupTasks,
 	}.row(),
 
 	kernelDef[nnvariantData]{
@@ -597,17 +668,32 @@ var kernels = []kernel{
 			}
 			return d
 		},
-		run: func(ctx context.Context, d nnvariantData, threads int) (RunStats, error) {
-			res, err := nnvariant.RunKernelCtx(ctx, d.model, d.tasks, threads)
-			return RunStats{
-				Counters:  res.Counters,
-				TaskStats: res.TaskStats,
-				Extra: map[string]float64{
-					"calls": float64(res.Calls),
-					"macs":  float64(res.MACs),
-				},
-			}, err
-		},
+		loop: perTask[nnvariantData, struct{}, []nnvariant.Call]{
+			n: func(d nnvariantData) int { return len(d.tasks) },
+			task: func(d nnvariantData, _ struct{}, i int) []nnvariant.Call {
+				t := d.tasks[i]
+				calls := make([]nnvariant.Call, len(t.Candidates))
+				for c, pos := range t.Candidates {
+					calls[c] = d.model.Predict(nnvariant.BuildTensor(t.Counts, pos))
+				}
+				return calls
+			},
+			digest: func(calls []nnvariant.Call) (uint64, uint64) { return callsDigest(calls), uint64(len(calls)) },
+			unit:   "MACs",
+			extra:  []string{"calls", "macs"},
+			tally: func(d nnvariantData, _ int, calls []nnvariant.Call) tally {
+				macs := d.model.MACsPerCall() * uint64(len(calls))
+				return tally{macs, [3]int64{int64(len(calls)), int64(macs)}}
+			},
+			counters: func(t tally) (c perf.Counters) {
+				c.Add(perf.VecOp, t.work)
+				c.Add(perf.FloatOp, t.work/3)
+				c.Add(perf.Load, t.work/8)
+				c.Add(perf.Store, t.work/32)
+				c.Add(perf.Branch, t.work/128)
+				return c
+			},
+		}.with,
 	}.row(),
 
 	kernelDef[[]genome.Seq]{

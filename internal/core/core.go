@@ -89,18 +89,19 @@ type kernelDef[D any] struct {
 	// build generates the dataset, deterministically in (size, seed).
 	build func(size Size, seed int64) D
 	// run executes the measured region and names the kernel's Extra
-	// scalars; bench.RunCtx stamps Elapsed.
-	run func(ctx context.Context, d D, threads int) (RunStats, error)
+	// scalars; bench.RunCtx stamps Elapsed. A kernel whose task is one
+	// dataset element leaves run nil and sets loop to a perTask's with
+	// method (tasks.go); row makes run the loop's run.
+	run  func(ctx context.Context, d D, threads int) (RunStats, error)
+	loop func(d D) taskLoop
 
-	// tasks and digests are optional and set together, by the kernels
-	// that split into independent tasks with no cross-task state: they
-	// make a kernel shardable (shardexec.go). tasks is the number of
-	// tasks build makes, from size alone: the coordinator partitions a
-	// job by it before any dataset exists, where a count that depended
-	// on the seed could not be known. digests returns d's task count
-	// and the per-task run.
-	tasks   func(Size) int
-	digests func(d D) (n int, run func(task int) (dig, ops uint64))
+	// tasks is set by the kernels that split into independent tasks
+	// with no cross-task state, and makes them shardable (shardexec.go):
+	// the number of tasks build makes, from size alone. The coordinator
+	// partitions a job by it before any dataset exists, where a count
+	// that depended on the seed could not be known. The executor runs
+	// the tasks through loop, which a shardable kernel must set.
+	tasks func(Size) int
 }
 
 // kernel is a kernelDef with D erased, so that twelve of them make one
@@ -112,6 +113,11 @@ type kernel struct {
 }
 
 func (d kernelDef[D]) row() kernel {
+	if d.run == nil {
+		d.run = func(ctx context.Context, data D, threads int) (RunStats, error) {
+			return d.loop(data).run(ctx, threads)
+		}
+	}
 	k := kernel{info: d.info, newBench: func() Benchmark { return &bench[D]{def: &d} }}
 	if d.tasks != nil {
 		k.newExecutor = func() shard.Executor { return &executor[D]{def: &d} }

@@ -3,27 +3,23 @@ package core
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"testing"
 	"time"
 
-	"repro/internal/abea"
-	"repro/internal/genome"
 	"repro/internal/resilience"
 	"repro/internal/scratch"
-	"repro/internal/signalsim"
 )
 
-func abeaRetryDataset(t *testing.T) (*signalsim.PoreModel, []signalsim.SignalRead) {
+// abeaBench is abea through the suite's entry, its Small dataset
+// prepared.
+func abeaBench(t *testing.T) Benchmark {
 	t.Helper()
-	rng := rand.New(rand.NewSource(11))
-	model := signalsim.NewPoreModel()
-	src := genome.Random(rng, 4000)
-	reads := signalsim.SimulateReads(rng, model, src, 6, 300, 800, signalsim.DefaultConfig())
-	if len(reads) == 0 {
-		t.Fatal("no simulated reads")
+	b, err := ByName("abea")
+	if err != nil {
+		t.Fatal(err)
 	}
-	return model, reads
+	b.Prepare(Small, 11)
+	return b
 }
 
 // TestScratchPoolWarmRunAllocs: a kernel execution against a warm
@@ -33,19 +29,18 @@ func abeaRetryDataset(t *testing.T) (*signalsim.PoreModel, []signalsim.SignalRea
 // so it must come in far below the cold count, which grows with the
 // dataset.
 func TestScratchPoolWarmRunAllocs(t *testing.T) {
-	model, reads := abeaRetryDataset(t)
-	cfg := abea.DefaultConfig()
+	b := abeaBench(t)
 	ctx := scratch.WithPool(context.Background(), scratch.NewPool())
-	if _, err := abea.RunKernelCtx(ctx, model, reads, cfg, 2); err != nil {
+	if _, err := b.RunCtx(ctx, 2); err != nil {
 		t.Fatal(err)
 	}
 	warm := testing.AllocsPerRun(5, func() {
-		if _, err := abea.RunKernelCtx(ctx, model, reads, cfg, 2); err != nil {
+		if _, err := b.RunCtx(ctx, 2); err != nil {
 			t.Fatal(err)
 		}
 	})
 	cold := testing.AllocsPerRun(5, func() {
-		if _, err := abea.RunKernelCtx(context.Background(), model, reads, cfg, 2); err != nil {
+		if _, err := b.RunCtx(context.Background(), 2); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -58,8 +53,7 @@ func TestScratchPoolWarmRunAllocs(t *testing.T) {
 // pool installed outside resilience.Run hands the retry attempt the
 // exact arenas the failed attempt grew.
 func TestResilienceRetryReusesPool(t *testing.T) {
-	model, reads := abeaRetryDataset(t)
-	cfg := abea.DefaultConfig()
+	b := abeaBench(t)
 	pool := scratch.NewPool()
 	ctx := scratch.WithPool(context.Background(), pool)
 	p := resilience.Default()
@@ -68,7 +62,7 @@ func TestResilienceRetryReusesPool(t *testing.T) {
 	var firstArena *scratch.Arena
 	err := resilience.Run(ctx, "abea", p, func(actx context.Context) error {
 		attempt++
-		if _, err := abea.RunKernelCtx(actx, model, reads, cfg, 2); err != nil {
+		if _, err := b.RunCtx(actx, 2); err != nil {
 			return err
 		}
 		if attempt == 1 {

@@ -2,38 +2,36 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 
+	"repro/internal/abea"
 	"repro/internal/bsw"
 	"repro/internal/dbg"
 	"repro/internal/digest"
 	"repro/internal/genome"
+	"repro/internal/nnvariant"
 	"repro/internal/shard"
 )
 
 // Shard executors: the fabric-facing view of the kernels table. An
 // executor builds its dataset with the entry's own build — the one the
-// kernel's Benchmark prepares with — and exposes it through the
-// entry's digests as a dense task range whose per-task outputs are
-// folded into 64-bit digests. The digest must cover the kernel's
+// kernel's Benchmark prepares with — and runs it through the entry's
+// loop: the same task function the timed run calls, on state the
+// executor owns, so a shard costs what the kernel costs. Each task's
+// result is folded into a 64-bit digest that must cover the kernel's
 // complete semantic output — scores, coordinates, consensus bases,
 // counts, likelihood bits — because the distributed differential tests
 // assert digest-vector equality against a single-process run; a digest
-// that skipped a field would let a divergence hide.
+// that skipped a field would let a divergence hide. The allocating
+// reference functions are the kernel packages' differential twins and
+// are not called there. Each executor serves one goroutine: a worker's
+// task loop, or LocalDigests.
 //
-// A digests function calls the same per-task entry point the
-// in-process suite runs (bsw.AlignInto, poa.ConsensusInto,
-// Assembler.AssembleRegion, phmm.EvaluateRegionInto, ...) with
-// reusable state it owns, so a shard costs what the kernel costs. The
-// allocating reference functions are the kernel packages' differential
-// twins and are not called there. Each executor serves one goroutine:
-// a worker's task loop, or LocalDigests.
-//
-// Only the task-granular kernels are shardable: bsw, chain, spoa,
-// pileup, phmm, and dbg all decompose into independent tasks with no
-// cross-task state. The remaining kernels (fmi's shared index, grm's
-// matrix tiles, the NN kernels' batched models) stay on the in-process
+// Only the kernels whose entry sets tasks are shardable: bsw, chain,
+// spoa, pileup, phmm, and dbg all decompose into independent tasks with
+// no cross-task state. The remaining kernels stay on the in-process
 // path; RunSuite falls back transparently for them.
 
 // Task digests use the same fold (digest.Word from digest.Seed) as
@@ -62,7 +60,7 @@ func (e *executor[D]) Prepare(size string, seed int64) (n int, err error) {
 	if err != nil {
 		return 0, err
 	}
-	n, e.run = e.def.digests(e.def.build(sz, seed))
+	n, e.run = e.def.loop(e.def.build(sz, seed)).executor()
 	return n, nil
 }
 
@@ -82,9 +80,11 @@ func bswDigest(r bsw.Result) uint64 {
 	return h
 }
 
-func poaDigest(consensus genome.Seq) uint64 {
-	h := foldInt(digest.Seed, len(consensus))
-	return digest.Bytes(h, []byte(consensus))
+// seqDigest folds one called sequence: a spoa consensus or an nn-base
+// basecall.
+func seqDigest(s genome.Seq) uint64 {
+	h := foldInt(digest.Seed, len(s))
+	return digest.Bytes(h, []byte(s))
 }
 
 func dbgDigest(r dbg.Result) uint64 {
@@ -97,6 +97,33 @@ func dbgDigest(r dbg.Result) uint64 {
 	for _, hap := range r.Haplotypes {
 		h = foldInt(h, len(hap))
 		h = digest.Bytes(h, []byte(hap))
+	}
+	return h
+}
+
+func abeaDigest(r abea.Result) uint64 {
+	h := digest.Word(digest.Seed, uint64(math.Float32bits(r.Score)))
+	h = digest.Word(h, r.CellUpdates)
+	var oob uint64
+	if r.OutOfBand {
+		oob = 1
+	}
+	return digest.Word(h, oob)
+}
+
+// callsDigest folds the float32 bits of a region's predictions: the
+// four heads of each call in field order, each value low byte first.
+func callsDigest(calls []nnvariant.Call) uint64 {
+	h := digest.Seed
+	var le [4]byte
+	for i := range calls {
+		c := &calls[i]
+		for _, head := range [][]float32{c.Genotype[:], c.Zygosity[:], c.Indel1[:], c.Indel2[:]} {
+			for _, v := range head {
+				binary.LittleEndian.PutUint32(le[:], math.Float32bits(v))
+				h = digest.Bytes(h, le[:])
+			}
+		}
 	}
 	return h
 }

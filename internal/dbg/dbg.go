@@ -7,12 +7,7 @@
 package dbg
 
 import (
-	"context"
-
-	"repro/internal/faultinject"
 	"repro/internal/genome"
-	"repro/internal/parallel"
-	"repro/internal/perf"
 )
 
 // Config parameterizes assembly.
@@ -290,59 +285,4 @@ func (a *Assembler) AssembleRegion(rg *Region, cfg Config) Result {
 	res.K = 0
 	res.Haplotypes = []genome.Seq{rg.Ref.Clone()}
 	return res
-}
-
-// KernelResult aggregates a dbg benchmark execution.
-type KernelResult struct {
-	Regions      int
-	Haplotypes   int
-	HashLookups  uint64
-	CycleRetries int
-	TaskStats    *perf.TaskStats
-	Counters     perf.Counters
-}
-
-// RunKernelCtx assembles all regions with dynamic scheduling, under
-// cooperative cancellation and with a fault trip-point per region.
-func RunKernelCtx(ctx context.Context, regions []*Region, cfg Config, threads int) (KernelResult, error) {
-	if threads <= 0 {
-		threads = 1
-	}
-	assemblers := make([]*Assembler, threads)
-	for i := range assemblers {
-		assemblers[i] = NewAssembler()
-	}
-	type slot struct {
-		haps, retries int
-		lookups       uint64
-	}
-	slots := make([]slot, len(regions))
-	// Region cost skews with repeat content (k-bumps and cycle
-	// retries); one region per pull off the shared counter balances it.
-	err := parallel.ForEachCtxErr(ctx, len(regions), threads, func(tctx context.Context, w, i int) error {
-		if err := faultinject.Point(tctx); err != nil {
-			return err
-		}
-		r := assemblers[w].AssembleRegion(regions[i], cfg)
-		slots[i] = slot{len(r.Haplotypes), r.CycleRetries, r.HashLookups}
-		return nil
-	})
-	if err != nil {
-		return KernelResult{}, err
-	}
-	res := KernelResult{Regions: len(regions), TaskStats: perf.NewTaskStats("hash lookups")}
-	for i := range slots {
-		res.Haplotypes += slots[i].haps
-		res.HashLookups += slots[i].lookups
-		res.CycleRetries += slots[i].retries
-		res.TaskStats.Observe(float64(slots[i].lookups))
-	}
-	// Hash-table dominated: every lookup carries hashing arithmetic,
-	// k-mer packing, probe loads and compare branches (Platypus'
-	// assembly loop runs ~18 instructions per lookup).
-	res.Counters.Add(perf.Load, res.HashLookups*5)
-	res.Counters.Add(perf.IntALU, res.HashLookups*9)
-	res.Counters.Add(perf.Store, res.HashLookups)
-	res.Counters.Add(perf.Branch, res.HashLookups*3)
-	return res, nil
 }

@@ -1,9 +1,7 @@
 package dbg
 
 import (
-	"context"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"repro/internal/genome"
@@ -177,46 +175,10 @@ func TestMaxHaplotypesCap(t *testing.T) {
 	}
 }
 
-func TestRunKernelDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	var regions []*Region
-	for i := 0; i < 6; i++ {
-		ref := genome.Random(rng, 200+rng.Intn(200))
-		alt := ref.Clone()
-		alt[len(alt)/2] = genome.Complement(alt[len(alt)/2])
-		reads := tileReads(ref, 80, 12)
-		reads = append(reads, tileReads(alt, 80, 12)...)
-		regions = append(regions, &Region{Ref: ref, Reads: reads})
-	}
-	r1 := must(RunKernelCtx(context.Background(), regions, DefaultConfig(), 1))
-	r4 := must(RunKernelCtx(context.Background(), regions, DefaultConfig(), 4))
-	if r1.Haplotypes != r4.Haplotypes || r1.HashLookups != r4.HashLookups {
-		t.Errorf("threading changed results: %+v vs %+v", r1, r4)
-	}
-	if r1.Counters != r4.Counters || !slices.Equal(r1.TaskStats.Work(), r4.TaskStats.Work()) {
-		t.Error("counters or task-order sample sequence depend on the thread count")
-	}
-	if r1.TaskStats.Count() != 6 {
-		t.Errorf("task count %d", r1.TaskStats.Count())
-	}
-	if r1.Counters.Total() == 0 {
-		t.Error("no ops counted")
-	}
-}
-
 func TestTinyRegionFallsBack(t *testing.T) {
 	rg := &Region{Ref: genome.MustFromString("ACGTACGT")}
 	res := NewAssembler().AssembleRegion(rg, DefaultConfig())
 	if len(res.Haplotypes) != 1 || !res.Haplotypes[0].Equal(rg.Ref) {
 		t.Error("tiny region should fall back to the reference haplotype")
 	}
-}
-
-// must unwraps a RunKernelCtx result; a kernel run under a background
-// context with no fault plan armed cannot fail.
-func must(res KernelResult, err error) KernelResult {
-	if err != nil {
-		panic(err)
-	}
-	return res
 }

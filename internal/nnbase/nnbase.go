@@ -10,15 +10,11 @@
 package nnbase
 
 import (
-	"context"
 	"math/rand"
 	"slices"
 
-	"repro/internal/faultinject"
 	"repro/internal/genome"
 	"repro/internal/nn"
-	"repro/internal/parallel"
-	"repro/internal/perf"
 )
 
 // ChunkSize is the paper's fixed signal chunk length.
@@ -162,49 +158,6 @@ func (m *Model) MACsPerChunk(chunkLen int) uint64 {
 type Read struct {
 	Name   string
 	Signal []float32
-}
-
-// KernelResult aggregates an nn-base benchmark execution.
-type KernelResult struct {
-	Reads     int
-	BasesOut  int
-	MACs      uint64
-	TaskStats *perf.TaskStats
-	Counters  perf.Counters
-	Called    []genome.Seq
-}
-
-// RunKernelCtx basecalls every read with dynamic scheduling, under
-// cooperative cancellation and with a fault trip-point per read.
-func RunKernelCtx(ctx context.Context, m *Model, reads []Read, cfg Config, threads int) (KernelResult, error) {
-	if threads <= 0 {
-		threads = 1
-	}
-	called := make([]genome.Seq, len(reads))
-	macs := make([]uint64, len(reads))
-	err := parallel.ForEachCtxErr(ctx, len(reads), threads, func(tctx context.Context, w, i int) error {
-		if err := faultinject.Point(tctx); err != nil {
-			return err
-		}
-		called[i], macs[i] = m.Basecall(reads[i].Signal, cfg)
-		return nil
-	})
-	if err != nil {
-		return KernelResult{}, err
-	}
-	res := KernelResult{Reads: len(reads), Called: called, TaskStats: perf.NewTaskStats("MACs")}
-	for i := range called {
-		res.BasesOut += len(called[i])
-		res.MACs += macs[i]
-		res.TaskStats.Observe(float64(macs[i]))
-	}
-	// Dense FP matrix arithmetic end to end.
-	res.Counters.Add(perf.VecOp, res.MACs)
-	res.Counters.Add(perf.FloatOp, res.MACs/4)
-	res.Counters.Add(perf.Load, res.MACs/8)
-	res.Counters.Add(perf.Store, res.MACs/32)
-	res.Counters.Add(perf.Branch, res.MACs/256)
-	return res, nil
 }
 
 // EditDistance computes Levenshtein distance between called and truth —

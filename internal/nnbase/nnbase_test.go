@@ -1,14 +1,11 @@
 package nnbase
 
 import (
-	"context"
 	"math"
 	"math/rand"
-	"slices"
 	"sort"
 	"testing"
 
-	"repro/internal/cpufeat"
 	"repro/internal/genome"
 	"repro/internal/signalsim"
 	"repro/internal/simt"
@@ -215,41 +212,6 @@ func TestEditDistance(t *testing.T) {
 	}
 }
 
-func TestRunKernelThreads(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	model := signalsim.NewPoreModel()
-	cfg := DefaultConfig()
-	cfg.Channels = 16
-	cfg.Blocks = 2
-	m := NewModel(9, cfg)
-	var reads []Read
-	for i := 0; i < 4; i++ {
-		seq := genome.Random(rng, 200)
-		reads = append(reads, Read{
-			Name:   "r",
-			Signal: signalsim.RawSignal(rng, model, seq, signalsim.DefaultConfig()),
-		})
-	}
-	r1 := must(RunKernelCtx(context.Background(), m, reads, cfg, 1))
-	for _, threads := range []int{2, 4} {
-		rn := must(RunKernelCtx(context.Background(), m, reads, cfg, threads))
-		if r1.MACs != rn.MACs || r1.BasesOut != rn.BasesOut {
-			t.Errorf("threading changed results: %+v vs %+v", r1, rn)
-		}
-		if r1.Counters != rn.Counters || !slices.Equal(r1.TaskStats.Work(), rn.TaskStats.Work()) {
-			t.Errorf("%d threads: counters or task-order sample sequence differ from 1 thread", threads)
-		}
-		for i := range r1.Called {
-			if !r1.Called[i].Equal(rn.Called[i]) {
-				t.Fatal("called sequences differ across thread counts")
-			}
-		}
-	}
-	if r1.TaskStats.Count() != 4 {
-		t.Errorf("task count %d", r1.TaskStats.Count())
-	}
-}
-
 func TestGPUMetricsShape(t *testing.T) {
 	cfg := DefaultConfig()
 	m := NewModel(11, cfg)
@@ -280,55 +242,5 @@ func TestGPUMetricsShape(t *testing.T) {
 	util := metrics.SMUtilization(dev, occ)
 	if util < 0.9 {
 		t.Errorf("SM utilization %v, want ~0.99", util)
-	}
-}
-
-// must unwraps a RunKernelCtx result; a kernel run under a background
-// context with no fault plan armed cannot fail.
-func must(res KernelResult, err error) KernelResult {
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// TestCalledDifferential: the basecalls are the same on the portable
-// and the AVX2 microkernel and at 1, 2 and 4 threads, at the
-// benchmark's geometry (32 channels: the 4-row tile and no column
-// tail) and at one with a column tail in every layer.
-func TestCalledDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	pore := signalsim.NewPoreModel()
-	var reads []Read
-	for i := 0; i < 3; i++ {
-		seq := genome.Random(rng, 150+50*i)
-		reads = append(reads, Read{Name: "r", Signal: signalsim.RawSignal(rng, pore, seq, signalsim.DefaultConfig())})
-	}
-	for _, channels := range []int{32, 21} {
-		cfg := DefaultConfig()
-		cfg.Channels = channels
-		cfg.Blocks = 2
-		m := NewModel(9, cfg)
-		var want []genome.Seq
-		for _, tier := range []string{"off", "avx2"} {
-			restore := cpufeat.ForceForTest(tier)
-			if tier == "avx2" && !cpufeat.AVX2() {
-				t.Log("no AVX2 on this host: portable tier only")
-				restore()
-				continue
-			}
-			for _, threads := range []int{1, 2, 4} {
-				got := must(RunKernelCtx(context.Background(), m, reads, cfg, threads))
-				if want == nil {
-					want = got.Called
-				}
-				for i := range want {
-					if len(got.Called[i]) == 0 || !got.Called[i].Equal(want[i]) {
-						t.Errorf("channels %d, tier %s, %d threads: read %d called differently", channels, tier, threads, i)
-					}
-				}
-			}
-			restore()
-		}
 	}
 }

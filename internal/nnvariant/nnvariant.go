@@ -10,17 +10,10 @@
 package nnvariant
 
 import (
-	"context"
-	"encoding/binary"
-	"math"
 	"math/rand"
 
-	"repro/internal/digest"
-	"repro/internal/faultinject"
 	"repro/internal/genome"
 	"repro/internal/nn"
-	"repro/internal/parallel"
-	"repro/internal/perf"
 	"repro/internal/pileup"
 )
 
@@ -121,19 +114,6 @@ type Call struct {
 	Indel2   [IndelClasses]float32
 }
 
-// fold extends the FNV-1a digest h with the float32 bits of the four
-// heads, in field order, each low byte first.
-func (c *Call) fold(h uint64) uint64 {
-	var le [4]byte
-	for _, head := range [][]float32{c.Genotype[:], c.Zygosity[:], c.Indel1[:], c.Indel2[:]} {
-		for _, v := range head {
-			binary.LittleEndian.PutUint32(le[:], math.Float32bits(v))
-			h = digest.Bytes(h, le[:])
-		}
-	}
-	return h
-}
-
 // Predict runs the network on one input tensor.
 func (m *Model) Predict(x *nn.Tensor) Call {
 	h := m.L1.Forward(x)
@@ -194,58 +174,4 @@ func SelectCandidates(counts []pileup.Counts, ref genome.Seq, start int, minDept
 type Task struct {
 	Counts     []pileup.Counts
 	Candidates []int
-}
-
-// KernelResult aggregates an nn-variant benchmark execution.
-type KernelResult struct {
-	Tasks     int
-	Calls     int
-	MACs      uint64
-	TaskStats *perf.TaskStats
-	Counters  perf.Counters
-	// Digest is FNV-1a over the float32 bits of every prediction,
-	// hashed per task and the task hashes hashed in task order: the
-	// one output of the run that depends on what the network computed,
-	// identical at any thread count.
-	Digest uint64
-}
-
-// RunKernelCtx predicts every candidate of every task with dynamic
-// scheduling across regions, under cooperative cancellation and with a
-// fault trip-point per region task.
-func RunKernelCtx(ctx context.Context, m *Model, tasks []*Task, threads int) (KernelResult, error) {
-	if threads <= 0 {
-		threads = 1
-	}
-	digests := make([]uint64, len(tasks))
-	err := parallel.ForEachCtxErr(ctx, len(tasks), threads, func(tctx context.Context, w, i int) error {
-		if err := faultinject.Point(tctx); err != nil {
-			return err
-		}
-		h := digest.Seed
-		for _, pos := range tasks[i].Candidates {
-			call := m.Predict(BuildTensor(tasks[i].Counts, pos))
-			h = call.fold(h)
-		}
-		digests[i] = h
-		return nil
-	})
-	if err != nil {
-		return KernelResult{}, err
-	}
-	res := KernelResult{Tasks: len(tasks), Digest: digest.Seed, TaskStats: perf.NewTaskStats("MACs")}
-	perCall := m.MACsPerCall()
-	for i, t := range tasks {
-		macs := perCall * uint64(len(t.Candidates))
-		res.Calls += len(t.Candidates)
-		res.MACs += macs
-		res.TaskStats.Observe(float64(macs))
-		res.Digest = digest.Word(res.Digest, digests[i])
-	}
-	res.Counters.Add(perf.VecOp, res.MACs)
-	res.Counters.Add(perf.FloatOp, res.MACs/3)
-	res.Counters.Add(perf.Load, res.MACs/8)
-	res.Counters.Add(perf.Store, res.MACs/32)
-	res.Counters.Add(perf.Branch, res.MACs/128)
-	return res, nil
 }

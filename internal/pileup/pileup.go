@@ -7,13 +7,9 @@
 package pileup
 
 import (
-	"context"
 	"unsafe"
 
-	"repro/internal/faultinject"
 	"repro/internal/genome"
-	"repro/internal/parallel"
-	"repro/internal/perf"
 	"repro/internal/seq2"
 	"repro/internal/simio"
 )
@@ -256,55 +252,4 @@ func (c *Counts) MajorityBase() (base genome.Base, count uint32, ok bool) {
 		}
 	}
 	return
-}
-
-// KernelResult aggregates a pileup benchmark execution.
-type KernelResult struct {
-	Regions     int
-	ReadLookups uint64 // alignment records parsed (Table III unit)
-	Positions   uint64
-	TotalDepth  uint64
-	TaskStats   *perf.TaskStats
-	Counters    perf.Counters
-}
-
-// RunKernelCtx counts every region with dynamic scheduling, under
-// cooperative cancellation and with a fault trip-point per region.
-func RunKernelCtx(ctx context.Context, regions []*Region, threads int) (KernelResult, error) {
-	if threads <= 0 {
-		threads = 1
-	}
-	type slot struct{ reads, positions, depth uint64 }
-	slots := make([]slot, len(regions))
-	err := parallel.ForEachCtxErr(ctx, len(regions), threads, func(tctx context.Context, w, i int) error {
-		if err := faultinject.Point(tctx); err != nil {
-			return err
-		}
-		counts, reads := CountRegion(regions[i])
-		s := slot{reads: uint64(reads), positions: uint64(len(counts))}
-		for p := range counts {
-			s.depth += uint64(counts[p].Depth())
-		}
-		slots[i] = s
-		return nil
-	})
-	if err != nil {
-		return KernelResult{}, err
-	}
-	res := KernelResult{Regions: len(regions), TaskStats: perf.NewTaskStats("read lookups")}
-	for i := range slots {
-		res.ReadLookups += slots[i].reads
-		res.Positions += slots[i].positions
-		res.TotalDepth += slots[i].depth
-		res.TaskStats.Observe(float64(slots[i].reads))
-	}
-	// Random access into alignment records dominates; per counted base
-	// the original parses CIGAR state, decodes packed bases and
-	// updates counters (~25 instructions in htslib-based code).
-	res.Counters.Add(perf.Load, res.TotalDepth*7)
-	res.Counters.Add(perf.Store, res.TotalDepth*2)
-	res.Counters.Add(perf.IntALU, res.TotalDepth*11)
-	res.Counters.Add(perf.Branch, res.TotalDepth*5)
-	res.Counters.Add(perf.Other, res.ReadLookups)
-	return res, nil
 }

@@ -1,9 +1,7 @@
 package pileup
 
 import (
-	"context"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"repro/internal/genome"
@@ -148,39 +146,9 @@ func TestSimulatedPileupRecoversReference(t *testing.T) {
 	}
 }
 
-func TestRunKernelDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	ref := genome.Random(rng, 5000)
-	alns := simio.SimulateAlignments(rng, ref, 100, simio.DefaultAlignSim())
-	regions := SplitRegions(len(ref), alns, 1000)
-	r1 := must(RunKernelCtx(context.Background(), regions, 1))
-	r4 := must(RunKernelCtx(context.Background(), regions, 4))
-	if r1.TotalDepth != r4.TotalDepth || r1.ReadLookups != r4.ReadLookups {
-		t.Errorf("threading changed results: %+v vs %+v", r1, r4)
-	}
-	if r1.Counters != r4.Counters || !slices.Equal(r1.TaskStats.Work(), r4.TaskStats.Work()) {
-		t.Error("counters or task-order sample sequence depend on the thread count")
-	}
-	if r1.Regions != len(regions) || r1.TaskStats.Count() != len(regions) {
-		t.Error("region bookkeeping wrong")
-	}
-	if r1.Positions != 5000 {
-		t.Errorf("positions %d, want 5000", r1.Positions)
-	}
-}
-
 func TestMajorityBaseEmpty(t *testing.T) {
 	var c Counts
 	if _, _, ok := c.MajorityBase(); ok {
 		t.Error("empty counts reported a majority base")
 	}
-}
-
-// must unwraps a RunKernelCtx result; a kernel run under a background
-// context with no fault plan armed cannot fail.
-func must(res KernelResult, err error) KernelResult {
-	if err != nil {
-		panic(err)
-	}
-	return res
 }

@@ -7,12 +7,7 @@
 package poa
 
 import (
-	"context"
-
-	"repro/internal/faultinject"
 	"repro/internal/genome"
-	"repro/internal/parallel"
-	"repro/internal/perf"
 	"repro/internal/scratch"
 )
 
@@ -491,53 +486,4 @@ func ConsensusScalarInto(w *Window, p Params, g *Graph) (genome.Seq, uint64) {
 	g.forceScalar = true
 	defer func() { g.forceScalar = false }()
 	return ConsensusInto(w, p, g)
-}
-
-// KernelResult aggregates a poa benchmark execution.
-type KernelResult struct {
-	Windows     int
-	CellUpdates uint64
-	Consensi    []genome.Seq
-	TaskStats   *perf.TaskStats
-	Counters    perf.Counters
-}
-
-// RunKernelCtx computes every window consensus with dynamic
-// scheduling, under cooperative cancellation and with a fault
-// trip-point per window.
-func RunKernelCtx(ctx context.Context, windows []*Window, p Params, threads int) (KernelResult, error) {
-	if threads <= 0 {
-		threads = 1
-	}
-	consensi := make([]genome.Seq, len(windows))
-	cells := make([]uint64, len(windows))
-	graphs := make([]*Graph, threads)
-	for i := range graphs {
-		graphs[i] = New()
-	}
-	// Windows vary ~10x in cell count (graph size times read coverage);
-	// one window per pull off the shared counter balances that.
-	err := parallel.ForEachCtxErr(ctx, len(windows), threads, func(tctx context.Context, w, i int) error {
-		if err := faultinject.Point(tctx); err != nil {
-			return err
-		}
-		consensi[i], cells[i] = ConsensusInto(windows[i], p, graphs[w])
-		return nil
-	})
-	if err != nil {
-		return KernelResult{}, err
-	}
-	res := KernelResult{Windows: len(windows), Consensi: consensi, TaskStats: perf.NewTaskStats("cell updates")}
-	for _, c := range cells {
-		res.CellUpdates += c
-		res.TaskStats.Observe(float64(c))
-	}
-	// spoa vectorizes the row DP with shifts/blends; graph updates add
-	// pointer-chasing loads.
-	res.Counters.Add(perf.VecOp, res.CellUpdates*4)
-	res.Counters.Add(perf.IntALU, res.CellUpdates*2)
-	res.Counters.Add(perf.Load, res.CellUpdates*3)
-	res.Counters.Add(perf.Store, res.CellUpdates)
-	res.Counters.Add(perf.Branch, res.CellUpdates/2)
-	return res, nil
 }

@@ -1,9 +1,7 @@
 package poa
 
 import (
-	"context"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"repro/internal/genome"
@@ -174,37 +172,6 @@ func TestEmptyInputs(t *testing.T) {
 	}
 }
 
-func TestRunKernelDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var windows []*Window
-	for i := 0; i < 5; i++ {
-		truth := genome.Random(rng, 100+rng.Intn(100))
-		w := &Window{}
-		for r := 0; r < 6; r++ {
-			read := truth.Clone()
-			read[rng.Intn(len(read))] = genome.Base(rng.Intn(4))
-			w.Sequences = append(w.Sequences, read)
-		}
-		windows = append(windows, w)
-	}
-	r1 := must(RunKernelCtx(context.Background(), windows, DefaultParams(), 1))
-	r4 := must(RunKernelCtx(context.Background(), windows, DefaultParams(), 4))
-	if r1.CellUpdates != r4.CellUpdates {
-		t.Errorf("threading changed cell counts: %d vs %d", r1.CellUpdates, r4.CellUpdates)
-	}
-	if r1.Counters != r4.Counters || !slices.Equal(r1.TaskStats.Work(), r4.TaskStats.Work()) {
-		t.Error("counters or task-order sample sequence depend on the thread count")
-	}
-	for i := range r1.Consensi {
-		if !r1.Consensi[i].Equal(r4.Consensi[i]) {
-			t.Fatalf("window %d consensus differs across thread counts", i)
-		}
-	}
-	if r1.TaskStats.Count() != 5 {
-		t.Errorf("task count %d", r1.TaskStats.Count())
-	}
-}
-
 func TestCellUpdatesComplexity(t *testing.T) {
 	// Second alignment computes |V| x n cells.
 	rng := rand.New(rand.NewSource(8))
@@ -242,13 +209,4 @@ func TestTopoOrderPanicsOnCycle(t *testing.T) {
 		}
 	}()
 	g.Consensus()
-}
-
-// must unwraps a RunKernelCtx result; a kernel run under a background
-// context with no fault plan armed cannot fail.
-func must(res KernelResult, err error) KernelResult {
-	if err != nil {
-		panic(err)
-	}
-	return res
 }

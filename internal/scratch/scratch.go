@@ -9,8 +9,8 @@
 // tasks) performs zero heap allocations per task.
 //
 // An Arena is NOT safe for concurrent use; the intended pattern is one
-// Arena per parallel worker, threaded through the per-worker state that
-// kernels already keep for counters (see bsw.RunKernelCtx).
+// Arena per parallel worker, handed out as that worker's state by the
+// suite's task loop (core's perTask.each).
 package scratch
 
 // pool hands out grow-only buffers of one element type in call order.
