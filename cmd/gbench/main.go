@@ -77,7 +77,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		pprofSpec   = fs.String("pprof", "", `write runtime/pprof profiles: "cpu.out", "cpu.out,mem.out", or ",mem.out"`)
 		metricsPath = fs.String("metrics", "", "write run metrics (NDJSON) to this file")
 		tracePath   = fs.String("trace", "", "write phase spans (NDJSON) to this file")
-		sampleEvery = fs.Duration("sample-interval", 100*time.Millisecond, "runtime sampler interval (with -metrics)")
 		faults      = fs.String("faults", "", `fault plan, e.g. "panic:spoa:0.5,delay:chain:200ms" (see internal/faultinject)`)
 		faultSeed   = fs.Int64("fault-seed", 1, "seed for deterministic fault firing")
 		timeout     = fs.Duration("timeout", 0, "per-attempt kernel timeout (0 = size default)")
@@ -85,7 +84,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		distN       = fs.Int("dist", 0, "run shardable kernels over N worker processes (0 = in-process)")
 		distAddr    = fs.String("dist-addr", "127.0.0.1:0", "coordinator listen address (with -dist)")
 		distShards  = fs.Int("dist-shards", 16, "shards per distributed kernel job")
-		distLease   = fs.Duration("dist-lease", 0, "shard lease duration (0 = 2s default)")
+		distLease   = fs.Duration("dist-lease", 0, "worker liveness window: silent this long means dead (0 = 2s default)")
 		distVerify  = fs.Bool("dist-verify", false, "re-run each distributed kernel in-process and fail on digest mismatch")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -152,7 +151,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *metricsPath != "" || *tracePath != "" {
 		observer = obs.NewObserver()
 		if *metricsPath != "" {
-			observer.Sampler = obs.StartSampler(*sampleEvery)
+			observer.Sampler = obs.StartSampler(100 * time.Millisecond)
 		}
 	}
 
@@ -171,7 +170,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		opts := shard.DefaultOptions()
 		if *distLease > 0 {
 			opts.Lease = *distLease
-			opts.HeartbeatGrace = *distLease
 		}
 		coord = shard.NewCoordinator(opts)
 		if err := coord.Start(*distAddr); err != nil {
@@ -280,7 +278,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // runWorker is one worker process of the shard fabric. A -faults plan
 // arms worker-side chaos: killworker makes this process die abruptly
 // (exit 7, like a SIGKILL from outside), slowshard stalls shard
-// execution to trip lease expiry and hedging, and dropconn tears the
+// execution so the coordinator hedges it, and dropconn tears the
 // coordinator connection down after computing a shard, forcing a
 // reschedule of already-finished work. Fault sites match against
 // "workerID/kernel" labels, so "w1" targets one worker and "spoa"

@@ -18,14 +18,11 @@ import (
 func testFabric(t *testing.T, ctx context.Context, n int, specs map[string]string) *shard.Coordinator {
 	t.Helper()
 	coord := shard.NewCoordinator(shard.Options{
-		Lease:          400 * time.Millisecond,
-		HeartbeatGrace: 400 * time.Millisecond,
-		Sweep:          10 * time.Millisecond,
-		MaxAttempts:    10,
-		HedgeAge:       30 * time.Millisecond,
-		HedgeQuantile:  0.9,
-		HedgeFactor:    3,
-		NoWorkerGrace:  10 * time.Second,
+		Lease:         400 * time.Millisecond,
+		Sweep:         10 * time.Millisecond,
+		MaxAttempts:   10,
+		HedgeAge:      30 * time.Millisecond,
+		NoWorkerGrace: 10 * time.Second,
 	})
 	if err := coord.Start("127.0.0.1:0"); err != nil {
 		t.Fatalf("coordinator: %v", err)
@@ -48,10 +45,7 @@ func testFabric(t *testing.T, ctx context.Context, n int, specs map[string]strin
 			// shard's whole dispatch-attempt budget while the healthy
 			// workers are busy. Clean shutdown ends the loop.
 			for respawns := 0; ctx.Err() == nil && respawns < 4; respawns++ {
-				err := shard.RunWorker(ctx, shard.WorkerOptions{
-					ID: id, Addr: coord.Addr(), Plan: plan,
-					Heartbeat: 80 * time.Millisecond, PullDelay: 2 * time.Millisecond,
-				})
+				err := shard.RunWorker(ctx, shard.WorkerOptions{ID: id, Addr: coord.Addr(), Plan: plan})
 				if err == nil || !errors.Is(err, shard.ErrKilled) {
 					return
 				}

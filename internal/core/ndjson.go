@@ -390,7 +390,7 @@ func ShardCell(s *shard.Summary) string {
 	if s == nil {
 		return "-"
 	}
-	return fmt.Sprintf("%dw/%ds r=%d h=%d x=%d", s.Workers, s.Shards, s.Rescheduled, s.Hedged, s.LeaseExpired)
+	return fmt.Sprintf("%dw/%ds r=%d h=%d l=%d", s.Workers, s.Shards, s.Rescheduled, s.Hedged, s.Lost)
 }
 
 // FirstLine compacts a possibly multi-line error string for a cell.

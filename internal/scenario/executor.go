@@ -20,9 +20,6 @@ type Options struct {
 	// QueueCap bounds each inter-stage channel in the fused executor —
 	// the backpressure knob. 0 means 8.
 	QueueCap int
-	// Workers caps every stage's worker count when > 0 (tests force 1
-	// for strict sequencing and 4 for the width-independence check).
-	Workers int
 	// Pool supplies warm per-worker arenas keyed by stable slot
 	// (stage-major, worker-minor — identical across both executors).
 	// nil hands out fresh arenas.
@@ -160,14 +157,11 @@ func (s *stageStats) snapshot(name string, workers int) StageStats {
 	return out
 }
 
-// stageWorkers resolves a stage's effective pool width under opt.
-func stageWorkers(st *Stage, opt Options) int {
+// stageWorkers resolves a stage's effective pool width.
+func stageWorkers(st *Stage) int {
 	w := st.Workers
 	if w <= 0 {
 		w = 1
-	}
-	if opt.Workers > 0 && w > opt.Workers {
-		w = opt.Workers
 	}
 	if st.Flush != nil {
 		w = 1
@@ -184,7 +178,7 @@ func prefetchWorkers(p *Pipeline, opt Options) [][]*Worker {
 	slot := 0
 	for si := range p.Stages {
 		st := &p.Stages[si]
-		n := stageWorkers(st, opt)
+		n := stageWorkers(st)
 		ws := make([]*Worker, n)
 		for w := 0; w < n; w++ {
 			wk := &Worker{Arena: opt.Pool.Worker(slot)}

@@ -232,16 +232,29 @@ func TestMetagenomicsMallocsPerItem(t *testing.T) {
 }
 
 // TestDigestStableAcrossWorkerWidths pins that worker count is pure
-// throughput: 1-worker and wide runs of both executors agree.
+// throughput: each scenario built with every *_workers parameter at 1
+// and at 4 yields one digest.
 func TestDigestStableAcrossWorkerWidths(t *testing.T) {
 	for _, name := range Names() {
-		pipe := buildCached(t, name)
+		withWidth := func(w float64) *Pipeline {
+			p, widths := testParams(t, name), 0
+			for k := range p {
+				if strings.HasSuffix(k, "_workers") {
+					p[k] = w
+					widths++
+				}
+			}
+			if widths == 0 {
+				t.Fatalf("%s declares no *_workers parameter", name)
+			}
+			return buildFor(t, name, p)
+		}
 		ctx := context.Background()
-		narrow, err := RunFused(ctx, name, pipe, Options{Workers: 1, QueueCap: 1})
+		narrow, err := RunFused(ctx, name, withWidth(1), Options{QueueCap: 1})
 		if err != nil {
 			t.Fatalf("%s narrow: %v", name, err)
 		}
-		wide, err := RunFused(ctx, name, pipe, Options{Workers: 4, QueueCap: 32})
+		wide, err := RunFused(ctx, name, withWidth(4), Options{QueueCap: 32})
 		if err != nil {
 			t.Fatalf("%s wide: %v", name, err)
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -16,16 +17,15 @@ import (
 // real runs (multi-second kernels, worker processes on one host);
 // tests shrink everything to tens of milliseconds.
 type Options struct {
-	// Lease is how long a worker owns a dispatched shard before the
-	// coordinator may reassign it. Heartbeats extend the lease, so the
-	// lease only expires on a worker that is dead, hung, or partitioned.
+	// Lease is the liveness window. Every frame a worker sends refreshes
+	// its clock, and workers beat every Lease/3 from a side goroutine
+	// (the hello-ack tells them Lease), so only a dead, hung or
+	// partitioned process falls silent for a whole Lease. Such a worker
+	// is declared dead and every shard it holds is requeued. A live but
+	// slow worker keeps its shards; hedging covers it.
 	Lease time.Duration
-	// HeartbeatGrace is how long a silent worker stays trusted. Workers
-	// are told to beat every Lease/3; missing three beats in a row
-	// declares the worker dead and reschedules everything it holds.
-	HeartbeatGrace time.Duration
-	// Sweep is the failure-detector tick: how often leases, heartbeats
-	// and job liveness are checked.
+	// Sweep is the failure-detector tick: how often worker silence and
+	// job liveness are checked.
 	Sweep time.Duration
 	// MaxAttempts bounds how many times one shard may be dispatched
 	// (initial dispatch + reschedules + hedges). Exhausting it fails
@@ -34,30 +34,30 @@ type Options struct {
 	// HedgeAge is the minimum time a shard must have been outstanding
 	// before it is eligible for hedged re-dispatch.
 	HedgeAge time.Duration
-	// HedgeQuantile/HedgeFactor set the straggler threshold: a shard is
-	// hedged once its lease age exceeds HedgeFactor times the given
-	// quantile of completed shard durations (and HedgeAge). Hedging
-	// only happens when a worker asks for work and the pending queue is
-	// empty, so it never steals capacity from first-dispatch work.
-	HedgeQuantile float64
-	HedgeFactor   float64
 	// NoWorkerGrace fails a job that has had no live workers for this
 	// long, so a suite whose worker pool died reports the kernel as
 	// failed instead of hanging.
 	NoWorkerGrace time.Duration
 }
 
+// The straggler threshold: a shard is hedged once its oldest dispatch
+// is older than hedgeFactor times the hedgeQuantile of completed shard
+// durations (and HedgeAge). Hedging only happens when a worker asks
+// for work and the pending queue is empty, so it never steals capacity
+// from first-dispatch work.
+const (
+	hedgeQuantile = 0.9
+	hedgeFactor   = 3
+)
+
 // DefaultOptions returns production-shaped failure-detector settings.
 func DefaultOptions() Options {
 	return Options{
-		Lease:          2 * time.Second,
-		HeartbeatGrace: 2 * time.Second,
-		Sweep:          50 * time.Millisecond,
-		MaxAttempts:    5,
-		HedgeAge:       250 * time.Millisecond,
-		HedgeQuantile:  0.9,
-		HedgeFactor:    3,
-		NoWorkerGrace:  10 * time.Second,
+		Lease:         2 * time.Second,
+		Sweep:         50 * time.Millisecond,
+		MaxAttempts:   5,
+		HedgeAge:      250 * time.Millisecond,
+		NoWorkerGrace: 10 * time.Second,
 	}
 }
 
@@ -65,9 +65,6 @@ func (o Options) withDefaults() Options {
 	d := DefaultOptions()
 	if o.Lease <= 0 {
 		o.Lease = d.Lease
-	}
-	if o.HeartbeatGrace <= 0 {
-		o.HeartbeatGrace = d.HeartbeatGrace
 	}
 	if o.Sweep <= 0 {
 		o.Sweep = d.Sweep
@@ -77,12 +74,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.HedgeAge <= 0 {
 		o.HedgeAge = d.HedgeAge
-	}
-	if o.HedgeQuantile <= 0 || o.HedgeQuantile >= 1 {
-		o.HedgeQuantile = d.HedgeQuantile
-	}
-	if o.HedgeFactor <= 0 {
-		o.HedgeFactor = d.HedgeFactor
 	}
 	if o.NoWorkerGrace <= 0 {
 		o.NoWorkerGrace = d.NoWorkerGrace
@@ -104,16 +95,15 @@ type JobSpec struct {
 // is also mirrored into obs counters (shard.dispatched, ...) labelled
 // by kernel as it increments.
 type Summary struct {
-	Shards       int    `json:"shards"`
-	Workers      int    `json:"workers"` // distinct workers that completed at least one shard
-	Dispatched   uint64 `json:"dispatched"`
-	Completed    uint64 `json:"completed"`
-	Rescheduled  uint64 `json:"rescheduled"`
-	Hedged       uint64 `json:"hedged"`
-	Lost         uint64 `json:"lost"`
-	LeaseExpired uint64 `json:"lease_expired"`
-	Duplicates   uint64 `json:"duplicates"`
-	Failed       uint64 `json:"failed"` // worker-reported shard errors
+	Shards      int    `json:"shards"`
+	Workers     int    `json:"workers"` // distinct workers that completed at least one shard
+	Dispatched  uint64 `json:"dispatched"`
+	Completed   uint64 `json:"completed"`
+	Rescheduled uint64 `json:"rescheduled"`
+	Hedged      uint64 `json:"hedged"`
+	Lost        uint64 `json:"lost"`
+	Duplicates  uint64 `json:"duplicates"`
+	Failed      uint64 `json:"failed"` // worker-reported shard errors
 }
 
 // JobResult is a completed job: per-task digests in task order, the
@@ -130,7 +120,7 @@ type JobResult struct {
 
 // ErrShardLost reports a shard whose dispatch attempts were exhausted.
 // Cause is the last error a worker reported for it, empty when every
-// attempt was lost to a dead worker or an expired lease.
+// attempt was lost to a dead worker.
 type ErrShardLost struct {
 	Kernel   string
 	Shard    int
@@ -149,12 +139,10 @@ func (e *ErrShardLost) Error() string {
 // ErrNoWorkers reports a job starved of workers past the grace window.
 var ErrNoWorkers = errors.New("shard: no live workers")
 
+// lease is one dispatch of a shard to a worker.
 type lease struct {
-	worker   string
-	deadline time.Time
-	started  time.Time
-	attempt  int
-	hedged   bool
+	worker  string
+	started time.Time
 }
 
 type shardState struct {
@@ -428,7 +416,8 @@ func (c *Coordinator) acceptLoop(ln net.Listener) {
 }
 
 // serveConn drives one worker connection: a Hello registers the
-// worker, then Pull/Result/Heartbeat frames are handled sequentially.
+// worker, then Pull and Result frames are handled sequentially. Every
+// frame, Heartbeat included, refreshes the worker's liveness clock.
 // Any read error — including the abrupt close of a killed worker
 // process — unregisters the worker and reschedules everything it held.
 func (c *Coordinator) serveConn(conn net.Conn) {
@@ -455,7 +444,7 @@ func (c *Coordinator) serveConn(conn net.Conn) {
 		// dead even if its close has not surfaced yet. Drop it and
 		// reschedule whatever the previous incarnation held.
 		old.conn.Close()
-		c.workerGoneLocked(old, "replaced")
+		c.workerGoneLocked(old)
 	}
 	w := &workerState{id: id, conn: conn, lastBeat: time.Now(), shards: map[int]bool{}}
 	c.workers[id] = w
@@ -481,8 +470,6 @@ func (c *Coordinator) serveConn(conn net.Conn) {
 			reply = c.assignLocked(w)
 		case MsgResult:
 			c.handleResultLocked(w, &m)
-		case MsgHeartbeat:
-			c.extendLeasesLocked(w)
 		}
 		closed := c.closed
 		c.mu.Unlock()
@@ -499,7 +486,7 @@ func (c *Coordinator) serveConn(conn net.Conn) {
 	conn.Close()
 	c.mu.Lock()
 	if !w.gone {
-		c.workerGoneLocked(w, "disconnected")
+		c.workerGoneLocked(w)
 	}
 	c.mu.Unlock()
 }
@@ -535,11 +522,7 @@ func (c *Coordinator) assignLocked(w *workerState) *Msg {
 		hedge = true
 	}
 	s.attempt++
-	now := time.Now()
-	s.leases = append(s.leases, lease{
-		worker: w.id, deadline: now.Add(c.opts.Lease), started: now,
-		attempt: s.attempt, hedged: hedge,
-	})
+	s.leases = append(s.leases, lease{worker: w.id, started: time.Now()})
 	w.shards[s.id] = true
 	c.count(&j.summary.Dispatched, "shard.dispatched", 1)
 	if hedge {
@@ -549,13 +532,12 @@ func (c *Coordinator) assignLocked(w *workerState) *Msg {
 		Type: MsgAssign, Job: j.spec.ID, Kernel: j.spec.Kernel,
 		Size: j.spec.Size, Seed: j.spec.Seed, Shard: s.id,
 		Attempt: s.attempt, Tasks: s.wire, NumTasks: j.spec.NumTasks,
-		LeaseMs: c.opts.Lease.Milliseconds(),
 	}
 }
 
 // hedgeCandidateLocked returns the oldest outstanding shard whose
-// primary lease has aged past the straggler threshold and which the
-// pulling worker is not already executing, or nil.
+// oldest live dispatch has aged past the straggler threshold and which
+// the pulling worker is not already executing, or nil.
 func (c *Coordinator) hedgeCandidateLocked(j *jobState, w *workerState) *shardState {
 	threshold := c.hedgeThresholdLocked(j)
 	now := time.Now()
@@ -590,17 +572,10 @@ func (c *Coordinator) hedgeCandidateLocked(j *jobState, w *workerState) *shardSt
 func (c *Coordinator) hedgeThresholdLocked(j *jobState) time.Duration {
 	th := c.opts.HedgeAge
 	if n := len(j.durations); n > 0 {
-		sorted := append([]time.Duration(nil), j.durations...)
-		for i := 1; i < len(sorted); i++ { // insertion sort: n is small
-			for k := i; k > 0 && sorted[k] < sorted[k-1]; k-- {
-				sorted[k], sorted[k-1] = sorted[k-1], sorted[k]
-			}
-		}
-		idx := int(c.opts.HedgeQuantile * float64(n))
-		if idx >= n {
-			idx = n - 1
-		}
-		if q := time.Duration(c.opts.HedgeFactor * float64(sorted[idx])); q > th {
+		sorted := slices.Clone(j.durations)
+		slices.Sort(sorted)
+		idx := min(int(hedgeQuantile*float64(n)), n-1)
+		if q := hedgeFactor * sorted[idx]; q > th {
 			th = q
 		}
 	}
@@ -627,12 +602,12 @@ func (c *Coordinator) handleResultLocked(w *workerState, m *Msg) {
 	if m.Err != "" {
 		s.lastErr = m.Err
 		c.count(&j.summary.Failed, "shard.failed", 1)
-		c.requeueLocked(j, s, "error")
+		c.requeueLocked(j, s)
 		return
 	}
 	if len(m.Digests) != len(s.tasks) {
 		c.count(&j.summary.Failed, "shard.failed", 1)
-		c.requeueLocked(j, s, "short-result")
+		c.requeueLocked(j, s)
 		return
 	}
 	s.done = true
@@ -673,7 +648,7 @@ func (c *Coordinator) releaseLeaseLocked(s *shardState, worker string) {
 
 // requeueLocked puts an incomplete shard back on the pending queue
 // unless its dispatch budget is exhausted, which fails the job.
-func (c *Coordinator) requeueLocked(j *jobState, s *shardState, why string) {
+func (c *Coordinator) requeueLocked(j *jobState, s *shardState) {
 	if s.done || s.queued || j.err != nil {
 		return
 	}
@@ -689,25 +664,9 @@ func (c *Coordinator) requeueLocked(j *jobState, s *shardState, why string) {
 	c.count(&j.summary.Rescheduled, "shard.rescheduled", 1)
 }
 
-// extendLeasesLocked renews every lease the heartbeating worker holds.
-func (c *Coordinator) extendLeasesLocked(w *workerState) {
-	if c.job == nil {
-		return
-	}
-	deadline := time.Now().Add(c.opts.Lease)
-	for id := range w.shards {
-		s := c.job.shards[id]
-		for i := range s.leases {
-			if s.leases[i].worker == w.id {
-				s.leases[i].deadline = deadline
-			}
-		}
-	}
-}
-
 // workerGoneLocked unregisters a dead worker and reschedules its
 // shards.
-func (c *Coordinator) workerGoneLocked(w *workerState, why string) {
+func (c *Coordinator) workerGoneLocked(w *workerState) {
 	w.gone = true
 	if c.workers[w.id] == w { // a reconnected incarnation may already own the ID
 		delete(c.workers, w.id)
@@ -728,7 +687,7 @@ func (c *Coordinator) workerGoneLocked(w *workerState, why string) {
 		s.leases = keep
 		if !s.done {
 			c.count(&j.summary.Lost, "shard.lost", 1)
-			c.requeueLocked(j, s, "worker-"+why)
+			c.requeueLocked(j, s)
 		}
 	}
 	w.shards = map[int]bool{}
@@ -751,42 +710,19 @@ func (c *Coordinator) sweepLoop() {
 	}
 }
 
-// sweepLocked runs the failure detectors: heartbeat-silent workers are
-// declared dead, expired leases are revoked and their shards
-// rescheduled, and a worker-starved job is failed after the grace
-// window.
+// sweepLocked runs the failure detectors: a worker silent for a whole
+// Lease is declared dead and its shards rescheduled, and a
+// worker-starved job is failed after the grace window.
 func (c *Coordinator) sweepLocked(now time.Time) {
 	for _, w := range c.workers {
-		if now.Sub(w.lastBeat) > c.opts.HeartbeatGrace {
+		if now.Sub(w.lastBeat) > c.opts.Lease {
 			w.conn.Close() // unblocks the serveConn reader
-			c.workerGoneLocked(w, "heartbeat-timeout")
+			c.workerGoneLocked(w)
 		}
 	}
 	j := c.job
 	if j == nil || j.err != nil {
 		return
-	}
-	for _, s := range j.shards {
-		if s.done || len(s.leases) == 0 {
-			continue
-		}
-		keep := s.leases[:0]
-		expired := 0
-		for _, l := range s.leases {
-			if now.After(l.deadline) {
-				expired++
-				if w := c.workers[l.worker]; w != nil {
-					delete(w.shards, s.id)
-				}
-			} else {
-				keep = append(keep, l)
-			}
-		}
-		s.leases = keep
-		if expired > 0 {
-			c.count(&j.summary.LeaseExpired, "shard.lease_expired", uint64(expired))
-			c.requeueLocked(j, s, "lease-expired")
-		}
 	}
 	live := 0
 	for _, w := range c.workers {

@@ -82,14 +82,11 @@ func registerSynth() {
 // testOptions shrinks the failure detectors to test scale.
 func testOptions() Options {
 	return Options{
-		Lease:          250 * time.Millisecond,
-		HeartbeatGrace: 250 * time.Millisecond,
-		Sweep:          10 * time.Millisecond,
-		MaxAttempts:    8,
-		HedgeAge:       30 * time.Millisecond,
-		HedgeQuantile:  0.9,
-		HedgeFactor:    3,
-		NoWorkerGrace:  5 * time.Second,
+		Lease:         250 * time.Millisecond,
+		Sweep:         10 * time.Millisecond,
+		MaxAttempts:   8,
+		HedgeAge:      30 * time.Millisecond,
+		NoWorkerGrace: 5 * time.Second,
 	}
 }
 
@@ -110,11 +107,7 @@ func startWorker(t *testing.T, ctx context.Context, c *Coordinator, id string, p
 	t.Helper()
 	done := make(chan error, 1)
 	go func() {
-		done <- RunWorker(ctx, WorkerOptions{
-			ID: id, Addr: c.Addr(), Plan: plan,
-			Heartbeat: 50 * time.Millisecond,
-			PullDelay: 2 * time.Millisecond,
-		})
+		done <- RunWorker(ctx, WorkerOptions{ID: id, Addr: c.Addr(), Plan: plan})
 	}()
 	return done
 }
@@ -425,113 +418,107 @@ func runJobAsync(ctx context.Context, c *Coordinator, spec JobSpec) (<-chan *Job
 	return resCh, errCh
 }
 
-func TestLeaseExpiryReschedulesShard(t *testing.T) {
+// TestLiveHogShardIsHedged: a client that takes a shard and never
+// reports, but keeps its connection warm with Pull frames, is live, so
+// nothing declares it dead. Its shard must still complete, by hedged
+// re-dispatch onto a worker that asks for work.
+func TestLiveHogShardIsHedged(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	opts := testOptions()
-	opts.Lease = 120 * time.Millisecond
-	opts.HeartbeatGrace = 10 * time.Second // isolate lease expiry from heartbeat death
-	opts.HedgeAge = 10 * time.Second       // and from hedging
+	opts.HedgeAge = 2 * opts.Lease // the hog must stay live through two whole leases first
 	c := startCoordinator(t, opts)
 
-	// "hog" takes a shard and never reports, but keeps its connection
-	// warm with Pull frames (which refresh the heartbeat clock without
-	// extending leases). Its lease must expire and the shard must be
-	// rescheduled onto "carrier".
+	// Only the hog is connected when the job starts, so it is certain
+	// to hold a shard; the carrier joins after that.
 	hog := dialRaw(t, c.Addr(), "hog")
-	carrier := dialRaw(t, c.Addr(), "carrier")
 
 	const n, seed = 60, int64(11)
 	resCh, errCh := runJobAsync(ctx, c, JobSpec{
 		ID: c.NextJobID(), Kernel: "synth", Size: strconv.Itoa(n), Seed: seed,
 		NumTasks: n, NumShards: 3,
 	})
-
-	hogged := hog.pullAssign() // hog now holds one shard and sits on it
-
-	done := make(chan struct{})
-	go func() { // carrier completes everything it is offered, forever
-		defer close(done)
-		for ctx.Err() == nil {
-			if writeMsg(carrier.conn, &Msg{Type: MsgPull, Worker: carrier.id}) != nil {
-				return
-			}
-			var m Msg
-			carrier.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-			if readMsg(carrier.conn, &m) != nil {
-				return
-			}
-			switch m.Type {
-			case MsgAssign:
-				tasks, err := DecodeTasks(m.Tasks)
-				if err != nil {
-					return
-				}
-				digests := make([]uint64, len(tasks))
-				for i, task := range tasks {
-					digests[i] = synthDigest(m.Seed, task)
-				}
-				if writeMsg(carrier.conn, &Msg{
-					Type: MsgResult, Worker: carrier.id, Job: m.Job, Shard: m.Shard,
-					Attempt: m.Attempt, Digests: digests, Ops: uint64(len(tasks)), ElapsedNs: 1000,
-				}) != nil {
-					return
-				}
-			case MsgNoWork:
-				select {
-				case <-ctx.Done():
-					return
-				case <-time.After(5 * time.Millisecond):
-				}
-			default:
-				return // shutdown
-			}
-		}
-	}()
-	// Keep the hog's heartbeat clock fresh without Heartbeat frames so
-	// only the lease detector can fire.
-	go func() {
+	hogged := hog.pullAssign()
+	go func() { // pull every 40ms, sitting on whatever arrives
 		for ctx.Err() == nil {
 			time.Sleep(40 * time.Millisecond)
-			if err := writeMsg(hog.conn, &Msg{Type: MsgPull, Worker: "hog"}); err != nil {
+			if writeMsg(hog.conn, &Msg{Type: MsgPull, Worker: "hog"}) != nil {
 				return
 			}
 			var m Msg
 			hog.conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-			if err := readMsg(hog.conn, &m); err != nil {
+			if readMsg(hog.conn, &m) != nil || m.Type == MsgShutdown {
 				return
-			}
-			if m.Type == MsgShutdown {
-				return
-			}
-			if m.Type == MsgAssign {
-				// Sit on hedges/reassignments too; the job must still
-				// finish through the carrier.
-				_ = m
 			}
 		}
 	}()
+	startWorker(t, ctx, c, "carrier", nil)
 
 	res, err := <-resCh, <-errCh
 	if err != nil {
 		t.Fatalf("RunJob: %v", err)
 	}
 	checkDigests(t, res, seed, n)
-	if res.Summary.LeaseExpired == 0 {
-		t.Fatalf("expected lease expiries (hogged shard %d): %+v", hogged.Shard, res.Summary)
+	if res.Summary.Hedged == 0 {
+		t.Fatalf("hogged shard %d was never hedged: %+v", hogged.Shard, res.Summary)
 	}
-	if res.Summary.Rescheduled == 0 && res.Summary.Hedged == 0 {
-		t.Fatalf("hogged shard neither rescheduled nor hedged: %+v", res.Summary)
+	if res.Summary.Lost != 0 {
+		t.Fatalf("the pulling hog was declared dead: %+v", res.Summary)
 	}
-	cancel()
-	<-done
+}
+
+// TestSlowShardOnLiveWorkerIsHedged is the real straggler: a worker
+// that stalls inside a shard for three leases still beats from its
+// side goroutine, so it is never declared dead and nothing is
+// rescheduled; the shard completes by hedging onto a second worker,
+// bit-identically.
+func TestSlowShardOnLiveWorkerIsHedged(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	opts := testOptions()
+	opts.HedgeAge = 2 * opts.Lease // the stalled worker must stay live through two whole leases first
+	c := startCoordinator(t, opts)
+
+	slow, err := faultinject.Parse(fmt.Sprintf("slowshard:slow:%v", 3*opts.Lease), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The slow worker is alone when the job starts, so the first
+	// dispatch is its own; the second worker joins once it holds it.
+	startWorker(t, ctx, c, "slow", slow)
+	if err := c.WaitForWorkers(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	o := obs.NewObserver()
+	const n, seed = 80, int64(17)
+	resCh, errCh := runJobAsync(obs.With(ctx, o), c, JobSpec{
+		ID: c.NextJobID(), Kernel: "synth", Size: strconv.Itoa(n), Seed: seed,
+		NumTasks: n, NumShards: 4,
+	})
+	for o.Counter("shard.dispatched", "synth").Value() == 0 {
+		if ctx.Err() != nil {
+			t.Fatal("the slow worker never took a shard")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	startWorker(t, ctx, c, "fast", nil)
+
+	res, err := <-resCh, <-errCh
+	if err != nil {
+		t.Fatalf("RunJob: %v", err)
+	}
+	checkDigests(t, res, seed, n)
+	s := res.Summary
+	if s.Hedged == 0 || s.Lost != 0 || s.Rescheduled != 0 {
+		t.Fatalf("want hedged >= 1, lost 0, rescheduled 0: %+v", s)
+	}
 }
 
 func TestHedgeDuplicateFirstResultWins(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	opts := testOptions()
-	opts.Lease = 5 * time.Second // leases never expire; only hedging acts
+	opts.Lease = 5 * time.Second // the raw clients never beat: keep them live so only hedging acts
 	opts.HedgeAge = 30 * time.Millisecond
 	c := startCoordinator(t, opts)
 
@@ -600,9 +587,8 @@ func TestHeartbeatSilenceDeclaresWorkerDead(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	opts := testOptions()
-	opts.Lease = 10 * time.Second // leases outlive the test: only heartbeat death can recover
-	opts.HeartbeatGrace = 150 * time.Millisecond
-	opts.HedgeAge = 10 * time.Second
+	opts.Lease = 150 * time.Millisecond
+	opts.HedgeAge = 10 * time.Second // only heartbeat death can recover
 	c := startCoordinator(t, opts)
 
 	// Only the silent client is connected when the job starts, so it

@@ -13,10 +13,10 @@ import (
 )
 
 // TestHammerCoordinatorStateMachine drives the coordinator's
-// lease/heartbeat state machine through sustained chaos — workers
+// liveness/hedging state machine through sustained chaos — workers
 // joining, dying by injection, dropping connections and rejoining
-// under the same ID, leases expiring, hedges racing primaries into
-// duplicate completions — across several back-to-back jobs, while
+// under the same ID, hedges racing primaries into duplicate
+// completions — across several back-to-back jobs, while
 // asserting every job still assembles the exact digest vector. Run
 // with -race; the point is as much the detector as the assertions.
 func TestHammerCoordinatorStateMachine(t *testing.T) {
@@ -28,14 +28,11 @@ func TestHammerCoordinatorStateMachine(t *testing.T) {
 	defer cancel()
 
 	opts := Options{
-		Lease:          150 * time.Millisecond,
-		HeartbeatGrace: 300 * time.Millisecond,
-		Sweep:          10 * time.Millisecond,
-		MaxAttempts:    20,
-		HedgeAge:       20 * time.Millisecond,
-		HedgeQuantile:  0.9,
-		HedgeFactor:    2,
-		NoWorkerGrace:  10 * time.Second,
+		Lease:         300 * time.Millisecond,
+		Sweep:         10 * time.Millisecond,
+		MaxAttempts:   20,
+		HedgeAge:      20 * time.Millisecond,
+		NoWorkerGrace: 10 * time.Second,
 	}
 	c := NewCoordinator(opts)
 	if err := c.Start("127.0.0.1:0"); err != nil {
@@ -50,10 +47,7 @@ func TestHammerCoordinatorStateMachine(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			RunWorker(ctx, WorkerOptions{
-				ID: id, Addr: c.Addr(),
-				Heartbeat: 40 * time.Millisecond, PullDelay: 2 * time.Millisecond,
-			})
+			RunWorker(ctx, WorkerOptions{ID: id, Addr: c.Addr()})
 		}()
 	}
 	// Three chaotic workers die and drop connections probabilistically
@@ -70,10 +64,7 @@ func TestHammerCoordinatorStateMachine(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for ctx.Err() == nil {
-				err := RunWorker(ctx, WorkerOptions{
-					ID: id, Addr: c.Addr(), Plan: plan,
-					Heartbeat: 40 * time.Millisecond, PullDelay: 2 * time.Millisecond,
-				})
+				err := RunWorker(ctx, WorkerOptions{ID: id, Addr: c.Addr(), Plan: plan})
 				if err == nil { // clean shutdown: fabric is draining
 					return
 				}
@@ -123,7 +114,6 @@ func TestHammerCoordinatorStateMachine(t *testing.T) {
 		summed.Rescheduled += s.Rescheduled
 		summed.Hedged += s.Hedged
 		summed.Lost += s.Lost
-		summed.LeaseExpired += s.LeaseExpired
 		summed.Duplicates += s.Duplicates
 	}
 	t.Logf("hammer totals: %+v", summed)

@@ -1,12 +1,12 @@
 // Package shard is the suite's fault-tolerant distributed execution
 // fabric: a coordinator partitions a kernel's task range into shards
 // by consistent hashing and leases them to worker processes over a
-// compact local RPC protocol. Robustness is the design center — shard
-// leases with deadlines, worker heartbeats, rescheduling of lost and
-// expired shards, hedged re-dispatch of stragglers with
-// first-result-wins dedup, and bounded worker-side retries — and the
-// invariant the whole package is tested against is *provable
-// recovery*: a run that loses workers mid-flight must still produce
+// compact local RPC protocol. Robustness is the design center — one
+// liveness rule (a worker silent for a whole lease is dead and its
+// shards are rescheduled), hedged re-dispatch of stragglers on live
+// workers with first-result-wins dedup, and bounded worker-side
+// retries — and the invariant the whole package is tested against is
+// *provable recovery*: a run that loses workers mid-flight must still produce
 // results bit-identical to the single-process path.
 //
 // The protocol is deliberately small. Workers connect, say Hello, and
@@ -14,7 +14,7 @@
 // wire is a 4-byte big-endian length followed by one gob-encoded Msg,
 // and a shard's task set travels as delta-encoded varints, so a
 // thousand-task shard costs about a kilobyte. docs/DISTRIBUTED.md
-// documents the message flow, the lease protocol, and the
+// documents the message flow, the liveness rule, and the
 // failure-mode matrix.
 package shard
 
@@ -37,9 +37,9 @@ type MsgType uint8
 // to Hello and Pull.
 const (
 	MsgHello     MsgType = iota + 1 // worker → coordinator: join (Worker)
-	MsgHelloAck                     // coordinator → worker: accepted (LeaseMs = lease the worker must beat within)
+	MsgHelloAck                     // coordinator → worker: accepted (LeaseMs = window the worker must send a frame within)
 	MsgPull                         // worker → coordinator: give me a shard (Worker)
-	MsgAssign                       // coordinator → worker: one shard lease (Job..LeaseMs)
+	MsgAssign                       // coordinator → worker: one shard lease (Job..NumTasks)
 	MsgNoWork                       // coordinator → worker: nothing to do right now
 	MsgShutdown                     // coordinator → worker: drain and exit
 	MsgResult                       // worker → coordinator: shard outcome (Job, Shard, Attempt, Digests | Err)
@@ -83,7 +83,7 @@ type Msg struct {
 	Attempt   int      // Assign, Result: dispatch attempt (1-based)
 	Tasks     []byte   // Assign: delta-varint task index set (EncodeTasks)
 	NumTasks  int      // Assign: the job's task count; the worker's Prepare must build exactly this many
-	LeaseMs   int64    // HelloAck, Assign: lease duration in milliseconds
+	LeaseMs   int64    // HelloAck: liveness window in milliseconds
 	Digests   []uint64 // Result: per-task digests, in Tasks order
 	Ops       uint64   // Result: kernel work units executed in the shard
 	ElapsedNs int64    // Result: worker-side shard execution time

@@ -22,46 +22,34 @@ var ErrKilled = errors.New("shard: worker killed by fault injection")
 type WorkerOptions struct {
 	ID   string
 	Addr string
-	// Heartbeat overrides the beat interval; 0 derives it from the
-	// coordinator's advertised lease (a third of it).
-	Heartbeat time.Duration
-	// PullDelay is the idle re-poll interval after NoWork.
-	PullDelay time.Duration
 	// Plan, when non-nil, arms this worker's private fault plan
 	// (killworker / slowshard / dropconn at shard boundaries, plus the
 	// classic panic/delay/error kinds inside the task loop). Each
 	// worker holds its own plan instance, so in-process fleets evaluate
 	// faults without racing over package-global state.
 	Plan *faultinject.Plan
-	// Retry is the per-shard worker-side retry policy; zero value means
-	// 2 attempts with 25ms..250ms backoff. Retries re-run the whole
-	// shard locally before the coordinator ever sees a failure.
-	Retry resilience.Policy
-	// Reconnects bounds dial attempts after a lost connection.
-	Reconnects int
 }
 
-func (o WorkerOptions) withDefaults() WorkerOptions {
-	if o.PullDelay <= 0 {
-		o.PullDelay = 10 * time.Millisecond
-	}
-	if o.Retry.Attempts == 0 {
-		o.Retry = resilience.Policy{
-			Attempts: 2, BackoffBase: 25 * time.Millisecond, BackoffCap: 250 * time.Millisecond,
-		}
-	}
-	if o.Reconnects <= 0 {
-		o.Reconnects = 5
-	}
-	return o
+const (
+	// pullDelay is the idle re-poll interval after NoWork.
+	pullDelay = 10 * time.Millisecond
+	// reconnects bounds dial attempts after a lost connection.
+	reconnects = 5
+)
+
+// shardRetry is the per-shard worker-side retry policy: retries re-run
+// the whole shard locally before the coordinator ever sees a failure.
+var shardRetry = resilience.Policy{
+	Attempts: 2, BackoffBase: 25 * time.Millisecond, BackoffCap: 250 * time.Millisecond,
 }
 
 // worker is one connection-scoped execution loop.
 type worker struct {
 	opts   WorkerOptions
 	conn   net.Conn
-	wmu    sync.Mutex // serializes result/pull frames with heartbeats
-	joined bool       // completed a Hello handshake at least once
+	wmu    sync.Mutex    // serializes result/pull frames with heartbeats
+	joined bool          // completed a Hello handshake at least once
+	beat   time.Duration // heartbeat interval: a third of the acknowledged lease
 
 	// The one prepared executor this worker holds; see executor.
 	cur      Executor
@@ -78,12 +66,12 @@ type jobKey struct {
 // RunWorker connects to the coordinator at opts.Addr and processes
 // shards until the coordinator says Shutdown, ctx is cancelled, or a
 // killworker fault fires (ErrKilled). A lost connection is redialed
-// with backoff up to opts.Reconnects times; an in-flight shard at the
-// time of the loss is simply abandoned — the coordinator's lease
-// machinery reschedules it, and if this worker already computed the
-// result, the reschedule's duplicate is deduplicated upstream.
+// with backoff up to reconnects times; an in-flight shard at the time
+// of the loss is simply abandoned — the coordinator notices the lost
+// connection and reschedules it, and if this worker already computed
+// the result, the reschedule's duplicate is deduplicated upstream.
 func RunWorker(ctx context.Context, opts WorkerOptions) error {
-	w := &worker{opts: opts.withDefaults()}
+	w := &worker{opts: opts}
 	defer w.closeConn()
 	for {
 		if err := ctx.Err(); err != nil {
@@ -127,7 +115,7 @@ func (w *worker) closeConn() {
 // heartbeat interval from the acknowledged lease.
 func (w *worker) connect(ctx context.Context) error {
 	var lastErr error
-	for i := 0; i < w.opts.Reconnects; i++ {
+	for i := 0; i < reconnects; i++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -146,23 +134,17 @@ func (w *worker) connect(ctx context.Context) error {
 			continue
 		}
 		var ack Msg
-		if err := readMsg(conn, &ack); err != nil || ack.Type != MsgHelloAck {
+		if err := readMsg(conn, &ack); err != nil || ack.Type != MsgHelloAck || ack.LeaseMs <= 0 {
 			conn.Close()
 			if err == nil {
-				err = fmt.Errorf("shard: unexpected %s instead of hello-ack", ack.Type)
+				err = fmt.Errorf("shard: got %s with lease %dms, want a hello-ack with a lease", ack.Type, ack.LeaseMs)
 			}
 			lastErr = err
 			continue
 		}
 		w.conn = conn
 		w.joined = true
-		if w.opts.Heartbeat <= 0 {
-			if lease := time.Duration(ack.LeaseMs) * time.Millisecond; lease > 0 {
-				w.opts.Heartbeat = lease / 3
-			} else {
-				w.opts.Heartbeat = 500 * time.Millisecond
-			}
-		}
+		w.beat = time.Duration(ack.LeaseMs) * time.Millisecond / 3
 		return nil
 	}
 	return fmt.Errorf("shard: worker %s cannot reach coordinator %s: %w",
@@ -183,15 +165,15 @@ func (w *worker) send(conn net.Conn, m *Msg) error {
 // Shutdown, ErrKilled on a killworker fault, and a transport error
 // otherwise (the caller redials).
 func (w *worker) serve(ctx context.Context) error {
-	conn := w.conn
+	conn, beat := w.conn, w.beat // pinned: a redial rewrites both
 
 	// Heartbeats flow from a side goroutine for the lifetime of this
 	// connection, so a worker grinding through a long shard still beats
-	// and keeps its lease. It stops when the connection dies.
+	// and stays live. It stops when the connection dies.
 	hbCtx, stopHB := context.WithCancel(ctx)
 	defer stopHB()
 	go func() {
-		t := time.NewTicker(w.opts.Heartbeat)
+		t := time.NewTicker(beat)
 		defer t.Stop()
 		for {
 			select {
@@ -226,7 +208,7 @@ func (w *worker) serve(ctx context.Context) error {
 		case MsgShutdown:
 			return nil
 		case MsgNoWork:
-			if err := resilience.Sleep(ctx, w.opts.PullDelay); err != nil {
+			if err := resilience.Sleep(ctx, pullDelay); err != nil {
 				return err
 			}
 		case MsgAssign:
@@ -250,8 +232,9 @@ func (w *worker) executeShard(ctx context.Context, conn net.Conn, m *Msg) error 
 		return err // cancelled mid-slowshard
 	}
 	if disrupt.Kill {
-		// Die like a lost process: no result, no goodbye. The lease
-		// expires or the conn close is noticed, and the shard reschedules.
+		// Die like a lost process: no result, no goodbye. The conn close
+		// (or, failing that, the silence) is noticed and the shard
+		// reschedules.
 		return ErrKilled
 	}
 
@@ -270,7 +253,7 @@ func (w *worker) executeShard(ctx context.Context, conn net.Conn, m *Msg) error 
 	start := time.Now()
 	var digests []uint64
 	var ops uint64
-	runErr := resilience.Run(ctx, "shard:"+m.Kernel, w.opts.Retry, func(actx context.Context) error {
+	runErr := resilience.Run(ctx, "shard:"+m.Kernel, shardRetry, func(actx context.Context) error {
 		ex, err := w.executor(jobKey{m.Kernel, m.Size, m.Seed}, m.NumTasks)
 		if err != nil {
 			return err

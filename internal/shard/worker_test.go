@@ -7,8 +7,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/resilience"
 )
 
 // runShardOnWorker hands w one assignment the way serve does and
@@ -59,8 +57,7 @@ func runJobOnWorker(t *testing.T, w *worker, spec JobSpec) []uint64 {
 
 func testWorker() *worker {
 	registerSynth()
-	opts := WorkerOptions{ID: "w", Retry: resilience.Policy{Attempts: 1}}
-	return &worker{opts: opts.withDefaults()}
+	return &worker{opts: WorkerOptions{ID: "w"}}
 }
 
 // TestWorkerFailsShardOnTaskCountMismatch: a worker whose Prepare
