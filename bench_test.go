@@ -281,7 +281,10 @@ func BenchmarkAblationGRMBlocking(b *testing.B) {
 	})
 	b.Run("blocked", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			grm.ComputeCtx(context.Background(), g, 64, 1)
+			blocks := grm.NewBlocks(g, 64)
+			for k := range blocks.Len() {
+				blocks.Compute(k)
+			}
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/abea"
 	"repro/internal/bsw"
@@ -95,17 +96,46 @@ var kernels = []kernel{
 			}
 			return fmiData{index, reads}
 		},
-		run: func(ctx context.Context, d fmiData, threads int) (RunStats, error) {
-			res, err := fmindex.RunKernelCtx(ctx, d.index, d.reads, fmindex.KernelConfig{MinSeedLen: 19, MinHits: 1, Threads: threads})
-			return RunStats{
-				Counters:  res.Counters,
-				TaskStats: res.TaskStats,
-				Extra: map[string]float64{
-					"smems":       float64(res.SMEMs),
-					"occ_lookups": float64(res.OccLookups),
-				},
-			}, err
-		},
+		loop: perTask[fmiData, *smemChunk, *smemChunk]{
+			n: func(d fmiData) int { return (len(d.reads) + fmiChunk - 1) / fmiChunk },
+			worker: func(d fmiData, _ *scratch.Pool, _ int) *smemChunk {
+				return &smemChunk{engine: fmindex.NewBatchEngine(d.index, 0, nil)}
+			},
+			task: func(d fmiData, c *smemChunk, i int) *smemChunk {
+				c.search(d.reads[i*fmiChunk : min((i+1)*fmiChunk, len(d.reads))])
+				return c
+			},
+			digest: func(c *smemChunk) (uint64, uint64) {
+				h := digest.Seed
+				for _, span := range c.spans {
+					h = foldInt(h, span[1]-span[0])
+					for _, m := range c.smems[span[0]:span[1]] {
+						h = foldInt(h, m.QBeg)
+						h = foldInt(h, m.QEnd)
+						h = foldInt(h, m.Interval.K)
+						h = foldInt(h, m.Interval.L)
+						h = foldInt(h, m.Interval.S)
+					}
+				}
+				return h, c.total
+			},
+			unit:    "occ lookups",
+			extra:   []string{"smems", "occ_lookups"},
+			samples: func(d fmiData) int { return len(d.reads) },
+			tally: func(_ fmiData, i int, c *smemChunk) tally {
+				return tally{work: c.total, sums: [3]int64{int64(len(c.smems)), int64(c.total)},
+					first: i * fmiChunk, works: slices.Clone(c.lookups)}
+			},
+			counters: func(t tally) (c perf.Counters) {
+				// Operation mix per Occ lookup (memory heavy, matching the
+				// paper's fmi profile); the weights do not follow the
+				// Occ block layout.
+				c.Add(perf.Load, t.work*3)
+				c.Add(perf.IntALU, t.work*4)
+				c.Add(perf.Branch, t.work)
+				return c
+			},
+		}.with,
 	}.row(),
 
 	kernelDef[[]bsw.Pair]{
@@ -145,7 +175,7 @@ var kernels = []kernel{
 		},
 		loop: perTask[[]bsw.Pair, *scratch.Arena, bsw.Result]{
 			n:      func(pairs []bsw.Pair) int { return len(pairs) },
-			worker: (*scratch.Pool).Worker,
+			worker: arena[[]bsw.Pair],
 			task: func(pairs []bsw.Pair, a *scratch.Arena, i int) bsw.Result {
 				return bsw.AlignInto(pairs[i].Query, pairs[i].Target, bsw.DefaultParams(), a)
 			},
@@ -154,7 +184,7 @@ var kernels = []kernel{
 			unit:    "cell updates",
 			extra:   []string{"cells", "score"},
 			tally: func(_ []bsw.Pair, _ int, r bsw.Result) tally {
-				return tally{r.CellUpdates, [3]int64{int64(r.CellUpdates), int64(r.Score)}}
+				return tally{work: r.CellUpdates, sums: [3]int64{int64(r.CellUpdates), int64(r.Score)}}
 			},
 			counters: func(t tally) (c perf.Counters) {
 				// bsw is compute-bound with heavy vector usage in the
@@ -200,7 +230,7 @@ var kernels = []kernel{
 		},
 		loop: perTask[[]*dbg.Region, *dbg.Assembler, dbg.Result]{
 			n:      func(regions []*dbg.Region) int { return len(regions) },
-			worker: func(*scratch.Pool, int) *dbg.Assembler { return dbg.NewAssembler() },
+			worker: func([]*dbg.Region, *scratch.Pool, int) *dbg.Assembler { return dbg.NewAssembler() },
 			task: func(regions []*dbg.Region, a *dbg.Assembler, i int) dbg.Result {
 				return a.AssembleRegion(regions[i], dbg.DefaultConfig())
 			},
@@ -208,7 +238,7 @@ var kernels = []kernel{
 			unit:   "hash lookups",
 			extra:  []string{"haplotypes", "hash_lookups", "cycle_retries"},
 			tally: func(_ []*dbg.Region, _ int, r dbg.Result) tally {
-				return tally{r.HashLookups, [3]int64{int64(len(r.Haplotypes)), int64(r.HashLookups), int64(r.CycleRetries)}}
+				return tally{work: r.HashLookups, sums: [3]int64{int64(len(r.Haplotypes)), int64(r.HashLookups), int64(r.CycleRetries)}}
 			},
 			counters: func(t tally) (c perf.Counters) {
 				// Hash-table dominated: every lookup carries hashing
@@ -299,7 +329,7 @@ var kernels = []kernel{
 		},
 		loop: perTask[[]*phmm.Region, *phmm.Scratch, phmm.RegionResult]{
 			n:      func(regions []*phmm.Region) int { return len(regions) },
-			worker: func(*scratch.Pool, int) *phmm.Scratch { return phmm.NewScratch() },
+			worker: func([]*phmm.Region, *scratch.Pool, int) *phmm.Scratch { return phmm.NewScratch() },
 			task: func(regions []*phmm.Region, sc *phmm.Scratch, i int) phmm.RegionResult {
 				return phmm.EvaluateRegionInto(regions[i], sc) // its slices are sc's until the next call
 			},
@@ -369,7 +399,7 @@ var kernels = []kernel{
 			unit:  "input anchors",
 			extra: []string{"chains", "comparisons"},
 			tally: func(tasks []chain.Task, i int, r counted[[]chain.Chain]) tally {
-				return tally{uint64(len(tasks[i].Anchors)), [3]int64{int64(len(r.answer)), int64(r.work)}}
+				return tally{work: uint64(len(tasks[i].Anchors)), sums: [3]int64{int64(len(r.answer)), int64(r.work)}}
 			},
 			counters: func(t tally) (c perf.Counters) {
 				// Chaining is scalar compute-bound: per comparison roughly
@@ -423,7 +453,7 @@ var kernels = []kernel{
 		},
 		loop: perTask[[]*poa.Window, *poa.Graph, counted[genome.Seq]]{
 			n:      func(windows []*poa.Window) int { return len(windows) },
-			worker: func(*scratch.Pool, int) *poa.Graph { return poa.New() },
+			worker: func([]*poa.Window, *scratch.Pool, int) *poa.Graph { return poa.New() },
 			task: func(windows []*poa.Window, g *poa.Graph, i int) counted[genome.Seq] {
 				consensus, cells := poa.ConsensusInto(windows[i], poa.DefaultParams(), g)
 				return counted[genome.Seq]{consensus, cells}
@@ -432,7 +462,7 @@ var kernels = []kernel{
 			unit:   "cell updates",
 			extra:  []string{"cells"},
 			tally: func(_ []*poa.Window, _ int, r counted[genome.Seq]) tally {
-				return tally{r.work, [3]int64{int64(r.work)}}
+				return tally{work: r.work, sums: [3]int64{int64(r.work)}}
 			},
 			counters: func(t tally) (c perf.Counters) {
 				// spoa vectorizes the row DP with shifts/blends; graph
@@ -472,7 +502,7 @@ var kernels = []kernel{
 		},
 		loop: perTask[abeaData, *scratch.Arena, abea.Result]{
 			n:      func(d abeaData) int { return len(d.reads) },
-			worker: (*scratch.Pool).Worker,
+			worker: arena[abeaData],
 			task: func(d abeaData, a *scratch.Arena, i int) abea.Result {
 				return abea.AlignLanesInto(d.model, d.reads[i].Seq, d.reads[i].Events, abea.DefaultConfig(), a)
 			},
@@ -512,15 +542,9 @@ var kernels = []kernel{
 			s := pick(size, 3000, 12000)
 			return grm.Simulate(rng, n, s, 0.1)
 		},
-		run: func(ctx context.Context, g *grm.Genotypes, threads int) (RunStats, error) {
-			res, err := grm.RunKernelCtx(ctx, g, 64, threads)
-			ts := perf.NewTaskStats("multiply-accumulates")
-			ts.Observe(float64(res.FLOPs))
-			return RunStats{
-				Counters:  res.Counters,
-				TaskStats: ts,
-				Extra:     map[string]float64{"flops": float64(res.FLOPs)},
-			}, err
+		loop: func(g *grm.Genotypes) taskLoop {
+			// Standardizing into the block plan is part of the timed run.
+			return grmLoop.with(grm.NewBlocks(g, 64))
 		},
 	}.row(),
 
@@ -557,7 +581,7 @@ var kernels = []kernel{
 			unit:   "MACs",
 			extra:  []string{"macs", "bases"},
 			tally: func(_ nnbaseData, _ int, r counted[genome.Seq]) tally {
-				return tally{r.work, [3]int64{int64(r.work), int64(len(r.answer))}}
+				return tally{work: r.work, sums: [3]int64{int64(r.work), int64(len(r.answer))}}
 			},
 			counters: func(t tally) (c perf.Counters) {
 				// Dense FP matrix arithmetic end to end.
@@ -683,7 +707,7 @@ var kernels = []kernel{
 			extra:  []string{"calls", "macs"},
 			tally: func(d nnvariantData, _ int, calls []nnvariant.Call) tally {
 				macs := d.model.MACsPerCall() * uint64(len(calls))
-				return tally{macs, [3]int64{int64(len(calls)), int64(macs)}}
+				return tally{work: macs, sums: [3]int64{int64(len(calls)), int64(macs)}}
 			},
 			counters: func(t tally) (c perf.Counters) {
 				c.Add(perf.VecOp, t.work)
@@ -729,6 +753,89 @@ var kernels = []kernel{
 			}, err
 		},
 	}.row(),
+}
+
+// arena is the worker of the kernels whose state is an arena from the
+// run's pool.
+func arena[D any](_ D, pool *scratch.Pool, w int) *scratch.Arena { return pool.Worker(w) }
+
+// fmiChunk is fmi's task: a fixed run of consecutive reads, a few
+// batch windows deep, so each task runs through its worker's engine
+// with the lanes full while claiming tasks keeps the load balanced.
+const fmiChunk = 4 * fmindex.BatchWidth
+
+// smemChunk is fmi's worker state and its task's answer: one lock-step
+// engine, and what it found in the chunk of reads it last searched.
+type smemChunk struct {
+	engine  *fmindex.BatchEngine
+	smems   []fmindex.SMEM // grouped by read, in the engine's completion order
+	spans   [][2]int       // read r's SMEMs are smems[spans[r][0]:spans[r][1]]
+	lookups []uint64       // read r's Occ lookups
+	total   uint64         // the chunk's Occ lookups
+}
+
+// search runs reads through the engine, copying out each read's SMEMs,
+// which the engine keeps only until its lane takes the next read. The
+// fault trip-point is the task loop's, so there is no admit hook, and
+// without one Run cannot fail.
+func (c *smemChunk) search(reads []genome.Seq) {
+	c.smems, c.total = c.smems[:0], 0
+	c.spans = slices.Grow(c.spans[:0], len(reads))[:len(reads)]
+	c.lookups = slices.Grow(c.lookups[:0], len(reads))[:len(reads)]
+	_ = c.engine.Run(reads, 19, 1, nil, func(r int, smems []fmindex.SMEM, lookups uint64) {
+		c.spans[r] = [2]int{len(c.smems), len(c.smems) + len(smems)}
+		c.lookups[r], c.total = lookups, c.total+lookups
+		c.smems = append(c.smems, smems...)
+	})
+}
+
+// grmLoop is grm's task loop over one matrix's blocks. The paper's
+// work unit is the output element and the kernel is regular, so the
+// run keeps one TaskStats sample, every block adding into it.
+var grmLoop = perTask[*grm.Blocks, struct{}, grmBlock]{
+	n: (*grm.Blocks).Len,
+	task: func(b *grm.Blocks, _ struct{}, i int) grmBlock {
+		rows, cols, macs := b.Compute(i)
+		return grmBlock{b, rows, cols, macs}
+	},
+	digest: func(r grmBlock) (uint64, uint64) {
+		h := digest.Seed
+		for i := r.rows[0]; i < r.rows[1]; i++ {
+			for _, v := range r.b.Matrix[i*r.b.N+r.cols[0] : i*r.b.N+r.cols[1]] {
+				h = foldFloat(h, v)
+			}
+		}
+		return h, r.macs
+	},
+	unit:    "multiply-accumulates",
+	extra:   []string{"flops"},
+	samples: func(*grm.Blocks) int { return 1 },
+	tally: func(_ *grm.Blocks, _ int, r grmBlock) tally {
+		// The second sum is the entries the block stores: its own and,
+		// off the diagonal, their mirror.
+		entries := (r.rows[1] - r.rows[0]) * (r.cols[1] - r.cols[0])
+		if r.rows != r.cols {
+			entries *= 2
+		}
+		return tally{work: r.macs, sums: [3]int64{int64(r.macs), int64(entries)}}
+	},
+	counters: func(t tally) (c perf.Counters) {
+		// Dense FMA-dominated multiply: mostly vector FP with streaming
+		// loads (high retiring fraction, near-zero branches).
+		c.Add(perf.VecOp, t.work)
+		c.Add(perf.FloatOp, t.work/4)
+		c.Add(perf.Load, t.work/4)
+		c.Add(perf.Store, uint64(t.sums[1])/8)
+		c.Add(perf.Branch, t.work/64)
+		return c
+	},
+}
+
+// grmBlock is one computed block of b.Matrix and its work.
+type grmBlock struct {
+	b          *grm.Blocks
+	rows, cols [2]int
+	macs       uint64
 }
 
 // mustRun is RunCtx for callers with nothing to cancel and no fault

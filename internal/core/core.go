@@ -89,9 +89,10 @@ type kernelDef[D any] struct {
 	// build generates the dataset, deterministically in (size, seed).
 	build func(size Size, seed int64) D
 	// run executes the measured region and names the kernel's Extra
-	// scalars; bench.RunCtx stamps Elapsed. A kernel whose task is one
-	// dataset element leaves run nil and sets loop to a perTask's with
-	// method (tasks.go); row makes run the loop's run.
+	// scalars; bench.RunCtx stamps Elapsed. A kernel whose work splits
+	// into tasks of a fixed size — one dataset element, fmi's chunk of
+	// reads, a grm block — leaves run nil and sets loop, usually to a
+	// perTask's with method (tasks.go); row makes run the loop's run.
 	run  func(ctx context.Context, d D, threads int) (RunStats, error)
 	loop func(d D) taskLoop
 

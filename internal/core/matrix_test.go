@@ -19,8 +19,8 @@ func (p *perTask[D, W, R]) digests(ctx context.Context, threads int) ([]uint64, 
 	return out, err
 }
 
-// taskDigests is digests over a prepared bench; ok is false for the
-// kernels that keep their own loop and publish no task digest.
+// taskDigests is digests over a prepared bench; ok is false for
+// kmer-cnt, which keeps its own loop and publishes no task digest.
 func (b *bench[D]) taskDigests(ctx context.Context, threads int) (digests []uint64, ok bool, err error) {
 	if b.def.loop == nil {
 		return nil, false, nil
@@ -40,12 +40,14 @@ type taskDigester interface {
 // kernel's per-task digests at Small, seed 42. A change that moves one
 // moves an answer: update it only on purpose, and say why.
 var answerFingerprints = map[string]uint64{
+	"fmi":        0x4b3ec8270d78d519,
 	"bsw":        0x9263f99304431f4e,
 	"dbg":        0x9be5de2e203b00ec,
 	"phmm":       0x7c79c5a2ad857d6c,
 	"chain":      0x419f5a0660aca8ac,
 	"spoa":       0xf290078f25131fb8,
 	"abea":       0x6da799774c4e3ae0,
+	"grm":        0x5611db854baee416,
 	"nn-base":    0x8f35db841c377698,
 	"pileup":     0xba3434eb1644b17e,
 	"nn-variant": 0x0e007075a12e7be9,
@@ -63,7 +65,7 @@ var answerFingerprints = map[string]uint64{
 // dispatched ones.
 func TestAnswerMatrix(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs nine kernels at Small several times over")
+		t.Skip("runs eleven kernels at Small several times over")
 	}
 	ctx := context.Background()
 	tier := cpufeat.String()
@@ -94,8 +96,10 @@ func TestAnswerMatrix(t *testing.T) {
 			threads int
 		}{{false, 1}, {false, 2}, {false, 4}, {true, 4}}
 		if name == "phmm" {
-			// Its timed run keeps its own loop, and its executor stands
-			// for the dispatched tier.
+			// The one task-digest kernel whose timed run keeps its own
+			// loop (it splits straggler regions by thread count): its
+			// task loop runs once, on the portable bodies, and its
+			// executor stands for the dispatched tier.
 			runs = runs[3:]
 			runs[0].threads = 1
 		}

@@ -69,9 +69,8 @@ type batchLane struct {
 }
 
 // BatchEngine schedules W in-flight SMEM searches in lock step over
-// one index. It is single-goroutine state (one engine per worker, the
-// KernelConfig.NewWorkerTracer discipline); concurrent searches use
-// separate engines.
+// one index. It is single-goroutine state (one engine per worker, each
+// with its own tracer); concurrent searches use separate engines.
 type BatchEngine struct {
 	x      *Index
 	width  int
@@ -102,9 +101,6 @@ func NewBatchEngine(x *Index, width int, tr MemTracer) *BatchEngine {
 	}
 	return e
 }
-
-// Width reports the engine's resolved lane count.
-func (e *BatchEngine) Width() int { return e.width }
 
 // Run enumerates SMEMs for every read, W reads in flight at a time.
 // admit (nil for none) is called once per read as it is loaded into a

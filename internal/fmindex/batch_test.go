@@ -1,10 +1,12 @@
 package fmindex
 
 import (
-	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cachesim"
@@ -105,8 +107,8 @@ func TestSmemBatchForcedWidths(t *testing.T) {
 		}
 		compareSMEMs(t, "width", reads, want, got, wantLk, gotLk)
 	}
-	if e := NewBatchEngine(x, 0, nil); e.Width() != BatchWidth {
-		t.Fatalf("width 0 resolved to %d, want BatchWidth %d", e.Width(), BatchWidth)
+	if e := NewBatchEngine(x, 0, nil); e.width != BatchWidth {
+		t.Fatalf("width 0 resolved to %d, want BatchWidth %d", e.width, BatchWidth)
 	}
 }
 
@@ -136,8 +138,47 @@ func TestSmemBatchEmptyIntervalEarlyOut(t *testing.T) {
 	compareSMEMs(t, "earlyout", reads, want, got, wantLk, gotLk)
 }
 
-// The kernel's aggregate results (SMEM count, Occ lookups) must be
-// unchanged by the batched routing, at every thread count and width.
+// searchConcurrently runs reads the way a task loop does: threads
+// goroutines, each with its own engine of the given width (and its
+// tracer, when tracers is set), claim chunks of consecutive reads.
+// It returns per-read copies of the SMEMs and per-read lookup counts.
+func searchConcurrently(x *Index, reads []genome.Seq, minLen, threads, width int, tracers []MemTracer) ([][]SMEM, []uint64) {
+	const chunk = 5
+	out := make([][]SMEM, len(reads))
+	lks := make([]uint64, len(reads))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < threads; w++ {
+		var tr MemTracer
+		if tracers != nil {
+			tr = tracers[w]
+		}
+		e := NewBatchEngine(x, width, tr)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for lo := int(next.Add(chunk)) - chunk; lo < len(reads); lo = int(next.Add(chunk)) - chunk {
+				// No admit hook, so Run cannot fail.
+				_ = e.Run(reads[lo:min(lo+chunk, len(reads))], minLen, 1, nil, func(r int, smems []SMEM, lk uint64) {
+					out[lo+r] = append([]SMEM(nil), smems...)
+					lks[lo+r] = lk
+				})
+			}
+		}()
+	}
+	wg.Wait()
+	return out, lks
+}
+
+// countingTracer counts accesses with a plain (unsynchronized) field —
+// exactly the kind of tracer that raced when shared across workers.
+type countingTracer struct{ accesses uint64 }
+
+func (c *countingTracer) Access(uint64, int, bool) { c.accesses++ }
+
+// Engines searching chunks of one read set concurrently must give
+// every read its serial SMEMs and lookup count, at every goroutine
+// count and width.
 func TestSmemBatchKernelDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	g := genome.Random(rng, 8192)
@@ -148,33 +189,19 @@ func TestSmemBatchKernelDifferential(t *testing.T) {
 		start := rng.Intn(len(g) - l)
 		reads[i] = g[start : start+l].Clone()
 	}
-	var wantSmems int
-	var wantLookups uint64
-	for _, r := range reads {
-		var lk uint64
-		wantSmems += len(x.FindSMEMsTraced(r, 19, 1, &lk, nil))
-		wantLookups += lk
-	}
+	want, wantLk := serialSMEMs(x, reads, 19, 1)
 	for _, threads := range []int{1, 2, 4} {
 		for _, width := range []int{0, 1, 8, 32} {
-			res, err := RunKernelCtx(context.Background(), x, reads,
-				KernelConfig{MinSeedLen: 19, MinHits: 1, Threads: threads, BatchWidth: width})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.SMEMs != wantSmems || res.OccLookups != wantLookups {
-				t.Fatalf("threads=%d width=%d: got %d SMEMs / %d lookups, want %d / %d",
-					threads, width, res.SMEMs, res.OccLookups, wantSmems, wantLookups)
-			}
-			if res.Reads != len(reads) {
-				t.Fatalf("Reads = %d, want %d", res.Reads, len(reads))
-			}
+			got, gotLk := searchConcurrently(x, reads, 19, threads, width, nil)
+			compareSMEMs(t, fmt.Sprintf("threads=%d width=%d", threads, width), reads, want, got, wantLk, gotLk)
 		}
 	}
 }
 
 // Concurrent per-worker engines must be race-free (run under -race in
-// CI) and still bit-exact in aggregate.
+// CI) and still bit-exact. Each routes its address stream to its own
+// tracer and never to the index's shared, unsynchronized Tracer: the
+// merged per-worker streams hold exactly one access per Occ lookup.
 func TestSmemBatchRaceHammer(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	g := genome.Random(rng, 4096)
@@ -185,21 +212,34 @@ func TestSmemBatchRaceHammer(t *testing.T) {
 		start := rng.Intn(len(g) - l)
 		reads[i] = g[start : start+l].Clone()
 	}
-	base, err := RunKernelCtx(context.Background(), x, reads,
-		KernelConfig{MinSeedLen: 15, MinHits: 1, Threads: 1})
-	if err != nil {
-		t.Fatal(err)
+	want, wantLk := serialSMEMs(x, reads, 15, 1)
+	var lookups uint64
+	for _, lk := range wantLk {
+		lookups += lk
 	}
+	shared := &countingTracer{}
+	x.Tracer = shared
 	for rep := 0; rep < 3; rep++ {
-		res, err := RunKernelCtx(context.Background(), x, reads,
-			KernelConfig{MinSeedLen: 15, MinHits: 1, Threads: 8, BatchWidth: 4 + rep*6})
-		if err != nil {
-			t.Fatal(err)
+		counting := make([]*countingTracer, 8)
+		tracers := make([]MemTracer, len(counting))
+		for w := range counting {
+			counting[w] = &countingTracer{}
+			tracers[w] = counting[w]
 		}
-		if res.SMEMs != base.SMEMs || res.OccLookups != base.OccLookups {
-			t.Fatalf("rep %d: %d SMEMs / %d lookups, want %d / %d",
-				rep, res.SMEMs, res.OccLookups, base.SMEMs, base.OccLookups)
+		got, gotLk := searchConcurrently(x, reads, 15, len(tracers), 4+rep*6, tracers)
+		compareSMEMs(t, fmt.Sprintf("rep %d", rep), reads, want, got, wantLk, gotLk)
+		var merged uint64
+		for _, c := range counting {
+			merged += c.accesses
 		}
+		// The checkpoint counts and the 64 rows they precede share one
+		// 64-byte block, so every Occ lookup is exactly one access.
+		if merged != lookups {
+			t.Fatalf("rep %d: merged tracer accesses = %d, want Occ lookups = %d", rep, merged, lookups)
+		}
+	}
+	if shared.accesses != 0 {
+		t.Fatalf("engines used the shared x.Tracer (%d accesses)", shared.accesses)
 	}
 }
 

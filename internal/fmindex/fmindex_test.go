@@ -1,7 +1,6 @@
 package fmindex
 
 import (
-	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -286,37 +285,8 @@ func TestSMEMPerfectReadIsOneMatch(t *testing.T) {
 	}
 }
 
-func TestRunKernelAggregates(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	g := genome.Random(rng, 3000)
-	x := Build(g)
-	reads := make([]genome.Seq, 20)
-	for i := range reads {
-		start := rng.Intn(len(g) - 100)
-		reads[i] = g[start : start+100]
-	}
-	for _, threads := range []int{1, 4} {
-		cfg := KernelConfig{MinSeedLen: 19, MinHits: 1, Threads: 1}
-		cfg.Threads = threads
-		res := must(RunKernelCtx(context.Background(), x, reads, cfg))
-		if res.Reads != 20 {
-			t.Errorf("Reads = %d", res.Reads)
-		}
-		if res.SMEMs < 20 {
-			t.Errorf("threads=%d: SMEMs = %d, want >= 20", threads, res.SMEMs)
-		}
-		if res.OccLookups == 0 {
-			t.Error("no Occ lookups counted")
-		}
-		if res.TaskStats.Count() != 20 {
-			t.Errorf("TaskStats has %d tasks", res.TaskStats.Count())
-		}
-		if res.Counters.Total() == 0 {
-			t.Error("no operations counted")
-		}
-	}
-}
-
+// Per-worker engines over one index give each read the same SMEMs and
+// lookup count however many goroutines share the reads.
 func TestKernelDeterministicAcrossThreads(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := genome.Random(rng, 2000)
@@ -326,14 +296,9 @@ func TestKernelDeterministicAcrossThreads(t *testing.T) {
 		start := rng.Intn(len(g) - 80)
 		reads[i] = g[start : start+80]
 	}
-	cfg1 := KernelConfig{MinSeedLen: 19, MinHits: 1, Threads: 1}
-	cfg4 := KernelConfig{MinSeedLen: 19, MinHits: 1, Threads: 1}
-	cfg4.Threads = 4
-	r1 := must(RunKernelCtx(context.Background(), x, reads, cfg1))
-	r4 := must(RunKernelCtx(context.Background(), x, reads, cfg4))
-	if r1.SMEMs != r4.SMEMs || r1.OccLookups != r4.OccLookups {
-		t.Errorf("thread count changed results: %v vs %v", r1, r4)
-	}
+	want, wantLk := searchConcurrently(x, reads, 19, 1, 0, nil)
+	got, gotLk := searchConcurrently(x, reads, 19, 4, 0, nil)
+	compareSMEMs(t, "threads=4", reads, want, got, wantLk, gotLk)
 }
 
 func TestBackwardSearchProperty(t *testing.T) {
@@ -449,13 +414,4 @@ func TestBuildPanicsOnEmptyGenome(t *testing.T) {
 		}
 	}()
 	Build(nil)
-}
-
-// must unwraps a RunKernelCtx result; a kernel run under a background
-// context with no fault plan armed cannot fail.
-func must(res KernelResult, err error) KernelResult {
-	if err != nil {
-		panic(err)
-	}
-	return res
 }

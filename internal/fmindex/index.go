@@ -71,13 +71,13 @@ type Index struct {
 
 	// Tracer, when non-nil, receives Occ/BWT lookup addresses from the
 	// single-threaded entry points (BackwardSearch, Locate, FindSMEMs,
-	// ...). It is not synchronized: concurrent searchers
-	// must use FindSMEMsTraced with per-worker tracers, which is what
-	// RunKernelCtx does via KernelConfig.NewWorkerTracer — it never
-	// touches this field. Occ-lookup counts (the kernel's
-	// data-parallel unit in the paper's Table III) are tallied by the
-	// SMEM driver, which knows each operation's lookup cost, so shared
-	// state stays read-only on the hot path.
+	// ...). It is not synchronized: concurrent searchers must give
+	// each worker its own tracer, through FindSMEMsTraced or
+	// NewBatchEngine's tr port — the engine never touches this field.
+	// Occ-lookup counts (the kernel's data-parallel unit in the paper's
+	// Table III) are tallied by the SMEM driver, which knows each
+	// operation's lookup cost, so shared state stays read-only on the
+	// hot path.
 	Tracer MemTracer
 }
 

@@ -2,8 +2,6 @@ package fmindex
 
 import (
 	"math/rand"
-	"slices"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/genome"
@@ -113,103 +111,6 @@ func checkLF(t *testing.T, x *Index) {
 		if got := x.lf(r); got != want {
 			t.Fatalf("lf(%d) = %d, want %d (base %d, primary %d)", r, got, want, b, x.primary)
 		}
-	}
-}
-
-// countingTracer counts accesses with a plain (unsynchronized) field —
-// exactly the kind of tracer that raced when shared across workers.
-type countingTracer struct {
-	accesses uint64
-	bytes    uint64
-}
-
-func (c *countingTracer) Access(addr uint64, size int, write bool) {
-	c.accesses++
-	c.bytes += uint64(size)
-}
-
-// Regression test for the tracer data race: RunKernelCtx must route
-// lookup addresses to per-worker tracers, never to a tracer shared
-// between workers. Run under -race this fails if any tracer state is
-// shared; it also asserts x.Tracer is left untouched by kernel runs.
-func TestRunKernelCtxPerWorkerTracerRace(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	g := genome.Random(rng, 2000)
-	x := Build(g)
-
-	// A shared unsynchronized tracer on the index must NOT be used by
-	// the kernel (using it concurrently would be a data race).
-	shared := &countingTracer{}
-	x.Tracer = shared
-	defer func() { x.Tracer = nil }()
-
-	reads := make([]genome.Seq, 64)
-	for i := range reads {
-		off := rng.Intn(len(g) - 100)
-		reads[i] = g[off : off+100].Clone()
-	}
-	cfg := KernelConfig{MinSeedLen: 19, MinHits: 1, Threads: 1}
-	cfg.Threads = 4
-	tracers := make([]*countingTracer, cfg.Threads)
-	cfg.NewWorkerTracer = func(w int) MemTracer {
-		tracers[w] = &countingTracer{}
-		return tracers[w]
-	}
-	res, err := RunKernelCtx(t.Context(), x, reads, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shared.accesses != 0 {
-		t.Fatalf("kernel used the shared x.Tracer (%d accesses): per-worker tracers must be used instead", shared.accesses)
-	}
-	var merged uint64
-	for _, tr := range tracers {
-		if tr != nil {
-			merged += tr.accesses
-		}
-	}
-	if merged == 0 {
-		t.Fatal("per-worker tracers saw no accesses")
-	}
-	// The checkpoint counts and the 64 rows they precede share one
-	// 64-byte block, so every Occ lookup is exactly one access.
-	if merged != res.OccLookups {
-		t.Fatalf("merged tracer accesses = %d, want OccLookups = %d", merged, res.OccLookups)
-	}
-}
-
-// Concurrent kernel results must be independent of thread count.
-func TestRunKernelCtxThreadInvariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(34))
-	g := genome.Random(rng, 3000)
-	x := Build(g)
-	reads := make([]genome.Seq, 40)
-	for i := range reads {
-		off := rng.Intn(len(g) - 150)
-		reads[i] = g[off : off+150].Clone()
-	}
-	cfg := KernelConfig{MinSeedLen: 19, MinHits: 1, Threads: 1}
-	cfg.Threads = 1
-	want, err := RunKernelCtx(t.Context(), x, reads, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Threads = 4
-	var spawned atomic.Int32
-	cfg.NewWorkerTracer = func(w int) MemTracer { spawned.Add(1); return &countingTracer{} }
-	got, err := RunKernelCtx(t.Context(), x, reads, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.SMEMs != want.SMEMs || got.OccLookups != want.OccLookups {
-		t.Fatalf("threads=4: SMEMs/lookups %d/%d, want %d/%d",
-			got.SMEMs, got.OccLookups, want.SMEMs, want.OccLookups)
-	}
-	if got.Counters != want.Counters || !slices.Equal(got.TaskStats.Work(), want.TaskStats.Work()) {
-		t.Fatal("threads=4: counters or read-order sample sequence differ from threads=1")
-	}
-	if spawned.Load() != 4 {
-		t.Fatalf("NewWorkerTracer called %d times, want 4", spawned.Load())
 	}
 }
 

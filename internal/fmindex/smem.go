@@ -1,13 +1,6 @@
 package fmindex
 
-import (
-	"context"
-
-	"repro/internal/faultinject"
-	"repro/internal/genome"
-	"repro/internal/parallel"
-	"repro/internal/perf"
-)
+import "repro/internal/genome"
 
 // SMEM is a super-maximal exact match: a read substring [QBeg,QEnd)
 // that matches the indexed text and cannot be extended in either
@@ -140,105 +133,4 @@ func (x *Index) FindSMEMsTraced(read genome.Seq, minLen, minHits int, lookups *u
 		out, pos = x.smem1(read, pos, minLen, minHits, out, lookups, tr)
 	}
 	return out
-}
-
-// KernelConfig parameterizes the fmi kernel run.
-type KernelConfig struct {
-	MinSeedLen int // minimum SMEM length (BWA default 19)
-	MinHits    int // minimum occurrence count
-	Threads    int
-
-	// BatchWidth forces the lock-step batch engine's lane count; 0
-	// means the BatchWidth constant. Width is pure dispatch policy:
-	// any value produces bit-identical results (batch_test.go pins
-	// this), it only moves the prefetch distance.
-	BatchWidth int
-
-	// NewWorkerTracer, when non-nil, is called once per worker to make
-	// that worker's private MemTracer; the kernel never shares one
-	// tracer between workers (sharing x.Tracer across threads is a data
-	// race for unsynchronized tracer implementations). Callers merge
-	// the per-worker tracers after RunKernelCtx returns.
-	NewWorkerTracer func(worker int) MemTracer
-}
-
-// KernelResult aggregates an fmi kernel execution.
-type KernelResult struct {
-	Reads      int
-	SMEMs      int
-	OccLookups uint64
-	TaskStats  *perf.TaskStats // Occ lookups per read (Table III unit)
-	Counters   perf.Counters
-}
-
-// RunKernelCtx executes the fmi benchmark: SMEM search for every read,
-// dynamically scheduled across threads, with per-read work statistics.
-// Reads route through per-worker lock-step BatchEngines (see batch.go)
-// so Occ-lookup misses overlap across in-flight reads; results are
-// bit-identical to serial FindSMEMs per read. It runs under cooperative
-// cancellation with a fault trip-point per read: on cancellation,
-// injected fault, or worker panic it returns a zero result and the
-// error.
-func RunKernelCtx(ctx context.Context, x *Index, reads []genome.Seq, cfg KernelConfig) (KernelResult, error) {
-	if cfg.Threads <= 0 {
-		cfg.Threads = 1
-	}
-	engines := make([]*BatchEngine, cfg.Threads)
-	for i := range engines {
-		var tracer MemTracer
-		if cfg.NewWorkerTracer != nil {
-			tracer = cfg.NewWorkerTracer(i)
-		}
-		engines[i] = NewBatchEngine(x, cfg.BatchWidth, tracer)
-	}
-	type slot struct {
-		smems   int
-		lookups uint64
-	}
-	slots := make([]slot, len(reads))
-	// Note: x.Tracer is deliberately NOT consulted here — a tracer
-	// shared by concurrent workers is a data race. Tracing kernel runs
-	// goes through cfg.NewWorkerTracer's per-worker sinks.
-	//
-	// Reads dispatch in chunks a few batch windows deep: each chunk
-	// runs through the claiming worker's engine with its lanes full,
-	// while chunk-level claiming keeps dynamic load balance across
-	// threads. Per-read fault/cancel points thread through admit.
-	width := engines[0].Width()
-	chunk := 4 * width
-	if per := (len(reads) + cfg.Threads - 1) / cfg.Threads; chunk > per {
-		chunk = per
-	}
-	if chunk < 1 {
-		chunk = 1
-	}
-	nChunks := (len(reads) + chunk - 1) / chunk
-	err := parallel.ForEachCtxErr(ctx, nChunks, cfg.Threads, func(tctx context.Context, w, c int) error {
-		lo := c * chunk
-		hi := lo + chunk
-		if hi > len(reads) {
-			hi = len(reads)
-		}
-		return engines[w].Run(reads[lo:hi], cfg.MinSeedLen, cfg.MinHits,
-			func(int) error { return faultinject.Point(tctx) },
-			func(r int, smems []SMEM, lookups uint64) {
-				slots[lo+r] = slot{len(smems), lookups}
-			})
-	})
-	if err != nil {
-		return KernelResult{}, err
-	}
-	res := KernelResult{Reads: len(reads), TaskStats: perf.NewTaskStats("occ lookups")}
-	for i := range slots {
-		res.SMEMs += slots[i].smems
-		res.OccLookups += slots[i].lookups
-		res.TaskStats.Observe(float64(slots[i].lookups))
-	}
-	// Operation mix per Occ lookup (memory heavy, matching the paper's
-	// fmi profile). The weights are part of the kernel's committed
-	// signature and do not follow the block layout.
-	res.Counters.Add(perf.Load, res.OccLookups*3)
-	res.Counters.Add(perf.IntALU, res.OccLookups*4)
-	res.Counters.Add(perf.Branch, res.OccLookups)
-	return res, nil
 }

@@ -2,18 +2,14 @@
 // PLINK2: G[i][j] = (1/S) * sum_s (x_is - 2p_s)(x_js - 2p_s) /
 // (2 p_s (1-p_s)) over S SNV markers for N individuals — a dense
 // standardized matrix product G = Z·Zᵀ/S, computed with cache blocking
-// and parallelized over output tiles. It is the suite's regular-compute
-// kernel (87.7% retiring pipeline slots in the paper's Figure 9).
+// in output blocks that are independent parallel tasks. It is the
+// suite's regular-compute kernel (87.7% retiring pipeline slots in the
+// paper's Figure 9).
 package grm
 
 import (
-	"context"
 	"math"
 	"math/rand"
-
-	"repro/internal/faultinject"
-	"repro/internal/parallel"
-	"repro/internal/perf"
 )
 
 // Genotypes holds the SNV matrix: Counts[i*S+s] is the number of
@@ -130,85 +126,93 @@ func (g *Genotypes) standardizePanels() []float64 {
 	return zp
 }
 
-// ComputeCtx builds the N x N relationship matrix with tile blocking,
-// under cooperative cancellation and with a fault trip-point per
-// block. The result is symmetric; both triangles are filled. Blocks
-// of blockSize x blockSize outputs in the upper triangle are the
-// parallel tasks; inside a block the work is
-// done a register tile at a time (tile.go): tileRows x panelWidth
-// dot products advance together down the sites, each with its own
-// accumulator and its sites in ascending order, so every entry is
-// bit-identical to ComputeNaive's one-at-a-time dot product whatever
-// the block size, thread count or SIMD tier. Tiles sit on a fixed grid
-// over the individuals; a block that is not aligned to it computes
-// the tiles it touches in full and keeps its own entries.
-func ComputeCtx(ctx context.Context, g *Genotypes, blockSize, threads int) ([]float64, uint64, error) {
-	if blockSize <= 0 {
-		blockSize = 64
+// Blocks is the N x N relationship matrix split into its parallel
+// tasks: blocks of size x size outputs in the upper triangle, each
+// computed by Compute into Matrix, in any order and on any goroutine.
+// Inside a block the work is done a register tile at a time (tile.go):
+// tileRows x panelWidth dot products advance together down the sites,
+// each with its own accumulator and its sites in ascending order, so
+// every entry is bit-identical to ComputeNaive's one-at-a-time dot
+// product whatever the block size, schedule or SIMD tier. Tiles sit on
+// a fixed grid over the individuals; a block that is not aligned to it
+// computes the tiles it touches in full and keeps its own entries.
+type Blocks struct {
+	N int // the matrix's order: Genotypes.N
+	// Matrix is G, row-major; both triangles of a block's entries are
+	// filled when its Compute returns.
+	Matrix []float64
+	s      int
+	size   int
+	zp     []float64 // standardizePanels' Z
+	list   []block
+}
+
+type block struct{ bi, bj int }
+
+// NewBlocks standardizes g and plans its matrix in blocks of
+// blockSize x blockSize outputs.
+func NewBlocks(g *Genotypes, blockSize int) *Blocks {
+	n := g.N
+	nb := (n + blockSize - 1) / blockSize
+	b := &Blocks{
+		N:      n,
+		Matrix: make([]float64, n*n),
+		s:      g.S,
+		size:   blockSize,
+		zp:     g.standardizePanels(),
+		list:   make([]block, 0, nb*(nb+1)/2),
 	}
-	zp := g.standardizePanels()
-	n, s := g.N, g.S
-	out := make([]float64, n*n)
-	nBlocks := (n + blockSize - 1) / blockSize
-	// Upper-triangle blocks as independent tasks.
-	type block struct{ bi, bj int }
-	blocks := make([]block, 0, nBlocks*(nBlocks+1)/2)
-	for bi := 0; bi < nBlocks; bi++ {
-		for bj := bi; bj < nBlocks; bj++ {
-			blocks = append(blocks, block{bi, bj})
+	for bi := 0; bi < nb; bi++ {
+		for bj := bi; bj < nb; bj++ {
+			b.list = append(b.list, block{bi, bj})
 		}
 	}
+	return b
+}
+
+// Len returns the number of blocks.
+func (b *Blocks) Len() int { return len(b.list) }
+
+// Compute fills block k: Matrix's entries in rows [rows[0], rows[1])
+// and columns [cols[0], cols[1]), and their mirror. macs counts one
+// multiply-accumulate per site per entry on or above the diagonal,
+// however the tiles covered them.
+func (b *Blocks) Compute(k int) (rows, cols [2]int, macs uint64) {
+	n, s, zp, out := b.N, b.s, b.zp, b.Matrix
+	bk := b.list[k]
+	i0, i1 := bk.bi*b.size, min(n, (bk.bi+1)*b.size)
+	j0, j1 := bk.bj*b.size, min(n, (bk.bj+1)*b.size)
 	panel := s * panelWidth
-	blockFlops := make([]uint64, len(blocks))
-	err := parallel.ForEachCtxErr(ctx, len(blocks), threads, func(tctx context.Context, w, ti int) error {
-		if err := faultinject.Point(tctx); err != nil {
-			return err
-		}
-		b := blocks[ti]
-		i0, i1 := b.bi*blockSize, min(n, (b.bi+1)*blockSize)
-		j0, j1 := b.bj*blockSize, min(n, (b.bj+1)*blockSize)
-		var acc [tileRows * panelWidth]float64
-		for jp := j0 / panelWidth; jp*panelWidth < j1; jp++ {
-			zj := zp[jp*panel : (jp+1)*panel]
-			for it := i0 / tileRows; it*tileRows < i1; it++ {
-				ib := it * tileRows
-				if jp*panelWidth+panelWidth <= ib {
-					continue // wholly below the diagonal: the mirror covers it
-				}
-				ip := ib / panelWidth
-				dotTile(zp[ip*panel:(ip+1)*panel], ib%panelWidth, zj, s, &acc)
-				for r := max(ib, i0); r < min(ib+tileRows, i1); r++ {
-					for c := max(jp*panelWidth, j0, r); c < min((jp+1)*panelWidth, j1); c++ {
-						v := acc[(r-ib)*panelWidth+c-jp*panelWidth] / float64(s)
-						out[r*n+c] = v
-						out[c*n+r] = v
-					}
+	var acc [tileRows * panelWidth]float64
+	for jp := j0 / panelWidth; jp*panelWidth < j1; jp++ {
+		zj := zp[jp*panel : (jp+1)*panel]
+		for it := i0 / tileRows; it*tileRows < i1; it++ {
+			ib := it * tileRows
+			if jp*panelWidth+panelWidth <= ib {
+				continue // wholly below the diagonal: the mirror covers it
+			}
+			ip := ib / panelWidth
+			dotTile(zp[ip*panel:(ip+1)*panel], ib%panelWidth, zj, s, &acc)
+			for r := max(ib, i0); r < min(ib+tileRows, i1); r++ {
+				for c := max(jp*panelWidth, j0, r); c < min((jp+1)*panelWidth, j1); c++ {
+					v := acc[(r-ib)*panelWidth+c-jp*panelWidth] / float64(s)
+					out[r*n+c] = v
+					out[c*n+r] = v
 				}
 			}
 		}
-		// One multiply-accumulate per site per entry on or above the
-		// diagonal, however the tiles covered them.
-		pairs := (i1 - i0) * (j1 - j0)
-		if b.bi == b.bj {
-			pairs = (i1 - i0) * (i1 - i0 + 1) / 2
-		}
-		blockFlops[ti] = uint64(pairs) * uint64(s)
-		return nil
-	})
-	if err != nil {
-		return nil, 0, err
 	}
-	var flops uint64
-	for _, f := range blockFlops {
-		flops += f
+	pairs := (i1 - i0) * (j1 - j0)
+	if bk.bi == bk.bj {
+		pairs = (i1 - i0) * (i1 - i0 + 1) / 2
 	}
-	return out, flops, nil
+	return [2]int{i0, i1}, [2]int{j0, j1}, uint64(pairs) * uint64(s)
 }
 
 // ComputeNaive is the unblocked O(N^2 S) baseline — every entry its
 // own dot product, one at a time — provided for the blocking ablation
-// and as the reference ComputeCtx must equal bit for bit; production
-// use should call ComputeCtx.
+// and as the reference Blocks must equal bit for bit; production use
+// should compute Blocks.
 func ComputeNaive(g *Genotypes) []float64 {
 	z := g.Standardize()
 	n, s := g.N, g.S
@@ -225,31 +229,4 @@ func ComputeNaive(g *Genotypes) []float64 {
 		}
 	}
 	return out
-}
-
-// KernelResult aggregates a grm benchmark execution.
-type KernelResult struct {
-	N, S     int
-	FLOPs    uint64
-	Matrix   []float64
-	Counters perf.Counters
-}
-
-// RunKernelCtx computes the GRM and records its (very regular) op mix,
-// under cooperative cancellation and with fault trip-points inside the
-// tile loop.
-func RunKernelCtx(ctx context.Context, g *Genotypes, blockSize, threads int) (KernelResult, error) {
-	m, flops, err := ComputeCtx(ctx, g, blockSize, threads)
-	if err != nil {
-		return KernelResult{}, err
-	}
-	res := KernelResult{N: g.N, S: g.S, FLOPs: flops, Matrix: m}
-	// Dense FMA-dominated multiply: mostly vector FP with streaming
-	// loads (high retiring fraction, near-zero branches).
-	res.Counters.Add(perf.VecOp, flops)
-	res.Counters.Add(perf.FloatOp, flops/4)
-	res.Counters.Add(perf.Load, flops/4)
-	res.Counters.Add(perf.Store, uint64(g.N)*uint64(g.N)/8)
-	res.Counters.Add(perf.Branch, flops/64)
-	return res, nil
 }

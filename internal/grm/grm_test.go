@@ -1,9 +1,10 @@
 package grm
 
 import (
-	"context"
 	"math"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cpufeat"
@@ -30,7 +31,7 @@ func naiveGRM(g *Genotypes) []float64 {
 func TestComputeMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := Simulate(rng, 17, 100, 0) // awkward size vs block
-	got, flops := mustCompute(ComputeCtx(context.Background(), g, 8, 2))
+	got, flops := compute(g, 8, 2)
 	want := naiveGRM(g)
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-9 {
@@ -45,7 +46,7 @@ func TestComputeMatchesNaive(t *testing.T) {
 func TestMatrixSymmetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := Simulate(rng, 30, 200, 0.2)
-	m, _ := mustCompute(ComputeCtx(context.Background(), g, 16, 4))
+	m, _ := compute(g, 16, 4)
 	for i := 0; i < g.N; i++ {
 		for j := 0; j < g.N; j++ {
 			if m[i*g.N+j] != m[j*g.N+i] {
@@ -58,7 +59,7 @@ func TestMatrixSymmetric(t *testing.T) {
 func TestDiagonalNearOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := Simulate(rng, 50, 2000, 0)
-	m, _ := mustCompute(ComputeCtx(context.Background(), g, 32, 2))
+	m, _ := compute(g, 32, 2)
 	var sum float64
 	for i := 0; i < g.N; i++ {
 		sum += m[i*g.N+i]
@@ -73,7 +74,7 @@ func TestDiagonalNearOne(t *testing.T) {
 func TestUnrelatedNearZeroOffDiagonal(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := Simulate(rng, 40, 5000, 0)
-	m, _ := mustCompute(ComputeCtx(context.Background(), g, 32, 2))
+	m, _ := compute(g, 32, 2)
 	var sum float64
 	var count int
 	for i := 0; i < g.N; i++ {
@@ -93,7 +94,7 @@ func TestRelativesShowKinship(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	// Force individual 1 to be the child of individual 0.
 	g := Simulate(rng, 2, 8000, 1.0)
-	m, _ := mustCompute(ComputeCtx(context.Background(), g, 32, 1))
+	m, _ := compute(g, 32, 1)
 	kinship := m[1] // G[0][1]
 	// Parent-child kinship in GRM terms is ~0.5.
 	if kinship < 0.3 || kinship > 0.7 {
@@ -104,29 +105,12 @@ func TestRelativesShowKinship(t *testing.T) {
 func TestBlockSizesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	g := Simulate(rng, 25, 300, 0.1)
-	a, _ := mustCompute(ComputeCtx(context.Background(), g, 4, 1))
-	b, _ := mustCompute(ComputeCtx(context.Background(), g, 64, 3))
+	a, _ := compute(g, 4, 1)
+	b, _ := compute(g, 64, 3)
 	for i := range a {
 		if math.Abs(a[i]-b[i]) > 1e-12 {
 			t.Fatalf("block size changed result at %d: %v vs %v", i, a[i], b[i])
 		}
-	}
-}
-
-func TestRunKernelCounters(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	g := Simulate(rng, 20, 100, 0)
-	res := must(RunKernelCtx(context.Background(), g, 16, 2))
-	if res.FLOPs == 0 || res.Counters.Total() == 0 {
-		t.Error("kernel did not count work")
-	}
-	if r4 := must(RunKernelCtx(context.Background(), g, 16, 4)); r4.FLOPs != res.FLOPs || r4.Counters != res.Counters {
-		t.Errorf("4 threads: flops %d counters %v, 2 threads: %d %v", r4.FLOPs, r4.Counters.Ops, res.FLOPs, res.Counters.Ops)
-	}
-	fr := res.Counters.Fractions()
-	// grm must be overwhelmingly vector/FP: the paper's most regular kernel.
-	if fr[2] < 0.5 { // VecOp index
-		t.Errorf("vector fraction %v too low for grm", fr[2])
 	}
 }
 
@@ -148,7 +132,7 @@ func TestSimulateGenotypeRange(t *testing.T) {
 func TestComputeNaiveMatchesBlocked(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := Simulate(rng, 23, 150, 0.2)
-	blocked, _ := mustCompute(ComputeCtx(context.Background(), g, 8, 2))
+	blocked, _ := compute(g, 8, 2)
 	naive := ComputeNaive(g)
 	for i := range naive {
 		if math.Abs(blocked[i]-naive[i]) > 1e-9 {
@@ -157,21 +141,26 @@ func TestComputeNaiveMatchesBlocked(t *testing.T) {
 	}
 }
 
-// must unwraps a RunKernelCtx result; a kernel run under a background
-// context with no fault plan armed cannot fail.
-func must(res KernelResult, err error) KernelResult {
-	if err != nil {
-		panic(err)
+// compute builds g's matrix through Blocks, its blocks run by threads
+// goroutines that each claim the next block, as a task loop does; it
+// returns the matrix and the summed multiply-accumulates.
+func compute(g *Genotypes, blockSize, threads int) ([]float64, uint64) {
+	b := NewBlocks(g, blockSize)
+	var next atomic.Int64
+	var macs atomic.Uint64
+	var wg sync.WaitGroup
+	for w := 0; w < threads; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := int(next.Add(1)) - 1; k < b.Len(); k = int(next.Add(1)) - 1 {
+				_, _, m := b.Compute(k)
+				macs.Add(m)
+			}
+		}()
 	}
-	return res
-}
-
-// mustCompute unwraps a ComputeCtx result the same way.
-func mustCompute(m []float64, flops uint64, err error) ([]float64, uint64) {
-	if err != nil {
-		panic(err)
-	}
-	return m, flops
+	wg.Wait()
+	return b.Matrix, macs.Load()
 }
 
 // forEachTier runs f once with the SIMD ceiling forced to "off" (the
@@ -205,7 +194,7 @@ func TestComputeDifferential(t *testing.T) {
 				wantFlops := uint64(n*(n+1)/2) * uint64(s)
 				for _, bs := range []int{1, 7, 8, 64} {
 					for _, threads := range []int{1, 2, 4} {
-						got, flops := mustCompute(ComputeCtx(context.Background(), g, bs, threads))
+						got, flops := compute(g, bs, threads)
 						if flops != wantFlops {
 							t.Fatalf("N=%d S=%d block=%d threads=%d: flops %d, want %d", n, s, bs, threads, flops, wantFlops)
 						}
@@ -229,7 +218,7 @@ func TestComputeDifferential(t *testing.T) {
 func TestMonomorphicSiteContributesNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := Simulate(rng, 9, 40, 0.2)
-	without, _ := mustCompute(ComputeCtx(context.Background(), g, 4, 2))
+	without, _ := compute(g, 4, 2)
 
 	withMono := &Genotypes{N: g.N, S: g.S + 3, Counts: make([]uint8, g.N*(g.S+3))}
 	withMono.Freqs = append(append([]float64{}, g.Freqs...), 0, 1, math.NaN())
@@ -244,7 +233,7 @@ func TestMonomorphicSiteContributesNothing(t *testing.T) {
 			t.Fatalf("Standardize produced %v", z)
 		}
 	}
-	got, _ := mustCompute(ComputeCtx(context.Background(), withMono, 4, 2))
+	got, _ := compute(withMono, 4, 2)
 	naive := ComputeNaive(withMono)
 	for i := range got {
 		want := without[i] * float64(g.S) / float64(withMono.S)
@@ -257,22 +246,27 @@ func TestMonomorphicSiteContributesNothing(t *testing.T) {
 	}
 }
 
-// ComputeCtx allocates the panel and output matrices, the per-site
-// scales, the block list, the per-worker counters and its task
-// closure (7), and the scheduler's fixed state (9 at one thread): the
-// count must not depend on how many blocks or tiles the problem has.
+// NewBlocks allocates the plan, the panel and output matrices, the
+// per-site scales and the block list (6), and Compute allocates
+// nothing: the count must not depend on how many blocks or tiles the
+// problem has.
 func TestComputeAllocsBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	allocs := func(n int) float64 {
 		g := Simulate(rng, n, 20, 0)
-		return testing.AllocsPerRun(5, func() { mustCompute(ComputeCtx(context.Background(), g, 8, 1)) })
+		return testing.AllocsPerRun(5, func() {
+			b := NewBlocks(g, 8)
+			for k := range b.Len() {
+				b.Compute(k)
+			}
+		})
 	}
 	small, large := allocs(8), allocs(96)
 	if small != large {
 		t.Errorf("allocs grow with N: %v at N=8, %v at N=96", small, large)
 	}
-	if large > 16 {
-		t.Errorf("%v allocs per Compute, want <= 16", large)
+	if large > 6 {
+		t.Errorf("%v allocs per matrix, want <= 6", large)
 	}
 }
 
@@ -288,7 +282,7 @@ func BenchmarkGRMTile(b *testing.B) {
 			var macs uint64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, macs = mustCompute(ComputeCtx(context.Background(), g, 64, 1))
+				_, macs = compute(g, 64, 1)
 			}
 			b.ReportMetric(float64(macs)*float64(b.N)/b.Elapsed().Seconds(), "MACs/s")
 		})

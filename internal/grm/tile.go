@@ -2,7 +2,7 @@ package grm
 
 import "repro/internal/cpufeat"
 
-// The register tile under ComputeCtx: tileRows x panelWidth entries
+// The register tile under Blocks.Compute: tileRows x panelWidth entries
 // of Z·Zᵀ advance together down the sites, where a single dot product
 // is one multiply-add chain bound by the latency of its add. The AVX2
 // body (tile_amd64.s) keeps all 32 chains in YMM accumulators; the
