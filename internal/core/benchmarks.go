@@ -315,35 +315,9 @@ var kernels = []kernel{
 			}
 			return regions
 		},
-		run: func(ctx context.Context, regions []*phmm.Region, threads int) (RunStats, error) {
-			res, err := phmm.RunKernelCtx(ctx, regions, threads)
-			return RunStats{
-				Counters:  res.Counters,
-				TaskStats: res.TaskStats,
-				Extra: map[string]float64{
-					"pairs":     float64(res.Pairs),
-					"cells":     float64(res.CellUpdates),
-					"fallbacks": float64(res.Fallbacks),
-				},
-			}, err
+		loop: func(regions []*phmm.Region) taskLoop {
+			return phmmLoop.with(phmmData{regions, phmmCut(regions)})
 		},
-		loop: perTask[[]*phmm.Region, *phmm.Scratch, phmm.RegionResult]{
-			n:      func(regions []*phmm.Region) int { return len(regions) },
-			worker: func([]*phmm.Region, *scratch.Pool, int) *phmm.Scratch { return phmm.NewScratch() },
-			task: func(regions []*phmm.Region, sc *phmm.Scratch, i int) phmm.RegionResult {
-				return phmm.EvaluateRegionInto(regions[i], sc) // its slices are sc's until the next call
-			},
-			digest: func(rr phmm.RegionResult) (uint64, uint64) {
-				h := digest.Seed
-				for _, best := range rr.BestHap {
-					h = foldInt(h, best)
-				}
-				for _, l := range rr.Likelihoods {
-					h = foldFloat(h, l)
-				}
-				return h, rr.CellUpdates
-			},
-		}.with,
 		tasks: phmmTasks,
 	}.row(),
 
@@ -776,17 +750,151 @@ type smemChunk struct {
 
 // search runs reads through the engine, copying out each read's SMEMs,
 // which the engine keeps only until its lane takes the next read. The
-// fault trip-point is the task loop's, so there is no admit hook, and
-// without one Run cannot fail.
+// fault trip-point is the task loop's, once per chunk.
 func (c *smemChunk) search(reads []genome.Seq) {
 	c.smems, c.total = c.smems[:0], 0
 	c.spans = slices.Grow(c.spans[:0], len(reads))[:len(reads)]
 	c.lookups = slices.Grow(c.lookups[:0], len(reads))[:len(reads)]
-	_ = c.engine.Run(reads, 19, 1, nil, func(r int, smems []fmindex.SMEM, lookups uint64) {
+	c.engine.Run(reads, 19, 1, func(r int, smems []fmindex.SMEM, lookups uint64) {
 		c.spans[r] = [2]int{len(c.smems), len(c.smems) + len(smems)}
 		c.lookups[r], c.total = lookups, c.total+lookups
 		c.smems = append(c.smems, smems...)
 	})
+}
+
+// phmmData is phmm's dataset cut into its tasks: task k runs the
+// spans pieces[k].
+type phmmData struct {
+	regions []*phmm.Region
+	pieces  [][]phmmSpan
+}
+
+// phmmSpan is reads [lo, hi) of one region, which has haps haplotypes.
+type phmmSpan struct{ region, lo, hi, haps int }
+
+// phmmCut cuts regions into len(regions) pieces of near-equal cells.
+// The paper's work unit is the region, but one region can cost ~1000x
+// the mean (Figure 4), so a task is a share of the cells rather than a
+// region. Every region's reads are laid out in order, a read's cells
+// being its length times its region's summed haplotype lengths, and
+// piece k holds the reads whose first cell falls in
+// [k·total/n, (k+1)·total/n), as a run of spans; a piece may be empty.
+// The cut depends on the dataset alone, never on the thread count, and
+// is exact: reads are independent rows of EvaluateRegionInto's answers.
+func phmmCut(regions []*phmm.Region) [][]phmmSpan {
+	n := uint64(len(regions))
+	hapLen := make([]uint64, n)
+	var total uint64
+	for i, rg := range regions {
+		for _, h := range rg.Haps {
+			hapLen[i] += uint64(len(h))
+		}
+		for _, r := range rg.Reads {
+			total += uint64(len(r)) * hapLen[i]
+		}
+	}
+	pieces := make([][]phmmSpan, n)
+	var k, cell uint64
+	for i, rg := range regions {
+		for r, read := range rg.Reads {
+			for k+1 < n && cell >= (k+1)*total/n {
+				k++
+			}
+			if s := pieces[k]; len(s) > 0 && s[len(s)-1].region == i {
+				s[len(s)-1].hi++
+			} else {
+				pieces[k] = append(s, phmmSpan{region: i, lo: r, hi: r + 1, haps: len(rg.Haps)})
+			}
+			cell += uint64(len(read)) * hapLen[i]
+		}
+	}
+	return pieces
+}
+
+// phmmPiece is phmm's worker state and its task's answer: the worker's
+// scratch, and the spans it last ran with their answers, concatenated
+// in span order.
+type phmmPiece struct {
+	sc        *phmm.Scratch
+	sub       phmm.Region // the span being evaluated
+	spans     []phmmSpan
+	bestHap   []int
+	lik       []float64
+	cells     []uint64 // per span
+	fallbacks int
+}
+
+// run evaluates spans of regions, copying each span's answers out of
+// the scratch, which keeps only the last call's.
+func (p *phmmPiece) run(regions []*phmm.Region, spans []phmmSpan) {
+	p.spans, p.bestHap, p.lik, p.cells, p.fallbacks = spans, p.bestHap[:0], p.lik[:0], p.cells[:0], 0
+	for _, s := range spans {
+		rg := regions[s.region]
+		p.sub = phmm.Region{Reads: rg.Reads[s.lo:s.hi], Quals: rg.Quals[s.lo:s.hi], Haps: rg.Haps}
+		r := phmm.EvaluateRegionInto(&p.sub, p.sc)
+		p.bestHap = append(p.bestHap, r.BestHap...)
+		p.lik = append(p.lik, r.Likelihoods...)
+		p.cells = append(p.cells, r.CellUpdates)
+		p.fallbacks += r.Fallbacks
+	}
+}
+
+// phmmLoop is phmm's task loop over the cut. The paper's Figure 4 is
+// about regions, so TaskStats keeps one sample per region: each span's
+// cells add into its region's.
+var phmmLoop = perTask[phmmData, *phmmPiece, *phmmPiece]{
+	n: func(d phmmData) int { return len(d.pieces) },
+	worker: func(_ phmmData, pool *scratch.Pool, w int) *phmmPiece {
+		return pool.WorkerState(w, func() any { return &phmmPiece{sc: phmm.NewScratch()} }).(*phmmPiece)
+	},
+	task: func(d phmmData, p *phmmPiece, i int) *phmmPiece {
+		p.run(d.regions, d.pieces[i])
+		return p
+	},
+	digest: func(p *phmmPiece) (uint64, uint64) {
+		h, cells := digest.Seed, uint64(0)
+		best, lik := p.bestHap, p.lik
+		for j, s := range p.spans {
+			reads := s.hi - s.lo
+			for _, b := range best[:reads] {
+				h = foldInt(h, b)
+			}
+			for _, l := range lik[:reads*s.haps] {
+				h = foldFloat(h, l)
+			}
+			best, lik = best[reads:], lik[reads*s.haps:]
+			cells += p.cells[j]
+		}
+		return h, cells
+	},
+	unit:    "cell updates",
+	extra:   []string{"pairs", "cells", "fallbacks"},
+	samples: func(d phmmData) int { return len(d.regions) },
+	tally: func(_ phmmData, _ int, p *phmmPiece) tally {
+		t := tally{sums: [3]int64{2: int64(p.fallbacks)}}
+		if len(p.spans) == 0 {
+			return t
+		}
+		t.first = p.spans[0].region
+		t.works = make([]uint64, p.spans[len(p.spans)-1].region-t.first+1)
+		for j, s := range p.spans {
+			t.works[s.region-t.first] += p.cells[j]
+			t.work += p.cells[j]
+			t.sums[0] += int64((s.hi - s.lo) * s.haps)
+		}
+		t.sums[1] = int64(t.work)
+		return t
+	},
+	counters: func(t tally) (c perf.Counters) {
+		// phmm is the suite's floating-point kernel: each cell is ~9 FP
+		// multiply-adds, vectorized in the original.
+		c.Add(perf.FloatOp, t.work*3)
+		c.Add(perf.VecOp, t.work*6)
+		c.Add(perf.Load, t.work*2)
+		c.Add(perf.Store, t.work)
+		c.Add(perf.Branch, t.work/8)
+		return c
+	},
 }
 
 // grmLoop is grm's task loop over one matrix's blocks. The paper's

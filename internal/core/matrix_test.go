@@ -43,7 +43,7 @@ var answerFingerprints = map[string]uint64{
 	"fmi":        0x4b3ec8270d78d519,
 	"bsw":        0x9263f99304431f4e,
 	"dbg":        0x9be5de2e203b00ec,
-	"phmm":       0x7c79c5a2ad857d6c,
+	"phmm":       0x1957518541c51bb8,
 	"chain":      0x419f5a0660aca8ac,
 	"spoa":       0xf290078f25131fb8,
 	"abea":       0x6da799774c4e3ae0,
@@ -56,13 +56,12 @@ var answerFingerprints = map[string]uint64{
 // TestAnswerMatrix: a task digest is the task's answer, so no schedule,
 // SIMD tier or executor may move one. For every kernel with a task
 // digest, the per-task digest vector at Small, seed 42 is the same on
-// the dispatched tier and with GBENCH_SIMD=off; the kernels whose timed
-// run is the task loop give it at 1, 2 and 4 threads through that
-// loop; a shardable kernel's shard executor (LocalDigests) gives it
-// too; and its fingerprint is the pinned one. This is the one threads x
-// tier x executor check of the task-digest kernels. The portable
-// bodies run once per kernel: under -race they cost several times the
-// dispatched ones.
+// the dispatched tier and with GBENCH_SIMD=off; the task loop the timed
+// run uses gives it at 1, 2 and 4 threads; a shardable kernel's shard
+// executor (LocalDigests) gives it too; and its fingerprint is the
+// pinned one. This is the one threads x tier x executor check of the
+// task-digest kernels. The portable bodies run once per kernel: under
+// -race they cost several times the dispatched ones.
 func TestAnswerMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs eleven kernels at Small several times over")
@@ -95,14 +94,6 @@ func TestAnswerMatrix(t *testing.T) {
 			off     bool
 			threads int
 		}{{false, 1}, {false, 2}, {false, 4}, {true, 4}}
-		if name == "phmm" {
-			// The one task-digest kernel whose timed run keeps its own
-			// loop (it splits straggler regions by thread count): its
-			// task loop runs once, on the portable bodies, and its
-			// executor stands for the dispatched tier.
-			runs = runs[3:]
-			runs[0].threads = 1
-		}
 		if shard.HasExecutor(name) {
 			got, _, err := LocalDigests(ctx, name, "small", 42)
 			check("executor, "+tier, got, err)

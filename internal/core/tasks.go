@@ -20,11 +20,11 @@ type taskLoop interface {
 // perTask declares such a kernel over its dataset D, per-worker state
 // W and per-task result R; its with method is the kernelDef's loop.
 // A task is usually one dataset element; fmi's is a fixed chunk of
-// reads and grm's one block of the output matrix. The kernel package
-// keeps only the per-task compute, which task calls; the one task loop
-// (each) is here, so every kernel that declares a perTask runs the
-// paper's dynamic loop the same way. phmm declares task and digest
-// only: its run keeps its own loop, which splits regions.
+// reads, grm's one block of the output matrix and phmm's one equal-cell
+// piece of its regions' reads. The kernel package keeps only the
+// per-task compute, which task calls; the one task loop (each) is here,
+// so every kernel that declares a perTask runs the paper's dynamic loop
+// the same way.
 type perTask[D, W, R any] struct {
 	data D             // the dataset with binds
 	n    func(d D) int // the number of tasks in d
@@ -50,7 +50,8 @@ type perTask[D, W, R any] struct {
 	tally    func(d D, i int, r R) tally
 	counters func(total tally) perf.Counters
 	// samples, set by a kernel whose TaskStats sample is not its task,
-	// counts the samples; each tally then lands from its first on.
+	// counts the samples; each tally then adds into them from its first
+	// on, so several tasks may share a sample.
 	samples func(d D) int
 }
 
@@ -58,7 +59,7 @@ type perTask[D, W, R any] struct {
 type tally struct {
 	work uint64   // the task's work, in the kernel's unit: its TaskStats sample unless perTask.samples
 	sums [3]int64 // the Extra values, in perTask.extra order; a sum past extra's names feeds counters only
-	// Under perTask.samples: works, when set, are samples first,
+	// Under perTask.samples: works, when set, add into samples first,
 	// first+1, ...; otherwise work adds into sample first.
 	first int
 	works []uint64
@@ -119,7 +120,9 @@ func (p *perTask[D, W, R]) run(ctx context.Context, threads int) (RunStats, erro
 		case t.works == nil:
 			samples[t.first] += t.work
 		default:
-			copy(samples[t.first:], t.works)
+			for k, w := range t.works {
+				samples[t.first+k] += w
+			}
 		}
 	}
 	for _, w := range samples {

@@ -103,13 +103,11 @@ func NewBatchEngine(x *Index, width int, tr MemTracer) *BatchEngine {
 }
 
 // Run enumerates SMEMs for every read, W reads in flight at a time.
-// admit (nil for none) is called once per read as it is loaded into a
-// lane — the kernel's per-read fault/cancellation point; a non-nil
-// error aborts the whole run. emit is called once per read, in lane
-// completion order, with that read's SMEMs (same matches, same order,
-// same lookup count as FindSMEMsTraced); the slice is engine scratch,
-// valid only until the lane is reused — callers keep counts or copy.
-func (e *BatchEngine) Run(reads []genome.Seq, minLen, minHits int, admit func(read int) error, emit func(read int, smems []SMEM, lookups uint64)) error {
+// emit is called once per read, in lane completion order, with that
+// read's SMEMs (same matches, same order, same lookup count as
+// FindSMEMsTraced); the slice is engine scratch, valid only until the
+// lane is reused — callers keep counts or copy.
+func (e *BatchEngine) Run(reads []genome.Seq, minLen, minHits int, emit func(read int, smems []SMEM, lookups uint64)) {
 	if minHits < 1 {
 		minHits = 1
 	}
@@ -121,15 +119,10 @@ func (e *BatchEngine) Run(reads []genome.Seq, minLen, minHits int, admit func(re
 	// reads inline (they perform no lookups, exactly like the serial
 	// walk, whose position loop never runs). It reports whether the
 	// lane is live again.
-	refill := func(ln *batchLane) (bool, error) {
+	refill := func(ln *batchLane) bool {
 		for nextRead < len(reads) {
 			idx := nextRead
 			nextRead++
-			if admit != nil {
-				if err := admit(idx); err != nil {
-					return false, err
-				}
-			}
 			ln.readIdx = idx
 			ln.read = reads[idx]
 			ln.out = ln.out[:0]
@@ -141,18 +134,14 @@ func (e *BatchEngine) Run(reads []genome.Seq, minLen, minHits int, admit func(re
 			}
 			ln.phase = phInit
 			e.prefetchBackward(e.x.Root())
-			return true, nil
+			return true
 		}
 		ln.phase = phIdle
-		return false, nil
+		return false
 	}
 
 	for l := range e.lanes {
-		ok, err := refill(&e.lanes[l])
-		if err != nil {
-			return err
-		}
-		if ok {
+		if refill(&e.lanes[l]) {
 			active++
 		}
 	}
@@ -164,17 +153,12 @@ func (e *BatchEngine) Run(reads []genome.Seq, minLen, minHits int, admit func(re
 			}
 			if done := e.advance(ln); done {
 				emit(ln.readIdx, ln.out, ln.lookups)
-				ok, err := refill(ln)
-				if err != nil {
-					return err
-				}
-				if !ok {
+				if !refill(ln) {
 					active--
 				}
 			}
 		}
 	}
-	return nil
 }
 
 // advance performs ln's one pending extension (whose addresses were

@@ -1,7 +1,6 @@
 package fmindex
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -26,15 +25,15 @@ func serialSMEMs(x *Index, reads []genome.Seq, minLen, minHits int) ([][]SMEM, [
 
 // batchSMEMs runs the engine at the given width, capturing per-read
 // copies and per-read lookup counts.
-func batchSMEMs(x *Index, reads []genome.Seq, minLen, minHits, width int) ([][]SMEM, []uint64, error) {
+func batchSMEMs(x *Index, reads []genome.Seq, minLen, minHits, width int) ([][]SMEM, []uint64) {
 	out := make([][]SMEM, len(reads))
 	lks := make([]uint64, len(reads))
 	e := NewBatchEngine(x, width, nil)
-	err := e.Run(reads, minLen, minHits, nil, func(i int, smems []SMEM, lk uint64) {
+	e.Run(reads, minLen, minHits, func(i int, smems []SMEM, lk uint64) {
 		out[i] = append([]SMEM(nil), smems...)
 		lks[i] = lk
 	})
-	return out, lks, err
+	return out, lks
 }
 
 func compareSMEMs(t *testing.T, tag string, reads []genome.Seq, want, got [][]SMEM, wantLk, gotLk []uint64) {
@@ -78,10 +77,7 @@ func TestSmemBatchDifferentialExhaustive(t *testing.T) {
 		}
 		reads = append(reads, genome.Seq{}, genome.Seq{0}, genome.Seq{3})
 		want, wantLk := serialSMEMs(x, reads, tc.minLen, tc.minHits)
-		got, gotLk, err := batchSMEMs(x, reads, tc.minLen, tc.minHits, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, gotLk := batchSMEMs(x, reads, tc.minLen, tc.minHits, 8)
 		compareSMEMs(t, "batch8", reads, want, got, wantLk, gotLk)
 	}
 }
@@ -101,10 +97,7 @@ func TestSmemBatchForcedWidths(t *testing.T) {
 	}
 	want, wantLk := serialSMEMs(x, reads, 15, 1)
 	for _, w := range []int{1, 2, 3, 5, 8, 17, 64} {
-		got, gotLk, err := batchSMEMs(x, reads, 15, 1, w)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, gotLk := batchSMEMs(x, reads, 15, 1, w)
 		compareSMEMs(t, "width", reads, want, got, wantLk, gotLk)
 	}
 	if e := NewBatchEngine(x, 0, nil); e.width != BatchWidth {
@@ -131,10 +124,7 @@ func TestSmemBatchEmptyIntervalEarlyOut(t *testing.T) {
 		reads[i] = genome.Random(rng, 1+rng.Intn(60)) // all four letters
 	}
 	want, wantLk := serialSMEMs(x, reads, 4, 1)
-	got, gotLk, err := batchSMEMs(x, reads, 4, 1, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, gotLk := batchSMEMs(x, reads, 4, 1, 8)
 	compareSMEMs(t, "earlyout", reads, want, got, wantLk, gotLk)
 }
 
@@ -158,8 +148,7 @@ func searchConcurrently(x *Index, reads []genome.Seq, minLen, threads, width int
 		go func() {
 			defer wg.Done()
 			for lo := int(next.Add(chunk)) - chunk; lo < len(reads); lo = int(next.Add(chunk)) - chunk {
-				// No admit hook, so Run cannot fail.
-				_ = e.Run(reads[lo:min(lo+chunk, len(reads))], minLen, 1, nil, func(r int, smems []SMEM, lk uint64) {
+				e.Run(reads[lo:min(lo+chunk, len(reads))], minLen, 1, func(r int, smems []SMEM, lk uint64) {
 					out[lo+r] = append([]SMEM(nil), smems...)
 					lks[lo+r] = lk
 				})
@@ -243,33 +232,6 @@ func TestSmemBatchRaceHammer(t *testing.T) {
 	}
 }
 
-// An admit error (the kernel's fault/cancel point) must abort the run
-// with that error.
-func TestSmemBatchAdmitError(t *testing.T) {
-	rng := rand.New(rand.NewSource(46))
-	g := genome.Random(rng, 1024)
-	x := Build(g)
-	reads := make([]genome.Seq, 20)
-	for i := range reads {
-		reads[i] = genome.Random(rng, 30)
-	}
-	boom := errors.New("boom")
-	e := NewBatchEngine(x, 4, nil)
-	emitted := 0
-	err := e.Run(reads, 10, 1, func(i int) error {
-		if i == 7 {
-			return boom
-		}
-		return nil
-	}, func(int, []SMEM, uint64) { emitted++ })
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if emitted > 7 {
-		t.Fatalf("emitted %d reads after the fault point", emitted)
-	}
-}
-
 // Steady-state engine reuse must not allocate: the lanes' candidate
 // lists and output buffers are grow-only scratch. The width-1 engine
 // over one long read is the shape scenario/metagenomics' smem stage
@@ -295,11 +257,7 @@ func TestBatchEngineZeroAllocSteadyState(t *testing.T) {
 		e := NewBatchEngine(x, tc.width, nil)
 		var sink int
 		emit := func(_ int, smems []SMEM, _ uint64) { sink += len(smems) }
-		run := func() {
-			if err := e.Run(tc.reads, 19, 1, nil, emit); err != nil {
-				t.Fatal(err)
-			}
-		}
+		run := func() { e.Run(tc.reads, 19, 1, emit) }
 		run() // warm the grow-only scratch
 		if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
 			t.Fatalf("width %d: steady-state allocs/run = %v, want 0", tc.width, allocs)
@@ -336,12 +294,9 @@ func TestBatchedStallBelowSerial(t *testing.T) {
 
 	batched := cachesim.NewHierarchy(cachesim.XeonE31240v5())
 	var batchedLk uint64
-	err := NewBatchEngine(x, 16, batched).Run(reads, 19, 1, nil, func(_ int, _ []SMEM, lk uint64) {
+	NewBatchEngine(x, 16, batched).Run(reads, 19, 1, func(_ int, _ []SMEM, lk uint64) {
 		batchedLk += lk
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	if serialLk != batchedLk {
 		t.Fatalf("lookup counts diverge: serial %d, batched %d", serialLk, batchedLk)

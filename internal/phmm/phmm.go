@@ -57,16 +57,11 @@ package phmm
 
 import (
 	"cmp"
-	"context"
 	"math"
 	"slices"
-	"sort"
 
-	"repro/internal/faultinject"
 	"repro/internal/genome"
 	"repro/internal/lanes"
-	"repro/internal/parallel"
-	"repro/internal/perf"
 	"repro/internal/scratch"
 )
 
@@ -271,9 +266,11 @@ func LikelihoodInto(read genome.Seq, qual []byte, hap genome.Seq, s *Scratch) Re
 	return Result{Log10Likelihood: ll, UsedDouble: true, CellUpdates: cells + cells64}
 }
 
-// Region is one independent task: the reads aligned to a genome window
-// and the candidate haplotypes assembled for it. The kernel evaluates
-// all |R| x |H| pairs.
+// Region is the reads aligned to a genome window and the candidate
+// haplotypes assembled for it. The kernel evaluates all |R| x |H|
+// pairs. Reads are independent rows of the answer, so a read range of
+// a region, with all its haplotypes, evaluates to those rows bit for
+// bit.
 type Region struct {
 	Reads []genome.Seq
 	Quals [][]byte
@@ -413,129 +410,4 @@ func EvaluateRegionScalarInto(rg *Region, s *Scratch) RegionResult {
 		}
 	}
 	return res
-}
-
-// KernelResult aggregates a phmm benchmark execution.
-type KernelResult struct {
-	Regions     int
-	Pairs       int
-	CellUpdates uint64
-	Fallbacks   int
-	TaskStats   *perf.TaskStats
-	Counters    perf.Counters
-}
-
-// span is one dispatch unit of RunKernelCtx: a contiguous read range
-// of one region (the whole region unless planSpans cut it), plus the
-// slot its worker reports into.
-type span struct {
-	region int    // index into regions
-	first  bool   // carries the region's fault trip-point
-	sub    Region // rg.Reads[lo:hi], rg.Quals[lo:hi], all of rg.Haps
-	est    uint64 // Σ read lengths × Σ haplotype lengths: the float32 cells
-
-	cells     uint64 // written by the one worker that ran the span
-	fallbacks int
-}
-
-// splitFactor sets the heavy-region cut: with more than one thread, a
-// region above total/(splitFactor·threads) cells is cut into read
-// ranges of about that size, so the largest task a worker can be left
-// holding is a quarter of its fair share.
-const splitFactor = 4
-
-// planSpans lays regions out as dispatch units. With one thread that
-// is one span per region in region order. With more, regions whose
-// estimated cells exceed total/(splitFactor·threads) are cut into
-// near-equal contiguous read ranges — reads are independent rows of
-// Likelihoods/BestHap, and CellUpdates/Fallbacks are integer sums, so
-// the pieces reduce to the unsplit result bit for bit — and the spans
-// are ordered heaviest first.
-func planSpans(regions []*Region, threads int) []span {
-	est := make([]uint64, len(regions))
-	var total uint64
-	for i, rg := range regions {
-		var readLen, hapLen uint64
-		for _, r := range rg.Reads {
-			readLen += uint64(len(r))
-		}
-		for _, h := range rg.Haps {
-			hapLen += uint64(len(h))
-		}
-		est[i] = readLen * hapLen
-		total += est[i]
-	}
-	limit := total/uint64(splitFactor*threads) + 1
-	spans := make([]span, 0, len(regions)+splitFactor*threads)
-	for i, rg := range regions {
-		nr := len(rg.Reads)
-		pieces := 1
-		if threads > 1 && est[i] > limit {
-			pieces = int(min(uint64(nr), (est[i]+limit-1)/limit))
-		}
-		// Piece p covers reads [p*nr/pieces, (p+1)*nr/pieces).
-		for p := 0; p < pieces; p++ {
-			lo, hi := p*nr/pieces, (p+1)*nr/pieces
-			spans = append(spans, span{region: i, first: p == 0, est: est[i] / uint64(pieces),
-				sub: Region{Reads: rg.Reads[lo:hi], Quals: rg.Quals[lo:hi], Haps: rg.Haps}})
-		}
-	}
-	if threads > 1 {
-		sort.SliceStable(spans, func(a, b int) bool { return spans[a].est > spans[b].est })
-	}
-	return spans
-}
-
-// RunKernelCtx evaluates all regions with dynamic scheduling; a region
-// is one task, matching the paper's genome-region parallelism
-// granularity for phmm, unless planSpans cut it. It runs under
-// cooperative cancellation (checked before every span) with a fault
-// trip-point per region.
-func RunKernelCtx(ctx context.Context, regions []*Region, threads int) (KernelResult, error) {
-	if threads <= 0 {
-		threads = 1
-	}
-	pool := scratch.PoolFrom(ctx) // nil pool hands out fresh scratch
-	scratches := make([]*Scratch, threads)
-	for i := range scratches {
-		scratches[i] = pool.WorkerState(i, func() any { return NewScratch() }).(*Scratch)
-	}
-	spans := planSpans(regions, threads)
-	// Active-region cost skews with read depth and haplotype count;
-	// one span per pull off the shared counter balances it.
-	err := parallel.ForEachCtxErr(ctx, len(spans), threads, func(tctx context.Context, w, i int) error {
-		sp := &spans[i]
-		if sp.first {
-			if err := faultinject.Point(tctx); err != nil {
-				return err
-			}
-		}
-		r := EvaluateRegionInto(&sp.sub, scratches[w])
-		sp.cells, sp.fallbacks = r.CellUpdates, r.Fallbacks
-		return nil
-	})
-	if err != nil {
-		return KernelResult{}, err
-	}
-	// One TaskStats sample per region, in region order, whatever the
-	// split: the paper's Figure 4 is about regions, not dispatch units.
-	res := KernelResult{Regions: len(regions), TaskStats: perf.NewTaskStats("cell updates")}
-	regionCells := make([]uint64, len(regions))
-	for i := range spans {
-		regionCells[spans[i].region] += spans[i].cells
-		res.Fallbacks += spans[i].fallbacks
-	}
-	for i, rg := range regions {
-		res.Pairs += len(rg.Reads) * len(rg.Haps)
-		res.CellUpdates += regionCells[i]
-		res.TaskStats.Observe(float64(regionCells[i]))
-	}
-	// phmm is the suite's floating-point kernel: each cell is ~9 FP
-	// multiply-adds, vectorized in the original.
-	res.Counters.Add(perf.FloatOp, res.CellUpdates*3)
-	res.Counters.Add(perf.VecOp, res.CellUpdates*6)
-	res.Counters.Add(perf.Load, res.CellUpdates*2)
-	res.Counters.Add(perf.Store, res.CellUpdates)
-	res.Counters.Add(perf.Branch, res.CellUpdates/8)
-	return res, nil
 }

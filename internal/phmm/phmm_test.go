@@ -1,7 +1,6 @@
 package phmm
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -135,33 +134,6 @@ func TestEmptyInputs(t *testing.T) {
 	}
 }
 
-func TestRunKernelConsistency(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	regions := make([]*Region, 6)
-	for i := range regions {
-		hap := genome.Random(rng, 100+rng.Intn(100))
-		var rg Region
-		rg.Haps = []genome.Seq{hap, hap.ReverseComplement()}
-		for r := 0; r < 3+rng.Intn(3); r++ {
-			start := rng.Intn(len(hap) - 40)
-			rg.Reads = append(rg.Reads, hap[start:start+40])
-			rg.Quals = append(rg.Quals, uniformQual(40, 30))
-		}
-		regions[i] = &rg
-	}
-	r1 := must(RunKernelCtx(context.Background(), regions, 1))
-	r4 := must(RunKernelCtx(context.Background(), regions, 4))
-	if r1.CellUpdates != r4.CellUpdates || r1.Pairs != r4.Pairs {
-		t.Errorf("threading changed results: %+v vs %+v", r1, r4)
-	}
-	if r1.Regions != 6 || r1.TaskStats.Count() != 6 {
-		t.Errorf("region bookkeeping wrong: %+v", r1)
-	}
-	if r1.Counters.Ops[1] == 0 { // FloatOp
-		t.Error("phmm should count floating-point ops")
-	}
-}
-
 func TestCellUpdatesCount(t *testing.T) {
 	hap := genome.MustFromString("ACGTACGTAC")
 	read := genome.MustFromString("ACGTA")
@@ -169,13 +141,4 @@ func TestCellUpdatesCount(t *testing.T) {
 	if res.CellUpdates != 50 {
 		t.Errorf("CellUpdates = %d, want 50", res.CellUpdates)
 	}
-}
-
-// must unwraps a RunKernelCtx result; a kernel run under a background
-// context with no fault plan armed cannot fail.
-func must(res KernelResult, err error) KernelResult {
-	if err != nil {
-		panic(err)
-	}
-	return res
 }

@@ -143,11 +143,9 @@ func buildMetagenomics(p Params) (*Pipeline, error) {
 						st.index, st.engine = index, fmindex.NewBatchEngine(index, 1, nil)
 					}
 					st.seeds = st.seeds[:0]
-					if err := st.engine.Run([]genome.Seq{r.Seq}, 25, 1, nil, func(_ int, smems []fmindex.SMEM, _ uint64) {
+					st.engine.Run([]genome.Seq{r.Seq}, 25, 1, func(_ int, smems []fmindex.SMEM, _ uint64) {
 						st.seeds = append(st.seeds, smems...)
-					}); err != nil {
-						return err
-					}
+					})
 					// Longest seeds first, with a position tiebreak so
 					// seed selection is deterministic.
 					smems := st.seeds
