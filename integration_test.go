@@ -271,7 +271,7 @@ func TestPipelinePileupToVariantTensor(t *testing.T) {
 	alns := simio.SimulateAlignments(rng, ref.Seq, 60, cfg)
 	alns = append(alns, simio.SimulateAlignments(rng, alt, 60, cfg)...)
 	regions := pileup.SplitRegions(5000, alns, 5000)
-	counts, _ := pileup.CountRegion(regions[0])
+	counts, _ := pileup.CountRegion(regions[0], nil)
 	// The SNV position must show mixed support.
 	c := &counts[2500]
 	refBase := ref.Seq[2500]
@@ -369,7 +369,7 @@ func TestPipelineLongReadCalling(t *testing.T) {
 	regions := pileup.SplitRegions(refLen, alignments, 5000)
 	candidate := map[int]bool{}
 	for _, rg := range regions {
-		counts, _ := pileup.CountRegion(rg)
+		counts, _ := pileup.CountRegion(rg, nil)
 		for _, p := range nnvariant.SelectCandidates(counts, ref.Seq, rg.Start, 8, 0.25) {
 			candidate[rg.Start+p] = true
 		}

@@ -1,6 +1,7 @@
 package chain
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/genome"
@@ -77,12 +78,7 @@ func (m *Mapper) Map(read genome.Seq, cfg Config) []Mapping {
 		if len(anchors) == 0 {
 			continue
 		}
-		sort.Slice(anchors, func(i, j int) bool {
-			if anchors[i].X != anchors[j].X {
-				return anchors[i].X < anchors[j].X
-			}
-			return anchors[i].Y < anchors[j].Y
-		})
+		slices.SortFunc(anchors, compareXY)
 		chains, _ := ChainAnchors(anchors, cfg)
 		for _, c := range chains {
 			x0, x1, y0, y1 := c.Span(anchors)

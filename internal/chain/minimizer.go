@@ -7,7 +7,8 @@
 package chain
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/genome"
 )
@@ -32,32 +33,60 @@ func hash64(key, mask uint64) uint64 {
 }
 
 // Minimizers extracts the (w,k)-minimizers of s: for every window of w
-// consecutive k-mers, the k-mer with the smallest hash is sampled.
-// Consecutive duplicate selections are collapsed.
+// consecutive k-mers, the k-mer with the smallest hash is sampled, the
+// leftmost on a tie. Consecutive duplicate selections are collapsed.
+//
+// The window keeps its minimum as it slides: an entering k-mer replaces
+// the minimum only when strictly smaller, so ties stay leftmost, and
+// the w hashes in the ring are rescanned only when the minimum leaves
+// the window. Each k-mer is hashed once, and the scan is O(len(s)) in
+// expectation instead of O(len(s)·w); the selections are exactly the
+// full per-window scan's.
 func Minimizers(s genome.Seq, k, w int) []Minimizer {
 	if len(s) < k+w-1 || k <= 0 || k > 31 || w <= 0 {
 		return nil
 	}
 	mask := uint64(1)<<(2*uint(k)) - 1
 	nk := len(s) - k + 1
-	hashes := make([]uint64, nk)
-	genome.EachKmer(s, k, func(pos int, code uint64) {
-		hashes[pos] = hash64(code, mask)
-	})
-	var out []Minimizer
-	lastPos := int32(-1)
-	for start := 0; start+w <= nk; start++ {
-		minIdx := start
-		for i := start + 1; i < start+w; i++ {
-			if hashes[i] < hashes[minIdx] {
-				minIdx = i
+	ring := make([]uint64, w) // the window's hashes, k-mer i at i%w
+	// A random sequence samples 2/(w+1) of its k-mers, give or take a
+	// few percent; an eighth more keeps out from growing.
+	expect := 2 * nk / (w + 1)
+	out := make([]Minimizer, 0, expect+expect/8+16)
+	next := 0 // the ring slot k-mer i fills, i%w
+	minIdx, minHash := -1, uint64(0)
+	genome.EachKmer(s, k, func(i int, code uint64) {
+		h := hash64(code, mask)
+		ring[next] = h
+		if next++; next == w {
+			next = 0
+		}
+		// next is now the slot of the window's first k-mer.
+		start := i - w + 1
+		switch {
+		case start < 0:
+			return // the first window is not full yet
+		case minIdx < start:
+			// The minimum left the window (or there is none yet):
+			// rescan it, leftmost first.
+			minIdx, minHash = start, ring[next]
+			for j, p := start+1, next+1; j <= i; j, p = j+1, p+1 {
+				if p == w {
+					p = 0
+				}
+				if ring[p] < minHash {
+					minIdx, minHash = j, ring[p]
+				}
 			}
+		case h < minHash:
+			minIdx, minHash = i, h
+		default:
+			return // the minimum stands and is already sampled
 		}
-		if int32(minIdx) != lastPos {
-			out = append(out, Minimizer{Hash: hashes[minIdx], Pos: int32(minIdx)})
-			lastPos = int32(minIdx)
-		}
-	}
+		// Every change of the minimum is a new selection: it only
+		// moves right.
+		out = append(out, Minimizer{Hash: minHash, Pos: int32(minIdx)})
+	})
 	return out
 }
 
@@ -68,6 +97,17 @@ type Anchor struct {
 	X int32 // target end position (inclusive)
 	Y int32 // query end position (inclusive)
 	W int32 // seed length
+}
+
+// compareXY orders anchors by target then query position. No two
+// anchors between one pair of sequences share both — a query
+// minimizer's position is unique and so is each target position it
+// hits — so the order is total and every sort returns the same slice.
+func compareXY(a, b Anchor) int {
+	if c := cmp.Compare(a.X, b.X); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Y, b.Y)
 }
 
 // SharedAnchors builds the anchors between two reads from their shared
@@ -95,11 +135,6 @@ func SharedAnchors(query, target genome.Seq, k, w, maxOcc int) []Anchor {
 			})
 		}
 	}
-	sort.Slice(anchors, func(i, j int) bool {
-		if anchors[i].X != anchors[j].X {
-			return anchors[i].X < anchors[j].X
-		}
-		return anchors[i].Y < anchors[j].Y
-	})
+	slices.SortFunc(anchors, compareXY)
 	return anchors
 }

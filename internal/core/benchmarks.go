@@ -592,10 +592,14 @@ var kernels = []kernel{
 			}
 			return pileup.SplitRegions(refLen, alns, pileup.RegionSize)
 		},
-		loop: perTask[[]*pileup.Region, struct{}, counted[[]pileup.Counts]]{
+		loop: perTask[[]*pileup.Region, *[]pileup.Counts, counted[[]pileup.Counts]]{
 			n: func(regions []*pileup.Region) int { return len(regions) },
-			task: func(regions []*pileup.Region, _ struct{}, i int) counted[[]pileup.Counts] {
-				counts, lookups := pileup.CountRegion(regions[i])
+			// A worker counts region after region into one buffer; the
+			// answer aliases it until the worker's next task.
+			worker: func([]*pileup.Region, *scratch.Pool, int) *[]pileup.Counts { return new([]pileup.Counts) },
+			task: func(regions []*pileup.Region, buf *[]pileup.Counts, i int) counted[[]pileup.Counts] {
+				counts, lookups := pileup.CountRegion(regions[i], *buf)
+				*buf = counts
 				return counted[[]pileup.Counts]{counts, uint64(lookups)}
 			},
 			digest: func(r counted[[]pileup.Counts]) (uint64, uint64) {
@@ -655,7 +659,7 @@ var kernels = []kernel{
 			})
 			regions := pileup.SplitRegions(refLen, alns, 10_000)
 			for _, rg := range regions {
-				counts, _ := pileup.CountRegion(rg)
+				counts, _ := pileup.CountRegion(rg, nil) // nil: each task keeps its region's counts
 				cands := nnvariant.SelectCandidates(counts, ref.Seq, rg.Start, 8, 0.25)
 				// Cap candidates per region to bound runtime like Clair's
 				// batching does.

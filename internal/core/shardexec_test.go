@@ -181,6 +181,7 @@ func TestExecutorRunTaskAllocs(t *testing.T) {
 		{"spoa", 4, "the returned consensus, plus edge lists still growing on reused nodes: poa's own pooled gate"},
 		{"dbg", 16, "the returned haplotypes, ~6 a region, and the slice that collects them"},
 		{"phmm", 0, "EvaluateRegionInto on a warm scratch"},
+		{"pileup", 0, "CountRegion into the worker's buffer"},
 	}
 	for _, l := range limits {
 		ex, n := preparedExecutor(t, l.kernel, "small", hammerSeed)

@@ -178,7 +178,7 @@ func TestEndToEndWithSimulatedAlignments(t *testing.T) {
 	m := NewModel(11, DefaultConfig())
 	var tasks []*Task
 	for _, rg := range regions {
-		counts, _ := pileup.CountRegion(rg)
+		counts, _ := pileup.CountRegion(rg, nil)
 		cands := SelectCandidates(counts, ref, rg.Start, 8, 0.25)
 		tasks = append(tasks, &Task{Counts: counts, Candidates: cands})
 	}

@@ -46,14 +46,14 @@ func BenchmarkCountRegion(b *testing.B) {
 			rg := benchRegion(b, false, hifi) // unpacked records: clamped byte fallback
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				CountRegion(rg)
+				CountRegion(rg, nil)
 			}
 		})
 		b.Run(name+"/packed", func(b *testing.B) {
 			rg := benchRegion(b, true, hifi)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				CountRegion(rg)
+				CountRegion(rg, nil)
 			}
 		})
 	}

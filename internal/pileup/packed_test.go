@@ -22,7 +22,7 @@ func TestCountRegionPackedDifferential(t *testing.T) {
 		alns := simio.SimulateAlignments(rng, ref, 40+rng.Intn(120), cfg)
 		regionSize := 300 + rng.Intn(1500)
 		for _, rg := range SplitRegions(len(ref), alns, regionSize) {
-			got, gotReads := CountRegion(rg)
+			got, gotReads := CountRegion(rg, nil)
 			want, wantReads := CountRegionScalar(rg)
 			if gotReads != wantReads {
 				t.Fatalf("trial %d: reads = %d, want %d", trial, gotReads, wantReads)
@@ -55,7 +55,7 @@ func TestCountRegionPackedRunLengths(t *testing.T) {
 						a.Pack()
 					}
 					rg := &Region{Start: 100, End: 200, Alignments: []*simio.Alignment{a}}
-					got, _ := CountRegion(rg)
+					got, _ := CountRegion(rg, nil)
 					want, _ := CountRegionScalar(rg)
 					for p := range want {
 						if got[p] != want[p] {
@@ -83,7 +83,7 @@ func TestCountRegionShortRunExhaustive(t *testing.T) {
 			a := &simio.Alignment{Pos: 100, Cigar: cig, Seq: seq[:phase+runLen], Reverse: phase%2 == 1}
 			a.Pack()
 			rg := &Region{Start: 100, End: 200, Alignments: []*simio.Alignment{a}}
-			got, _ := CountRegion(rg)
+			got, _ := CountRegion(rg, nil)
 			want, _ := CountRegionScalar(rg)
 			for p := range want {
 				if got[p] != want[p] {

@@ -45,7 +45,10 @@ type Region struct {
 
 // CountRegion walks every alignment's CIGAR and fills the window's
 // pileup. It returns the counts (End-Start positions) and the number
-// of alignment records processed.
+// of alignment records processed. The counts are dst's storage,
+// cleared, when dst has room for the window — a worker counting region
+// after region reuses one buffer — and a fresh slice otherwise; dst
+// may be nil.
 //
 // Match runs — the overwhelming bulk of real CIGARs — take a packed
 // fast path: the run is clamped to the window once (no per-base
@@ -59,8 +62,14 @@ type Region struct {
 // results are exactly CountRegionScalar's (integer counters, no
 // rounding to tolerate), which the differential tests assert on both
 // sides of it.
-func CountRegion(rg *Region) ([]Counts, int) {
-	counts := make([]Counts, rg.End-rg.Start)
+func CountRegion(rg *Region, dst []Counts) ([]Counts, int) {
+	var counts []Counts
+	if n := rg.End - rg.Start; cap(dst) >= n {
+		counts = dst[:n]
+		clear(counts)
+	} else {
+		counts = make([]Counts, n)
+	}
 	for _, a := range rg.Alignments {
 		strand := 0
 		if a.Reverse {
@@ -132,9 +141,9 @@ const countsStride = unsafe.Sizeof(Counts{})
 // strided pointer walk (the lanes.Load4U idiom): dst's strand-selected
 // column is indexed by base code directly, so the per-base work is a
 // shift, a mask and a memory increment — no per-base bounds checks,
-// slice-header math or byte loads. dst is derived from the counts
-// slice the caller just allocated, and i stays below len(dst), so the
-// pointer never leaves the allocation.
+// slice-header math or byte loads. dst is a subslice of the caller's
+// counts, and i stays below len(dst), so the pointer never leaves the
+// allocation.
 func countMatchRunPacked(dst []Counts, words []uint64, q0, strand int) {
 	n := len(dst)
 	c := unsafe.Pointer(&dst[0].Base[strand][0])

@@ -12,7 +12,7 @@ func TestCountRegionPerfectAlignment(t *testing.T) {
 	seq := genome.MustFromString("ACGTACGT")
 	a := &simio.Alignment{Pos: 10, Cigar: simio.Cigar{{Len: 8, Op: simio.CigarMatch}}, Seq: seq}
 	rg := &Region{Start: 0, End: 30, Alignments: []*simio.Alignment{a}}
-	counts, reads := CountRegion(rg)
+	counts, reads := CountRegion(rg, nil)
 	if reads != 1 {
 		t.Errorf("reads = %d", reads)
 	}
@@ -37,7 +37,7 @@ func TestCountRegionIndelsAndClips(t *testing.T) {
 		t.Fatal(err)
 	}
 	rg := &Region{Start: 0, End: 20, Alignments: []*simio.Alignment{a}}
-	counts, _ := CountRegion(rg)
+	counts, _ := CountRegion(rg, nil)
 	// Matched ref positions: 5,6,7 (ACG), 8,9 (TA), 12 (C); 10,11 deleted.
 	for _, pos := range []int{5, 6, 7, 8, 9, 12} {
 		if counts[pos].Depth() != 1 {
@@ -86,7 +86,7 @@ func TestRegionClipping(t *testing.T) {
 	seq := genome.MustFromString("AAAAAAAAAA")
 	a := &simio.Alignment{Pos: 95, Cigar: simio.Cigar{{Len: 10, Op: simio.CigarMatch}}, Seq: seq}
 	rg := &Region{Start: 100, End: 110, Alignments: []*simio.Alignment{a}}
-	counts, _ := CountRegion(rg)
+	counts, _ := CountRegion(rg, nil)
 	// Only positions 100-104 fall inside the window.
 	var depth uint32
 	for i := range counts {
@@ -126,7 +126,7 @@ func TestSimulatedPileupRecoversReference(t *testing.T) {
 	regions := SplitRegions(len(ref), alns, 1000)
 	correct, covered := 0, 0
 	for _, rg := range regions {
-		counts, _ := CountRegion(rg)
+		counts, _ := CountRegion(rg, nil)
 		for p := range counts {
 			if counts[p].Depth() < 5 {
 				continue
@@ -150,5 +150,40 @@ func TestMajorityBaseEmpty(t *testing.T) {
 	var c Counts
 	if _, _, ok := c.MajorityBase(); ok {
 		t.Error("empty counts reported a majority base")
+	}
+}
+
+// TestCountRegionReusesDirtyBuffer: counting into a buffer left dirty
+// by earlier regions equals a fresh count, in the buffer's storage —
+// a buffer larger than the region, and a tail region shorter than
+// RegionSize followed by a full one.
+func TestCountRegionReusesDirtyBuffer(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	ref := genome.Random(rng, RegionSize+37_000)
+	alns := simio.SimulateAlignments(rng, ref, 120, simio.DefaultAlignSim())
+	regions := SplitRegions(len(ref), alns, RegionSize)
+	if len(regions) != 2 || regions[1].End-regions[1].Start >= RegionSize {
+		t.Fatalf("want a full region and a short tail, got %d regions", len(regions))
+	}
+	buf := make([]Counts, RegionSize+100)
+	for i := range buf {
+		buf[i] = Counts{Base: [2][4]uint32{{7, 7, 7, 7}, {7, 7, 7, 7}}, Ins: [2]uint32{7, 7}, Del: [2]uint32{7, 7}}
+	}
+	for _, rg := range []*Region{regions[0], regions[1], regions[0]} {
+		got, gotReads := CountRegion(rg, buf)
+		want, wantReads := CountRegionScalar(rg)
+		if &got[0] != &buf[0] {
+			t.Errorf("region [%d,%d): counted into fresh storage, not the buffer", rg.Start, rg.End)
+		}
+		if gotReads != wantReads || len(got) != len(want) {
+			t.Fatalf("region [%d,%d): %d reads over %d positions, want %d over %d",
+				rg.Start, rg.End, gotReads, len(got), wantReads, len(want))
+		}
+		for p := range want {
+			if got[p] != want[p] {
+				t.Fatalf("region [%d,%d) position %d: %+v, want %+v", rg.Start, rg.End, rg.Start+p, got[p], want[p])
+			}
+		}
+		buf = got
 	}
 }

@@ -2,6 +2,7 @@ package simio
 
 import (
 	"math/rand"
+	"strconv"
 
 	"repro/internal/genome"
 )
@@ -46,59 +47,59 @@ func SimulateAlignments(rng *rand.Rand, ref genome.Seq, n int, cfg AlignSimConfi
 		}
 		pos := rng.Intn(len(ref) - length)
 		a := simulateOne(rng, ref, pos, length, &cfg)
-		a.ReadName = "aln-" + itoa(i)
+		var name [24]byte
+		a.ReadName = string(strconv.AppendInt(append(name[:0], "aln-"...), int64(i), 10))
 		a.Pack()
 		out = append(out, a)
 	}
 	return out
 }
 
+// simulateOne corrupts ref[pos:pos+refLen] into one read. seq and qual
+// start with room for the expected read plus slack (insertions outrun
+// deletions by a few per kilobase at most) and the CIGAR with room for
+// a run per eight bases, so a record costs a handful of allocations;
+// append still grows either one past that. The draws are one Float64
+// per reference base, then Intn(4) and two NormFloat64 on an
+// insertion, Intn(3) and one NormFloat64 on a substitution, one
+// NormFloat64 on a match, and Intn(2) for the strand: the draw order
+// is the dataset, so it must not change.
 func simulateOne(rng *rand.Rand, ref genome.Seq, pos, refLen int, cfg *AlignSimConfig) *Alignment {
-	var seq genome.Seq
-	var qual []byte
-	var cig Cigar
-	addOp := func(op CigarOp, n int) {
-		if n == 0 {
-			return
-		}
-		if len(cig) > 0 && cig[len(cig)-1].Op == op {
-			cig[len(cig)-1].Len += n
-			return
-		}
-		cig = append(cig, CigarElem{Len: n, Op: op})
-	}
-	q := func() byte {
-		v := cfg.MeanQual + rng.NormFloat64()*3
-		if v < 2 {
-			v = 2
-		}
-		if v > 60 {
-			v = 60
-		}
-		return byte(v)
-	}
+	readCap := refLen + refLen/32 + 64
+	seq := make(genome.Seq, 0, readCap)
+	qual := make([]byte, 0, readCap)
+	cig := make(Cigar, 0, refLen/8+1)
 	for r := pos; r < pos+refLen; r++ {
 		roll := rng.Float64()
+		op := CigarMatch
 		switch {
 		case roll < cfg.DelRate:
-			addOp(CigarDel, 1)
+			op = CigarDel
 		case roll < cfg.DelRate+cfg.InsRate:
 			seq = append(seq, genome.Base(rng.Intn(4)), ref[r])
-			qual = append(qual, q(), q())
-			addOp(CigarIns, 1)
-			addOp(CigarMatch, 1)
+			qual = append(qual, drawQual(rng, cfg.MeanQual), drawQual(rng, cfg.MeanQual))
+			// The inserted base opens an I run; ref[r] then falls
+			// through to the M below.
+			if n := len(cig); n > 0 && cig[n-1].Op == CigarIns {
+				cig[n-1].Len++
+			} else {
+				cig = append(cig, CigarElem{Len: 1, Op: CigarIns})
+			}
 		case roll < cfg.DelRate+cfg.InsRate+cfg.SubRate:
 			alt := genome.Base(rng.Intn(3))
 			if alt >= ref[r] {
 				alt++
 			}
 			seq = append(seq, alt)
-			qual = append(qual, q())
-			addOp(CigarMatch, 1)
+			qual = append(qual, drawQual(rng, cfg.MeanQual))
 		default:
 			seq = append(seq, ref[r])
-			qual = append(qual, q())
-			addOp(CigarMatch, 1)
+			qual = append(qual, drawQual(rng, cfg.MeanQual))
+		}
+		if n := len(cig); n > 0 && cig[n-1].Op == op {
+			cig[n-1].Len++
+		} else {
+			cig = append(cig, CigarElem{Len: 1, Op: op})
 		}
 	}
 	return &Alignment{
@@ -112,16 +113,7 @@ func simulateOne(rng *rand.Rand, ref genome.Seq, pos, refLen int, cfg *AlignSimC
 	}
 }
 
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	p := len(buf)
-	for i > 0 {
-		p--
-		buf[p] = byte('0' + i%10)
-		i /= 10
-	}
-	return string(buf[p:])
+// drawQual draws one base quality around mean, clamped to [2, 60].
+func drawQual(rng *rand.Rand, mean float64) byte {
+	return byte(min(max(mean+rng.NormFloat64()*3, 2), 60))
 }

@@ -202,3 +202,25 @@ func TestSimulatedAlignmentReconstruction(t *testing.T) {
 		}
 	}
 }
+
+// TestSimulateAlignmentsAllocs: a simulated record costs its Alignment,
+// Seq, Qual, CIGAR, packed words and name — six allocations, each sized
+// once from the reference span — plus slack for the rare read that
+// outgrows its preallocation. Growing Seq, Qual and the CIGAR by append
+// cost ~38 per record at DefaultAlignSim.
+func TestSimulateAlignmentsAllocs(t *testing.T) {
+	const n = 50
+	rng := rand.New(rand.NewSource(5))
+	ref := genome.Random(rng, 200_000)
+	cfg := DefaultAlignSim()
+	perRecord := testing.AllocsPerRun(3, func() {
+		rng.Seed(5)
+		if got := len(SimulateAlignments(rng, ref, n, cfg)); got != n {
+			t.Fatalf("%d records, want %d", got, n)
+		}
+	}) / n
+	if perRecord > 7 {
+		t.Errorf("SimulateAlignments: %.2f allocs/record, want <= 7", perRecord)
+	}
+	t.Logf("SimulateAlignments: %.2f allocs/record", perRecord)
+}
