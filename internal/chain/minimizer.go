@@ -39,9 +39,9 @@ func hash64(key, mask uint64) uint64 {
 // The window keeps its minimum as it slides: an entering k-mer replaces
 // the minimum only when strictly smaller, so ties stay leftmost, and
 // the w hashes in the ring are rescanned only when the minimum leaves
-// the window. Each k-mer is hashed once, and the scan is O(len(s)) in
-// expectation instead of O(len(s)·w); the selections are exactly the
-// full per-window scan's.
+// the window. Each k-mer is hashed once and the scan is O(len(s)) in
+// expectation; the selections are exactly a full scan of every window
+// (the reference in minimizer_test.go).
 func Minimizers(s genome.Seq, k, w int) []Minimizer {
 	if len(s) < k+w-1 || k <= 0 || k > 31 || w <= 0 {
 		return nil
@@ -55,7 +55,11 @@ func Minimizers(s genome.Seq, k, w int) []Minimizer {
 	out := make([]Minimizer, 0, expect+expect/8+16)
 	next := 0 // the ring slot k-mer i fills, i%w
 	minIdx, minHash := -1, uint64(0)
-	genome.EachKmer(s, k, func(i int, code uint64) {
+	// A rolling k-mer code, as genome.EachKmer keeps it, without a
+	// call per k-mer.
+	code := genome.KmerCode(s, 0, k-1)
+	for i := 0; i < nk; i++ {
+		code = (code<<2 | uint64(s[i+k-1]&3)) & mask
 		h := hash64(code, mask)
 		ring[next] = h
 		if next++; next == w {
@@ -65,7 +69,7 @@ func Minimizers(s genome.Seq, k, w int) []Minimizer {
 		start := i - w + 1
 		switch {
 		case start < 0:
-			return // the first window is not full yet
+			continue // the first window is not full yet
 		case minIdx < start:
 			// The minimum left the window (or there is none yet):
 			// rescan it, leftmost first.
@@ -81,12 +85,12 @@ func Minimizers(s genome.Seq, k, w int) []Minimizer {
 		case h < minHash:
 			minIdx, minHash = i, h
 		default:
-			return // the minimum stands and is already sampled
+			continue // the minimum stands and is already sampled
 		}
 		// Every change of the minimum is a new selection: it only
 		// moves right.
 		out = append(out, Minimizer{Hash: minHash, Pos: int32(minIdx)})
-	})
+	}
 	return out
 }
 
@@ -117,19 +121,36 @@ func compareXY(a, b Anchor) int {
 func SharedAnchors(query, target genome.Seq, k, w, maxOcc int) []Anchor {
 	qm := Minimizers(query, k, w)
 	tm := Minimizers(target, k, w)
-	tIndex := make(map[uint64][]int32, len(tm))
-	for _, m := range tm {
-		tIndex[m.Hash] = append(tIndex[m.Hash], m.Pos)
+	// The target minimizers of one hash are a chain through next from
+	// first[hash], ending at -1: two allocations for the whole index,
+	// where a slice of positions per hash costs one per minimizer.
+	first := make(map[uint64]int32, len(tm))
+	next := make([]int32, len(tm))
+	for i := range tm {
+		next[i] = -1
+		if j, ok := first[tm[i].Hash]; ok {
+			next[i] = j
+		}
+		first[tm[i].Hash] = int32(i)
 	}
 	var anchors []Anchor
 	for _, m := range qm {
-		positions := tIndex[m.Hash]
-		if len(positions) == 0 || (maxOcc > 0 && len(positions) > maxOcc) {
+		head, ok := first[m.Hash]
+		if !ok {
 			continue
 		}
-		for _, tp := range positions {
+		if maxOcc > 0 {
+			n := 0
+			for j := head; j >= 0 && n <= maxOcc; j = next[j] {
+				n++
+			}
+			if n > maxOcc {
+				continue
+			}
+		}
+		for j := head; j >= 0; j = next[j] {
 			anchors = append(anchors, Anchor{
-				X: tp + int32(k) - 1,
+				X: tm[j].Pos + int32(k) - 1,
 				Y: m.Pos + int32(k) - 1,
 				W: int32(k),
 			})

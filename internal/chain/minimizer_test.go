@@ -3,6 +3,7 @@ package chain
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/genome"
@@ -36,6 +37,63 @@ func minimizersReference(s genome.Seq, k, w int) []Minimizer {
 		}
 	}
 	return out
+}
+
+// sharedAnchorsReference is the index SharedAnchors replaced: a slice
+// of target positions per hash, looked up per query minimizer, then
+// sorted. SharedAnchors must equal it.
+func sharedAnchorsReference(query, target genome.Seq, k, w, maxOcc int) []Anchor {
+	qm := minimizersReference(query, k, w)
+	tm := minimizersReference(target, k, w)
+	tIndex := make(map[uint64][]int32, len(tm))
+	for _, m := range tm {
+		tIndex[m.Hash] = append(tIndex[m.Hash], m.Pos)
+	}
+	var anchors []Anchor
+	for _, m := range qm {
+		positions := tIndex[m.Hash]
+		if len(positions) == 0 || (maxOcc > 0 && len(positions) > maxOcc) {
+			continue
+		}
+		for _, tp := range positions {
+			anchors = append(anchors, Anchor{X: tp + int32(k) - 1, Y: m.Pos + int32(k) - 1, W: int32(k)})
+		}
+	}
+	sort.Slice(anchors, func(i, j int) bool {
+		if anchors[i].X != anchors[j].X {
+			return anchors[i].X < anchors[j].X
+		}
+		return anchors[i].Y < anchors[j].Y
+	})
+	return anchors
+}
+
+// TestSharedAnchorsMatchReference: overlapping, unrelated and
+// low-complexity read pairs — the last with hashes repeated past
+// maxOcc — give the reference's anchors exactly, at the chain
+// kernel's k, w and maxOcc and with the repeat cut-off off and tight.
+func TestSharedAnchorsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 60; trial++ {
+		// A 1-letter read samples every k-mer and every pair of them is
+		// an anchor, so low-complexity reads stay short.
+		alpha := []int{4, 4, 2, 1}[trial%4]
+		maxLen := map[int]int{4: 4000, 2: 800, 1: 200}[alpha]
+		src := alphabetSeq(rng, 20_000, alpha)
+		aLen, bLen := 30+rng.Intn(maxLen), 30+rng.Intn(maxLen)
+		aStart := rng.Intn(len(src) - aLen)
+		bStart := rng.Intn(len(src) - bLen)
+		if trial%3 != 0 { // overlapping
+			bStart = min(aStart+rng.Intn(aLen), len(src)-bLen)
+		}
+		a, b := src[aStart:aStart+aLen], src[bStart:bStart+bLen]
+		for _, maxOcc := range []int{100, 0, 2} {
+			got, want := SharedAnchors(b, a, 15, 10, maxOcc), sharedAnchorsReference(b, a, 15, 10, maxOcc)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d (alphabet %d, maxOcc %d): %d anchors, reference %d", trial, alpha, maxOcc, len(got), len(want))
+			}
+		}
+	}
 }
 
 // alphabetSeq draws n bases from the first alpha letters: alpha 1 makes
@@ -124,6 +182,25 @@ func TestMinimizersAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, func() { Minimizers(s, 15, 10) }); allocs > 2 {
 		t.Errorf("Minimizers: %.0f allocs/call, want <= 2", allocs)
 	}
+}
+
+// BenchmarkSharedAnchors pairs the chained index with the
+// slice-per-hash reference on an overlapping pair of 6 kb reads.
+func BenchmarkSharedAnchors(b *testing.B) {
+	src := genome.Random(rand.New(rand.NewSource(4)), 10_000)
+	q, t := src[3000:9000], src[:6000]
+	b.Run("reference", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sharedAnchorsReference(q, t, 15, 10, 100)
+		}
+	})
+	b.Run("chained", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			SharedAnchors(q, t, 15, 10, 100)
+		}
+	})
 }
 
 // BenchmarkMinimizers pairs the sliding-minimum scan with the
