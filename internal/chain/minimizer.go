@@ -53,7 +53,7 @@ func Minimizers(s genome.Seq, k, w int) []Minimizer {
 	// few percent; an eighth more keeps out from growing.
 	expect := 2 * nk / (w + 1)
 	out := make([]Minimizer, 0, expect+expect/8+16)
-	next := 0 // the ring slot k-mer i fills, i%w
+	slot := 0 // the ring slot k-mer i fills, i%w
 	minIdx, minHash := -1, uint64(0)
 	// A rolling k-mer code, as genome.EachKmer keeps it, without a
 	// call per k-mer.
@@ -61,11 +61,11 @@ func Minimizers(s genome.Seq, k, w int) []Minimizer {
 	for i := 0; i < nk; i++ {
 		code = (code<<2 | uint64(s[i+k-1]&3)) & mask
 		h := hash64(code, mask)
-		ring[next] = h
-		if next++; next == w {
-			next = 0
+		ring[slot] = h
+		if slot++; slot == w {
+			slot = 0
 		}
-		// next is now the slot of the window's first k-mer.
+		// slot is now the window's first k-mer's.
 		start := i - w + 1
 		switch {
 		case start < 0:
@@ -73,8 +73,8 @@ func Minimizers(s genome.Seq, k, w int) []Minimizer {
 		case minIdx < start:
 			// The minimum left the window (or there is none yet):
 			// rescan it, leftmost first.
-			minIdx, minHash = start, ring[next]
-			for j, p := start+1, next+1; j <= i; j, p = j+1, p+1 {
+			minIdx, minHash = start, ring[slot]
+			for j, p := start+1, slot+1; j <= i; j, p = j+1, p+1 {
 				if p == w {
 					p = 0
 				}

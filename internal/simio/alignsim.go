@@ -56,10 +56,11 @@ func SimulateAlignments(rng *rand.Rand, ref genome.Seq, n int, cfg AlignSimConfi
 }
 
 // simulateOne corrupts ref[pos:pos+refLen] into one read. seq and qual
-// start with room for the expected read plus slack (insertions outrun
-// deletions by a few per kilobase at most) and the CIGAR with room for
-// a run per eight bases, so a record costs a handful of allocations;
-// append still grows either one past that. The draws are one Float64
+// start with room for the span plus 1/32 — at DefaultAlignSim's rates,
+// about eight standard deviations of a 4 kb read's insertion surplus —
+// and the CIGAR with room for a run per eight bases, so a record costs
+// a handful of allocations; append still grows any of them past that
+// capacity. The draws are one Float64
 // per reference base, then Intn(4) and two NormFloat64 on an
 // insertion, Intn(3) and one NormFloat64 on a substitution, one
 // NormFloat64 on a match, and Intn(2) for the strand: the draw order
@@ -78,13 +79,7 @@ func simulateOne(rng *rand.Rand, ref genome.Seq, pos, refLen int, cfg *AlignSimC
 		case roll < cfg.DelRate+cfg.InsRate:
 			seq = append(seq, genome.Base(rng.Intn(4)), ref[r])
 			qual = append(qual, drawQual(rng, cfg.MeanQual), drawQual(rng, cfg.MeanQual))
-			// The inserted base opens an I run; ref[r] then falls
-			// through to the M below.
-			if n := len(cig); n > 0 && cig[n-1].Op == CigarIns {
-				cig[n-1].Len++
-			} else {
-				cig = append(cig, CigarElem{Len: 1, Op: CigarIns})
-			}
+			cig = extendCigar(cig, CigarIns) // ref[r] is the M below
 		case roll < cfg.DelRate+cfg.InsRate+cfg.SubRate:
 			alt := genome.Base(rng.Intn(3))
 			if alt >= ref[r] {
@@ -96,11 +91,7 @@ func simulateOne(rng *rand.Rand, ref genome.Seq, pos, refLen int, cfg *AlignSimC
 			seq = append(seq, ref[r])
 			qual = append(qual, drawQual(rng, cfg.MeanQual))
 		}
-		if n := len(cig); n > 0 && cig[n-1].Op == op {
-			cig[n-1].Len++
-		} else {
-			cig = append(cig, CigarElem{Len: 1, Op: op})
-		}
+		cig = extendCigar(cig, op)
 	}
 	return &Alignment{
 		RefName: cfg.RefName,
@@ -111,6 +102,16 @@ func simulateOne(rng *rand.Rand, ref genome.Seq, pos, refLen int, cfg *AlignSimC
 		Qual:    qual,
 		Reverse: rng.Intn(2) == 1,
 	}
+}
+
+// extendCigar adds one base of op to the CIGAR's last run, or opens a
+// run when the last is another op.
+func extendCigar(cig Cigar, op CigarOp) Cigar {
+	if n := len(cig); n > 0 && cig[n-1].Op == op {
+		cig[n-1].Len++
+		return cig
+	}
+	return append(cig, CigarElem{Len: 1, Op: op})
 }
 
 // drawQual draws one base quality around mean, clamped to [2, 60].
