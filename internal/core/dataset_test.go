@@ -106,10 +106,6 @@ func (w *datasetWalker) walk(v reflect.Value, path string) error {
 		w.word(uint64(math.Float32bits(float32(v.Float()))))
 	case reflect.Float64:
 		w.word(math.Float64bits(v.Float()))
-	case reflect.Complex64, reflect.Complex128:
-		c := v.Complex()
-		w.word(math.Float64bits(real(c)))
-		w.word(math.Float64bits(imag(c)))
 	case reflect.String:
 		s := v.String()
 		w.word(uint64(len(s)))

@@ -60,11 +60,10 @@ func SimulateAlignments(rng *rand.Rand, ref genome.Seq, n int, cfg AlignSimConfi
 // about eight standard deviations of a 4 kb read's insertion surplus —
 // and the CIGAR with room for a run per eight bases, so a record costs
 // a handful of allocations; append still grows any of them past that
-// capacity. The draws are one Float64
-// per reference base, then Intn(4) and two NormFloat64 on an
-// insertion, Intn(3) and one NormFloat64 on a substitution, one
-// NormFloat64 on a match, and Intn(2) for the strand: the draw order
-// is the dataset, so it must not change.
+// capacity. The draws are one Float64 per reference base, then Intn(4)
+// and two NormFloat64 on an insertion, Intn(3) and one NormFloat64 on
+// a substitution, one NormFloat64 on a match, and Intn(2) for the
+// strand: the draw order is the dataset, so it must not change.
 func simulateOne(rng *rand.Rand, ref genome.Seq, pos, refLen int, cfg *AlignSimConfig) *Alignment {
 	readCap := refLen + refLen/32 + 64
 	seq := make(genome.Seq, 0, readCap)

@@ -224,3 +224,17 @@ func TestSimulateAlignmentsAllocs(t *testing.T) {
 	}
 	t.Logf("SimulateAlignments: %.2f allocs/record", perRecord)
 }
+
+// BenchmarkSimulateAlignments times 200 DefaultAlignSim records (~4 kb
+// each) from one seed: the cost of pileup's build, one draw at a time.
+func BenchmarkSimulateAlignments(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	ref := genome.Random(rng, 200_000)
+	cfg := DefaultAlignSim()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rng.Seed(5)
+		SimulateAlignments(rng, ref, 200, cfg)
+	}
+}
