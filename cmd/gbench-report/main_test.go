@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/resilience"
 )
 
 // writeSuiteMetrics runs one small kernel through core.RunSuite and
@@ -22,7 +21,7 @@ func writeSuiteMetrics(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.SuiteConfig{Size: core.Small, Seed: 42, Threads: 1, Policy: resilience.Default(), Obs: obs.NewObserver()}
+	cfg := core.SuiteConfig{Size: core.Small, Seed: 42, Threads: 1, Policy: core.PolicyFor(core.Small), Obs: obs.NewObserver()}
 	outcomes := core.RunSuite(context.Background(), []core.Benchmark{b}, cfg)
 	var buf bytes.Buffer
 	if err := core.WriteMetricsNDJSON(&buf, core.NewRunMeta(cfg, ""), outcomes, nil, cfg.Obs); err != nil {
@@ -51,7 +50,7 @@ func TestMetricsReportRendersSuiteRun(t *testing.T) {
 			t.Errorf("report lacks %q:\n%s", heading, out)
 		}
 	}
-	if !regexp.MustCompile(`(?m)^\s*fmi\s+ok\s+1\s`).MatchString(out) {
+	if !regexp.MustCompile(`(?m)^\s*fmi\s+ok\s+\d`).MatchString(out) {
 		t.Errorf("report lacks an ok fmi kernel row:\n%s", out)
 	}
 	if strings.Contains(out, "reproduction report") {

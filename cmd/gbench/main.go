@@ -3,9 +3,9 @@
 // per-task work statistics.
 //
 // The suite degrades gracefully: a kernel that panics, errors out, or
-// exceeds its per-attempt timeout is retried under the resilience
-// policy, then marked failed in the report while the remaining kernels
-// still run. The process exits 0 only when every kernel succeeded.
+// exceeds its per-kernel timeout is marked failed in the report, with
+// its cause, while the remaining kernels still run. The process exits 0
+// only when every kernel succeeded.
 //
 // With -metrics and -trace the run leaves machine-readable NDJSON
 // records — provenance meta, one kernel record per kernel (including
@@ -79,8 +79,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		tracePath   = fs.String("trace", "", "write phase spans (NDJSON) to this file")
 		faults      = fs.String("faults", "", `fault plan, e.g. "panic:spoa:0.5,delay:chain:200ms" (see internal/faultinject)`)
 		faultSeed   = fs.Int64("fault-seed", 1, "seed for deterministic fault firing")
-		timeout     = fs.Duration("timeout", 0, "per-attempt kernel timeout (0 = size default)")
-		attempts    = fs.Int("attempts", 0, "attempts per kernel (0 = policy default)")
+		timeout     = fs.Duration("timeout", 0, "per-kernel timeout (0 = size default)")
 		distN       = fs.Int("dist", 0, "run shardable kernels over N worker processes (0 = in-process)")
 		distAddr    = fs.String("dist-addr", "127.0.0.1:0", "coordinator listen address (with -dist)")
 		distShards  = fs.Int("dist-shards", 16, "shards per distributed kernel job")
@@ -139,9 +138,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	policy := core.PolicyFor(size)
 	if *timeout > 0 {
 		policy.Timeout = *timeout
-	}
-	if *attempts > 0 {
-		policy.Attempts = *attempts
 	}
 
 	// Observability: metrics registry + spans whenever either output
@@ -266,9 +262,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stderr, "\ngbench: %d of %d kernel(s) did not complete:\n", len(failed), len(outcomes))
 	for i := range failed {
 		o := &failed[i]
-		fmt.Fprintf(stderr, "  %s: %s: %v\n", o.Info.Name, o.Status, o.Err)
+		cause := o.Err
 		var ke *resilience.KernelError
-		if errors.As(o.Err, &ke) && ke.Panicked {
+		if errors.As(o.Err, &ke) {
+			cause = ke.Err // the line already names the kernel and its status
+		}
+		fmt.Fprintf(stderr, "  %s: %s: %v\n", o.Info.Name, o.Status, cause)
+		if ke != nil && ke.Panicked {
 			fmt.Fprintf(stderr, "%s\n", indent(ke.StackExcerpt(12), "    "))
 		}
 	}

@@ -73,6 +73,7 @@ func TestUsageErrorsNameTheOffender(t *testing.T) {
 		{[]string{"-size", "huge"}, `"huge"`},
 		{[]string{"-pprof", "a,b,c"}, `"a,b,c"`},
 		{[]string{"-worker-bin", "x"}, "-worker-bin"}, // retired with cmd/gbench-worker
+		{[]string{"-attempts", "2"}, "-attempts"},     // retired: a kernel runs once
 		{[]string{workerMode, "-id", "w1"}, "-addr"},
 	} {
 		var stdout, stderr bytes.Buffer

@@ -45,18 +45,17 @@ func (d *DistConfig) Distributed(kernel string) bool {
 
 // runDistKernel executes one kernel over the shard fabric and shapes
 // the job result into a KernelOutcome. The coordinator-side work runs
-// under a single-attempt resilience envelope for panic isolation only
-// — retries live below it (worker-side resilience.Run per shard) and
-// inside the coordinator (lease-based reschedules and hedges), so a
-// job error surfacing here means the fabric already exhausted its
-// recovery budget and the kernel should degrade to a failed outcome.
+// under the suite's resilience policy for panic isolation and the
+// deadline; recovery lives inside the coordinator (re-dispatch of a
+// failed or lost shard, and hedges), so a job error surfacing here
+// means the fabric already exhausted its dispatch budget and the
+// kernel should degrade to a failed outcome.
 func runDistKernel(ctx context.Context, info Info, cfg SuiteConfig, progress func(string, ...any)) KernelOutcome {
 	d := cfg.Dist
 	out := KernelOutcome{Info: info, Status: StatusOK}
 	start := time.Now()
 	var res *shard.JobResult
-	policy := resilience.Policy{Attempts: 1, Timeout: cfg.Policy.Timeout}
-	err := resilience.Run(ctx, info.Name, policy, func(actx context.Context) error {
+	err := resilience.Run(ctx, info.Name, cfg.Policy, func(actx context.Context) error {
 		// The task count is a function of size alone, so the coordinator
 		// partitions [0, n) without building the dataset; n travels with
 		// every assignment and a worker whose Prepare built a different
@@ -96,7 +95,6 @@ func runDistKernel(ctx context.Context, info Info, cfg SuiteConfig, progress fun
 		}
 		return nil
 	})
-	out.Attempts = 1
 	if err != nil {
 		out.Status = StatusFailed
 		out.Err = err

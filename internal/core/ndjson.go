@@ -78,7 +78,6 @@ type KernelRecord struct {
 	Kernel    string             `json:"kernel"`
 	Tool      string             `json:"tool,omitempty"`
 	Status    string             `json:"status"`
-	Attempts  int                `json:"attempts"`
 	ElapsedNs int64              `json:"elapsed_ns,omitempty"`
 	Ops       uint64             `json:"ops,omitempty"`
 	OpMix     map[string]float64 `json:"op_mix,omitempty"`
@@ -98,11 +97,10 @@ func KernelRecords(outcomes []KernelOutcome) []KernelRecord {
 	for i := range outcomes {
 		o := &outcomes[i]
 		rec := KernelRecord{
-			Type:     "kernel",
-			Kernel:   o.Info.Name,
-			Tool:     o.Info.Tool,
-			Status:   o.Status.String(),
-			Attempts: o.Attempts,
+			Type:   "kernel",
+			Kernel: o.Info.Name,
+			Tool:   o.Info.Tool,
+			Status: o.Status.String(),
 		}
 		if o.Shard != nil {
 			s := *o.Shard
@@ -306,11 +304,11 @@ func MetricsTables(f *MetricsFile) []*Table {
 	}
 	kt := &Table{
 		Title:   title,
-		Columns: []string{"benchmark", "status", "attempts", "elapsed", "tasks", "ops", "task p99", "max/mean", "shard", "error"},
+		Columns: []string{"benchmark", "status", "elapsed", "tasks", "ops", "task p99", "max/mean", "shard", "error"},
 	}
 	for _, k := range f.Kernels {
 		if k.Status != StatusOK.String() {
-			kt.AddRow(k.Kernel, k.Status, k.Attempts, "-", "-", "-", "-", "-",
+			kt.AddRow(k.Kernel, k.Status, "-", "-", "-", "-", "-",
 				ShardCell(k.Shard), FirstLine(k.Error))
 			continue
 		}
@@ -320,7 +318,7 @@ func MetricsTables(f *MetricsFile) []*Table {
 			p99 = fmt.Sprintf("%.3g", k.TaskWork.P99)
 			ratio = fmt.Sprintf("%.2fx", k.TaskWork.MaxToMean)
 		}
-		kt.AddRow(k.Kernel, k.Status, k.Attempts,
+		kt.AddRow(k.Kernel, k.Status,
 			time.Duration(k.ElapsedNs).Round(100*time.Microsecond),
 			tasks, k.Ops, p99, ratio, ShardCell(k.Shard), "-")
 	}

@@ -30,12 +30,13 @@ func runObservedSuite(t *testing.T) ([]KernelOutcome, *obs.Observer, *faultinjec
 	benches := []Benchmark{
 		&stubBench{name: "healthy"},
 		&stubBench{name: "broken", fn: func(context.Context) error { return errors.New("deliberate failure") }},
+		&stubBench{name: "crashy", fn: func(context.Context) error { panic("deliberate panic") }},
 		&stubBench{name: "victim", fn: func(c context.Context) error { return faultinject.Point(c) }},
 		&stubBench{name: "canceller", fn: func(context.Context) error { cancel(); return nil }},
 		&stubBench{name: "skipped"},
 	}
 	o := obs.NewObserver()
-	outcomes := RunSuite(ctx, benches, SuiteConfig{Policy: quietPolicy(), Obs: o})
+	outcomes := RunSuite(ctx, benches, SuiteConfig{Policy: PolicyFor(Small), Obs: o})
 	if len(outcomes) != len(benches) {
 		t.Fatalf("got %d outcomes for %d benches", len(outcomes), len(benches))
 	}
@@ -74,6 +75,7 @@ func TestMetricsNDJSONRoundTrip(t *testing.T) {
 	want := map[string]string{
 		"healthy":   "ok",
 		"broken":    "failed",
+		"crashy":    "failed",
 		"victim":    "failed",
 		"canceller": "ok",
 		"skipped":   "skipped",
@@ -94,11 +96,11 @@ func TestMetricsNDJSONRoundTrip(t *testing.T) {
 	for _, k := range mf.Kernels {
 		switch k.Kernel {
 		case "healthy":
-			if k.ElapsedNs <= 0 || k.Attempts != 1 {
+			if k.ElapsedNs <= 0 {
 				t.Errorf("healthy record = %+v", k)
 			}
 		case "broken":
-			if !strings.Contains(k.Error, "deliberate failure") || k.Attempts != 2 {
+			if !strings.Contains(k.Error, "deliberate failure") {
 				t.Errorf("broken record = %+v", k)
 			}
 		case "victim":
@@ -112,17 +114,17 @@ func TestMetricsNDJSONRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Fault clause accounting survives the round trip: the clause was
-	// evaluated (once per attempt) and tripped every time at prob 1.0.
+	// Fault clause accounting survives the round trip: the victim ran
+	// once, so the clause was evaluated once and tripped at prob 1.0.
 	if len(mf.Faults) != 1 {
 		t.Fatalf("fault records = %+v", mf.Faults)
 	}
 	fr := mf.Faults[0]
-	if fr.Site != "victim" || fr.Kind != "error" || fr.Evals < 2 || fr.Tripped != fr.Evals {
+	if fr.Site != "victim" || fr.Kind != "error" || fr.Evals != 1 || fr.Tripped != 1 {
 		t.Errorf("fault record = %+v", fr)
 	}
 
-	// Supervisor metrics for the retried kernels made it into the file.
+	// Supervisor metrics for the failed kernels made it into the file.
 	metric := func(name, label string) *obs.MetricSnapshot {
 		for i := range mf.Metrics {
 			if mf.Metrics[i].Name == name && mf.Metrics[i].Label == label {
@@ -131,8 +133,11 @@ func TestMetricsNDJSONRoundTrip(t *testing.T) {
 		}
 		return nil
 	}
-	if m := metric("resilience.retries", "broken"); m == nil || m.Value < 1 {
-		t.Errorf("resilience.retries[broken] = %+v", m)
+	if m := metric("resilience.panics", "crashy"); m == nil || m.Value != 1 {
+		t.Errorf("resilience.panics[crashy] = %+v", m)
+	}
+	if m := metric("suite.kernels_failed", "broken"); m == nil || m.Value != 1 {
+		t.Errorf("suite.kernels_failed[broken] = %+v", m)
 	}
 	if m := metric("suite.kernels", "healthy"); m == nil || m.Value != 1 {
 		t.Errorf("suite.kernels[healthy] = %+v", m)
@@ -184,30 +189,27 @@ func TestTraceNDJSONSpans(t *testing.T) {
 	if s := byName["kernel:healthy"]; s.Status != "ok" {
 		t.Errorf("healthy kernel span status = %q", s.Status)
 	}
-	// Retried kernels record one attempt span per attempt, nested
-	// under their kernel span.
-	attempts := 0
+	// Each kernel that ran records one prepare and one run span, nested
+	// directly under its kernel span.
+	kernelOf := map[uint64]string{}
 	for _, s := range mf.Spans {
-		if strings.HasPrefix(s.Name, "attempt-") && s.Parent == byName["kernel:broken"].ID {
-			attempts++
+		if strings.HasPrefix(s.Name, "kernel:") {
+			kernelOf[s.ID] = s.Name
 		}
 	}
-	if attempts != 2 {
-		t.Errorf("broken kernel has %d attempt spans, want 2", attempts)
-	}
-	// prepare and run spans nest under an attempt span.
-	run, ok := byName["run"]
-	if !ok {
-		t.Error("no run span recorded")
-	} else {
-		parentIsAttempt := false
-		for _, s := range mf.Spans {
-			if s.ID == run.Parent && strings.HasPrefix(s.Name, "attempt-") {
-				parentIsAttempt = true
+	phases := map[string]int{}
+	for _, s := range mf.Spans {
+		if s.Name == "prepare" || s.Name == "run" {
+			k, ok := kernelOf[s.Parent]
+			if !ok {
+				t.Errorf("%s span parent %d is not a kernel span", s.Name, s.Parent)
 			}
+			phases[k+"/"+s.Name]++
 		}
-		if !parentIsAttempt {
-			t.Errorf("run span parent %d is not an attempt span", run.Parent)
+	}
+	for _, k := range []string{"kernel:healthy", "kernel:broken", "kernel:victim"} {
+		if phases[k+"/prepare"] != 1 || phases[k+"/run"] != 1 {
+			t.Errorf("%s: %d prepare and %d run spans, want 1 each", k, phases[k+"/prepare"], phases[k+"/run"])
 		}
 	}
 }
@@ -272,7 +274,7 @@ func TestMetricsTablesRender(t *testing.T) {
 	}
 	for _, want := range []string{
 		"healthy", "broken", "skipped", "deliberate failure",
-		"resilience.retries", "error:victim", "tripped",
+		"resilience.panics", "error:victim", "tripped",
 	} {
 		if !strings.Contains(rendered, want) {
 			t.Errorf("rendered tables missing %q", want)

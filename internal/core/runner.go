@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/resilience"
-	"repro/internal/scratch"
 	"repro/internal/shard"
 )
 
@@ -18,8 +17,8 @@ type Status int
 // Kernel outcome states.
 const (
 	StatusOK       Status = iota
-	StatusFailed          // panicked or returned an error on every attempt
-	StatusTimedOut        // last attempt exceeded the per-attempt deadline
+	StatusFailed          // panicked or returned an error
+	StatusTimedOut        // exceeded the per-kernel deadline
 	StatusSkipped         // suite was cancelled before the kernel ran
 )
 
@@ -42,11 +41,10 @@ func (s Status) String() string {
 // ran on the shard fabric additionally carry the shard lifecycle
 // summary and the digest-vector fingerprint.
 type KernelOutcome struct {
-	Info     Info
-	Status   Status
-	Stats    RunStats
-	Err      error // *resilience.KernelError unless skipped
-	Attempts int
+	Info   Info
+	Status Status
+	Stats  RunStats
+	Err    error // *resilience.KernelError unless skipped
 	// Shard is non-nil when the kernel ran distributed; it is the
 	// coordinator's lifecycle accounting for the job.
 	Shard *shard.Summary
@@ -65,7 +63,7 @@ type SuiteConfig struct {
 	Threads int
 	Policy  resilience.Policy
 	// Progress, when non-nil, receives one line per kernel transition
-	// (started, retried, failed); the driver points it at stderr so
+	// (started, finished, failed); gbench points it at stderr so
 	// the stdout report table stays clean.
 	Progress func(format string, args ...any)
 	// Obs, when non-nil, receives the run's metrics, spans, and
@@ -78,17 +76,14 @@ type SuiteConfig struct {
 	Dist *DistConfig
 }
 
-// PolicyFor returns the per-attempt retry/timeout policy matched to a
-// dataset size: small inputs finish in seconds, so a stuck kernel is
-// cut off quickly; large inputs get proportionally more headroom.
+// PolicyFor returns the per-kernel timeout policy matched to a dataset
+// size: small inputs finish in seconds, so a stuck kernel is cut off
+// quickly; large inputs get proportionally more headroom.
 func PolicyFor(size Size) resilience.Policy {
-	p := resilience.Default()
 	if size == Large {
-		p.Timeout = 20 * time.Minute
-	} else {
-		p.Timeout = 4 * time.Minute
+		return resilience.Policy{Timeout: 20 * time.Minute}
 	}
-	return p
+	return resilience.Policy{Timeout: 4 * time.Minute}
 }
 
 // RunSuite executes the kernels in order under the resilience policy,
@@ -124,24 +119,24 @@ func RunSuite(ctx context.Context, benches []Benchmark, cfg SuiteConfig) []Kerne
 		o.SetLabel(info.Name)
 		kctx, kernelSpan := o.StartSpan(obs.WithLabel(sctx, info.Name), "kernel:"+info.Name)
 		// Shardable kernels route over the fabric when one is attached;
-		// a failed job (attempts exhausted, worker pool starved) degrades
-		// to a failed outcome exactly like an in-process kernel failure,
-		// and the remaining kernels still run.
+		// a failed job (dispatch budget exhausted, worker pool starved)
+		// degrades to a failed outcome exactly like an in-process kernel
+		// failure, and the remaining kernels still run.
 		dist := cfg.Dist.Distributed(info.Name)
 		if dist {
 			out = runDistKernel(kctx, info, cfg, progress)
 		} else {
-			out = runLocalKernel(kctx, b, cfg, progress)
+			out = runLocalKernel(kctx, b, cfg)
 		}
 		o.SetLabel("")
 		o.Counter("suite.kernels", info.Name).Inc()
 		if out.Failed() {
 			kernelSpan.EndStatus(out.Status.String())
-			how := fmt.Sprintf("after %d attempt(s)", out.Attempts)
+			how := ""
 			if dist {
-				how = "(distributed)"
+				how = " (distributed)"
 			}
-			progress("%s: %s %s: %v", info.Name, out.Status, how, out.Err)
+			progress("%s: %s%s: %v", info.Name, out.Status, how, cause(out.Err))
 		} else {
 			kernelSpan.End(nil)
 			recordKernelMetrics(o, info.Name, &out.Stats)
@@ -161,35 +156,17 @@ func RunSuite(ctx context.Context, benches []Benchmark, cfg SuiteConfig) []Kerne
 
 // runLocalKernel prepares, runs and releases one kernel in this
 // process under the suite's resilience policy and shapes what happened
-// into a KernelOutcome.
-func runLocalKernel(ctx context.Context, b Benchmark, cfg SuiteConfig, progress func(string, ...any)) KernelOutcome {
+// into a KernelOutcome. Prepare runs inside the resilience envelope so
+// a panic while building the dataset is isolated like a kernel panic.
+func runLocalKernel(ctx context.Context, b Benchmark, cfg SuiteConfig) KernelOutcome {
 	o := cfg.Obs
 	info := b.Info()
 	out := KernelOutcome{Info: info, Status: StatusOK}
-	// One scratch pool per kernel, installed OUTSIDE the resilience
-	// envelope: a retried attempt draws the same per-worker arenas
-	// its predecessor grew, so retries skip the cold-heap band and
-	// table allocations. Scoped per kernel (not per suite) so one
-	// kernel's peak scratch is released before the next runs.
-	ctx = scratch.WithPool(ctx, scratch.NewPool())
-	// Prepare runs inside the resilience envelope so a panic while
-	// building the dataset is isolated like a kernel panic; the
-	// prepared flag keeps retries from rebuilding it needlessly.
-	prepared := false
-	err := resilience.Run(ctx, info.Name, cfg.Policy, func(actx context.Context) error {
-		out.Attempts++
-		if out.Attempts > 1 {
-			progress("%s: retrying (attempt %d)", info.Name, out.Attempts)
-		}
-		actx, attemptSpan := o.StartSpan(actx, fmt.Sprintf("attempt-%d", out.Attempts))
-		defer func() { attemptSpan.End(nil) }()
-		if !prepared {
-			_, prepSpan := o.StartSpan(actx, "prepare")
-			b.Prepare(cfg.Size, cfg.Seed)
-			prepSpan.End(nil)
-			prepared = true
-		}
-		rctx, runSpan := o.StartSpan(actx, "run")
+	err := resilience.Run(ctx, info.Name, cfg.Policy, func(rctx context.Context) error {
+		_, prepSpan := o.StartSpan(rctx, "prepare")
+		b.Prepare(cfg.Size, cfg.Seed)
+		prepSpan.End(nil)
+		rctx, runSpan := o.StartSpan(rctx, "run")
 		s, err := b.RunCtx(rctx, cfg.Threads)
 		runSpan.End(err)
 		if err == nil {
@@ -201,14 +178,22 @@ func runLocalKernel(ctx context.Context, b Benchmark, cfg SuiteConfig, progress 
 	if err != nil {
 		out.Status, out.Err = StatusFailed, err
 		var ke *resilience.KernelError
-		if errors.As(err, &ke) {
-			out.Attempts = ke.Attempts
-			if ke.TimedOut {
-				out.Status = StatusTimedOut
-			}
+		if errors.As(err, &ke) && ke.TimedOut {
+			out.Status = StatusTimedOut
 		}
 	}
 	return out
+}
+
+// cause is what a failure line prints after the kernel and its status:
+// a KernelError's underlying error, without the kernel name and the
+// "failed" that the line already gives.
+func cause(err error) error {
+	var ke *resilience.KernelError
+	if errors.As(err, &ke) {
+		return ke.Err
+	}
+	return err
 }
 
 // recordKernelMetrics publishes one successful kernel execution's

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -33,23 +34,20 @@ func (b *stubBench) RunCtx(ctx context.Context, threads int) (RunStats, error) {
 	return RunStats{Elapsed: time.Millisecond}, nil
 }
 
-func quietPolicy() resilience.Policy {
-	return resilience.Policy{
-		Attempts:   2,
-		Sleep:      func(ctx context.Context, d time.Duration) error { return ctx.Err() },
-		JitterSeed: 1,
-	}
-}
-
 func TestRunSuiteAllHealthy(t *testing.T) {
-	benches := []Benchmark{&stubBench{name: "a"}, &stubBench{name: "b"}}
-	outcomes := RunSuite(context.Background(), benches, SuiteConfig{Policy: quietPolicy()})
+	a, b := &stubBench{name: "a"}, &stubBench{name: "b"}
+	outcomes := RunSuite(context.Background(), []Benchmark{a, b}, SuiteConfig{Policy: PolicyFor(Small)})
 	if len(outcomes) != 2 {
 		t.Fatalf("got %d outcomes", len(outcomes))
 	}
 	for _, o := range outcomes {
-		if o.Status != StatusOK || o.Err != nil || o.Attempts != 1 {
+		if o.Status != StatusOK || o.Err != nil {
 			t.Errorf("%s: %+v", o.Info.Name, o)
+		}
+	}
+	for _, sb := range []*stubBench{a, b} {
+		if sb.prepares != 1 || sb.runs != 1 || sb.releases != 1 {
+			t.Errorf("%s: prepares=%d runs=%d releases=%d, want 1 each", sb.name, sb.prepares, sb.runs, sb.releases)
 		}
 	}
 	if len(FailedOutcomes(outcomes)) != 0 {
@@ -60,12 +58,12 @@ func TestRunSuiteAllHealthy(t *testing.T) {
 func TestRunSuiteIsolatesPanickingKernel(t *testing.T) {
 	bad := &stubBench{name: "bad", fn: func(context.Context) error { panic("kernel bug") }}
 	after := &stubBench{name: "after"}
-	outcomes := RunSuite(context.Background(), []Benchmark{&stubBench{name: "before"}, bad, after}, SuiteConfig{Policy: quietPolicy()})
+	outcomes := RunSuite(context.Background(), []Benchmark{&stubBench{name: "before"}, bad, after}, SuiteConfig{Policy: PolicyFor(Small)})
 	if outcomes[0].Status != StatusOK || outcomes[2].Status != StatusOK {
 		t.Errorf("healthy kernels affected: %v / %v", outcomes[0].Status, outcomes[2].Status)
 	}
 	o := outcomes[1]
-	if o.Status != StatusFailed || o.Attempts != 2 {
+	if o.Status != StatusFailed {
 		t.Fatalf("bad outcome = %+v", o)
 	}
 	var ke *resilience.KernelError
@@ -84,38 +82,53 @@ func TestRunSuiteIsolatesPanickingKernel(t *testing.T) {
 	}
 }
 
-func TestRunSuiteRetriesWithoutRepreparing(t *testing.T) {
-	calls := 0
-	flaky := &stubBench{name: "flaky", fn: func(context.Context) error {
-		calls++
-		if calls == 1 {
-			return errors.New("transient")
-		}
-		return nil
-	}}
-	outcomes := RunSuite(context.Background(), []Benchmark{flaky}, SuiteConfig{Policy: quietPolicy()})
-	if outcomes[0].Status != StatusOK || outcomes[0].Attempts != 2 {
-		t.Errorf("outcome = %+v", outcomes[0])
+// TestRunSuiteFailedKernelRunsOnce: a kernel is deterministic in its
+// dataset and seed, so a failure of any kind — an error, a panic, a
+// timeout — is reported at once and never run again, and the suite goes
+// on to the next kernel.
+func TestRunSuiteFailedKernelRunsOnce(t *testing.T) {
+	blockUntilDeadline := func(ctx context.Context) error {
+		<-ctx.Done()
+		return ctx.Err()
 	}
-	if flaky.prepares != 1 {
-		t.Errorf("dataset prepared %d times across retries, want 1", flaky.prepares)
+	for _, c := range []struct {
+		name string
+		fn   func(ctx context.Context) error
+		want Status
+	}{
+		{"erroring", func(context.Context) error { return errors.New("bad input") }, StatusFailed},
+		{"panicking", func(context.Context) error { panic("kernel bug") }, StatusFailed},
+		{"stuck", blockUntilDeadline, StatusTimedOut},
+	} {
+		bad := &stubBench{name: c.name, fn: c.fn}
+		next := &stubBench{name: "next"}
+		p := PolicyFor(Small)
+		p.Timeout = 5 * time.Millisecond
+		outcomes := RunSuite(context.Background(), []Benchmark{bad, next}, SuiteConfig{Policy: p})
+		if outcomes[0].Status != c.want {
+			t.Errorf("%s: status %v, want %v (err %v)", c.name, outcomes[0].Status, c.want, outcomes[0].Err)
+		}
+		if bad.prepares != 1 || bad.runs != 1 || bad.releases != 1 {
+			t.Errorf("%s: prepares=%d runs=%d releases=%d, want 1 each", c.name, bad.prepares, bad.runs, bad.releases)
+		}
+		if outcomes[1].Status != StatusOK || next.runs != 1 {
+			t.Errorf("%s: next kernel = %+v after %d run(s), want ok after 1", c.name, outcomes[1], next.runs)
+		}
 	}
 }
 
-func TestRunSuiteTimeoutClassifiedAndRetried(t *testing.T) {
-	p := quietPolicy()
-	p.Timeout = 5 * time.Millisecond
+func TestRunSuiteTimeoutClassified(t *testing.T) {
 	stuck := &stubBench{name: "stuck", fn: func(ctx context.Context) error {
-		<-ctx.Done() // deterministic: blocks until the attempt deadline
+		<-ctx.Done() // deterministic: blocks until the deadline
 		return ctx.Err()
 	}}
-	outcomes := RunSuite(context.Background(), []Benchmark{stuck}, SuiteConfig{Policy: p})
+	outcomes := RunSuite(context.Background(), []Benchmark{stuck}, SuiteConfig{Policy: resilience.Policy{Timeout: 5 * time.Millisecond}})
 	o := outcomes[0]
-	if o.Status != StatusTimedOut || o.Attempts != 2 {
+	if o.Status != StatusTimedOut {
 		t.Fatalf("outcome = %+v err=%v", o, o.Err)
 	}
-	if stuck.runs != 2 {
-		t.Errorf("stuck ran %d times, want retried once", stuck.runs)
+	if stuck.runs != 1 {
+		t.Errorf("stuck ran %d times, want 1", stuck.runs)
 	}
 }
 
@@ -126,7 +139,7 @@ func TestRunSuiteCancellationSkipsRemaining(t *testing.T) {
 		return nil // completes despite cancel; already-running work finishes
 	}}
 	second := &stubBench{name: "second"}
-	outcomes := RunSuite(ctx, []Benchmark{first, second}, SuiteConfig{Policy: quietPolicy()})
+	outcomes := RunSuite(ctx, []Benchmark{first, second}, SuiteConfig{Policy: PolicyFor(Small)})
 	if outcomes[0].Status != StatusOK {
 		t.Errorf("first = %+v", outcomes[0])
 	}
@@ -145,7 +158,7 @@ func TestRunSuiteFaultLabelFollowsKernel(t *testing.T) {
 	point := func(ctx context.Context) error { return faultinject.Point(ctx) }
 	victim := &stubBench{name: "victim", fn: point}
 	bystander := &stubBench{name: "bystander", fn: point}
-	outcomes := RunSuite(context.Background(), []Benchmark{bystander, victim}, SuiteConfig{Policy: quietPolicy()})
+	outcomes := RunSuite(context.Background(), []Benchmark{bystander, victim}, SuiteConfig{Policy: PolicyFor(Small)})
 	if outcomes[0].Status != StatusOK {
 		t.Errorf("bystander hit by fault targeted at victim: %+v", outcomes[0])
 	}
@@ -161,16 +174,14 @@ func TestRunSuiteFaultLabelFollowsKernel(t *testing.T) {
 func TestRunSuiteProgressLines(t *testing.T) {
 	var lines []string
 	cfg := SuiteConfig{
-		Policy:   quietPolicy(),
-		Progress: func(format string, args ...any) { lines = append(lines, format) },
+		Policy:   PolicyFor(Small),
+		Progress: func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) },
 	}
-	bad := &stubBench{name: "bad", fn: func(context.Context) error { return errors.New("x") }}
+	bad := &stubBench{name: "bad", fn: func(context.Context) error { panic("kernel bug") }}
 	RunSuite(context.Background(), []Benchmark{bad}, cfg)
-	joined := strings.Join(lines, "\n")
-	for _, want := range []string{"running", "retrying", "attempt"} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("progress missing %q in %q", want, joined)
-		}
+	want := []string{"bad: running", "bad: failed: panic: kernel bug"}
+	if strings.Join(lines, "\n") != strings.Join(want, "\n") {
+		t.Errorf("progress = %q, want %q: kernel, status and cause once each", lines, want)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package dbg implements the De-Bruijn graph construction kernel from
 // the Platypus variant caller: reads aligned to a reference window are
 // re-assembled into a De-Bruijn graph (hash table of k-mer nodes), the
-// graph is checked for cycles — retrying with a larger k when one is
+// graph is checked for cycles — rebuilt with a larger k when one is
 // found — and candidate haplotypes are enumerated by traversing
 // reference-anchored paths with sufficient read support.
 package dbg

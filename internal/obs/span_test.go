@@ -23,10 +23,10 @@ func TestSpanParentChildNesting(t *testing.T) {
 	ctx := context.Background()
 	sctx, suite := tr.Start(ctx, "suite")
 	kctx, kernel := tr.Start(sctx, "kernel:fmi")
-	_, attempt := tr.Start(kctx, "attempt-1")
-	// A sibling off the suite span must parent under suite, not attempt.
+	_, prepare := tr.Start(kctx, "prepare")
+	// A sibling off the suite span must parent under suite, not prepare.
 	_, kernel2 := tr.Start(sctx, "kernel:bsw")
-	attempt.End(nil)
+	prepare.End(nil)
 	kernel.End(nil)
 	kernel2.End(errors.New("boom\nsecond line ignored"))
 	suite.End(nil)
@@ -37,7 +37,7 @@ func TestSpanParentChildNesting(t *testing.T) {
 	}
 	s, _ := findSpan(spans, "suite")
 	k, _ := findSpan(spans, "kernel:fmi")
-	a, _ := findSpan(spans, "attempt-1")
+	a, _ := findSpan(spans, "prepare")
 	k2, _ := findSpan(spans, "kernel:bsw")
 	if s.Parent != 0 {
 		t.Errorf("suite parent = %d, want 0 (root)", s.Parent)
@@ -46,7 +46,7 @@ func TestSpanParentChildNesting(t *testing.T) {
 		t.Errorf("kernel parent = %d, want suite id %d", k.Parent, s.ID)
 	}
 	if a.Parent != k.ID {
-		t.Errorf("attempt parent = %d, want kernel id %d", a.Parent, k.ID)
+		t.Errorf("prepare parent = %d, want kernel id %d", a.Parent, k.ID)
 	}
 	if k2.Parent != s.ID {
 		t.Errorf("sibling kernel parent = %d, want suite id %d", k2.Parent, s.ID)
@@ -58,7 +58,7 @@ func TestSpanParentChildNesting(t *testing.T) {
 		t.Errorf("ok statuses = %q, %q", s.Status, k.Status)
 	}
 	if a.DurNs < 0 || a.StartNs < s.StartNs {
-		t.Errorf("attempt timing start=%d dur=%d (suite start %d)", a.StartNs, a.DurNs, s.StartNs)
+		t.Errorf("prepare timing start=%d dur=%d (suite start %d)", a.StartNs, a.DurNs, s.StartNs)
 	}
 }
 

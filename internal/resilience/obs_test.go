@@ -9,127 +9,68 @@ import (
 	"repro/internal/obs"
 )
 
-func TestRunCancelsAttemptContextBeforeNextAttempt(t *testing.T) {
-	// Regression: each attempt's timeout context must be cancelled when
-	// the attempt returns — before the backoff sleep and the next
-	// attempt — not deferred to Run's exit. Attempt N+1 observing a
-	// still-live Done channel from attempt N means the cancel leaked.
-	var dones []<-chan struct{}
-	p, _ := fastPolicy(3)
-	p.Timeout = time.Hour // far in the future: Done only closes via cancel
-	err := Run(context.Background(), "leaky", p, func(ctx context.Context) error {
-		for i, d := range dones {
-			select {
-			case <-d:
-			default:
-				t.Errorf("attempt %d context still live when attempt %d started", i+1, len(dones)+1)
-			}
-		}
-		dones = append(dones, ctx.Done())
-		return errors.New("fail every attempt")
+func TestRunCancelsContextOnReturn(t *testing.T) {
+	// The deadline context must be released when Run returns, not left
+	// for its timer to expire.
+	var done <-chan struct{}
+	err := Run(context.Background(), "leaky", Policy{Timeout: time.Hour}, func(ctx context.Context) error {
+		done = ctx.Done()
+		return errors.New("fail")
 	})
 	if err == nil {
-		t.Fatal("expected failure after exhausted attempts")
+		t.Fatal("expected the fn error")
 	}
-	if len(dones) != 3 {
-		t.Fatalf("ran %d attempts, want 3", len(dones))
-	}
-	// The final attempt's context is also released once Run returns.
 	select {
-	case <-dones[2]:
+	case <-done:
 	default:
-		t.Error("last attempt context never cancelled")
+		t.Error("Run returned with its context still live")
 	}
 }
 
-func TestRunAttemptContextsAreIndependent(t *testing.T) {
-	// Each attempt gets a fresh deadline: a timeout consumed by attempt
-	// 1 must not pre-expire attempt 2's context.
-	p, _ := fastPolicy(2)
-	p.Timeout = 30 * time.Millisecond
-	calls := 0
-	err := Run(context.Background(), "fresh", p, func(ctx context.Context) error {
-		calls++
-		if calls == 1 {
-			<-ctx.Done() // burn the whole first deadline
-			return ctx.Err()
-		}
-		if err := ctx.Err(); err != nil {
-			t.Errorf("attempt 2 context already dead on entry: %v", err)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("err = %v, want recovery on fresh deadline", err)
-	}
-	if calls != 2 {
-		t.Errorf("calls = %d", calls)
-	}
-}
-
-func TestRunCountsRetriesTimeoutsPanics(t *testing.T) {
+func TestRunCountsTimeoutsPanics(t *testing.T) {
 	o := obs.NewObserver()
 	ctx := obs.With(context.Background(), o)
 
-	// Kernel 1: fails once, then succeeds — one retry, no timeout.
-	p, _ := fastPolicy(3)
-	calls := 0
-	if err := Run(ctx, "flaky", p, func(context.Context) error {
-		calls++
-		if calls == 1 {
-			return errors.New("transient")
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	// Kernel 1: fails with a plain error — neither a timeout nor a panic.
+	_ = Run(ctx, "broken", Policy{}, func(context.Context) error { return errors.New("bad input") })
 
-	// Kernel 2: times out on every attempt.
-	pt, _ := fastPolicy(2)
-	pt.Timeout = 5 * time.Millisecond
-	_ = Run(ctx, "stuck", pt, func(c context.Context) error {
+	// Kernel 2: times out.
+	_ = Run(ctx, "stuck", Policy{Timeout: 5 * time.Millisecond}, func(c context.Context) error {
 		<-c.Done()
 		return c.Err()
 	})
 
-	// Kernel 3: panics on every attempt.
-	pp, _ := fastPolicy(2)
-	_ = Run(ctx, "crashy", pp, func(context.Context) error { panic("boom") })
+	// Kernel 3: panics.
+	_ = Run(ctx, "crashy", Policy{}, func(context.Context) error { panic("boom") })
 
 	counter := func(name, kernel string) uint64 {
 		return o.Metrics.Counter(name, kernel).Value()
 	}
-	if got := counter("resilience.attempts", "flaky"); got != 2 {
-		t.Errorf("flaky attempts = %d, want 2", got)
-	}
-	if got := counter("resilience.retries", "flaky"); got != 1 {
-		t.Errorf("flaky retries = %d, want 1", got)
-	}
-	if got := counter("resilience.timeouts", "flaky"); got != 0 {
-		t.Errorf("flaky timeouts = %d, want 0", got)
-	}
-	if got := counter("resilience.timeouts", "stuck"); got != 2 {
-		t.Errorf("stuck timeouts = %d, want 2", got)
-	}
-	if got := counter("resilience.panics", "crashy"); got != 2 {
-		t.Errorf("crashy panics = %d, want 2", got)
-	}
-	if got := counter("resilience.retries", "crashy"); got != 1 {
-		t.Errorf("crashy retries = %d, want 1", got)
+	for _, c := range []struct {
+		name, kernel string
+		want         uint64
+	}{
+		{"resilience.timeouts", "broken", 0},
+		{"resilience.panics", "broken", 0},
+		{"resilience.timeouts", "stuck", 1},
+		{"resilience.panics", "stuck", 0},
+		{"resilience.timeouts", "crashy", 0},
+		{"resilience.panics", "crashy", 1},
+	} {
+		if got := counter(c.name, c.kernel); got != c.want {
+			t.Errorf("%s{%s} = %d, want %d", c.name, c.kernel, got, c.want)
+		}
 	}
 }
 
 func TestRunWithoutObserverStillWorks(t *testing.T) {
-	p, _ := fastPolicy(2)
 	calls := 0
-	err := Run(context.Background(), "plain", p, func(context.Context) error {
+	err := Run(context.Background(), "plain", Policy{}, func(context.Context) error {
 		calls++
-		if calls == 1 {
-			return errors.New("once")
-		}
-		return nil
+		panic("once") // reaches the panic counter with no observer installed
 	})
-	if err != nil || calls != 2 {
+	var ke *KernelError
+	if !errors.As(err, &ke) || !ke.Panicked || calls != 1 {
 		t.Errorf("err=%v calls=%d", err, calls)
 	}
 }

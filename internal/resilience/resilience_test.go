@@ -9,57 +9,35 @@ import (
 	"time"
 )
 
-// fastPolicy returns a policy whose backoff sleeps are recorded instead
-// of slept, so retry tests run in microseconds and assert the schedule.
-func fastPolicy(attempts int) (Policy, *[]time.Duration) {
-	var slept []time.Duration
-	p := Policy{
-		Attempts:    attempts,
-		BackoffBase: 100 * time.Millisecond,
-		BackoffCap:  2 * time.Second,
-		JitterSeed:  42,
-		Sleep: func(ctx context.Context, d time.Duration) error {
-			slept = append(slept, d)
-			return ctx.Err()
-		},
-	}
-	return p, &slept
-}
-
 func TestRunSuccessPassesThrough(t *testing.T) {
-	p, slept := fastPolicy(3)
 	calls := 0
-	err := Run(context.Background(), "fmi", p, func(ctx context.Context) error {
+	err := Run(context.Background(), "fmi", Policy{}, func(ctx context.Context) error {
 		calls++
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != 1 || len(*slept) != 0 {
-		t.Errorf("calls=%d sleeps=%d, want 1 and 0", calls, len(*slept))
+	if calls != 1 {
+		t.Errorf("calls=%d, want 1", calls)
 	}
 }
 
-func TestRunRetriesUpToAttempts(t *testing.T) {
-	p, slept := fastPolicy(3)
+func TestRunFailingFnRunsOnce(t *testing.T) {
 	calls := 0
 	boom := errors.New("boom")
-	err := Run(context.Background(), "fmi", p, func(ctx context.Context) error {
+	err := Run(context.Background(), "fmi", Policy{}, func(ctx context.Context) error {
 		calls++
 		return boom
 	})
-	if calls != 3 {
-		t.Errorf("calls = %d, want 3", calls)
-	}
-	if len(*slept) != 2 {
-		t.Errorf("sleeps = %d, want 2 (between 3 attempts)", len(*slept))
+	if calls != 1 {
+		t.Errorf("calls = %d, want 1", calls)
 	}
 	var ke *KernelError
 	if !errors.As(err, &ke) {
 		t.Fatalf("err = %T %v, want *KernelError", err, err)
 	}
-	if ke.Kernel != "fmi" || ke.Attempts != 3 || ke.Panicked || ke.TimedOut {
+	if ke.Kernel != "fmi" || ke.Panicked || ke.TimedOut {
 		t.Errorf("KernelError = %+v", ke)
 	}
 	if !errors.Is(err, boom) {
@@ -67,58 +45,18 @@ func TestRunRetriesUpToAttempts(t *testing.T) {
 	}
 }
 
-func TestRunSucceedsAfterRetry(t *testing.T) {
-	p, _ := fastPolicy(3)
-	calls := 0
-	err := Run(context.Background(), "fmi", p, func(ctx context.Context) error {
-		calls++
-		if calls < 2 {
-			return errors.New("transient")
-		}
-		return nil
-	})
-	if err != nil || calls != 2 {
-		t.Errorf("err=%v calls=%d, want nil and 2", err, calls)
-	}
-}
-
-func TestBackoffScheduleDeterministic(t *testing.T) {
-	run := func() []time.Duration {
-		p, slept := fastPolicy(4)
-		Run(context.Background(), "chain", p, func(ctx context.Context) error {
-			return errors.New("always")
-		})
-		return *slept
-	}
-	a, b := run(), run()
-	if len(a) != 3 {
-		t.Fatalf("sleeps = %d, want 3", len(a))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Errorf("sleep %d differs between identical runs: %v vs %v", i, a[i], b[i])
-		}
-	}
-	// Jitter keeps each delay in [d/2, d] for d = base<<i capped.
-	for i, want := range []time.Duration{100, 200, 400} {
-		d := want * time.Millisecond
-		if a[i] < d/2 || a[i] > d {
-			t.Errorf("sleep %d = %v, want within [%v, %v]", i, a[i], d/2, d)
-		}
-	}
-}
-
 func TestRunRecoversDirectPanic(t *testing.T) {
-	p, _ := fastPolicy(2)
-	err := Run(context.Background(), "poa", p, func(ctx context.Context) error {
+	calls := 0
+	err := Run(context.Background(), "poa", Policy{}, func(ctx context.Context) error {
+		calls++
 		panic("graph has a cycle")
 	})
 	var ke *KernelError
 	if !errors.As(err, &ke) {
 		t.Fatalf("err = %T, want *KernelError", err)
 	}
-	if !ke.Panicked || ke.Value != "graph has a cycle" || ke.Attempts != 2 {
-		t.Errorf("KernelError = %+v", ke)
+	if !ke.Panicked || ke.Value != "graph has a cycle" || calls != 1 {
+		t.Errorf("KernelError = %+v after %d call(s)", ke, calls)
 	}
 	if !strings.Contains(string(ke.Stack), "resilience_test") {
 		t.Error("stack should include the panic site")
@@ -140,9 +78,8 @@ func (e *schedPanic) PanicValue() any    { return e.val }
 func (e *schedPanic) PanicStack() []byte { return e.stack }
 
 func TestRunRecognizesSchedulerPanicErrors(t *testing.T) {
-	p, _ := fastPolicy(1)
 	sp := &schedPanic{val: "kernel bug", stack: []byte("goroutine 7 [running]:\nkernel.go:99")}
-	err := Run(context.Background(), "bsw", p, func(ctx context.Context) error {
+	err := Run(context.Background(), "bsw", Policy{}, func(ctx context.Context) error {
 		return sp
 	})
 	var ke *KernelError
@@ -155,12 +92,10 @@ func TestRunRecognizesSchedulerPanicErrors(t *testing.T) {
 }
 
 func TestRunTimeoutClassification(t *testing.T) {
-	p, slept := fastPolicy(2)
-	p.Timeout = 10 * time.Millisecond
 	calls := 0
 	// fn blocks on ctx.Done, so the outcome depends only on the
-	// per-attempt deadline firing — no wall-clock race.
-	err := Run(context.Background(), "phmm", p, func(ctx context.Context) error {
+	// deadline firing — no wall-clock race.
+	err := Run(context.Background(), "phmm", Policy{Timeout: 10 * time.Millisecond}, func(ctx context.Context) error {
 		calls++
 		<-ctx.Done()
 		return ctx.Err()
@@ -172,8 +107,8 @@ func TestRunTimeoutClassification(t *testing.T) {
 	if !ke.TimedOut || ke.Panicked {
 		t.Errorf("KernelError = %+v, want TimedOut", ke)
 	}
-	if calls != 2 || len(*slept) != 1 {
-		t.Errorf("calls=%d sleeps=%d, want timed-out attempt retried once", calls, len(*slept))
+	if calls != 1 {
+		t.Errorf("calls=%d, want the timed-out run not repeated", calls)
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Error("timed-out KernelError should unwrap to DeadlineExceeded")
@@ -181,20 +116,19 @@ func TestRunTimeoutClassification(t *testing.T) {
 }
 
 func TestRunParentCancellationAbortsWithoutRetry(t *testing.T) {
-	p, slept := fastPolicy(5)
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
-	err := Run(ctx, "dbg", p, func(c context.Context) error {
+	err := Run(ctx, "dbg", Policy{Timeout: time.Hour}, func(c context.Context) error {
 		calls++
-		cancel() // parent dies mid-attempt
+		cancel() // parent dies mid-run
 		return c.Err()
 	})
 	var ke *KernelError
 	if !errors.As(err, &ke) {
 		t.Fatalf("err = %T, want *KernelError", err)
 	}
-	if calls != 1 || len(*slept) != 0 {
-		t.Errorf("calls=%d sleeps=%d, want no retry after parent cancellation", calls, len(*slept))
+	if calls != 1 {
+		t.Errorf("calls=%d, want 1", calls)
 	}
 	if ke.TimedOut {
 		t.Error("parent cancellation must not be classified as a timeout")
@@ -205,26 +139,16 @@ func TestRunParentCancellationAbortsWithoutRetry(t *testing.T) {
 }
 
 func TestRunPreCancelledParent(t *testing.T) {
-	p, _ := fastPolicy(3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	calls := 0
-	err := Run(ctx, "grm", p, func(context.Context) error { calls++; return nil })
+	err := Run(ctx, "grm", Policy{}, func(context.Context) error { calls++; return nil })
 	var ke *KernelError
 	if !errors.As(err, &ke) {
 		t.Fatalf("err = %T, want *KernelError", err)
 	}
-	if calls != 0 || ke.Attempts != 0 {
-		t.Errorf("calls=%d attempts=%d, want 0 work on pre-cancelled ctx", calls, ke.Attempts)
-	}
-}
-
-func TestRunZeroAttemptsMeansOne(t *testing.T) {
-	p, _ := fastPolicy(0)
-	calls := 0
-	Run(context.Background(), "x", p, func(context.Context) error { calls++; return errors.New("e") })
-	if calls != 1 {
-		t.Errorf("calls = %d, want 1", calls)
+	if calls != 0 || ke.Kernel != "grm" || !errors.Is(err, context.Canceled) {
+		t.Errorf("calls=%d err=%v, want no work on a pre-cancelled ctx", calls, err)
 	}
 }
 
@@ -233,9 +157,9 @@ func TestKernelErrorMessages(t *testing.T) {
 		ke   KernelError
 		want string
 	}{
-		{KernelError{Kernel: "poa", Attempts: 2, Panicked: true, Value: "cycle"}, "panic: cycle"},
-		{KernelError{Kernel: "fmi", Attempts: 1, TimedOut: true, Err: context.DeadlineExceeded}, "timed out"},
-		{KernelError{Kernel: "bsw", Attempts: 3, Err: errors.New("io fail")}, "io fail"},
+		{KernelError{Kernel: "poa", Panicked: true, Value: "cycle"}, "panic: cycle"},
+		{KernelError{Kernel: "fmi", TimedOut: true, Err: context.DeadlineExceeded}, "timed out"},
+		{KernelError{Kernel: "bsw", Err: errors.New("io fail")}, "io fail"},
 	}
 	for _, c := range cases {
 		if msg := c.ke.Error(); !strings.Contains(msg, c.want) || !strings.Contains(msg, c.ke.Kernel) {
@@ -245,12 +169,5 @@ func TestKernelErrorMessages(t *testing.T) {
 	var empty KernelError
 	if empty.StackExcerpt(5) != "" {
 		t.Error("empty stack excerpt should be empty")
-	}
-}
-
-func TestDefaultPolicy(t *testing.T) {
-	p := Default()
-	if p.Attempts != 2 || p.Timeout != 0 || p.BackoffBase <= 0 || p.BackoffCap < p.BackoffBase {
-		t.Errorf("Default() = %+v", p)
 	}
 }

@@ -196,11 +196,6 @@ func prefetchWorkers(p *Pipeline, opt Options) [][]*Worker {
 	return out
 }
 
-// stagePolicy supervises a stage: streaming stages consume their input
-// as they run, so a retry would replay nothing — one attempt, panic
-// capture, no deadline of its own.
-var stagePolicy = resilience.Policy{Attempts: 1}
-
 // stageRun is one stage of one executor run — everything about running
 // it that does not depend on how items arrive or where outputs go, so
 // RunFused and RunStaged differ in their plumbing only. The executors
@@ -431,7 +426,7 @@ func RunFused(ctx context.Context, name string, p *Pipeline, opt Options) (*Resu
 			defer wg.Done()
 			defer close(out)
 			sctx, span := o.StartSpan(cctx, r.point)
-			err := resilience.Run(sctx, r.point, stagePolicy, func(actx context.Context) error {
+			err := resilience.Run(sctx, r.point, resilience.Policy{}, func(actx context.Context) error {
 				perr := parallel.ForEachCtxErr(actx, len(r.ws), len(r.ws), func(tctx context.Context, w, _ int) error {
 					emit := func(ot item) error { return send(tctx, out, ot, downstream) }
 					for {
@@ -516,7 +511,7 @@ func RunStaged(ctx context.Context, name string, p *Pipeline, opt Options) (*Res
 		sctx, span := o.StartSpan(ctx, r.point)
 		outs := make([][]item, len(items))
 		var flushed []item
-		err := resilience.Run(sctx, r.point, stagePolicy, func(actx context.Context) error {
+		err := resilience.Run(sctx, r.point, resilience.Policy{}, func(actx context.Context) error {
 			perr := parallel.ForEachCtxErr(actx, len(items), len(r.ws), func(tctx context.Context, w, i int) error {
 				return r.step(tctx, r.ws[w], items[i], func(ot item) error {
 					outs[i] = append(outs[i], ot)

@@ -3,16 +3,17 @@ package scratch
 import "context"
 
 // Pool is a set of per-worker Arenas that outlives a single kernel
-// execution. The suite driver installs one Pool per kernel into the
-// context it hands resilience.Run, so a retried attempt draws the same
-// warm arenas its predecessor grew instead of re-paying every band and
-// table allocation from a cold heap. Workers are keyed by the stable
-// worker index the schedulers (parallel.ForEachCtxErr) already hand their
+// execution. A caller that runs the same kernel or scenario pass again
+// (the benchmark's repeated passes, a scenario's executor options)
+// installs one Pool in the context, so each pass draws the warm arenas
+// the previous one grew instead of re-paying every band and table
+// allocation from a cold heap. Workers are keyed by the stable worker
+// index the schedulers (parallel.ForEachCtxErr) already hand their
 // task bodies.
 //
 // Like Arena, a Pool is not safe for concurrent use: kernels fetch
-// worker arenas in their sequential worker-init loop, and resilience
-// never overlaps attempts, so accesses are naturally serialized.
+// worker arenas in their sequential worker-init loop, and a caller
+// runs one pass at a time, so accesses are naturally serialized.
 type Pool struct {
 	arenas []*Arena
 	state  []any

@@ -22,15 +22,19 @@ import (
 // anything.
 
 type synthExec struct {
-	n    int
-	seed int64
-	fail bool // every RunTask errors
-	skew int  // Prepare reports this many more tasks than Tasks does
+	n     int
+	seed  int64
+	fail  bool // every RunTask errors
+	flaky bool // the first RunTask after synthFlakyArmed is set errors
+	skew  int  // Prepare reports this many more tasks than Tasks does
 }
 
 // synthPrepares counts synthExec.Prepare calls, so a test can tell a
 // worker reusing its prepared executor from one building it again.
 var synthPrepares atomic.Int64
+
+// synthFlakyArmed makes the next flaky RunTask in the process fail, once.
+var synthFlakyArmed atomic.Bool
 
 func (e *synthExec) Tasks(size string) (int, error) {
 	n, err := strconv.Atoi(size)
@@ -51,7 +55,7 @@ func (e *synthExec) Prepare(size string, seed int64) (int, error) {
 }
 
 func (e *synthExec) RunTask(ctx context.Context, task int) (uint64, uint64, error) {
-	if e.fail {
+	if e.fail || e.flaky && synthFlakyArmed.CompareAndSwap(true, false) {
 		return 0, 0, errors.New("synth: injected task failure")
 	}
 	return synthDigest(e.seed, task), 1, nil
@@ -76,6 +80,7 @@ func registerSynth() {
 		RegisterExecutor("synth", func() Executor { return &synthExec{} })
 		RegisterExecutor("synth-fail", func() Executor { return &synthExec{fail: true} })
 		RegisterExecutor("synth-skew", func() Executor { return &synthExec{skew: -1} })
+		RegisterExecutor("synth-flaky", func() Executor { return &synthExec{flaky: true} })
 	})
 }
 
@@ -192,6 +197,35 @@ func TestFabricZeroTasks(t *testing.T) {
 	}
 	if len(res.Digests) != 0 || res.Summary.Dispatched != 0 {
 		t.Fatalf("unexpected result: %+v", res)
+	}
+}
+
+// TestFailedShardIsRedispatched: a worker runs a shard once and
+// reports its failure in the result frame; recovering it is the
+// coordinator's re-dispatch, and the digests still equal the local
+// answer.
+func TestFailedShardIsRedispatched(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	opts := testOptions()
+	opts.HedgeAge = time.Hour // the failure is the only cause of a second dispatch
+	c := startCoordinator(t, opts)
+	startWorker(t, ctx, c, "w1", nil)
+	if err := c.WaitForWorkers(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	synthFlakyArmed.Store(true)
+	const n, seed = 40, int64(5)
+	res, err := c.RunJob(ctx, JobSpec{
+		ID: c.NextJobID(), Kernel: "synth-flaky", Size: strconv.Itoa(n), Seed: seed,
+		NumTasks: n, NumShards: 4,
+	})
+	if err != nil {
+		t.Fatalf("RunJob: %v", err)
+	}
+	checkDigests(t, res, seed, n)
+	if s := res.Summary; s.Failed != 1 || s.Rescheduled != 1 {
+		t.Fatalf("summary %+v, want the one failed shard re-dispatched once", s)
 	}
 }
 

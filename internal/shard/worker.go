@@ -37,12 +37,6 @@ const (
 	reconnects = 5
 )
 
-// shardRetry is the per-shard worker-side retry policy: retries re-run
-// the whole shard locally before the coordinator ever sees a failure.
-var shardRetry = resilience.Policy{
-	Attempts: 2, BackoffBase: 25 * time.Millisecond, BackoffCap: 250 * time.Millisecond,
-}
-
 // worker is one connection-scoped execution loop.
 type worker struct {
 	opts   WorkerOptions
@@ -222,8 +216,9 @@ func (w *worker) serve(ctx context.Context) error {
 }
 
 // executeShard runs one assigned shard: fault trip-points at the shard
-// boundary, bounded local retries around the task loop, then the
-// result frame. Returning an error tears the connection down (the
+// boundary, the task loop once under panic isolation, then the result
+// frame. A failed shard goes back in that frame and the coordinator
+// re-dispatches it; returning an error tears the connection down (the
 // outer loop decides whether to redial).
 func (w *worker) executeShard(ctx context.Context, conn net.Conn, m *Msg) error {
 	label := w.opts.ID + "/" + m.Kernel
@@ -253,16 +248,12 @@ func (w *worker) executeShard(ctx context.Context, conn net.Conn, m *Msg) error 
 	start := time.Now()
 	var digests []uint64
 	var ops uint64
-	runErr := resilience.Run(ctx, "shard:"+m.Kernel, shardRetry, func(actx context.Context) error {
+	runErr := resilience.Run(ctx, "shard:"+m.Kernel, resilience.Policy{}, func(actx context.Context) error {
 		ex, err := w.executor(jobKey{m.Kernel, m.Size, m.Seed}, m.NumTasks)
 		if err != nil {
 			return err
 		}
-		digests = digests[:0]
-		if cap(digests) < len(tasks) {
-			digests = make([]uint64, 0, len(tasks))
-		}
-		ops = 0
+		digests = make([]uint64, 0, len(tasks))
 		for _, t := range tasks {
 			if err := w.opts.Plan.PointAt(actx, label); err != nil {
 				return err
