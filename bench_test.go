@@ -23,7 +23,6 @@ import (
 	"repro/internal/nn"
 	"repro/internal/nnbase"
 	"repro/internal/readsim"
-	"repro/internal/seq2"
 )
 
 const benchSeed = 42
@@ -193,7 +192,7 @@ func BenchmarkAblationKmerProbing(b *testing.B) {
 
 // Plain versus prefetch-batched k-mer counting: the paper's suggested
 // mitigation for kmer-cnt's memory stalls. The batched side is the
-// kernel's production path, packing included.
+// kernel's production path, binning included, on one worker.
 func BenchmarkAblationKmerBatching(b *testing.B) {
 	rng := rand.New(rand.NewSource(benchSeed))
 	reads := make([]genome.Seq, 50)
@@ -209,13 +208,13 @@ func BenchmarkAblationKmerBatching(b *testing.B) {
 		}
 	})
 	b.Run("batched", func(b *testing.B) {
-		var buf []uint64
 		for i := 0; i < b.N; i++ {
-			tab := kmercnt.NewTable(1<<12, kmercnt.Linear)
-			for _, r := range reads {
-				p := seq2.PackInto(buf, r)
-				buf = p.WordsSlice()
-				kmercnt.CountSeqPackedBatched(tab, p, 17)
+			bins, w := kmercnt.NewBins(reads, 17), kmercnt.NewCounter(kmercnt.Linear)
+			for c := range bins.Chunks() {
+				bins.Fill(w, c)
+			}
+			for p := range bins.Parts() {
+				bins.Count(w, p)
 			}
 		}
 	})

@@ -121,7 +121,7 @@ var kernels = []kernel{
 			},
 			unit:    "occ lookups",
 			extra:   []string{"smems", "occ_lookups"},
-			samples: func(d fmiData) int { return len(d.reads) },
+			samples: func(d fmiData) []uint64 { return make([]uint64, len(d.reads)) },
 			tally: func(_ fmiData, i int, c *smemChunk) tally {
 				return tally{work: c.total, sums: [3]int64{int64(len(c.smems)), int64(c.total)},
 					first: i * fmiChunk, works: slices.Clone(c.lookups)}
@@ -718,18 +718,7 @@ var kernels = []kernel{
 			}
 			return reads
 		},
-		run: func(ctx context.Context, reads []genome.Seq, threads int) (RunStats, error) {
-			res, err := kmercnt.RunKernelCtx(ctx, reads, 17, threads, kmercnt.Linear)
-			return RunStats{
-				Counters:  res.Counters,
-				TaskStats: res.TaskStats,
-				Extra: map[string]float64{
-					"kmers":    float64(res.Kmers),
-					"distinct": float64(res.Distinct),
-					"probes":   float64(res.Probes),
-				},
-			}, err
-		},
+		loop: func(reads []genome.Seq) taskLoop { return kmerLoop.with(kmercnt.NewBins(reads, 17)) },
 	}.row(),
 }
 
@@ -873,7 +862,7 @@ var phmmLoop = perTask[phmmData, *phmmPiece, *phmmPiece]{
 	},
 	unit:    "cell updates",
 	extra:   []string{"pairs", "cells", "fallbacks"},
-	samples: func(d phmmData) int { return len(d.regions) },
+	samples: func(d phmmData) []uint64 { return make([]uint64, len(d.regions)) },
 	tally: func(_ phmmData, _ int, p *phmmPiece) tally {
 		t := tally{sums: [3]int64{2: int64(p.fallbacks)}}
 		if len(p.spans) == 0 {
@@ -921,7 +910,7 @@ var grmLoop = perTask[*grm.Blocks, struct{}, grmBlock]{
 	},
 	unit:    "multiply-accumulates",
 	extra:   []string{"flops"},
-	samples: func(*grm.Blocks) int { return 1 },
+	samples: func(*grm.Blocks) []uint64 { return make([]uint64, 1) },
 	tally: func(_ *grm.Blocks, _ int, r grmBlock) tally {
 		// The second sum is the entries the block stores: its own and,
 		// off the diagonal, their mirror.
@@ -939,6 +928,49 @@ var grmLoop = perTask[*grm.Blocks, struct{}, grmBlock]{
 		c.Add(perf.Load, t.work/4)
 		c.Add(perf.Store, uint64(t.sums[1])/8)
 		c.Add(perf.Branch, t.work/64)
+		return c
+	},
+}
+
+// kmerLoop is kmer-cnt's task loop over one run's bins: the prep round
+// bins each chunk of reads' k-mers by partition, and a task counts one
+// partition (kmercnt.Bins). The paper's work unit is the read, so the
+// run keeps one TaskStats sample per read: its k-mer count.
+var kmerLoop = perTask[*kmercnt.Bins, *kmercnt.Counter, counted[*kmercnt.Table]]{
+	prep:      (*kmercnt.Bins).Fill,
+	prepTasks: (*kmercnt.Bins).Chunks,
+	n:         (*kmercnt.Bins).Parts,
+	worker: func(*kmercnt.Bins, *scratch.Pool, int) *kmercnt.Counter {
+		return kmercnt.NewCounter(kmercnt.Linear)
+	},
+	task: func(b *kmercnt.Bins, w *kmercnt.Counter, i int) counted[*kmercnt.Table] {
+		t, n := b.Count(w, i)
+		return counted[*kmercnt.Table]{t, uint64(n)}
+	},
+	digest: func(r counted[*kmercnt.Table]) (uint64, uint64) {
+		counts := r.answer.Sorted()
+		h := foldInt(digest.Seed, len(counts))
+		for _, c := range counts {
+			h = digest.Word(h, c.Kmer)
+			h = digest.Word(h, uint64(c.Count))
+		}
+		return h, r.work
+	},
+	unit:    "kmers",
+	extra:   []string{"kmers", "distinct", "probes"},
+	samples: (*kmercnt.Bins).ReadKmers,
+	tally: func(_ *kmercnt.Bins, _ int, r counted[*kmercnt.Table]) tally {
+		// work stays zero: the samples are the reads', whole before any
+		// task runs.
+		return tally{sums: [3]int64{int64(r.work), int64(r.answer.Len()), int64(r.answer.Probes)}}
+	},
+	counters: func(t tally) (c perf.Counters) {
+		// Memory-dominated: each insert is a random load + tiny store.
+		kmers, probes := uint64(t.sums[0]), uint64(t.sums[2])
+		c.Add(perf.Load, probes*2)
+		c.Add(perf.Store, kmers)
+		c.Add(perf.IntALU, kmers*3)
+		c.Add(perf.Branch, probes)
 		return c
 	},
 }

@@ -88,13 +88,11 @@ type kernelDef[D any] struct {
 	info Info // the paper's Table II/III row
 	// build generates the dataset, deterministically in (size, seed).
 	build func(size Size, seed int64) D
-	// run executes the measured region and names the kernel's Extra
-	// scalars; bench.RunCtx stamps Elapsed. Only kmer-cnt sets it. Every
-	// other kernel's work splits into tasks — one dataset element, fmi's
-	// chunk of reads, a grm block, a phmm piece — so it leaves run nil
-	// and sets loop, usually to a perTask's with method (tasks.go); row
-	// makes run the loop's run.
-	run  func(ctx context.Context, d D, threads int) (RunStats, error)
+	// loop binds the kernel's task loop to a dataset: a perTask's with
+	// method (tasks.go), or kmer-cnt's, which first sizes the run's bins.
+	// Every kernel's work splits into tasks — one dataset element, fmi's
+	// chunk of reads, a grm block, a phmm piece, a kmer-cnt partition —
+	// and bench.RunCtx times the loop's run and stamps Elapsed.
 	loop func(d D) taskLoop
 
 	// tasks is set by the kernels that split into independent tasks
@@ -115,11 +113,6 @@ type kernel struct {
 }
 
 func (d kernelDef[D]) row() kernel {
-	if d.run == nil {
-		d.run = func(ctx context.Context, data D, threads int) (RunStats, error) {
-			return d.loop(data).run(ctx, threads)
-		}
-	}
 	k := kernel{info: d.info, newBench: func() Benchmark { return &bench[D]{def: &d} }}
 	if d.tasks != nil {
 		k.newExecutor = func() shard.Executor { return &executor[D]{def: &d} }
@@ -140,7 +133,7 @@ func (b *bench[D]) Prepare(size Size, seed int64) { b.data = b.def.build(size, s
 
 func (b *bench[D]) RunCtx(ctx context.Context, threads int) (RunStats, error) {
 	start := time.Now()
-	stats, err := b.def.run(ctx, b.data, threads)
+	stats, err := b.def.loop(b.data).run(ctx, threads)
 	if err != nil {
 		return RunStats{}, err
 	}

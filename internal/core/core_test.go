@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/cachesim"
-	"repro/internal/perf"
 	"repro/internal/shard"
 )
 
@@ -383,25 +382,14 @@ func TestDatasetDeterminism(t *testing.T) {
 // Every kernel statistic is a function of the input alone: each task
 // writes its own slot and one serial loop folds them in task order, so
 // Counters, Extra and the TaskStats sample sequence (not only its
-// summary) are the same at any thread count and on any schedule. The
-// one exception is kmer-cnt's probe count and the two counter classes
-// derived from it: which reads share a worker's table decides how far
-// each insert probes.
+// summary) are the same at any thread count and on any schedule.
 func TestRunStatsScheduleInvariant(t *testing.T) {
-	scheduleFree := func(name string, st RunStats) RunStats {
-		if name == "kmer-cnt" {
-			st.Extra = maps.Clone(st.Extra)
-			delete(st.Extra, "probes")
-			st.Counters.Ops[perf.Load], st.Counters.Ops[perf.Branch] = 0, 0
-		}
-		return st
-	}
 	for _, b := range Benchmarks() {
 		name := b.Info().Name
 		b.Prepare(Small, 42)
-		want := scheduleFree(name, mustRun(b, 1))
+		want := mustRun(b, 1)
 		for _, threads := range []int{1, 2, 2, 4, 4} {
-			got := scheduleFree(name, mustRun(b, threads))
+			got := mustRun(b, threads)
 			if got.Counters != want.Counters {
 				t.Errorf("%s: counters at %d threads %v, at 1 thread %v", name, threads, got.Counters.Ops, want.Counters.Ops)
 			}

@@ -19,25 +19,20 @@ func (p *perTask[D, W, R]) digests(ctx context.Context, threads int) ([]uint64, 
 	return out, err
 }
 
-// taskDigests is digests over a prepared bench; ok is false for
-// kmer-cnt, which keeps its own loop and publishes no task digest.
-func (b *bench[D]) taskDigests(ctx context.Context, threads int) (digests []uint64, ok bool, err error) {
-	if b.def.loop == nil {
-		return nil, false, nil
-	}
+// taskDigests is digests over a prepared bench.
+func (b *bench[D]) taskDigests(ctx context.Context, threads int) ([]uint64, error) {
 	loop := b.def.loop(b.data).(interface {
 		digests(ctx context.Context, threads int) ([]uint64, error)
 	})
-	digests, err = loop.digests(ctx, threads)
-	return digests, true, err
+	return loop.digests(ctx, threads)
 }
 
 type taskDigester interface {
-	taskDigests(ctx context.Context, threads int) ([]uint64, bool, error)
+	taskDigests(ctx context.Context, threads int) ([]uint64, error)
 }
 
-// answerFingerprints pins shard.Fingerprint of every task-digest
-// kernel's per-task digests at Small, seed 42. A change that moves one
+// answerFingerprints pins shard.Fingerprint of every kernel's per-task
+// digests at Small, seed 42. A change that moves one
 // moves an answer: update it only on purpose, and say why.
 var answerFingerprints = map[string]uint64{
 	"fmi":        0x4b3ec8270d78d519,
@@ -51,20 +46,21 @@ var answerFingerprints = map[string]uint64{
 	"nn-base":    0x8f35db841c377698,
 	"pileup":     0xba3434eb1644b17e,
 	"nn-variant": 0x0e007075a12e7be9,
+	"kmer-cnt":   0x8f02582b8622956c,
 }
 
 // TestAnswerMatrix: a task digest is the task's answer, so no schedule,
-// SIMD tier or executor may move one. For every kernel with a task
-// digest, the per-task digest vector at Small, seed 42 is the same on
-// the dispatched tier and with GBENCH_SIMD=off; the task loop the timed
-// run uses gives it at 1, 2 and 4 threads; a shardable kernel's shard
-// executor (LocalDigests) gives it too; and its fingerprint is the
-// pinned one. This is the one threads x tier x executor check of the
-// task-digest kernels. The portable bodies run once per kernel: under
-// -race they cost several times the dispatched ones.
+// SIMD tier or executor may move one. For every kernel, the per-task
+// digest vector at Small, seed 42 is the same on the dispatched tier
+// and with GBENCH_SIMD=off; the task loop the timed run uses gives it
+// at 1, 2 and 4 threads; a shardable kernel's shard executor
+// (LocalDigests) gives it too; and its fingerprint is the pinned one.
+// This is the one threads x tier x executor check of the kernels'
+// answers. The portable bodies run once per kernel: under -race they
+// cost several times the dispatched ones.
 func TestAnswerMatrix(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs eleven kernels at Small several times over")
+		t.Skip("runs twelve kernels at Small several times over")
 	}
 	ctx := context.Background()
 	tier := cpufeat.String()
@@ -103,24 +99,18 @@ func TestAnswerMatrix(t *testing.T) {
 			if run.off {
 				what, restore = "GBENCH_SIMD=off", cpufeat.ForceForTest("off")
 			}
-			got, ok, err := b.(taskDigester).taskDigests(ctx, run.threads)
+			got, err := b.(taskDigester).taskDigests(ctx, run.threads)
 			restore()
-			if !ok {
-				break
-			}
 			check(fmt.Sprintf("%s, %d threads", what, run.threads), got, err)
 		}
 		b.Release()
-		if want == nil {
-			continue
-		}
 		seen[name] = true
 		if fp := shard.Fingerprint(want); fp != answerFingerprints[name] {
 			t.Errorf("%s: fingerprint %016x, pinned %016x", name, fp, answerFingerprints[name])
 		}
 	}
 	if len(seen) != len(answerFingerprints) {
-		t.Errorf("task-digest kernels %v, pinned %d", seen, len(answerFingerprints))
+		t.Errorf("kernels %v, pinned %d", seen, len(answerFingerprints))
 	}
 }
 
@@ -133,7 +123,7 @@ func TestTaskDigestsMoveWithAnswers(t *testing.T) {
 	ctx := context.Background()
 	digests := func(b Benchmark) []uint64 {
 		t.Helper()
-		got, _, err := b.(taskDigester).taskDigests(ctx, 2)
+		got, err := b.(taskDigester).taskDigests(ctx, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,6 +35,13 @@ type perTask[D, W, R any] struct {
 	// task runs task i on worker state w. R is consumed on the worker
 	// before its next task, so R may alias w.
 	task func(d D, w W, i int) R
+	// prep, set by a kernel whose tasks regroup its dataset, is a first
+	// round of prepTasks(d) tasks the loop runs on the same workers, all
+	// of them before any task: kmer-cnt bins every chunk of reads'
+	// k-mers, then counts one partition per task. Only each runs it, so
+	// a kernel that sets prep has no shard executor (no tasks entry).
+	prep      func(d D, w W, j int)
+	prepTasks func(d D) int
 	// digest folds the task's complete answer into a digest and names
 	// its work; only the shard executor and tests call it, never the
 	// timed run.
@@ -50,9 +57,12 @@ type perTask[D, W, R any] struct {
 	tally    func(d D, i int, r R) tally
 	counters func(total tally) perf.Counters
 	// samples, set by a kernel whose TaskStats sample is not its task,
-	// counts the samples; each tally then adds into them from its first
-	// on, so several tasks may share a sample.
-	samples func(d D) int
+	// makes the samples; each tally then adds into them from its first
+	// on, so several tasks may share a sample. They start at zero, or,
+	// for kmer-cnt, whose sample is a read and whose task a partition of
+	// every read's k-mers, at each read's k-mer count, its tallies
+	// adding nothing.
+	samples func(d D) []uint64
 }
 
 // tally is one task's share of a run's statistics.
@@ -72,8 +82,9 @@ func (p perTask[D, W, R]) with(d D) taskLoop {
 }
 
 // each is the one task loop: it clamps the thread count, hands each
-// worker its state, and runs every task under a fault trip-point,
-// passing task i's result to slot(i, r) on the worker that ran it.
+// worker its state, and runs every prep task, then every task, under a
+// fault trip-point, passing task i's result to slot(i, r) on the
+// worker that ran it.
 func (p *perTask[D, W, R]) each(ctx context.Context, threads int, slot func(i int, r R)) error {
 	if threads <= 0 {
 		threads = 1
@@ -89,13 +100,21 @@ func (p *perTask[D, W, R]) each(ctx context.Context, threads int, slot func(i in
 	if p.chunked {
 		forEach = parallel.ForEachChunkedCtxErr
 	}
-	return forEach(ctx, p.n(p.data), threads, func(tctx context.Context, w, i int) error {
-		if err := faultinject.Point(tctx); err != nil {
+	round := func(n int, task func(w W, i int)) error {
+		return forEach(ctx, n, threads, func(tctx context.Context, w, i int) error {
+			if err := faultinject.Point(tctx); err != nil {
+				return err
+			}
+			task(workers[w], i)
+			return nil
+		})
+	}
+	if p.prep != nil {
+		if err := round(p.prepTasks(p.data), func(w W, j int) { p.prep(p.data, w, j) }); err != nil {
 			return err
 		}
-		slot(i, p.task(p.data, workers[w], i))
-		return nil
-	})
+	}
+	return round(p.n(p.data), func(w W, i int) { slot(i, p.task(p.data, w, i)) })
 }
 
 func (p *perTask[D, W, R]) run(ctx context.Context, threads int) (RunStats, error) {
@@ -107,7 +126,7 @@ func (p *perTask[D, W, R]) run(ctx context.Context, threads int) (RunStats, erro
 	ts := perf.NewTaskStats(p.unit)
 	var samples []uint64
 	if p.samples != nil {
-		samples = make([]uint64, p.samples(p.data))
+		samples = p.samples(p.data)
 	}
 	for _, t := range tallies {
 		total.work += t.work

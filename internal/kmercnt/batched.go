@@ -58,42 +58,35 @@ func (t *Table) flushWave(wave []uint64, pt Prefetcher) {
 	}
 }
 
-// waveScratch returns the table's grow-only wave buffer with exactly
-// width slots: the counter flushes when the wave is full.
-func (t *Table) waveScratch(width int) []uint64 {
-	if cap(t.wave) < width {
-		t.wave = make([]uint64, 0, width)
-	}
-	return t.wave[:0:width]
-}
-
-// CountSeqPackedBatched counts the canonical k-mers of a 2-bit packed
-// sequence on the wave-batched schedule. Bases stream out of each
-// packed word two bits at a time (one word load per 32 bases), the
-// reverse-complement code is maintained incrementally alongside the
-// forward code (O(1) canonicalization per k-mer instead of O(k)), the
-// decoder fills the wave and the flush overlaps the slot misses. This
-// is the kernel's hot path (RunKernelCtx). Tables and probe counts are
-// identical to CountSeq's on the unpacked sequence.
-func CountSeqPackedBatched(t *Table, p seq2.Packed, k int) uint64 {
-	return countSeqPackedBatched(t, p, k, WaveWidth)
-}
-
-// countSeqPackedBatched is CountSeqPackedBatched at a given wave width.
-func countSeqPackedBatched(t *Table, p seq2.Packed, k, width int) uint64 {
-	n := p.Len()
-	if n < k || k <= 0 || k > 31 {
-		return 0
-	}
-	wave := t.waveScratch(width)
+// countWaves inserts keys in order, a wave of WaveWidth at a time: the
+// counting path of a partition (Bins.Count). Tables and probe counts
+// are CountSeq's on the same keys in the same order.
+func (t *Table) countWaves(keys []uint64) {
 	pt, _ := t.Tracer.(Prefetcher)
+	for len(keys) > 0 {
+		m := min(len(keys), WaveWidth)
+		t.flushWave(keys[:m], pt)
+		keys = keys[m:]
+	}
+}
+
+// appendKmers appends the canonical k-mers of a 2-bit packed sequence
+// to dst, in sequence order: the packed decoder the binning rolls
+// k-mers with. Bases stream out of each packed word two bits at a time
+// (one word load per 32 bases), and the reverse-complement code is
+// maintained incrementally alongside the forward code: O(1)
+// canonicalization per k-mer instead of CountSeq's O(k). It appends
+// nothing when k is outside [1, 31], the range a packed code holds, or
+// p is shorter than k.
+func appendKmers(dst []uint64, p seq2.Packed, k int) []uint64 {
+	if kmers(p.Len(), k) == 0 {
+		return dst
+	}
+	words := p.WordsSlice()
 	shift := 2 * uint(k-1)
 	mask := uint64(1)<<(2*uint(k)) - 1
-	words := p.WordsSlice()
-	var code, rcode uint64
-	var w uint64
-	var count uint64
-	for i := 0; i < n; i++ {
+	var code, rcode, w uint64
+	for i := range p.Len() {
 		if i%seq2.BasesPerWord == 0 {
 			w = words[i/seq2.BasesPerWord]
 		}
@@ -101,20 +94,17 @@ func countSeqPackedBatched(t *Table, p seq2.Packed, k, width int) uint64 {
 		w >>= 2
 		code = (code<<2 | b) & mask
 		rcode = rcode>>2 | (3-b)<<shift
-		if i >= k-1 {
-			canon := code
-			if rcode < code {
-				canon = rcode
-			}
-			wave = append(wave, canon)
-			count++
-			if len(wave) == cap(wave) {
-				t.flushWave(wave, pt)
-				wave = wave[:0]
-			}
+		if i+1 >= k {
+			dst = append(dst, min(code, rcode))
 		}
 	}
-	t.flushWave(wave, pt)
-	t.wave = wave[:0]
-	return count
+	return dst
+}
+
+// kmers is the number of k-mers appendKmers rolls from n bases.
+func kmers(n, k int) int {
+	if k <= 0 || k > 31 || n < k {
+		return 0
+	}
+	return n - k + 1
 }

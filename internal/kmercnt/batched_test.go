@@ -1,9 +1,9 @@
 package kmercnt
 
 import (
-	"context"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/cachesim"
@@ -121,10 +121,9 @@ func TestBatchedPrefetchReducesSimulatedStalls(t *testing.T) {
 		rs.L1MissRatio, rb.L1MissRatio)
 }
 
-// CountSeqPackedBatched must produce tables identical to CountSeq's
-// at every wave width, including widths larger than the read's k-mer
-// count, and a table that once counted at a wider wave must not keep
-// flushing at that width.
+// Wave inserts must produce tables identical to CountSeq's at every
+// wave width, including widths larger than the read's k-mer count:
+// width is dispatch policy, never part of the answer.
 func TestPackedBatchedForcedWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	reads := make([]genome.Seq, 10)
@@ -141,48 +140,56 @@ func TestPackedBatchedForcedWidths(t *testing.T) {
 			got := NewTable(64, Linear)
 			var gotN uint64
 			for _, r := range reads {
-				gotN += countSeqPackedBatched(got, seq2.PackInto(nil, r), k, width)
+				keys := appendKmers(nil, seq2.PackInto(nil, r), k)
+				gotN += uint64(len(keys))
+				for len(keys) > 0 {
+					m := min(len(keys), width)
+					got.flushWave(keys[:m], nil)
+					keys = keys[m:]
+				}
 			}
 			if gotN != wantN {
 				t.Fatalf("k=%d width=%d: counted %d, want %d", k, width, gotN, wantN)
 			}
-			if got.Len() != want.Len() {
-				t.Fatalf("k=%d width=%d: distinct %d, want %d", k, width, got.Len(), want.Len())
-			}
-			for i, key := range want.keys {
-				if key == 0 {
-					continue
-				}
-				if c := got.count(key - 1); c != want.counts[i] {
-					t.Fatalf("k=%d width=%d kmer %x: %d, want %d", k, width, key-1, c, want.counts[i])
-				}
+			if !tablesEqual(want, got) || got.Probes != want.Probes {
+				t.Fatalf("k=%d width=%d: table or probes (%d, want %d) differ from CountSeq's", k, width, got.Probes, want.Probes)
 			}
 		}
 	}
-	tab := NewTable(64, Linear)
-	countSeqPackedBatched(tab, seq2.PackInto(nil, reads[0]), 17, 512)
-	if got := cap(tab.waveScratch(WaveWidth)); got != WaveWidth {
-		t.Fatalf("wave after a 512-wide count holds %d slots, want WaveWidth %d", got, WaveWidth)
-	}
 }
 
-// Steady-state wave counting must not allocate: the wave buffer lives
-// on the table.
+// A worker's steady state must not allocate: once its packing buffer,
+// chunk scratch and table have grown to the largest chunk and
+// partition, binning and counting the same reads again allocates
+// nothing.
 func TestPackedBatchedZeroAllocSteadyState(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	read := genome.Random(rng, 3000)
-	p := seq2.PackInto(nil, read)
-	tab := NewTable(1<<16, Linear) // large enough that no grow happens
-	CountSeqPackedBatched(tab, p, 17)
-	if allocs := testing.AllocsPerRun(10, func() {
-		CountSeqPackedBatched(tab, p, 17)
-	}); allocs != 0 {
+	reads := make([]genome.Seq, 40)
+	for i := range reads {
+		reads[i] = genome.Random(rng, 1000)
+	}
+	b := NewBins(reads, 17)
+	if b.Parts() < 2 {
+		t.Fatalf("%d partition(s), want several", b.Parts())
+	}
+	w := NewCounter(Linear)
+	pass := func() {
+		for c := range b.Chunks() {
+			b.Fill(w, c)
+		}
+		for p := range b.Parts() {
+			b.Count(w, p)
+		}
+	}
+	pass()
+	if allocs := testing.AllocsPerRun(10, pass); allocs != 0 {
 		t.Fatalf("steady-state allocs/run = %v, want 0", allocs)
 	}
 }
 
-// The kernel path (RunKernelCtx -> CountSeqPackedBatched) must agree
-// with the serial counter's aggregates.
+// The kernel path (the partitioned count, its chunks decoded on the
+// packed decoder and its partitions inserted through the wave) must
+// agree with the serial counter's table.
 func TestKernelBatchedDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	reads := make([]genome.Seq, 30)
@@ -194,11 +201,15 @@ func TestKernelBatchedDifferential(t *testing.T) {
 	for _, r := range reads {
 		wantN += CountSeq(want, r, 17)
 	}
-	res := must(RunKernelCtx(context.Background(), reads, 17, 4, Linear))
-	if res.Kmers != wantN {
-		t.Fatalf("kernel counted %d k-mers, want %d", res.Kmers, wantN)
+	b := NewBins(reads, 17)
+	if b.Parts() < 2 {
+		t.Fatalf("%d k-mers make %d partition(s), want several", wantN, b.Parts())
 	}
-	if res.Distinct != want.Len() {
-		t.Fatalf("kernel distinct %d, want %d", res.Distinct, want.Len())
+	res := countBins(b, 4)
+	if uint64(res.kmers) != wantN {
+		t.Fatalf("kernel counted %d k-mers, want %d", res.kmers, wantN)
+	}
+	if got := res.all(); !slices.Equal(got, want.Sorted()) {
+		t.Fatalf("kernel holds %d distinct (k-mer, count) pairs, serial table %d, and they differ", len(got), want.Len())
 	}
 }

@@ -4,17 +4,16 @@
 // random cache line touched per insert with a 1-2 byte useful payload —
 // is what makes kmer-cnt the most memory-bound kernel in the paper
 // (484 BPKI, 69% stall cycles). Both plain linear probing and robin-
-// hood probing (the paper's suggested optimization) are provided.
+// hood probing (the paper's suggested optimization) are provided. The
+// kernel counts by ownership (partition.go): k-mers binned by hash
+// prefix, each partition counted in a cache-resident table of its own.
 package kmercnt
 
 import (
-	"context"
+	"cmp"
+	"slices"
 
-	"repro/internal/faultinject"
 	"repro/internal/genome"
-	"repro/internal/parallel"
-	"repro/internal/perf"
-	"repro/internal/seq2"
 )
 
 // Probing selects the collision-resolution strategy.
@@ -45,10 +44,6 @@ type Table struct {
 	Probes        uint64
 	ProbeDistance uint64
 	Tracer        MemTracer
-
-	// wave is the batched counters' grow-only k-mer buffer (batched.go);
-	// it lives on the table so steady-state waves allocate nothing.
-	wave []uint64
 }
 
 // NewTable creates a table with at least capacity slots (rounded up to
@@ -68,6 +63,47 @@ func NewTable(capacity int, mode Probing) *Table {
 
 // Len reports the number of distinct k-mers stored.
 func (t *Table) Len() int { return t.used }
+
+// reset empties the table and sizes it for n inserts: the smallest
+// power of two, at least 16 slots, that n distinct keys fill below the
+// 70% grow threshold, so the table never grows. The size depends on n
+// alone, and the slot arrays are reused when they are large enough.
+func (t *Table) reset(n int) {
+	size := 16
+	for size*7 <= n*10 {
+		size *= 2
+	}
+	if cap(t.keys) < size {
+		t.keys, t.counts = make([]uint64, size), make([]uint32, size)
+	} else {
+		t.keys, t.counts = t.keys[:size], t.counts[:size]
+		clear(t.keys)
+		clear(t.counts)
+	}
+	t.mask = uint64(size - 1)
+	t.used = 0
+	t.Probes, t.ProbeDistance = 0, 0
+}
+
+// KmerCount is one stored k-mer and its count.
+type KmerCount struct {
+	Kmer  uint64
+	Count uint32
+}
+
+// Sorted returns every stored k-mer with its count, in key order: the
+// table's answer, free of its slot layout. It allocates and sorts, so
+// it serves answer digests and tests, never the counting path.
+func (t *Table) Sorted() []KmerCount {
+	out := make([]KmerCount, 0, t.used)
+	for i, key := range t.keys {
+		if key != 0 {
+			out = append(out, KmerCount{key - 1, t.counts[i]})
+		}
+	}
+	slices.SortFunc(out, func(a, b KmerCount) int { return cmp.Compare(a.Kmer, b.Kmer) })
+	return out
+}
 
 // hash mixes a k-mer code (murmur-style finalizer).
 func hash(x uint64) uint64 {
@@ -158,21 +194,6 @@ func (t *Table) Increment(key uint64) {
 	}
 }
 
-// scanStride returns an odd stride for visiting all slots of a
-// power-of-two table in an order decorrelated from slot order. Walking
-// a source table in plain slot order yields keys in ascending hash
-// order, and feeding another linear-probe table keys in ascending slot
-// order is its worst case: every insert lands at the frontier of one
-// ever-growing run (measured 4x slower than decorrelated order on a
-// 142k-key merge). An odd stride on a power-of-two size is a full
-// cycle, so every slot is still visited exactly once. grow()
-// deliberately does NOT use it: a doubling rehash splits each source
-// run across two well-spaced destinations anyway, and the sequential
-// source scan's locality wins there (measured ~20% on the t1 kernel).
-func scanStride(size int) int {
-	return (0x9E3779B1 & (size - 1)) | 1
-}
-
 // grow doubles the table and reinserts all entries.
 func (t *Table) grow() {
 	oldKeys, oldCounts := t.keys, t.counts
@@ -230,8 +251,8 @@ func (t *Table) reinsert(stored uint64, count uint32) {
 // CountSeq inserts every canonical k-mer of s into the table and
 // returns the number of k-mers processed. The canonical key is the
 // smaller of a k-mer code and its reverse complement, built here one
-// base at a time. It is the scalar reference implementation;
-// CountSeqPackedBatched produces identical tables.
+// base at a time. It is the scalar reference implementation the
+// partitioned count (Bins) is held to.
 func CountSeq(t *Table, s genome.Seq, k int) uint64 {
 	var n uint64
 	genome.EachKmer(s, k, func(_ int, code uint64) {
@@ -244,77 +265,4 @@ func CountSeq(t *Table, s genome.Seq, k int) uint64 {
 		n++
 	})
 	return n
-}
-
-// KernelResult aggregates a kmer-cnt benchmark execution.
-type KernelResult struct {
-	Kmers     uint64
-	Distinct  int
-	Probes    uint64
-	TaskStats *perf.TaskStats
-	Counters  perf.Counters
-}
-
-// RunKernelCtx counts k-mers across reads. Threads each fill a private
-// table (the shared-table version does not scale, as the paper's
-// Figure 7 shows for kmer-cnt); results merge at the end. It runs under
-// cooperative cancellation with a fault trip-point per read.
-func RunKernelCtx(ctx context.Context, reads []genome.Seq, k, threads int, mode Probing) (KernelResult, error) {
-	if threads <= 0 {
-		threads = 1
-	}
-	type ws struct {
-		table   *Table
-		packBuf []uint64 // grow-only 2-bit packing buffer, reused per read
-	}
-	workers := make([]ws, threads)
-	for i := range workers {
-		workers[i].table = NewTable(1<<12, mode)
-	}
-	counts := make([]uint64, len(reads))
-	// Reads are fine-grained tasks; chunked dispatch amortizes the
-	// scheduler's atomic fetch across a batch of them.
-	err := parallel.ForEachChunkedCtxErr(ctx, len(reads), threads, func(tctx context.Context, w, i int) error {
-		if err := faultinject.Point(tctx); err != nil {
-			return err
-		}
-		p := seq2.PackInto(workers[w].packBuf, reads[i])
-		workers[w].packBuf = p.WordsSlice()
-		counts[i] = CountSeqPackedBatched(workers[w].table, p, k)
-		return nil
-	})
-	if err != nil {
-		return KernelResult{}, err
-	}
-	res := KernelResult{TaskStats: perf.NewTaskStats("kmers")}
-	merged := workers[0].table
-	for i := 1; i < threads; i++ {
-		// Stride order, not slot order: slot order feeds merged keys in
-		// ascending hash order, linear probing's worst case (scanStride).
-		src := workers[i].table
-		mask := len(src.keys) - 1
-		stride := scanStride(len(src.keys))
-		for j := range src.keys {
-			s := (j * stride) & mask
-			if key := src.keys[s]; key != 0 {
-				for c := uint32(0); c < src.counts[s]; c++ {
-					merged.Increment(key - 1)
-				}
-			}
-		}
-	}
-	res.Distinct = merged.Len()
-	for i := range workers {
-		res.Probes += workers[i].table.Probes
-	}
-	for _, n := range counts {
-		res.Kmers += n
-		res.TaskStats.Observe(float64(n))
-	}
-	// Memory-dominated: each insert is a random load + tiny store.
-	res.Counters.Add(perf.Load, res.Probes*2)
-	res.Counters.Add(perf.Store, res.Kmers)
-	res.Counters.Add(perf.IntALU, res.Kmers*3)
-	res.Counters.Add(perf.Branch, res.Probes)
-	return res, nil
 }

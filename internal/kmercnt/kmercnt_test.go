@@ -1,7 +1,6 @@
 package kmercnt
 
 import (
-	"context"
 	"math/rand"
 	"slices"
 	"testing"
@@ -134,27 +133,34 @@ func TestRobinHoodReducesProbesAtHighLoad(t *testing.T) {
 	}
 }
 
+// The partitioned count (Bins) agrees with the naive map on every
+// aggregate, through one partition and several, on one worker and four.
 func TestRunKernelMatchesNaiveDistinct(t *testing.T) {
 	reads := testReads(5, 30, 150)
 	k := 17
 	want := naiveCounts(reads, k)
-	var perRead []float64 // k-mers per read at one thread: read order
-	for _, threads := range []int{1, 4} {
-		res := must(RunKernelCtx(context.Background(), reads, k, threads, Linear))
-		if perRead == nil {
-			perRead = res.TaskStats.Work()
+	for _, b := range []*Bins{NewBins(reads, k), newBins(reads, k, 5)} {
+		for _, workers := range []int{1, 4} {
+			res := countBins(b, workers)
+			distinct := 0
+			for _, part := range res.parts {
+				distinct += len(part)
+				for _, c := range part {
+					if want[c.Kmer] != c.Count {
+						t.Fatalf("parts=%d workers=%d: k-mer %x counted %d, want %d", b.Parts(), workers, c.Kmer, c.Count, want[c.Kmer])
+					}
+				}
+			}
+			if distinct != len(want) {
+				t.Errorf("parts=%d workers=%d: distinct %d, want %d", b.Parts(), workers, distinct, len(want))
+			}
+			if res.kmers != 30*(150-k+1) {
+				t.Errorf("parts=%d workers=%d: kmers %d", b.Parts(), workers, res.kmers)
+			}
 		}
-		if !slices.Equal(res.TaskStats.Work(), perRead) {
-			t.Errorf("threads=%d: sample sequence is not in read order", threads)
-		}
-		if res.Distinct != len(want) {
-			t.Errorf("threads=%d: distinct %d, want %d", threads, res.Distinct, len(want))
-		}
-		if res.Kmers != uint64(30*(150-k+1)) {
-			t.Errorf("threads=%d: kmers %d", threads, res.Kmers)
-		}
-		if res.TaskStats.Count() != 30 {
-			t.Errorf("task count %d", res.TaskStats.Count())
+		perRead := b.ReadKmers()
+		if len(perRead) != 30 || slices.ContainsFunc(perRead, func(n uint64) bool { return n != uint64(150-k+1) }) {
+			t.Errorf("parts=%d: per-read k-mers %v", b.Parts(), perRead)
 		}
 	}
 }
@@ -172,12 +178,3 @@ func TestTracerReceivesAccesses(t *testing.T) {
 type tracerFunc func(addr uint64, size int, write bool)
 
 func (f tracerFunc) Access(addr uint64, size int, write bool) { f(addr, size, write) }
-
-// must unwraps a RunKernelCtx result; a kernel run under a background
-// context with no fault plan armed cannot fail.
-func must(res KernelResult, err error) KernelResult {
-	if err != nil {
-		panic(err)
-	}
-	return res
-}

@@ -26,15 +26,18 @@ func tablesEqual(a, b *Table) bool {
 	return true
 }
 
-// countPackedBatched packs s and counts it on the production path; it
-// has CountSeq's shape so a test can run either side of the
+// countPackedBatched counts s on the production path — packed, rolled
+// by the binning's decoder, inserted in waves — as one partition's
+// keys; it has CountSeq's shape so a test can run either side of the
 // differential through one closure.
 func countPackedBatched(t *Table, s genome.Seq, k int) uint64 {
-	return CountSeqPackedBatched(t, seq2.PackInto(nil, s), k)
+	keys := appendKmers(nil, seq2.PackInto(nil, s), k)
+	t.countWaves(keys)
+	return uint64(len(keys))
 }
 
 // The production path (packed decode, rolling reverse complement, wave
-// schedule) must produce tables identical to the scalar reference,
+// inserts) must produce tables identical to the scalar reference,
 // including probe counts (same keys in the same order means the same
 // probe sequence).
 func TestCountSeqVariantsDifferential(t *testing.T) {
@@ -44,13 +47,10 @@ func TestCountSeqVariantsDifferential(t *testing.T) {
 			ref := NewTable(1<<10, mode)
 			prod := NewTable(1<<10, mode)
 			var refN, prodN uint64
-			var buf []uint64
 			for trial := 0; trial < 30; trial++ {
 				s := genome.Random(rng, k-2+rng.Intn(400))
 				refN += CountSeq(ref, s, k)
-				p := seq2.PackInto(buf, s)
-				buf = p.WordsSlice()
-				prodN += CountSeqPackedBatched(prod, p, k)
+				prodN += countPackedBatched(prod, s, k)
 			}
 			if prodN != refN {
 				t.Fatalf("mode=%v k=%d: kmer count %d, want %d", mode, k, prodN, refN)
@@ -104,11 +104,12 @@ func BenchmarkCountSeq(b *testing.B) {
 	b.Run("packed-batched", func(b *testing.B) {
 		b.ReportAllocs()
 		tb := NewTable(1<<16, Linear)
-		var buf []uint64
+		var buf, keys []uint64
 		for i := 0; i < b.N; i++ {
 			p := seq2.PackInto(buf, reads[i%len(reads)])
 			buf = p.WordsSlice()
-			CountSeqPackedBatched(tb, p, k)
+			keys = appendKmers(keys[:0], p, k)
+			tb.countWaves(keys)
 		}
 	})
 }
