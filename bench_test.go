@@ -23,6 +23,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/nnbase"
 	"repro/internal/readsim"
+	"repro/internal/scratch"
 )
 
 const benchSeed = 42
@@ -227,7 +228,7 @@ func BenchmarkAblationCTCDecode(b *testing.B) {
 	probs.Softmax()
 	b.Run("greedy", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			nn.CTCGreedyDecode(probs)
+			nn.CTCGreedyDecode(nil, probs)
 		}
 	})
 	b.Run("beam8", func(b *testing.B) {
@@ -309,10 +310,11 @@ func BenchmarkBasecall(b *testing.B) {
 	for i := range signal {
 		signal[i] = float32(rng.NormFloat64())
 	}
+	a := scratch.New() // one worker's arena, warm after the first call
 	b.SetBytes(nnbase.ChunkSize * 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Basecall(signal, cfg)
+		m.Basecall(signal, cfg, a)
 	}
 }
 

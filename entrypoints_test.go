@@ -58,7 +58,7 @@ var referenceOnly = map[string]string{
 	"fmindex.Index.occ4Scalar":      "byte-scan rank FuzzOccBlock, TestOcc4PackedDifferential and TestLFMatchesScalarRank compare against",
 	"fmindex.Index.extendForwardT":  "all-four extension TestExtend1MatchesExtend4 holds extendForward1 to; through it extendBackwardT and occ4t, which hold extendBackward1 and the packed rank",
 	"grm.ComputeNaive":              "one-dot-product-at-a-time reference TestComputeDifferential holds Blocks.Compute to bit for bit; through it Genotypes.Standardize, whose dense Z matrix TestMonomorphicSiteContributesNothing inspects",
-	"kmercnt.CountSeq":              "scalar reference the CountSeqPackedBatched differential tests compare tables against",
+	"kmercnt.CountSeq":              "scalar reference TestKernelBatchedDifferential and core.TestKmerCntMatchesCountSeq compare tables against",
 	"nnbase.EditDistance":           "accuracy metric the basecall tests score calls with",
 	"phmm.EvaluateRegionScalarInto": "scalar region reference of the IntoDifferential tests and the lanes benchmark pair; through it LikelihoodInto, forwardInto and fallback64, the one-pair scalar definitions every lane kernel and the float64 redo are held to",
 	"phmm.laneTolerance":            "bound the haplotype-lane differential tests allow until those lanes are exact",

@@ -397,7 +397,7 @@ func TestPipelineBasecallRoundTrip(t *testing.T) {
 	cfg.Channels = 16
 	cfg.Blocks = 2
 	m := nnbase.NewModel(5, cfg)
-	called, macs := m.Basecall(signal, cfg)
+	called, macs := m.Basecall(signal, cfg, nil)
 	if macs == 0 {
 		t.Fatal("no computation performed")
 	}

@@ -545,10 +545,11 @@ var kernels = []kernel{
 			}
 			return d
 		},
-		loop: perTask[nnbaseData, struct{}, counted[genome.Seq]]{
-			n: func(d nnbaseData) int { return len(d.reads) },
-			task: func(d nnbaseData, _ struct{}, i int) counted[genome.Seq] {
-				called, macs := d.model.Basecall(d.reads[i].Signal, d.cfg)
+		loop: perTask[nnbaseData, *scratch.Arena, counted[genome.Seq]]{
+			n:      func(d nnbaseData) int { return len(d.reads) },
+			worker: arena[nnbaseData],
+			task: func(d nnbaseData, a *scratch.Arena, i int) counted[genome.Seq] {
+				called, macs := d.model.Basecall(d.reads[i].Signal, d.cfg, a) // resets a
 				return counted[genome.Seq]{called, macs}
 			},
 			digest: func(r counted[genome.Seq]) (uint64, uint64) { return seqDigest(r.answer), r.work },
@@ -670,15 +671,19 @@ var kernels = []kernel{
 			}
 			return d
 		},
-		loop: perTask[nnvariantData, struct{}, []nnvariant.Call]{
+		loop: perTask[nnvariantData, *nnvariantWorker, []nnvariant.Call]{
 			n: func(d nnvariantData) int { return len(d.tasks) },
-			task: func(d nnvariantData, _ struct{}, i int) []nnvariant.Call {
+			worker: func(_ nnvariantData, pool *scratch.Pool, w int) *nnvariantWorker {
+				return &nnvariantWorker{arena: pool.Worker(w)}
+			},
+			task: func(d nnvariantData, w *nnvariantWorker, i int) []nnvariant.Call {
 				t := d.tasks[i]
-				calls := make([]nnvariant.Call, len(t.Candidates))
+				w.calls = slices.Grow(w.calls[:0], len(t.Candidates))[:len(t.Candidates)]
 				for c, pos := range t.Candidates {
-					calls[c] = d.model.Predict(nnvariant.BuildTensor(t.Counts, pos))
+					w.arena.Reset()
+					w.calls[c] = d.model.Predict(nnvariant.BuildTensor(t.Counts, pos, w.arena), w.arena)
 				}
-				return calls
+				return w.calls
 			},
 			digest: func(calls []nnvariant.Call) (uint64, uint64) { return callsDigest(calls), uint64(len(calls)) },
 			unit:   "MACs",
@@ -725,6 +730,14 @@ var kernels = []kernel{
 // arena is the worker of the kernels whose state is an arena from the
 // run's pool.
 func arena[D any](_ D, pool *scratch.Pool, w int) *scratch.Arena { return pool.Worker(w) }
+
+// nnvariantWorker is nn-variant's worker state: the arena each
+// candidate's network runs on, reset per candidate, and the calls of
+// the task it last ran, which that task's answer aliases.
+type nnvariantWorker struct {
+	arena *scratch.Arena
+	calls []nnvariant.Call
+}
 
 // fmiChunk is fmi's task: a fixed run of consecutive reads, a few
 // batch windows deep, so each task runs through its worker's engine

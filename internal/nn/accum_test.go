@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cpufeat"
+	"repro/internal/scratch"
 )
 
 // forEachTier runs f once with the SIMD ceiling forced to "off" (the
@@ -191,7 +192,7 @@ func TestAccumulateZeroAlloc(t *testing.T) {
 // conversion so that they stay fusion-free on arm64; on amd64 that is
 // exactly what the old loops compiled to.
 
-func matMulScalar(a, b *Tensor) *Tensor {
+func matMulScalar(a, b Tensor) Tensor {
 	out := NewTensor(a.Rows, b.Cols)
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Row(i)
@@ -210,20 +211,20 @@ func matMulScalar(a, b *Tensor) *Tensor {
 	return out
 }
 
-func applyScalar(t *Tensor, act func(float32) float32) {
+func applyScalar(t Tensor, act func(float32) float32) {
 	for i, v := range t.Data {
 		t.Data[i] = act(v)
 	}
 }
 
-func denseForwardScalar(d *Dense, act func(float32) float32, x *Tensor) *Tensor {
-	out := matMulScalar(x, d.W)
+func denseForwardScalar(d *Dense, act func(float32) float32, x Tensor) Tensor {
+	out := matMulScalar(x, *d.W)
 	out.AddBias(d.B)
 	applyScalar(out, act)
 	return out
 }
 
-func conv1DForwardScalar(c *Conv1D, act func(float32) float32, x *Tensor) *Tensor {
+func conv1DForwardScalar(c *Conv1D, act func(float32) float32, x Tensor) Tensor {
 	inCh := c.W[0].Rows
 	outCh := c.W[0].Cols
 	outLen := c.OutLen(x.Rows)
@@ -258,7 +259,7 @@ func conv1DForwardScalar(c *Conv1D, act func(float32) float32, x *Tensor) *Tenso
 	return out
 }
 
-func sepConvForwardScalar(c *SeparableConv1D, act func(float32) float32, x *Tensor) *Tensor {
+func sepConvForwardScalar(c *SeparableConv1D, act func(float32) float32, x Tensor) Tensor {
 	inCh := len(c.Depth[0])
 	outLen := c.OutLen(x.Rows)
 	mid := NewTensor(outLen, inCh)
@@ -278,13 +279,13 @@ func sepConvForwardScalar(c *SeparableConv1D, act func(float32) float32, x *Tens
 			}
 		}
 	}
-	out := matMulScalar(mid, c.Point)
+	out := matMulScalar(mid, *c.Point)
 	out.AddBias(c.B)
 	applyScalar(out, act)
 	return out
 }
 
-func lstmForwardScalar(l *LSTM, x *Tensor, reverse bool) *Tensor {
+func lstmForwardScalar(l *LSTM, x Tensor, reverse bool) Tensor {
 	T := x.Rows
 	h := make([]float32, l.Hidden)
 	c := make([]float32, l.Hidden)
@@ -332,7 +333,7 @@ func lstmForwardScalar(l *LSTM, x *Tensor, reverse bool) *Tensor {
 
 // sparseTensor is a random tensor with about a third of its entries
 // exactly zero, like a ReLU output or a pileup encoding.
-func sparseTensor(rng *rand.Rand, rows, cols int) *Tensor {
+func sparseTensor(rng *rand.Rand, rows, cols int) Tensor {
 	t := RandomTensor(rng, rows, cols, 1)
 	for i := range t.Data {
 		if rng.Intn(3) == 0 {
@@ -342,7 +343,7 @@ func sparseTensor(rng *rand.Rand, rows, cols int) *Tensor {
 	return t
 }
 
-func requireSameTensor(t *testing.T, what string, got, want *Tensor) {
+func requireSameTensor(t *testing.T, what string, got, want Tensor) {
 	t.Helper()
 	if got.Rows != want.Rows || got.Cols != want.Cols {
 		t.Fatalf("%s: shape (%d,%d), want (%d,%d)", what, got.Rows, got.Cols, want.Rows, want.Cols)
@@ -356,6 +357,10 @@ func requireSameTensor(t *testing.T, what string, got, want *Tensor) {
 func TestLayersDifferential(t *testing.T) {
 	forEachTier(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(23))
+		// Every layer runs on one arena, reset before each call, so
+		// each draws the buffers the previous layer left dirty.
+		arena := scratch.New()
+		dirty := func() *scratch.Arena { arena.Reset(); return arena }
 		for _, T := range []int{1, 2, 5, 40} {
 			for _, ch := range [][2]int{{1, 32}, {3, 5}, {8, 33}, {32, 32}, {7, 64}} {
 				in, out := ch[0], ch[1]
@@ -370,18 +375,18 @@ func TestLayersDifferential(t *testing.T) {
 
 				d := NewDense(rng, in, out, SwishSlice, "d")
 				hammerFill(rng, d.B, 0)
-				requireSameTensor(t, "MatMul "+what, MatMul(x, d.W), matMulScalar(x, d.W))
-				requireSameTensor(t, "Dense "+what, d.Forward(x), denseForwardScalar(d, Swish, x))
+				requireSameTensor(t, "MatMul "+what, MatMul(x, *d.W, dirty()), matMulScalar(x, *d.W))
+				requireSameTensor(t, "Dense "+what, d.Forward(x, dirty()), denseForwardScalar(d, Swish, x))
 
 				for _, kernel := range []int{1, 2, 3, 9} {
 					for _, stride := range []int{1, 2, 3} {
 						geo := fmt.Sprintf("%s kernel=%d stride=%d", what, kernel, stride)
 						c := NewConv1D(rng, in, out, kernel, stride, SwishSlice, "c")
 						hammerFill(rng, c.B, 0)
-						requireSameTensor(t, "Conv1D "+geo, c.Forward(x), conv1DForwardScalar(c, Swish, x))
+						requireSameTensor(t, "Conv1D "+geo, c.Forward(x, dirty()), conv1DForwardScalar(c, Swish, x))
 						s := NewSeparableConv1D(rng, in, out, kernel, stride, SwishSlice, "s")
 						hammerFill(rng, s.B, 0)
-						requireSameTensor(t, "SeparableConv1D "+geo, s.Forward(x), sepConvForwardScalar(s, Swish, x))
+						requireSameTensor(t, "SeparableConv1D "+geo, s.Forward(x, dirty()), sepConvForwardScalar(s, Swish, x))
 					}
 				}
 
@@ -389,7 +394,7 @@ func TestLayersDifferential(t *testing.T) {
 					l := NewLSTM(rng, in, hidden, "l")
 					for _, reverse := range []bool{false, true} {
 						geo := fmt.Sprintf("%s hidden=%d reverse=%v", what, hidden, reverse)
-						requireSameTensor(t, "LSTM "+geo, l.Forward(x, reverse), lstmForwardScalar(l, x, reverse))
+						requireSameTensor(t, "LSTM "+geo, l.Forward(x, reverse, dirty()), lstmForwardScalar(l, x, reverse))
 					}
 				}
 			}
@@ -420,7 +425,8 @@ func BenchmarkMatMul(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x := RandomTensor(rng, 1334, 32, 1)
 	w := RandomTensor(rng, 32, 32, 1)
-	benchTiers(b, 1334*32*32, func() { MatMul(x, w) })
+	a := scratch.New()
+	benchTiers(b, 1334*32*32, func() { a.Reset(); MatMul(x, w, a) })
 }
 
 // nn-variant's recurrent layers: 33 positions, 32 features into the
@@ -430,8 +436,9 @@ func BenchmarkLSTMForward(b *testing.B) {
 		rng := rand.New(rand.NewSource(1))
 		l := NewLSTM(rng, in, 32, "l")
 		x := RandomTensor(rng, 33, in, 1)
+		a := scratch.New()
 		b.Run(fmt.Sprintf("in%d", in), func(b *testing.B) {
-			benchTiers(b, 33*(in+32)*128, func() { l.Forward(x, false) })
+			benchTiers(b, 33*(in+32)*128, func() { a.Reset(); l.Forward(x, false, a) })
 		})
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cpufeat"
+	"repro/internal/scratch"
 )
 
 // activations pairs each slice kernel with the scalar function that
@@ -116,27 +117,32 @@ func FuzzActivations(f *testing.F) {
 	})
 }
 
-// The layers activate in place and tanh(c) reuses the LSTM's gate
-// buffer, so the activation lanes add no allocation: these are the
-// counts the per-element forms had.
+// On a warm arena every layer's forward pass allocates nothing: its
+// output and working buffers come from the arena, the activations run
+// in place and tanh(c) reuses the LSTM's gate buffer.
 func TestLayerAllocsBounded(t *testing.T) {
 	forEachTier(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(24))
 		x := RandomTensor(rng, 40, 32, 1)
+		d := NewDense(rng, 32, 48, ReLUSlice, "d")
 		l := NewLSTM(rng, 32, 32, "l")
+		bi := NewBiLSTM(rng, 32, 32, "bi")
 		c := NewConv1D(rng, 32, 32, 9, 1, SwishSlice, "c")
 		s := NewSeparableConv1D(rng, 32, 32, 9, 1, SwishSlice, "s")
+		a := scratch.New()
 		for _, layer := range []struct {
 			name string
 			fwd  func()
-			max  float64
 		}{
-			{"LSTM", func() { l.Forward(x, false) }, 5},
-			{"Conv1D", func() { c.Forward(x) }, 2},
-			{"SeparableConv1D", func() { s.Forward(x) }, 3},
+			{"Dense", func() { d.Forward(x, a) }},
+			{"LSTM", func() { l.Forward(x, false, a) }},
+			{"BiLSTM", func() { bi.Forward(x, a) }},
+			{"Conv1D", func() { c.Forward(x, a) }},
+			{"SeparableConv1D", func() { s.Forward(x, a) }},
 		} {
-			if n := testing.AllocsPerRun(20, layer.fwd); n > layer.max {
-				t.Errorf("%s.Forward: %v allocs, want <= %v", layer.name, n, layer.max)
+			// AllocsPerRun's warm-up call grows the arena.
+			if n := testing.AllocsPerRun(20, func() { a.Reset(); layer.fwd() }); n != 0 {
+				t.Errorf("%s.Forward: %v allocs on a warm arena, want 0", layer.name, n)
 			}
 		}
 	})

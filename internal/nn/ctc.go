@@ -6,11 +6,11 @@ import "sort"
 // probabilities over {blank, A, C, G, T}; decoding collapses repeats and
 // removes blanks to produce the called sequence. Class 0 is the blank.
 
-// CTCGreedyDecode returns the best-path decoding of a (T, classes)
-// probability (or logit) tensor: argmax per step, collapse runs, drop
-// blanks. Output symbols are class-1 (so A=0 ... T=3 for 5 classes).
-func CTCGreedyDecode(probs *Tensor) []byte {
-	out := make([]byte, 0, probs.Rows/2)
+// CTCGreedyDecode appends to dst the best-path decoding of a (T,
+// classes) probability (or logit) tensor: argmax per step, collapse
+// runs, drop blanks. Output symbols are class-1 (so A=0 ... T=3 for 5
+// classes).
+func CTCGreedyDecode(dst []byte, probs Tensor) []byte {
 	prev := -1
 	for t := 0; t < probs.Rows; t++ {
 		row := probs.Row(t)
@@ -21,11 +21,11 @@ func CTCGreedyDecode(probs *Tensor) []byte {
 			}
 		}
 		if best != prev && best != 0 {
-			out = append(out, byte(best-1))
+			dst = append(dst, byte(best-1))
 		}
 		prev = best
 	}
-	return out
+	return dst
 }
 
 // ctcHyp is one beam-search hypothesis: probability mass split by
@@ -38,7 +38,7 @@ type ctcHyp struct {
 // CTCBeamDecode performs prefix beam search over a (T, classes)
 // probability tensor (rows must be normalized probabilities, e.g. after
 // Softmax). beamWidth bounds the live hypothesis count.
-func CTCBeamDecode(probs *Tensor, beamWidth int) []byte {
+func CTCBeamDecode(probs Tensor, beamWidth int) []byte {
 	if beamWidth < 1 {
 		beamWidth = 1
 	}

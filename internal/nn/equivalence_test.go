@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/scratch"
 )
 
 // A kernel-1, stride-1 convolution is exactly a dense layer applied per
@@ -11,10 +13,11 @@ import (
 func TestConv1x1EqualsDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	conv := NewConv1D(rng, 8, 6, 1, 1, nil, "c1")
-	dense := &Dense{W: clone(conv.W[0]), B: append([]float32(nil), conv.B...), Name: "d"}
+	w := clone(*conv.W[0])
+	dense := &Dense{W: &w, B: append([]float32(nil), conv.B...), Name: "d"}
 	x := RandomTensor(rng, 20, 8, 1)
-	yc := conv.Forward(x)
-	yd := dense.Forward(x)
+	yc := conv.Forward(x, scratch.New())
+	yd := dense.Forward(x, scratch.New())
 	if yc.Rows != yd.Rows || yc.Cols != yd.Cols {
 		t.Fatalf("shape mismatch (%d,%d) vs (%d,%d)", yc.Rows, yc.Cols, yd.Rows, yd.Cols)
 	}
@@ -46,7 +49,7 @@ func TestSeparableConvIdentityPointwise(t *testing.T) {
 		sep.B[c] = 0
 	}
 	x := RandomTensor(rng, 15, ch, 1)
-	y := sep.Forward(x)
+	y := sep.Forward(x, scratch.New())
 	// Manual depthwise computation.
 	for o := 0; o < y.Rows; o++ {
 		for chI := 0; chI < ch; chI++ {
@@ -74,7 +77,7 @@ func TestLSTMBoundedUnderExtremeInputs(t *testing.T) {
 	for i := range x.Data {
 		x.Data[i] = float32((rng.Float64() - 0.5) * 1e6)
 	}
-	y := l.Forward(x, false)
+	y := l.Forward(x, false, scratch.New())
 	for _, v := range y.Data {
 		if v < -1 || v > 1 || math.IsNaN(float64(v)) {
 			t.Fatalf("hidden state %v escaped [-1,1]", v)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"repro/internal/scratch"
 )
 
 // Dense is a fully connected layer y = act(xW + b).
@@ -16,17 +18,18 @@ type Dense struct {
 
 // NewDense builds a dense layer with Xavier-scaled random weights.
 func NewDense(rng *rand.Rand, in, out int, act Activation, name string) *Dense {
+	w := RandomTensor(rng, in, out, 1/math.Sqrt(float64(in)))
 	return &Dense{
-		W:    RandomTensor(rng, in, out, 1/math.Sqrt(float64(in))),
+		W:    &w,
 		B:    make([]float32, out),
 		Act:  act,
 		Name: name,
 	}
 }
 
-// Forward applies the layer to (T, in) producing (T, out).
-func (d *Dense) Forward(x *Tensor) *Tensor {
-	out := MatMul(x, d.W)
+// Forward applies the layer to (T, in) producing (T, out), drawn from a.
+func (d *Dense) Forward(x Tensor, a *scratch.Arena) Tensor {
+	out := MatMul(x, *d.W, a)
 	out.AddBias(d.B)
 	if d.Act != nil {
 		out.Apply(d.Act)
@@ -54,7 +57,8 @@ func NewConv1D(rng *rand.Rand, inCh, outCh, kernel, stride int, act Activation, 
 	w := make([]*Tensor, kernel)
 	scale := 1 / math.Sqrt(float64(inCh*kernel))
 	for k := range w {
-		w[k] = RandomTensor(rng, inCh, outCh, scale)
+		wk := RandomTensor(rng, inCh, outCh, scale)
+		w[k] = &wk
 	}
 	return &Conv1D{W: w, B: make([]float32, outCh), Kernel: kernel, Stride: stride, Act: act, Name: name}
 }
@@ -67,15 +71,16 @@ func (c *Conv1D) OutLen(t int) int {
 	return (t + c.Stride - 1) / c.Stride
 }
 
-// Forward applies the convolution to (T, inCh) producing (OutLen(T), outCh).
-func (c *Conv1D) Forward(x *Tensor) *Tensor {
+// Forward applies the convolution to (T, inCh) producing (OutLen(T),
+// outCh), drawn from a.
+func (c *Conv1D) Forward(x Tensor, a *scratch.Arena) Tensor {
 	inCh := c.W[0].Rows
 	outCh := c.W[0].Cols
 	if x.Cols != inCh {
 		panic(fmt.Sprintf("nn: %s: input channels %d, want %d", c.Name, x.Cols, inCh))
 	}
 	outLen := c.OutLen(x.Rows)
-	out := NewTensor(outLen, outCh)
+	out := NewTensorIn(a, outLen, outCh)
 	for o := 0; o < outLen; o++ {
 		copy(out.Row(o), c.B)
 	}
@@ -136,9 +141,10 @@ func NewSeparableConv1D(rng *rand.Rand, inCh, outCh, kernel, stride int, act Act
 			depth[k][ch] = float32((rng.Float64()*2 - 1) * scale)
 		}
 	}
+	point := RandomTensor(rng, inCh, outCh, 1/math.Sqrt(float64(inCh)))
 	return &SeparableConv1D{
 		Depth:  depth,
-		Point:  RandomTensor(rng, inCh, outCh, 1/math.Sqrt(float64(inCh))),
+		Point:  &point,
 		B:      make([]float32, outCh),
 		Kernel: kernel,
 		Stride: stride,
@@ -155,14 +161,16 @@ func (c *SeparableConv1D) OutLen(t int) int {
 	return (t + c.Stride - 1) / c.Stride
 }
 
-// Forward applies depthwise then pointwise convolution.
-func (c *SeparableConv1D) Forward(x *Tensor) *Tensor {
+// Forward applies depthwise then pointwise convolution; the depthwise
+// result and the output are drawn from a.
+func (c *SeparableConv1D) Forward(x Tensor, a *scratch.Arena) Tensor {
 	inCh := len(c.Depth[0])
 	if x.Cols != inCh {
 		panic(fmt.Sprintf("nn: %s: input channels %d, want %d", c.Name, x.Cols, inCh))
 	}
 	outLen := c.OutLen(x.Rows)
-	mid := NewTensor(outLen, inCh)
+	mid := NewTensorIn(a, outLen, inCh)
+	clear(mid.Data)
 	for k := 0; k < c.Kernel; k++ {
 		lo, hi, t0 := tapRange(k, c.Kernel, c.Stride, x.Rows, outLen)
 		if lo >= hi {
@@ -170,7 +178,7 @@ func (c *SeparableConv1D) Forward(x *Tensor) *Tensor {
 		}
 		mulAccRows(mid.Data[lo*inCh:], inCh, x.Data[t0*inCh:], c.Stride*inCh, c.Depth[k], hi-lo, inCh)
 	}
-	out := MatMul(mid, c.Point)
+	out := MatMul(mid, *c.Point, a)
 	out.AddBias(c.B)
 	if c.Act != nil {
 		out.Apply(c.Act)
@@ -191,9 +199,11 @@ type LSTM struct {
 // NewLSTM builds an LSTM with Xavier-scaled random weights and a +1
 // forget-gate bias (standard practice).
 func NewLSTM(rng *rand.Rand, in, hidden int, name string) *LSTM {
+	wx := RandomTensor(rng, in, 4*hidden, 1/math.Sqrt(float64(in)))
+	wh := RandomTensor(rng, hidden, 4*hidden, 1/math.Sqrt(float64(hidden)))
 	l := &LSTM{
-		Wx:     RandomTensor(rng, in, 4*hidden, 1/math.Sqrt(float64(in))),
-		Wh:     RandomTensor(rng, hidden, 4*hidden, 1/math.Sqrt(float64(hidden))),
+		Wx:     &wx,
+		Wh:     &wh,
 		B:      make([]float32, 4*hidden),
 		Hidden: hidden,
 		Name:   name,
@@ -206,14 +216,16 @@ func NewLSTM(rng *rand.Rand, in, hidden int, name string) *LSTM {
 
 // Forward runs the LSTM over (T, in) producing hidden states (T, hidden).
 // reverse processes the sequence back-to-front (for the bidirectional
-// wrapper).
-func (l *LSTM) Forward(x *Tensor, reverse bool) *Tensor {
+// wrapper). The state, the gates and the output are drawn from a.
+func (l *LSTM) Forward(x Tensor, reverse bool, a *scratch.Arena) Tensor {
 	T := x.Rows
 	H, G := l.Hidden, 4*l.Hidden
-	h := make([]float32, H)
-	c := make([]float32, H)
-	gates := make([]float32, G)
-	out := NewTensor(T, H)
+	h := a.Float32s(H)
+	c := a.Float32s(H)
+	clear(h)
+	clear(c)
+	gates := a.Float32s(G) // set from the bias at every step
+	out := NewTensorIn(a, T, H)
 	for step := 0; step < T; step++ {
 		t := step
 		if reverse {
@@ -255,11 +267,12 @@ func NewBiLSTM(rng *rand.Rand, in, hidden int, name string) *BiLSTM {
 	}
 }
 
-// Forward produces (T, 2*hidden).
-func (b *BiLSTM) Forward(x *Tensor) *Tensor {
-	f := b.Fwd.Forward(x, false)
-	r := b.Bwd.Forward(x, true)
-	out := NewTensor(x.Rows, f.Cols+r.Cols)
+// Forward produces (T, 2*hidden), drawn from a with both directions'
+// states.
+func (b *BiLSTM) Forward(x Tensor, a *scratch.Arena) Tensor {
+	f := b.Fwd.Forward(x, false, a)
+	r := b.Bwd.Forward(x, true, a)
+	out := NewTensorIn(a, x.Rows, f.Cols+r.Cols)
 	for t := 0; t < x.Rows; t++ {
 		copy(out.Row(t)[:f.Cols], f.Row(t))
 		copy(out.Row(t)[f.Cols:], r.Row(t))
@@ -290,7 +303,7 @@ func NewBatchNorm(rng *rand.Rand, channels int, name string) *BatchNorm {
 }
 
 // Forward applies the normalization in place and returns x.
-func (bn *BatchNorm) Forward(x *Tensor) *Tensor {
+func (bn *BatchNorm) Forward(x Tensor) Tensor {
 	if x.Cols != len(bn.Scale) {
 		panic(fmt.Sprintf("nn: %s: channels %d, want %d", bn.Name, x.Cols, len(bn.Scale)))
 	}

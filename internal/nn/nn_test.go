@@ -5,11 +5,13 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/scratch"
 )
 
 // clone deep-copies t.
-func clone(t *Tensor) *Tensor {
-	return &Tensor{Rows: t.Rows, Cols: t.Cols, Data: append([]float32(nil), t.Data...)}
+func clone(t Tensor) Tensor {
+	return Tensor{Rows: t.Rows, Cols: t.Cols, Data: append([]float32(nil), t.Data...)}
 }
 
 func TestMatMulKnown(t *testing.T) {
@@ -17,7 +19,7 @@ func TestMatMulKnown(t *testing.T) {
 	copy(a.Data, []float32{1, 2, 3, 4, 5, 6})
 	b := NewTensor(3, 2)
 	copy(b.Data, []float32{7, 8, 9, 10, 11, 12})
-	c := MatMul(a, b)
+	c := MatMul(a, b, scratch.New())
 	want := []float32{58, 64, 139, 154}
 	for i, v := range want {
 		if c.Data[i] != v {
@@ -32,7 +34,7 @@ func TestMatMulShapePanic(t *testing.T) {
 			t.Error("expected shape panic")
 		}
 	}()
-	MatMul(NewTensor(2, 3), NewTensor(2, 3))
+	MatMul(NewTensor(2, 3), NewTensor(2, 3), scratch.New())
 }
 
 func TestSoftmaxRowsSumToOne(t *testing.T) {
@@ -72,7 +74,7 @@ func TestDenseShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	d := NewDense(rng, 8, 4, ReLUSlice, "fc")
 	x := RandomTensor(rng, 10, 8, 1)
-	y := d.Forward(x)
+	y := d.Forward(x, scratch.New())
 	if y.Rows != 10 || y.Cols != 4 {
 		t.Errorf("dense output (%d,%d)", y.Rows, y.Cols)
 	}
@@ -92,7 +94,7 @@ func TestConv1DIdentityKernel(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		x.Row(i)[0] = float32(i)
 	}
-	y := c.Forward(x)
+	y := c.Forward(x, scratch.New())
 	for i := 0; i < 5; i++ {
 		if y.Row(i)[0] != float32(i) {
 			t.Errorf("identity conv y[%d] = %v", i, y.Row(i)[0])
@@ -104,7 +106,7 @@ func TestConv1DStrideHalvesLength(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	c := NewConv1D(rng, 4, 8, 5, 2, ReLUSlice, "down")
 	x := RandomTensor(rng, 100, 4, 1)
-	y := c.Forward(x)
+	y := c.Forward(x, scratch.New())
 	if y.Rows != 50 || y.Cols != 8 {
 		t.Errorf("strided conv output (%d,%d), want (50,8)", y.Rows, y.Cols)
 	}
@@ -120,7 +122,7 @@ func TestConv1DMovingAverage(t *testing.T) {
 	for i := range x.Data {
 		x.Data[i] = 3
 	}
-	y := c.Forward(x)
+	y := c.Forward(x, scratch.New())
 	// Interior positions see all three taps: 3; edges see two: 2.
 	if math.Abs(float64(y.Row(1)[0])-3) > 1e-5 {
 		t.Errorf("interior avg = %v", y.Row(1)[0])
@@ -134,7 +136,7 @@ func TestSeparableConvShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	c := NewSeparableConv1D(rng, 16, 32, 9, 3, SwishSlice, "sep")
 	x := RandomTensor(rng, 99, 16, 1)
-	y := c.Forward(x)
+	y := c.Forward(x, scratch.New())
 	if y.Rows != 33 || y.Cols != 32 {
 		t.Errorf("separable conv output (%d,%d), want (33,32)", y.Rows, y.Cols)
 	}
@@ -144,8 +146,8 @@ func TestLSTMShapesAndDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	l := NewLSTM(rng, 6, 10, "lstm")
 	x := RandomTensor(rand.New(rand.NewSource(9)), 20, 6, 1)
-	y1 := l.Forward(x, false)
-	y2 := l.Forward(x, false)
+	y1 := l.Forward(x, false, scratch.New())
+	y2 := l.Forward(x, false, scratch.New())
 	if y1.Rows != 20 || y1.Cols != 10 {
 		t.Fatalf("lstm output (%d,%d)", y1.Rows, y1.Cols)
 	}
@@ -163,8 +165,8 @@ func TestLSTMReverseDiffers(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	l := NewLSTM(rng, 4, 8, "lstm")
 	x := RandomTensor(rng, 12, 4, 1)
-	fwd := l.Forward(x, false)
-	rev := l.Forward(x, true)
+	fwd := l.Forward(x, false, scratch.New())
+	rev := l.Forward(x, true, scratch.New())
 	same := true
 	for i := range fwd.Data {
 		if fwd.Data[i] != rev.Data[i] {
@@ -181,7 +183,7 @@ func TestBiLSTMConcats(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	b := NewBiLSTM(rng, 5, 7, "bi")
 	x := RandomTensor(rng, 9, 5, 1)
-	y := b.Forward(x)
+	y := b.Forward(x, scratch.New())
 	if y.Rows != 9 || y.Cols != 14 {
 		t.Errorf("bilstm output (%d,%d), want (9,14)", y.Rows, y.Cols)
 	}
@@ -210,7 +212,7 @@ func TestCTCGreedyDecodeCollapses(t *testing.T) {
 	set(3, 1) // A (new after blank)
 	set(4, 2) // C
 	set(5, 4) // T
-	got := CTCGreedyDecode(p)
+	got := CTCGreedyDecode(nil, p)
 	want := []byte{0, 0, 1, 3} // A A C T
 	if len(got) != len(want) {
 		t.Fatalf("decoded %v, want %v", got, want)
@@ -237,7 +239,7 @@ func TestCTCBeamMatchesGreedyOnPeakedDistributions(t *testing.T) {
 				}
 			}
 		}
-		g := CTCGreedyDecode(p)
+		g := CTCGreedyDecode(nil, p)
 		b := CTCBeamDecode(p, 8)
 		if len(g) != len(b) {
 			return false
@@ -271,7 +273,7 @@ func TestTensorCloneIndependence(t *testing.T) {
 		if len(vals) == 0 {
 			return true
 		}
-		x := &Tensor{Rows: 1, Cols: len(vals), Data: append([]float32(nil), vals...)}
+		x := Tensor{Rows: 1, Cols: len(vals), Data: append([]float32(nil), vals...)}
 		orig := x.Data[0]
 		y := clone(x)
 		if y.Data[0] == 0 {

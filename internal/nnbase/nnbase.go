@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/genome"
 	"repro/internal/nn"
+	"repro/internal/scratch"
 )
 
 // ChunkSize is the paper's fixed signal chunk length.
@@ -62,62 +63,76 @@ func NewModel(seed int64, cfg Config) *Model {
 	return m
 }
 
-// Normalize applies med/MAD normalization, Bonito's preprocessing. The
-// signal must be finite: slices.Sort orders NaNs first, so a NaN would
-// shift both medians.
-func Normalize(signal []float32) []float32 {
+// Normalize applies med/MAD normalization, Bonito's preprocessing,
+// into one buffer drawn from a, which holds in turn the sort copy, the
+// sorted deviations and the output. The signal must be finite:
+// slices.Sort orders NaNs first, so a NaN would shift both medians.
+func Normalize(signal []float32, a *scratch.Arena) []float32 {
 	if len(signal) == 0 {
 		return nil
 	}
-	sorted := append([]float32(nil), signal...)
-	slices.Sort(sorted)
-	med := sorted[len(sorted)/2]
-	devs := make([]float32, len(signal))
+	buf := a.Float32s(len(signal))
+	copy(buf, signal)
+	slices.Sort(buf)
+	med := buf[len(buf)/2]
 	for i, v := range signal {
 		d := v - med
 		if d < 0 {
 			d = -d
 		}
-		devs[i] = d
+		buf[i] = d
 	}
-	slices.Sort(devs)
-	mad := devs[len(devs)/2]
+	slices.Sort(buf)
+	mad := buf[len(buf)/2]
 	if mad == 0 {
 		mad = 1
 	}
-	out := make([]float32, len(signal))
 	scale := 1 / (1.4826 * mad)
 	for i, v := range signal {
-		out[i] = (v - med) * scale
+		buf[i] = (v - med) * scale
 	}
-	return out
+	return buf
 }
 
 // Forward runs the network on one normalized chunk, returning per-step
-// class probabilities (rows = downsampled time).
-func (m *Model) Forward(chunk []float32) *nn.Tensor {
-	x := nn.NewTensor(len(chunk), 1)
-	copy(x.Data, chunk)
-	x = m.Stem.Forward(x)
+// class probabilities (rows = downsampled time). The chunk is the
+// stem's input as it stands; every layer's output is drawn from a.
+func (m *Model) Forward(chunk []float32, a *scratch.Arena) nn.Tensor {
+	x := nn.Tensor{Rows: len(chunk), Cols: 1, Data: chunk}
+	x = m.Stem.Forward(x, a)
 	for i, blk := range m.Blocks {
-		x = blk.Forward(x)
+		x = blk.Forward(x, a)
 		x = m.Norms[i].Forward(x)
 	}
-	x = m.Head.Forward(x)
+	x = m.Head.Forward(x, a)
 	return x.Softmax()
 }
 
 // Basecall splits signal into chunks, runs the network on each and
 // stitches the decoded fragments. It returns the called sequence and
 // the multiply-accumulate count performed.
-func (m *Model) Basecall(signal []float32, cfg Config) (genome.Seq, uint64) {
+//
+// Basecall claims the arena: it calls a.Reset, so buffers handed out
+// before the call are invalidated. It draws the normalized signal and
+// one chunk's tensors from a, rewinding to reuse them for the next
+// chunk. A nil arena allocates a temporary one; a task loop passes its
+// worker's arena, which a warm worker reuses without allocating. The
+// called sequence is the one allocation: the greedy decoder appends
+// each chunk's symbols straight into it.
+func (m *Model) Basecall(signal []float32, cfg Config, a *scratch.Arena) (genome.Seq, uint64) {
 	if len(signal) == 0 {
 		return nil, 0
 	}
-	norm := Normalize(signal)
+	if a == nil {
+		a = scratch.New()
+	}
+	a.Reset()
+	norm := Normalize(signal, a)
+	chunks := a.Mark() // each chunk's tensors reuse the previous chunk's
 	var called genome.Seq
 	var macs uint64
 	for start := 0; start < len(norm); start += ChunkSize {
+		a.Rewind(chunks)
 		end := start + ChunkSize
 		if end > len(norm) {
 			end = len(norm)
@@ -126,16 +141,12 @@ func (m *Model) Basecall(signal []float32, cfg Config) (genome.Seq, uint64) {
 		if len(chunk) < m.Stem.Kernel {
 			break
 		}
-		probs := m.Forward(chunk)
+		probs := m.Forward(chunk, a)
 		macs += m.MACsPerChunk(len(chunk))
-		var symbols []byte
 		if cfg.BeamWidth > 1 {
-			symbols = nn.CTCBeamDecode(probs, cfg.BeamWidth)
+			called = append(called, nn.CTCBeamDecode(probs, cfg.BeamWidth)...)
 		} else {
-			symbols = nn.CTCGreedyDecode(probs)
-		}
-		for _, s := range symbols {
-			called = append(called, genome.Base(s))
+			called = nn.CTCGreedyDecode(called, probs)
 		}
 	}
 	return called, macs

@@ -1,19 +1,21 @@
 package nnbase
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
 
 	"repro/internal/genome"
+	"repro/internal/scratch"
 	"repro/internal/signalsim"
 	"repro/internal/simt"
 )
 
 func TestNormalize(t *testing.T) {
 	sig := []float32{10, 12, 11, 13, 9, 100} // one outlier
-	norm := Normalize(sig)
+	norm := Normalize(sig, scratch.New())
 	if len(norm) != len(sig) {
 		t.Fatal("length changed")
 	}
@@ -33,7 +35,7 @@ func TestNormalize(t *testing.T) {
 	if norm[5] < norm[0] {
 		t.Error("outlier lost its ordering")
 	}
-	if Normalize(nil) != nil {
+	if Normalize(nil, scratch.New()) != nil {
 		t.Error("Normalize(nil) should be nil")
 	}
 }
@@ -90,7 +92,7 @@ func TestNormalizeMatchesSortSlice(t *testing.T) {
 				sig[i] = float32(rng.NormFloat64() * 40)
 			}
 		}
-		got, want := Normalize(sig), normalizeSortSlice(sig)
+		got, want := Normalize(sig, scratch.New()), normalizeSortSlice(sig)
 		for i := range want {
 			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
 				t.Fatalf("trial %d (n=%d): out[%d] = %#08x, want %#08x", trial, n, i,
@@ -102,7 +104,7 @@ func TestNormalizeMatchesSortSlice(t *testing.T) {
 
 func TestNormalizeConstantSignal(t *testing.T) {
 	sig := []float32{5, 5, 5, 5}
-	norm := Normalize(sig)
+	norm := Normalize(sig, scratch.New())
 	for _, v := range norm {
 		if v != 0 {
 			t.Errorf("constant signal normalized to %v", v)
@@ -114,7 +116,7 @@ func TestForwardShapes(t *testing.T) {
 	cfg := DefaultConfig()
 	m := NewModel(1, cfg)
 	chunk := make([]float32, 300)
-	probs := m.Forward(chunk)
+	probs := m.Forward(chunk, scratch.New())
 	if probs.Rows != 100 { // stride 3
 		t.Errorf("output rows %d, want 100", probs.Rows)
 	}
@@ -142,8 +144,8 @@ func TestBasecallDeterministicAndProducesBases(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	m := NewModel(7, cfg)
-	a, macsA := m.Basecall(signal, cfg)
-	b, macsB := m.Basecall(signal, cfg)
+	a, macsA := m.Basecall(signal, cfg, nil)
+	b, macsB := m.Basecall(signal, cfg, nil)
 	if !a.Equal(b) || macsA != macsB {
 		t.Error("basecalling not deterministic")
 	}
@@ -165,7 +167,7 @@ func TestBasecallDeterministicAndProducesBases(t *testing.T) {
 func TestBasecallEmptySignal(t *testing.T) {
 	cfg := DefaultConfig()
 	m := NewModel(3, cfg)
-	if seq, macs := m.Basecall(nil, cfg); seq != nil || macs != 0 {
+	if seq, macs := m.Basecall(nil, cfg, nil); seq != nil || macs != 0 {
 		t.Error("empty signal should produce nothing")
 	}
 }
@@ -181,8 +183,8 @@ func TestChunkingCoversWholeSignal(t *testing.T) {
 	for i := range sig {
 		sig[i] = float32(rng.NormFloat64())
 	}
-	_, macs2 := m.Basecall(sig, cfg)
-	_, macs1 := m.Basecall(sig[:ChunkSize], cfg)
+	_, macs2 := m.Basecall(sig, cfg, nil)
+	_, macs1 := m.Basecall(sig[:ChunkSize], cfg, nil)
 	ratio := float64(macs2) / float64(macs1)
 	if ratio < 1.9 || ratio > 2.1 {
 		t.Errorf("2-chunk MACs ratio %v, want ~2", ratio)
@@ -242,5 +244,85 @@ func TestGPUMetricsShape(t *testing.T) {
 	util := metrics.SMUtilization(dev, occ)
 	if util < 0.9 {
 		t.Errorf("SM utilization %v, want ~0.99", util)
+	}
+}
+
+// requireSameBits fails unless got and want hold the same float32 bits.
+func requireSameBits(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s: [%d] = %#08x, want %#08x", what, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+		}
+	}
+}
+
+// TestBasecallReusesDirtyArena: reads of every chunk shape run through
+// one arena, each drawing the buffers the reads before it left dirty,
+// call and count exactly what a fresh arena does, and every chunk's
+// normalized input and class probabilities keep their bits.
+func TestBasecallReusesDirtyArena(t *testing.T) {
+	cfg := Config{Channels: 16, Blocks: 2, Kernel: 9, BeamWidth: 1}
+	m := NewModel(21, cfg)
+	rng := rand.New(rand.NewSource(22))
+	signal := func(n int) []float32 {
+		s := make([]float32, n)
+		for i := range s {
+			s[i] = float32(90 + rng.NormFloat64()*12)
+		}
+		return s
+	}
+	multi := signal(2*ChunkSize + 1500)
+	reads := []struct {
+		name string
+		sig  []float32
+	}{
+		{"multi-chunk", multi},
+		{"short tail chunk", signal(ChunkSize + 40)},
+		{"shorter than the stem kernel", signal(m.Stem.Kernel - 3)},
+		{"multi-chunk again", multi},
+	}
+	a := scratch.New()
+	for _, r := range reads {
+		got, gotMACs := m.Basecall(r.sig, cfg, a)
+		want, wantMACs := m.Basecall(r.sig, cfg, nil)
+		if !got.Equal(want) || gotMACs != wantMACs {
+			t.Fatalf("%s: called %d bases (%d MACs) on the reused arena, %d (%d MACs) on a fresh one",
+				r.name, len(got), gotMACs, len(want), wantMACs)
+		}
+
+		a.Reset()
+		norm := Normalize(r.sig, a)
+		wantNorm := Normalize(r.sig, scratch.New())
+		requireSameBits(t, r.name+" normalized", norm, wantNorm)
+		chunks := a.Mark()
+		for start := 0; start+m.Stem.Kernel <= len(norm); start += ChunkSize {
+			a.Rewind(chunks)
+			end := min(start+ChunkSize, len(norm))
+			probs := m.Forward(norm[start:end], a)
+			wantProbs := m.Forward(wantNorm[start:end], scratch.New())
+			requireSameBits(t, fmt.Sprintf("%s chunk at %d", r.name, start), probs.Data, wantProbs.Data)
+		}
+	}
+}
+
+// TestForwardZeroAlloc: on a warm arena, normalizing a read and running
+// the network on a full chunk allocate nothing.
+func TestForwardZeroAlloc(t *testing.T) {
+	m := NewModel(3, Config{Channels: 32, Blocks: 3, Kernel: 9, BeamWidth: 1})
+	rng := rand.New(rand.NewSource(5))
+	sig := make([]float32, ChunkSize+500)
+	for i := range sig {
+		sig[i] = float32(rng.NormFloat64())
+	}
+	a := scratch.New()
+	if n := testing.AllocsPerRun(10, func() {
+		a.Reset()
+		m.Forward(Normalize(sig, a)[:ChunkSize], a)
+	}); n != 0 {
+		t.Fatalf("%v allocs per normalized chunk on a warm arena, want 0", n)
 	}
 }

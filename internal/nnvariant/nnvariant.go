@@ -15,6 +15,7 @@ import (
 	"repro/internal/genome"
 	"repro/internal/nn"
 	"repro/internal/pileup"
+	"repro/internal/scratch"
 )
 
 // Tensor geometry constants from the paper.
@@ -35,9 +36,11 @@ const (
 
 // BuildTensor encodes the pileup window centred at position center
 // (indexing into counts, which covers one contiguous region) into a
-// (33, 32) input tensor. Counts outside the region are zero.
-func BuildTensor(counts []pileup.Counts, center int) *nn.Tensor {
-	t := nn.NewTensor(Positions, Features)
+// (33, 32) input tensor drawn from a and cleared first. Counts outside
+// the region are zero.
+func BuildTensor(counts []pileup.Counts, center int, a *scratch.Arena) nn.Tensor {
+	t := nn.NewTensorIn(a, Positions, Features)
+	clear(t.Data)
 	for p := 0; p < Positions; p++ {
 		pos := center - Flank + p
 		if pos < 0 || pos >= len(counts) {
@@ -114,20 +117,20 @@ type Call struct {
 	Indel2   [IndelClasses]float32
 }
 
-// Predict runs the network on one input tensor.
-func (m *Model) Predict(x *nn.Tensor) Call {
-	h := m.L1.Forward(x)
-	h = m.L2.Forward(h)
+// Predict runs the network on one input tensor, drawing every layer's
+// tensors from a; it does not reset a, so x may come from it.
+func (m *Model) Predict(x nn.Tensor, a *scratch.Arena) Call {
+	h := m.L1.Forward(x, a)
+	h = m.L2.Forward(h, a)
 	// Collapse the sequence dimension at the centre position, as Clair
-	// summarizes around the candidate site.
-	centre := nn.NewTensor(1, h.Cols)
-	copy(centre.Data, h.Row(Positions/2))
-	s := m.Shared.Forward(centre)
+	// summarizes around the candidate site: a one-row view of h.
+	centre := nn.Tensor{Rows: 1, Cols: h.Cols, Data: h.Row(Positions / 2)}
+	s := m.Shared.Forward(centre, a)
 	var out Call
-	copy(out.Genotype[:], m.Genotype.Forward(s).Softmax().Row(0))
-	copy(out.Zygosity[:], m.Zygosity.Forward(s).Softmax().Row(0))
-	copy(out.Indel1[:], m.Indel1.Forward(s).Softmax().Row(0))
-	copy(out.Indel2[:], m.Indel2.Forward(s).Softmax().Row(0))
+	copy(out.Genotype[:], m.Genotype.Forward(s, a).Softmax().Row(0))
+	copy(out.Zygosity[:], m.Zygosity.Forward(s, a).Softmax().Row(0))
+	copy(out.Indel1[:], m.Indel1.Forward(s, a).Softmax().Row(0))
+	copy(out.Indel2[:], m.Indel2.Forward(s, a).Softmax().Row(0))
 	return out
 }
 

@@ -3,10 +3,12 @@ package nnvariant
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/genome"
 	"repro/internal/pileup"
+	"repro/internal/scratch"
 	"repro/internal/simio"
 )
 
@@ -39,7 +41,7 @@ func TestBuildTensorShapeAndNormalization(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	ref := genome.Random(rng, 100)
 	counts := syntheticCounts(ref, 20, -1, 0)
-	x := BuildTensor(counts, 50)
+	x := BuildTensor(counts, 50, scratch.New())
 	if x.Rows != Positions || x.Cols != Features {
 		t.Fatalf("tensor shape (%d,%d)", x.Rows, x.Cols)
 	}
@@ -60,7 +62,7 @@ func TestBuildTensorAltEncoding(t *testing.T) {
 	ref := genome.Random(rng, 100)
 	ref[50] = baseA
 	counts := syntheticCounts(ref, 20, 50, baseT)
-	x := BuildTensor(counts, 50)
+	x := BuildTensor(counts, 50, scratch.New())
 	centre := Positions / 2
 	// The alternative-allele encoding (block d) should show support for
 	// T (the minority allele) but none for the majority base.
@@ -88,7 +90,7 @@ func TestBuildTensorWindowClipping(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	ref := genome.Random(rng, 40)
 	counts := syntheticCounts(ref, 10, -1, 0)
-	x := BuildTensor(counts, 2) // window extends before the region
+	x := BuildTensor(counts, 2, scratch.New()) // window extends before the region
 	for p := 0; p < Flank-2; p++ {
 		for c := 0; c < Features; c++ {
 			if x.Row(p)[c] != 0 {
@@ -103,7 +105,8 @@ func TestPredictHeadsAreDistributions(t *testing.T) {
 	ref := genome.Random(rng, 100)
 	counts := syntheticCounts(ref, 30, 50, baseC)
 	m := NewModel(7, DefaultConfig())
-	call := m.Predict(BuildTensor(counts, 50))
+	a := scratch.New()
+	call := m.Predict(BuildTensor(counts, 50, a), a)
 	checkDist := func(name string, xs []float32) {
 		var sum float64
 		for _, v := range xs {
@@ -127,8 +130,9 @@ func TestPredictDeterministic(t *testing.T) {
 	ref := genome.Random(rng, 100)
 	counts := syntheticCounts(ref, 25, 50, baseG)
 	m := NewModel(9, DefaultConfig())
-	a := m.Predict(BuildTensor(counts, 50))
-	b := m.Predict(BuildTensor(counts, 50))
+	arenaA, arenaB := scratch.New(), scratch.New()
+	a := m.Predict(BuildTensor(counts, 50, arenaA), arenaA)
+	b := m.Predict(BuildTensor(counts, 50, arenaB), arenaB)
 	if a != b {
 		t.Error("prediction not deterministic")
 	}
@@ -183,9 +187,11 @@ func TestEndToEndWithSimulatedAlignments(t *testing.T) {
 		tasks = append(tasks, &Task{Counts: counts, Candidates: cands})
 	}
 	var calls int
+	a := scratch.New()
 	for _, task := range tasks {
 		for _, pos := range task.Candidates {
-			call := m.Predict(BuildTensor(task.Counts, pos))
+			a.Reset()
+			call := m.Predict(BuildTensor(task.Counts, pos, a), a)
 			calls++
 			for _, v := range call.Genotype {
 				if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
@@ -204,5 +210,62 @@ func TestMACsPerCallScales(t *testing.T) {
 	big := NewModel(1, Config{Hidden: 64, Dense: 96})
 	if small.MACsPerCall() >= big.MACsPerCall() {
 		t.Error("bigger model should cost more")
+	}
+}
+
+// callBits flattens a Call's four heads into their float32 bits.
+func callBits(c Call) []uint32 {
+	var bits []uint32
+	for _, head := range [][]float32{c.Genotype[:], c.Zygosity[:], c.Indel1[:], c.Indel2[:]} {
+		for _, v := range head {
+			bits = append(bits, math.Float32bits(v))
+		}
+	}
+	return bits
+}
+
+// TestPredictReusesDirtyArena: candidates run through one arena, reset
+// before each as the suite's task loop does, so each draws the buffers
+// the one before left dirty. A candidate at the region's edge, whose
+// window has zero rows, after one in the middle, whose rows are full,
+// must build the tensor and make the call a fresh arena does, bit for
+// bit.
+func TestPredictReusesDirtyArena(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	ref := genome.Random(rng, 100)
+	counts := syntheticCounts(ref, 24, 50, baseC)
+	m := NewModel(13, DefaultConfig())
+	a := scratch.New()
+	for _, pos := range []int{0, 50, 0, len(counts) - 1, 50} {
+		a.Reset()
+		x := BuildTensor(counts, pos, a)
+		got := m.Predict(x, a)
+		fresh := scratch.New()
+		wantX := BuildTensor(counts, pos, fresh)
+		want := m.Predict(wantX, fresh)
+		for i := range wantX.Data {
+			if math.Float32bits(x.Data[i]) != math.Float32bits(wantX.Data[i]) {
+				t.Fatalf("candidate %d: tensor element %d = %v, want %v", pos, i, x.Data[i], wantX.Data[i])
+			}
+		}
+		if g, w := callBits(got), callBits(want); !slices.Equal(g, w) {
+			t.Fatalf("candidate %d: call %+v on the reused arena, %+v on a fresh one", pos, got, want)
+		}
+	}
+}
+
+// TestPredictZeroAlloc: on a warm arena, building a candidate's tensor
+// and calling it allocate nothing.
+func TestPredictZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	ref := genome.Random(rng, 100)
+	counts := syntheticCounts(ref, 20, 50, baseG)
+	m := NewModel(3, DefaultConfig())
+	a := scratch.New()
+	if n := testing.AllocsPerRun(20, func() {
+		a.Reset()
+		m.Predict(BuildTensor(counts, 50, a), a)
+	}); n != 0 {
+		t.Fatalf("%v allocs per candidate on a warm arena, want 0", n)
 	}
 }

@@ -6,7 +6,11 @@
 // the original discipline expressible: each scheduler worker owns one
 // Arena, calls Reset at the top of every task, and draws grow-only
 // typed buffers from it. Steady state (buffer sizes stable across
-// tasks) performs zero heap allocations per task.
+// tasks) performs zero heap allocations per task. bsw and abea draw
+// their DP bands from an Arena, and the two network kernels, nn-base
+// and nn-variant, every activation tensor of their networks (package
+// nn's layers take the arena); phmm keeps its named scratch struct in
+// a Pool's WorkerState.
 //
 // An Arena is NOT safe for concurrent use; the intended pattern is one
 // Arena per parallel worker, handed out as that worker's state by the
@@ -38,15 +42,14 @@ func (p *pool[T]) get(n int) []T {
 	return b
 }
 
-func (p *pool[T]) reset() { p.next = 0 }
-
 // Arena hands out reusable typed buffers. The zero value is ready to
 // use. Buffers returned by the getters contain arbitrary stale data;
 // callers must initialize every element they read (DP cores already do,
 // since they write row 0 / column 0 explicitly).
 //
-// Buffers stay valid until the Arena is Reset; two successive calls to
-// the same getter return distinct buffers.
+// Buffers stay valid until the Arena is Reset, or rewound to a Mark
+// taken before them; two successive calls to the same getter return
+// distinct buffers.
 type Arena struct {
 	ints pool[int]
 	i16  pool[int16]
@@ -62,13 +65,25 @@ func New() *Arena { return &Arena{} }
 
 // Reset rewinds the arena so subsequent getters reuse the buffers
 // handed out since the previous Reset. Call it at the top of each task.
-func (a *Arena) Reset() {
-	a.ints.reset()
-	a.i16.reset()
-	a.u16.reset()
-	a.i32.reset()
-	a.u64.reset()
-	a.f32.reset()
+func (a *Arena) Reset() { a.Rewind(Mark{}) }
+
+// Mark is an arena's cursor, one position per element type.
+type Mark [6]int
+
+// Mark returns the arena's cursor, for a later Rewind.
+func (a *Arena) Mark() Mark {
+	return Mark{a.ints.next, a.i16.next, a.u16.next, a.i32.next, a.u64.next, a.f32.next}
+}
+
+// Rewind returns the arena to m, a Mark taken since the last Reset:
+// the buffers handed out after it are invalidated and reused by the
+// next getters, in call order, while those handed out before it stay
+// valid. A task loop's inner round (nn-base's signal chunk) rewinds to
+// a mark taken at its top, so each round reuses the previous one's
+// buffers.
+func (a *Arena) Rewind(m Mark) {
+	a.ints.next, a.i16.next, a.u16.next = m[0], m[1], m[2]
+	a.i32.next, a.u64.next, a.f32.next = m[3], m[4], m[5]
 }
 
 // Ints returns a reusable []int of length n (contents unspecified).

@@ -18,6 +18,23 @@ func TestArenaReuse(t *testing.T) {
 	}
 }
 
+func TestArenaRewindReusesSinceMark(t *testing.T) {
+	a := New()
+	keep := a.Float32s(16)
+	m := a.Mark()
+	r1 := a.Float32s(32)
+	i1 := a.Ints(4)
+	a.Rewind(m)
+	r2 := a.Float32s(32)
+	i2 := a.Ints(4)
+	if &r2[0] != &r1[0] || &i2[0] != &i1[0] {
+		t.Fatal("after Rewind, the buffers drawn since the mark must be reused in call order")
+	}
+	if next := a.Float32s(16); &next[0] == &keep[0] {
+		t.Fatal("a buffer drawn before the mark must not be handed out again")
+	}
+}
+
 func TestArenaGrowsSlot(t *testing.T) {
 	a := New()
 	small := a.Float32s(8)
