@@ -72,8 +72,9 @@ func TestUsageErrorsNameTheOffender(t *testing.T) {
 		{[]string{"-bench", "bsw,nope"}, `"nope"`},
 		{[]string{"-size", "huge"}, `"huge"`},
 		{[]string{"-pprof", "a,b,c"}, `"a,b,c"`},
-		{[]string{"-worker-bin", "x"}, "-worker-bin"}, // retired with cmd/gbench-worker
-		{[]string{"-attempts", "2"}, "-attempts"},     // retired: a kernel runs once
+		{[]string{"-worker-bin", "x"}, "-worker-bin"},           // retired with cmd/gbench-worker
+		{[]string{"-attempts", "2"}, "-attempts"},               // retired: a kernel runs once
+		{[]string{"-faults", "truncate:fastq:1"}, `"truncate"`}, // retired with the file readers
 		{[]string{workerMode, "-id", "w1"}, "-addr"},
 	} {
 		var stdout, stderr bytes.Buffer

@@ -66,7 +66,7 @@ func TestPipelineShortReadAlignment(t *testing.T) {
 		if end > len(ref.Seq) {
 			end = len(ref.Seq)
 		}
-		res := bsw.AlignTrace(query, ref.Seq[start:end], params)
+		res := bsw.Align(query, ref.Seq[start:end], params)
 		if res.Score < len(query)/2 {
 			continue
 		}
@@ -303,67 +303,16 @@ func TestPipelineLongReadCalling(t *testing.T) {
 	const refLen = 10_000
 	ref := genome.NewReference(rng, "chr", refLen, 0.05)
 	donor := genome.PlantVariants(rng, ref, 0.001, 0)
-	sim := readsim.New(22)
-	lcfg := readsim.DefaultLong()
-	lcfg.MeanLength = 2500
-	lcfg.ErrorRate = 0.05
-	var reads []readsim.Read
-	reads = append(reads, sim.LongReads(donor.Haps[0], 0, 40, lcfg, "a")...)
-	reads = append(reads, sim.LongReads(donor.Haps[1], 1, 40, lcfg, "b")...)
-
-	mapper := chain.NewMapper(ref.Seq, 15, 10, 100)
-	params := bsw.DefaultParams()
-	params.Band = 200
-	params.ZDrop = 0
+	// The donor is SNP-only, so each haplotype's coordinates are the
+	// reference's, and alignments simulated against a haplotype place
+	// its reads on the reference.
+	acfg := simio.AlignSimConfig{
+		MeanReadLen: 2500, SubRate: 0.02, InsRate: 0.015, DelRate: 0.015,
+		MeanQual: 12, RefName: "chr",
+	}
 	var alignments []*simio.Alignment
-	for _, r := range reads {
-		maps := mapper.Map(r.Seq, chain.DefaultConfig())
-		if len(maps) == 0 {
-			continue
-		}
-		best := maps[0]
-		query := r.Seq
-		if best.Reverse {
-			query = r.Seq.ReverseComplement()
-		}
-		lo := best.RefStart - 100
-		if lo < 0 {
-			lo = 0
-		}
-		hi := best.RefEnd + 100
-		if hi > refLen {
-			hi = refLen
-		}
-		tr := bsw.AlignTrace(query, ref.Seq[lo:hi], params)
-		if len(tr.Cigar) == 0 {
-			continue
-		}
-		cig := tr.Cigar
-		if tr.QBeg > 0 {
-			cig = append(simio.Cigar{{Len: tr.QBeg, Op: simio.CigarSoftClip}}, cig...)
-		}
-		if tail := len(query) - tr.QEnd; tail > 0 {
-			cig = append(cig, simio.CigarElem{Len: tail, Op: simio.CigarSoftClip})
-		}
-		aln := &simio.Alignment{
-			ReadName: r.Name, RefName: "chr", Pos: lo + tr.TBeg,
-			MapQ: 60, Cigar: cig, Seq: query, Reverse: best.Reverse,
-		}
-		if err := aln.Validate(); err != nil {
-			t.Fatalf("invalid alignment for %s: %v", r.Name, err)
-		}
-		alignments = append(alignments, aln)
-	}
-	if len(alignments) < len(reads)*8/10 {
-		t.Fatalf("only %d/%d reads aligned", len(alignments), len(reads))
-	}
-	// Every alignment reaches the SAM as one record line.
-	var sam bytes.Buffer
-	if err := simio.WriteSAM(&sam, []simio.FastaRecord{{Name: "chr", Seq: ref.Seq}}, alignments); err != nil {
-		t.Fatal(err)
-	}
-	if n := strings.Count(sam.String(), "\n") - 3; n != len(alignments) { // @HD, @SQ, @PG
-		t.Fatalf("SAM holds %d records for %d alignments", n, len(alignments))
+	for _, hap := range donor.Haps {
+		alignments = append(alignments, simio.SimulateAlignments(rng, hap, 40, acfg)...)
 	}
 	// Candidate selection surfaces most planted variants.
 	regions := pileup.SplitRegions(refLen, alignments, 5000)

@@ -32,28 +32,6 @@ type Chain struct {
 	Anchors []int // indices into the input anchor slice, ascending
 }
 
-// Span returns the target and query extents of the chain as
-// half-open intervals. Anchor coordinates are seed END positions
-// (inclusive), the Minimap2 convention.
-func (c Chain) Span(anchors []Anchor) (x0, x1, y0, y1 int32) {
-	if len(c.Anchors) == 0 {
-		return
-	}
-	first := anchors[c.Anchors[0]]
-	last := anchors[c.Anchors[len(c.Anchors)-1]]
-	x0 = first.X - first.W + 1
-	x1 = last.X + 1
-	y0 = first.Y - first.W + 1
-	y1 = last.Y + 1
-	if x0 < 0 {
-		x0 = 0
-	}
-	if y0 < 0 {
-		y0 = 0
-	}
-	return
-}
-
 // alphaBeta computes the match gain alpha(j,i) and gap penalty
 // beta(j,i) between anchors j (earlier) and i, following Minimap2:
 // alpha is the number of new matching bases after overlap, beta is a

@@ -198,7 +198,13 @@ func TestEndToEndOverlapDetection(t *testing.T) {
 	if len(chains) == 0 {
 		t.Fatal("no chain found for overlapping reads")
 	}
-	x0, x1, y0, y1 := chains[0].Span(anchors)
+	// Anchor coordinates are seed end positions (inclusive), so the
+	// chain's half-open extents run from its first anchor's seed start
+	// to one past its last anchor.
+	c := chains[0].Anchors
+	first, last := anchors[c[0]], anchors[c[len(c)-1]]
+	x0, x1 := first.X-first.W+1, last.X+1
+	y0, y1 := first.Y-first.W+1, last.Y+1
 	// Overlap on readA is [1000,2500); on readB it is [0,1500).
 	if x0 > 1100 || x1 < 2400 {
 		t.Errorf("target span [%d,%d) misses overlap [1000,2500)", x0, x1)

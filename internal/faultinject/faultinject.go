@@ -1,9 +1,9 @@
 // Package faultinject implements seeded, deterministic fault injection
 // for the suite driver: a Plan parsed from a compact spec string can
-// arm panic/delay/error trip-points inside kernel task loops and wrap
-// the simio readers with truncating, corrupting or slow io.Readers.
-// It exists to prove — in tests and via `gbench -faults` — that the
-// runner degrades gracefully when a kernel misbehaves.
+// arm panic/delay/error trip-points inside kernel task loops and
+// disrupt shard workers at shard boundaries. It exists to prove — in
+// tests and via `gbench -faults` — that the runner degrades gracefully
+// when a kernel misbehaves.
 //
 // The plan grammar is a comma-separated list of fault clauses:
 //
@@ -12,9 +12,6 @@
 //	panic:poa:0.5        panic at matching trip-points with probability 0.5
 //	delay:chain:200ms    sleep 200ms (context-aware) at matching trip-points
 //	error:fmi:1.0        return an InjectedError from matching trip-points
-//	truncate:fasta:4096  cut the reader off after 4096 bytes
-//	corrupt:fastq:0.01   flip one bit per byte with probability 0.01
-//	slow:fastq:1ms       sleep 1ms per Read call
 //	killworker:w1:1.0    shard worker abandons everything and dies
 //	slowshard:w2:400ms   shard worker stalls before executing a shard
 //	dropconn:w3:0.5      shard worker drops its coordinator connection
@@ -48,14 +45,11 @@ import (
 type Kind uint8
 
 // Fault kinds. The first three arm trip-points (Point); the last three
-// wrap readers (WrapReader).
+// disrupt shard workers (ShardFault).
 const (
 	KindPanic Kind = iota
 	KindDelay
 	KindError
-	KindTruncate
-	KindCorrupt
-	KindSlow
 	KindKillWorker
 	KindSlowShard
 	KindDropConn
@@ -63,7 +57,6 @@ const (
 
 var kindNames = map[string]Kind{
 	"panic": KindPanic, "delay": KindDelay, "error": KindError,
-	"truncate": KindTruncate, "corrupt": KindCorrupt, "slow": KindSlow,
 	"killworker": KindKillWorker, "slowshard": KindSlowShard, "dropconn": KindDropConn,
 }
 
@@ -80,9 +73,8 @@ func (k Kind) String() string {
 type Fault struct {
 	Kind  Kind
 	Site  string
-	Prob  float64       // panic/error: per-evaluation; corrupt: per-byte
-	Delay time.Duration // delay/slow
-	Bytes int64         // truncate: bytes passed through before EOF
+	Prob  float64       // panic/error/killworker/dropconn: per-evaluation
+	Delay time.Duration // delay/slowshard
 }
 
 // Plan is a parsed, seeded fault plan. A Plan is safe for concurrent
@@ -95,7 +87,7 @@ type Plan struct {
 	// pure function of the plan regardless of worker scheduling.
 	evals []atomic.Uint64
 	// Per-fault trip counters: how many evaluations actually fired
-	// (panicked, errored, slept, or wrapped a reader). Armed-vs-tripped
+	// (panicked, errored, slept, killed or dropped). Armed-vs-tripped
 	// is what observability reports surface.
 	trips []atomic.Uint64
 }
@@ -161,20 +153,10 @@ func Parse(spec string, seed int64) (*Plan, error) {
 			if param != "" {
 				f.Prob, err = strconv.ParseFloat(param, 64)
 			}
-		case KindCorrupt:
-			f.Prob = 0.001
-			if param != "" {
-				f.Prob, err = strconv.ParseFloat(param, 64)
-			}
-		case KindDelay, KindSlow, KindSlowShard:
+		case KindDelay, KindSlowShard:
 			f.Delay = 100 * time.Millisecond
 			if param != "" {
 				f.Delay, err = time.ParseDuration(param)
-			}
-		case KindTruncate:
-			f.Bytes = 1024
-			if param != "" {
-				f.Bytes, err = strconv.ParseInt(param, 10, 64)
 			}
 		}
 		if err != nil {
@@ -183,7 +165,7 @@ func Parse(spec string, seed int64) (*Plan, error) {
 		if f.Prob < 0 || f.Prob > 1 {
 			return nil, fmt.Errorf("faultinject: probability %v out of [0,1] in %q", f.Prob, clause)
 		}
-		if f.Delay < 0 || f.Bytes < 0 {
+		if f.Delay < 0 {
 			return nil, fmt.Errorf("faultinject: negative parameter in %q", clause)
 		}
 		p.Faults = append(p.Faults, f)
@@ -196,11 +178,9 @@ func Parse(spec string, seed int64) (*Plan, error) {
 // clauseString renders one fault back into spec form.
 func clauseString(f *Fault) string {
 	switch f.Kind {
-	case KindDelay, KindSlow, KindSlowShard:
+	case KindDelay, KindSlowShard:
 		return fmt.Sprintf("%s:%s:%s", f.Kind, f.Site, f.Delay)
-	case KindTruncate:
-		return fmt.Sprintf("%s:%s:%d", f.Kind, f.Site, f.Bytes)
-	default: // panic, error, corrupt, killworker, dropconn
+	default: // panic, error, killworker, dropconn
 		return fmt.Sprintf("%s:%s:%g", f.Kind, f.Site, f.Prob)
 	}
 }

@@ -1,10 +1,8 @@
 package faultinject
 
 import (
-	"bytes"
 	"context"
 	"errors"
-	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,7 +13,7 @@ import (
 )
 
 func TestParseGrammar(t *testing.T) {
-	p, err := Parse("panic:poa:0.5,truncate:fasta,delay:chain:200ms", 42)
+	p, err := Parse("panic:poa:0.5,slowshard:w2,delay:chain:200ms", 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,8 +23,8 @@ func TestParseGrammar(t *testing.T) {
 	if f := p.Faults[0]; f.Kind != KindPanic || f.Site != "poa" || f.Prob != 0.5 {
 		t.Errorf("clause 0 = %+v", f)
 	}
-	if f := p.Faults[1]; f.Kind != KindTruncate || f.Site != "fasta" || f.Bytes != 1024 {
-		t.Errorf("clause 1 = %+v (default bytes)", f)
+	if f := p.Faults[1]; f.Kind != KindSlowShard || f.Site != "w2" || f.Delay != 100*time.Millisecond {
+		t.Errorf("clause 1 = %+v (default delay)", f)
 	}
 	if f := p.Faults[2]; f.Kind != KindDelay || f.Site != "chain" || f.Delay != 200*time.Millisecond {
 		t.Errorf("clause 2 = %+v", f)
@@ -37,7 +35,7 @@ func TestParseGrammar(t *testing.T) {
 }
 
 func TestParseDefaultsAndErrors(t *testing.T) {
-	p, err := Parse("panic:fmi,error:dbg,slow:fastq,corrupt:fastq", 1)
+	p, err := Parse("panic:fmi,error:dbg,slowshard:w1,dropconn:w2", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,17 +43,23 @@ func TestParseDefaultsAndErrors(t *testing.T) {
 		t.Error("panic/error default probability should be 1")
 	}
 	if p.Faults[2].Delay != 100*time.Millisecond {
-		t.Error("slow default delay should be 100ms")
+		t.Error("slowshard default delay should be 100ms")
 	}
-	if p.Faults[3].Prob != 0.001 {
-		t.Error("corrupt default probability should be 0.001")
+	if p.Faults[3].Prob != 1 {
+		t.Error("dropconn default probability should be 1")
 	}
 	for _, bad := range []string{
 		"panic", "panic:", ":x", "nuke:poa", "panic:poa:2.0", "panic:poa:-1",
-		"delay:x:notadur", "truncate:x:-5", "panic:poa:0.5:extra",
+		"delay:x:notadur", "slowshard:x:-5ms", "panic:poa:0.5:extra",
 	} {
 		if _, err := Parse(bad, 1); err == nil {
 			t.Errorf("Parse(%q) should fail", bad)
+		}
+	}
+	// Nothing in the suite reads a file, so there are no reader kinds.
+	for _, retired := range []string{"truncate:x", "corrupt:x", "slow:x"} {
+		if _, err := Parse(retired, 1); err == nil || !strings.Contains(err.Error(), "unknown fault kind") {
+			t.Errorf("Parse(%q) = %v, want an unknown fault kind error", retired, err)
 		}
 	}
 	if p, err := Parse("", 1); err != nil || p != nil {
@@ -200,68 +204,6 @@ func TestPointDisarmedIsNoop(t *testing.T) {
 	}
 }
 
-func TestTruncateReader(t *testing.T) {
-	p, _ := Parse("truncate:fasta:10", 7)
-	src := bytes.NewReader(make([]byte, 100))
-	data, err := io.ReadAll(p.WrapReaderCtx(context.Background(), "fasta", src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data) != 10 {
-		t.Errorf("read %d bytes, want 10", len(data))
-	}
-	// Non-matching site passes through untouched.
-	src2 := bytes.NewReader(make([]byte, 100))
-	if r := p.WrapReaderCtx(context.Background(), "fastq", src2); r != src2 {
-		t.Error("non-matching site should return the reader unchanged")
-	}
-}
-
-func TestCorruptReaderDeterministic(t *testing.T) {
-	read := func(seed int64) []byte {
-		p, _ := Parse("corrupt:fastq:0.2", seed)
-		src := bytes.NewReader(make([]byte, 4096))
-		data, err := io.ReadAll(p.WrapReaderCtx(context.Background(), "fastq", src))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	a, b := read(5), read(5)
-	if !bytes.Equal(a, b) {
-		t.Error("same seed produced different corruption")
-	}
-	flipped := 0
-	for _, x := range a {
-		if x != 0 {
-			flipped++
-		}
-	}
-	if flipped < 400 || flipped > 1300 {
-		t.Errorf("corrupted %d/4096 bytes at p=0.2", flipped)
-	}
-	if bytes.Equal(a, read(6)) {
-		t.Error("different seeds produced identical corruption")
-	}
-}
-
-func TestSlowReaderStillDelivers(t *testing.T) {
-	p, _ := Parse("slow:fastq:1ms", 7)
-	src := bytes.NewReader([]byte("hello"))
-	data, err := io.ReadAll(p.WrapReaderCtx(context.Background(), "fastq", src))
-	if err != nil || string(data) != "hello" {
-		t.Fatalf("slow reader corrupted stream: %q %v", data, err)
-	}
-}
-
-func TestWrapReaderDisarmed(t *testing.T) {
-	Disarm()
-	src := bytes.NewReader([]byte("x"))
-	if r := WrapReader("fasta", src); r != src {
-		t.Error("disarmed WrapReader should return the reader unchanged")
-	}
-}
-
 func TestPointDelayPreCancelledReturnsImmediately(t *testing.T) {
 	p, _ := Parse("delay:kern:1h", 7)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -276,26 +218,6 @@ func TestPointDelayPreCancelledReturnsImmediately(t *testing.T) {
 	}
 }
 
-func TestSlowReaderHonorsCancellation(t *testing.T) {
-	p, _ := Parse("slow:fastq:1h", 7)
-	ctx, cancel := context.WithCancel(context.Background())
-	r := p.WrapReaderCtx(ctx, "fastq", bytes.NewReader([]byte("hello")))
-	done := make(chan error, 1)
-	go func() {
-		_, err := r.Read(make([]byte, 1))
-		done <- err
-	}()
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("slow reader slept through cancellation")
-	}
-}
-
 func TestParseShardFaultKinds(t *testing.T) {
 	spec := "killworker:w1:1,slowshard:w2:50ms,dropconn:*:0.5"
 	p, err := Parse(spec, 3)
@@ -305,13 +227,9 @@ func TestParseShardFaultKinds(t *testing.T) {
 	if got := p.String(); got != spec {
 		t.Errorf("round-trip = %q, want %q", got, spec)
 	}
-	// Shard kinds never fire at kernel trip-points or reader wraps.
+	// Shard kinds never fire at kernel trip-points.
 	if err := p.PointAt(context.Background(), "w1/spoa"); err != nil {
 		t.Fatalf("PointAt fired a shard fault: %v", err)
-	}
-	src := bytes.NewReader([]byte("x"))
-	if r := p.WrapReaderCtx(context.Background(), "w2/spoa", src); r != src {
-		t.Error("WrapReader wrapped for a shard-only plan")
 	}
 }
 

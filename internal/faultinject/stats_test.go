@@ -1,10 +1,7 @@
 package faultinject
 
 import (
-	"bytes"
 	"context"
-	"io"
-	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -105,32 +102,6 @@ func TestStatsDelayCountsEveryFiring(t *testing.T) {
 	s := p.Stats()[0]
 	if s.Evals != 3 || s.Tripped != 3 {
 		t.Errorf("delay stats = %+v, want 3/3 (delays fire on every match)", s)
-	}
-}
-
-func TestStatsReaderWraps(t *testing.T) {
-	p, err := Parse("truncate:input:4,corrupt:other:1.0", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := p.WrapReaderCtx(context.Background(), "input", strings.NewReader("0123456789"))
-	data, _ := io.ReadAll(r)
-	if !bytes.Equal(data, []byte("0123")) {
-		t.Errorf("truncated read = %q", data)
-	}
-	stats := p.Stats()
-	trunc := statFor(t, stats, "input")
-	if trunc.Evals != 1 || trunc.Tripped != 1 {
-		t.Errorf("truncate stats = %+v, want 1/1 per wrapped stream", trunc)
-	}
-	corrupt := statFor(t, stats, "other")
-	if corrupt.Evals != 0 || corrupt.Tripped != 0 {
-		t.Errorf("non-matching wrap clause counted: %+v", corrupt)
-	}
-	// A second stream through the same clause counts again.
-	io.Copy(io.Discard, p.WrapReaderCtx(context.Background(), "input", strings.NewReader("abc")))
-	if s := statFor(t, p.Stats(), "input"); s.Tripped != 2 {
-		t.Errorf("second wrap not counted: %+v", s)
 	}
 }
 

@@ -1,8 +1,8 @@
-// Package simio implements the sequence-file formats the suite's driver
-// code uses: FASTA and FASTQ reading/writing, CIGAR strings, and a
-// SAM-lite alignment record. GenomicsBench added "file I/O-related
-// driver code ... for reading inputs and writing results" to every
-// extracted kernel; this package is that driver layer.
+// Package simio holds the suite's sequence records and their export
+// formats: FASTA, FASTQ and VCF writers, CIGAR strings, a SAM-lite
+// alignment record, and the seeded alignment simulator. Every kernel
+// input is simulated in process; the writers let gbench-data export
+// the same seeded inputs for outside tools.
 package simio
 
 import (
@@ -15,24 +15,6 @@ import (
 	"repro/internal/genome"
 	"repro/internal/seq2"
 )
-
-// StreamError reports a failure partway through a sequence stream —
-// typically a truncated or corrupted .gz file. Records counts the
-// complete records decoded before the failure (they are returned
-// alongside the error so callers can degrade gracefully), and Err is
-// the underlying cause (io.ErrUnexpectedEOF for mid-stream
-// truncation, reachable through errors.Is).
-type StreamError struct {
-	Format  string // "fasta" or "fastq"
-	Records int    // complete records decoded before the error
-	Err     error
-}
-
-func (e *StreamError) Error() string {
-	return fmt.Sprintf("simio: %s stream failed after %d record(s): %v", e.Format, e.Records, e.Err)
-}
-
-func (e *StreamError) Unwrap() error { return e.Err }
 
 // FastaRecord is one named sequence.
 type FastaRecord struct {
@@ -65,66 +47,6 @@ func WriteFasta(w io.Writer, records []FastaRecord) error {
 	return bw.Flush()
 }
 
-// ReadFasta parses all records from a FASTA stream.
-func ReadFasta(r io.Reader) ([]FastaRecord, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	var records []FastaRecord
-	var name string
-	var body strings.Builder
-	flush := func() error {
-		if name == "" {
-			return nil
-		}
-		seq, err := genome.FromString(body.String())
-		if err != nil {
-			return fmt.Errorf("simio: record %q: %w", name, err)
-		}
-		records = append(records, FastaRecord{Name: name, Seq: seq})
-		body.Reset()
-		return nil
-	}
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if line[0] == '>' {
-			if err := flush(); err != nil {
-				return nil, err
-			}
-			if name = headerName(line); name == "" {
-				return nil, fmt.Errorf("simio: FASTA header %q has no name", line)
-			}
-			continue
-		}
-		if name == "" {
-			return nil, fmt.Errorf("simio: sequence data before first FASTA header")
-		}
-		body.WriteString(line)
-	}
-	if err := sc.Err(); err != nil {
-		// Truncated/corrupted stream (e.g. a chopped .fa.gz): hand back
-		// the records completed before the failure with a StreamError
-		// carrying the count. The in-progress record is dropped — its
-		// tail is missing.
-		return records, &StreamError{Format: "fasta", Records: len(records), Err: err}
-	}
-	if err := flush(); err != nil {
-		return nil, err
-	}
-	return records, nil
-}
-
-// headerName returns the record name of a FASTA/FASTQ header line —
-// the first field after the marker byte — or "" when there is none.
-func headerName(header string) string {
-	if f := strings.Fields(header[1:]); len(f) > 0 {
-		return f[0]
-	}
-	return ""
-}
-
 // FastqRecord is one read with per-base qualities.
 type FastqRecord struct {
 	Name string
@@ -151,71 +73,6 @@ func WriteFastq(w io.Writer, records []FastqRecord) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadFastq parses all records from a FASTQ stream. A failure partway
-// through (truncated .fastq.gz, corrupted record) returns the records
-// completed so far together with a *StreamError carrying the record
-// count; mid-record truncation unwraps to io.ErrUnexpectedEOF.
-func ReadFastq(r io.Reader) ([]FastqRecord, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	var records []FastqRecord
-	// fail wraps a mid-stream error. When the scanner stopped on an IO
-	// error, that is the root cause — a truncated stream often
-	// surfaces first as a malformed final record (the scanner flushes
-	// the partial line before reporting the read error).
-	fail := func(err error) ([]FastqRecord, error) {
-		if serr := sc.Err(); serr != nil {
-			err = serr
-		}
-		return records, &StreamError{Format: "fastq", Records: len(records), Err: err}
-	}
-	for sc.Scan() {
-		header := strings.TrimSpace(sc.Text())
-		if header == "" {
-			continue
-		}
-		if header[0] != '@' {
-			return fail(fmt.Errorf("bad FASTQ header %q", header))
-		}
-		name := headerName(header)
-		if name == "" {
-			return fail(fmt.Errorf("FASTQ header %q has no name", header))
-		}
-		if !sc.Scan() {
-			return fail(io.ErrUnexpectedEOF)
-		}
-		seq, err := genome.FromString(strings.TrimSpace(sc.Text()))
-		if err != nil {
-			return fail(fmt.Errorf("record %q: %w", name, err))
-		}
-		if !sc.Scan() {
-			return fail(io.ErrUnexpectedEOF)
-		}
-		if plus := strings.TrimSpace(sc.Text()); !strings.HasPrefix(plus, "+") {
-			return fail(fmt.Errorf("record %q: missing + separator", name))
-		}
-		if !sc.Scan() {
-			return fail(io.ErrUnexpectedEOF)
-		}
-		qualStr := strings.TrimSpace(sc.Text())
-		if len(qualStr) != len(seq) {
-			return fail(fmt.Errorf("record %q: %d qualities for %d bases", name, len(qualStr), len(seq)))
-		}
-		qual := make([]byte, len(qualStr))
-		for i := 0; i < len(qualStr); i++ {
-			if qualStr[i] < 33 {
-				return fail(fmt.Errorf("record %q: invalid quality byte %d", name, qualStr[i]))
-			}
-			qual[i] = qualStr[i] - 33
-		}
-		records = append(records, FastqRecord{Name: name, Seq: seq, Qual: qual})
-	}
-	if err := sc.Err(); err != nil {
-		return fail(err)
-	}
-	return records, nil
 }
 
 // CigarOp is one alignment operation kind.
@@ -249,18 +106,6 @@ func (c Cigar) String() string {
 		b.WriteByte(byte(e.Op))
 	}
 	return b.String()
-}
-
-// ReadLen reports how many read bases the CIGAR consumes.
-func (c Cigar) ReadLen() int {
-	n := 0
-	for _, e := range c {
-		switch e.Op {
-		case CigarMatch, CigarIns, CigarSoftClip:
-			n += e.Len
-		}
-	}
-	return n
 }
 
 // RefLen reports how many reference bases the CIGAR spans.
@@ -305,20 +150,6 @@ func (a *Alignment) Pack() {
 // PackedSeq returns the packed words filled by Pack, or nil when the
 // record was never packed (consumers fall back to byte walks).
 func (a *Alignment) PackedSeq() []uint64 { return a.packed }
-
-// Validate checks internal consistency of the record.
-func (a *Alignment) Validate() error {
-	if got := a.Cigar.ReadLen(); len(a.Cigar) > 0 && got != len(a.Seq) {
-		return fmt.Errorf("simio: alignment %q: CIGAR consumes %d read bases, sequence has %d", a.ReadName, got, len(a.Seq))
-	}
-	if len(a.Qual) != 0 && len(a.Qual) != len(a.Seq) {
-		return fmt.Errorf("simio: alignment %q: %d qualities for %d bases", a.ReadName, len(a.Qual), len(a.Seq))
-	}
-	if a.Pos < 0 {
-		return fmt.Errorf("simio: alignment %q: negative position", a.ReadName)
-	}
-	return nil
-}
 
 // End returns one past the last reference base the alignment covers.
 func (a *Alignment) End() int { return a.Pos + a.Cigar.RefLen() }
