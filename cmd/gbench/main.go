@@ -83,7 +83,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		distN       = fs.Int("dist", 0, "run shardable kernels over N worker processes (0 = in-process)")
 		distAddr    = fs.String("dist-addr", "127.0.0.1:0", "coordinator listen address (with -dist)")
 		distShards  = fs.Int("dist-shards", 16, "shards per distributed kernel job")
-		distLease   = fs.Duration("dist-lease", 0, "worker liveness window: silent this long means dead (0 = 2s default)")
+		distLease   = fs.Duration("dist-lease", 0, "worker liveness window: silent this long means dead; checked every lease/40 (0 = 2s default)")
 		distVerify  = fs.Bool("dist-verify", false, "re-run each distributed kernel in-process and fail on digest mismatch")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -190,7 +190,7 @@ func TestPipelineOverlapDetection(t *testing.T) {
 			}
 			trueOv := overlap(a.RefPos, a.RefEnd, b.RefPos, b.RefEnd)
 			anchors := chain.SharedAnchors(a.Seq, b.Seq, 15, 10, 100)
-			chains, _ := chain.ChainAnchors(anchors, chain.DefaultConfig())
+			chains, _ := chain.ChainAnchors(anchors, chain.DefaultConfig(), nil)
 			found := len(chains) > 0
 			switch {
 			case found && trueOv > 1000:

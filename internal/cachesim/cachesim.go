@@ -132,19 +132,15 @@ type Config struct {
 
 	// BaseCPI is the no-stall cycles-per-instruction of the core.
 	BaseCPI float64
-
-	// PrefetchDiscount scales the stall penalty charged to software
-	// prefetches (Hierarchy.Prefetch). A prefetch issued a batch
-	// rotation ahead of use overlaps its miss with other lanes'
-	// compute and with sibling prefetches, so only a fraction of the
-	// raw latency surfaces as stall; 0 means DefaultPrefetchDiscount.
-	PrefetchDiscount float64
 }
 
 // DefaultPrefetchDiscount is the stall fraction charged to a software
-// prefetch when Config.PrefetchDiscount is unset: one quarter of the
-// demand-miss penalty, i.e. a batch window deep enough to overlap four
-// misses — the conservative end of what lock-step batching achieves.
+// prefetch (Hierarchy.Prefetch). A prefetch issued a batch rotation
+// ahead of use overlaps its miss with other lanes' compute and with
+// sibling prefetches, so only a fraction of the raw latency surfaces
+// as stall: one quarter of the demand-miss penalty, i.e. a batch
+// window deep enough to overlap four misses — the conservative end of
+// what lock-step batching achieves.
 const DefaultPrefetchDiscount = 0.25
 
 // XeonE31240v5 mirrors the paper's Table I machine: 32 KB 8-way L1D,
@@ -221,7 +217,7 @@ func (h *Hierarchy) Access(addr uint64, size int, write bool) {
 // Prefetch simulates a software prefetch of size bytes at addr: the
 // touched lines are installed through the full hierarchy exactly like
 // a read (so a later demand access hits), but any miss latency is
-// charged at the PrefetchDiscount — the model of a prefetch issued
+// charged at DefaultPrefetchDiscount — the model of a prefetch issued
 // early enough that most of its miss overlaps useful work. This is how
 // the batched SMEM/kmer engines prove their reordered streams stall
 // less: same demand addresses, misses moved onto discounted prefetches.
@@ -229,15 +225,11 @@ func (h *Hierarchy) Prefetch(addr uint64, size int) {
 	if size <= 0 {
 		size = 1
 	}
-	scale := h.cfg.PrefetchDiscount
-	if scale <= 0 {
-		scale = DefaultPrefetchDiscount
-	}
 	line := uint64(h.cfg.LineSize)
 	first := addr / line
 	last := (addr + uint64(size) - 1) / line
 	for la := first; la <= last; la++ {
-		h.accessOneLine(la, false, scale)
+		h.accessOneLine(la, false, DefaultPrefetchDiscount)
 	}
 	h.Prefetches++
 }

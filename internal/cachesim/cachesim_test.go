@@ -183,32 +183,12 @@ func TestPrefetchInstallsLineAtDiscount(t *testing.T) {
 		t.Fatalf("prefetched run should stall less: %f vs %f cycles",
 			sp.CyclesEstimate, sd.CyclesEstimate)
 	}
-	// The discount is 0.25 by default, so the prefetched stall should be
+	// The discount is 0.25, so the prefetched stall should be
 	// roughly a quarter of the demand stall (same miss set).
 	stallD := sd.CyclesEstimate * sd.StallFraction
 	stallP := sp.CyclesEstimate * sp.StallFraction
 	if stallP > 0.5*stallD {
 		t.Fatalf("prefetched stall %f not below half of demand stall %f", stallP, stallD)
-	}
-}
-
-// An explicit PrefetchDiscount must scale the charged penalty.
-func TestPrefetchDiscountConfigurable(t *testing.T) {
-	cheap := XeonE31240v5()
-	cheap.PrefetchDiscount = 0.05
-	dear := XeonE31240v5()
-	dear.PrefetchDiscount = 0.95
-	hc, hd := NewHierarchy(cheap), NewHierarchy(dear)
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 2048; i++ {
-		a := (rng.Uint64() % (1 << 27)) &^ 63
-		hc.Prefetch(a, 8)
-		hd.Prefetch(a, 8)
-	}
-	rc, rd := hc.Report(100_000), hd.Report(100_000)
-	if rc.CyclesEstimate >= rd.CyclesEstimate {
-		t.Fatalf("discount 0.05 should stall less than 0.95: %f vs %f",
-			rc.CyclesEstimate, rd.CyclesEstimate)
 	}
 }
 

@@ -3,7 +3,9 @@ package chain
 import (
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
+
+	"repro/internal/scratch"
 )
 
 // Config parameterizes the chaining DP, defaults following Minimap2.
@@ -63,17 +65,36 @@ func alphaBeta(aj, ai Anchor, cfg *Config) (alpha, beta float64, ok bool) {
 	return alpha, beta, true
 }
 
+// Scratch is one worker's reusable chaining state: the DP arrays, the
+// extraction order and the answer's backing arrays, grown to the
+// largest task seen. It is not safe for concurrent use.
+type Scratch struct {
+	score   []float64
+	parent  []int
+	order   []int
+	used    []bool
+	members []int // every chain's anchors, back to back
+	chains  []Chain
+}
+
 // ChainAnchors runs the 1-D chaining DP over anchors (sorted by X) and
 // extracts non-overlapping chains by descending score. It returns the
 // chains and the number of anchor-pair comparisons performed (the
-// kernel's data-parallel computation unit).
-func ChainAnchors(anchors []Anchor, cfg Config) ([]Chain, uint64) {
+// kernel's data-parallel computation unit). With a non-nil s the
+// chains alias s until its next call; a nil s allocates them afresh.
+func ChainAnchors(anchors []Anchor, cfg Config, s *Scratch) ([]Chain, uint64) {
 	n := len(anchors)
 	if n == 0 {
 		return nil, 0
 	}
-	score := make([]float64, n)
-	parent := make([]int, n)
+	if s == nil {
+		s = new(Scratch)
+	}
+	score := scratch.Grow(s.score, n)
+	parent := scratch.Grow(s.parent, n)
+	order := scratch.Grow(s.order, n)
+	used := scratch.Grow(s.used, n)
+	s.score, s.parent, s.order, s.used = score, parent, order, used
 	var comparisons uint64
 	for i := 0; i < n; i++ {
 		score[i] = float64(anchors[i].W)
@@ -88,40 +109,46 @@ func ChainAnchors(anchors []Anchor, cfg Config) ([]Chain, uint64) {
 			if !ok {
 				continue
 			}
-			if s := score[j] + alpha - beta; s > score[i] {
-				score[i] = s
+			if v := score[j] + alpha - beta; v > score[i] {
+				score[i] = v
 				parent[i] = j
 			}
 		}
 	}
 	// Extract chains: order anchor end-points by score, walk parents,
 	// skipping anchors already consumed by a better chain.
-	order := make([]int, n)
 	for i := range order {
 		order[i] = i
+		used[i] = false
 	}
-	// Simple insertion of sort by descending score.
 	sortByScoreDesc(order, score)
-	used := make([]bool, n)
-	var chains []Chain
+	// A chain's members are anchors no other chain holds, so n ints
+	// back every chain and appending never moves an earlier one.
+	if cap(s.members) < n {
+		s.members = make([]int, 0, n)
+	}
+	members, chains := s.members[:0], s.chains[:0]
 	for _, end := range order {
 		if used[end] || score[end] < cfg.MinScore {
 			continue
 		}
-		var members []int
+		start := len(members)
 		for at := end; at >= 0 && !used[at]; at = parent[at] {
 			members = append(members, at)
 			used[at] = true
 		}
-		if len(members) < cfg.MinAnchors {
+		c := members[start:]
+		if len(c) < cfg.MinAnchors {
+			members = members[:start]
 			continue
 		}
 		// Reverse into ascending order.
-		for l, r := 0, len(members)-1; l < r; l, r = l+1, r-1 {
-			members[l], members[r] = members[r], members[l]
+		for l, r := 0, len(c)-1; l < r; l, r = l+1, r-1 {
+			c[l], c[r] = c[r], c[l]
 		}
-		chains = append(chains, Chain{Score: score[end], Anchors: members})
+		chains = append(chains, Chain{Score: score[end], Anchors: c[:len(c):len(c)]})
 	}
+	s.chains = chains
 	return chains, comparisons
 }
 
@@ -141,7 +168,15 @@ func sortByScoreDesc(order []int, score []float64) {
 func quickSort(xs []int, less func(a, b int) bool, depth int) {
 	for len(xs) > 12 {
 		if depth == 0 {
-			sort.SliceStable(xs, func(i, j int) bool { return less(xs[i], xs[j]) })
+			slices.SortStableFunc(xs, func(a, b int) int {
+				if less(a, b) {
+					return -1
+				}
+				if less(b, a) {
+					return 1
+				}
+				return 0
+			})
 			return
 		}
 		depth--

@@ -3,6 +3,7 @@ package chain
 import (
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -89,7 +90,7 @@ func TestChainAnchorsCollinear(t *testing.T) {
 		anchors = append(anchors, Anchor{X: int32(100 + 20*i), Y: int32(50 + 20*i), W: 15})
 	}
 	cfg := DefaultConfig()
-	chains, comps := ChainAnchors(anchors, cfg)
+	chains, comps := ChainAnchors(anchors, cfg, nil)
 	if len(chains) != 1 {
 		t.Fatalf("got %d chains, want 1", len(chains))
 	}
@@ -116,7 +117,7 @@ func TestChainSplitsOnLargeGap(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.MinScore = 20
-	chains, _ := ChainAnchors(anchors, cfg)
+	chains, _ := ChainAnchors(anchors, cfg, nil)
 	if len(chains) != 2 {
 		t.Fatalf("got %d chains, want 2 (gap should split)", len(chains))
 	}
@@ -131,7 +132,7 @@ func TestChainAntiDiagonalRejected(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MinScore = 20
 	cfg.MinAnchors = 2
-	chains, _ := ChainAnchors(anchors, cfg)
+	chains, _ := ChainAnchors(anchors, cfg, nil)
 	if len(chains) != 0 {
 		t.Errorf("anti-diagonal anchors formed %d chains", len(chains))
 	}
@@ -149,7 +150,7 @@ func TestChainScoreAtLeastSeedLen(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MinScore = 0
 	cfg.MinAnchors = 1
-	chains, _ := ChainAnchors(anchors, cfg)
+	chains, _ := ChainAnchors(anchors, cfg, nil)
 	for _, c := range chains {
 		if c.Score < 15 {
 			t.Errorf("chain score %.1f below seed length", c.Score)
@@ -172,7 +173,7 @@ func TestChainsDoNotShareAnchors(t *testing.T) {
 	_ = rng
 	cfg := DefaultConfig()
 	cfg.MinScore = 20
-	chains, _ := ChainAnchors(anchors, cfg)
+	chains, _ := ChainAnchors(anchors, cfg, nil)
 	seen := map[int]bool{}
 	for _, c := range chains {
 		for _, a := range c.Anchors {
@@ -194,7 +195,7 @@ func TestEndToEndOverlapDetection(t *testing.T) {
 	if len(anchors) < 10 {
 		t.Fatalf("only %d anchors between overlapping reads", len(anchors))
 	}
-	chains, _ := ChainAnchors(anchors, DefaultConfig())
+	chains, _ := ChainAnchors(anchors, DefaultConfig(), nil)
 	if len(chains) == 0 {
 		t.Fatal("no chain found for overlapping reads")
 	}
@@ -286,4 +287,43 @@ func TestSortByScoreDescComparisons(t *testing.T) {
 		t.Fatalf("%d comparisons to sort %d organ-pipe scores, want <= %d (8 n log2 n)", calls, n, bound)
 	}
 	t.Logf("%d comparisons, %.2f n log2 n", calls, float64(calls)/float64(n*bits.Len(uint(n))))
+}
+
+// TestChainAnchorsAllocsBounded: on a warm Scratch a call's allocations
+// do not grow with the anchor count, and every answer equals the
+// nil-Scratch call's, including the answers of a smaller task after a
+// larger one (stale state from the larger task must not leak).
+func TestChainAnchorsAllocsBounded(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	src := genome.Random(rng, 20000)
+	task := func(n int) []Anchor {
+		a := rng.Intn(len(src) - n)
+		b := min(a+rng.Intn(n/10), len(src)-n) // mostly overlapping
+		return SharedAnchors(src[b:b+n], src[a:a+n], 15, 10, 100)
+	}
+	small, large := task(1500), task(6000)
+	if len(large) < 4*len(small) {
+		t.Fatalf("anchor counts %d and %d too close to show growth", len(small), len(large))
+	}
+	sc := new(Scratch)
+	for _, anchors := range [][]Anchor{large, small, large, small} {
+		want, wantComps := ChainAnchors(anchors, DefaultConfig(), nil)
+		got, gotComps := ChainAnchors(anchors, DefaultConfig(), sc)
+		if gotComps != wantComps || len(got) != len(want) {
+			t.Fatalf("%d anchors: %d chains, %d comparisons on the scratch; %d, %d without",
+				len(anchors), len(got), gotComps, len(want), wantComps)
+		}
+		for i := range want {
+			if got[i].Score != want[i].Score || !slices.Equal(got[i].Anchors, want[i].Anchors) {
+				t.Fatalf("%d anchors: chain %d is %+v on the scratch, %+v without", len(anchors), i, got[i], want[i])
+			}
+		}
+	}
+	allocs := func(anchors []Anchor) float64 {
+		return testing.AllocsPerRun(20, func() { ChainAnchors(anchors, DefaultConfig(), sc) })
+	}
+	if a, b := allocs(small), allocs(large); b > a || b > 2 {
+		t.Fatalf("warm allocations per call: %v at %d anchors, %v at %d; want no growth and at most 2",
+			a, len(small), b, len(large))
+	}
 }

@@ -353,10 +353,11 @@ var kernels = []kernel{
 			}
 			return tasks
 		},
-		loop: perTask[[]chain.Task, struct{}, counted[[]chain.Chain]]{
-			n: func(tasks []chain.Task) int { return len(tasks) },
-			task: func(tasks []chain.Task, _ struct{}, i int) counted[[]chain.Chain] {
-				chains, comparisons := chain.ChainAnchors(tasks[i].Anchors, chain.DefaultConfig())
+		loop: perTask[[]chain.Task, *chain.Scratch, counted[[]chain.Chain]]{
+			n:      func(tasks []chain.Task) int { return len(tasks) },
+			worker: func([]chain.Task, *scratch.Pool, int) *chain.Scratch { return new(chain.Scratch) },
+			task: func(tasks []chain.Task, sc *chain.Scratch, i int) counted[[]chain.Chain] {
+				chains, comparisons := chain.ChainAnchors(tasks[i].Anchors, chain.DefaultConfig(), sc)
 				return counted[[]chain.Chain]{chains, comparisons}
 			},
 			digest: func(r counted[[]chain.Chain]) (uint64, uint64) {

@@ -109,11 +109,12 @@ type kernelDef[D any] struct {
 type kernel struct {
 	info        Info
 	newBench    func() Benchmark
+	tasks       func(Size) int        // the entry's tasks; nil unless shardable
 	newExecutor func() shard.Executor // nil unless the kernel is shardable
 }
 
 func (d kernelDef[D]) row() kernel {
-	k := kernel{info: d.info, newBench: func() Benchmark { return &bench[D]{def: &d} }}
+	k := kernel{info: d.info, newBench: func() Benchmark { return &bench[D]{def: &d} }, tasks: d.tasks}
 	if d.tasks != nil {
 		k.newExecutor = func() shard.Executor { return &executor[D]{def: &d} }
 	}

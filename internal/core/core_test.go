@@ -57,23 +57,20 @@ func TestKernelTable(t *testing.T) {
 		t.Fatalf("table has %d kernels, want %d: %v", len(kernels), len(want), Names())
 	}
 	for i, k := range kernels {
-		got := row{k.info.Name, k.info.Irregular, k.info.GPU, k.newExecutor != nil}
+		got := row{k.info.Name, k.info.Irregular, k.info.GPU, k.tasks != nil}
 		if got != want[i] {
 			t.Errorf("entry %d is %+v, want %+v", i, got, want[i])
 		}
-		if got.shardable != shard.HasExecutor(got.name) {
-			t.Errorf("%s: shardable in the table %v, registered with the fabric %v", got.name, got.shardable, !got.shardable)
+		ex, err := shard.NewExecutor(got.name)
+		if registered := err == nil; got.shardable != registered || (k.newExecutor != nil) != registered {
+			t.Errorf("%s: shardable in the table %v, registered with the fabric %v", got.name, got.shardable, registered)
 		}
 		if !got.shardable {
 			continue
 		}
-		ex := k.newExecutor()
-		n, err := ex.Tasks("small")
-		if err != nil {
-			t.Fatalf("%s Tasks: %v", got.name, err)
-		}
+		n := k.tasks(Small)
 		if built, err := ex.Prepare("small", 3); err != nil || built != n {
-			t.Errorf("%s: Tasks(small) = %d, Prepare built %d (%v)", got.name, n, built, err)
+			t.Errorf("%s: tasks(Small) = %d, Prepare built %d (%v)", got.name, n, built, err)
 		}
 	}
 }

@@ -40,7 +40,8 @@ func (d *DistConfig) shards() int {
 
 // Distributed reports whether this kernel would run on the fabric.
 func (d *DistConfig) Distributed(kernel string) bool {
-	return d != nil && d.Fabric != nil && shard.HasExecutor(kernel)
+	k, _ := lookup(kernel)
+	return d != nil && d.Fabric != nil && k.tasks != nil
 }
 
 // runDistKernel executes one kernel over the shard fabric and shapes
@@ -60,14 +61,8 @@ func runDistKernel(ctx context.Context, info Info, cfg SuiteConfig, progress fun
 		// partitions [0, n) without building the dataset; n travels with
 		// every assignment and a worker whose Prepare built a different
 		// number fails the shard.
-		ex, err := shard.NewExecutor(info.Name)
-		if err != nil {
-			return err
-		}
-		n, err := ex.Tasks(cfg.Size.String())
-		if err != nil {
-			return err
-		}
+		k, _ := lookup(info.Name)
+		n := k.tasks(cfg.Size)
 		spec := shard.JobSpec{
 			ID:        d.Fabric.NextJobID(),
 			Kernel:    info.Name,
@@ -78,8 +73,8 @@ func runDistKernel(ctx context.Context, info Info, cfg SuiteConfig, progress fun
 		}
 		progress("%s: distributing %d tasks over %d shards (%d worker(s))",
 			info.Name, n, spec.NumShards, d.Fabric.Workers())
-		res, err = d.Fabric.RunJob(actx, spec)
-		if err != nil {
+		var err error
+		if res, err = d.Fabric.RunJob(actx, spec); err != nil {
 			return err
 		}
 		if d.Verify {

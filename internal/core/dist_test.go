@@ -19,7 +19,6 @@ func testFabric(t *testing.T, ctx context.Context, n int, specs map[string]strin
 	t.Helper()
 	coord := shard.NewCoordinator(shard.Options{
 		Lease:         400 * time.Millisecond,
-		Sweep:         10 * time.Millisecond,
 		MaxAttempts:   10,
 		HedgeAge:      30 * time.Millisecond,
 		NoWorkerGrace: 10 * time.Second,
@@ -205,7 +204,6 @@ func TestDistributedJobFailureDegradesGracefully(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	coord := shard.NewCoordinator(shard.Options{
-		Sweep:         10 * time.Millisecond,
 		NoWorkerGrace: 200 * time.Millisecond, // no workers will ever join
 	})
 	if err := coord.Start("127.0.0.1:0"); err != nil {

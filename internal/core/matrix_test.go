@@ -90,7 +90,7 @@ func TestAnswerMatrix(t *testing.T) {
 			off     bool
 			threads int
 		}{{false, 1}, {false, 2}, {false, 4}, {true, 4}}
-		if shard.HasExecutor(name) {
+		if k, _ := lookup(name); k.tasks != nil {
 			got, _, err := LocalDigests(ctx, name, "small", 42)
 			check("executor, "+tier, got, err)
 		}

@@ -47,16 +47,8 @@ type executor[D any] struct {
 	run func(task int) (dig, ops uint64)
 }
 
-func (e *executor[D]) Tasks(size string) (int, error) {
-	sz, err := ParseSize(size) // the wire carries Size.String()
-	if err != nil {
-		return 0, err
-	}
-	return e.def.tasks(sz), nil
-}
-
 func (e *executor[D]) Prepare(size string, seed int64) (n int, err error) {
-	sz, err := ParseSize(size)
+	sz, err := ParseSize(size) // the wire carries Size.String()
 	if err != nil {
 		return 0, err
 	}

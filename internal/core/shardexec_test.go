@@ -16,7 +16,7 @@ import (
 func shardableKernels() []string {
 	var out []string
 	for _, k := range kernels {
-		if k.newExecutor != nil {
+		if k.tasks != nil {
 			out = append(out, k.info.Name)
 		}
 	}
@@ -63,28 +63,30 @@ func runTask(t *testing.T, kernel string, ex shard.Executor, task int) uint64 {
 }
 
 // TestExecutorTasksMatchPrepare: the coordinator partitions a job from
-// Tasks(size) alone and never sees a dataset, so for every shardable
-// kernel the count must be the number of tasks Prepare really builds,
-// at both sizes and whatever the seed.
+// the kernel table's tasks(size) alone and never sees a dataset, so for
+// every shardable kernel the count must be the number of tasks the
+// executor's Prepare really builds, at both sizes and whatever the
+// seed; a size off the wire that names no preset is rejected.
 func TestExecutorTasksMatchPrepare(t *testing.T) {
-	sizes := []string{"small", "large"}
+	sizes := []Size{Small, Large}
 	if testing.Short() {
 		sizes = sizes[:1]
 	}
 	for _, kernel := range shardableKernels() {
+		k, _ := lookup(kernel)
 		for _, size := range sizes {
-			want, err := mustExecutor(t, kernel).Tasks(size)
-			if err != nil || want <= 0 {
-				t.Fatalf("%s Tasks(%s) = %d, %v", kernel, size, want, err)
+			want := k.tasks(size)
+			if want <= 0 {
+				t.Fatalf("%s tasks(%s) = %d", kernel, size, want)
 			}
 			for _, seed := range []int64{1, 42} {
-				if _, n := preparedExecutor(t, kernel, size, seed); n != want {
-					t.Errorf("%s %s seed %d: Prepare built %d tasks, Tasks says %d", kernel, size, seed, n, want)
+				if _, n := preparedExecutor(t, kernel, size.String(), seed); n != want {
+					t.Errorf("%s %s seed %d: Prepare built %d tasks, the table says %d", kernel, size, seed, n, want)
 				}
 			}
 		}
-		if _, err := mustExecutor(t, kernel).Tasks("huge"); err == nil {
-			t.Errorf("%s Tasks accepted an unknown size", kernel)
+		if _, err := mustExecutor(t, kernel).Prepare("huge", 1); err == nil {
+			t.Errorf("%s Prepare accepted an unknown size", kernel)
 		}
 	}
 }
@@ -182,6 +184,7 @@ func TestExecutorRunTaskAllocs(t *testing.T) {
 		{"dbg", 16, "the returned haplotypes, ~6 a region, and the slice that collects them"},
 		{"phmm", 0, "EvaluateRegionInto on a warm scratch"},
 		{"pileup", 0, "CountRegion into the worker's buffer"},
+		{"chain", 0, "ChainAnchors on the worker's chain.Scratch"},
 	}
 	for _, l := range limits {
 		ex, n := preparedExecutor(t, l.kernel, "small", hammerSeed)

@@ -321,92 +321,6 @@ func TestBackwardSearchProperty(t *testing.T) {
 	}
 }
 
-func TestOptionsDoNotChangeResults(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
-	g := genome.Random(rng, 800)
-	configs := []Options{{SARate: 4}, {SARate: 32}, {SARate: 64}}
-	indices := make([]*Index, len(configs))
-	for i, o := range configs {
-		x, err := BuildWithOptionsChecked(g, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		indices[i] = x
-	}
-	read := g[100:220]
-	want := indices[0].FindSMEMs(read, 19, 1, nil)
-	for ci := 1; ci < len(indices); ci++ {
-		got := indices[ci].FindSMEMs(read, 19, 1, nil)
-		if len(got) != len(want) {
-			t.Fatalf("config %d: %d SMEMs vs %d", ci, len(got), len(want))
-		}
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("config %d SMEM %d differs", ci, j)
-			}
-		}
-	}
-	for trial := 0; trial < 30; trial++ {
-		pat := genome.Random(rng, 4+rng.Intn(10))
-		c0 := indices[0].count(pat)
-		for ci := 1; ci < len(indices); ci++ {
-			if c := indices[ci].count(pat); c != c0 {
-				t.Fatalf("config %d Count(%s) = %d, want %d", ci, pat, c, c0)
-			}
-		}
-		p0 := indices[0].LocateAll(pat, 0)
-		for ci := 1; ci < len(indices); ci++ {
-			p := indices[ci].LocateAll(pat, 0)
-			if len(p) != len(p0) {
-				t.Fatalf("config %d LocateAll size differs", ci)
-			}
-			for j := range p0 {
-				if p[j] != p0[j] {
-					t.Fatalf("config %d LocateAll positions differ", ci)
-				}
-			}
-		}
-	}
-}
-
-func TestBuildWithOptionsValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	g := genome.Random(rng, 100)
-	for _, o := range []Options{{SARate: 1}, {SARate: 24}} {
-		if _, err := BuildWithOptionsChecked(g, o); err == nil {
-			t.Errorf("options %+v accepted", o)
-		}
-	}
-}
-
-func TestBuildCheckedRejectsBadInput(t *testing.T) {
-	if _, err := BuildChecked(nil); err == nil {
-		t.Error("BuildChecked(nil) should fail")
-	}
-	g := genome.Seq{0, 1, 2, 3}
-	for _, opts := range []Options{
-		{SARate: 0},  // too small
-		{SARate: 24}, // not a power of two
-	} {
-		if _, err := BuildWithOptionsChecked(g, opts); err == nil {
-			t.Errorf("BuildWithOptionsChecked(%+v) should fail", opts)
-		}
-	}
-}
-
-func TestBuildCheckedMatchesBuild(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	g := genome.Random(rng, 400)
-	x, err := BuildChecked(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pat := g[50:70]
-	if got, want := x.count(pat), Build(g).count(pat); got != want {
-		t.Errorf("checked index Count = %d, panicking index = %d", got, want)
-	}
-}
-
 func TestBuildPanicsOnEmptyGenome(t *testing.T) {
 	defer func() {
 		if r := recover(); r == nil {

@@ -1,7 +1,6 @@
 package fmindex
 
 import (
-	"errors"
 	"fmt"
 	"math/bits"
 	"sort"
@@ -9,20 +8,11 @@ import (
 	"repro/internal/genome"
 )
 
-// defaultSARate is the suffix-array sampling interval (text positions).
-const defaultSARate = 32
-
-// Options tune the index's space/time trade-off: denser SA samples
-// cost memory but shorten Locate's LF walk. The Occ checkpoint
-// interval is not a knob — one occBlock covers 64 rows by construction.
-type Options struct {
-	SARate int // SA sampling interval, power of two >= 2
-}
-
-// DefaultOptions mirror the fixed rate used throughout the suite.
-func DefaultOptions() Options {
-	return Options{SARate: defaultSARate}
-}
+// saRate is the suffix-array sampling interval (text positions):
+// denser samples would cost memory but shorten Locate's LF walk. The
+// Occ checkpoint interval is fixed too — one occBlock covers 64 rows
+// by construction.
+const saRate = 32
 
 // sentinelCode is the in-BWT code for the terminator character.
 const sentinelCode = 4
@@ -48,7 +38,7 @@ type occBlock struct {
 // supporting bidirectional interval extension for SMEM search.
 type Index struct {
 	textLen int // length of the indexed text (2x genome)
-	saRate  int
+	saRate  int // the SA sampling interval the index was built with
 	genome  genome.Seq
 
 	// bwt holds the BWT characters one byte each (sentinelCode marks
@@ -83,41 +73,19 @@ type Index struct {
 
 // Build constructs the FMD index of g. The indexed text is
 // g + reverseComplement(g), so patterns and their reverse complements
-// can both be located with a single index. It panics on invalid input;
-// callers that prefer errors use BuildChecked.
+// can both be located with a single index. It panics on an empty
+// genome.
 func Build(g genome.Seq) *Index {
-	x, err := BuildChecked(g)
-	if err != nil {
-		panic(err.Error())
-	}
-	return x
-}
-
-// BuildChecked is Build returning an error instead of panicking.
-func BuildChecked(g genome.Seq) (*Index, error) {
-	return BuildWithOptionsChecked(g, DefaultOptions())
-}
-
-// BuildWithOptionsChecked is BuildChecked with explicit sampling
-// rates.
-func BuildWithOptionsChecked(g genome.Seq, opts Options) (*Index, error) {
 	if len(g) == 0 {
-		return nil, errors.New("fmindex: empty genome")
-	}
-	if opts.SARate < 2 || opts.SARate&(opts.SARate-1) != 0 {
-		return nil, errors.New("fmindex: SARate must be a power of two >= 2")
+		panic("fmindex: empty genome")
 	}
 	rc := g.ReverseComplement()
 	text := make([]byte, 0, 2*len(g))
 	text = append(text, g...)
 	text = append(text, rc...)
 	sa := saisBytes(text, 4)
-	return buildFromSA(g, text, sa, opts), nil
-}
-
-func buildFromSA(g genome.Seq, text []byte, sa []int32, opts Options) *Index {
 	n := len(text)
-	idx := &Index{textLen: n, genome: g, saRate: opts.SARate}
+	idx := &Index{textLen: n, genome: g, saRate: saRate}
 
 	// BWT over text+'$': row for suffix starting at p has BWT char
 	// text[p-1]; the row of suffix 0 has the sentinel. The suffix array
@@ -154,7 +122,7 @@ func buildFromSA(g genome.Seq, text []byte, sa []int32, opts Options) *Index {
 	type sampled struct{ row, val int32 }
 	var samples []sampled
 	for i, p := range sa {
-		if p%int32(opts.SARate) == 0 {
+		if p%saRate == 0 {
 			row := int32(i + 1)
 			idx.saMarked[row/64] |= 1 << uint(row%64)
 			samples = append(samples, sampled{row, p})

@@ -20,9 +20,9 @@ type Options struct {
 	// QueueCap bounds each inter-stage channel in the fused executor —
 	// the backpressure knob. 0 means 8.
 	QueueCap int
-	// Pool supplies warm per-worker arenas keyed by stable slot
+	// Pool keeps each stage worker's NewState keyed by stable slot
 	// (stage-major, worker-minor — identical across both executors).
-	// nil hands out fresh arenas.
+	// nil builds fresh state every run.
 	Pool *scratch.Pool
 }
 
@@ -172,7 +172,7 @@ func stageWorkers(st *Stage) int {
 // prefetchWorkers draws every stage's Worker structs from the pool in
 // one sequential pass (scratch.Pool is not concurrency-safe), with
 // slot numbering stage-major so fused and staged runs warm the same
-// arenas and state.
+// state.
 func prefetchWorkers(p *Pipeline, opt Options) [][]*Worker {
 	out := make([][]*Worker, len(p.Stages))
 	slot := 0
@@ -181,7 +181,7 @@ func prefetchWorkers(p *Pipeline, opt Options) [][]*Worker {
 		n := stageWorkers(st)
 		ws := make([]*Worker, n)
 		for w := 0; w < n; w++ {
-			wk := &Worker{Arena: opt.Pool.Worker(slot)}
+			wk := &Worker{}
 			if st.NewState != nil {
 				wk.State = opt.Pool.WorkerState(slot, st.NewState)
 			}

@@ -11,7 +11,7 @@
 //     intermediate fully materialized — the shape the examples/ demos
 //     had, and the baseline end-to-end measurement.
 //   - RunFused, the streaming executor: bounded channels between
-//     stages, per-stage worker pools on warm scratch.Pool arenas,
+//     stages, per-stage worker pools on warm scratch.Pool state,
 //     backpressure instead of materialization, so stage N+1 starts
 //     consuming while stage N is still producing.
 //
@@ -31,7 +31,6 @@ import (
 	"sync"
 
 	"repro/internal/digest"
-	"repro/internal/scratch"
 )
 
 // Params holds a scenario's named simulator parameters. Definitions
@@ -56,13 +55,12 @@ func (p Params) Int(name string) int { return int(math.Round(p.Get(name))) }
 // the registered definition.
 func (p Params) Clone() Params { return maps.Clone(p) }
 
-// Worker is one stage worker's execution state: a warm arena drawn
-// from the run's scratch.Pool slot plus optional typed per-worker
-// state built by Stage.NewState (a phmm.Scratch, a dbg.Assembler).
-// Both executors assign the same pool slots to the same stage/worker
-// pair, so warm state carries across fused and staged runs alike.
+// Worker is one stage worker's execution state: optional typed
+// per-worker state built by Stage.NewState (a phmm.Scratch, a
+// dbg.Assembler) and kept in the run's scratch.Pool slot. Both
+// executors assign the same pool slots to the same stage/worker pair,
+// so warm state carries across fused and staged runs alike.
 type Worker struct {
-	Arena *scratch.Arena
 	// State is the pooled warm state (Stage.NewState), carried across
 	// runs that share a scratch.Pool.
 	State any

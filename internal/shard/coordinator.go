@@ -22,11 +22,10 @@ type Options struct {
 	// (the hello-ack tells them Lease), so only a dead, hung or
 	// partitioned process falls silent for a whole Lease. Such a worker
 	// is declared dead and every shard it holds is requeued. A live but
-	// slow worker keeps its shards; hedging covers it.
+	// slow worker keeps its shards; hedging covers it. The failure
+	// detectors check worker silence and job liveness every Lease/40
+	// (50ms at the default lease).
 	Lease time.Duration
-	// Sweep is the failure-detector tick: how often worker silence and
-	// job liveness are checked.
-	Sweep time.Duration
 	// MaxAttempts bounds how many times one shard may be dispatched
 	// (initial dispatch + reschedules + hedges). Exhausting it fails
 	// the job: the fabric degrades rather than spinning forever.
@@ -54,7 +53,6 @@ const (
 func DefaultOptions() Options {
 	return Options{
 		Lease:         2 * time.Second,
-		Sweep:         50 * time.Millisecond,
 		MaxAttempts:   5,
 		HedgeAge:      250 * time.Millisecond,
 		NoWorkerGrace: 10 * time.Second,
@@ -65,9 +63,6 @@ func (o Options) withDefaults() Options {
 	d := DefaultOptions()
 	if o.Lease <= 0 {
 		o.Lease = d.Lease
-	}
-	if o.Sweep <= 0 {
-		o.Sweep = d.Sweep
 	}
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = d.MaxAttempts
@@ -301,10 +296,10 @@ func (c *Coordinator) NextJobID() uint64 {
 	return c.nextJob
 }
 
-// RunJob partitions the spec's task range into shards by consistent
-// hashing, leases shards to pulling workers, and blocks until every
-// shard completed (returning the merged, task-ordered digest vector)
-// or the job failed: attempts exhausted on some shard, worker pool
+// RunJob partitions the spec's task range into shards (Partition),
+// leases shards to pulling workers, and blocks until every shard
+// completed (returning the merged, task-ordered digest vector) or the
+// job failed: attempts exhausted on some shard, worker pool
 // starved past the grace window, or ctx cancelled. An observer in ctx
 // receives the shard lifecycle counters labelled by kernel.
 func (c *Coordinator) RunJob(ctx context.Context, spec JobSpec) (*JobResult, error) {
@@ -678,13 +673,7 @@ func (c *Coordinator) workerGoneLocked(w *workerState) {
 	}
 	for id := range w.shards {
 		s := j.shards[id]
-		keep := s.leases[:0]
-		for _, l := range s.leases {
-			if l.worker != w.id {
-				keep = append(keep, l)
-			}
-		}
-		s.leases = keep
+		c.releaseLeaseLocked(s, w.id)
 		if !s.done {
 			c.count(&j.summary.Lost, "shard.lost", 1)
 			c.requeueLocked(j, s)
@@ -697,7 +686,7 @@ func (c *Coordinator) workerGoneLocked(w *workerState) {
 
 func (c *Coordinator) sweepLoop() {
 	defer c.wg.Done()
-	t := time.NewTicker(c.opts.Sweep)
+	t := time.NewTicker(max(c.opts.Lease/40, time.Millisecond))
 	defer t.Stop()
 	for range t.C {
 		c.mu.Lock()

@@ -26,7 +26,7 @@ type synthExec struct {
 	seed  int64
 	fail  bool // every RunTask errors
 	flaky bool // the first RunTask after synthFlakyArmed is set errors
-	skew  int  // Prepare reports this many more tasks than Tasks does
+	skew  int  // Prepare reports this many more tasks than the size names
 }
 
 // synthPrepares counts synthExec.Prepare calls, so a test can tell a
@@ -36,19 +36,11 @@ var synthPrepares atomic.Int64
 // synthFlakyArmed makes the next flaky RunTask in the process fail, once.
 var synthFlakyArmed atomic.Bool
 
-func (e *synthExec) Tasks(size string) (int, error) {
+func (e *synthExec) Prepare(size string, seed int64) (int, error) {
+	synthPrepares.Add(1)
 	n, err := strconv.Atoi(size)
 	if err != nil {
 		return 0, fmt.Errorf("synth: bad size %q", size)
-	}
-	return n, nil
-}
-
-func (e *synthExec) Prepare(size string, seed int64) (int, error) {
-	synthPrepares.Add(1)
-	n, err := e.Tasks(size)
-	if err != nil {
-		return 0, err
 	}
 	e.n, e.seed = n+e.skew, seed
 	return e.n, nil
@@ -88,7 +80,6 @@ func registerSynth() {
 func testOptions() Options {
 	return Options{
 		Lease:         250 * time.Millisecond,
-		Sweep:         10 * time.Millisecond,
 		MaxAttempts:   8,
 		HedgeAge:      30 * time.Millisecond,
 		NoWorkerGrace: 5 * time.Second,

@@ -29,7 +29,6 @@ func TestHammerCoordinatorStateMachine(t *testing.T) {
 
 	opts := Options{
 		Lease:         300 * time.Millisecond,
-		Sweep:         10 * time.Millisecond,
 		MaxAttempts:   20,
 		HedgeAge:      20 * time.Millisecond,
 		NoWorkerGrace: 10 * time.Second,

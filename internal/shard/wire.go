@@ -1,13 +1,15 @@
 // Package shard is the suite's fault-tolerant distributed execution
 // fabric: a coordinator partitions a kernel's task range into shards
-// by consistent hashing and leases them to worker processes over a
-// compact local RPC protocol. Robustness is the design center — one
-// liveness rule (a worker silent for a whole lease is dead and its
-// shards are rescheduled), hedged re-dispatch of stragglers on live
-// workers with first-result-wins dedup, and bounded worker-side
-// retries — and the invariant the whole package is tested against is
-// *provable recovery*: a run that loses workers mid-flight must still produce
-// results bit-identical to the single-process path.
+// by a stride rotated by the job ID (Partition: shard sizes differ by
+// at most one) and leases them to worker processes over a compact
+// local RPC protocol. Robustness is the design center — one liveness
+// rule (a worker silent for a whole lease is dead and its shards are
+// rescheduled), coordinator-side re-dispatch of a failed shard under a
+// bounded attempt budget, and hedged re-dispatch of stragglers on live
+// workers with first-result-wins dedup — and the invariant the whole
+// package is tested against is *provable recovery*: a run that loses
+// workers mid-flight must still produce results bit-identical to the
+// single-process path.
 //
 // The protocol is deliberately small. Workers connect, say Hello, and
 // pull shards; the coordinator never dials anyone. Every frame on the
@@ -143,8 +145,8 @@ func readMsg(r io.Reader, m *Msg) error {
 
 // EncodeTasks packs a set of task indices as delta-encoded uvarints.
 // The input is sorted (a copy is taken; the argument is not mutated),
-// so consecutive runs — the common case after consistent-hash
-// partitioning of a dense range — cost one byte per task.
+// so a shard of Partition's stride, whose tasks lie nshards apart,
+// costs one byte per task for up to 127 shards.
 func EncodeTasks(tasks []int) []byte {
 	if len(tasks) == 0 {
 		return nil

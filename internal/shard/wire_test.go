@@ -135,16 +135,24 @@ func TestDecodeTasksCorrupt(t *testing.T) {
 
 func TestPartitionCoversRangeExactlyOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 20; trial++ {
+	// Edge cases first (no tasks, more shards than tasks, one shard),
+	// then random shapes.
+	edges := [][2]int{{0, 1}, {0, 5}, {3, 8}, {16, 16}, {17, 16}, {40, 1}}
+	for trial := 0; trial < 20+len(edges); trial++ {
 		n := 1 + rng.Intn(500)
 		nshards := 1 + rng.Intn(20)
+		if trial < len(edges) {
+			n, nshards = edges[trial][0], edges[trial][1]
+		}
 		job := rng.Uint64()
 		parts := Partition(job, n, nshards)
 		if len(parts) != nshards {
 			t.Fatalf("got %d shards, want %d", len(parts), nshards)
 		}
 		seen := make([]bool, n)
+		lo, hi := n, 0
 		for s, tasks := range parts {
+			lo, hi = min(lo, len(tasks)), max(hi, len(tasks))
 			prev := -1
 			for _, task := range tasks {
 				if task < 0 || task >= n {
@@ -164,6 +172,9 @@ func TestPartitionCoversRangeExactlyOnce(t *testing.T) {
 			if !ok {
 				t.Fatalf("task %d unassigned (job=%d n=%d shards=%d)", task, job, n, nshards)
 			}
+		}
+		if hi-lo > 1 {
+			t.Fatalf("shard sizes range %d..%d, want a spread of at most one (job=%d n=%d shards=%d)", lo, hi, job, n, nshards)
 		}
 	}
 }
