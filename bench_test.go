@@ -133,7 +133,8 @@ func BenchmarkKernel(b *testing.B) {
 
 // ---- Ablations (design choices DESIGN.md calls out) ----
 
-// Banded versus full Smith-Waterman: the banding design choice.
+// Banded versus full extension, z-drop off so every band runs the
+// whole matrix it covers: the banding design choice.
 func BenchmarkAblationBSWBand(b *testing.B) {
 	rng := rand.New(rand.NewSource(benchSeed))
 	q := genome.Random(rng, 500)
@@ -144,7 +145,6 @@ func BenchmarkAblationBSWBand(b *testing.B) {
 	for _, band := range []int{10, 50, 100, 1000} {
 		p := bsw.DefaultParams()
 		p.Band = band
-		p.Mode = bsw.Local
 		p.ZDrop = 0
 		b.Run(bandName(band), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -167,30 +167,6 @@ func bandName(band int) string {
 	}
 }
 
-// Robin-hood versus linear probing: the paper's suggested kmer-cnt
-// optimization.
-func BenchmarkAblationKmerProbing(b *testing.B) {
-	rng := rand.New(rand.NewSource(benchSeed))
-	reads := make([]genome.Seq, 50)
-	for i := range reads {
-		reads[i] = genome.Random(rng, 2000)
-	}
-	for _, mode := range []kmercnt.Probing{kmercnt.Linear, kmercnt.RobinHood} {
-		name := "linear"
-		if mode == kmercnt.RobinHood {
-			name = "robinhood"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				tab := kmercnt.NewTable(1<<12, mode)
-				for _, r := range reads {
-					kmercnt.CountSeq(tab, r, 17)
-				}
-			}
-		})
-	}
-}
-
 // Plain versus prefetch-batched k-mer counting: the paper's suggested
 // mitigation for kmer-cnt's memory stalls. The batched side is the
 // kernel's production path, binning included, on one worker.
@@ -202,7 +178,7 @@ func BenchmarkAblationKmerBatching(b *testing.B) {
 	}
 	b.Run("plain", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			tab := kmercnt.NewTable(1<<12, kmercnt.Linear)
+			tab := kmercnt.NewTable(1 << 12)
 			for _, r := range reads {
 				kmercnt.CountSeq(tab, r, 17)
 			}
@@ -210,7 +186,7 @@ func BenchmarkAblationKmerBatching(b *testing.B) {
 	})
 	b.Run("batched", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			bins, w := kmercnt.NewBins(reads, 17), kmercnt.NewCounter(kmercnt.Linear)
+			bins, w := kmercnt.NewBins(reads, 17), kmercnt.NewCounter()
 			for c := range bins.Chunks() {
 				bins.Fill(w, c)
 			}

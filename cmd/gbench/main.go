@@ -92,6 +92,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	for _, r := range []struct {
+		flag string
+		bad  bool
+		want string
+	}{
+		{"threads", *threads < 1, ">= 1"},
+		{"dist", *distN < 0, ">= 0"},
+		{"dist-shards", *distShards < 1, ">= 1"},
+		{"timeout", *timeout < 0, ">= 0"},
+		{"dist-lease", *distLease < 0, ">= 0"},
+	} {
+		if r.bad {
+			fmt.Fprintf(stderr, "invalid value %s for flag -%s: want %s\n", fs.Lookup(r.flag).Value, r.flag, r.want)
+			return 2
+		}
+	}
 
 	cpuPath, memPath, err := parsePprofSpec(*pprofSpec)
 	if err != nil {

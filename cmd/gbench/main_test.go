@@ -76,6 +76,12 @@ func TestUsageErrorsNameTheOffender(t *testing.T) {
 		{[]string{"-attempts", "2"}, "-attempts"},               // retired: a kernel runs once
 		{[]string{"-faults", "truncate:fastq:1"}, `"truncate"`}, // retired with the file readers
 		{[]string{workerMode, "-id", "w1"}, "-addr"},
+		{[]string{"-bench", "fmi", "-threads", "-3"}, "-threads"},
+		{[]string{"-bench", "fmi", "-threads", "0"}, "-threads"},
+		{[]string{"-bench", "fmi", "-dist", "-1"}, "flag -dist:"},
+		{[]string{"-bench", "fmi", "-dist", "2", "-dist-shards", "0"}, "-dist-shards"},
+		{[]string{"-bench", "fmi", "-timeout", "-1s"}, "-timeout"},
+		{[]string{"-bench", "fmi", "-dist-lease", "-1s"}, "-dist-lease"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != 2 {

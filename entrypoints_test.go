@@ -54,7 +54,7 @@ func TestEveryInternalPackageHasAnEntryPoint(t *testing.T) {
 var referenceOnly = map[string]string{
 	"abea.FullAlign":                "exhaustive reference of TestBandedMatchesFullOnCleanSignal and TestBandedCloseToFullWithNoise",
 	"abea.alignInto":                "scalar band sweep TestAlignLanesBitIdentical holds the lanes to bit for bit",
-	"bsw.AlignFull":                 "unbanded reference of TestAlignFullMatchesNaive and TestBandedNarrowLowerBound",
+	"bsw.AlignFull":                 "unbanded extension reference of TestAlignFullMatchesNaive and TestBandedNarrowLowerBound",
 	"fmindex.Index.occ4Scalar":      "byte-scan rank FuzzOccBlock, TestOcc4PackedDifferential and TestLFMatchesScalarRank compare against",
 	"fmindex.Index.extendForwardT":  "all-four extension TestExtend1MatchesExtend4 holds extendForward1 to; through it extendBackwardT and occ4t, which hold extendBackward1 and the packed rank",
 	"grm.ComputeNaive":              "one-dot-product-at-a-time reference TestComputeDifferential holds Blocks.Compute to bit for bit; through it Genotypes.Standardize, whose dense Z matrix TestMonomorphicSiteContributesNothing inspects",

@@ -15,18 +15,6 @@ import (
 	"repro/internal/seq2"
 )
 
-// Mode selects the alignment objective.
-type Mode int
-
-// Alignment modes.
-const (
-	// Local is classic Smith-Waterman: best-scoring local alignment.
-	Local Mode = iota
-	// Extension anchors the alignment at (0,0) and extends, aborting
-	// via z-drop — the seed-extension mode BWA-MEM uses.
-	Extension
-)
-
 // Params are the scoring and banding parameters.
 type Params struct {
 	Match     int // score for a base match (positive)
@@ -34,13 +22,12 @@ type Params struct {
 	GapOpen   int // affine gap open penalty q (positive)
 	GapExtend int // affine gap extend penalty e (positive)
 	Band      int // half band width w: cells with |i-j| <= w
-	ZDrop     int // extension abort threshold (Extension mode)
-	Mode      Mode
+	ZDrop     int // extension abort threshold; 0 disables z-drop
 }
 
 // DefaultParams mirrors BWA-MEM2 defaults.
 func DefaultParams() Params {
-	return Params{Match: 1, Mismatch: 4, GapOpen: 6, GapExtend: 1, Band: 100, ZDrop: 100, Mode: Extension}
+	return Params{Match: 1, Mismatch: 4, GapOpen: 6, GapExtend: 1, Band: 100, ZDrop: 100}
 }
 
 // Result reports one pairwise alignment.
@@ -53,10 +40,10 @@ type Result struct {
 
 const negInf = -(1 << 29)
 
-// Align computes the banded affine-gap alignment of query q against
-// target t. In Local mode scores clamp at zero and the best cell
-// anywhere wins; in Extension mode the alignment is anchored at (0,0)
-// and rows abort once the row maximum falls ZDrop below the best.
+// Align computes the banded affine-gap extension of query q against
+// target t, the seed-extension objective BWA-MEM uses: the alignment
+// is anchored at (0,0), the best cell anywhere wins, and rows abort
+// once the row maximum falls ZDrop below the best.
 //
 // Align is the scalar reference implementation: it allocates its DP
 // rows per call and compares bases byte by byte. Hot loops use
@@ -81,22 +68,15 @@ func Align(q, t genome.Seq, p Params) Result {
 	// Row 0 initialization.
 	for j := 0; j <= n; j++ {
 		E[j] = negInf
-		if p.Mode == Local {
+		if j == 0 {
 			prevH[j] = 0
+		} else if j <= w {
+			prevH[j] = -(p.GapOpen + j*p.GapExtend)
 		} else {
-			if j == 0 {
-				prevH[j] = 0
-			} else if j <= w {
-				prevH[j] = -(p.GapOpen + j*p.GapExtend)
-			} else {
-				prevH[j] = negInf
-			}
+			prevH[j] = negInf
 		}
 	}
-	best, bestI, bestJ := 0, 0, 0
-	if p.Mode == Extension {
-		best = negInf
-	}
+	best, bestI, bestJ := negInf, 0, 0
 	var cells uint64
 
 	for i := 1; i <= m; i++ {
@@ -112,9 +92,7 @@ func Align(q, t genome.Seq, p Params) Result {
 			break
 		}
 		// Left boundary of the row.
-		if p.Mode == Local {
-			H[lo-1] = 0
-		} else if lo == 1 {
+		if lo == 1 {
 			H[0] = -(p.GapOpen + i*p.GapExtend)
 		} else {
 			H[lo-1] = negInf
@@ -146,9 +124,6 @@ func Align(q, t genome.Seq, p Params) Result {
 			if f > h {
 				h = f
 			}
-			if p.Mode == Local && h < 0 {
-				h = 0
-			}
 			H[j] = h
 			E[j] = e
 			F = f
@@ -167,7 +142,7 @@ func Align(q, t genome.Seq, p Params) Result {
 			bestI = i
 			bestJ = rowMaxJ
 		}
-		if p.Mode == Extension && p.ZDrop > 0 && rowMax < best-p.ZDrop {
+		if p.ZDrop > 0 && rowMax < best-p.ZDrop {
 			res.ZDropped = true
 			break
 		}
@@ -231,28 +206,20 @@ func AlignInto(q, t genome.Seq, p Params, a *scratch.Arena) Result {
 	oe := gapO + ge
 	match := int32(p.Match)
 	mism := int32(-p.Mismatch)
-	local := p.Mode == Local
 
 	// Row 0 initialization (same recurrence as Align).
 	for j := 0; j <= n; j++ {
 		E[j] = negInf32
-		if local {
+		if j == 0 {
 			prevH[j] = 0
+		} else if j <= w {
+			prevH[j] = -(gapO + int32(j)*ge)
 		} else {
-			if j == 0 {
-				prevH[j] = 0
-			} else if j <= w {
-				prevH[j] = -(gapO + int32(j)*ge)
-			} else {
-				prevH[j] = negInf32
-			}
+			prevH[j] = negInf32
 		}
 	}
-	best := int32(0)
+	best := negInf32
 	bestI, bestJ := 0, 0
-	if !local {
-		best = negInf32
-	}
 	zdrop := int32(p.ZDrop)
 	var cells uint64
 
@@ -269,9 +236,7 @@ func AlignInto(q, t genome.Seq, p Params, a *scratch.Arena) Result {
 			break
 		}
 		// Left boundary of the row.
-		if local {
-			H[lo-1] = 0
-		} else if lo == 1 {
+		if lo == 1 {
 			H[0] = -(gapO + int32(i)*ge)
 		} else {
 			H[lo-1] = negInf32
@@ -324,9 +289,6 @@ func AlignInto(q, t genome.Seq, p Params, a *scratch.Arena) Result {
 				if f > h {
 					h = f
 				}
-				if local && h < 0 {
-					h = 0
-				}
 				H[j] = h
 				E[j] = e
 				F = f
@@ -348,7 +310,7 @@ func AlignInto(q, t genome.Seq, p Params, a *scratch.Arena) Result {
 			bestI = i
 			bestJ = rowMaxJ
 		}
-		if !local && zdrop > 0 && rowMax < best-zdrop {
+		if zdrop > 0 && rowMax < best-zdrop {
 			res.ZDropped = true
 			break
 		}
@@ -361,12 +323,11 @@ func AlignInto(q, t genome.Seq, p Params, a *scratch.Arena) Result {
 	return res
 }
 
-// AlignFull computes the unbanded local Smith-Waterman alignment — the
+// AlignFull computes the unbanded extension with z-drop off — the
 // exhaustive baseline the banded kernel approximates.
 func AlignFull(q, t genome.Seq, p Params) Result {
 	full := p
 	full.Band = len(q) + len(t)
-	full.Mode = Local
 	full.ZDrop = 0
 	return Align(q, t, full)
 }

@@ -7,8 +7,10 @@ import (
 	"repro/internal/genome"
 )
 
-// naiveLocalSW is an O(mn) reference Smith-Waterman with affine gaps.
-func naiveLocalSW(q, t genome.Seq, p Params) int {
+// naiveExtension is an O(mn) reference affine-gap extension: the DP
+// is anchored at (0,0), whose gapped boundary rows open a gap, and the
+// best cell anywhere wins.
+func naiveExtension(q, t genome.Seq, p Params) int {
 	m, n := len(q), len(t)
 	H := make([][]int, m+1)
 	E := make([][]int, m+1)
@@ -21,8 +23,14 @@ func naiveLocalSW(q, t genome.Seq, p Params) int {
 			E[i][j] = negInf
 			F[i][j] = negInf
 		}
+		if i > 0 {
+			H[i][0] = -(p.GapOpen + i*p.GapExtend)
+		}
 	}
-	best := 0
+	for j := 1; j <= n; j++ {
+		H[0][j] = -(p.GapOpen + j*p.GapExtend)
+	}
+	best := negInf
 	for i := 1; i <= m; i++ {
 		for j := 1; j <= n; j++ {
 			s := p.Match
@@ -44,9 +52,6 @@ func naiveLocalSW(q, t genome.Seq, p Params) int {
 			if f > h {
 				h = f
 			}
-			if h < 0 {
-				h = 0
-			}
 			H[i][j] = h
 			E[i][j] = e
 			F[i][j] = f
@@ -65,7 +70,7 @@ func TestAlignFullMatchesNaive(t *testing.T) {
 		q := genome.Random(rng, 1+rng.Intn(40))
 		tg := genome.Random(rng, 1+rng.Intn(40))
 		got := AlignFull(q, tg, p).Score
-		want := naiveLocalSW(q, tg, p)
+		want := naiveExtension(q, tg, p)
 		if got != want {
 			t.Fatalf("trial %d: AlignFull = %d, naive = %d (q=%s t=%s)", trial, got, want, q, tg)
 		}
@@ -75,7 +80,6 @@ func TestAlignFullMatchesNaive(t *testing.T) {
 func TestBandedWideEqualsFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	p := DefaultParams()
-	p.Mode = Local
 	p.ZDrop = 0
 	for trial := 0; trial < 20; trial++ {
 		q := genome.Random(rng, 30)
@@ -92,7 +96,6 @@ func TestBandedWideEqualsFull(t *testing.T) {
 func TestBandedNarrowLowerBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	p := DefaultParams()
-	p.Mode = Local
 	p.ZDrop = 0
 	for trial := 0; trial < 20; trial++ {
 		q := genome.Random(rng, 50)
@@ -234,7 +237,6 @@ func TestCellUpdatesRespectBand(t *testing.T) {
 	q := genome.Random(rng, 100)
 	tg := genome.Random(rng, 100)
 	p := DefaultParams()
-	p.Mode = Local
 	p.ZDrop = 0
 	p.Band = 5
 	r := Align(q, tg, p)
@@ -249,18 +251,19 @@ func TestCellUpdatesRespectBand(t *testing.T) {
 	}
 }
 
-// Local Smith-Waterman is invariant under reversing both sequences and
-// under complementing both (score function is base-agnostic).
-func TestLocalScoreSymmetries(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
+// Swapping query and target transposes the DP matrix, and
+// complementing both sequences keeps every match a match: with
+// symmetric, base-agnostic scoring neither changes the unbanded
+// extension score.
+func TestExtensionScoreSymmetries(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
 	p := DefaultParams()
-	p.Mode = Local
 	p.ZDrop = 0
 	p.Band = 1000
-	rev := func(s genome.Seq) genome.Seq {
+	complement := func(s genome.Seq) genome.Seq {
 		out := make(genome.Seq, len(s))
 		for i, b := range s {
-			out[len(s)-1-i] = b
+			out[i] = genome.Complement(b)
 		}
 		return out
 	}
@@ -268,28 +271,11 @@ func TestLocalScoreSymmetries(t *testing.T) {
 		q := genome.Random(rng, 10+rng.Intn(40))
 		tg := genome.Random(rng, 10+rng.Intn(40))
 		base := Align(q, tg, p).Score
-		if got := Align(rev(q), rev(tg), p).Score; got != base {
-			t.Fatalf("reversal changed local score: %d vs %d", got, base)
+		if got := Align(tg, q, p).Score; got != base {
+			t.Fatalf("transpose changed extension score: %d vs %d", got, base)
 		}
-		if got := Align(q.ReverseComplement(), tg.ReverseComplement(), p).Score; got != base {
-			t.Fatalf("reverse-complement changed local score: %d vs %d", got, base)
-		}
-	}
-}
-
-// Swapping query and target transposes the DP matrix; with symmetric
-// scoring the local score is unchanged.
-func TestLocalScoreTransposeSymmetry(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	p := DefaultParams()
-	p.Mode = Local
-	p.ZDrop = 0
-	p.Band = 1000
-	for trial := 0; trial < 20; trial++ {
-		q := genome.Random(rng, 10+rng.Intn(40))
-		tg := genome.Random(rng, 10+rng.Intn(40))
-		if a, b := Align(q, tg, p).Score, Align(tg, q, p).Score; a != b {
-			t.Fatalf("transpose changed local score: %d vs %d", a, b)
+		if got := Align(complement(q), complement(tg), p).Score; got != base {
+			t.Fatalf("complement changed extension score: %d vs %d", got, base)
 		}
 	}
 }

@@ -25,7 +25,7 @@ func randomPair(rng *rand.Rand) (genome.Seq, genome.Seq) {
 }
 
 // AlignInto must be bit-identical to the scalar Align on seeded random
-// inputs, across both modes and a spread of band widths.
+// inputs, with z-drop on and off and a spread of band widths.
 func TestAlignIntoDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	arena := scratch.New()
@@ -34,14 +34,13 @@ func TestAlignIntoDifferential(t *testing.T) {
 		p := DefaultParams()
 		p.Band = []int{5, 20, 100, 1000}[rng.Intn(4)]
 		if rng.Intn(2) == 0 {
-			p.Mode = Local
 			p.ZDrop = 0
 		}
 		want := Align(q, tgt, p)
 		got := AlignInto(q, tgt, p, arena)
 		if got != want {
-			t.Fatalf("trial %d (mode=%v band=%d |q|=%d |t|=%d):\n got %+v\nwant %+v",
-				trial, p.Mode, p.Band, len(q), len(tgt), got, want)
+			t.Fatalf("trial %d (zdrop=%d band=%d |q|=%d |t|=%d):\n got %+v\nwant %+v",
+				trial, p.ZDrop, p.Band, len(q), len(tgt), got, want)
 		}
 	}
 }

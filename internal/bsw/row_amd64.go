@@ -31,10 +31,9 @@ type bswRowArgs struct {
 	mism    int16   // +58
 	oe      int16   // +60: gap open + extend
 	ge      int16   // +62: gap extend
-	clamp   int16   // +64: 0 (Local) or -32768 (Extension)
-	hleft   int16   // +66: finished boundary cell curH[lo-1]
-	rowMax  int16   // +68: out: row max over in-band lanes
-	_       [2]byte // pad to 8-byte multiple
+	hleft   int16   // +64: finished boundary cell curH[lo-1]
+	rowMax  int16   // +66: out: row max over in-band lanes
+	_       [4]byte // pad to 8-byte multiple
 }
 
 //go:noescape
@@ -42,11 +41,11 @@ func bswRowAsm(a *bswRowArgs)
 
 // bswRowWide advances one banded DP row through the assembly kernel.
 // Same contract as bswRowPortable.
-func bswRowWide(prevH, curH, ev []int16, gmask []uint16, lo, ngroups int, tail uint16, match, mism, oe, ge, clamp, hleft int16) int16 {
+func bswRowWide(prevH, curH, ev []int16, gmask []uint16, lo, ngroups int, tail uint16, match, mism, oe, ge, hleft int16) int16 {
 	a := bswRowArgs{
 		prevH: &prevH[0], curH: &curH[0], ev: &ev[0], gmask: &gmask[0],
 		lo: int64(lo), ngroups: int64(ngroups), tail: int64(tail),
-		match: match, mism: mism, oe: oe, ge: ge, clamp: clamp, hleft: hleft,
+		match: match, mism: mism, oe: oe, ge: ge, hleft: hleft,
 	}
 	bswRowAsm(&a)
 	return a.rowMax

@@ -18,8 +18,8 @@ GLOBL bswBitsTab<>(SB), RODATA|NOPTR, $32
 // Register plan:
 //   Y1 match splat   Y2 mism splat   Y3 ge       Y4 2*ge
 //   Y5 4*ge          Y6 8*ge         Y7 -32768   Y10 oe
-//   Y11 clamp        Y12 row max     Y13 F carry (lane 15 live)
-//   Y14 htmp2        Y15 c           Y0, Y8, Y9 temps
+//   Y12 row max      Y13 F carry (lane 15 live)
+//   Y14 htmp         Y15 c           Y0, Y8, Y9 temps
 // The ge multiples are built with VPADDSW; 8*ge is exact for the
 // contract's ge <= 4095, and far inside int16 under wideEligible.
 
@@ -42,10 +42,9 @@ TEXT ·bswRowAsm(SB), NOSPLIT, $0-8
 	VPCMPEQD Y7, Y7, Y7
 	VPSLLW $15, Y7, Y7          // -32768 sentinel
 	VPBROADCASTW 60(AX), Y10    // oe
-	VPBROADCASTW 64(AX), Y11    // clamp
 	// F carry: lane 15 seeds each group's incoming chain value; for
 	// the first group that is c of the boundary cell, sat(hleft-oe).
-	VPBROADCASTW 66(AX), Y13
+	VPBROADCASTW 64(AX), Y13
 	VPSUBSW Y10, Y13, Y13
 	VMOVDQA Y7, Y12             // row max accumulator
 	XORQ R12, R12               // gi
@@ -69,10 +68,9 @@ groups:
 	VPSUBSW Y3, Y9, Y9
 	VPMAXSW Y9, Y8, Y8          // e
 	VMOVDQU Y8, (R8)(BX*1)
-	VPMAXSW Y8, Y14, Y14
-	VPMAXSW Y11, Y14, Y14       // htmp2 = max(htmp, clamp)
+	VPMAXSW Y8, Y14, Y14        // htmp
 
-	// c = sat(htmp2 - oe); u = c shifted up one lane with the carry
+	// c = sat(htmp - oe); u = c shifted up one lane with the carry
 	// register's lane 15 shifted in.
 	VPSUBSW Y10, Y14, Y15
 	VPERM2I128 $0x03, Y13, Y15, Y8 // [carry.hi, c.lo]
@@ -101,7 +99,7 @@ groups:
 	VPSUBSW Y3, Y0, Y13
 	VPMAXSW Y15, Y13, Y13
 
-	// H = max(htmp2, f); store, fold into the row max (last group
+	// H = max(htmp, f); store, fold into the row max (last group
 	// blends out-of-band lanes to the sentinel first).
 	VPMAXSW Y0, Y14, Y14
 	VMOVDQU Y14, (DI)(BX*1)
@@ -136,5 +134,5 @@ next:
 	VPSHUFLW $0xB1, X12, X8
 	VPMAXSW X8, X12, X12
 	MOVQ X12, CX
-	MOVW CX, 68(AX)
+	MOVW CX, 66(AX)
 	RET

@@ -36,9 +36,9 @@ import (
 //     reference's -(1<<29) does.
 //  3. The F chain is linearized before vectorizing: with oe >= ge the
 //     self-referential f[j] = max(H[j-1]-oe, f[j-1]-ge) equals the
-//     chain f[j] = max(c[j-1], f[j-1]-ge) over c[j] = max(htmp[j],
-//     clamp) - oe, where htmp is the cell value before the F merge
-//     (the f-through-H term is dominated by the direct f chain). That
+//     chain f[j] = max(c[j-1], f[j-1]-ge) over c[j] = htmp[j] - oe,
+//     where htmp is the cell value before the F merge (the
+//     f-through-H term is dominated by the direct f chain). That
 //     chain is the same shift-and-max recurrence as poa's gap scan,
 //     so the asm kernel runs it as a log-step prefix-max scan; scan
 //     and serial chain are value-identical for ge in [0, 4095] (each
@@ -123,18 +123,13 @@ func alignWide(q, t genome.Seq, p Params, a *scratch.Arena, useAsm bool) Result 
 	oe := gapO + ge
 	match := int16(p.Match)
 	mism := int16(-p.Mismatch)
-	local := p.Mode == Local
-	clamp := negInf16
-	if local {
-		clamp = 0
-	}
 
 	// Row 0 initialization (same recurrence as AlignInto); padding
 	// cells start as sentinels so row 1's out-of-band lanes compute
 	// from defined values.
 	for j := 0; j <= n; j++ {
 		E[j] = negInf16
-		if local || j == 0 {
+		if j == 0 {
 			prevH[j] = 0
 		} else if j <= w {
 			prevH[j] = int16(-(p.GapOpen + j*p.GapExtend))
@@ -147,11 +142,8 @@ func alignWide(q, t genome.Seq, p Params, a *scratch.Arena, useAsm bool) Result 
 		E[j] = negInf16
 		prevH[j] = negInf16
 	}
-	best := int16(0)
+	best := negInf16
 	bestI, bestJ := 0, 0
-	if !local {
-		best = negInf16
-	}
 	var cells uint64
 
 	for i := 1; i <= m; i++ {
@@ -167,9 +159,7 @@ func alignWide(q, t genome.Seq, p Params, a *scratch.Arena, useAsm bool) Result 
 			break
 		}
 		// Left boundary of the row.
-		if local {
-			H[lo-1] = 0
-		} else if lo == 1 {
+		if lo == 1 {
 			H[0] = int16(-(p.GapOpen + i*p.GapExtend))
 		} else {
 			H[lo-1] = negInf16
@@ -191,9 +181,9 @@ func alignWide(q, t genome.Seq, p Params, a *scratch.Arena, useAsm bool) Result 
 		cells += uint64(hi - lo + 1)
 		var rowMax int16
 		if useAsm {
-			rowMax = bswRowWide(prevH, H, E, gmask, lo, ngroups, tail, match, mism, oe, ge, clamp, H[lo-1])
+			rowMax = bswRowWide(prevH, H, E, gmask, lo, ngroups, tail, match, mism, oe, ge, H[lo-1])
 		} else {
-			rowMax = bswRowPortable(prevH, H, E, gmask, lo, ngroups, tail, match, mism, oe, ge, clamp, H[lo-1])
+			rowMax = bswRowPortable(prevH, H, E, gmask, lo, ngroups, tail, match, mism, oe, ge, H[lo-1])
 		}
 		// Out-of-band cells on the right are unreachable. This also
 		// repairs the one padding-lane store (hi+1) the next row reads.
@@ -215,7 +205,7 @@ func alignWide(q, t genome.Seq, p Params, a *scratch.Arena, useAsm bool) Result 
 				}
 			}
 		}
-		if !local && p.ZDrop > 0 && int(rowMax) < int(best)-p.ZDrop {
+		if p.ZDrop > 0 && int(rowMax) < int(best)-p.ZDrop {
 			res.ZDropped = true
 			break
 		}
@@ -239,8 +229,7 @@ func alignWide(q, t genome.Seq, p Params, a *scratch.Arena, useAsm bool) Result 
 //   - hleft: the finished boundary cell curH[lo-1].
 //
 // Returns the row maximum over in-band lanes.
-func bswRowPortable(prevH, curH, ev []int16, gmask []uint16, lo, ngroups int, tail uint16, match, mism, oe, ge, clamp, hleft int16) int16 {
-	clampv := lanes.SplatI16x16(clamp)
+func bswRowPortable(prevH, curH, ev []int16, gmask []uint16, lo, ngroups int, tail uint16, match, mism, oe, ge, hleft int16) int16 {
 	// carry is the incoming F-chain value for each group's lane 0:
 	// for the first group f[lo] = H[lo-1]-oe (the row enters with
 	// F = -inf, so only the open-from-boundary term survives).
@@ -252,7 +241,7 @@ func bswRowPortable(prevH, curH, ev []int16, gmask []uint16, lo, ngroups int, ta
 		h1 := lanes.Load16I16(prevH, j-1).Adds(s)
 		e2 := lanes.Load16I16(prevH, j).SubsS(oe).Max(lanes.Load16I16(ev, j).SubsS(ge))
 		lanes.Store16I16(ev, j, e2)
-		htmp := h1.Max(e2).Max(clampv)
+		htmp := h1.Max(e2)
 		c := htmp.SubsS(oe).Array()
 		var f [lanes.WideWidth]int16
 		f[0] = carry

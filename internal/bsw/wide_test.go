@@ -40,7 +40,7 @@ func mutateFrom(rng *rand.Rand, src genome.Seq, rate float64) genome.Seq {
 
 // TestAlignWideDifferential runs the 16-wide int16 path (portable
 // body, and the asm body where the host has one) against the scalar
-// Align reference over a grid of modes, bands, z-drops, and scoring
+// Align reference over a grid of bands, z-drops, and scoring
 // params, on related and unrelated sequence pairs. Results must be
 // bit-identical: same score, same end cell, same cell count, same
 // z-drop flag.
@@ -48,10 +48,10 @@ func TestAlignWideDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	params := []Params{
 		DefaultParams(),
-		{Match: 2, Mismatch: 3, GapOpen: 5, GapExtend: 2, Band: 10, ZDrop: 40, Mode: Extension},
-		{Match: 1, Mismatch: 4, GapOpen: 6, GapExtend: 1, Band: 25, ZDrop: 0, Mode: Extension},
-		{Match: 2, Mismatch: 5, GapOpen: 4, GapExtend: 1, Band: 17, ZDrop: 100, Mode: Local},
-		{Match: 1, Mismatch: 1, GapOpen: 0, GapExtend: 1, Band: 7, ZDrop: 25, Mode: Local},
+		{Match: 2, Mismatch: 3, GapOpen: 5, GapExtend: 2, Band: 10, ZDrop: 40},
+		{Match: 1, Mismatch: 4, GapOpen: 6, GapExtend: 1, Band: 25, ZDrop: 0},
+		{Match: 2, Mismatch: 5, GapOpen: 4, GapExtend: 1, Band: 17, ZDrop: 100},
+		{Match: 1, Mismatch: 1, GapOpen: 0, GapExtend: 1, Band: 7, ZDrop: 25},
 	}
 	a := scratch.New()
 	for trial := 0; trial < 60; trial++ {
@@ -118,18 +118,14 @@ func TestBswRowAsmHammer(t *testing.T) {
 		mism := int16(rng.Int())
 		oe := int16(rng.Intn(20000))
 		ge := int16(rng.Intn(4096))
-		clamp := negInf16
-		if rng.Intn(2) == 0 {
-			clamp = 0
-		}
 		hleft := int16(rng.Int())
 		curH[lo-1] = hleft
 		curHP[lo-1] = hleft
 
-		rmA := bswRowWide(prevH, curH, ev, gmask, lo, ngroups, tail, match, mism, oe, ge, clamp, hleft)
-		rmP := bswRowPortable(prevH, curHP, evP, gmask, lo, ngroups, tail, match, mism, oe, ge, clamp, hleft)
+		rmA := bswRowWide(prevH, curH, ev, gmask, lo, ngroups, tail, match, mism, oe, ge, hleft)
+		rmP := bswRowPortable(prevH, curHP, evP, gmask, lo, ngroups, tail, match, mism, oe, ge, hleft)
 		if rmA != rmP {
-			t.Fatalf("iter %d: rowMax %d (asm) vs %d (portable); lo=%d ngroups=%d tail=%#x oe=%d ge=%d clamp=%d", it, rmA, rmP, lo, ngroups, tail, oe, ge, clamp)
+			t.Fatalf("iter %d: rowMax %d (asm) vs %d (portable); lo=%d ngroups=%d tail=%#x oe=%d ge=%d", it, rmA, rmP, lo, ngroups, tail, oe, ge)
 		}
 		for i := 0; i < size; i++ {
 			if curH[i] != curHP[i] {
@@ -187,10 +183,10 @@ func TestWideEligibleBounds(t *testing.T) {
 	}
 }
 
-// TestAlignWideZDropAndLocal locks the two mode-specific behaviors to
-// the scalar reference on adversarial inputs: Extension's z-drop
-// abort row (via CellUpdates) and Local's zero clamp.
-func TestAlignWideZDropAndLocal(t *testing.T) {
+// TestAlignWideZDrop locks z-drop, both ways, to the scalar reference
+// on adversarial inputs: the abort row (via CellUpdates) when it is
+// on, and the deeply negative scores of unrelated pairs when it is off.
+func TestAlignWideZDrop(t *testing.T) {
 	rng := rand.New(rand.NewSource(94))
 	a := scratch.New()
 	p := DefaultParams()
@@ -211,24 +207,24 @@ func TestAlignWideZDropAndLocal(t *testing.T) {
 			}
 		}
 	}
-	lp := Params{Match: 1, Mismatch: 4, GapOpen: 6, GapExtend: 1, Band: 30, Mode: Local}
+	np := Params{Match: 1, Mismatch: 4, GapOpen: 6, GapExtend: 1, Band: 30}
 	for trial := 0; trial < 30; trial++ {
 		q := randSeqWide(rng, 1+rng.Intn(100))
 		tg := randSeqWide(rng, 1+rng.Intn(100))
-		want := Align(q, tg, lp)
-		if got := alignWide(q, tg, lp, a, false); got != want {
-			t.Fatalf("local trial %d: portable wide %+v != scalar %+v", trial, got, want)
+		want := Align(q, tg, np)
+		if got := alignWide(q, tg, np, a, false); got != want {
+			t.Fatalf("no-zdrop trial %d: portable wide %+v != scalar %+v", trial, got, want)
 		}
 		if bswHaveWideAsm && cpufeat.AVX2() {
-			if got := alignWide(q, tg, lp, a, true); got != want {
-				t.Fatalf("local trial %d: asm wide %+v != scalar %+v", trial, got, want)
+			if got := alignWide(q, tg, np, a, true); got != want {
+				t.Fatalf("no-zdrop trial %d: asm wide %+v != scalar %+v", trial, got, want)
 			}
 		}
 	}
 }
 
 // FuzzAlignWideBoundary drives the int16 range proof from both sides:
-// the fuzzer picks the scoring, band, z-drop and mode, and the query
+// the fuzzer picks the scoring, band and z-drop, and the query
 // and target lengths sum to wideEligible's largest eligible total plus
 // delta (clamped to [-2, 2]), so delta <= 0 is the last eligible
 // problem and delta > 0 the first that must fall back. AlignInto must
@@ -237,10 +233,10 @@ func TestAlignWideZDropAndLocal(t *testing.T) {
 // wide bodies must too.
 func FuzzAlignWideBoundary(f *testing.F) {
 	for _, delta := range []int8{-1, 0, 1} {
-		f.Add(int64(1), uint8(0), uint8(3), uint8(5), uint8(0), uint8(30), uint16(100), false, uint8(128), delta)
-		f.Add(int64(2), uint8(7), uint8(1), uint8(0), uint8(2), uint8(5), uint16(0), true, uint8(10), delta)
+		f.Add(int64(1), uint8(0), uint8(3), uint8(5), uint8(0), uint8(30), uint16(100), uint8(128), delta)
+		f.Add(int64(2), uint8(7), uint8(1), uint8(0), uint8(2), uint8(5), uint16(0), uint8(10), delta)
 	}
-	f.Fuzz(func(t *testing.T, seed int64, match, mismatch, gapOpen, gapExtend, band uint8, zdrop uint16, local bool, split uint8, delta int8) {
+	f.Fuzz(func(t *testing.T, seed int64, match, mismatch, gapOpen, gapExtend, band uint8, zdrop uint16, split uint8, delta int8) {
 		p := Params{
 			Match:     1 + int(match%8),
 			Mismatch:  int(mismatch % 9),
@@ -248,10 +244,6 @@ func FuzzAlignWideBoundary(f *testing.F) {
 			GapExtend: int(gapExtend % 5),
 			Band:      1 + int(band%100),
 			ZDrop:     int(zdrop) % (wideScoreBound + 1),
-			Mode:      Extension,
-		}
-		if local {
-			p.Mode = Local
 		}
 		step := max(p.Match, p.Mismatch, p.GapOpen+p.GapExtend)
 		d := max(-2, min(2, int(delta)))

@@ -955,7 +955,7 @@ var kmerLoop = perTask[*kmercnt.Bins, *kmercnt.Counter, counted[*kmercnt.Table]]
 	prepTasks: (*kmercnt.Bins).Chunks,
 	n:         (*kmercnt.Bins).Parts,
 	worker: func(*kmercnt.Bins, *scratch.Pool, int) *kmercnt.Counter {
-		return kmercnt.NewCounter(kmercnt.Linear)
+		return kmercnt.NewCounter()
 	},
 	task: func(b *kmercnt.Bins, w *kmercnt.Counter, i int) counted[*kmercnt.Table] {
 		t, n := b.Count(w, i)

@@ -630,12 +630,12 @@ func Fig7(size Size, seed int64, threadCounts []int) (*Table, []ScalingProfile) 
 	for _, tc := range threadCounts {
 		t.Columns = append(t.Columns, fmt.Sprintf("t=%d model", tc))
 	}
-	for _, p := range profiles {
-		row := []interface{}{p.Name}
-		for _, m := range p.Measured {
+	for _, prof := range profiles {
+		row := []interface{}{prof.Name}
+		for _, m := range prof.Measured {
 			row = append(row, fmt.Sprintf("%.2f", m.Speedup))
 		}
-		for _, m := range p.Modeled {
+		for _, m := range prof.Modeled {
 			row = append(row, fmt.Sprintf("%.2f", m))
 		}
 		t.AddRow(row...)

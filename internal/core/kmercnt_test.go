@@ -21,7 +21,7 @@ func TestKmerCntMatchesCountSeq(t *testing.T) {
 		b, _ := ByName("kmer-cnt")
 		b.Prepare(Small, seed)
 		reads := b.(*bench[[]genome.Seq]).data
-		ref := kmercnt.NewTable(16, kmercnt.Linear)
+		ref := kmercnt.NewTable(16)
 		var kmers uint64
 		for _, r := range reads {
 			kmers += kmercnt.CountSeq(ref, r, 17)

@@ -18,8 +18,8 @@ func TestBatchedMatchesUnbatched(t *testing.T) {
 		reads[i] = genome.Random(rng, 300)
 	}
 	k := 17
-	plain := NewTable(64, Linear)
-	batched := NewTable(64, Linear)
+	plain := NewTable(64)
+	batched := NewTable(64)
 	var nPlain, nBatched uint64
 	for _, r := range reads {
 		nPlain += CountSeq(plain, r, k)
@@ -42,7 +42,7 @@ func TestBatchedMatchesUnbatched(t *testing.T) {
 }
 
 func TestBatchedShortRead(t *testing.T) {
-	tab := NewTable(64, Linear)
+	tab := NewTable(64)
 	// Fewer k-mers than a batch.
 	n := countPackedBatched(tab, genome.MustFromString("ACGTACGTACGTACGTACGTA"), 17)
 	if n != 5 {
@@ -65,7 +65,7 @@ func TestBatchedDemandStreamIdentical(t *testing.T) {
 		write bool
 	}
 	record := func(count func(*Table, genome.Seq, int) uint64) []acc {
-		tab := NewTable(1<<12, Linear)
+		tab := NewTable(1 << 12)
 		var got []acc
 		tab.Tracer = tracerFunc(func(addr uint64, size int, write bool) {
 			got = append(got, acc{addr, size, write})
@@ -92,7 +92,7 @@ func TestBatchedPrefetchReducesSimulatedStalls(t *testing.T) {
 		reads[i] = genome.Random(rng, 4000)
 	}
 	run := func(count func(*Table, genome.Seq, int) uint64) (*cachesim.Hierarchy, *Table) {
-		tab := NewTable(1<<20, Linear) // slot arrays far exceed the simulated L2
+		tab := NewTable(1 << 20) // slot arrays far exceed the simulated L2
 		sim := cachesim.NewHierarchy(cachesim.XeonE31240v5())
 		tab.Tracer = sim
 		for _, r := range reads {
@@ -131,13 +131,13 @@ func TestPackedBatchedForcedWidths(t *testing.T) {
 		reads[i] = genome.Random(rng, 50+rng.Intn(500))
 	}
 	for _, k := range []int{5, 17, 31} {
-		want := NewTable(64, Linear)
+		want := NewTable(64)
 		var wantN uint64
 		for _, r := range reads {
 			wantN += CountSeq(want, r, k)
 		}
 		for _, width := range []int{4, 7, 64, 512} {
-			got := NewTable(64, Linear)
+			got := NewTable(64)
 			var gotN uint64
 			for _, r := range reads {
 				keys := appendKmers(nil, seq2.PackInto(nil, r), k)
@@ -172,7 +172,7 @@ func TestPackedBatchedZeroAllocSteadyState(t *testing.T) {
 	if b.Parts() < 2 {
 		t.Fatalf("%d partition(s), want several", b.Parts())
 	}
-	w := NewCounter(Linear)
+	w := NewCounter()
 	pass := func() {
 		for c := range b.Chunks() {
 			b.Fill(w, c)
@@ -196,7 +196,7 @@ func TestKernelBatchedDifferential(t *testing.T) {
 	for i := range reads {
 		reads[i] = genome.Random(rng, 100+rng.Intn(400))
 	}
-	want := NewTable(64, Linear)
+	want := NewTable(64)
 	var wantN uint64
 	for _, r := range reads {
 		wantN += CountSeq(want, r, 17)

@@ -3,10 +3,10 @@
 // open-addressing hash table of counters. The access pattern — one
 // random cache line touched per insert with a 1-2 byte useful payload —
 // is what makes kmer-cnt the most memory-bound kernel in the paper
-// (484 BPKI, 69% stall cycles). Both plain linear probing and robin-
-// hood probing (the paper's suggested optimization) are provided. The
-// kernel counts by ownership (partition.go): k-mers binned by hash
-// prefix, each partition counted in a cache-resident table of its own.
+// (484 BPKI, 69% stall cycles). The table resolves collisions by
+// linear probing. The kernel counts by ownership (partition.go): k-mers
+// binned by hash prefix, each partition counted in a cache-resident
+// table of its own.
 package kmercnt
 
 import (
@@ -14,15 +14,6 @@ import (
 	"slices"
 
 	"repro/internal/genome"
-)
-
-// Probing selects the collision-resolution strategy.
-type Probing int
-
-// Probing strategies.
-const (
-	Linear Probing = iota
-	RobinHood
 )
 
 // MemTracer mirrors cachesim's access interface.
@@ -37,18 +28,15 @@ type Table struct {
 	counts []uint32
 	mask   uint64
 	used   int
-	mode   Probing
 
-	// Probes counts slot inspections; ProbeDistance accumulates the
-	// displacement of performed inserts (robin-hood quality metric).
-	Probes        uint64
-	ProbeDistance uint64
-	Tracer        MemTracer
+	// Probes counts slot inspections.
+	Probes uint64
+	Tracer MemTracer
 }
 
 // NewTable creates a table with at least capacity slots (rounded up to
 // a power of two).
-func NewTable(capacity int, mode Probing) *Table {
+func NewTable(capacity int) *Table {
 	size := 16
 	for size < capacity {
 		size *= 2
@@ -57,7 +45,6 @@ func NewTable(capacity int, mode Probing) *Table {
 		keys:   make([]uint64, size),
 		counts: make([]uint32, size),
 		mask:   uint64(size - 1),
-		mode:   mode,
 	}
 }
 
@@ -82,7 +69,7 @@ func (t *Table) reset(n int) {
 	}
 	t.mask = uint64(size - 1)
 	t.used = 0
-	t.Probes, t.ProbeDistance = 0, 0
+	t.Probes = 0
 }
 
 // KmerCount is one stored k-mer and its count.
@@ -130,67 +117,23 @@ func (t *Table) Increment(key uint64) {
 		t.grow()
 	}
 	stored := key + 1
-	switch t.mode {
-	case Linear:
-		slot := hash(key) & t.mask
-		for {
-			t.Probes++
-			t.trace(slot, false)
-			if t.keys[slot] == stored {
-				t.counts[slot]++
-				t.trace(slot, true)
-				return
-			}
-			if t.keys[slot] == 0 {
-				t.keys[slot] = stored
-				t.counts[slot] = 1
-				t.used++
-				t.trace(slot, true)
-				return
-			}
-			slot = (slot + 1) & t.mask
+	slot := hash(key) & t.mask
+	for {
+		t.Probes++
+		t.trace(slot, false)
+		if t.keys[slot] == stored {
+			t.counts[slot]++
+			t.trace(slot, true)
+			return
 		}
-	case RobinHood:
-		slot := hash(key) & t.mask
-		dist := uint64(0)
-		curKey := stored
-		curCount := uint32(1)
-		isNew := true
-		for {
-			t.Probes++
-			t.trace(slot, false)
-			if t.keys[slot] == 0 {
-				t.keys[slot] = curKey
-				t.counts[slot] = curCount
-				t.trace(slot, true)
-				if isNew {
-					t.used++
-				}
-				t.ProbeDistance += dist
-				return
-			}
-			if isNew && t.keys[slot] == curKey {
-				t.counts[slot]++
-				t.trace(slot, true)
-				t.ProbeDistance += dist
-				return
-			}
-			// Robin hood: displace richer residents.
-			residentDist := (slot - hash(t.keys[slot]-1)) & t.mask
-			if residentDist < dist {
-				t.keys[slot], curKey = curKey, t.keys[slot]
-				t.counts[slot], curCount = curCount, t.counts[slot]
-				t.trace(slot, true)
-				if isNew {
-					t.used++
-					t.ProbeDistance += dist
-				}
-				isNew = false // the displaced entry is always pre-existing
-				dist = residentDist
-			}
-			slot = (slot + 1) & t.mask
-			dist++
+		if t.keys[slot] == 0 {
+			t.keys[slot] = stored
+			t.counts[slot] = 1
+			t.used++
+			t.trace(slot, true)
+			return
 		}
+		slot = (slot + 1) & t.mask
 	}
 }
 
@@ -201,51 +144,24 @@ func (t *Table) grow() {
 	t.counts = make([]uint32, 2*len(oldCounts))
 	t.mask = uint64(len(t.keys) - 1)
 	t.used = 0
-	savedProbes, savedDist := t.Probes, t.ProbeDistance
-	tracer := t.Tracer
-	t.Tracer = nil
 	for i, k := range oldKeys {
 		if k == 0 {
 			continue
 		}
 		t.reinsert(k, oldCounts[i])
 	}
-	t.Probes, t.ProbeDistance = savedProbes, savedDist
-	t.Tracer = tracer
 }
 
 // reinsert places an existing key/count pair into the grown table.
+// It neither counts probes nor traces: growth is not the kernel's work.
 func (t *Table) reinsert(stored uint64, count uint32) {
-	switch t.mode {
-	case Linear:
-		slot := hash(stored-1) & t.mask
-		for t.keys[slot] != 0 {
-			slot = (slot + 1) & t.mask
-		}
-		t.keys[slot] = stored
-		t.counts[slot] = count
-		t.used++
-	case RobinHood:
-		slot := hash(stored-1) & t.mask
-		dist := uint64(0)
-		curKey, curCount := stored, count
-		for {
-			if t.keys[slot] == 0 {
-				t.keys[slot] = curKey
-				t.counts[slot] = curCount
-				t.used++
-				return
-			}
-			residentDist := (slot - hash(t.keys[slot]-1)) & t.mask
-			if residentDist < dist {
-				t.keys[slot], curKey = curKey, t.keys[slot]
-				t.counts[slot], curCount = curCount, t.counts[slot]
-				dist = residentDist
-			}
-			slot = (slot + 1) & t.mask
-			dist++
-		}
+	slot := hash(stored-1) & t.mask
+	for t.keys[slot] != 0 {
+		slot = (slot + 1) & t.mask
 	}
+	t.keys[slot] = stored
+	t.counts[slot] = count
+	t.used++
 }
 
 // CountSeq inserts every canonical k-mer of s into the table and

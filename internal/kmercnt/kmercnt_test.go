@@ -51,23 +51,21 @@ func TestCountsMatchNaive(t *testing.T) {
 	reads := testReads(1, 20, 200)
 	k := 15
 	want := naiveCounts(reads, k)
-	for _, mode := range []Probing{Linear, RobinHood} {
-		tab := NewTable(64, mode) // force growth
-		var total uint64
-		for _, r := range reads {
-			total += CountSeq(tab, r, k)
+	tab := NewTable(64) // force growth
+	var total uint64
+	for _, r := range reads {
+		total += CountSeq(tab, r, k)
+	}
+	if tab.Len() != len(want) {
+		t.Fatalf("%d distinct, want %d", tab.Len(), len(want))
+	}
+	for key, count := range want {
+		if got := tab.count(key); got != count {
+			t.Fatalf("Count(%x) = %d, want %d", key, got, count)
 		}
-		if tab.Len() != len(want) {
-			t.Fatalf("mode %d: %d distinct, want %d", mode, tab.Len(), len(want))
-		}
-		for key, count := range want {
-			if got := tab.count(key); got != count {
-				t.Fatalf("mode %d: Count(%x) = %d, want %d", mode, key, got, count)
-			}
-		}
-		if total != uint64(20*(200-k+1)) {
-			t.Errorf("processed %d k-mers", total)
-		}
+	}
+	if total != uint64(20*(200-k+1)) {
+		t.Errorf("processed %d k-mers", total)
 	}
 }
 
@@ -75,7 +73,7 @@ func TestForwardAndRCReadsCountTogether(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	read := genome.Random(rng, 100)
 	k := 15
-	tab := NewTable(1024, Linear)
+	tab := NewTable(1024)
 	CountSeq(tab, read, k)
 	CountSeq(tab, read.ReverseComplement(), k)
 	// Every canonical k-mer should now have an even count (doubled).
@@ -88,7 +86,7 @@ func TestForwardAndRCReadsCountTogether(t *testing.T) {
 
 func TestGrowthPreservesCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	tab := NewTable(16, RobinHood)
+	tab := NewTable(16)
 	ref := map[uint64]uint32{}
 	for i := 0; i < 5000; i++ {
 		key := rng.Uint64() & (1<<30 - 1)
@@ -105,31 +103,6 @@ func TestGrowthPreservesCounts(t *testing.T) {
 	}
 	if len(tab.keys) < 5000 {
 		t.Errorf("table did not grow: cap %d", len(tab.keys))
-	}
-}
-
-func TestRobinHoodReducesProbesAtHighLoad(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	keys := make([]uint64, 40000)
-	for i := range keys {
-		keys[i] = rng.Uint64()
-	}
-	lin := NewTable(1<<14, Linear)
-	rh := NewTable(1<<14, RobinHood)
-	for _, k := range keys {
-		lin.Increment(k)
-		rh.Increment(k)
-	}
-	// Robin hood should not be dramatically worse; its win is bounded
-	// variance. Check mean probes stay comparable (within 2x) and both
-	// tables agree on counts.
-	if rh.Probes > lin.Probes*2 {
-		t.Errorf("robin hood probes %d vs linear %d", rh.Probes, lin.Probes)
-	}
-	for _, k := range keys[:100] {
-		if lin.count(k) != rh.count(k) {
-			t.Fatalf("mode disagreement on key %x", k)
-		}
 	}
 }
 
@@ -166,7 +139,7 @@ func TestRunKernelMatchesNaiveDistinct(t *testing.T) {
 }
 
 func TestTracerReceivesAccesses(t *testing.T) {
-	tab := NewTable(64, Linear)
+	tab := NewTable(64)
 	var accesses int
 	tab.Tracer = tracerFunc(func(addr uint64, size int, write bool) { accesses++ })
 	tab.Increment(42)

@@ -42,25 +42,23 @@ func countPackedBatched(t *Table, s genome.Seq, k int) uint64 {
 // probe sequence).
 func TestCountSeqVariantsDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	for _, mode := range []Probing{Linear, RobinHood} {
-		for _, k := range []int{5, 17, 31} {
-			ref := NewTable(1<<10, mode)
-			prod := NewTable(1<<10, mode)
-			var refN, prodN uint64
-			for trial := 0; trial < 30; trial++ {
-				s := genome.Random(rng, k-2+rng.Intn(400))
-				refN += CountSeq(ref, s, k)
-				prodN += countPackedBatched(prod, s, k)
-			}
-			if prodN != refN {
-				t.Fatalf("mode=%v k=%d: kmer count %d, want %d", mode, k, prodN, refN)
-			}
-			if !tablesEqual(ref, prod) {
-				t.Fatalf("mode=%v k=%d: packed-batched table differs from reference", mode, k)
-			}
-			if prod.Probes != ref.Probes {
-				t.Fatalf("mode=%v k=%d: probes %d, want %d", mode, k, prod.Probes, ref.Probes)
-			}
+	for _, k := range []int{5, 17, 31} {
+		ref := NewTable(1 << 10)
+		prod := NewTable(1 << 10)
+		var refN, prodN uint64
+		for trial := 0; trial < 30; trial++ {
+			s := genome.Random(rng, k-2+rng.Intn(400))
+			refN += CountSeq(ref, s, k)
+			prodN += countPackedBatched(prod, s, k)
+		}
+		if prodN != refN {
+			t.Fatalf("k=%d: kmer count %d, want %d", k, prodN, refN)
+		}
+		if !tablesEqual(ref, prod) {
+			t.Fatalf("k=%d: packed-batched table differs from reference", k)
+		}
+		if prod.Probes != ref.Probes {
+			t.Fatalf("k=%d: probes %d, want %d", k, prod.Probes, ref.Probes)
 		}
 	}
 }
@@ -69,7 +67,7 @@ func TestCountSeqVariantsDifferential(t *testing.T) {
 // outside the packed code's range); the reference must agree that
 // there is nothing to count.
 func TestCountSeqFastShortInputs(t *testing.T) {
-	tb := NewTable(16, Linear)
+	tb := NewTable(16)
 	short := genome.MustFromString("ACG")
 	if n := CountSeq(tb, short, 5); n != 0 {
 		t.Fatalf("short seq: n=%d", n)
@@ -96,14 +94,14 @@ func BenchmarkCountSeq(b *testing.B) {
 	}
 	b.Run("scalar", func(b *testing.B) {
 		b.ReportAllocs()
-		tb := NewTable(1<<16, Linear)
+		tb := NewTable(1 << 16)
 		for i := 0; i < b.N; i++ {
 			CountSeq(tb, reads[i%len(reads)], k)
 		}
 	})
 	b.Run("packed-batched", func(b *testing.B) {
 		b.ReportAllocs()
-		tb := NewTable(1<<16, Linear)
+		tb := NewTable(1 << 16)
 		var buf, keys []uint64
 		for i := 0; i < b.N; i++ {
 			p := seq2.PackInto(buf, reads[i%len(reads)])

@@ -114,8 +114,8 @@ type Counter struct {
 	next   []int
 }
 
-// NewCounter returns a worker's state, its table probing by mode.
-func NewCounter(mode Probing) *Counter { return &Counter{table: NewTable(0, mode)} }
+// NewCounter returns a worker's empty state.
+func NewCounter() *Counter { return &Counter{table: NewTable(0)} }
 
 // pack packs r into w's grow-only buffer.
 func (w *Counter) pack(r genome.Seq) seq2.Packed {

@@ -32,7 +32,7 @@ func (r binned) all() []KmerCount {
 func countBins(b *Bins, workers int) binned {
 	ws := make([]*Counter, workers)
 	for i := range ws {
-		ws[i] = NewCounter(Linear)
+		ws[i] = NewCounter()
 	}
 	order := func(i, n int) int {
 		if workers == 1 {
@@ -82,7 +82,7 @@ func FuzzPartitionCount(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, kb, pb uint8) {
 		reads := readsOf(data)
 		k, parts := 1+int(kb)%31, 1+int(pb)%64
-		want := NewTable(16, Linear)
+		want := NewTable(16)
 		var wantN uint64
 		for _, r := range reads {
 			wantN += CountSeq(want, r, k)

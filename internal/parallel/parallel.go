@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -236,17 +235,8 @@ type ScalingPoint struct {
 }
 
 // MeasureScaling runs work(threads) once for each requested thread
-// count and reports the speedup curve. It is MeasureScalingReps with
-// reps=1; measurements feeding real figures should use reps >= 3 so
-// single-shot noise does not distort the curve.
-func MeasureScaling(threadCounts []int, work func(threads int)) []ScalingPoint {
-	return MeasureScalingReps(threadCounts, 1, work)
-}
-
-// MeasureScalingReps runs work(threads) reps times for each requested
-// thread count, takes the median elapsed time per count, and reports
-// the speedup curve. work must perform the same total job regardless
-// of the thread count.
+// count and reports the speedup curve. work must perform the same
+// total job regardless of the thread count.
 //
 // Speedup is relative to the Threads==1 point wherever it appears in
 // threadCounts; when no 1-thread point was measured, the smallest
@@ -254,20 +244,13 @@ func MeasureScaling(threadCounts []int, work func(threads int)) []ScalingPoint {
 // comparable, just not anchored at 1.0). Efficiency divides by the
 // thread count, substituting GOMAXPROCS for non-positive counts —
 // that is how many workers a tc<=0 run actually uses.
-func MeasureScalingReps(threadCounts []int, reps int, work func(threads int)) []ScalingPoint {
-	if reps < 1 {
-		reps = 1
-	}
+func MeasureScaling(threadCounts []int, work func(threads int)) []ScalingPoint {
 	elapsed := make([]time.Duration, len(threadCounts))
-	runs := make([]time.Duration, reps)
 	for i, tc := range threadCounts {
-		for r := 0; r < reps; r++ {
-			runtime.GC() // stabilize allocator state between measurements
-			start := time.Now()
-			work(tc)
-			runs[r] = time.Since(start)
-		}
-		elapsed[i] = medianDuration(runs)
+		runtime.GC() // stabilize allocator state between measurements
+		start := time.Now()
+		work(tc)
+		elapsed[i] = time.Since(start)
 	}
 	return scalingPoints(threadCounts, elapsed)
 }
@@ -315,19 +298,4 @@ func scalingPoints(threadCounts []int, elapsed []time.Duration) []ScalingPoint {
 		points = append(points, p)
 	}
 	return points
-}
-
-// medianDuration returns the median of ds (the mean of the two middle
-// values for even lengths). ds is not modified.
-func medianDuration(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), ds...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	mid := len(sorted) / 2
-	if len(sorted)%2 == 1 {
-		return sorted[mid]
-	}
-	return (sorted[mid-1] + sorted[mid]) / 2
 }

@@ -76,17 +76,17 @@ func TestScalingZeroElapsedGuard(t *testing.T) {
 	}
 }
 
-func TestMeasureScalingRepsRunsWorkRepsTimes(t *testing.T) {
+func TestMeasureScalingRunsWorkOncePerCount(t *testing.T) {
 	var calls atomic.Int64
 	perThread := map[int]int{}
-	pts := MeasureScalingReps([]int{2, 1}, 3, func(threads int) {
+	pts := MeasureScaling([]int{2, 1}, func(threads int) {
 		calls.Add(1)
 		perThread[threads]++
 	})
-	if calls.Load() != 6 {
-		t.Errorf("work called %d times, want 2 counts × 3 reps", calls.Load())
+	if calls.Load() != 2 {
+		t.Errorf("work called %d times, want once per thread count", calls.Load())
 	}
-	if perThread[1] != 3 || perThread[2] != 3 {
+	if perThread[1] != 1 || perThread[2] != 1 {
 		t.Errorf("per-thread calls = %v", perThread)
 	}
 	if len(pts) != 2 || pts[0].Threads != 2 || pts[1].Threads != 1 {
@@ -94,31 +94,6 @@ func TestMeasureScalingRepsRunsWorkRepsTimes(t *testing.T) {
 	}
 	if math.Abs(pts[1].Speedup-1.0) > 1e-9 {
 		t.Errorf("1-thread speedup = %v, want baseline 1.0 despite sweep order", pts[1].Speedup)
-	}
-}
-
-func TestMedianDuration(t *testing.T) {
-	cases := []struct {
-		in   []time.Duration
-		want time.Duration
-	}{
-		{nil, 0},
-		{[]time.Duration{5}, 5},
-		{[]time.Duration{9, 1, 5}, 5},
-		{[]time.Duration{4, 1, 3, 2}, (2 + 3) / 2},
-		{[]time.Duration{100, 1, 1}, 1}, // one slow outlier does not move the median
-	}
-	for _, tc := range cases {
-		in := append([]time.Duration(nil), tc.in...)
-		if got := medianDuration(tc.in); got != tc.want {
-			t.Errorf("median(%v) = %v, want %v", tc.in, got, tc.want)
-		}
-		for i := range in {
-			if in[i] != tc.in[i] {
-				t.Errorf("medianDuration mutated its input: %v -> %v", in, tc.in)
-				break
-			}
-		}
 	}
 }
 

@@ -15,22 +15,16 @@ import (
 	"repro/internal/scratch"
 )
 
+// queueCap bounds each inter-stage channel in the fused executor:
+// a producer blocks once this many items wait on its consumer.
+const queueCap = 8
+
 // Options configure one executor run.
 type Options struct {
-	// QueueCap bounds each inter-stage channel in the fused executor —
-	// the backpressure knob. 0 means 8.
-	QueueCap int
 	// Pool keeps each stage worker's NewState keyed by stable slot
 	// (stage-major, worker-minor — identical across both executors).
 	// nil builds fresh state every run.
 	Pool *scratch.Pool
-}
-
-func (o Options) withDefaults() Options {
-	if o.QueueCap <= 0 {
-		o.QueueCap = 8
-	}
-	return o
 }
 
 // StageStats is one stage's progress and occupancy accounting. On a
@@ -45,7 +39,7 @@ type StageStats struct {
 	WallNs  int64 // first item received -> last item finished
 	// QueuePeak is the input channel's high-water depth (fused only);
 	// a stage that never backs up its producer reads 0..1, a saturated
-	// one reads the full QueueCap.
+	// one reads the full queueCap.
 	QueuePeak int
 	// Occupancy is BusyNs / (WallNs * Workers): how busy the stage's
 	// pool was over its active window.
@@ -352,7 +346,6 @@ func RunFused(ctx context.Context, name string, p *Pipeline, opt Options) (*Resu
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	opt = opt.withDefaults()
 	res := &Result{Scenario: name, Mode: "fused", Stages: make([]StageStats, len(p.Stages))}
 	o := obs.From(ctx)
 	ctx, root := o.StartSpan(ctx, "scenario/"+name+"/fused")
@@ -374,7 +367,7 @@ func RunFused(ctx context.Context, name string, p *Pipeline, opt Options) (*Resu
 	nst := len(p.Stages)
 	chans := make([]chan item, nst+1)
 	for i := range chans {
-		chans[i] = make(chan item, opt.QueueCap)
+		chans[i] = make(chan item, queueCap)
 	}
 	runs := newStageRuns(name, p, opt)
 
@@ -501,7 +494,6 @@ func RunStaged(ctx context.Context, name string, p *Pipeline, opt Options) (*Res
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	opt = opt.withDefaults()
 	res := &Result{Scenario: name, Mode: "staged", Stages: make([]StageStats, len(p.Stages))}
 	o := obs.From(ctx)
 	ctx, root := o.StartSpan(ctx, "scenario/"+name+"/staged")

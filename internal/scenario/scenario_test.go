@@ -250,11 +250,11 @@ func TestDigestStableAcrossWorkerWidths(t *testing.T) {
 			return buildFor(t, name, p)
 		}
 		ctx := context.Background()
-		narrow, err := RunFused(ctx, name, withWidth(1), Options{QueueCap: 1})
+		narrow, err := RunFused(ctx, name, withWidth(1), Options{})
 		if err != nil {
 			t.Fatalf("%s narrow: %v", name, err)
 		}
-		wide, err := RunFused(ctx, name, withWidth(4), Options{QueueCap: 32})
+		wide, err := RunFused(ctx, name, withWidth(4), Options{})
 		if err != nil {
 			t.Fatalf("%s wide: %v", name, err)
 		}

@@ -78,7 +78,7 @@ func TestFusedCancellationDrains(t *testing.T) {
 	var err error
 	go func() {
 		defer close(done)
-		res, err = RunFused(ctx, "synth", pipe, Options{QueueCap: 2})
+		res, err = RunFused(ctx, "synth", pipe, Options{})
 	}()
 	select {
 	case <-done:
@@ -110,8 +110,9 @@ func TestFusedCancellationDrains(t *testing.T) {
 }
 
 // TestFusedInjectedFaultDrains trips a deterministic fault inside the
-// middle stage with tiny queues, so upstream workers are blocked on
-// sends when the stage dies — the drain path under test.
+// middle stage of a 256-item stream, far more than the bounded
+// queues hold, so upstream workers are blocked on sends when the stage
+// dies — the drain path under test.
 func TestFusedInjectedFaultDrains(t *testing.T) {
 	base := runtime.NumGoroutine()
 	plan, perr := faultinject.Parse("error:synth/mid:1.0", 7)
@@ -122,7 +123,7 @@ func TestFusedInjectedFaultDrains(t *testing.T) {
 	defer faultinject.Disarm()
 
 	pipe := synthPipeline(256, 0)
-	res, err := RunFused(context.Background(), "synth", pipe, Options{QueueCap: 1})
+	res, err := RunFused(context.Background(), "synth", pipe, Options{})
 	if err == nil {
 		t.Fatal("injected stage fault reported success")
 	}
@@ -158,7 +159,7 @@ func TestFusedInjectedPanicDrains(t *testing.T) {
 	defer faultinject.Disarm()
 
 	pipe := synthPipeline(128, 0)
-	_, err := RunFused(context.Background(), "synth", pipe, Options{QueueCap: 2})
+	_, err := RunFused(context.Background(), "synth", pipe, Options{})
 	if err == nil {
 		t.Fatal("injected stage panic reported success")
 	}
@@ -231,7 +232,7 @@ func TestShutdownHammer(t *testing.T) {
 				cancel()
 			}()
 		}
-		res, err := RunFused(ctx, "synth", pipe, Options{QueueCap: 1 + i%4})
+		res, err := RunFused(ctx, "synth", pipe, Options{})
 		if err == nil && int64(len(res.Final)) != 200 {
 			t.Fatalf("iter %d: clean run lost items: %d/200", i, len(res.Final))
 		}

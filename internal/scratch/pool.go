@@ -3,13 +3,17 @@ package scratch
 import "context"
 
 // Pool is a set of per-worker Arenas that outlives a single kernel
-// execution. A caller that runs the same kernel or scenario pass again
-// (the benchmark's repeated passes, a scenario's executor options)
-// installs one Pool in the context, so each pass draws the warm arenas
-// the previous one grew instead of re-paying every band and table
-// allocation from a cold heap. Workers are keyed by the stable worker
-// index the schedulers (parallel.ForEachCtxErr) already hand their
-// task bodies.
+// execution. A caller that runs the same pass again reuses one Pool,
+// so each pass draws the warm arenas the previous one grew instead of
+// re-paying every band and table allocation from a cold heap. Workers
+// are keyed by the stable worker index the schedulers
+// (parallel.ForEachCtxErr) already hand their task bodies.
+//
+// Only scenario runs (scenario.Options.Pool, which the benchmark's
+// scenario workloads keep across their passes) and tests reuse a Pool.
+// The benchmark's kernel workloads install a fresh Pool on every
+// Kernel.Run, and a kernel run with no Pool in its context gets fresh
+// arenas, so no kernel pass draws arenas an earlier pass warmed.
 //
 // Like Arena, a Pool is not safe for concurrent use: kernels fetch
 // worker arenas in their sequential worker-init loop, and a caller
