@@ -131,6 +131,25 @@ func BenchmarkKernel(b *testing.B) {
 	}
 }
 
+// Per-kernel benchmarks at Large on one thread: the same RunCtx loop
+// as BenchmarkKernel over the data kernels-large-t1 times, so a row of
+// that workload gets a paired before/after with
+// `go test -run XX -bench 'KernelLarge/(bsw|spoa)$' .`.
+func BenchmarkKernelLarge(b *testing.B) {
+	for _, bench := range core.Benchmarks() {
+		bench := bench
+		b.Run(bench.Info().Name, func(b *testing.B) {
+			bench.Prepare(core.Large, benchSeed)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := bench.RunCtx(context.Background(), 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // ---- Ablations (design choices DESIGN.md calls out) ----
 
 // Banded versus full extension, z-drop off so every band runs the

@@ -162,11 +162,12 @@ const negInf32 = int32(-(1 << 29))
 
 // AlignInto is Align drawing every buffer from a reusable scratch
 // arena: zero heap allocations per call in steady state, int32 DP rows
-// (half the memory traffic of the int rows Align uses), and a SWAR
-// match mask — the target is 2-bit packed once per call and each row
-// compares 32 target bases against the row's query base in a handful
-// of word ops (seq2.MatchMask), so the inner loop replaces its byte
-// load + compare with one bit test.
+// (half the memory traffic of the int rows Align uses), and SWAR
+// match masks — the target is 2-bit packed once per call and compared
+// against each of the four bases once per call, 32 target bases in a
+// handful of word ops (seq2.MatchMask), so each row picks its query
+// base's mask and the inner loop replaces its byte load + compare
+// with one bit test.
 //
 // AlignInto claims the arena: it calls a.Reset, so buffers handed out
 // before the call are invalidated. A nil arena allocates a temporary
@@ -198,8 +199,14 @@ func AlignInto(q, t genome.Seq, p Params, a *scratch.Arena) Result {
 	H := a.Int32s(n + 1)
 	E := a.Int32s(n + 1)
 	prevH := a.Int32s(n + 1)
+	// One packed comparison sweep per base, once per pair: bit
+	// 2*((j-1)%32) of masks[b][(j-1)/32] is set iff t[j-1] == b, so a
+	// row replaces its per-cell byte compare with its base's mask.
 	pt := seq2.PackInto(a.Uint64s(seq2.Words(n)), t)
-	mask := a.Uint64s(seq2.Words(n))
+	var masks [4][]uint64
+	for b := range masks {
+		masks[b] = seq2.MatchMask(a.Uint64s(seq2.Words(n)), pt, genome.Base(b))
+	}
 
 	gapO := int32(p.GapOpen)
 	ge := int32(p.GapExtend)
@@ -241,10 +248,7 @@ func AlignInto(q, t genome.Seq, p Params, a *scratch.Arena) Result {
 		} else {
 			H[lo-1] = negInf32
 		}
-		// One packed comparison sweep replaces the per-cell byte
-		// compare: bit 2*((j-1)%32) of mask[(j-1)/32] is set iff
-		// t[j-1] == q[i-1].
-		seq2.MatchMask(mask, pt, q[i-1])
+		mask := masks[q[i-1]&3]
 		F := negInf32
 		rowMax := negInf32
 		rowMaxJ := lo

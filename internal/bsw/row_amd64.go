@@ -3,9 +3,10 @@ package bsw
 // Assembly fast path for the 16-wide band row: AVX2 (row_amd64.s). It
 // replays bswRowPortable's arithmetic with one 16-lane
 // saturating-int16 vector per column group, resolving the F chain with
-// the log-step prefix-max scan wide.go proves equal to the serial
-// chain for ge in [0, 4095]. TestBswRowAsmHammer asserts bit-identity
-// on arbitrary inputs in that contract.
+// a per-group log-step prefix-max scan and folding the inter-group
+// carry in after it, which wide.go proves equal to the serial chain
+// for ge in [0, 4095]. TestBswRowAsmHammer and FuzzBswRowAsm assert
+// bit-identity on arbitrary inputs in that contract.
 //
 // As with poa's kernel, AVX2 is not in the amd64 baseline: callers
 // gate on cpufeat.AVX2(), which folds in the CPUID/XCR0 probe and
@@ -20,20 +21,18 @@ const bswHaveWideAsm = true
 // offsets are fixed by the assembly — keep layout in sync with
 // row_amd64.s.
 type bswRowArgs struct {
-	prevH   *int16  // +0:  previous H row
-	curH    *int16  // +8:  output H row
-	ev      *int16  // +16: E row, updated in place
-	gmask   *uint16 // +24: per-group match bits, ngroups entries
-	lo      int64   // +32: element offset of the first band column
-	ngroups int64   // +40: 16-column group count, >= 1
-	tail    int64   // +48: valid-lane bits of the last group
-	match   int16   // +56
-	mism    int16   // +58
-	oe      int16   // +60: gap open + extend
-	ge      int16   // +62: gap extend
-	hleft   int16   // +64: finished boundary cell curH[lo-1]
-	rowMax  int16   // +66: out: row max over in-band lanes
-	_       [4]byte // pad to 8-byte multiple
+	prevH   *int16 // +0:  previous H row
+	curH    *int16 // +8:  output H row
+	ev      *int16 // +16: E row, updated in place
+	prof    *int16 // +24: substitution score of each column
+	lo      int64  // +32: element offset of the first band column
+	ngroups int64  // +40: 16-column group count, >= 1
+	tail    int64  // +48: valid-lane bits of the last group
+	oe      int16  // +56: gap open + extend
+	ge      int16  // +58: gap extend
+	hleft   int16  // +60: finished boundary cell curH[lo-1]
+	rowMax  int16  // +62: out: row max over in-band lanes
+	col     int64  // +64: out: leftmost in-band column attaining rowMax
 }
 
 //go:noescape
@@ -41,12 +40,13 @@ func bswRowAsm(a *bswRowArgs)
 
 // bswRowWide advances one banded DP row through the assembly kernel.
 // Same contract as bswRowPortable.
-func bswRowWide(prevH, curH, ev []int16, gmask []uint16, lo, ngroups int, tail uint16, match, mism, oe, ge, hleft int16) int16 {
-	a := bswRowArgs{
-		prevH: &prevH[0], curH: &curH[0], ev: &ev[0], gmask: &gmask[0],
-		lo: int64(lo), ngroups: int64(ngroups), tail: int64(tail),
-		match: match, mism: mism, oe: oe, ge: ge, hleft: hleft,
-	}
+func bswRowWide(prevH, curH, ev, prof []int16, lo, ngroups int, tail uint16, oe, ge, hleft int16) (int16, int) {
+	// Field by field: a composite literal with these &x[0] operands,
+	// any of which may panic, is built in a temporary and copied.
+	var a bswRowArgs
+	a.prevH, a.curH, a.ev, a.prof = &prevH[0], &curH[0], &ev[0], &prof[0]
+	a.lo, a.ngroups, a.tail = int64(lo), int64(ngroups), int64(tail)
+	a.oe, a.ge, a.hleft = oe, ge, hleft
 	bswRowAsm(&a)
-	return a.rowMax
+	return a.rowMax, int(a.col)
 }

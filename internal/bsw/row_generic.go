@@ -7,6 +7,6 @@ package bsw
 // bswHaveWideAsm) runs the portable body.
 const bswHaveWideAsm = false
 
-func bswRowWide(prevH, curH, ev []int16, gmask []uint16, lo, ngroups int, tail uint16, match, mism, oe, ge, hleft int16) int16 {
-	return bswRowPortable(prevH, curH, ev, gmask, lo, ngroups, tail, match, mism, oe, ge, hleft)
+func bswRowWide(prevH, curH, ev, prof []int16, lo, ngroups int, tail uint16, oe, ge, hleft int16) (int16, int) {
+	return bswRowPortable(prevH, curH, ev, prof, lo, ngroups, tail, oe, ge, hleft)
 }

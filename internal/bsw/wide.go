@@ -4,7 +4,6 @@ import (
 	"repro/internal/genome"
 	"repro/internal/lanes"
 	"repro/internal/scratch"
-	"repro/internal/seq2"
 )
 
 // The 16-wide int16 band kernel — the form the original BWA-MEM2
@@ -42,8 +41,25 @@ import (
 //     chain is the same shift-and-max recurrence as poa's gap scan,
 //     so the asm kernel runs it as a log-step prefix-max scan; scan
 //     and serial chain are value-identical for ge in [0, 4095] (each
-//     scan constant ge, 2ge, 4ge, 8ge is an exact int16 product, and
-//     saturating subtractions of same-sign constants compose exactly).
+//     scan constant — ge, 2ge, 4ge, and k*ge for k <= 8 where the low
+//     half's last lane folds into the high half — is an exact int16
+//     product, and saturating subtractions of same-sign constants
+//     compose exactly).
+//  4. The carry is off the scan. Unrolling the chain over one group,
+//     f[l] = max(g[l-1], sat(carry - l*ge)), where carry is f entering
+//     the group and g[l] = max over k<=l of sat(c[k] - (l-k)*ge) is the
+//     group's own chain with no carry in (g[-1] = -32768). This is
+//     exact under saturation: sat(max(a, b) - x) = max(sat(a - x),
+//     sat(b - x)), and successive saturating subtractions of
+//     nonnegative amounts equal one subtraction of their sum, since
+//     once at -32768 they stay there. So the kernel scans each group
+//     from the sentinel, where the scan depends on nothing but the
+//     group's own cells, and folds the carry in after. The ramp l*ge
+//     reaches 15*4095, past int16; the kernel works in offset binary
+//     (x ^ 0x8000), where sat(x - k) is one unsigned saturating
+//     subtraction for any k in [0, 65535]. The carry for the next
+//     group, max(g[15], sat(carry - 16*ge)), is the only value one
+//     group hands the next: two subtractions and a max.
 //
 // Rows carry lanes.WideWidth padding cells past column n so the last
 // group can load and store full vectors; padding lanes sit right of
@@ -109,20 +125,10 @@ func alignWide(q, t genome.Seq, p Params, a *scratch.Arena, useAsm bool) Result 
 	H := a.Int16s(n + 1 + pad)
 	E := a.Int16s(n + 1 + pad)
 	prevH := a.Int16s(n + 1 + pad)
-	pt := seq2.PackInto(a.Uint64s(seq2.Words(n)), t)
-	// One spare zero word past the dense match bits lets the per-group
-	// 16-bit window extraction below read a straddling high word
-	// unconditionally.
-	mwords := seq2.BitsWords(n)
-	mbits := a.Uint64s(mwords + 1)
-	mbits[mwords] = 0
-	gmask := a.Uint16s((n+pad-1)/pad + 1)
-
 	gapO := int16(p.GapOpen)
 	ge := int16(p.GapExtend)
 	oe := gapO + ge
-	match := int16(p.Match)
-	mism := int16(-p.Mismatch)
+	prof := wideProfile(a, t, n+1+pad, int16(p.Match), int16(-p.Mismatch))
 
 	// Row 0 initialization (same recurrence as AlignInto); padding
 	// cells start as sentinels so row 1's out-of-band lanes compute
@@ -164,26 +170,16 @@ func alignWide(q, t genome.Seq, p Params, a *scratch.Arena, useAsm bool) Result 
 		} else {
 			H[lo-1] = negInf16
 		}
-		seq2.MatchMaskBits(mbits[:mwords], pt, q[i-1])
-		// The band does not start 16-aligned, so each group's 16 match
-		// bits straddle word boundaries: extract them here, where the
-		// shift amounts are cheap, instead of in the kernels.
 		ngroups := (hi - lo + 1 + pad - 1) / pad
-		for gi := 0; gi < ngroups; gi++ {
-			b := lo - 1 + pad*gi
-			v := mbits[b>>6] >> uint(b&63)
-			if b&63 > 48 {
-				v |= mbits[b>>6+1] << uint(64-b&63)
-			}
-			gmask[gi] = uint16(v)
-		}
+		sc := prof[q[i-1]&3]
 		tail := uint16(0xFFFF) >> uint(pad*ngroups-(hi-lo+1))
 		cells += uint64(hi - lo + 1)
 		var rowMax int16
+		var rowMaxJ int
 		if useAsm {
-			rowMax = bswRowWide(prevH, H, E, gmask, lo, ngroups, tail, match, mism, oe, ge, H[lo-1])
+			rowMax, rowMaxJ = bswRowWide(prevH, H, E, sc, lo, ngroups, tail, oe, ge, H[lo-1])
 		} else {
-			rowMax = bswRowPortable(prevH, H, E, gmask, lo, ngroups, tail, match, mism, oe, ge, H[lo-1])
+			rowMax, rowMaxJ = bswRowPortable(prevH, H, E, sc, lo, ngroups, tail, oe, ge, H[lo-1])
 		}
 		// Out-of-band cells on the right are unreachable. This also
 		// repairs the one padding-lane store (hi+1) the next row reads.
@@ -194,16 +190,7 @@ func alignWide(q, t genome.Seq, p Params, a *scratch.Arena, useAsm bool) Result 
 		if rowMax > best {
 			best = rowMax
 			bestI = i
-			// The scalar reference records the leftmost cell achieving
-			// the row maximum (strict-greater updates); recover it by
-			// rescan, only on the rows that improve on best.
-			bestJ = lo
-			for j := lo; j <= hi; j++ {
-				if H[j] == rowMax {
-					bestJ = j
-					break
-				}
-			}
+			bestJ = rowMaxJ
 		}
 		if p.ZDrop > 0 && int(rowMax) < int(best)-p.ZDrop {
 			res.ZDropped = true
@@ -218,27 +205,48 @@ func alignWide(q, t genome.Seq, p Params, a *scratch.Arena, useAsm bool) Result 
 	return res
 }
 
+// wideProfile builds, once per pair, the query profile BWA-MEM2's
+// kernels load: for each of the four query bases, the substitution
+// score of every target column (index j scores t[j-1]; column 0 and
+// the padding columns score a mismatch), so a row selects its base's
+// row and reads sixteen scores with one load.
+func wideProfile(a *scratch.Arena, t genome.Seq, width int, match, mism int16) (prof [4][]int16) {
+	buf := a.Int16s(4 * width)
+	buf[0] = mism
+	for k := 1; k < len(buf); k *= 2 {
+		copy(buf[k:], buf[:k])
+	}
+	for b := range prof {
+		prof[b] = buf[b*width : (b+1)*width]
+	}
+	for j, c := range t {
+		prof[c&3][j+1] = match
+	}
+	return prof
+}
+
 // bswRowPortable advances one banded DP row, 16 columns per group.
 // It is the bit-level reference for the asm kernel: same candidate
 // order, same saturation, serial F chain where the asm runs the scan.
 //   - prevH/curH/ev: previous H row, output H row, E row (updated in
 //     place); all padded so index lo-1+16*ngroups stays in bounds.
-//   - gmask: per-group match bits (bit l = column lo+16*gi+l matches).
+//   - prof: substitution score of each column against the row's
+//     query base, padded like the rows.
 //   - tail: valid-lane bits of the last group; lanes past the band
 //     are excluded from the returned row maximum.
 //   - hleft: the finished boundary cell curH[lo-1].
 //
-// Returns the row maximum over in-band lanes.
-func bswRowPortable(prevH, curH, ev []int16, gmask []uint16, lo, ngroups int, tail uint16, match, mism, oe, ge, hleft int16) int16 {
+// Returns the row maximum over in-band lanes and the leftmost column
+// attaining it.
+func bswRowPortable(prevH, curH, ev, prof []int16, lo, ngroups int, tail uint16, oe, ge, hleft int16) (int16, int) {
 	// carry is the incoming F-chain value for each group's lane 0:
 	// for the first group f[lo] = H[lo-1]-oe (the row enters with
 	// F = -inf, so only the open-from-boundary term survives).
 	carry := satSub16(hleft, oe)
-	rowMax := negInf16
+	rowMax, rowMaxJ := negInf16, lo
 	for gi := 0; gi < ngroups; gi++ {
 		j := lo + gi*lanes.WideWidth
-		s := lanes.Pick16(gmask[gi], match, mism)
-		h1 := lanes.Load16I16(prevH, j-1).Adds(s)
+		h1 := lanes.Load16I16(prevH, j-1).Adds(lanes.Load16I16(prof, j))
 		e2 := lanes.Load16I16(prevH, j).SubsS(oe).Max(lanes.Load16I16(ev, j).SubsS(ge))
 		lanes.Store16I16(ev, j, e2)
 		htmp := h1.Max(e2)
@@ -257,12 +265,12 @@ func bswRowPortable(prevH, curH, ev []int16, gmask []uint16, lo, ngroups int, ta
 		ha := hrow.Array()
 		for l := 0; l < lanes.WideWidth; l++ {
 			if vm&(1<<uint(l)) != 0 && ha[l] > rowMax {
-				rowMax = ha[l]
+				rowMax, rowMaxJ = ha[l], j+l
 			}
 		}
 		carry = maxI16s(c[lanes.WideWidth-1], satSub16(f[lanes.WideWidth-1], ge))
 	}
-	return rowMax
+	return rowMax, rowMaxJ
 }
 
 // satSub16 is the scalar twin of VPSUBSW / SQSUB: exact difference

@@ -1,6 +1,7 @@
 package bsw
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -84,9 +85,11 @@ func TestAlignWideDifferential(t *testing.T) {
 // TestBswRowAsmHammer cross-checks the assembly band-row kernel
 // against bswRowPortable on randomized rows — full-range int16 cell
 // values, arbitrary band offsets (groups are deliberately unaligned),
-// random match masks and tail masks. The kernel contract (wide.go)
-// promises bit-identity whenever ge stays in [0, 4095], so the
-// hammer asserts every stored H and E cell plus the row max.
+// full-range match and mismatch scores picked per column by a random
+// bit, random tail masks — and on the named carry edges in
+// bswRowEdges. The kernel contract (wide.go) promises bit-identity
+// whenever ge stays in [0, 4095], so the hammer asserts every stored
+// H and E cell plus the row max and its column.
 func TestBswRowAsmHammer(t *testing.T) {
 	if !bswHaveWideAsm {
 		t.Skip("no assembly band-row kernel on this architecture")
@@ -94,49 +97,168 @@ func TestBswRowAsmHammer(t *testing.T) {
 	if !cpufeat.AVX2() {
 		t.Skip("no AVX2 on this host (or GBENCH_SIMD lowered the ceiling)")
 	}
+	for _, e := range bswRowEdges {
+		if msg := diffBswRow(e.in.row()); msg != "" {
+			t.Errorf("%s: %s", e.name, msg)
+		}
+	}
 	rng := rand.New(rand.NewSource(92))
 	for it := 0; it < 2000; it++ {
 		ngroups := 1 + rng.Intn(5)
 		lo := 1 + rng.Intn(40)
 		size := lo + 16*ngroups + 1
-		prevH := make([]int16, size)
-		curH := make([]int16, size)
-		ev := make([]int16, size)
+		r := bswRow{
+			prevH: make([]int16, size), curH: make([]int16, size), ev: make([]int16, size),
+			prof: make([]int16, size), lo: lo, ngroups: ngroups,
+		}
+		match, mism := int16(rng.Int()), int16(rng.Int())
 		for i := 0; i < size; i++ {
-			prevH[i] = int16(rng.Int())
-			curH[i] = int16(rng.Int())
-			ev[i] = int16(rng.Int())
-		}
-		curHP := append([]int16(nil), curH...)
-		evP := append([]int16(nil), ev...)
-		gmask := make([]uint16, ngroups)
-		for i := range gmask {
-			gmask[i] = uint16(rng.Int())
-		}
-		tail := uint16(0xFFFF) >> uint(rng.Intn(16))
-		match := int16(rng.Int())
-		mism := int16(rng.Int())
-		oe := int16(rng.Intn(20000))
-		ge := int16(rng.Intn(4096))
-		hleft := int16(rng.Int())
-		curH[lo-1] = hleft
-		curHP[lo-1] = hleft
-
-		rmA := bswRowWide(prevH, curH, ev, gmask, lo, ngroups, tail, match, mism, oe, ge, hleft)
-		rmP := bswRowPortable(prevH, curHP, evP, gmask, lo, ngroups, tail, match, mism, oe, ge, hleft)
-		if rmA != rmP {
-			t.Fatalf("iter %d: rowMax %d (asm) vs %d (portable); lo=%d ngroups=%d tail=%#x oe=%d ge=%d", it, rmA, rmP, lo, ngroups, tail, oe, ge)
-		}
-		for i := 0; i < size; i++ {
-			if curH[i] != curHP[i] {
-				t.Fatalf("iter %d: H[%d] = %d (asm) vs %d (portable); lo=%d ngroups=%d oe=%d ge=%d", it, i, curH[i], curHP[i], lo, ngroups, oe, ge)
+			r.prevH[i] = int16(rng.Int())
+			r.curH[i] = int16(rng.Int())
+			r.ev[i] = int16(rng.Int())
+			r.prof[i] = mism
+			if rng.Intn(2) == 0 {
+				r.prof[i] = match
 			}
-			if ev[i] != evP[i] {
-				t.Fatalf("iter %d: E[%d] = %d (asm) vs %d (portable); lo=%d ngroups=%d oe=%d ge=%d", it, i, ev[i], evP[i], lo, ngroups, oe, ge)
-			}
+		}
+		r.tail = uint16(0xFFFF) >> uint(rng.Intn(16))
+		r.oe = int16(rng.Intn(20000))
+		r.ge = int16(rng.Intn(4096))
+		r.hleft = int16(rng.Int())
+		if msg := diffBswRow(r); msg != "" {
+			t.Fatalf("iter %d: %s", it, msg)
 		}
 	}
 }
+
+// FuzzBswRowAsm holds the assembly band-row kernel to bswRowPortable
+// on rows the fuzzer draws inside the kernel contract. The seeds in
+// testdata/fuzz/FuzzBswRowAsm are the bswRowEdges cases.
+func FuzzBswRowAsm(f *testing.F) {
+	f.Fuzz(func(t *testing.T, ngroups, lo, tailShift uint8, oe, ge, hleft int16, prevH, ev, prof []byte) {
+		if !bswHaveWideAsm || !cpufeat.AVX2() {
+			t.Skip("no AVX2 band-row kernel on this host")
+		}
+		in := bswRowInput{ngroups, lo, tailShift, oe, ge, hleft, prevH, ev, prof}
+		if msg := diffBswRow(in.row()); msg != "" {
+			t.Fatal(msg)
+		}
+	})
+}
+
+// bswRow is one band row's kernel arguments.
+type bswRow struct {
+	prevH, curH, ev, prof []int16
+	lo, ngroups           int
+	tail                  uint16
+	oe, ge, hleft         int16
+}
+
+// diffBswRow runs r through the assembly kernel and bswRowPortable,
+// each on its own copy of the rows, and describes the first
+// difference in the row max, its column, or any H or E cell; "" when
+// they agree.
+func diffBswRow(r bswRow) string {
+	r.curH[r.lo-1] = r.hleft
+	hA, eA := append([]int16(nil), r.curH...), append([]int16(nil), r.ev...)
+	hP, eP := append([]int16(nil), r.curH...), append([]int16(nil), r.ev...)
+	mA, jA := bswRowWide(r.prevH, hA, eA, r.prof, r.lo, r.ngroups, r.tail, r.oe, r.ge, r.hleft)
+	mP, jP := bswRowPortable(r.prevH, hP, eP, r.prof, r.lo, r.ngroups, r.tail, r.oe, r.ge, r.hleft)
+	args := fmt.Sprintf("lo=%d ngroups=%d tail=%#x oe=%d ge=%d hleft=%d", r.lo, r.ngroups, r.tail, r.oe, r.ge, r.hleft)
+	if mA != mP || jA != jP {
+		return fmt.Sprintf("rowMax %d at %d (asm) vs %d at %d (portable); %s", mA, jA, mP, jP, args)
+	}
+	for i := range hA {
+		if hA[i] != hP[i] {
+			return fmt.Sprintf("H[%d] = %d (asm) vs %d (portable); %s", i, hA[i], hP[i], args)
+		}
+		if eA[i] != eP[i] {
+			return fmt.Sprintf("E[%d] = %d (asm) vs %d (portable); %s", i, eA[i], eP[i], args)
+		}
+	}
+	return ""
+}
+
+// bswRowInput is a band row in fuzz-argument form. Every argument is
+// folded into the kernel contract (ngroups in [1, 16], lo in [1, 40],
+// oe in [0, 32767], ge in [0, 4095]); prevH, ev and the score profile
+// are repeating little-endian int16 patterns anchored at column lo, so
+// a 32-byte pattern gives each group lane its own value.
+type bswRowInput struct {
+	ngroups, lo, tailShift uint8
+	oe, ge, hleft          int16
+	prevH, ev, prof        []byte
+}
+
+func (in bswRowInput) row() bswRow {
+	r := bswRow{
+		lo: 1 + int(in.lo)%40, ngroups: 1 + int(in.ngroups)%16,
+		tail: uint16(0xFFFF) >> (in.tailShift % 16),
+		oe:   in.oe & 0x7FFF, ge: int16(uint16(in.ge) % 4096), hleft: in.hleft,
+	}
+	size := r.lo + 16*r.ngroups + 1
+	r.prevH, r.ev, r.prof, r.curH = make([]int16, size), make([]int16, size), make([]int16, size), make([]int16, size)
+	for i := 0; i < size; i++ {
+		r.prevH[i] = patternI16(in.prevH, i-r.lo)
+		r.ev[i] = patternI16(in.ev, i-r.lo)
+		r.prof[i] = patternI16(in.prof, i-r.lo)
+		r.curH[i] = int16(i)
+	}
+	return r
+}
+
+// patternI16 is element i (any sign; the pattern repeats both ways)
+// of the little-endian int16 pattern p, or 0 for an empty pattern.
+func patternI16(p []byte, i int) int16 {
+	n := len(p) / 2
+	if n == 0 {
+		return 0
+	}
+	k := (i%n + n) % n
+	return int16(uint16(p[2*k]) | uint16(p[2*k+1])<<8)
+}
+
+// bswRowEdge is one named row of FuzzBswRowAsm's seed corpus.
+type bswRowEdge struct {
+	name string
+	in   bswRowInput
+}
+
+// bswRowEdges are rows of 16 groups where the folded-in carry wins in
+// lanes 12-15 with the ramp l*ge past 32767. Every cell of the row
+// computes to -32768 except lane 15 of each even group, whose E cell
+// makes c = carry: each odd group enters with that carry and all its
+// lanes take sat(carry - l*ge); each even group enters with
+// sat(carry - 16*ge) (group 0 with the carry itself, through hleft).
+// At ge = 2185 the lane-15 ramp is 32775 and carry 8000 still lands in
+// range; at ge = 4095 lanes 9-15 saturate. FuzzBswRowAsm's seed
+// corpus holds the same rows.
+var bswRowEdges = func() (edges []bswRowEdge) {
+	const oe = 64
+	for _, ge := range []int16{2185, 4095} {
+		for _, carry := range []int16{8000, 0, -32768} {
+			for _, lo := range []uint8{0, 22} {
+				ev := make([]byte, 64)
+				for l := 0; l < 32; l++ {
+					v := uint16(0x8000)
+					if l == 15 && carry > -32768 {
+						v = uint16(carry + oe + ge)
+					}
+					ev[2*l], ev[2*l+1] = byte(v), byte(v>>8)
+				}
+				hleft := int16(-32768)
+				if carry > -32768 {
+					hleft = carry + oe
+				}
+				edges = append(edges, bswRowEdge{
+					fmt.Sprintf("ge%d-carry%d-lo%d", ge, carry, 1+lo),
+					bswRowInput{15, lo, 0, oe, ge, hleft, []byte{0x00, 0x80}, ev, nil},
+				})
+			}
+		}
+	}
+	return edges
+}()
 
 // TestWideSimdOffMatchesDispatch pins GBENCH_SIMD=off and re-runs
 // alignments through AlignInto: the dispatch seam must be invisible —

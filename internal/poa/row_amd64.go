@@ -4,10 +4,11 @@ package poa
 // replays poaRowPortable's arithmetic with one 16-lane
 // saturating-int16 vector per column group — same candidate order,
 // same saturation — so its output is bit-identical to the portable
-// body on every input the kernel contract admits (gap <= 0; see
-// row_wide.go for why the asm prefix-max scan equals the portable
-// serial chain even off the range proof). TestPoaRowAsmHammer asserts
-// exactly that.
+// body on every input the kernel contract admits (gap in [-4096, 0];
+// see row_wide.go for why the asm prefix-max scan with the carry
+// folded in after it equals the portable serial chain even off the
+// range proof). TestPoaRowAsmHammer and FuzzPoaRowAsm assert exactly
+// that.
 //
 // AVX2 is not in the amd64 baseline: callers must gate on
 // cpufeat.AVX2(), which folds in both the
@@ -40,10 +41,11 @@ func poaRowAsm(a *poaRowArgs)
 // poaRowWide advances one DP row through the assembly kernel. Same
 // contract as poaRowPortable.
 func poaRowWide(score []int16, predOff []int64, mask []uint64, rowOff, ngroups int, match, mism, gap int16) {
-	a := poaRowArgs{
-		score: &score[0], predOff: &predOff[0], mask: &mask[0],
-		rowOff: int64(rowOff), npred: int64(len(predOff)), ngroups: int64(ngroups),
-		match: match, mism: mism, gap: gap,
-	}
+	// Field by field: a composite literal with these &x[0] operands,
+	// any of which may panic, is built in a temporary and copied.
+	var a poaRowArgs
+	a.score, a.predOff, a.mask = &score[0], &predOff[0], &mask[0]
+	a.rowOff, a.npred, a.ngroups = int64(rowOff), int64(len(predOff)), int64(ngroups)
+	a.match, a.mism, a.gap = match, mism, gap
 	poaRowAsm(&a)
 }

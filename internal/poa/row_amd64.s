@@ -1,8 +1,18 @@
 // AVX2 16-wide row kernel for the POA lane sweep. One ymm register
 // holds one 16-column group of saturating int16 DP cells; see
 // row_wide.go for the kernel contract and the proof sketch that the
-// log-step prefix-max gap scan below is bit-identical to the portable
-// serial chain for gap <= 0.
+// prefix-max gap scan below is bit-identical to the portable serial
+// chain for gap in [-4096, 0].
+//
+// Carry off the scan: each group scans its own vertical candidates,
+// and the left-chain carry (the finished column j0-1) is folded in
+// after: final[l] = max(g[l], sat(carry + (l+1)*gap)). The scan runs
+// in offset binary (x ^ 0x8000: signed order becomes unsigned order,
+// the -32768 sentinel becomes 0, and sat(x + k*gap) becomes one
+// VPSUBUSW by k*|gap|), so in-lane byte shifts fill with the sentinel
+// for free. The carry stays in a register as a broadcast, and the
+// loop-carried path is carry' = max(g[15], sat(carry + 16*gap)): two
+// VPSUBUSW by 8*|gap| and a VPMAXUW.
 
 #include "textflag.h"
 
@@ -15,19 +25,39 @@ DATA poaBitsTab<>+0x10(SB)/8, $0x0800040002000100
 DATA poaBitsTab<>+0x18(SB)/8, $0x8000400020001000
 GLOBL poaBitsTab<>(SB), RODATA|NOPTR, $32
 
-// poaLane0: byte mask selecting word lane 0 only (VPBLENDVB control).
-DATA poaLane0<>+0x00(SB)/8, $0x000000000000FFFF
-DATA poaLane0<>+0x08(SB)/8, $0x0000000000000000
-DATA poaLane0<>+0x10(SB)/8, $0x0000000000000000
-DATA poaLane0<>+0x18(SB)/8, $0x0000000000000000
-GLOBL poaLane0<>(SB), RODATA|NOPTR, $32
+// poaLaneIdx: words [0, 1, ..., 15], the carry ramp's multipliers.
+DATA poaLaneIdx<>+0x00(SB)/8, $0x0003000200010000
+DATA poaLaneIdx<>+0x08(SB)/8, $0x0007000600050004
+DATA poaLaneIdx<>+0x10(SB)/8, $0x000b000a00090008
+DATA poaLaneIdx<>+0x18(SB)/8, $0x000f000e000d000c
+GLOBL poaLaneIdx<>(SB), RODATA|NOPTR, $32
+
+// poaHalfIdx: words [0 x8, 1, 2, ..., 8], the cross-half ramp's
+// multipliers.
+DATA poaHalfIdx<>+0x00(SB)/8, $0x0000000000000000
+DATA poaHalfIdx<>+0x08(SB)/8, $0x0000000000000000
+DATA poaHalfIdx<>+0x10(SB)/8, $0x0004000300020001
+DATA poaHalfIdx<>+0x18(SB)/8, $0x0008000700060005
+GLOBL poaHalfIdx<>(SB), RODATA|NOPTR, $32
+
+// poaBcast7: VPSHUFB control copying word 7 of each 128-bit half to
+// all eight words of that half.
+DATA poaBcast7<>+0x00(SB)/8, $0x0f0e0f0e0f0e0f0e
+DATA poaBcast7<>+0x08(SB)/8, $0x0f0e0f0e0f0e0f0e
+DATA poaBcast7<>+0x10(SB)/8, $0x0f0e0f0e0f0e0f0e
+DATA poaBcast7<>+0x18(SB)/8, $0x0f0e0f0e0f0e0f0e
+GLOBL poaBcast7<>(SB), RODATA|NOPTR, $32
 
 // Register plan:
-//   Y1 match splat    Y2 mism splat   Y3 gap      Y4 2*gap
-//   Y5 4*gap          Y6 8*gap        Y7 -32768   Y8 bits table
-//   Y9 lane-0 mask    Y10 subv        Y11 best    Y12, Y13 temps
-// The gap multiples are built with VPADDSW; |8*gap| is far inside
-// int16 under the eligibility bound, so they are exact.
+//   Y1 match splat    Y2 mism splat   Y3 gap      Y4 a = -gap
+//   Y5 2a             Y6 4a           Y15 8a      Y7 0x8000
+//   Y8 bits table     Y9 ramp [0 x8, 1..8]*a      Y0 ramp (l+1)*a
+//   Y10 subv          Y11 best        Y14 carry (offset, all lanes)
+//   Y12, Y13 temps
+// The multiples of a are exact as uint16 for a <= 4096 (8a is at most
+// 32768); the carry ramp saturates at 65535, which only ever meets a
+// carry term that is the sentinel either way. Y7 is both the -32768
+// sentinel and the sign flip into and out of offset binary.
 
 // func poaRowAsm(a *poaRowArgs)
 TEXT ·poaRowAsm(SB), NOSPLIT, $0-8
@@ -41,14 +71,21 @@ TEXT ·poaRowAsm(SB), NOSPLIT, $0-8
 	VPBROADCASTW 48(AX), Y1     // match
 	VPBROADCASTW 50(AX), Y2     // mism
 	VPBROADCASTW 52(AX), Y3     // gap
-	VPADDSW Y3, Y3, Y4          // 2*gap
-	VPADDSW Y4, Y4, Y5          // 4*gap
-	VPADDSW Y5, Y5, Y6          // 8*gap
+	VPXOR Y4, Y4, Y4
+	VPSUBW Y3, Y4, Y4           // a
+	VPADDW Y4, Y4, Y5           // 2a
+	VPADDW Y5, Y5, Y6           // 4a
+	VPADDW Y6, Y6, Y15          // 8a
+	VPMULLW poaHalfIdx<>(SB), Y4, Y9
+	VPMULLW poaLaneIdx<>(SB), Y4, Y0
+	VPADDUSW Y4, Y0, Y0         // (l+1)*a
 	VPCMPEQD Y7, Y7, Y7
-	VPSLLW $15, Y7, Y7          // -32768 sentinel
+	VPSLLW $15, Y7, Y7          // -32768 sentinel, 0x8000
 	VMOVDQU poaBitsTab<>(SB), Y8
-	VMOVDQU poaLane0<>(SB), Y9
 	LEAQ (SI)(R9*2), R9         // &score[rowOff]
+	// The first group's carry is the finished column 0.
+	VPBROADCASTW (R9), Y14
+	VPXOR Y7, Y14, Y14
 	XORQ R12, R12               // gi
 
 groups:
@@ -79,33 +116,43 @@ predloop:
 	DECQ R14
 	JNZ predloop
 
-	// Left-chain carry from the finished column j0-1: lane 0 gets
-	// sat(carry+gap), the rest the -32768 sentinel (max no-ops).
-	VPBROADCASTW (R9)(R15*1), Y12
-	VPADDSW Y3, Y12, Y12
-	VPBLENDVB Y9, Y12, Y7, Y12
-	VPMAXSW Y12, Y11, Y11
+	// Prefix-max gap scan over the vertical candidates, offset
+	// binary: lane l ends up with g[l] = max over k<=l of
+	// sat(vert[k] + (l-k)*gap). Shifts by 1, 2, 4 lanes within each
+	// 128-bit half fill with zero, the sentinel; then the low half's
+	// last lane folds into the high half with the ramp (k+1)*gap.
+	VPXOR Y7, Y11, Y11
+	VPSLLDQ $2, Y11, Y12
+	VPSUBUSW Y4, Y12, Y12
+	VPMAXUW Y12, Y11, Y11
+	VPSLLDQ $4, Y11, Y12
+	VPSUBUSW Y5, Y12, Y12
+	VPMAXUW Y12, Y11, Y11
+	VPSLLDQ $8, Y11, Y12
+	VPSUBUSW Y6, Y12, Y12
+	VPMAXUW Y12, Y11, Y11
+	VPSHUFB poaBcast7<>(SB), Y11, Y12
+	VPERM2I128 $0x08, Y12, Y12, Y12 // [0, low half's lane 7]
+	VPSUBUSW Y9, Y12, Y12
+	VPMAXUW Y12, Y11, Y11          // g
 
-	// Log-step prefix-max gap scan: after shifts by 1, 2, 4, 8 lanes
-	// (sentinel-filled) each lane j holds max over k<=j of
-	// vert[k] + (j-k)*gap — the serial left chain.
-	VPERM2I128 $0x02, Y7, Y11, Y12 // [sentinel, best.lo]
-	VPALIGNR $14, Y12, Y11, Y13    // shift up 1 word
-	VPADDSW Y3, Y13, Y13
-	VPMAXSW Y13, Y11, Y11
-	VPERM2I128 $0x02, Y7, Y11, Y12
-	VPALIGNR $12, Y12, Y11, Y13    // shift up 2 words
-	VPADDSW Y4, Y13, Y13
-	VPMAXSW Y13, Y11, Y11
-	VPERM2I128 $0x02, Y7, Y11, Y12
-	VPALIGNR $8, Y12, Y11, Y13     // shift up 4 words
-	VPADDSW Y5, Y13, Y13
-	VPMAXSW Y13, Y11, Y11
-	VPERM2I128 $0x02, Y7, Y11, Y12 // shift up 8 words is the permute itself
-	VPADDSW Y6, Y12, Y12
-	VPMAXSW Y12, Y11, Y11
+	// g[15] broadcast: the group's outgoing chain value before the
+	// carry.
+	VPSHUFB poaBcast7<>(SB), Y11, Y13
+	VPERM2I128 $0x11, Y13, Y13, Y13
 
-	VMOVDQU Y11, 2(R9)(R15*1)      // store columns j0..j0+15
+	// final = max(g, sat(carry + (l+1)*gap)); store columns
+	// j0..j0+15.
+	VPSUBUSW Y0, Y14, Y12
+	VPMAXUW Y12, Y11, Y11
+	VPXOR Y7, Y11, Y11
+	VMOVDQU Y11, 2(R9)(R15*1)
+
+	// Next group's carry: max(g[15], sat(carry + 16*gap)).
+	VPSUBUSW Y15, Y14, Y14
+	VPSUBUSW Y15, Y14, Y14
+	VPMAXUW Y13, Y14, Y14
+
 	INCQ R12
 	CMPQ R12, R11
 	JLT groups

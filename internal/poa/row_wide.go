@@ -7,26 +7,42 @@ import "repro/internal/lanes"
 // One call advances one DP row across every 16-column group: expand
 // the dense match bits into substitution scores, take the running max
 // over the vertical candidates (diagonal + up per predecessor row),
-// inject the left-chain carry from column j0-1, resolve the
-// horizontal gap chain, and store the finished row segment. The asm
+// resolve the horizontal gap chain seeded by the left-chain carry
+// from column j0-1, and store the finished row segment. The asm
 // kernel (row_amd64.s, dispatched through row_amd64.go) implements
 // exactly this function with one ymm register per group;
 // poaRowPortable is its bit-level reference and the fallback when
 // cpufeat reports no wide tier.
 //
-// Everything is saturating int16 (lanes.I16x16 Adds / VPADDSW). Under laneEligible's range proof nothing ever saturates, so
-// the kernel equals the scalar int32 reference bit for bit; on
-// arbitrary out-of-proof inputs (the differential hammer feeds random
-// tables) asm and portable still agree exactly because for gap in
-// [-4096, 0] the asm kernel's log-step prefix-max gap scan is
-// value-identical to the serial chain here: each scan step's constant
-// (gap, 2*gap, 4*gap, 8*gap) is an exact int16 product at that bound,
-// saturating adds of same-sign in-range constants compose exactly,
-// max distributes over the clamp, and the scan's shifted-in -32768
-// sentinel is a fixed point of saturating negative adds, so sentinel
-// terms never beat real lanes. laneEligible guarantees far more: its
-// gap <= 0 check feeds the sentinel argument, and its magnitude bound
-// keeps |gap| under ~1800.
+// Everything is saturating int16 (lanes.I16x16 Adds / VPADDSW). Under
+// laneEligible's range proof nothing ever saturates, so the kernel
+// equals the scalar int32 reference bit for bit; on arbitrary
+// out-of-proof inputs (the differential hammer feeds random tables)
+// asm and portable still agree exactly because for gap in [-4096, 0]
+// the asm kernel's log-step prefix-max gap scan is value-identical to
+// the serial chain here: each scan step's constant (gap, 2*gap, 4*gap,
+// and k*gap for k <= 8 where the low half's last lane folds into the
+// high half) is an exact int16 product at that bound, saturating adds
+// of same-sign in-range constants compose exactly, max distributes
+// over the clamp, and the scan's shifted-in -32768 sentinel is a fixed
+// point of saturating negative adds, so sentinel terms never beat real
+// lanes. laneEligible guarantees far more: its gap <= 0 check feeds
+// the sentinel argument, and its magnitude bound keeps |gap| under
+// ~1800.
+//
+// The carry is off the scan. Unrolled over one group, the serial chain
+// seeded by carry = column j0-1 is final[l] = max(g[l],
+// sat(carry + (l+1)*gap)), where g is the group's own scan with no
+// carry in: the same two facts (max distributes over the clamp, and
+// saturating adds of nonpositive amounts compose into one) make the
+// split exact. So the asm kernel scans each group's vertical
+// candidates independently of every other group and folds the carry
+// in after; the next group's carry is max(g[15], sat(carry + 16*gap)),
+// held in a register. The ramp reaches 16*4096, past int16: the
+// kernel works in offset binary (x ^ 0x8000), where sat(x - k) is one
+// unsigned saturating subtraction for any k in [0, 65535], and clamps
+// the ramp at 65535, which changes nothing (any carry minus 65535 is
+// already the sentinel).
 
 // poaRowPortable computes row rowOff/wpad of the score table.
 //   - score: the full int16 DP table.

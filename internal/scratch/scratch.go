@@ -53,7 +53,6 @@ func (p *pool[T]) get(n int) []T {
 type Arena struct {
 	ints pool[int]
 	i16  pool[int16]
-	u16  pool[uint16]
 	i32  pool[int32]
 	u64  pool[uint64]
 	f32  pool[float32]
@@ -68,11 +67,11 @@ func New() *Arena { return &Arena{} }
 func (a *Arena) Reset() { a.Rewind(Mark{}) }
 
 // Mark is an arena's cursor, one position per element type.
-type Mark [6]int
+type Mark [5]int
 
 // Mark returns the arena's cursor, for a later Rewind.
 func (a *Arena) Mark() Mark {
-	return Mark{a.ints.next, a.i16.next, a.u16.next, a.i32.next, a.u64.next, a.f32.next}
+	return Mark{a.ints.next, a.i16.next, a.i32.next, a.u64.next, a.f32.next}
 }
 
 // Rewind returns the arena to m, a Mark taken since the last Reset:
@@ -82,8 +81,8 @@ func (a *Arena) Mark() Mark {
 // a mark taken at its top, so each round reuses the previous one's
 // buffers.
 func (a *Arena) Rewind(m Mark) {
-	a.ints.next, a.i16.next, a.u16.next = m[0], m[1], m[2]
-	a.i32.next, a.u64.next, a.f32.next = m[3], m[4], m[5]
+	a.ints.next, a.i16.next, a.i32.next = m[0], m[1], m[2]
+	a.u64.next, a.f32.next = m[3], m[4]
 }
 
 // Ints returns a reusable []int of length n (contents unspecified).
@@ -91,9 +90,6 @@ func (a *Arena) Ints(n int) []int { return a.ints.get(n) }
 
 // Int16s returns a reusable []int16 of length n (contents unspecified).
 func (a *Arena) Int16s(n int) []int16 { return a.i16.get(n) }
-
-// Uint16s returns a reusable []uint16 of length n (contents unspecified).
-func (a *Arena) Uint16s(n int) []uint16 { return a.u16.get(n) }
 
 // Int32s returns a reusable []int32 of length n (contents unspecified).
 func (a *Arena) Int32s(n int) []int32 { return a.i32.get(n) }
