@@ -231,6 +231,33 @@ func TestMetagenomicsMallocsPerItem(t *testing.T) {
 	t.Logf("%.1f mallocs per source item", perItem)
 }
 
+// TestMetagenomicsDigestPinned pins the metagenomics output at the
+// registered parameters and at the benchmark's (3,000 reads, seed 42,
+// read_seed 43, the digest benchmark/digests.json holds), so a change
+// in seed selection fails here and not only in a benchmark run.
+func TestMetagenomicsDigestPinned(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		overrides Params
+		want      uint64
+	}{
+		{"registered", nil, 0xf9b82ed4191618c0},
+		{"benchmark", Params{"total_reads": 3000, "seed": 42, "read_seed": 43}, 0xed1f865b93a5923f},
+	} {
+		p := Get("metagenomics").Params.Clone()
+		for k, v := range c.overrides {
+			p[k] = v
+		}
+		res, err := RunFused(context.Background(), "metagenomics", buildFor(t, "metagenomics", p), Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if res.Digest != c.want {
+			t.Errorf("%s: digest %#016x, pinned %#016x", c.name, res.Digest, c.want)
+		}
+	}
+}
+
 // TestDigestStableAcrossWorkerWidths pins that worker count is pure
 // throughput: each scenario built with every *_workers parameter at 1
 // and at 4 yields one digest.
