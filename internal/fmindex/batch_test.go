@@ -233,9 +233,8 @@ func TestSmemBatchRaceHammer(t *testing.T) {
 }
 
 // Steady-state engine reuse must not allocate: the lanes' candidate
-// lists and output buffers are grow-only scratch. The width-1 engine
-// over one long read is the shape scenario/metagenomics' smem stage
-// runs per item.
+// lists and output buffers are grow-only scratch, at a batch of short
+// reads and at a width-1 engine over one long read.
 func TestBatchEngineZeroAllocSteadyState(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	g := genome.Random(rng, 4096)

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/fmindex"
 	"repro/internal/genome"
@@ -34,15 +34,13 @@ type SeededRead struct {
 	Seeds []fmindex.SMEM
 }
 
-// smemState is one smem worker's pooled state: a width-1 batch engine
-// and the buffer its scratch output is copied into for sorting. A
-// scratch.Pool outlives a pipeline and keys state by slot alone, so the
-// state remembers which index its engine searches and Fn rebinds it
-// when the pipeline's index is another one.
+// smemState is one smem worker's pooled state: the SMEM scratch and
+// the buffer the read's seeds are found into and sorted in. Neither is
+// tied to an index, so a pool carried from one pipeline to the next
+// serves the next one's index as it is.
 type smemState struct {
-	index  *fmindex.Index
-	engine *fmindex.BatchEngine
-	seeds  []fmindex.SMEM
+	scratch fmindex.SMEMScratch
+	seeds   []fmindex.SMEM
 }
 
 // Classification is one read's final species assignment (-1 when
@@ -136,30 +134,21 @@ func buildMetagenomics(p Params) (*Pipeline, error) {
 				Fn: func(ctx context.Context, w *Worker, v any, emit func(any) error) error {
 					r := v.(ClassifyRead)
 					st := w.State.(*smemState)
-					if st.index != index {
-						// Width 1: the pan-genome's Occ blocks are cache
-						// resident, so there are no misses for more lanes
-						// to overlap.
-						st.index, st.engine = index, fmindex.NewBatchEngine(index, 1, nil)
-					}
-					st.seeds = st.seeds[:0]
-					st.engine.Run([]genome.Seq{r.Seq}, 25, 1, func(_ int, smems []fmindex.SMEM, _ uint64) {
-						st.seeds = append(st.seeds, smems...)
-					})
+					st.seeds = index.LongSMEMs(st.seeds[:0], r.Seq, 25, &st.scratch)
 					// Longest seeds first, with a position tiebreak so
 					// seed selection is deterministic.
 					smems := st.seeds
-					sort.SliceStable(smems, func(i, j int) bool {
-						if smems[i].Len() != smems[j].Len() {
-							return smems[i].Len() > smems[j].Len()
+					slices.SortStableFunc(smems, func(a, b fmindex.SMEM) int {
+						if a.Len() != b.Len() {
+							return b.Len() - a.Len()
 						}
-						return smems[i].QBeg < smems[j].QBeg
+						return a.QBeg - b.QBeg
 					})
 					if len(smems) > 3 {
 						smems = smems[:3]
 					}
-					// The engine's and the state's slices are scratch:
-					// the emitted read owns a copy of its top seeds.
+					// The state's slice is scratch: the emitted read owns a
+					// copy of its top seeds.
 					return emit(&SeededRead{Read: r, Seeds: append([]fmindex.SMEM(nil), smems...)})
 				},
 			},

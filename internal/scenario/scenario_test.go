@@ -170,9 +170,10 @@ func TestFusedDigestMatchesStaged(t *testing.T) {
 // TestPooledStateFollowsThePipelinesIndex: a scratch.Pool keys pooled
 // state by slot alone and outlives a pipeline, so a pool carried from
 // one metagenomics build to the next (another seed: another pan-genome,
-// another index) still holds the first build's smem engines. Searching
-// the old index returns wrong seeds without failing, so every run on
-// the carried pool must digest like the same run on a fresh pool.
+// another index) still holds the first build's smem scratch and seed
+// buffers. State that remembered the old index would search it and
+// return wrong seeds without failing, so every run on the carried pool
+// must digest like the same run on a fresh pool.
 func TestPooledStateFollowsThePipelinesIndex(t *testing.T) {
 	ctx := context.Background()
 	carried := scratch.NewPool()
@@ -207,9 +208,9 @@ func TestPooledStateFollowsThePipelinesIndex(t *testing.T) {
 
 // TestMetagenomicsMallocsPerItem gates the per-item allocation cost of
 // a warm fused run at the registered scale. What is left per read is
-// the emitted SeededRead and its seed copy, boxing, LocateAll's result
-// and the sort; the smem search itself allocates nothing (measured 22
-// per item; it was 2,670 on the allocating reference walk).
+// the emitted SeededRead and its seed copy, boxing and LocateAll's
+// result; the smem search and the seed sort allocate nothing (measured
+// 19 per item; it was 2,670 on the allocating reference walk).
 func TestMetagenomicsMallocsPerItem(t *testing.T) {
 	ctx := context.Background()
 	pipe := buildFor(t, "metagenomics", Get("metagenomics").Params.Clone())
